@@ -11,7 +11,7 @@ GO ?= go
 # load regimes ±25% — tighten it (BENCH_NS_TOL=0.10) on quiet
 # dedicated hardware. allocs/op is deterministic, so its floor stays
 # tight; it is the reliable regression tripwire everywhere.
-BENCH_GATE_PAT  = ^(BenchmarkSimulatorThroughput|BenchmarkBatchThroughput|BenchmarkExtraction|BenchmarkSchedulePop|BenchmarkCalendarSchedulePop|BenchmarkLRUTouch|BenchmarkWriteIdleCSV|BenchmarkSketchAdd)$$
+BENCH_GATE_PAT  = ^(BenchmarkSimulatorThroughput|BenchmarkBatchThroughput|BenchmarkExtraction|BenchmarkSchedulePop|BenchmarkLRUTouch|BenchmarkWriteIdleCSV|BenchmarkSketchAdd)$$
 BENCH_GATE_PKGS = . ./internal/eventq ./internal/mem ./internal/trace ./internal/stats
 BENCH_NS_TOL    ?= 0.25
 BENCH_ALLOC_TOL ?= 0.10
@@ -24,7 +24,7 @@ BENCH_RETRIES   ?= 3
 COVER_PKGS   = ./internal/machine ./internal/cpu ./internal/mem ./internal/disk ./internal/perception
 COVER_FLOOR ?= 85
 
-.PHONY: all build vet test race verify bench bench-baseline bench-check cover doclint fuzz-smoke corpus-check campaign-check campaign-resume-check campaign-demo batch-check modern-check repro quick examples clean
+.PHONY: all build vet test race verify bench bench-baseline bench-check cover doclint fuzz-smoke corpus-check campaign-check campaign-demo modern-check repro quick examples clean
 
 all: build verify
 
@@ -47,10 +47,7 @@ race:
 # floor, LATLAB_SKIP_FUZZ=1 to skip the fuzz smoke,
 # LATLAB_SKIP_DOCLINT=1 to skip the documentation lint,
 # LATLAB_SKIP_CORPUS=1 to skip the scenario-corpus replay,
-# LATLAB_SKIP_CAMPAIGN=1 to skip the campaign-ledger replay,
-# LATLAB_SKIP_RESUME=1 to skip the interrupt/resume reconvergence
-# check, and LATLAB_SKIP_BATCH=1 to skip the batched-engine
-# cross-check.
+# LATLAB_SKIP_CAMPAIGN=1 to skip the campaign-ledger replay, and
 # LATLAB_SKIP_MODERN=1 to skip the modern-chapter replay.
 # The campaign determinism and crash-safety tests themselves run under
 # -race via the race target above.
@@ -85,16 +82,6 @@ verify: vet race
 	else \
 		echo "campaign-check skipped (LATLAB_SKIP_CAMPAIGN set)"; \
 	fi
-	@if [ -z "$$LATLAB_SKIP_RESUME" ]; then \
-		$(MAKE) --no-print-directory campaign-resume-check; \
-	else \
-		echo "campaign-resume-check skipped (LATLAB_SKIP_RESUME set)"; \
-	fi
-	@if [ -z "$$LATLAB_SKIP_BATCH" ]; then \
-		$(MAKE) --no-print-directory batch-check; \
-	else \
-		echo "batch-check skipped (LATLAB_SKIP_BATCH set)"; \
-	fi
 	@if [ -z "$$LATLAB_SKIP_MODERN" ]; then \
 		$(MAKE) --no-print-directory modern-check; \
 	else \
@@ -119,7 +106,8 @@ cover:
 
 # 10 seconds of coverage-guided fuzzing per fuzzer: the CSV/JSONL
 # parsers, the scenario DSL, and the differential event-queue check
-# (calendar vs reference heap on random schedule/cancel programs).
+# (calendar queue vs a test-only heap oracle on random schedule/cancel
+# programs).
 # `go test` only accepts one -fuzz pattern at a time, so each fuzzer
 # gets its own run.
 FUZZ_TIME ?= 10s
@@ -141,58 +129,29 @@ corpus-check:
 	$(GO) test -run '^(TestCorpusGolden|TestRunCorpus)$$' ./cmd/latbench
 	$(GO) test -run '^TestScenarioTwinsMatchGoRegistered$$' -short ./internal/experiments
 
-# Re-run the committed demo campaign (10080 quick sessions) at a
-# non-default worker count and require the ledger and the analyze
-# report to reproduce byte for byte — the end-to-end determinism gate
-# for the sharded engine, the sketches, and the analyzer.
+# The end-to-end determinism and crash-safety gate for the committed
+# demo campaign (10080 quick sessions), proving each property once:
+# SIGINT a run at -jobs 2 mid-flight (exit 3 = drained cleanly; exit 0
+# means the run won the race and finished, which is also fine) and
+# repair the ledger (a no-op on a clean prefix); resume it at a
+# different worker count and require the ledger to match the committed
+# one byte for byte; then require the analyze report to match too.
 CAMPAIGN_DIR  = testdata/campaigns
 CAMPAIGN_JOBS ?= 3
 campaign-check:
-	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) run ./cmd/campaign run -spec $(CAMPAIGN_DIR)/demo.json \
-		-ledger $$tmp/demo-ledger.jsonl -quick -jobs $(CAMPAIGN_JOBS) && \
-	cmp $(CAMPAIGN_DIR)/demo-ledger.jsonl $$tmp/demo-ledger.jsonl && \
-	$(GO) run ./cmd/campaign analyze -ledger $$tmp/demo-ledger.jsonl \
-		-out $$tmp/demo-analyze.txt && \
-	cmp $(CAMPAIGN_DIR)/demo-analyze.txt $$tmp/demo-analyze.txt && \
-	echo "campaign-check: demo ledger and analyze reproduce byte-for-byte (-jobs $(CAMPAIGN_JOBS))"
-
-# Crash-safety gate: interrupt the demo campaign mid-run with SIGINT,
-# prove the drained ledger is a clean prefix (repair is a no-op), then
-# resume at a different worker count and require the final ledger to
-# match the committed one byte for byte. Exit 3 = interrupted cleanly;
-# exit 0 means the run won the race and finished, which is also fine.
-campaign-resume-check:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o $$tmp/campaign ./cmd/campaign && \
 	( LATLAB_CAMPAIGN_INJECT=sleep=40ms $$tmp/campaign run -spec $(CAMPAIGN_DIR)/demo.json \
 		-ledger $$tmp/demo-ledger.jsonl -quick -jobs 2 & \
 	  pid=$$!; sleep 1; kill -INT $$pid 2>/dev/null; wait $$pid; code=$$?; \
-	  [ $$code -eq 0 ] || [ $$code -eq 3 ] || { echo "campaign-resume-check: interrupted run exited $$code, want 0 or 3"; exit 1; } ) && \
+	  [ $$code -eq 0 ] || [ $$code -eq 3 ] || { echo "campaign-check: interrupted run exited $$code, want 0 or 3"; exit 1; } ) && \
 	$$tmp/campaign repair -ledger $$tmp/demo-ledger.jsonl && \
 	$$tmp/campaign resume -spec $(CAMPAIGN_DIR)/demo.json \
 		-ledger $$tmp/demo-ledger.jsonl -quick -jobs $(CAMPAIGN_JOBS) && \
 	cmp $(CAMPAIGN_DIR)/demo-ledger.jsonl $$tmp/demo-ledger.jsonl && \
-	echo "campaign-resume-check: interrupted + resumed ledger matches the committed one byte-for-byte"
-
-# Cross-check the batched simulation core against the reference path:
-# the golden corpus replayed under -engine batched (plus the in-batch
-# session equivalence test), then the demo campaign on the reference
-# engine and at a non-default batch width, all byte-compared against
-# the committed artifacts. campaign-check covers the default
-# batched/-batch 8 configuration, so together the engine/batch matrix
-# is pinned end to end.
-batch-check:
-	$(GO) test -run '^TestCorpusGoldenBatched$$' ./cmd/latbench
-	$(GO) test -run '^TestBatchSessionEquivalence$$' ./internal/experiments
-	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) run ./cmd/campaign run -spec $(CAMPAIGN_DIR)/demo.json \
-		-ledger $$tmp/ref-ledger.jsonl -quick -jobs $(CAMPAIGN_JOBS) -engine reference -batch 1 && \
-	cmp $(CAMPAIGN_DIR)/demo-ledger.jsonl $$tmp/ref-ledger.jsonl && \
-	$(GO) run ./cmd/campaign run -spec $(CAMPAIGN_DIR)/demo.json \
-		-ledger $$tmp/b64-ledger.jsonl -quick -jobs $(CAMPAIGN_JOBS) -engine batched -batch 64 && \
-	cmp $(CAMPAIGN_DIR)/demo-ledger.jsonl $$tmp/b64-ledger.jsonl && \
-	echo "batch-check: reference engine and -batch 64 reproduce the committed ledger byte-for-byte"
+	$$tmp/campaign analyze -ledger $$tmp/demo-ledger.jsonl -out $$tmp/demo-analyze.txt && \
+	cmp $(CAMPAIGN_DIR)/demo-analyze.txt $$tmp/demo-analyze.txt && \
+	echo "campaign-check: interrupted + resumed ledger and its analyze report match the committed ones byte-for-byte"
 
 # Replay the ext-modern experiments against their goldens and require
 # every table quoted in the EXPERIMENTS.md "1996 methodology on 2026

@@ -49,7 +49,6 @@ import (
 	"time"
 
 	"latlab/internal/campaign"
-	"latlab/internal/kernel"
 )
 
 // Exit codes, so agents and CI can branch on outcome without parsing
@@ -95,9 +94,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 func usage(w io.Writer) {
 	fmt.Fprint(w, `usage:
   campaign run     -spec spec.json -ledger out.jsonl [-quick] [-jobs N] [-timeout D]
-                   [-engine batched|reference] [-batch N]
   campaign resume  -spec spec.json -ledger out.jsonl [-quick] [-jobs N] [-timeout D]
-                   [-engine batched|reference] [-batch N]
                    [-retry-budget N] [-backoff D]
   campaign analyze -ledger out.jsonl [-out report.txt]
                    [-emit-spec next.json -spec spec.json]
@@ -106,9 +103,7 @@ func usage(w io.Writer) {
 run expands a campaign spec (personas x machines x scenarios x seeds)
 into cells, executes every seeded session, and appends one sketch
 record per cell to the JSONL ledger. The ledger is byte-identical for
-any -jobs, -engine, and -batch value: the batched engine (calendar
-event queue, analytic idle skipping, -batch machines stepped per
-worker) is a pure throughput knob, never a semantics knob. A failing cell is quarantined (recorded in
+any -jobs value. A failing cell is quarantined (recorded in
 <ledger>.quarantine.jsonl) while the rest of the campaign completes;
 SIGINT/SIGTERM drains in-flight cells, fsyncs the ledger, and leaves a
 resumable prefix.
@@ -164,8 +159,6 @@ func runCampaign(args []string, stdout, stderr io.Writer, resume bool) int {
 		quick      = fs.Bool("quick", false, "trim workload sizes (for smoke runs)")
 		jobs       = fs.Int("jobs", runtime.NumCPU(), "run up to N cells concurrently")
 		timeout    = fs.Duration("timeout", 0, "per-cell timeout, retries included (0 = none)")
-		engine     = fs.String("engine", "batched", "simulation engine: batched or reference (byte-identical ledgers)")
-		batch      = fs.Int("batch", 8, "machines stepped per worker as one batch (1 = sequential)")
 	)
 	budget, backoff := new(int), new(time.Duration)
 	if resume {
@@ -177,20 +170,6 @@ func runCampaign(args []string, stdout, stderr io.Writer, resume bool) int {
 	}
 	if *specPath == "" || *ledgerPath == "" {
 		fmt.Fprintf(stderr, "%s: -spec and -ledger are required\n", name)
-		return exitUsage
-	}
-	var eng kernel.Engine
-	switch *engine {
-	case "batched":
-		eng = kernel.BatchedEngine()
-	case "reference":
-		eng = kernel.Engine{}
-	default:
-		fmt.Fprintf(stderr, "%s: -engine must be batched or reference, got %q\n", name, *engine)
-		return exitUsage
-	}
-	if *batch < 1 {
-		fmt.Fprintf(stderr, "%s: -batch must be >= 1, got %d\n", name, *batch)
 		return exitUsage
 	}
 	c, err := campaign.LoadSpec(*specPath)
@@ -320,8 +299,6 @@ func runCampaign(args []string, stdout, stderr io.Writer, resume bool) int {
 			PriorAttempts: priorAttempts,
 			Drain:         drain,
 			Inject:        inject,
-			Engine:        eng,
-			Batch:         *batch,
 			OnQuarantine: func(q campaign.Quarantine) error {
 				if qf == nil {
 					var err error

@@ -66,11 +66,12 @@ func TestCorpusGolden(t *testing.T) {
 	}
 }
 
-// TestCorpusGoldenBatched replays the same corpus with -engine batched
-// and requires every rendering to match the reference goldens byte for
-// byte — the CLI-level proof that the calendar queue and analytic
-// idle-span elision change nothing observable. `make batch-check` runs
-// this; it never rewrites goldens (those belong to TestCorpusGolden).
+// TestCorpusGoldenBatched replays the whole corpus as one batch (-run
+// corpus on a shared worker pool) and requires each document's section
+// of the combined rendering to match its golden byte for byte — proof
+// that running the documents together, concurrently, changes nothing
+// against replaying each alone. It never rewrites goldens (those belong
+// to TestCorpusGolden).
 func TestCorpusGoldenBatched(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join(corpusDir, "*.json"))
 	if err != nil {
@@ -80,25 +81,28 @@ func TestCorpusGoldenBatched(t *testing.T) {
 		t.Fatalf("no scenario documents in %s", corpusDir)
 	}
 	sort.Strings(paths)
-	for _, path := range paths {
-		path := path
+	var out, errBuf strings.Builder
+	if code := run([]string{"-quick", "-jobs", "4", "-run", "corpus", "-corpus", corpusDir}, &out, &errBuf); code != 0 {
+		t.Fatalf("exit %d: %s", code, errBuf.String())
+	}
+	sections := strings.Split(out.String(), strings.Repeat("=", 90)+"\n")
+	if len(sections) != len(paths) {
+		t.Fatalf("batched replay rendered %d sections for %d documents", len(sections), len(paths))
+	}
+	for i, path := range paths {
 		doc, err := scenario.ParseFile(path)
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
+		got := []byte(sections[i])
 		t.Run(doc.ID, func(t *testing.T) {
-			t.Parallel()
-			var out, errBuf strings.Builder
-			if code := run([]string{"-quick", "-engine", "batched", "-scenario", path}, &out, &errBuf); code != 0 {
-				t.Fatalf("exit %d: %s", code, errBuf.String())
-			}
 			want, err := os.ReadFile(filepath.Join("testdata", "golden", doc.ID+".txt"))
 			if err != nil {
 				t.Fatalf("missing golden file (run `go test ./cmd/latbench -update`): %v", err)
 			}
-			if !bytes.Equal(want, []byte(out.String())) {
-				t.Fatalf("batched-engine output differs from the reference golden (lens %d vs %d):\n%s",
-					len(want), out.Len(), firstDiff(want, []byte(out.String())))
+			if !bytes.Equal(want, got) {
+				t.Fatalf("batched-replay output differs from the golden (lens %d vs %d):\n%s",
+					len(want), len(got), firstDiff(want, got))
 			}
 		})
 	}

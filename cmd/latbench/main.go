@@ -14,7 +14,6 @@
 //	         [-out results.txt] [-jobs N] [-timeout 5m] [-retries N]
 //	         [-json manifest.json] [-csv-dir dir] [-svg-dir dir]
 //	         [-trace trace.json] [-attrib attrib.csv]
-//	         [-engine reference|batched]
 //	latbench -scenario doc.json [-force]
 //	latbench -run corpus [-corpus dir]
 //
@@ -23,11 +22,6 @@
 // committed corpus directory. A scenario that pins its own machine
 // conflicts with an explicit -machine: latbench refuses unless -force
 // is given, in which case the scenario wins.
-//
-// -engine batched runs every experiment on the batched simulation core
-// (calendar event queue plus analytic idle-span skipping). Outputs are
-// byte-identical to the default reference engine; `make batch-check`
-// enforces that on the golden scenario corpus.
 //
 // -trace records latency-attribution spans on every simulated machine
 // and writes them as Chrome trace-event JSON (load the file in Perfetto
@@ -48,7 +42,6 @@ import (
 	"strings"
 
 	"latlab/internal/experiments"
-	"latlab/internal/kernel"
 	"latlab/internal/machine"
 	"latlab/internal/runner"
 	"latlab/internal/scenario"
@@ -82,7 +75,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		scenPath  = fs.String("scenario", "", "compile and run the scenario document at this path")
 		corpusDir = fs.String("corpus", "testdata/scenarios", "scenario corpus directory replayed by -run corpus")
 		force     = fs.Bool("force", false, "let a scenario's pinned machine silently override an explicit -machine")
-		engineArg = fs.String("engine", "reference", "simulation engine: reference or batched (byte-identical outputs)")
 	)
 	fs.Usage = func() { groupedUsage(fs, stderr) }
 	if err := fs.Parse(args); err != nil {
@@ -90,16 +82,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	userSet := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { userSet[f.Name] = true })
-
-	var eng kernel.Engine
-	switch *engineArg {
-	case "reference":
-	case "batched":
-		eng = kernel.BatchedEngine()
-	default:
-		fmt.Fprintf(stderr, "latbench: -engine must be reference or batched, got %q\n", *engineArg)
-		return 2
-	}
 
 	if *list {
 		groups := []struct {
@@ -255,7 +237,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Jobs:    *jobs,
 		Timeout: *timeout,
 		Retries: *retries,
-		Config:  experiments.Config{Seed: *seed, Quick: *quick, Machine: prof, Trace: col, Engine: eng},
+		Config:  experiments.Config{Seed: *seed, Quick: *quick, Machine: prof, Trace: col},
 	}
 	man, err := runner.Run(context.Background(), specs, opt, emit)
 	if err != nil {

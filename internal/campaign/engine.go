@@ -63,18 +63,20 @@ type Options struct {
 	// uses to append the sidecar crash-safely while the run continues. A
 	// returned error stops the run like an emit error.
 	OnQuarantine func(Quarantine) error
-	// Engine selects the kernel engine every session boots on. The zero
-	// value is the reference engine; cmd/campaign defaults to
-	// kernel.BatchedEngine(). Both produce byte-identical ledgers.
+	// Engine is ignored: every session runs the one engine.
+	//
+	// Deprecated: kept only because the benchmark module (bench/) still
+	// sets it.
 	Engine kernel.Engine
 	// Batch is the number of machines each worker steps as one
-	// system.Batch; <= 1 runs sessions one at a time (the reference
-	// path). The ledger bytes are identical for every value: sessions
-	// are opened, stepped, and folded in seed order either way. Cells
-	// whose scenario has no single-session decomposition (compare
-	// scenarios) fall back to the sequential path automatically.
+	// system.Batch; <= 0 means DefaultBatch. The ledger bytes are
+	// identical for every value: sessions are opened, stepped, and
+	// folded in seed order either way.
 	Batch int
 }
+
+// DefaultBatch is the batch width Options.Batch <= 0 selects.
+const DefaultBatch = 8
 
 // SketchAlpha resolves the sketch accuracy the options run with —
 // the value resume planning must match against existing records.
@@ -462,10 +464,10 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // runCell executes a cell's sessions in seed order, folding every
 // event latency into one sketch and returning the finished ledger
 // record. Each session's result is discarded after folding, so memory
-// stays flat at any population size. With opt.Batch > 1, sessions run
-// interleaved as a system.Batch in waves of the batch size — opened,
-// stepped, and folded in seed order, so the record (and the ledger) is
-// byte-identical to the sequential path.
+// stays flat at any population size. Sessions run interleaved as a
+// system.Batch in waves of the batch width — opened, stepped, and folded
+// in seed order, so the record (and the ledger) is the same for every
+// width.
 func runCell(ctx context.Context, campaignID string, cell Cell, alpha float64, opt Options) (Record, error) {
 	sk := stats.NewSketch(alpha)
 	sessions := 0
@@ -509,13 +511,7 @@ func runCell(ctx context.Context, campaignID string, cell Cell, alpha float64, o
 		}
 		sessions++
 	}
-	var err error
-	if opt.Batch > 1 && len(cell.Doc.Compare) == 0 {
-		err = runCellBatched(ctx, cell, opt, fold)
-	} else {
-		err = runCellSequential(ctx, cell, opt, fold)
-	}
-	if err != nil {
+	if err := runCellBatched(ctx, cell, opt, fold); err != nil {
 		return Record{}, err
 	}
 	return Record{
@@ -541,30 +537,6 @@ func runCell(ctx context.Context, campaignID string, cell Cell, alpha float64, o
 	}, nil
 }
 
-// runCellSequential is the reference path: one session at a time.
-func runCellSequential(ctx context.Context, cell Cell, opt Options, fold func(*experiments.ScenarioResult)) error {
-	spec, err := experiments.FromScenario(cell.Doc)
-	if err != nil {
-		return err
-	}
-	for i := 0; i < cell.SeedCount; i++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		seed := cell.SeedStart + uint64(i)
-		res, err := spec.Run(ctx, experiments.Config{Seed: seed, Quick: opt.Quick, Engine: opt.Engine})
-		if err != nil {
-			return fmt.Errorf("seed %d: %w", seed, err)
-		}
-		sr, ok := res.(*experiments.ScenarioResult)
-		if !ok {
-			return fmt.Errorf("seed %d: unexpected result type %T", seed, res)
-		}
-		fold(sr)
-	}
-	return nil
-}
-
 // runCellBatched steps the cell's sessions opt.Batch machines at a
 // time on this worker: each wave opens its sessions in seed order
 // (reusing the batch's per-slot sample arenas), interleaves their
@@ -574,10 +546,14 @@ func runCellBatched(ctx context.Context, cell Cell, opt Options, fold func(*expe
 	if err := cell.Doc.Validate(); err != nil {
 		return err
 	}
-	b := system.NewBatch(opt.Batch)
-	open := make([]*experiments.ScenarioSession, opt.Batch)
-	for base := 0; base < cell.SeedCount; base += opt.Batch {
-		n := opt.Batch
+	width := opt.Batch
+	if width <= 0 {
+		width = DefaultBatch
+	}
+	b := system.NewBatch(width)
+	open := make([]*experiments.ScenarioSession, width)
+	for base := 0; base < cell.SeedCount; base += width {
+		n := width
 		if rest := cell.SeedCount - base; n > rest {
 			n = rest
 		}
@@ -595,7 +571,7 @@ func runCellBatched(ctx context.Context, cell Cell, opt Options, fold func(*expe
 				}
 				seed := cell.SeedStart + uint64(base+i)
 				s, err := experiments.OpenScenarioSession(experiments.Config{
-					Seed: seed, Quick: opt.Quick, Engine: opt.Engine, IdleArena: b.Arena(i),
+					Seed: seed, Quick: opt.Quick, IdleArena: b.Arena(i),
 				}, cell.Doc)
 				if err != nil {
 					return fmt.Errorf("seed %d: %w", seed, err)

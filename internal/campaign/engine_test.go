@@ -3,10 +3,10 @@ package campaign
 import (
 	"bytes"
 	"context"
+	"os"
 	"strings"
 	"testing"
 
-	"latlab/internal/kernel"
 	"latlab/internal/stats"
 )
 
@@ -93,20 +93,24 @@ func TestRunShardingInvariant(t *testing.T) {
 	}
 }
 
-// TestRunBatchInvariant is the engine/batch determinism gate: the
-// ledger must be byte-identical on the reference engine and on the
-// batched engine at every batch size — singleton waves, partial waves
-// (4 against 6-seed cells), and one wave far wider than any cell.
+// TestRunBatchInvariant is the batch-width determinism gate: at every
+// width — singleton waves, partial waves (4 against 6-seed cells), and
+// one wave far wider than any cell — the ledger must equal the committed
+// testdata/mini-ledger.jsonl byte for byte, and so each other. After an
+// intentional behaviour change, regenerate the file with
+//
+//	rm internal/campaign/testdata/mini-ledger.jsonl
+//	go run ./cmd/campaign run -spec internal/campaign/testdata/mini.json \
+//		-ledger internal/campaign/testdata/mini-ledger.jsonl -quick
 func TestRunBatchInvariant(t *testing.T) {
-	base, _ := runMiniOpt(t, Options{Jobs: 2, Quick: true})
-	for _, opt := range []Options{
-		{Jobs: 2, Quick: true, Engine: kernel.BatchedEngine(), Batch: 1},
-		{Jobs: 2, Quick: true, Engine: kernel.BatchedEngine(), Batch: 4},
-		{Jobs: 2, Quick: true, Engine: kernel.BatchedEngine(), Batch: 64},
-	} {
-		got, _ := runMiniOpt(t, opt)
-		if !bytes.Equal(base, got) {
-			t.Errorf("ledger differs between the reference path and the batched engine at -batch %d", opt.Batch)
+	want, err := os.ReadFile("testdata/mini-ledger.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, batch := range []int{1, 4, 64} {
+		got, _ := runMiniOpt(t, Options{Jobs: 2, Quick: true, Batch: batch})
+		if !bytes.Equal(want, got) {
+			t.Errorf("ledger at batch width %d differs from testdata/mini-ledger.jsonl", batch)
 		}
 	}
 }

@@ -7,20 +7,82 @@ import (
 	"latlab/internal/kernel"
 	"latlab/internal/machine"
 	"latlab/internal/simtime"
+	"latlab/internal/spans"
 	"latlab/internal/trace"
 )
 
-// engineScenario boots a kernel on the given engine, runs the idle-loop
-// instrument against a periodically bursting worker for two seconds, and
-// returns the machine's observable end state. The worker's bursts and
+// elisionRun is one booted kernel's observable end state.
+type elisionRun struct {
+	k       *kernel.Kernel
+	samples []trace.IdleSample
+}
+
+// runElisionPair runs one scenario twice on cfg: traced, where the
+// attached span recorder makes the kernel simulate every idle cycle,
+// and untraced, where clean idle cycles are elided analytically. load
+// spawns the scenario's threads; the idle-loop instrument (bufCap
+// samples) is started first in both runs.
+func runElisionPair(cfg kernel.Config, bufCap int, until simtime.Time, load func(k *kernel.Kernel)) (oracle, fast elisionRun) {
+	run := func(traced bool) elisionRun {
+		k := kernel.New(cfg)
+		if traced {
+			k.SetRecorder(spans.NewRecorder(k.Now))
+		}
+		il := StartIdleLoop(k, bufCap)
+		load(k)
+		k.Run(until)
+		k.Shutdown()
+		return elisionRun{k: k, samples: il.Samples()}
+	}
+	return run(true), run(false)
+}
+
+// requireIdenticalMachines is the exactness proof for idle elision: the
+// untraced run must have elided work, the traced oracle none, and the
+// two must be indistinguishable — identical idle-sample traces,
+// hardware counters, clock ticks, busy-time accounting, governor level,
+// and auxiliary-core busy time.
+func requireIdenticalMachines(t *testing.T, oracle, fast elisionRun) {
+	t.Helper()
+	if n := oracle.k.BulkElided(); n != 0 {
+		t.Fatalf("traced kernel elided %d cycles, want 0", n)
+	}
+	if fast.k.BulkElided() == 0 {
+		t.Fatalf("untraced kernel elided no idle cycles — the equivalence check is vacuous")
+	}
+	if len(oracle.samples) != len(fast.samples) {
+		t.Fatalf("sample count diverged: traced %d, untraced %d", len(oracle.samples), len(fast.samples))
+	}
+	for i := range oracle.samples {
+		if oracle.samples[i] != fast.samples[i] {
+			t.Fatalf("sample %d diverged: traced %+v, untraced %+v", i, oracle.samples[i], fast.samples[i])
+		}
+	}
+	want, got := oracle.k.CPU().Snapshot(), fast.k.CPU().Snapshot()
+	for kind := range want {
+		if want[kind] != got[kind] {
+			t.Fatalf("counter %v diverged: traced %d, untraced %d", cpu.EventKind(kind), want[kind], got[kind])
+		}
+	}
+	if a, b := oracle.k.ClockTicks(), fast.k.ClockTicks(); a != b {
+		t.Fatalf("clock ticks diverged: %d vs %d", a, b)
+	}
+	if a, b := oracle.k.NonIdleBusyTime(), fast.k.NonIdleBusyTime(); a != b {
+		t.Fatalf("busy time diverged: %v vs %v", a, b)
+	}
+	if a, b := oracle.k.DVFSLevel(), fast.k.DVFSLevel(); a != b {
+		t.Fatalf("governor level diverged: %d vs %d", a, b)
+	}
+	if a, b := oracle.k.AuxBusyTime(), fast.k.AuxBusyTime(); a != b {
+		t.Fatalf("aux busy diverged: %v vs %v", a, b)
+	}
+}
+
+// TestEngineEquivalence runs the idle-loop instrument against a
+// periodically bursting worker for two seconds. The worker's bursts and
 // sleeps exercise the straddling-cycle path: every elided span ends at a
 // tick, wakeup, or completion, and the cycle crossing it is simulated.
-func engineScenario(t *testing.T, eng kernel.Engine) (*kernel.Kernel, []trace.IdleSample) {
-	t.Helper()
-	cfg := kernel.DefaultConfig()
-	cfg.Engine = eng
-	k := kernel.New(cfg)
-	il := StartIdleLoop(k, 4096)
+func TestEngineEquivalence(t *testing.T) {
 	burst := cpu.Segment{
 		Name:         "burst",
 		BaseCycles:   300_000,
@@ -29,70 +91,27 @@ func engineScenario(t *testing.T, eng kernel.Engine) (*kernel.Kernel, []trace.Id
 		CodePages:    []uint64{7, 8},
 		DataPages:    []uint64{9, 10, 11},
 	}
-	k.Spawn("worker", 1, 8, func(tc *kernel.TC) {
-		for i := 0; i < 8; i++ {
-			tc.Sleep(150 * simtime.Millisecond)
-			tc.Compute(burst)
-		}
+	oracle, fast := runElisionPair(kernel.DefaultConfig(), 4096, simtime.Time(2*simtime.Second), func(k *kernel.Kernel) {
+		k.Spawn("worker", 1, 8, func(tc *kernel.TC) {
+			for i := 0; i < 8; i++ {
+				tc.Sleep(150 * simtime.Millisecond)
+				tc.Compute(burst)
+			}
+		})
 	})
-	k.Run(simtime.Time(2 * simtime.Second))
-	k.Shutdown()
-	return k, il.Samples()
+	requireIdenticalMachines(t, oracle, fast)
 }
 
-// TestEngineEquivalence is the end-to-end exactness proof at the kernel
-// level: the batched engine (calendar queue + idle skipping) must leave
-// the machine in a state indistinguishable from the reference engine —
-// identical idle-sample traces, hardware counters, tick counts, and
-// busy-time accounting — while actually having elided work.
-func TestEngineEquivalence(t *testing.T) {
-	kr, ref := engineScenario(t, kernel.Engine{})
-	kb, bat := engineScenario(t, kernel.BatchedEngine())
-
-	if kb.BulkElided() == 0 {
-		t.Fatalf("batched engine elided no idle cycles — the equivalence check is vacuous")
-	}
-	if kr.BulkElided() != 0 {
-		t.Fatalf("reference engine elided %d cycles, want 0", kr.BulkElided())
-	}
-	if len(ref) != len(bat) {
-		t.Fatalf("sample count diverged: reference %d, batched %d", len(ref), len(bat))
-	}
-	for i := range ref {
-		if ref[i] != bat[i] {
-			t.Fatalf("sample %d diverged: reference %+v, batched %+v", i, ref[i], bat[i])
-		}
-	}
-	if a, b := kr.ClockTicks(), kb.ClockTicks(); a != b {
-		t.Fatalf("clock ticks diverged: %d vs %d", a, b)
-	}
-	if a, b := kr.NonIdleBusyTime(), kb.NonIdleBusyTime(); a != b {
-		t.Fatalf("busy time diverged: %v vs %v", a, b)
-	}
-	refSnap := kr.CPU().Snapshot()
-	batSnap := kb.CPU().Snapshot()
-	for kind := range refSnap {
-		if refSnap[kind] != batSnap[kind] {
-			t.Fatalf("counter %v diverged: reference %d, batched %d",
-				cpu.EventKind(kind), refSnap[kind], batSnap[kind])
-		}
-	}
-}
-
-// TestEngineEquivalenceModernMachine re-proves engine equivalence on the
-// 2026 profile, where three new mechanisms interact with idle elision:
-// DVFS transitions re-price the idle loop's cycles (the sigClock guard
-// must dirty stale signatures), auxiliary-core housekeeping events land
+// TestEngineEquivalenceModernMachine re-proves elision exactness on the
+// 2026 profile, where three mechanisms interact with it: DVFS
+// transitions re-price the idle loop's cycles (the sigClock guard must
+// dirty stale signatures), auxiliary-core housekeeping events land
 // inside otherwise-idle stretches, and disk-interrupt coalescing timers
-// sit on the event queue. The batched engine must still elide work and
-// still match the reference byte for byte.
+// sit on the event queue.
 func TestEngineEquivalenceModernMachine(t *testing.T) {
-	run := func(eng kernel.Engine) ([]trace.IdleSample, *kernel.Kernel) {
-		cfg := kernel.DefaultConfig()
-		cfg.Machine = machine.Modern2026()
-		cfg.Engine = eng
-		k := kernel.New(cfg)
-		il := StartIdleLoop(k, 8192)
+	cfg := kernel.DefaultConfig()
+	cfg.Machine = machine.Modern2026()
+	oracle, fast := runElisionPair(cfg, 8192, simtime.Time(2*simtime.Second), func(k *kernel.Kernel) {
 		sleep := true
 		k.SpawnLoopOn("housekeep", kernel.KernelProc, 4, 1, func(lc *kernel.LoopTC) bool {
 			if sleep {
@@ -109,32 +128,11 @@ func TestEngineEquivalenceModernMachine(t *testing.T) {
 				tc.Compute(cpu.Segment{Name: "burst", BaseCycles: 5_000_000, Instructions: 3_000_000})
 			}
 		})
-		k.Run(simtime.Time(2 * simtime.Second))
-		k.Shutdown()
-		return il.Samples(), k
+	})
+	if oracle.k.AuxBusyTime() == 0 {
+		t.Fatalf("housekeeping ran no aux-core work; the aux check is vacuous")
 	}
-	ref, kr := run(kernel.Engine{})
-	bat, kb := run(kernel.BatchedEngine())
-	if kb.BulkElided() == 0 {
-		t.Fatalf("batched engine elided nothing on the modern profile")
-	}
-	if len(ref) != len(bat) {
-		t.Fatalf("sample count diverged: reference %d, batched %d", len(ref), len(bat))
-	}
-	for i := range ref {
-		if ref[i] != bat[i] {
-			t.Fatalf("sample %d diverged: reference %+v, batched %+v", i, ref[i], bat[i])
-		}
-	}
-	if a, b := kr.NonIdleBusyTime(), kb.NonIdleBusyTime(); a != b {
-		t.Fatalf("busy time diverged: %v vs %v", a, b)
-	}
-	if a, b := kr.AuxBusyTime(), kb.AuxBusyTime(); a != b || a == 0 {
-		t.Fatalf("aux busy diverged or vanished: %v vs %v", a, b)
-	}
-	if a, b := kr.DVFSLevel(), kb.DVFSLevel(); a != b {
-		t.Fatalf("governor level diverged: %d vs %d", a, b)
-	}
+	requireIdenticalMachines(t, oracle, fast)
 }
 
 // TestEngineEquivalenceQuantumStraddle pins the subtlest piece of the
@@ -143,33 +141,15 @@ func TestEngineEquivalenceModernMachine(t *testing.T) {
 // events (sequence numbers) and leftover quantum. A 2.5 ms quantum slices
 // each 1 ms idle cycle differently on every iteration.
 func TestEngineEquivalenceQuantumStraddle(t *testing.T) {
-	run := func(eng kernel.Engine) ([]trace.IdleSample, *kernel.Kernel) {
-		cfg := kernel.DefaultConfig()
-		cfg.Quantum = 2500 * simtime.Microsecond
-		cfg.Engine = eng
-		k := kernel.New(cfg)
-		il := StartIdleLoop(k, 4096)
+	cfg := kernel.DefaultConfig()
+	cfg.Quantum = 2500 * simtime.Microsecond
+	oracle, fast := runElisionPair(cfg, 4096, simtime.Time(1500*simtime.Millisecond), func(k *kernel.Kernel) {
 		k.Spawn("worker", 1, 8, func(tc *kernel.TC) {
 			for i := 0; i < 4; i++ {
 				tc.Sleep(300 * simtime.Millisecond)
 				tc.Compute(cpu.Segment{Name: "blip", BaseCycles: 50_000, Instructions: 30_000})
 			}
 		})
-		k.Run(simtime.Time(1500 * simtime.Millisecond))
-		k.Shutdown()
-		return il.Samples(), k
-	}
-	ref, _ := run(kernel.Engine{})
-	bat, kb := run(kernel.BatchedEngine())
-	if kb.BulkElided() == 0 {
-		t.Fatalf("no cycles elided under a straddling quantum")
-	}
-	if len(ref) != len(bat) {
-		t.Fatalf("sample count diverged: reference %d, batched %d", len(ref), len(bat))
-	}
-	for i := range ref {
-		if ref[i] != bat[i] {
-			t.Fatalf("sample %d diverged: reference %+v, batched %+v", i, ref[i], bat[i])
-		}
-	}
+	})
+	requireIdenticalMachines(t, oracle, fast)
 }

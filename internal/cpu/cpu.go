@@ -149,15 +149,6 @@ func (c *CPU) SetRecorder(rec *spans.Recorder, clock func() simtime.Time) {
 	c.Mem.SetRecorder(rec)
 }
 
-// New returns a CPU for the paper's machine.
-//
-// Deprecated: use NewFor(machine.Pentium100()) — New is the thin
-// compatibility wrapper kept so pre-profile call sites migrate
-// mechanically.
-func New() *CPU {
-	return NewFor(machine.Pentium100())
-}
-
 // NewFor returns a CPU for the given hardware profile: its clock, a
 // memory system with the profile's TLB and L2 capacities (and tagged-TLB
 // behaviour), and profile-derived penalties.

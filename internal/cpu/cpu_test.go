@@ -27,7 +27,7 @@ func TestEventKindStrings(t *testing.T) {
 }
 
 func TestExecuteWarmVsCold(t *testing.T) {
-	c := New()
+	c := NewFor(machine.Pentium100())
 	seg := Segment{
 		Name:         "op",
 		BaseCycles:   1000,
@@ -58,7 +58,7 @@ func TestExecuteWarmVsCold(t *testing.T) {
 }
 
 func TestDomainCrossCausesTLBMissesButNotCacheMisses(t *testing.T) {
-	c := New()
+	c := NewFor(machine.Pentium100())
 	seg := Segment{
 		BaseCycles:  100,
 		CodePages:   []uint64{1, 2, 3},
@@ -87,7 +87,7 @@ func TestDomainCrossCausesTLBMissesButNotCacheMisses(t *testing.T) {
 }
 
 func TestSegment16BitCosts(t *testing.T) {
-	c := New()
+	c := NewFor(machine.Pentium100())
 	seg := Segment{BaseCycles: 100, SegmentLoads: 10, UnalignedAccesses: 20}
 	cycles, _ := c.Execute(seg)
 	want := int64(100) + 10*c.Penalties.SegmentLoad + 20*c.Penalties.Unaligned
@@ -116,7 +116,7 @@ func TestSegmentScale(t *testing.T) {
 }
 
 func TestAddAndSnapshot(t *testing.T) {
-	c := New()
+	c := NewFor(machine.Pentium100())
 	c.Add(Interrupts, 5)
 	if c.Count(Interrupts) != 5 {
 		t.Fatalf("Add not reflected")
@@ -129,7 +129,7 @@ func TestAddAndSnapshot(t *testing.T) {
 }
 
 func TestCycleAt(t *testing.T) {
-	c := New()
+	c := NewFor(machine.Pentium100())
 	if got := c.CycleAt(simtime.Time(simtime.Millisecond)); got != 100_000 {
 		t.Fatalf("CycleAt(1ms) = %d", got)
 	}
@@ -140,7 +140,7 @@ func TestCycleAt(t *testing.T) {
 // set fits in the memory structures.
 func TestWarmthMonotoneProperty(t *testing.T) {
 	f := func(nCode, nData, nChunk uint8, base uint16) bool {
-		c := New()
+		c := NewFor(machine.Pentium100())
 		seg := Segment{BaseCycles: int64(base)}
 		for i := uint8(0); i < nCode%16; i++ {
 			seg.CodePages = append(seg.CodePages, uint64(i))
@@ -161,7 +161,7 @@ func TestWarmthMonotoneProperty(t *testing.T) {
 }
 
 func TestCounterFileModeRestrictions(t *testing.T) {
-	c := New()
+	c := NewFor(machine.Pentium100())
 	f := NewCounterFile(c)
 
 	// Cycle counter: any mode.
@@ -185,7 +185,7 @@ func TestCounterFileModeRestrictions(t *testing.T) {
 }
 
 func TestCounterFileMeasurement(t *testing.T) {
-	c := New()
+	c := NewFor(machine.Pentium100())
 	f := NewCounterFile(c)
 	seg := Segment{BaseCycles: 10, CodePages: []uint64{1, 2}}
 	c.Execute(seg) // activity before configuration must not leak in
@@ -271,7 +271,7 @@ func TestExecuteHotPathAllocFree(t *testing.T) {
 // allocate once the recorder's slab is pre-grown; detaching it restores
 // the exact untraced path (zero appends, zero allocations).
 func TestExecuteTracedAllocBounded(t *testing.T) {
-	c := New()
+	c := NewFor(machine.Pentium100())
 	rec := spans.NewRecorder(func() simtime.Time { return 0 })
 	rec.Grow(1 << 16)
 	c.SetRecorder(rec, func() simtime.Time { return 0 })
@@ -316,8 +316,8 @@ func TestTracedExecuteCostIdentical(t *testing.T) {
 		Instructions:      500,
 		DataRefs:          200,
 	}
-	plain := New()
-	traced := New()
+	plain := NewFor(machine.Pentium100())
+	traced := NewFor(machine.Pentium100())
 	rec := spans.NewRecorder(func() simtime.Time { return 0 })
 	traced.SetRecorder(rec, func() simtime.Time { return 0 })
 	for i := 0; i < 3; i++ {

@@ -6,11 +6,11 @@ import (
 	"latlab/internal/simtime"
 )
 
-// Calendar-queue backend. The queue's pop order is the total order
-// (at, seq) — seq is unique — so any backend that yields the minimum of
-// that order is simulation-equivalent to the 4-ary heap; the
-// differential fuzzer (FuzzQueueEquivalence) proves the two backends
-// agree under arbitrary schedule/cancel/pop interleavings.
+// Calendar queue. The queue's pop order is the total order (at, seq) —
+// seq is unique — so any layout that yields the minimum of that order is
+// simulation-equivalent to a plain binary heap; the differential fuzzer
+// (FuzzQueueEquivalence) holds the calendar to a test-only 4-ary heap
+// under arbitrary schedule/cancel/pop interleavings.
 //
 // Layout: a power-of-two ring of buckets, each covering 1<<shift
 // nanoseconds of simulated time. An event at instant `at` lives in
@@ -47,31 +47,19 @@ type calendar struct {
 // background-thread sleeps all land in-window, while input scripts
 // installed seconds ahead ride in overflow until the cursor nears them.
 const (
-	defaultCalendarShift   = 19 // bucket width 1<<19 ns ≈ 524 µs
-	defaultCalendarBuckets = 512
+	defaultCalendarShift   = 19  // bucket width 1<<19 ns ≈ 524 µs
+	defaultCalendarBuckets = 512 // a power of two: mask indexes the ring
 )
 
-func newCalendar(shift uint, nbuckets int) *calendar {
-	if nbuckets <= 0 || nbuckets&(nbuckets-1) != 0 {
-		panic("eventq: calendar bucket count must be a positive power of two")
-	}
-	return &calendar{
-		shift:    shift,
-		mask:     int64(nbuckets - 1),
-		buckets:  make([][]entry, nbuckets),
-		occupied: make([]uint64, (nbuckets+63)/64),
+// init allocates an empty ring in the default geometry.
+func (c *calendar) init() {
+	*c = calendar{
+		shift:    defaultCalendarShift,
+		mask:     defaultCalendarBuckets - 1,
+		buckets:  make([][]entry, defaultCalendarBuckets),
+		occupied: make([]uint64, (defaultCalendarBuckets+63)/64),
 		ovMin:    simtime.Never,
 	}
-}
-
-// UseCalendar switches the queue to the calendar backend with the
-// default geometry. It may only be called while the queue is empty (at
-// boot): entries do not migrate between backends.
-func (q *Queue) UseCalendar() {
-	if len(q.h) > 0 || q.cal != nil {
-		panic("eventq: UseCalendar on a non-empty or already-calendar queue")
-	}
-	q.cal = newCalendar(defaultCalendarShift, defaultCalendarBuckets)
 }
 
 // SkipSeq advances the internal sequence counter by n without
@@ -153,6 +141,9 @@ func (c *calendar) migrate() {
 func (c *calendar) minLocate(q *Queue) (p int64, at int, ok bool) {
 	if c.memoOK {
 		return c.memoP, c.memoI, true
+	}
+	if c.count == 0 { // also covers the zero Queue's unallocated ring
+		return 0, 0, false
 	}
 	for {
 		// Admit overflow entries the advancing cursor has brought inside

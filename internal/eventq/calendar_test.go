@@ -7,19 +7,21 @@ import (
 	"latlab/internal/simtime"
 )
 
-// newCalendarQueue returns an empty queue on the calendar backend.
-func newCalendarQueue() *Queue {
-	var q Queue
-	q.UseCalendar()
-	return &q
-}
+// bucket is one calendar bucket's width: the calendar tests space
+// events by it so they exercise the ring, not a single bucket's scan.
+const bucket = simtime.Time(1) << defaultCalendarShift
 
+// horizon is the span the bucket ring covers; later events overflow.
+const horizon = bucket * defaultCalendarBuckets
+
+// TestCalendarOrdering pops events scheduled out of order across
+// distinct buckets.
 func TestCalendarOrdering(t *testing.T) {
-	q := newCalendarQueue()
+	var q Queue
 	var got []int
-	q.Schedule(30, func(simtime.Time) { got = append(got, 3) })
-	q.Schedule(10, func(simtime.Time) { got = append(got, 1) })
-	q.Schedule(20, func(simtime.Time) { got = append(got, 2) })
+	q.Schedule(30*bucket, func(simtime.Time) { got = append(got, 3) })
+	q.Schedule(10*bucket, func(simtime.Time) { got = append(got, 1) })
+	q.Schedule(20*bucket, func(simtime.Time) { got = append(got, 2) })
 	for !q.Empty() {
 		e, _ := q.Pop()
 		e.Fire(e.At())
@@ -29,12 +31,15 @@ func TestCalendarOrdering(t *testing.T) {
 	}
 }
 
+// TestCalendarFIFOTieBreak schedules same-instant events beyond the
+// horizon: they wait in the overflow list and must keep schedule order
+// when they migrate into their bucket.
 func TestCalendarFIFOTieBreak(t *testing.T) {
-	q := newCalendarQueue()
+	var q Queue
 	var got []int
 	for i := 0; i < 100; i++ {
 		i := i
-		q.Schedule(42, func(simtime.Time) { got = append(got, i) })
+		q.Schedule(3*horizon+42, func(simtime.Time) { got = append(got, i) })
 	}
 	for !q.Empty() {
 		e, _ := q.Pop()
@@ -47,19 +52,21 @@ func TestCalendarFIFOTieBreak(t *testing.T) {
 	}
 }
 
+// TestCalendarCancel cancels an overflow entry: it must be skipped
+// after migrating, not fire.
 func TestCalendarCancel(t *testing.T) {
-	q := newCalendarQueue()
+	var q Queue
 	fired := false
-	h := q.Schedule(10, func(simtime.Time) { fired = true })
-	q.Schedule(20, func(simtime.Time) {})
+	h := q.Schedule(2*horizon, func(simtime.Time) { fired = true })
+	q.Schedule(2*horizon+bucket, func(simtime.Time) {})
 	h.Cancel()
 	if !h.Cancelled() {
 		t.Fatalf("Cancelled() = false after Cancel")
 	}
-	if got := q.NextTime(); got != 20 {
-		t.Fatalf("NextTime = %v, want 20 (cancelled head skipped)", got)
+	if got := q.NextTime(); got != 2*horizon+bucket {
+		t.Fatalf("NextTime = %v, want %v (cancelled head skipped)", got, 2*horizon+bucket)
 	}
-	if e, ok := q.Pop(); !ok || e.At() != 20 {
+	if e, ok := q.Pop(); !ok || e.At() != 2*horizon+bucket {
 		t.Fatalf("Pop returned wrong event")
 	}
 	if fired {
@@ -74,11 +81,8 @@ func TestCalendarCancel(t *testing.T) {
 // interleaves in-window events, checking the overflow list migrates in
 // order as the cursor advances.
 func TestCalendarOverflow(t *testing.T) {
-	q := newCalendarQueue()
-	horizon := simtime.Time((defaultCalendarBuckets) << defaultCalendarShift)
+	var q Queue
 	var got []simtime.Time
-	record := func(simtime.Time) {}
-	_ = record
 	want := []simtime.Time{
 		5, horizon - 1, horizon + 7, 2 * horizon, 2*horizon + 1, 10 * horizon,
 	}
@@ -104,8 +108,8 @@ func TestCalendarOverflow(t *testing.T) {
 // an event for an earlier instant (still legal — eventq has no clock);
 // the clamped entry must still pop first.
 func TestCalendarEarlyAfterAdvance(t *testing.T) {
-	q := newCalendarQueue()
-	far := simtime.Time(100 << defaultCalendarShift)
+	var q Queue
+	far := 100 * bucket
 	q.Schedule(far, func(simtime.Time) {})
 	q.Schedule(far+10, func(simtime.Time) {})
 	if e, _ := q.Pop(); e.At() != far {
@@ -126,9 +130,9 @@ func TestCalendarEarlyAfterAdvance(t *testing.T) {
 
 // TestCalendarSchedulePopAllocFree: at steady state (bucket slices
 // grown, no overflow churn) the calendar push/pop path must be
-// allocation-free like the heap's.
+// allocation-free.
 func TestCalendarSchedulePopAllocFree(t *testing.T) {
-	q := newCalendarQueue()
+	var q Queue
 	q.Grow(64)
 	fn := func(simtime.Time) {}
 	var at simtime.Time
@@ -148,22 +152,25 @@ func TestCalendarSchedulePopAllocFree(t *testing.T) {
 	}
 }
 
-// FuzzQueueEquivalence drives the heap and calendar backends with one
-// op stream — schedule (with fuzzer-chosen deltas, including ties and
+// FuzzQueueEquivalence drives the calendar Queue and the test-only heap
+// oracle (heap_test.go) with one op stream — schedule (with fuzzer-chosen deltas, including ties and
 // beyond-horizon jumps), cancel, pop — and requires identical NextTime
 // after every op and an identical pop sequence, both instants and
 // callback identities. Together with the uniqueness of (at, seq) this
-// is the order-equivalence proof the calendar backend ships under.
+// is the order-equivalence proof the calendar queue ships under.
 func FuzzQueueEquivalence(f *testing.F) {
 	f.Add([]byte{0, 10, 0, 20, 2, 2})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 1, 1, 2, 2, 2})
 	f.Add([]byte{0, 255, 0, 255, 0, 255, 2, 0, 1, 2, 2, 2})
 	f.Add([]byte{0, 200, 3, 0, 5, 1, 0, 2, 2, 2, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var hq Queue // heap backend
-		cq := newCalendarQueue()
+		var hq heapQueue
+		var cq Queue
 		var hGot, cGot []int
-		type pair struct{ h, c Handle }
+		type pair struct {
+			h uint64
+			c Handle
+		}
 		var live []pair
 		id := 0
 		at := simtime.Time(0)
@@ -177,9 +184,9 @@ func FuzzQueueEquivalence(f *testing.F) {
 				d := simtime.Duration(data[i])
 				switch data[i] % 3 {
 				case 1:
-					d *= simtime.Duration(1) << defaultCalendarShift // bucket-scale jumps
+					d *= simtime.Duration(bucket) // bucket-scale jumps
 				case 2:
-					d *= simtime.Duration(defaultCalendarBuckets) << defaultCalendarShift / 16 // horizon-scale jumps
+					d *= simtime.Duration(horizon) / 16 // horizon-scale jumps
 				}
 				when := at.Add(d)
 				n := id
@@ -193,9 +200,9 @@ func FuzzQueueEquivalence(f *testing.F) {
 					break
 				}
 				j := int(data[i]) % len(live)
-				live[j].h.Cancel()
+				hq.Cancel(live[j].h)
 				live[j].c.Cancel()
-				if live[j].h.Cancelled() != live[j].c.Cancelled() {
+				if hq.Cancelled(live[j].h) != live[j].c.Cancelled() {
 					t.Fatalf("Cancelled() diverged")
 				}
 				live = append(live[:j], live[j+1:]...)
@@ -269,10 +276,10 @@ func TestQueueEquivalenceRandom(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		ops := make([]byte, 4096)
 		r.Read(ops)
-		var hq Queue
-		cq := newCalendarQueue()
+		var hq heapQueue
+		var cq Queue
 		at := simtime.Time(0)
-		var live []Handle
+		var live []uint64
 		var liveC []Handle
 		for i := 0; i < len(ops)-1; i += 2 {
 			switch ops[i] % 3 {
@@ -284,7 +291,7 @@ func TestQueueEquivalenceRandom(t *testing.T) {
 			case 1:
 				if len(live) > 0 {
 					j := int(ops[i+1]) % len(live)
-					live[j].Cancel()
+					hq.Cancel(live[j])
 					liveC[j].Cancel()
 					live = append(live[:j], live[j+1:]...)
 					liveC = append(liveC[:j], liveC[j+1:]...)
@@ -303,29 +310,5 @@ func TestQueueEquivalenceRandom(t *testing.T) {
 				t.Fatalf("seed %d: NextTime diverged", seed)
 			}
 		}
-	}
-}
-
-// BenchmarkCalendarSchedulePop mirrors BenchmarkSchedulePop on the
-// calendar backend: one push and one pop per iteration, warm queue.
-// Events are spaced at the simulator's density (hundreds of µs between
-// completions and ticks) so entries spread across buckets; packing the
-// whole queue into one bucket degenerates to a linear scan and is not
-// the regime the calendar is selected for.
-func BenchmarkCalendarSchedulePop(b *testing.B) {
-	const spacing = 250 * simtime.Microsecond
-	q := newCalendarQueue()
-	q.Grow(1024)
-	fn := func(simtime.Time) {}
-	for i := 0; i < 512; i++ {
-		q.Schedule(simtime.Time(0).Add(simtime.Duration(i)*spacing), fn)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	at := simtime.Time(0).Add(512 * spacing)
-	for i := 0; i < b.N; i++ {
-		q.Schedule(at, fn)
-		at = at.Add(spacing)
-		q.Pop()
 	}
 }

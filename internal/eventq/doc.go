@@ -4,15 +4,18 @@
 // Events are ordered by (time, sequence number): two events scheduled
 // for the same instant fire in the order they were scheduled, which
 // keeps the whole simulation deterministic. Cancellation is lazy — a
-// cancelled event stays in the heap but is skipped when popped — so
-// cancel is O(1) and the queue never needs to locate arbitrary entries.
+// cancelled event stays queued but is skipped when its bucket is
+// scanned — so cancel is O(1) and the queue never needs to locate
+// arbitrary entries.
 //
-// The queue is allocation-free on the push/pop path: entries are stored
-// by value in a pre-grown 4-ary heap (shallower than a binary heap, so
-// fewer cache lines touched per sift), and cancellation state lives in
-// a recycled ticket slab addressed by Handle rather than in per-event
-// heap allocations. Scheduling a million events costs a handful of
-// slice growths, all amortized away by Grow or steady-state reuse.
+// The queue is a calendar queue (calendar.go): a ring of time buckets
+// tuned for the simulator's dense-timer regime, with an overflow list
+// for events beyond the ring's horizon. Entries are stored by value and
+// cancellation state lives in a recycled ticket slab addressed by
+// Handle, so a warm queue schedules and pops without allocating. Each
+// bucket grows by append the first time it is used that deep; Grow only
+// pre-sizes the ticket slab. A 4-ary heap in the package's tests is the
+// oracle the calendar is fuzzed against (FuzzQueueEquivalence).
 //
 // Invariants:
 //
@@ -23,5 +26,5 @@
 //     time is the caller's bug; the queue does not rewind.
 //   - Handles stay cheap. A Handle is two integers; using one after
 //     its ticket was recycled is detected by generation check rather
-//     than corrupting the heap.
+//     than corrupting the queue.
 package eventq

@@ -42,9 +42,7 @@ func (h Handle) At() simtime.Time { return h.at }
 func (h Handle) Cancel() {
 	if h.q != nil && h.q.tickets[h.slot].gen == h.gen {
 		h.q.tickets[h.slot].cancelled = true
-		if h.q.cal != nil {
-			h.q.cal.memoOK = false
-		}
+		h.q.cal.memoOK = false
 	}
 }
 
@@ -54,7 +52,8 @@ func (h Handle) Cancelled() bool {
 	return h.q != nil && h.q.tickets[h.slot].gen == h.gen && h.q.tickets[h.slot].cancelled
 }
 
-// entry is one scheduled event inside the heap, stored by value.
+// entry is one scheduled event inside a calendar bucket, stored by
+// value.
 type entry struct {
 	at   simtime.Time
 	seq  uint64
@@ -70,28 +69,25 @@ type ticket struct {
 	cancelled bool
 }
 
-// Queue is a deterministic priority queue of events. The zero value is an
-// empty queue ready for use (4-ary heap backend); UseCalendar switches an
-// empty queue to the calendar-queue backend, which yields the identical
-// pop order — entries are totally ordered by (at, seq) and seq is unique,
-// so the order is backend-independent. Queue is not safe for concurrent
-// use; the simulator is single-threaded by construction.
+// Queue is a deterministic priority queue of events on a calendar
+// (bucket) layout; see calendar.go. The zero value is an empty queue
+// ready for use: the bucket ring is allocated by the first Schedule.
+// Pops follow the total order (at, seq), and seq is unique, so the order
+// never depends on the layout. Queue is not safe for concurrent use; the
+// simulator is single-threaded by construction.
 type Queue struct {
-	h       []entry
 	seq     uint64
 	tickets []ticket
 	free    []int32
-	cal     *calendar // non-nil selects the calendar backend
+	cal     calendar
 }
 
-// Grow pre-sizes the queue's internal storage for at least n concurrently
-// scheduled events, so the hot path never reallocates.
+// Grow pre-sizes the ticket slab for at least n concurrently scheduled
+// events. It does not size the calendar buckets: each bucket grows by
+// append the first time it holds more entries than it ever has, so a
+// queue stops allocating once every bucket has reached its steady-state
+// depth.
 func (q *Queue) Grow(n int) {
-	if cap(q.h) < n {
-		h := make([]entry, len(q.h), n)
-		copy(h, q.h)
-		q.h = h
-	}
 	if cap(q.tickets) < n {
 		t := make([]ticket, len(q.tickets), n)
 		copy(t, q.tickets)
@@ -106,6 +102,9 @@ func (q *Queue) Schedule(at simtime.Time, fn func(now simtime.Time)) Handle {
 	if fn == nil {
 		panic("eventq: nil event function")
 	}
+	if q.cal.buckets == nil {
+		q.cal.init()
+	}
 	var slot int32
 	if n := len(q.free); n > 0 {
 		slot = q.free[n-1]
@@ -115,90 +114,48 @@ func (q *Queue) Schedule(at simtime.Time, fn func(now simtime.Time)) Handle {
 		slot = int32(len(q.tickets))
 		q.tickets = append(q.tickets, ticket{})
 	}
-	e := entry{at: at, seq: q.seq, slot: slot, fn: fn}
+	q.cal.schedule(entry{at: at, seq: q.seq, slot: slot, fn: fn})
 	q.seq++
-	if q.cal != nil {
-		q.cal.schedule(e)
-	} else {
-		q.h = append(q.h, e)
-		q.siftUp(len(q.h) - 1)
-	}
 	return Handle{q: q, at: at, slot: slot, gen: q.tickets[slot].gen}
 }
 
 // Len returns the number of events still enqueued, including cancelled
 // events that have not yet been skipped.
-func (q *Queue) Len() int {
-	if q.cal != nil {
-		return q.cal.count
-	}
-	return len(q.h)
-}
+func (q *Queue) Len() int { return q.cal.count }
 
 // Empty reports whether no live events remain. It discards any cancelled
 // events at the head of the queue.
 func (q *Queue) Empty() bool {
-	if q.cal != nil {
-		_, _, ok := q.cal.minLocate(q)
-		return !ok
-	}
-	q.skipCancelled()
-	return len(q.h) == 0
+	_, _, ok := q.cal.minLocate(q)
+	return !ok
 }
 
 // NextTime returns the firing time of the earliest live event, or
 // simtime.Never when the queue is empty.
 func (q *Queue) NextTime() simtime.Time {
-	if c := q.cal; c != nil {
-		if c.memoOK { // skip the scan when the cached minimum is live
-			return c.buckets[c.memoP][c.memoI].at
-		}
-		p, i, ok := c.minLocate(q)
-		if !ok {
-			return simtime.Never
-		}
-		return c.buckets[p][i].at
+	c := &q.cal
+	if c.memoOK { // skip the scan when the cached minimum is live
+		return c.buckets[c.memoP][c.memoI].at
 	}
-	q.skipCancelled()
-	if len(q.h) == 0 {
+	p, i, ok := c.minLocate(q)
+	if !ok {
 		return simtime.Never
 	}
-	return q.h[0].at
+	return c.buckets[p][i].at
 }
 
 // Pop removes and returns the earliest live event; ok is false when the
 // queue is empty.
 func (q *Queue) Pop() (e Event, ok bool) {
-	if c := q.cal; c != nil {
-		p, i, ok := c.memoP, c.memoI, c.memoOK
-		if !ok {
-			if p, i, ok = c.minLocate(q); !ok {
-				return Event{}, false
-			}
+	c := &q.cal
+	p, i, ok := c.memoP, c.memoI, c.memoOK
+	if !ok {
+		if p, i, ok = c.minLocate(q); !ok {
+			return Event{}, false
 		}
-		head := c.removeAt(q, p, i)
-		return Event{at: head.at, fn: head.fn}, true
 	}
-	q.skipCancelled()
-	if len(q.h) == 0 {
-		return Event{}, false
-	}
-	head := q.popHead()
+	head := c.removeAt(q, p, i)
 	return Event{at: head.at, fn: head.fn}, true
-}
-
-// popHead removes the heap head, releasing its ticket.
-func (q *Queue) popHead() entry {
-	head := q.h[0]
-	q.release(head.slot)
-	last := len(q.h) - 1
-	q.h[0] = q.h[last]
-	q.h[last] = entry{} // drop the fn reference
-	q.h = q.h[:last]
-	if last > 0 {
-		q.siftDown(0)
-	}
-	return head
 }
 
 // release recycles a ticket slot, invalidating outstanding Handles to it.
@@ -206,57 +163,4 @@ func (q *Queue) release(slot int32) {
 	q.tickets[slot].gen++
 	q.tickets[slot].cancelled = false
 	q.free = append(q.free, slot)
-}
-
-func (q *Queue) skipCancelled() {
-	for len(q.h) > 0 && q.tickets[q.h[0].slot].cancelled {
-		q.popHead()
-	}
-}
-
-// less orders entries by (at, seq); seq is unique, so the order is total
-// and pop order is independent of heap arity or layout.
-func (q *Queue) less(i, j int) bool {
-	if q.h[i].at != q.h[j].at {
-		return q.h[i].at < q.h[j].at
-	}
-	return q.h[i].seq < q.h[j].seq
-}
-
-// siftUp restores the heap invariant from a newly appended leaf.
-func (q *Queue) siftUp(i int) {
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !q.less(i, parent) {
-			break
-		}
-		q.h[i], q.h[parent] = q.h[parent], q.h[i]
-		i = parent
-	}
-}
-
-// siftDown restores the heap invariant from the root after a pop.
-func (q *Queue) siftDown(i int) {
-	n := len(q.h)
-	for {
-		first := 4*i + 1
-		if first >= n {
-			return
-		}
-		best := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if q.less(c, best) {
-				best = c
-			}
-		}
-		if !q.less(best, i) {
-			return
-		}
-		q.h[i], q.h[best] = q.h[best], q.h[i]
-		i = best
-	}
 }

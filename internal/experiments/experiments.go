@@ -48,10 +48,10 @@ type Config struct {
 	// without it, same-named tracks from different experiments would get
 	// completion-order-dependent "#n" suffixes.
 	TraceTag string
-	// Engine selects the simulation-core strategy for every machine this
-	// run boots. The zero value is the reference engine; the batched
-	// engine (kernel.BatchedEngine) produces byte-identical results
-	// faster. Campaigns default to batched; goldens pin the reference.
+	// Engine is ignored: every machine runs the one engine.
+	//
+	// Deprecated: kept only because the benchmark module (bench/) still
+	// sets it.
 	Engine kernel.Engine
 	// IdleArena, when non-nil, points at a reusable backing array for
 	// the idle-loop instrument's sample buffer. The rig grows the arena
@@ -267,7 +267,7 @@ func newRig(cfg Config, p persona.P, runSeconds int) *rig {
 // newRigOn boots persona p on an explicit hardware profile; the ext-hw
 // scenario-matrix experiments use it to compare machines side by side.
 func newRigOn(cfg Config, p persona.P, prof machine.Profile, runSeconds int) *rig {
-	sys := system.New(system.Config{Persona: p, Machine: prof, Engine: cfg.Engine})
+	sys := system.New(system.Config{Persona: p, Machine: prof})
 	pr := core.AttachProbe(sys.K)
 	bufCap := runSeconds*1100 + 10_000
 	var il *core.IdleLoop

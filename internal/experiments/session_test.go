@@ -7,7 +7,6 @@ import (
 	"sort"
 	"testing"
 
-	"latlab/internal/kernel"
 	"latlab/internal/scenario"
 	"latlab/internal/system"
 )
@@ -15,7 +14,7 @@ import (
 // TestBatchSessionEquivalence pins the decomposition contract stated in
 // session.go: a session stepped inside a system.Batch produces exactly
 // the result the sequential path produces for the same Config and Doc —
-// same engine, same seeds, arena-backed instrument buffers and all.
+// same seeds, arena-backed instrument buffers and all.
 // Every fuzzer-found corpus document (each pins its seed and machine)
 // runs once alone and once interleaved with the whole set in one batch,
 // and the two ScenarioResults must be deeply equal.
@@ -39,7 +38,7 @@ func TestBatchSessionEquivalence(t *testing.T) {
 		}
 		docs = append(docs, doc)
 	}
-	cfg := Config{Seed: 1996, Quick: true, Engine: kernel.BatchedEngine()}
+	cfg := Config{Seed: 1996, Quick: true}
 
 	// Sequential reference: each document run alone.
 	want := make([]*ScenarioResult, len(docs))

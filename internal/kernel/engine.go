@@ -5,47 +5,17 @@ import (
 	"latlab/internal/simtime"
 )
 
-// QueueKind selects the event-queue backend a kernel runs on. Both
-// backends pop the identical (time, sequence) total order — the
-// differential fuzzer in internal/eventq proves it — so the choice is
-// purely a throughput knob, never a semantics knob.
-type QueueKind uint8
+// Engine is empty and nothing reads it: the kernel has one engine, the
+// calendar queue with analytic idle elision.
+//
+// Deprecated: kept only because the benchmark module (bench/) still
+// names it; it goes when that module stops doing so.
+type Engine struct{}
 
-// Queue backends.
-const (
-	// QueueHeap is the pre-grown 4-ary heap — the reference backend.
-	QueueHeap QueueKind = iota
-	// QueueCalendar is the calendar/bucket queue tuned for the
-	// dense-timer regime (events spread over hundreds of µs to tens of
-	// ms, small in-flight counts).
-	QueueCalendar
-)
-
-// Engine selects the simulation-core strategy. The zero value is the
-// reference engine — 4-ary heap, every idle cycle simulated — whose
-// behaviour every golden in the repository pins. BatchedEngine enables
-// the throughput path; both engines produce byte-identical traces,
-// which `make batch-check` re-proves against the full golden corpus
-// and the committed campaign ledger.
-type Engine struct {
-	// Queue picks the event-queue backend.
-	Queue QueueKind
-	// IdleSkip enables analytic idle-span elision: when the machine is
-	// provably idle (ProvablyIdle) and the idle instrument's last cycle
-	// was clean — zero TLB/cache misses and exactly its analytic
-	// duration, i.e. the memory system is at the idle loop's LRU fixed
-	// point — whole idle cycles ending strictly before the next queued
-	// event are accounted analytically instead of simulated. The cycle
-	// straddling the next event is always simulated honestly, so the
-	// methodology's tick/interrupt-detection property is preserved.
-	IdleSkip bool
-}
-
-// BatchedEngine returns the throughput engine used by batched
-// multi-machine runs: calendar queue plus analytic idle skipping.
-func BatchedEngine() Engine {
-	return Engine{Queue: QueueCalendar, IdleSkip: true}
-}
+// BatchedEngine returns the empty Engine.
+//
+// Deprecated: the batched engine is the only engine; see Engine.
+func BatchedEngine() Engine { return Engine{} }
 
 // BulkLoop is implemented by an idle-class instrument whose compute
 // cycles may be elided analytically. BulkBudget bounds how many cycles
@@ -62,9 +32,10 @@ type BulkLoop interface {
 
 // SetBulkLoop registers b as the thread's bulk-elision delegate. Only
 // meaningful for idle-class loop threads driving Compute2 cycles; the
-// kernel starts tracking per-cycle cleanliness for the thread, and the
-// batched engine may elide its cycles. The reference engine tracks
-// nothing and elides nothing.
+// kernel starts tracking per-cycle cleanliness for the thread and may
+// elide its clean cycles. A traced kernel (SetRecorder) tracks but never
+// elides: every cycle it runs is simulated, which makes it the oracle
+// the elision tests compare against.
 func (t *Thread) SetBulkLoop(b BulkLoop) { t.bulk = b }
 
 // ProvablyIdle reports whether the machine is provably idle at this
@@ -158,7 +129,7 @@ func (k *Kernel) noteBulkCycle(t *Thread, r *request) {
 // is the sample that detects the tick or interrupt, exactly as the
 // paper's methodology requires.
 func (k *Kernel) tryBulkSkip(t *Thread) {
-	if !k.idleSkip || !t.bulkClean || k.rec != nil || k.shutdown {
+	if !t.bulkClean || k.rec != nil || k.shutdown {
 		return
 	}
 	r := t.pending
@@ -248,8 +219,8 @@ func (k *Kernel) tryBulkSkip(t *Thread) {
 }
 
 // BulkElided returns the number of idle cycles accounted analytically
-// instead of simulated — zero under the reference engine, and the
-// measure of how much work idle skipping saved under the batched one.
+// instead of simulated — the measure of how much work idle elision
+// saved, and always zero on a traced kernel.
 func (k *Kernel) BulkElided() int64 { return k.bulkElided }
 
 // segsEqual reports whether two segments describe the identical work:

@@ -87,10 +87,6 @@ type Config struct {
 	// the paper's §5.1 remark that latencies unnoticed on their machine
 	// "might have a significant effect ... on a slower machine".
 	CPUFrequency simtime.Hz
-	// Engine selects the simulation-core strategy (queue backend,
-	// analytic idle skipping). The zero value is the reference engine;
-	// see engine.go. Both engines produce byte-identical results.
-	Engine Engine
 }
 
 // DefaultConfig returns a neutral machine configuration; personas
@@ -173,12 +169,10 @@ type Kernel struct {
 
 	clockTicks int64
 	shutdown   bool
-	// idleSkip caches cfg.Engine.IdleSkip for the scheduler hot path;
 	// bulkElided counts idle cycles accounted analytically;
 	// ctxSwitches counts thread context switches (startChunk), letting
 	// the cleanliness proof require "no switch inside this cycle" —
 	// a process switch may flush the TLBs without an immediate miss.
-	idleSkip    bool
 	bulkElided  int64
 	ctxSwitches uint64
 
@@ -213,10 +207,6 @@ func New(cfg Config) *Kernel {
 	prof := cfg.Machine.OrDefault()
 	cfg.Machine = prof
 	k := &Kernel{cfg: cfg}
-	k.idleSkip = cfg.Engine.IdleSkip
-	if cfg.Engine.Queue == QueueCalendar {
-		k.q.UseCalendar()
-	}
 	k.q.Grow(256)
 	k.onCompletionFn = k.onCompletion
 	k.reconcileFn = func(now simtime.Time) { k.reconcile() }
@@ -403,7 +393,7 @@ func (k *Kernel) Spawn(name string, proc ProcID, prio int, body func(tc *TC)) *T
 // Run processes events until the queue empties or simulated time would
 // pass `until`. It returns the time at which it stopped.
 func (k *Kernel) Run(until simtime.Time) simtime.Time {
-	// The idle-skip engine must never advance past the run horizon: the
+	// Idle elision must never advance past the run horizon: the
 	// slow path stops mid-cycle at `until` exactly, so bulk elision is
 	// clamped to cycles ending at or before it (tryBulkSkip).
 	k.runUntil = until

@@ -236,9 +236,9 @@ func (k *Kernel) step(t *Thread) {
 		// the slot is free whenever pending is nil.
 		k.fetchInto(t)
 		t.pending = &t.reqSlot
-		if k.idleSkip && t.bulk != nil {
-			// Batched engine: the request is pending but untouched, the
-			// cleanest point to elide provably-identical idle cycles.
+		if t.bulk != nil {
+			// The request is pending but untouched: the cleanest point
+			// to elide provably-identical idle cycles.
 			k.tryBulkSkip(t)
 		}
 	}
@@ -269,7 +269,7 @@ func (k *Kernel) process(t *Thread) {
 		for {
 			if r.started {
 				if r.stage == 1 {
-					if k.idleSkip && t.bulk != nil {
+					if t.bulk != nil {
 						k.noteBulkCycle(t, r)
 					}
 					t.pending = nil
@@ -283,7 +283,7 @@ func (k *Kernel) process(t *Thread) {
 			if r.stage == 1 {
 				seg = &r.seg2
 			}
-			if k.idleSkip && t.bulk != nil && r.stage == 0 {
+			if t.bulk != nil && r.stage == 0 {
 				// Open a bulk-cycle observation: wall start, per-stage
 				// analytic durations, a counter snapshot to diff at
 				// completion (engine.go), and the context-switch count so
@@ -294,7 +294,7 @@ func (k *Kernel) process(t *Thread) {
 				t.cycleSwitches = k.ctxSwitches
 			}
 			_, d := k.cpu.Execute(*seg)
-			if k.idleSkip && t.bulk != nil {
+			if t.bulk != nil {
 				if r.stage == 0 {
 					t.cycleD1 = d
 				} else {

@@ -126,7 +126,7 @@ type Thread struct {
 	loopTC LoopTC
 
 	// Bulk idle-skip state (engine.go). bulk non-nil enables per-cycle
-	// cleanliness tracking; the batched engine elides clean cycles.
+	// cleanliness tracking and the elision of clean cycles.
 	// cycle* fields observe the cycle in flight; sig* plus cycleSeg*
 	// hold the canonical interrupt-free signature elision replays from.
 	bulk          BulkLoop

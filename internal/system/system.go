@@ -63,11 +63,6 @@ type Config struct {
 	// event runs, so the whole boot is observable. Recording never
 	// perturbs the simulation.
 	Spans *spans.Recorder
-	// Engine selects the kernel's simulation-core strategy (event-queue
-	// backend, analytic idle skipping). The zero value is the reference
-	// engine; kernel.BatchedEngine() is the throughput path. Both
-	// produce byte-identical results — see internal/kernel/engine.go.
-	Engine kernel.Engine
 }
 
 // New builds and starts a machine from cfg: kernel on cfg.Machine,
@@ -82,7 +77,6 @@ func New(cfg Config) *System {
 	p, prof := cfg.Persona, cfg.Machine.OrDefault()
 	kcfg := p.Kernel
 	kcfg.Machine = prof
-	kcfg.Engine = cfg.Engine
 	s := &System{K: kernel.New(kcfg), P: p, M: prof, nextProc: 1}
 	s.Win = winsys.New(s.K, p)
 
@@ -121,21 +115,6 @@ func New(cfg Config) *System {
 		s.K.SetRecorder(cfg.Spans)
 	}
 	return s
-}
-
-// Boot builds and starts a machine for persona p on the paper's
-// hardware (machine.Pentium100).
-//
-// Deprecated: use New(Config{Persona: p}).
-func Boot(p persona.P) *System {
-	return New(Config{Persona: p})
-}
-
-// BootOn builds and starts persona p on hardware profile prof.
-//
-// Deprecated: use New(Config{Persona: p, Machine: prof}).
-func BootOn(p persona.P, prof machine.Profile) *System {
-	return New(Config{Persona: p, Machine: prof})
 }
 
 // mouseRouter reproduces the Windows 95 behaviour the paper found: "the
