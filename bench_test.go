@@ -396,10 +396,13 @@ func BenchmarkBatchThroughput(b *testing.B) {
 	b.ReportMetric(single/batchPerMachine, "x-vs-single")
 }
 
-// BenchmarkExtraction reports the analysis-side cost: extracting events
-// from a large pre-recorded trace.
-func BenchmarkExtraction(b *testing.B) {
+// notepadTrace records the analysis benchmarks' input: 500 keystrokes
+// typed into Notepad on NT 4.0 under Microsoft Test, about a minute of
+// simulated time. It returns the idle-loop samples, the probe, the
+// Notepad thread id and the run's end.
+func notepadTrace() ([]trace.IdleSample, *core.Probe, int, simtime.Time) {
 	sys := system.New(system.Config{Persona: persona.NT40()})
+	defer sys.Shutdown()
 	probe := core.AttachProbe(sys.K)
 	idle := core.StartIdleLoop(sys.K, 400_000)
 	n := apps.NewNotepad(sys, 250_000)
@@ -408,15 +411,37 @@ func BenchmarkExtraction(b *testing.B) {
 		QueueSync: true,
 	}
 	script.Install(sys)
-	sys.K.Run(script.End().Add(simtime.Second))
-	sys.Shutdown()
-	samples, msgs, tid := idle.Samples(), probe.Msgs, n.Thread().ID()
+	end := sys.K.Run(script.End().Add(simtime.Second))
+	return idle.Samples(), probe, n.Thread().ID(), end
+}
+
+// BenchmarkExtraction reports the analysis-side cost: extracting events
+// from a large pre-recorded trace.
+func BenchmarkExtraction(b *testing.B) {
+	samples, probe, tid, _ := notepadTrace()
+	msgs := probe.Msgs
 
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		events := core.Extract(samples, msgs, core.ExtractOptions{Thread: tid, StripQueueSync: true})
 		if len(events) != 500 {
 			b.Fatalf("events = %d", len(events))
+		}
+	}
+}
+
+// BenchmarkDriveFSM reports the cost of replaying a long recorded
+// session through the paper's Fig. 2 think/wait FSM — the replay every
+// scenario session's result runs. The only allocations are the FSM and
+// its transition log.
+func BenchmarkDriveFSM(b *testing.B) {
+	_, probe, tid, end := notepadTrace()
+
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f := core.DriveFSM(probe, tid, end)
+		if f.ThinkTime()+f.WaitTime() != simtime.Duration(end) {
+			b.Fatalf("think %v + wait %v != %v", f.ThinkTime(), f.WaitTime(), end)
 		}
 	}
 }

@@ -152,66 +152,61 @@ func (f *FSM) WaitTime() simtime.Duration { return f.wait }
 // fresh FSM and returns it, finished at end. This is the "additional
 // system support" configuration; RunFSMFromMeasurement feeds measured CPU
 // state instead.
+//
+// The replay is a streaming merge of the four logs, read in place. Each
+// log is already non-decreasing in time: the kernel stamps every record
+// with its clock as it writes it, and a message record's Return is that
+// clock too. Records are fed in (time, kind, seq) order — busy changes
+// first, then posts and messages, then sync-I/O changes, with seq the
+// record's index in its own log (other threads included) and a post
+// ahead of a message on a full tie. A log that ran backwards is never
+// reordered: its late record reaches the FSM after a later one and
+// panics there.
 func DriveFSM(p *Probe, thread int, end simtime.Time) *FSM {
 	f := NewFSM()
-	var evs []ev
-	for i, b := range p.Busy {
-		evs = append(evs, ev{at: b.At, seq: i, kind: 0, b: b.Busy})
-	}
-	for i, post := range p.Posts {
-		if post.Thread == thread {
-			evs = append(evs, ev{at: post.At, seq: i, kind: 1, n: post.QueueLen})
+	b, q, m, s := 0, 0, 0, 0 // next unread Busy, Posts, Msgs, SyncIO record
+	for {
+		for q < len(p.Posts) && p.Posts[q].Thread != thread {
+			q++
+		}
+		for m < len(p.Msgs) && p.Msgs[m].Thread != thread {
+			m++
+		}
+		tb, tq, tm, ts := simtime.Never, simtime.Never, simtime.Never, simtime.Never
+		if b < len(p.Busy) {
+			tb = p.Busy[b].At
+		}
+		if q < len(p.Posts) {
+			tq = p.Posts[q].At
+		}
+		if m < len(p.Msgs) {
+			tm = p.Msgs[m].Return
+		}
+		if s < len(p.SyncIO) {
+			ts = p.SyncIO[s].At
+		}
+		// The queue-kind head: the post or the message, whichever is first.
+		post := q < len(p.Posts) && (m == len(p.Msgs) || tq < tm || tq == tm && q <= m)
+		tQueue := tm
+		if post {
+			tQueue = tq
+		}
+		switch {
+		case b < len(p.Busy) && tb <= tQueue && tb <= ts:
+			f.SetCPU(p.Busy[b].Busy, tb)
+			b++
+		case post && tq <= ts:
+			f.SetQueue(p.Posts[q].QueueLen, tq)
+			q++
+		case !post && m < len(p.Msgs) && tm <= ts:
+			f.SetQueue(p.Msgs[m].QueueLen, tm)
+			m++
+		case s < len(p.SyncIO):
+			f.SetSyncIO(p.SyncIO[s].Outstanding, ts)
+			s++
+		default:
+			f.Finish(end)
+			return f
 		}
 	}
-	for i, m := range p.Msgs {
-		if m.Thread == thread {
-			evs = append(evs, ev{at: m.Return, seq: i, kind: 1, n: m.QueueLen})
-		}
-	}
-	for i, s := range p.SyncIO {
-		evs = append(evs, ev{at: s.At, seq: i, kind: 2, n: s.Outstanding})
-	}
-	// Stable sort by time; ties resolved by original order within kind,
-	// which is already chronological, then by kind (busy first).
-	sortEvs(evs)
-	for _, e := range evs {
-		switch e.kind {
-		case 0:
-			f.SetCPU(e.b, e.at)
-		case 1:
-			f.SetQueue(e.n, e.at)
-		case 2:
-			f.SetSyncIO(e.n, e.at)
-		}
-	}
-	f.Finish(end)
-	return f
-}
-
-func sortEvs(evs []ev) {
-	// insertion sort keeps it dependency-free and stable; logs are
-	// near-sorted already.
-	for i := 1; i < len(evs); i++ {
-		for j := i; j > 0 && less(evs[j], evs[j-1]); j-- {
-			evs[j], evs[j-1] = evs[j-1], evs[j]
-		}
-	}
-}
-
-type ev struct {
-	at   simtime.Time
-	seq  int
-	kind int
-	b    bool
-	n    int
-}
-
-func less(a, b ev) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.kind != b.kind {
-		return a.kind < b.kind
-	}
-	return a.seq < b.seq
 }

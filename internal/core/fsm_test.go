@@ -1,12 +1,16 @@
 package core
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"latlab/internal/cpu"
 	"latlab/internal/kernel"
 	"latlab/internal/simtime"
+	"latlab/internal/trace"
 )
 
 func ms(f float64) simtime.Duration { return simtime.FromMillis(f) }
@@ -112,10 +116,11 @@ func TestFSMConservationProperty(t *testing.T) {
 	}
 }
 
-func TestDriveFSMFromProbe(t *testing.T) {
-	// End-to-end: an app handles one keystroke with a sync read; the FSM
-	// driven from probe logs must classify wait = handling + I/O and
-	// think = the rest.
+// keystrokeProbe records an app that handles one keystroke with a sync
+// read, then quits; it returns the probe, the app's thread id and the
+// run's end.
+func keystrokeProbe(t *testing.T) (*Probe, int, simtime.Time) {
+	t.Helper()
 	k := kernel.New(quietConfig())
 	defer k.Shutdown()
 	pr := AttachProbe(k)
@@ -132,8 +137,15 @@ func TestDriveFSMFromProbe(t *testing.T) {
 	k.At(at(50), func(simtime.Time) { k.KeyboardInterrupt(app, kernel.WMChar, 0) })
 	k.At(at(500), func(simtime.Time) { k.PostMessage(app, kernel.WMQuit, 0) })
 	end := k.Run(simtime.Time(600 * simtime.Millisecond))
+	return pr, app.ID(), end
+}
 
-	f := DriveFSM(pr, app.ID(), end)
+func TestDriveFSMFromProbe(t *testing.T) {
+	// End-to-end: an app handles one keystroke with a sync read; the FSM
+	// driven from probe logs must classify wait = handling + I/O and
+	// think = the rest.
+	pr, tid, end := keystrokeProbe(t)
+	f := DriveFSM(pr, tid, end)
 	think, wait := f.ThinkTime(), f.WaitTime()
 	if think+wait != simtime.Duration(end) {
 		t.Fatalf("conservation: think %v + wait %v != %v", think, wait, end)
@@ -146,6 +158,201 @@ func TestDriveFSMFromProbe(t *testing.T) {
 	if think < ms(500) {
 		t.Fatalf("think = %v, want the bulk of the 600ms run", think)
 	}
+}
+
+// driveFSMOracle is the materialise-and-sort replay DriveFSM replaced:
+// every record becomes an ev, and a stable insertion sort orders them by
+// (time, kind, seq). It is the reference the merge must match.
+func driveFSMOracle(p *Probe, thread int, end simtime.Time) *FSM {
+	type ev struct {
+		at   simtime.Time
+		seq  int
+		kind int
+		b    bool
+		n    int
+	}
+	less := func(a, b ev) bool {
+		if a.at != b.at {
+			return a.at < b.at
+		}
+		if a.kind != b.kind {
+			return a.kind < b.kind
+		}
+		return a.seq < b.seq
+	}
+	var evs []ev
+	for i, b := range p.Busy {
+		evs = append(evs, ev{at: b.At, seq: i, kind: 0, b: b.Busy})
+	}
+	for i, post := range p.Posts {
+		if post.Thread == thread {
+			evs = append(evs, ev{at: post.At, seq: i, kind: 1, n: post.QueueLen})
+		}
+	}
+	for i, m := range p.Msgs {
+		if m.Thread == thread {
+			evs = append(evs, ev{at: m.Return, seq: i, kind: 1, n: m.QueueLen})
+		}
+	}
+	for i, s := range p.SyncIO {
+		evs = append(evs, ev{at: s.At, seq: i, kind: 2, n: s.Outstanding})
+	}
+	for i := 1; i < len(evs); i++ {
+		for j := i; j > 0 && less(evs[j], evs[j-1]); j-- {
+			evs[j], evs[j-1] = evs[j-1], evs[j]
+		}
+	}
+	f := NewFSM()
+	for _, e := range evs {
+		switch e.kind {
+		case 0:
+			f.SetCPU(e.b, e.at)
+		case 1:
+			f.SetQueue(e.n, e.at)
+		case 2:
+			f.SetSyncIO(e.n, e.at)
+		}
+	}
+	f.Finish(end)
+	return f
+}
+
+// sameFSM reports how got differs from want, or "" when their
+// transition logs and totals are identical.
+func sameFSM(got, want *FSM) string {
+	if got.ThinkTime() != want.ThinkTime() || got.WaitTime() != want.WaitTime() {
+		return fmt.Sprintf("think/wait %v/%v, want %v/%v",
+			got.ThinkTime(), got.WaitTime(), want.ThinkTime(), want.WaitTime())
+	}
+	if !slices.Equal(got.Transitions(), want.Transitions()) {
+		return fmt.Sprintf("transitions %+v, want %+v", got.Transitions(), want.Transitions())
+	}
+	return ""
+}
+
+func post(thread int, ms float64, qlen int) PostRecord {
+	return PostRecord{Thread: thread, At: at(ms), QueueLen: qlen}
+}
+
+func msg(thread int, ms float64, qlen int) trace.MsgRecord {
+	return trace.MsgRecord{Thread: thread, Call: at(ms), Return: at(ms), QueueLen: qlen}
+}
+
+func TestDriveFSMMatchesOracle(t *testing.T) {
+	pr, tid, end := keystrokeProbe(t)
+	cases := []struct {
+		name   string
+		p      *Probe
+		thread int
+		end    simtime.Time
+	}{
+		{"keystroke trace", pr, tid, end},
+		{"empty logs", &Probe{}, 0, at(10)},
+		{"busy only", &Probe{Busy: []BusyChange{{true, at(1)}, {false, at(4)}}}, 0, at(10)},
+		{"sync I/O only", &Probe{SyncIO: []SyncIOChange{{1, at(2)}, {0, at(7)}}}, 0, at(10)},
+		{"other threads only", &Probe{
+			Posts: []PostRecord{post(1, 1, 1), post(2, 2, 1)},
+			Msgs:  []trace.MsgRecord{msg(1, 3, 0), msg(2, 4, 0)},
+		}, 0, at(10)},
+		{"all four kinds at one instant", &Probe{
+			Busy:   []BusyChange{{true, at(5)}, {false, at(5)}, {true, at(8)}},
+			Posts:  []PostRecord{post(0, 5, 1)},
+			Msgs:   []trace.MsgRecord{msg(0, 5, 0)},
+			SyncIO: []SyncIOChange{{1, at(5)}, {0, at(5)}, {1, at(9)}},
+		}, 0, at(10)},
+		{"sync I/O after busy at the same instant", &Probe{
+			Busy:   []BusyChange{{true, at(2)}, {false, at(6)}},
+			SyncIO: []SyncIOChange{{1, at(6)}, {0, at(6)}},
+		}, 0, at(10)},
+		// At t=3 the queue records run msg0, post1, post2, msg2, post3:
+		// the post wins the seq-2 collision, so msg2's length 4 is
+		// overwritten by post3's 0 only because post3 has the higher seq.
+		{"post/message seq collisions", &Probe{
+			Posts: []PostRecord{post(1, 1, 1), post(0, 3, 2), post(0, 3, 3), post(0, 3, 0)},
+			Msgs:  []trace.MsgRecord{msg(0, 3, 1), msg(1, 3, 0), msg(0, 3, 4), msg(0, 5, 2)},
+		}, 0, at(10)},
+		// Same instant, the message has the higher seq, so it is last.
+		{"message last on the higher seq", &Probe{
+			Posts: []PostRecord{post(0, 2, 0), post(0, 4, 1)},
+			Msgs:  []trace.MsgRecord{msg(1, 1, 0), msg(0, 2, 3), msg(0, 4, 0)},
+		}, 0, at(10)},
+		{"interleaved threads", &Probe{
+			Busy: []BusyChange{{true, at(1)}, {false, at(2)}, {true, at(6)}, {false, at(7)}},
+			Posts: []PostRecord{post(0, 1, 1), post(2, 1, 1), post(1, 3, 1), post(0, 4, 1),
+				post(2, 4, 2), post(1, 6, 2)},
+			Msgs: []trace.MsgRecord{msg(1, 0, 0), msg(0, 2, 0), msg(2, 2, 1), msg(1, 4, 1),
+				msg(0, 6, 0), msg(2, 9, 0)},
+			SyncIO: []SyncIOChange{{1, at(3)}, {0, at(5)}},
+		}, 0, at(10)},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			got, want := DriveFSM(c.p, c.thread, c.end), driveFSMOracle(c.p, c.thread, c.end)
+			if diff := sameFSM(got, want); diff != "" {
+				t.Fatal(diff)
+			}
+			if got.ThinkTime()+got.WaitTime() != simtime.Duration(c.end) {
+				t.Fatalf("think %v + wait %v != end %v", got.ThinkTime(), got.WaitTime(), c.end)
+			}
+		})
+	}
+}
+
+// TestDriveFSMBackwardsLogPanics pins that the merge trusts each log's
+// order: a record earlier than its predecessor panics in the FSM rather
+// than being sorted into place as the oracle would.
+func TestDriveFSMBackwardsLogPanics(t *testing.T) {
+	p := &Probe{
+		Busy:   []BusyChange{{true, at(10)}, {false, at(20)}},
+		SyncIO: []SyncIOChange{{1, at(15)}, {0, at(12)}},
+	}
+	driveFSMOracle(p, 0, at(30)) // sorting hides the fault
+	defer func() {
+		r := recover()
+		if s, _ := r.(string); !strings.Contains(s, "time went backwards") {
+			t.Fatalf("recovered %v, want the FSM's time-went-backwards panic", r)
+		}
+	}()
+	DriveFSM(p, 0, at(30))
+	t.Fatal("a backwards log replayed without panicking")
+}
+
+// probeFromBytes builds four non-decreasing logs from data, one record
+// per byte: bits 0-1 pick the log, bits 2-3 advance that log's clock by
+// 0-3 µs (so cross-log ties are common), bit 4 picks thread 0 or 1 for
+// posts and messages, and bits 5-7 give the value.
+func probeFromBytes(data []byte) *Probe {
+	var clock [4]simtime.Time
+	p := &Probe{}
+	for _, c := range data {
+		log := c & 3
+		clock[log] += simtime.Time(c>>2&3) * simtime.Time(simtime.Microsecond)
+		now, thread, v := clock[log], int(c>>4&1), int(c>>5)
+		switch log {
+		case 0:
+			p.Busy = append(p.Busy, BusyChange{Busy: v&1 == 1, At: now})
+		case 1:
+			p.Posts = append(p.Posts, PostRecord{Thread: thread, At: now, QueueLen: v & 3})
+		case 2:
+			p.Msgs = append(p.Msgs, trace.MsgRecord{Thread: thread, Call: now, Return: now, QueueLen: v & 3})
+		case 3:
+			p.SyncIO = append(p.SyncIO, SyncIOChange{Outstanding: v & 3, At: now})
+		}
+	}
+	return p
+}
+
+func FuzzDriveFSMMerge(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0x20, 0x01, 0x02, 0x03, 0x00, 0x21, 0x22, 0x23})
+	f.Add([]byte{0x25, 0x41, 0x12, 0x61, 0x06, 0x33, 0x4a, 0x19, 0x02, 0x7f, 0xe4, 0x0b})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p := probeFromBytes(data)
+		end := simtime.Time(len(data)*3+1) * simtime.Time(simtime.Microsecond)
+		if diff := sameFSM(DriveFSM(p, 0, end), driveFSMOracle(p, 0, end)); diff != "" {
+			t.Fatal(diff)
+		}
+	})
 }
 
 func TestSpanHelpers(t *testing.T) {

@@ -139,6 +139,7 @@ func (w *WinSys) call(tc *kernel.TC, o op) {
 		Instructions: base * 6 / 10,
 		DataRefs:     base * 3 / 10,
 		CacheChunks:  c.chunks,
+		DataPages:    make([]uint64, 0, len(c.hot)+stream),
 	}
 	seg.DataPages = append(seg.DataPages, c.hot...)
 	for i := 0; i < stream; i++ {
