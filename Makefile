@@ -11,7 +11,7 @@ GO ?= go
 # load regimes ±25% — tighten it (BENCH_NS_TOL=0.10) on quiet
 # dedicated hardware. allocs/op is deterministic, so its floor stays
 # tight; it is the reliable regression tripwire everywhere.
-BENCH_GATE_PAT  = ^(BenchmarkSimulatorThroughput|BenchmarkBatchThroughput|BenchmarkExtraction|BenchmarkDriveFSM|BenchmarkSchedulePop|BenchmarkLRUTouch|BenchmarkWriteIdleCSV|BenchmarkSketchAdd)$$
+BENCH_GATE_PAT  = ^(BenchmarkSimulatorThroughput|BenchmarkBatchThroughput|BenchmarkBoot|BenchmarkExtraction|BenchmarkDriveFSM|BenchmarkSchedulePop|BenchmarkLRUTouch|BenchmarkWriteIdleCSV|BenchmarkSketchAdd)$$
 BENCH_GATE_PKGS = . ./internal/eventq ./internal/mem ./internal/trace ./internal/stats
 BENCH_NS_TOL    ?= 0.25
 BENCH_ALLOC_TOL ?= 0.10
@@ -107,8 +107,10 @@ cover:
 # 10 seconds of coverage-guided fuzzing per fuzzer: the CSV/JSONL
 # parsers, the scenario DSL, the differential event-queue check
 # (calendar queue vs a test-only heap oracle on random schedule/cancel
-# programs), and the differential think/wait replay (DriveFSM's merge vs
-# a test-only sorting oracle on random monotone probe logs).
+# programs), the differential think/wait replay (DriveFSM's merge vs
+# a test-only sorting oracle on random monotone probe logs), and the
+# differential LRU check (the grow-on-demand TLB/cache LRU vs a test-only
+# pre-allocating oracle on random touch/insert/evict/flush streams).
 # `go test` only accepts one -fuzz pattern at a time, so each fuzzer
 # gets its own run.
 FUZZ_TIME ?= 10s
@@ -122,6 +124,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseQuarantine$$' -fuzztime $(FUZZ_TIME) ./internal/campaign
 	$(GO) test -run '^$$' -fuzz '^FuzzQueueEquivalence$$' -fuzztime $(FUZZ_TIME) ./internal/eventq
 	$(GO) test -run '^$$' -fuzz '^FuzzDriveFSMMerge$$' -fuzztime $(FUZZ_TIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzLRUEquivalence$$' -fuzztime $(FUZZ_TIME) ./internal/mem
 
 # Replay the committed scenario corpus (testdata/scenarios/) through
 # the full CLI path and diff every rendering against its golden; also

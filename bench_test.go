@@ -23,6 +23,7 @@ import (
 	"latlab/internal/input"
 	"latlab/internal/kernel"
 	"latlab/internal/persona"
+	"latlab/internal/scenario"
 	"latlab/internal/simtime"
 	"latlab/internal/system"
 	"latlab/internal/trace"
@@ -394,6 +395,46 @@ func BenchmarkBatchThroughput(b *testing.B) {
 	}
 	b.ReportMetric(30*float64(b.N*lanes)/b.Elapsed().Seconds(), "machine-sim-s/s")
 	b.ReportMetric(single/batchPerMachine, "x-vs-single")
+}
+
+// BenchmarkBoot reports what starting and releasing one campaign session
+// costs: experiments.OpenScenarioSession (machine, application, typing
+// script) then Close, on the demo-type scenario, with one system.Batch
+// slot's idle-sample arena reused across ops as a campaign worker reuses
+// it. The simulator benchmarks above boot only as a side effect of long
+// runs, so boot cost sits inside their noise; here it is the whole op,
+// and allocs/op is the tripwire. p100-quick is the campaign demo's
+// session, m2026 the 2026 machine in full mode, whose L2 alone models
+// 131,072 lines.
+func BenchmarkBoot(b *testing.B) {
+	doc, err := scenario.ParseFile("testdata/campaigns/demo-type.json")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name, machine string
+		quick         bool
+	}{
+		{"p100-quick", "p100", true},
+		{"m2026", "m2026", false},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			doc.Machine = c.machine
+			cfg := experiments.Config{Seed: 1, Quick: c.quick, IdleArena: system.NewBatch(1).Arena(0)}
+			open := func() {
+				s, err := experiments.OpenScenarioSession(cfg, doc)
+				if err != nil {
+					b.Fatal(err)
+				}
+				s.Close()
+			}
+			open() // grow the arena once, as a worker's first wave does
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				open()
+			}
+		})
+	}
 }
 
 // notepadTrace records the analysis benchmarks' input: 500 keystrokes

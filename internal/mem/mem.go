@@ -19,18 +19,23 @@ import (
 // least-recently-used entry on overflow. The zero value is unusable; use
 // NewLRU.
 //
-// The recency list is intrusive over a fixed node slab allocated once at
-// construction: a miss recycles a slot (from the free list, or by
-// evicting the LRU entry) instead of allocating, and a flush clears the
-// index map in place instead of replacing it. TLBs are flushed on every
-// protection-domain crossing, so both paths are hot.
+// The recency list is intrusive over a node slab that grows to the peak
+// working set and never past cap, so a machine pays for the lines it
+// touches, not for the capacity it models (an m2026 L2 has 131,072
+// lines; a campaign session ends holding a few dozen). The free list
+// holds only slots that EvictOldest released. A miss reuses one of
+// those, else appends a slot while the slab is below cap, else evicts
+// the LRU entry into its slot. A flush truncates the slab and the free
+// list and clears the index map in place, keeping all three allocations
+// for the refill: TLBs are flushed on every protection-domain crossing,
+// so both paths are hot.
 type LRU struct {
 	cap   int
 	index map[uint64]int32
-	nodes []node // fixed slab of cap slots
-	free  []int32
-	head  int32 // most recently used, -1 when empty
-	tail  int32 // least recently used, -1 when empty
+	nodes []node  // grows to at most cap slots
+	free  []int32 // slots released by EvictOldest, reused before appending
+	head  int32   // most recently used, -1 when empty
+	tail  int32   // least recently used, -1 when empty
 }
 
 // node is one slab slot of the intrusive recency list; prev/next are
@@ -42,28 +47,17 @@ type node struct {
 
 const noSlot int32 = -1
 
-// NewLRU returns an LRU set with the given capacity.
+// NewLRU returns an empty LRU set with the given capacity. It allocates
+// nothing in proportion to capacity.
 func NewLRU(capacity int) *LRU {
 	if capacity <= 0 {
 		panic("mem: non-positive LRU capacity")
 	}
-	l := &LRU{
+	return &LRU{
 		cap:   capacity,
-		index: make(map[uint64]int32, capacity),
-		nodes: make([]node, capacity),
-		free:  make([]int32, capacity),
+		index: make(map[uint64]int32),
 		head:  noSlot,
 		tail:  noSlot,
-	}
-	l.resetFree()
-	return l
-}
-
-// resetFree refills the free list with every slot.
-func (l *LRU) resetFree() {
-	l.free = l.free[:0]
-	for i := l.cap - 1; i >= 0; i-- {
-		l.free = append(l.free, int32(i))
 	}
 }
 
@@ -90,6 +84,9 @@ func (l *LRU) Touch(id uint64) bool {
 	if n := len(l.free); n > 0 {
 		slot = l.free[n-1]
 		l.free = l.free[:n-1]
+	} else if len(l.nodes) < l.cap {
+		slot = int32(len(l.nodes))
+		l.nodes = append(l.nodes, node{})
 	} else {
 		slot = l.evict()
 	}
@@ -105,8 +102,9 @@ func (l *LRU) Insert(id uint64) { l.Touch(id) }
 // Flush empties the set (a TLB flush on protection-domain crossing).
 func (l *LRU) Flush() {
 	clear(l.index)
+	l.nodes = l.nodes[:0]
+	l.free = l.free[:0]
 	l.head, l.tail = noSlot, noSlot
-	l.resetFree()
 }
 
 func (l *LRU) pushFront(n int32) {

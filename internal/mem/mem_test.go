@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -17,14 +18,198 @@ func TestLRUBasic(t *testing.T) {
 	if l.Len() != 2 || l.Cap() != 2 {
 		t.Fatalf("len/cap = %d/%d", l.Len(), l.Cap())
 	}
-	// 1 is LRU? No: touch order was 1,1,2 → 1 is LRU... wait, 1 was
-	// touched twice then 2; LRU is 1. Touch 3 evicts 1.
+	// Touch order was 1, 1, 2, so 1 is least recently used and a miss
+	// on the full set evicts it.
 	l.Touch(3)
 	if l.Contains(1) {
 		t.Fatalf("1 should have been evicted")
 	}
 	if !l.Contains(2) || !l.Contains(3) {
 		t.Fatalf("2 and 3 should be resident")
+	}
+}
+
+// lruSink keeps NewLRU's result live in the allocation test.
+var lruSink *LRU
+
+// NewLRU must not allocate in proportion to capacity: an m2026 L2 has
+// 131,072 lines, and every booted machine builds one.
+func TestNewLRUAllocationIndependentOfCapacity(t *testing.T) {
+	small := testing.AllocsPerRun(100, func() { lruSink = NewLRU(1) })
+	large := testing.AllocsPerRun(100, func() { lruSink = NewLRU(1 << 17) })
+	if large > small {
+		t.Fatalf("NewLRU(1<<17) allocates %.0f times, NewLRU(1) %.0f", large, small)
+	}
+}
+
+// The operations the equivalence tests drive, numbered as an op byte
+// selects them.
+const (
+	opTouch = iota
+	opInsert
+	opContains
+	opEvictOldest
+	opFlush
+	numOps
+)
+
+// lruPair drives LRU and the pre-allocating oracle (lru_oracle_test.go)
+// with one op stream and fails at the first disagreement. It counts
+// which path each LRU miss took, so a generator can show it reached
+// them all.
+type lruPair struct {
+	tb   testing.TB
+	got  *LRU
+	want *oracleLRU
+	peak int // largest Len since the last flush
+
+	fromFree, appended, evicted, flushes int
+}
+
+func newLRUPair(tb testing.TB, capacity int) *lruPair {
+	return &lruPair{tb: tb, got: NewLRU(capacity), want: newOracleLRU(capacity)}
+}
+
+// do applies one op to both sets: id is the Touch/Insert/Contains
+// argument and n the EvictOldest count.
+func (p *lruPair) do(op int, id uint64, n int) {
+	p.tb.Helper()
+	switch op {
+	case opTouch, opInsert:
+		if !p.got.Contains(id) {
+			switch {
+			case len(p.got.free) > 0:
+				p.fromFree++
+			case len(p.got.nodes) < p.got.Cap():
+				p.appended++
+			default:
+				p.evicted++
+			}
+		}
+		if op == opInsert {
+			p.got.Insert(id)
+			p.want.Insert(id)
+		} else if g, w := p.got.Touch(id), p.want.Touch(id); g != w {
+			p.tb.Fatalf("Touch(%d) = %v, oracle %v", id, g, w)
+		}
+	case opContains: // compared below, after every op
+	case opEvictOldest:
+		if g, w := p.got.EvictOldest(n), p.want.EvictOldest(n); g != w {
+			p.tb.Fatalf("EvictOldest(%d) = %d, oracle %d", n, g, w)
+		}
+	case opFlush:
+		p.got.Flush()
+		p.want.Flush()
+		p.flushes++
+		p.peak = 0
+	}
+	if g, w := p.got.Contains(id), p.want.Contains(id); g != w {
+		p.tb.Fatalf("Contains(%d) = %v, oracle %v", id, g, w)
+	}
+	p.peak = max(p.peak, p.got.Len())
+	p.check()
+}
+
+// check compares Len and the full MRU→LRU order, holds LRU's back links
+// and tail to that order, and holds the slab to its invariant: exactly
+// as many slots as the peak working set since the last flush (so never
+// more than cap), each holding an entry or waiting on the free list.
+func (p *lruPair) check() {
+	p.tb.Helper()
+	g, w := p.got, p.want
+	if g.Len() != w.Len() {
+		p.tb.Fatalf("Len = %d, oracle %d", g.Len(), w.Len())
+	}
+	if len(g.nodes) != p.peak || g.Len()+len(g.free) != len(g.nodes) {
+		p.tb.Fatalf("slab has %d slots, %d free, for %d entries; peak since flush %d", len(g.nodes), len(g.free), g.Len(), p.peak)
+	}
+	prev, k := noSlot, 0
+	for gi, wi := g.head, w.head; gi != noSlot || wi != noSlot; k++ {
+		if gi == noSlot || wi == noSlot || g.nodes[gi].id != w.nodes[wi].id {
+			p.tb.Fatalf("MRU→LRU order diverges from the oracle at position %d", k)
+		}
+		if g.nodes[gi].prev != prev {
+			p.tb.Fatalf("back link broken at position %d", k)
+		}
+		prev, gi, wi = gi, g.nodes[gi].next, w.nodes[wi].next
+	}
+	if k != g.Len() || g.tail != prev {
+		p.tb.Fatalf("recency list holds %d entries ending at slot %d, want Len %d ending at tail %d", k, prev, g.Len(), g.tail)
+	}
+}
+
+// FuzzLRUEquivalence drives LRU and the oracle with a fuzzer-chosen
+// capacity (byte 0: 255 picks the paper's 8192-line L2, any other value
+// v picks v+1) and op stream (three bytes an op: the op, then a
+// little-endian argument that is the id, taken modulo an alphabet a
+// little larger than the capacity, or the EvictOldest count).
+func FuzzLRUEquivalence(f *testing.F) {
+	f.Add([]byte{1, opTouch, 0, 0, opTouch, 1, 0, opTouch, 2, 0, opTouch, 0, 0})
+	f.Add([]byte{3, opTouch, 1, 0, opInsert, 2, 0, opEvictOldest, 1, 0, opTouch, 3, 0, opTouch, 4, 0, opTouch, 5, 0})
+	f.Add([]byte{0, opTouch, 7, 0, opFlush, 0, 0, opContains, 7, 0, opTouch, 7, 0})
+	f.Add([]byte{255, opTouch, 1, 2, opTouch, 3, 4, opEvictOldest, 1, 0, opTouch, 5, 6, opFlush, 0, 0, opTouch, 1, 2})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		capacity := int(data[0]) + 1
+		if data[0] == 255 {
+			capacity = 8192
+		}
+		alphabet := uint64(capacity + capacity/4 + 2)
+		p := newLRUPair(t, capacity)
+		for i := 1; i+2 < len(data); i += 3 {
+			arg := int(data[i+1]) | int(data[i+2])<<8
+			p.do(int(data[i])%numOps, uint64(arg)%alphabet, arg%(capacity+2))
+		}
+	})
+}
+
+// TestLRUEquivalenceRandom is the always-on cousin of
+// FuzzLRUEquivalence: seeded op streams over random capacities and the
+// 8192-line L2, with an id alphabet a quarter larger than the capacity.
+// Until a set first evicts, its ids scan the alphabet in order, so it
+// fills in about one capacity's worth of ops; after that half the ids
+// are drawn at random, and flushes and bulk evictions join in. Small
+// evictions keep freed slots coming back throughout.
+func TestLRUEquivalenceRandom(t *testing.T) {
+	caps := []int{1, 2, 3, 8192}
+	r := rand.New(rand.NewSource(1))
+	for len(caps) < 40 {
+		caps = append(caps, 1+r.Intn(300))
+	}
+	var fromFree, flushes int
+	for i, capacity := range caps {
+		r := rand.New(rand.NewSource(int64(i + 1)))
+		p := newLRUPair(t, capacity)
+		alphabet := capacity + capacity/4 + 2
+		next := 0
+		for step := 0; step < alphabet+2000; step++ {
+			filled := p.evicted > 0
+			id := uint64(r.Intn(alphabet))
+			if !filled || r.Intn(2) == 0 {
+				id = uint64(next % alphabet)
+				next++
+			}
+			switch {
+			case filled && r.Intn(4*capacity) == 0:
+				p.do(opFlush, id, 0)
+			case filled && r.Intn(8*capacity) == 0:
+				p.do(opEvictOldest, id, r.Intn(capacity+2))
+			case r.Intn(50) == 0:
+				p.do(opEvictOldest, id, r.Intn(4))
+			default:
+				p.do([]int{opTouch, opTouch, opTouch, opInsert, opContains}[r.Intn(5)], id, 0)
+			}
+		}
+		if p.evicted == 0 {
+			t.Errorf("capacity %d never filled and evicted", capacity)
+		}
+		fromFree += p.fromFree
+		flushes += p.flushes
+	}
+	if fromFree == 0 || flushes == 0 {
+		t.Errorf("streams reused %d freed slots and flushed %d times, want both > 0", fromFree, flushes)
 	}
 }
 
