@@ -24,31 +24,37 @@ BENCH_RETRIES   ?= 3
 COVER_PKGS   = ./internal/machine ./internal/cpu ./internal/mem ./internal/disk ./internal/perception
 COVER_FLOOR ?= 85
 
-.PHONY: all build vet test race verify bench bench-baseline bench-check cover doclint fuzz-smoke corpus-check campaign-check campaign-demo modern-check repro quick examples clean
+.PHONY: all build vet test race verify bench bench-baseline bench-check cover doclint fuzz-smoke campaign-check campaign-demo repro quick examples clean
 
 all: build verify
 
 build:
 	$(GO) build ./...
 
+# go vet, then gofmt: the gate fails if gofmt would rewrite any tracked
+# .go file.
 vet:
 	$(GO) vet ./...
+	@files=$$(git ls-files '*.go') && out=$$(gofmt -l $$files) && \
+	if [ -n "$$out" ]; then echo "gofmt would rewrite:"; echo "$$out"; exit 1; fi
 
 test: verify
 
 race:
 	$(GO) test -race ./...
 
-# The CI gate: vet plus the full suite under the race detector (the
-# runner is concurrent, so a plain `go test` can miss real bugs), then
-# the benchmark regression gate and a short fuzz of the CSV parsers.
+# The CI gate: vet (with the gofmt check) plus the full suite under the
+# race detector (the runner is concurrent, so a plain `go test` can miss
+# real bugs), then the benchmark regression gate and a short fuzz of the
+# CSV parsers. The race run is also the corpus and modern-chapter gate:
+# TestCorpusGolden, TestCorpusGoldenBatched, TestRunCorpus,
+# TestScenarioTwinsMatchGoRegistered (quick and full mode),
+# TestGoldenQuick/ext-modern-* and TestModernChapter all run there.
 # Set LATLAB_SKIP_BENCH=1 to skip the benchmark gate (e.g. on loaded or
 # incomparable hardware), LATLAB_SKIP_COVER=1 to skip the coverage
 # floor, LATLAB_SKIP_FUZZ=1 to skip the fuzz smoke,
-# LATLAB_SKIP_DOCLINT=1 to skip the documentation lint,
-# LATLAB_SKIP_CORPUS=1 to skip the scenario-corpus replay,
-# LATLAB_SKIP_CAMPAIGN=1 to skip the campaign-ledger replay, and
-# LATLAB_SKIP_MODERN=1 to skip the modern-chapter replay.
+# LATLAB_SKIP_DOCLINT=1 to skip the documentation lint, and
+# LATLAB_SKIP_CAMPAIGN=1 to skip the campaign-ledger replay.
 # The campaign determinism and crash-safety tests themselves run under
 # -race via the race target above.
 verify: vet race
@@ -72,20 +78,10 @@ verify: vet race
 	else \
 		echo "fuzz-smoke skipped (LATLAB_SKIP_FUZZ set)"; \
 	fi
-	@if [ -z "$$LATLAB_SKIP_CORPUS" ]; then \
-		$(MAKE) --no-print-directory corpus-check; \
-	else \
-		echo "corpus-check skipped (LATLAB_SKIP_CORPUS set)"; \
-	fi
 	@if [ -z "$$LATLAB_SKIP_CAMPAIGN" ]; then \
 		$(MAKE) --no-print-directory campaign-check; \
 	else \
 		echo "campaign-check skipped (LATLAB_SKIP_CAMPAIGN set)"; \
-	fi
-	@if [ -z "$$LATLAB_SKIP_MODERN" ]; then \
-		$(MAKE) --no-print-directory modern-check; \
-	else \
-		echo "modern-check skipped (LATLAB_SKIP_MODERN set)"; \
 	fi
 
 # Documentation gate: every internal package needs a package comment and
@@ -126,14 +122,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDriveFSMMerge$$' -fuzztime $(FUZZ_TIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzLRUEquivalence$$' -fuzztime $(FUZZ_TIME) ./internal/mem
 
-# Replay the committed scenario corpus (testdata/scenarios/) through
-# the full CLI path and diff every rendering against its golden; also
-# re-prove that the ext-faults JSON twins match their Go-registered
-# counterparts byte for byte.
-corpus-check:
-	$(GO) test -run '^(TestCorpusGolden|TestRunCorpus)$$' ./cmd/latbench
-	$(GO) test -run '^TestScenarioTwinsMatchGoRegistered$$' -short ./internal/experiments
-
 # The end-to-end determinism and crash-safety gate for the committed
 # demo campaign (10080 quick sessions), proving each property once:
 # SIGINT a run at -jobs 2 mid-flight (exit 3 = drained cleanly; exit 0
@@ -157,15 +145,6 @@ campaign-check:
 	$$tmp/campaign analyze -ledger $$tmp/demo-ledger.jsonl -out $$tmp/demo-analyze.txt && \
 	cmp $(CAMPAIGN_DIR)/demo-analyze.txt $$tmp/demo-analyze.txt && \
 	echo "campaign-check: interrupted + resumed ledger and its analyze report match the committed ones byte-for-byte"
-
-# Replay the ext-modern experiments against their goldens and require
-# every table quoted in the EXPERIMENTS.md "1996 methodology on 2026
-# hardware" chapter to be a verbatim excerpt of those goldens — the
-# chapter cannot drift from what the code produces.
-modern-check:
-	$(GO) test -run '^TestGoldenQuick$$/^ext-modern' ./cmd/latbench
-	$(GO) test -run '^TestModernChapter$$' ./cmd/latbench
-	@echo "modern-check: ext-modern goldens replay and the EXPERIMENTS.md chapter quotes them verbatim"
 
 # Regenerate the committed demo campaign ledger and report after an
 # intentional behaviour change. Commit both files.

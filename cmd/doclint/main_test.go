@@ -51,7 +51,7 @@ func (w *Widget) Spin() {}
 // Do is a documented function.
 func Do() {}
 `,
-		"README.md": "# Top\n\nSee [the doc](docs/guide.md) and [site](https://example.com) and [top](#top).\n",
+		"README.md":     "# Top\n\nSee [the doc](docs/guide.md) and [site](https://example.com) and [top](#top).\n",
 		"docs/guide.md": "Back to [readme](../README.md).\n",
 	})
 	code, out, errOut := runLint(t, root)

@@ -50,7 +50,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	p, ok := persona.ByShort(*personaName)
 	if !ok {
-		fmt.Fprintf(stderr, "idleprof: unknown persona %q (nt351, nt40, w95)\n", *personaName)
+		fmt.Fprintf(stderr, "idleprof: unknown persona %q (%s)\n",
+			*personaName, strings.Join(persona.Shorts(), ", "))
 		return 1
 	}
 	prof, ok := machine.ByShort(*machineID)

@@ -51,6 +51,9 @@ func TestBadArgs(t *testing.T) {
 	if code := run([]string{"-persona", "beos"}, &out, &errBuf); code != 1 {
 		t.Fatalf("unknown persona: exit %d", code)
 	}
+	if got, want := errBuf.String(), "idleprof: unknown persona \"beos\" (nt351, nt40, w95)\n"; got != want {
+		t.Fatalf("unknown persona message = %q, want %q", got, want)
+	}
 	if code := run([]string{"-seconds", "0"}, &out, &errBuf); code != 1 {
 		t.Fatalf("zero seconds: exit %d", code)
 	}

@@ -171,10 +171,3 @@ func score(seed uint64, cons scenario.Constraints) outlier {
 	o.maxMs, o.meanMs, o.ratio = sr.Cliff()
 	return o
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

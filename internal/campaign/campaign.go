@@ -174,7 +174,7 @@ func (s Spec) Validate() error {
 	for _, p := range s.Personas {
 		if _, ok := persona.ByShort(p); !ok {
 			return fmt.Errorf("campaign %s: unknown persona %q (valid: %s)",
-				s.ID, p, strings.Join(personaShorts(), ", "))
+				s.ID, p, strings.Join(persona.Shorts(), ", "))
 		}
 		if seen["p:"+p] {
 			return fmt.Errorf("campaign %s: duplicate persona %q", s.ID, p)
@@ -238,7 +238,7 @@ func (s Spec) validateCells() error {
 		}
 		if _, ok := persona.ByShort(c.Persona); !ok {
 			return fmt.Errorf("campaign %s: cell %d: unknown persona %q (valid: %s)",
-				s.ID, i, c.Persona, strings.Join(personaShorts(), ", "))
+				s.ID, i, c.Persona, strings.Join(persona.Shorts(), ", "))
 		}
 		if _, ok := machine.ByShort(c.Machine); !ok {
 			return fmt.Errorf("campaign %s: cell %d: unknown machine %q (valid: %s)",
@@ -278,15 +278,6 @@ func validFaultVariant(v string) error {
 			v, FaultNone, strings.Join(faults.KindNames(), ", "))
 	}
 	return nil
-}
-
-// personaShorts lists the valid persona short names.
-func personaShorts() []string {
-	var out []string
-	for _, p := range persona.All() {
-		out = append(out, p.Short)
-	}
-	return out
 }
 
 // ParseSpec decodes and validates a campaign spec. Decoding is strict:

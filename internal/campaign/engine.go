@@ -540,8 +540,9 @@ func runCell(ctx context.Context, campaignID string, cell Cell, alpha float64, o
 // runCellBatched steps the cell's sessions opt.Batch machines at a
 // time on this worker: each wave opens its sessions in seed order
 // (reusing the batch's per-slot sample arenas), interleaves their
-// stepping earliest-target-first, then extracts and folds in seed
-// order. Abandoned sessions are closed if a sibling's open fails.
+// stepping earliest-target-first, closes every session of the wave,
+// then extracts and folds in seed order. The same deferred close
+// releases the wave's already-open sessions if a sibling's open fails.
 func runCellBatched(ctx context.Context, cell Cell, opt Options, fold func(*experiments.ScenarioResult)) error {
 	if err := cell.Doc.Validate(); err != nil {
 		return err

@@ -326,7 +326,6 @@ func (r *rig) extract(t *kernel.Thread, strip bool) []core.Event {
 type chainStep struct {
 	kind  kernel.MsgKind
 	param int64
-	sync  bool
 	think simtime.Duration
 }
 
@@ -363,27 +362,11 @@ func driveChain(sys *system.System, steps []chainStep, sync bool, done *simtime.
 		}
 		st := steps[i]
 		sys.K.At(sys.K.Now().Add(st.think), func(now simtime.Time) {
-			sys.Inject(st.kind, st.param, sync || st.sync)
+			sys.Inject(st.kind, st.param, sync)
 			waitQuiet(func(simtime.Time) { issue(i + 1) })
 		})
 	}
 	waitQuiet(func(simtime.Time) { issue(0) })
-}
-
-// runChain drives steps to completion (or the deadline) and returns the
-// completion time.
-func runChain(sys *system.System, steps []chainStep, sync bool, deadline simtime.Time) simtime.Time {
-	var done simtime.Time
-	driveChain(sys, steps, sync, &done)
-	for sys.K.Now() < deadline && done == 0 {
-		sys.K.RunFor(500 * simtime.Millisecond)
-	}
-	if done == 0 {
-		panic(fmt.Sprintf("experiments: chain did not complete by %v", deadline))
-	}
-	// Trailing time so the last event's quiescence is recorded.
-	sys.K.RunFor(2 * simtime.Second)
-	return done
 }
 
 // fmtMs formats a millisecond value compactly.

@@ -61,12 +61,12 @@ func runExtInterrupts(ctx context.Context, cfg Config) (Result, error) {
 		}
 		row := ExtInterruptsRow{Persona: p.Name, Cycles: map[string]float64{}}
 
-		stolenOf := func(inject func(k *rigKernel)) (stolen simtime.Duration, interrupts int64) {
+		stolenOf := func(inject func(r *rig)) (stolen simtime.Duration, interrupts int64) {
 			r := newRig(cfg, p, 5)
 			defer r.shutdown()
 			before := r.sys.K.CPU().Count(cpu.Interrupts)
 			if inject != nil {
-				inject(&rigKernel{r})
+				inject(r)
 			}
 			r.sys.K.Run(simtime.Time(3 * simtime.Second))
 			for _, s := range r.il.Samples() {
@@ -89,13 +89,13 @@ func runExtInterrupts(ctx context.Context, cfg Config) (Result, error) {
 		// order names the span tracks, and those must not vary run to run.
 		for _, name := range classes[1:] {
 			seg := handlers[name]
-			stolen, _ := stolenOf(func(rk *rigKernel) {
+			stolen, _ := stolenOf(func(r *rig) {
 				// Raise n raw interrupts off the tick grid.
 				for i := 0; i < n; i++ {
 					at := simtime.Time(100*simtime.Millisecond) +
 						simtime.Time(i)*simtime.Time(7*simtime.Millisecond) + 1
-					rk.r.sys.K.At(at, func(simtime.Time) {
-						rk.r.sys.K.RaiseInterrupt(seg, nil)
+					r.sys.K.At(at, func(simtime.Time) {
+						r.sys.K.RaiseInterrupt(seg, nil)
 					})
 				}
 			})
@@ -106,9 +106,6 @@ func runExtInterrupts(ctx context.Context, cfg Config) (Result, error) {
 	}
 	return res, nil
 }
-
-// rigKernel is a tiny wrapper so the inject closure reads naturally.
-type rigKernel struct{ r *rig }
 
 func init() {
 	Register(Spec{ID: "ext-interrupts", Title: "Interrupt handling overhead by class",

@@ -17,10 +17,8 @@ import (
 	"io"
 
 	"latlab/internal/cpu"
-	"latlab/internal/kernel"
 	"latlab/internal/machine"
 	"latlab/internal/persona"
-	"latlab/internal/simtime"
 	"latlab/internal/spans"
 )
 
@@ -71,51 +69,16 @@ type ExtAttribResult struct {
 	TLBSharePct float64
 }
 
-// attribCell runs the ext-hw-tlb crossing workload (each keystroke
-// makes `calls` Win32 calls, recomputing over a 48-page window after
-// each) on persona p with the span recorder attached, and reduces the
-// span log to a per-cause mean over the warm episodes.
-func attribCell(cfg Config, p persona.P, prof machine.Profile, keystrokes, calls int) ExtAttribCell {
-	r := newRigOn(cfg, p, prof, keystrokes/2+20)
-	defer r.shutdown()
-	rec := r.spansOn()
-	appData := make([]uint64, 48)
-	for i := range appData {
-		appData[i] = 1500 + uint64(i)
-	}
-	work := cpu.Segment{
-		Name: "attrib-work", BaseCycles: 6000,
-		Instructions: 3600, DataRefs: 1800,
-		CodePages: []uint64{320, 321}, DataPages: appData,
-	}
-	r.sys.SpawnApp("attrib", func(tc *kernel.TC) {
-		for {
-			m := tc.GetMessage()
-			if m.Kind == kernel.WMQuit {
-				return
-			}
-			for i := 0; i < calls; i++ {
-				r.sys.Win.DefWindowProc(tc)
-				tc.Compute(work)
-			}
-		}
-	})
-	r.sys.Win.BindApp([]uint64{320, 321})
-	for i := 0; i < keystrokes; i++ {
-		at := simtime.Time(500+int64(i)*200) * simtime.Time(simtime.Millisecond)
-		r.sys.K.At(at, func(simtime.Time) { r.sys.Inject(kernel.WMKeyDown, 'a', false) })
-	}
-	before := r.sys.K.CPU().Snapshot()
-	r.sys.K.Run(simtime.Time(500+int64(keystrokes)*200)*simtime.Time(simtime.Millisecond) + simtime.Time(2*simtime.Second))
-	after := r.sys.K.CPU().Snapshot()
-
-	cell := ExtAttribCell{Persona: p.Name}
-	all := spans.Attribution(rec.Spans())
+// attribCell reduces a finished crossKeys run, recorded under the span
+// recorder, to a per-cause mean over the warm episodes.
+func attribCell(k *keyRun) ExtAttribCell {
+	cell := ExtAttribCell{Persona: k.r.sys.P.Name}
+	all := spans.Attribution(k.r.rec.Spans())
 	cell.SpanTLBCycles = all.Cycles[spans.CauseTLBMiss]
-	cell.CounterTLBCycles = (after[cpu.ITLBMisses] - before[cpu.ITLBMisses] +
-		after[cpu.DTLBMisses] - before[cpu.DTLBMisses]) * r.sys.K.CPU().Penalties.TLBMiss
+	cell.CounterTLBCycles = (k.delta(cpu.ITLBMisses) + k.delta(cpu.DTLBMisses)) *
+		k.r.sys.K.CPU().Penalties.TLBMiss
 
-	eps, _ := spans.Episodes(rec.Spans())
+	eps, _ := spans.Episodes(k.r.rec.Spans())
 	if len(eps) < 2 {
 		return cell
 	}
@@ -193,15 +156,14 @@ func (r *ExtAttribResult) Render(w io.Writer) error {
 func runExtAttrib(ctx context.Context, cfg Config) (Result, error) {
 	prof := machine.Pentium100() // the paper's machine, like ext-hw-tlb's base cell
 	res := &ExtAttribResult{Machine: prof.Short}
-	keystrokes, calls := 30, 4
-	if cfg.Quick {
-		keystrokes = 10
-	}
+	// The ext-hw-tlb crossing keystrokes, under the span recorder.
+	w, body := crossKeys(cfg, "attrib", "attrib-work")
+	w.spans = true
 	for _, p := range persona.NTs() {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		res.Cells = append(res.Cells, attribCell(cfg, p, prof, keystrokes, calls))
+		res.Cells = append(res.Cells, paceKeys(cfg, p, prof, w, body, attribCell))
 	}
 	nt351 := cellByPersona(res.Cells, persona.NT351().Name)
 	nt40 := cellByPersona(res.Cells, persona.NT40().Name)

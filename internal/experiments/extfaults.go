@@ -56,20 +56,26 @@ func (r *ExtFaultsResult) Render(w io.Writer) error {
 	}
 	fmt.Fprintln(w)
 	for _, row := range r.Rows {
-		rep := row.Report
-		ia := rep.Interarrival(core.PerceptionThresholdMs)
-		fmt.Fprintf(w, "  %-8s %4d events  mean %s  >0.1s: %d  total latency %.2fs\n",
-			row.Label+":", len(rep.Events), fmtMs(rep.Summary().Mean),
-			rep.CountAbove(core.PerceptionThresholdMs), rep.TotalLatency().Seconds())
-		fmt.Fprintf(w, "           interarrival of >0.1s events: n=%d mean %.2fs sd %.2fs\n",
-			ia.Count, ia.MeanSec, ia.StdDevSec)
-		fmt.Fprintf(w, "           think %.1fs / wait %.1fs (%d transitions)\n",
-			row.ThinkMs/1000, row.WaitMs/1000, row.Transitions)
-		fmt.Fprintf(w, "           machine: retries=%d media-errors=%d io-errors=%d evictions=%d interrupts=%d\n",
-			row.Retries, row.MediaErrors, row.IOErrors, row.ForcedEvictions, row.Interrupts)
+		row.render(w, fmt.Sprintf("  %-8s ", row.Label+":"), "           ")
 	}
 	fmt.Fprintln(w)
 	return nil
+}
+
+// render writes the row's four analysis lines, the first after lead and
+// the rest after indent.
+func (row ExtFaultsRow) render(w io.Writer, lead, indent string) {
+	rep := row.Report
+	ia := rep.Interarrival(core.PerceptionThresholdMs)
+	fmt.Fprintf(w, "%s%4d events  mean %s  >0.1s: %d  total latency %.2fs\n",
+		lead, len(rep.Events), fmtMs(rep.Summary().Mean),
+		rep.CountAbove(core.PerceptionThresholdMs), rep.TotalLatency().Seconds())
+	fmt.Fprintf(w, "%sinterarrival of >0.1s events: n=%d mean %.2fs sd %.2fs\n",
+		indent, ia.Count, ia.MeanSec, ia.StdDevSec)
+	fmt.Fprintf(w, "%sthink %.1fs / wait %.1fs (%d transitions)\n",
+		indent, row.ThinkMs/1000, row.WaitMs/1000, row.Transitions)
+	fmt.Fprintf(w, "%smachine: retries=%d media-errors=%d io-errors=%d evictions=%d interrupts=%d\n",
+		indent, row.Retries, row.MediaErrors, row.IOErrors, row.ForcedEvictions, row.Interrupts)
 }
 
 // Artifacts implements ArtifactProvider.
@@ -105,20 +111,12 @@ func faultsTarget(r *rig, needBackground bool) faults.Target {
 	return t
 }
 
-// faultsPPT runs the paper's PowerPoint task (launch, open, page
-// through, OLE edit, save — §5.2) under plan and returns the analysis
-// row. label tags the row; an empty plan is the clean baseline. The
-// deck, paging, and pacing come from the compiled scenario run: empty
+// openPPT boots the paper's PowerPoint task (launch, open, page
+// through, OLE edit, save — §5.2) under plan as a completion-paced
+// chain session; an empty plan is the clean baseline. The deck, paging,
+// pacing and deadline come from the compiled scenario run: empty
 // PageDowns means the full paper task ([9,10,10]), and each PageDowns
 // entry is one OLE edit.
-func faultsPPT(label string, cfg Config, sc scRun, plan faults.Plan) ExtFaultsRow {
-	return openPPT(label, cfg, sc, plan).run()
-}
-
-// openPPT boots the PowerPoint session without running it; the chain
-// driver is installed and the session's milestone program replicates
-// runChain (500 ms poll slices, then 2 s trailing quiescence so the
-// FSM end matches the probe's last records).
 func openPPT(label string, cfg Config, sc scRun, plan faults.Plan) *ScenarioSession {
 	params := apps.DefaultPowerpointParams()
 	if sc.prm.Slides != 0 {
@@ -144,6 +142,7 @@ func openPPT(label string, cfg Config, sc scRun, plan faults.Plan) *ScenarioSess
 			steps = append(steps, step(kernel.WMKeyDown, input.VKPageDown, think))
 		}
 		steps = append(steps, step(kernel.WMCommand, apps.CmdEditObject+int64(i), think))
+		// Modify the object: a few keystrokes ≥150 ms apart (§5.2).
 		for k := 0; k < 3; k++ {
 			steps = append(steps, step(kernel.WMChar, '7', 150*simtime.Millisecond))
 		}
@@ -155,8 +154,10 @@ func openPPT(label string, cfg Config, sc scRun, plan faults.Plan) *ScenarioSess
 		simtime.Time(secs(defF(sc.prm.DeadlineS, 380))))
 }
 
-// openChain installs a completion-paced chain driver and wraps it as a
-// session whose milestone program is runChain's exact loop.
+// openChain installs a completion-paced chain driver for steps on r
+// and wraps it as a session: 500 ms poll slices until the chain
+// completes (panicking at deadline if it has not), then 2 s of
+// trailing time.
 func openChain(label string, r *rig, t *kernel.Thread, steps []chainStep, sync bool, deadline simtime.Time) *ScenarioSession {
 	s := &ScenarioSession{r: r, label: label, thread: t,
 		kind: sessChain, deadline: deadline, chainDone: new(simtime.Time)}
@@ -165,16 +166,11 @@ func openChain(label string, r *rig, t *kernel.Thread, steps []chainStep, sync b
 	return s
 }
 
-// faultsTyping runs a paced Notepad typing session under plan. Input
+// openTyping boots a paced Notepad typing session under plan. Input
 // comes from the scenario run: the seeded typist by default, or the
-// document's explicit stanza timeline.
-func faultsTyping(label string, cfg Config, sc scRun, plan faults.Plan) ExtFaultsRow {
-	return openTyping(label, cfg, sc, plan).run()
-}
-
-// openTyping boots the typing session without running it. The whole
-// input script is installed up front, so the milestone program is one
-// Run to the script end plus trailing time.
+// document's explicit stanza timeline. The whole script is installed up
+// front, so the milestone program is one Run to the script end plus
+// trailing time.
 func openTyping(label string, cfg Config, sc scRun, plan faults.Plan) *ScenarioSession {
 	r := newRig(cfg, sc.p, 240)
 	faults.NewClock(plan).Arm(faultsTarget(r, true))
@@ -204,17 +200,13 @@ func faultsRow(label string, r *rig, t *kernel.Thread, end simtime.Time) ExtFaul
 	}
 }
 
-// faultsBrowser runs a document-browser session whose warmth lives in
-// the buffer cache: each page-down reads the next 64-page window of a
-// large report file in small chunks, cycling through the file twice, so
-// the second pass is cache-warm on a clean machine and cold again under
-// eviction pressure — the paper's "effects of the file system cache"
-// phenomenon produced (and destroyed) on demand.
-func faultsBrowser(label string, cfg Config, sc scRun, plan faults.Plan) ExtFaultsRow {
-	return openBrowser(label, cfg, sc, plan).run()
-}
-
-// openBrowser boots the browsing session without running it.
+// openBrowser boots a document-browser session under plan whose
+// warmth lives in the buffer cache: each page-down reads the next
+// 64-page window of a large report file in small chunks, cycling
+// through the file twice, so the second pass is cache-warm on a clean
+// machine and cold again under eviction pressure — the paper's
+// "effects of the file system cache" phenomenon produced (and
+// destroyed) on demand.
 func openBrowser(label string, cfg Config, sc scRun, plan faults.Plan) *ScenarioSession {
 	const viewPages, chunk = 64, 8
 	views := sc.prm.Views
@@ -257,23 +249,31 @@ func compareCleanDegraded() []scenario.Row {
 	return []scenario.Row{{Label: "clean"}, {Label: "degraded", Faulted: true}}
 }
 
+// pptTaskWorkload is the paper's §5.2 PowerPoint task: the 46-slide
+// deck paged to slides 10, 20 and 30 with an OLE edit at each, trimmed
+// in quick mode to a 12-slide deck and two edits. fig8, table1 and
+// fig12 run it clean; ext-faults-disk runs it under disk faults.
+func pptTaskWorkload() scenario.Workload {
+	return scenario.Workload{
+		Kind: scenario.KindPowerpoint,
+		Full: scenario.Params{PageDowns: []int{9, 10, 10}},
+		Quick: &scenario.Params{Slides: 12, ObjectSlides: []int{3, 6, 9},
+			PageDowns: []int{2, 3}},
+	}
+}
+
 // extFaultsDiskDoc declares ext-faults-disk: the §5.2 PowerPoint task
 // under disk degradation. The span (120 s full, 30 s quick) matches
 // the task so the windows land mid-run.
 func extFaultsDiskDoc() scenario.Doc {
 	return scenario.Doc{
-		Schema:  scenario.SchemaVersion,
-		ID:      "ext-faults-disk",
-		Title:   "Latency analysis under injected disk faults",
-		Banner:  "Powerpoint task under disk faults (degrade, stall, media errors)",
-		Paper:   "Table 1, §5.2 (robustness extension)",
-		Persona: "nt40",
-		Workload: scenario.Workload{
-			Kind: scenario.KindPowerpoint,
-			Full: scenario.Params{PageDowns: []int{9, 10, 10}},
-			Quick: &scenario.Params{Slides: 12, ObjectSlides: []int{3, 6, 9},
-				PageDowns: []int{2, 3}},
-		},
+		Schema:   scenario.SchemaVersion,
+		ID:       "ext-faults-disk",
+		Title:    "Latency analysis under injected disk faults",
+		Banner:   "Powerpoint task under disk faults (degrade, stall, media errors)",
+		Paper:    "Table 1, §5.2 (robustness extension)",
+		Persona:  "nt40",
+		Workload: pptTaskWorkload(),
 		Faults: &scenario.FaultSpec{
 			Kinds:      []string{"disk-degrade", "disk-stall", "disk-media-errors"},
 			SpanS:      120,

@@ -16,7 +16,6 @@ import (
 	"latlab/internal/kernel"
 	"latlab/internal/machine"
 	"latlab/internal/persona"
-	"latlab/internal/simtime"
 	"latlab/internal/stats"
 )
 
@@ -47,41 +46,31 @@ type ExtHWCell struct {
 // every event — the knob that makes an event compute-bound or
 // memory-bound on a given machine.
 func hwMemCell(cfg Config, p persona.P, prof machine.Profile, keystrokes, perEvent, window int) ExtHWCell {
-	r := newRigOn(cfg, p, prof, keystrokes/2+20)
-	defer r.shutdown()
 	render := cpu.Segment{
 		Name: "hw-render", BaseCycles: 100_000,
 		Instructions: 60_000, DataRefs: 30_000,
 		CodePages: []uint64{400, 401}, DataPages: []uint64{402, 403},
 	}
 	pos := 0
-	app := r.sys.SpawnApp("hwmem", func(tc *kernel.TC) {
-		for {
-			m := tc.GetMessage()
-			if m.Kind == kernel.WMQuit {
-				return
-			}
-			r.sys.Win.TextOut(tc, 1)
-			seg := render
-			seg.CacheChunks = make([]uint64, perEvent)
-			for i := range seg.CacheChunks {
-				seg.CacheChunks[i] = 100_000 + uint64((pos+i)%window)
-			}
-			pos = (pos + perEvent) % window
-			tc.Compute(seg)
+	w := keyWorkload{app: "hwmem", code: []uint64{400, 401}, keystrokes: keystrokes, gapMs: 200, tailMs: 2000}
+	return paceKeys(cfg, p, prof, w, func(r *rig, tc *kernel.TC) {
+		r.sys.Win.TextOut(tc, 1)
+		seg := render
+		seg.CacheChunks = make([]uint64, perEvent)
+		for i := range seg.CacheChunks {
+			seg.CacheChunks[i] = 100_000 + uint64((pos+i)%window)
 		}
-	})
-	r.sys.Win.BindApp([]uint64{400, 401})
-	for i := 0; i < keystrokes; i++ {
-		at := simtime.Time(500+int64(i)*200) * simtime.Time(simtime.Millisecond)
-		r.sys.K.At(at, func(simtime.Time) { r.sys.Inject(kernel.WMKeyDown, 'a', false) })
-	}
-	before := r.sys.K.CPU().Snapshot()
-	r.sys.K.Run(simtime.Time(500+int64(keystrokes)*200)*simtime.Time(simtime.Millisecond) + simtime.Time(2*simtime.Second))
-	after := r.sys.K.CPU().Snapshot()
+		pos = (pos + perEvent) % window
+		tc.Compute(seg)
+	}, hwCell)
+}
 
-	events := r.extract(app, false)
-	cell := ExtHWCell{Persona: p.Name, Machine: prof.Short}
+// hwCell reduces a finished ext-hw run to its cell: warm latency over
+// every event but the cold first one, and whole-run counter deltas per
+// event.
+func hwCell(k *keyRun) ExtHWCell {
+	events := k.r.extract(k.app, false)
+	cell := ExtHWCell{Persona: k.r.sys.P.Name, Machine: k.r.sys.M.Short}
 	if len(events) < 2 {
 		return cell
 	}
@@ -92,19 +81,10 @@ func hwMemCell(cfg Config, p persona.P, prof machine.Profile, keystrokes, perEve
 	n := float64(len(events))
 	cell.Events = len(warm)
 	cell.Latency = stats.Summarize(warm)
-	cell.TLBMissesPerEvent = float64(after[cpu.ITLBMisses]-before[cpu.ITLBMisses]+
-		after[cpu.DTLBMisses]-before[cpu.DTLBMisses]) / n
-	cell.CacheMissesPerEvent = float64(after[cpu.CacheMisses]-before[cpu.CacheMisses]) / n
-	cell.CrossingsPerEvent = float64(after[cpu.DomainCrossings]-before[cpu.DomainCrossings]) / n
+	cell.TLBMissesPerEvent = float64(k.delta(cpu.ITLBMisses)+k.delta(cpu.DTLBMisses)) / n
+	cell.CacheMissesPerEvent = float64(k.delta(cpu.CacheMisses)) / n
+	cell.CrossingsPerEvent = float64(k.delta(cpu.DomainCrossings)) / n
 	return cell
-}
-
-// hwKeystrokes picks the session length.
-func hwKeystrokes(cfg Config) int {
-	if cfg.Quick {
-		return 8
-	}
-	return 24
 }
 
 // cellFor returns the cell for (persona, machine short), or a zero cell.
@@ -161,7 +141,7 @@ func runExtHWClock(ctx context.Context, cfg Config) (Result, error) {
 			}
 			// Stream 4000 chunks per event through a window twice the L2:
 			// the redraw's DRAM share cannot be clocked away.
-			res.Cells = append(res.Cells, hwMemCell(cfg, p, prof, hwKeystrokes(cfg), 4000, 16384))
+			res.Cells = append(res.Cells, hwMemCell(cfg, p, prof, pacedKeystrokes(cfg), 4000, 16384))
 		}
 	}
 	return res, nil
@@ -206,7 +186,7 @@ func runExtHWL2(ctx context.Context, cfg Config) (Result, error) {
 		}
 		// The same 6000 chunks every event: fits the 8192-line L2, so it
 		// misses once and stays warm — unless there is no L2 at all.
-		res.Cells = append(res.Cells, hwMemCell(cfg, persona.NT40(), prof, hwKeystrokes(cfg), 6000, 6000))
+		res.Cells = append(res.Cells, hwMemCell(cfg, persona.NT40(), prof, pacedKeystrokes(cfg), 6000, 6000))
 	}
 	return res, nil
 }
@@ -236,61 +216,34 @@ type ExtHWTLBResult struct {
 	FlushPenalty float64
 }
 
-// hwCrossCell measures a crossing-heavy event: each keystroke makes
-// `calls` Win32 calls, and after every call the application recomputes
-// over a 48-page data window. On NT 3.51's untagged machine the return
-// crossing has flushed the DTLB, so that window refills on every call;
-// NT 4.0 pays one refill per event (the process-switch flush), and a
-// tagged TLB pays none.
-func hwCrossCell(cfg Config, p persona.P, prof machine.Profile, keystrokes, calls int) ExtHWCell {
-	r := newRigOn(cfg, p, prof, keystrokes/2+20)
-	defer r.shutdown()
+// crossKeys is the crossing-heavy keystroke session of ext-hw-tlb and
+// ext-attrib: each keystroke makes 4 Win32 calls, and after every call
+// the application recomputes over a 48-page data window. On NT 3.51's
+// untagged machine the return crossing has flushed the DTLB, so that
+// window refills on every call; NT 4.0 pays one refill per event (the
+// process-switch flush), and a tagged TLB pays none. app and work name
+// the thread and its recompute segment, which are span labels.
+func crossKeys(cfg Config, app, work string) (keyWorkload, func(r *rig, tc *kernel.TC)) {
+	keystrokes, calls := 30, 4
+	if cfg.Quick {
+		keystrokes = 10
+	}
 	appData := make([]uint64, 48)
 	for i := range appData {
 		appData[i] = 1500 + uint64(i)
 	}
-	work := cpu.Segment{
-		Name: "hw-crosswork", BaseCycles: 6000,
+	seg := cpu.Segment{
+		Name: work, BaseCycles: 6000,
 		Instructions: 3600, DataRefs: 1800,
 		CodePages: []uint64{320, 321}, DataPages: appData,
 	}
-	app := r.sys.SpawnApp("hwcross", func(tc *kernel.TC) {
-		for {
-			m := tc.GetMessage()
-			if m.Kind == kernel.WMQuit {
-				return
-			}
-			for i := 0; i < calls; i++ {
-				r.sys.Win.DefWindowProc(tc)
-				tc.Compute(work)
-			}
+	w := keyWorkload{app: app, code: []uint64{320, 321}, keystrokes: keystrokes, gapMs: 200, tailMs: 2000}
+	return w, func(r *rig, tc *kernel.TC) {
+		for i := 0; i < calls; i++ {
+			r.sys.Win.DefWindowProc(tc)
+			tc.Compute(seg)
 		}
-	})
-	r.sys.Win.BindApp([]uint64{320, 321})
-	for i := 0; i < keystrokes; i++ {
-		at := simtime.Time(500+int64(i)*200) * simtime.Time(simtime.Millisecond)
-		r.sys.K.At(at, func(simtime.Time) { r.sys.Inject(kernel.WMKeyDown, 'a', false) })
 	}
-	before := r.sys.K.CPU().Snapshot()
-	r.sys.K.Run(simtime.Time(500+int64(keystrokes)*200)*simtime.Time(simtime.Millisecond) + simtime.Time(2*simtime.Second))
-	after := r.sys.K.CPU().Snapshot()
-
-	events := r.extract(app, false)
-	cell := ExtHWCell{Persona: p.Name, Machine: prof.Short}
-	if len(events) < 2 {
-		return cell
-	}
-	var warm []float64
-	for _, ev := range events[1:] {
-		warm = append(warm, ev.Latency.Milliseconds())
-	}
-	n := float64(len(events))
-	cell.Events = len(warm)
-	cell.Latency = stats.Summarize(warm)
-	cell.TLBMissesPerEvent = float64(after[cpu.ITLBMisses]-before[cpu.ITLBMisses]+
-		after[cpu.DTLBMisses]-before[cpu.DTLBMisses]) / n
-	cell.CrossingsPerEvent = float64(after[cpu.DomainCrossings]-before[cpu.DomainCrossings]) / n
-	return cell
 }
 
 // ExperimentID implements Result.
@@ -323,16 +276,13 @@ func (r *ExtHWTLBResult) Render(w io.Writer) error {
 func runExtHWTLB(ctx context.Context, cfg Config) (Result, error) {
 	machines := []machine.Profile{machine.Pentium100(), machine.PentiumTaggedTLB()}
 	res := &ExtHWTLBResult{Base: machines[0].Short, Tagged: machines[1].Short}
-	keystrokes, calls := 30, 4
-	if cfg.Quick {
-		keystrokes = 10
-	}
+	w, body := crossKeys(cfg, "hwcross", "hw-crosswork")
 	for _, p := range persona.NTs() {
 		for _, prof := range machines {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			res.Cells = append(res.Cells, hwCrossCell(cfg, p, prof, keystrokes, calls))
+			res.Cells = append(res.Cells, paceKeys(cfg, p, prof, w, body, hwCell))
 		}
 	}
 	nt351, nt40 := persona.NT351().Name, persona.NT40().Name

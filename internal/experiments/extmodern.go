@@ -69,33 +69,15 @@ type ModernCell struct {
 // complete and the DVFS governor decay.
 func modernRun(cfg Config, p persona.P, prof machine.Profile, keystrokes int, gapMs, tailMs int64,
 	body func(r *rig, tc *kernel.TC)) ModernCell {
-	runSeconds := int((500+int64(keystrokes)*gapMs+tailMs)/1000) + 2
-	r := newRigOn(cfg, p, prof, runSeconds)
-	defer r.shutdown()
-	app := r.sys.SpawnApp("modern", func(tc *kernel.TC) {
-		for {
-			m := tc.GetMessage()
-			if m.Kind == kernel.WMQuit {
-				return
-			}
-			if m.Kind != kernel.WMKeyDown {
-				continue
-			}
-			body(r, tc)
-		}
-	})
-	r.sys.Win.BindApp([]uint64{420, 421})
-	for i := 0; i < keystrokes; i++ {
-		at := simtime.Time(500+int64(i)*gapMs) * simtime.Time(simtime.Millisecond)
-		r.sys.K.At(at, func(simtime.Time) { r.sys.Inject(kernel.WMKeyDown, 'a', false) })
-	}
-	before := r.sys.K.CPU().Snapshot()
-	ticksBefore := r.sys.K.ClockTicks()
-	r.sys.K.Run(simtime.Time(500+int64(keystrokes)*gapMs+tailMs) * simtime.Time(simtime.Millisecond))
-	after := r.sys.K.CPU().Snapshot()
+	w := keyWorkload{app: "modern", code: []uint64{420, 421}, keystrokes: keystrokes, gapMs: gapMs, tailMs: tailMs}
+	return paceKeys(cfg, p, prof, w, body, modernCell)
+}
 
-	cell := ModernCell{Machine: prof.Short, Era: prof.Era}
-	events := r.extract(app, false)
+// modernCell reduces a finished ext-modern run to its cell.
+func modernCell(k *keyRun) ModernCell {
+	r := k.r
+	cell := ModernCell{Machine: r.sys.M.Short, Era: r.sys.M.Era}
+	events := r.extract(k.app, false)
 	if len(events) >= 2 {
 		model := perception.Default()
 		var warm []float64
@@ -113,17 +95,8 @@ func modernRun(cfg Config, p persona.P, prof machine.Profile, keystrokes int, ga
 	cell.KernelBusy = r.sys.K.NonIdleBusyTime()
 	cell.AuxBusy = r.sys.K.AuxBusyTime()
 	cell.AuxMigrations = r.sys.K.AuxMigrations()
-	cell.OtherInterrupts = after[cpu.Interrupts] - before[cpu.Interrupts] -
-		(r.sys.K.ClockTicks() - ticksBefore)
+	cell.OtherInterrupts = k.delta(cpu.Interrupts) - k.ticks
 	return cell
-}
-
-// modernKeystrokes picks the session length.
-func modernKeystrokes(cfg Config) int {
-	if cfg.Quick {
-		return 8
-	}
-	return 24
 }
 
 // classShare renders the cell's imperceptible share as a table field.
@@ -185,7 +158,7 @@ func runExtModernClock(ctx context.Context, cfg Config) (Result, error) {
 			Instructions: 60_000, DataRefs: 30_000,
 			CodePages: []uint64{420, 421}, DataPages: []uint64{422, 423},
 		}
-		cell := modernRun(cfg, persona.NT40(), prof, modernKeystrokes(cfg), 200, 2000,
+		cell := modernRun(cfg, persona.NT40(), prof, pacedKeystrokes(cfg), 200, 2000,
 			func(r *rig, tc *kernel.TC) {
 				r.sys.Win.TextOut(tc, 1)
 				seg := render
@@ -252,7 +225,7 @@ func runExtModernDVFS(ctx context.Context, cfg Config) (Result, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		cell := modernRun(cfg, persona.NT40(), prof, modernKeystrokes(cfg), 200, 2000,
+		cell := modernRun(cfg, persona.NT40(), prof, pacedKeystrokes(cfg), 200, 2000,
 			func(r *rig, tc *kernel.TC) {
 				r.sys.Win.TextOut(tc, 1)
 				tc.Compute(burst)
@@ -299,7 +272,7 @@ func (r *ExtModernNVMeResult) Render(w io.Writer) error {
 
 func runExtModernNVMe(ctx context.Context, cfg Config) (Result, error) {
 	res := &ExtModernNVMeResult{}
-	keystrokes := modernKeystrokes(cfg)
+	keystrokes := pacedKeystrokes(cfg)
 	const readsPerEvent, pagesPerRead = 10, 8
 	think := cpu.Segment{
 		Name: "modern-parse", BaseCycles: 200_000,
@@ -370,7 +343,7 @@ func (r *ExtModernIRQResult) Render(w io.Writer) error {
 
 func runExtModernIRQ(ctx context.Context, cfg Config) (Result, error) {
 	res := &ExtModernIRQResult{}
-	keystrokes := modernKeystrokes(cfg)
+	keystrokes := pacedKeystrokes(cfg)
 	// fanout stays under the coalescer's MaxBatch (8) so the final
 	// partial batch must wait out the full 200 µs window — the worst
 	// case for the latency side of the trade.
@@ -462,7 +435,7 @@ func runExtModernSMT(ctx context.Context, cfg Config) (Result, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		cell := modernRun(cfg, persona.W95(), prof, modernKeystrokes(cfg), 150, 1500,
+		cell := modernRun(cfg, persona.W95(), prof, pacedKeystrokes(cfg), 150, 1500,
 			func(r *rig, tc *kernel.TC) {
 				r.sys.Win.TextOut(tc, 1)
 				tc.Compute(echo)

@@ -7,9 +7,8 @@ import (
 	"sort"
 	"sync"
 
-	"latlab/internal/apps"
 	"latlab/internal/core"
-	"latlab/internal/input"
+	"latlab/internal/faults"
 	"latlab/internal/kernel"
 	"latlab/internal/persona"
 	"latlab/internal/simtime"
@@ -62,50 +61,25 @@ func pptTask(p persona.P, cfg Config) *pptRun {
 	return e.run
 }
 
-// pptSimulate performs the actual simulated task run behind pptTask.
+// pptSimulate performs the actual simulated task run behind pptTask:
+// the ext-faults-disk PowerPoint session with no faults, bounded by a
+// 200 s deadline.
 func pptSimulate(p persona.P, cfg Config) *pptRun {
 	// The run is shared by fig8/table1/fig12 but simulated once; a fixed
 	// tag keeps its span-track name independent of which spec got here
 	// first (trace export must not depend on pool completion order).
 	cfg.TraceTag = "powerpoint-task"
-	params := apps.DefaultPowerpointParams()
-	pageDownsPerStop := []int{9, 10, 10} // reach slides 10, 20, 30
-	edits := 3
-	if cfg.Quick {
-		params.Slides = 12
-		params.ObjectSlides = []int{3, 6, 9}
-		pageDownsPerStop = []int{2, 3, 3}
-		edits = 2
-	}
+	prm := pptTaskWorkload().Resolve(cfg.Quick)
+	prm.DeadlineS = 200
+	s := openPPT("", cfg, scRun{p: p, prm: prm}, faults.Plan{})
+	defer s.Close()
+	s.drive()
+	events := s.r.extract(s.thread, true)
 
-	r := newRig(cfg, p, 220)
-	defer r.shutdown()
-	ppt := apps.NewPowerpoint(r.sys, params)
-
-	think := 300 * simtime.Millisecond
-	var steps []chainStep
-	steps = append(steps, step(kernel.WMCommand, apps.CmdLaunch, 500*simtime.Millisecond))
-	steps = append(steps, step(kernel.WMCommand, apps.CmdOpen, think))
-	for i := 0; i < edits; i++ {
-		for j := 0; j < pageDownsPerStop[i]; j++ {
-			steps = append(steps, step(kernel.WMKeyDown, input.VKPageDown, think))
-		}
-		steps = append(steps, step(kernel.WMCommand, apps.CmdEditObject+int64(i), think))
-		// Modify the object: a few keystrokes ≥150 ms apart (§5.2).
-		for k := 0; k < 3; k++ {
-			steps = append(steps, step(kernel.WMChar, '7', 150*simtime.Millisecond))
-		}
-		steps = append(steps, step(kernel.WMCommand, apps.CmdEndEdit, think))
-	}
-	steps = append(steps, step(kernel.WMCommand, apps.CmdSave, think))
-
-	done := runChain(r.sys, steps, true, simtime.Time(200*simtime.Second))
-	events := r.extract(ppt.Thread(), true)
-
-	run := &pptRun{events: events, elapsed: simtime.Duration(done)}
+	run := &pptRun{events: events, elapsed: simtime.Duration(*s.chainDone)}
 	// Label the command events in issue order.
 	labels := []string{"Start Powerpoint", "Open document"}
-	for i := 0; i < edits; i++ {
+	for i := range prm.PageDowns {
 		labels = append(labels, fmt.Sprintf("Start OLE edit session (object %d)", i+1), "End OLE edit")
 	}
 	labels = append(labels, "Save document")

@@ -85,10 +85,11 @@ func measureOp(ctx context.Context, id, title, operation string, cfg Config, war
 	return res, nil
 }
 
-// pptWarmRig boots a persona with PowerPoint launched and opened, using
-// a deck whose slides all carry embedded graphs, so that repeated
-// page-downs land on OLE pages (the Fig. 9 microbenchmark).
-func pptWarmRig(r *rig, objectEverySlide bool) *apps.Powerpoint {
+// pptWarmRig launches and opens PowerPoint on r with a 40-slide deck —
+// every slide after the first carrying an embedded graph when
+// objectEverySlide is set, so that repeated page-downs land on OLE
+// pages (the Fig. 9 microbenchmark) — and leaves the machine up, warm.
+func pptWarmRig(r *rig, objectEverySlide bool) {
 	params := apps.DefaultPowerpointParams()
 	params.Slides = 40
 	if objectEverySlide {
@@ -102,8 +103,7 @@ func pptWarmRig(r *rig, objectEverySlide bool) *apps.Powerpoint {
 		step(kernel.WMCommand, apps.CmdLaunch, 200*simtime.Millisecond),
 		step(kernel.WMCommand, apps.CmdOpen, 200*simtime.Millisecond),
 	}
-	runChain(r.sys, steps, false, simtime.Time(120*simtime.Second))
-	return ppt
+	openChain("", r, ppt.Thread(), steps, false, simtime.Time(120*simtime.Second)).drive()
 }
 
 // quiesce runs the kernel until the focused app goes idle. It always
@@ -145,8 +145,7 @@ func runFig10(ctx context.Context, cfg Config) (Result, error) {
 		"start OLE edit session, hot cache",
 		cfg, 3,
 		func(r *rig) func() {
-			ppt := pptWarmRig(r, false)
-			_ = ppt
+			pptWarmRig(r, false)
 			return func() {
 				r.sys.K.At(r.sys.K.Now()+1, func(simtime.Time) {
 					r.sys.Inject(kernel.WMCommand, apps.CmdEditObject+0, false)

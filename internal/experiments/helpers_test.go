@@ -34,7 +34,7 @@ func TestFmtMs(t *testing.T) {
 func TestRunChainDeadlinePanics(t *testing.T) {
 	r := newRig(DefaultConfig(), persona.NT40(), 10)
 	defer r.shutdown()
-	apps.NewNotepad(r.sys, 250_000)
+	n := apps.NewNotepad(r.sys, 250_000)
 	defer func() {
 		if rec := recover(); rec == nil {
 			t.Fatalf("expected deadline panic")
@@ -42,9 +42,10 @@ func TestRunChainDeadlinePanics(t *testing.T) {
 			t.Fatalf("unexpected panic: %v", rec)
 		}
 	}()
-	// A step that never quiesces in time: inject a command the notepad
-	// ignores but give an impossible deadline (now).
-	runChain(r.sys, []chainStep{step(kernel.WMChar, 'a', simtime.Second)}, false, r.sys.K.Now())
+	// A step that cannot complete in time: its think time alone
+	// outlasts an impossible deadline (now).
+	steps := []chainStep{step(kernel.WMChar, 'a', simtime.Second)}
+	openChain("", r, n.Thread(), steps, false, r.sys.K.Now()).drive()
 }
 
 func TestChainPacingWaitsForCompletion(t *testing.T) {
@@ -59,7 +60,7 @@ func TestChainPacingWaitsForCompletion(t *testing.T) {
 		step(kernel.WMChar, 'b', think),
 		step(kernel.WMChar, 'c', think),
 	}
-	runChain(r.sys, steps, false, simtime.Time(20*simtime.Second))
+	openChain("", r, n.Thread(), steps, false, simtime.Time(20*simtime.Second)).drive()
 	events := r.extract(n.Thread(), false)
 	if len(events) != 3 {
 		t.Fatalf("events = %d", len(events))

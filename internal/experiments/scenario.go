@@ -6,7 +6,6 @@ import (
 	"io"
 	"sort"
 
-	"latlab/internal/core"
 	"latlab/internal/faults"
 	"latlab/internal/input"
 	"latlab/internal/machine"
@@ -78,60 +77,87 @@ type scRun struct {
 	seed    uint64
 }
 
-// runScenario resolves doc against cfg and executes it.
+// runScenario executes doc under cfg. A single-run document is one
+// session opened exactly as a batch opens it and driven alone; a
+// compare document drives one session per row, the faulted rows under
+// the document's fault plan.
 func runScenario(ctx context.Context, cfg Config, doc scenario.Doc) (Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if len(doc.Compare) == 0 {
+		s, err := OpenScenarioSession(cfg, doc)
+		if err != nil {
+			return nil, err
+		}
+		defer s.Close()
+		s.drive()
+		return s.Result(), nil
+	}
+	rs, err := resolveScenario(cfg, doc)
+	if err != nil {
+		return nil, err
+	}
+	res := &ExtFaultsResult{ID: doc.ID, Title: doc.BannerOrTitle(), Plan: rs.plan}
+	for _, row := range doc.Compare {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		rowPlan := faults.Plan{}
+		if row.Faulted {
+			rowPlan = rs.plan
+		}
+		res.Rows = append(res.Rows, rs.runRow(row.Label, rowPlan))
+	}
+	return res, nil
+}
+
+// resolvedScenario is a document settled against a run Config: the
+// effective config (the document's pinned seed and machine applied),
+// the compiled workload, its session opener and its fault plan.
+type resolvedScenario struct {
+	cfg    Config
+	sc     scRun
+	opener func(string, Config, scRun, faults.Plan) *ScenarioSession
+	plan   faults.Plan
+}
+
+// resolveScenario settles doc against cfg. Every way a document runs —
+// a single session, alone or batched, and each compare row — resolves
+// through here.
+func resolveScenario(cfg Config, doc scenario.Doc) (resolvedScenario, error) {
 	if doc.Seed != 0 {
 		cfg.Seed = doc.Seed
 	}
 	if doc.Machine != "" {
 		prof, ok := machine.ByShort(doc.Machine)
 		if !ok {
-			return nil, fmt.Errorf("scenario %s: unknown machine %q", doc.ID, doc.Machine)
+			return resolvedScenario{}, fmt.Errorf("scenario %s: unknown machine %q", doc.ID, doc.Machine)
 		}
 		cfg.Machine = prof
 	}
 	p, ok := persona.ByShort(doc.Persona)
 	if !ok {
-		return nil, fmt.Errorf("scenario %s: unknown persona %q", doc.ID, doc.Persona)
+		return resolvedScenario{}, fmt.Errorf("scenario %s: unknown persona %q", doc.ID, doc.Persona)
 	}
-	open, err := scenarioOpener(doc.Workload.Kind)
+	opener, err := scenarioOpener(doc.Workload.Kind)
 	if err != nil {
-		return nil, err
+		return resolvedScenario{}, err
 	}
-	driver := func(label string, cfg Config, sc scRun, plan faults.Plan) ExtFaultsRow {
-		return open(label, cfg, sc, plan).run()
-	}
-	sc := scRun{p: p, prm: doc.Workload.Resolve(cfg.Quick), stanzas: doc.Input, seed: cfg.Seed}
-	plan := scenarioPlan(doc, cfg)
+	return resolvedScenario{
+		cfg:    cfg,
+		sc:     scRun{p: p, prm: doc.Workload.Resolve(cfg.Quick), stanzas: doc.Input, seed: cfg.Seed},
+		opener: opener,
+		plan:   scenarioPlan(doc, cfg),
+	}, nil
+}
 
-	if len(doc.Compare) > 0 {
-		res := &ExtFaultsResult{ID: doc.ID, Title: doc.BannerOrTitle(), Plan: plan}
-		for _, row := range doc.Compare {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			rowPlan := faults.Plan{}
-			if row.Faulted {
-				rowPlan = plan
-			}
-			res.Rows = append(res.Rows, driver(row.Label, cfg, sc, rowPlan))
-		}
-		return res, nil
-	}
-
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	res := &ScenarioResult{
-		DocID:   doc.ID,
-		Banner:  doc.BannerOrTitle(),
-		Persona: doc.Persona,
-		Machine: cfg.MachineProfile().Short,
-		Seed:    cfg.Seed,
-		Plan:    plan,
-		Row:     driver("run", cfg, sc, plan),
-	}
-	return res, nil
+// runRow drives one compare row's session alone and extracts its row.
+func (rs resolvedScenario) runRow(label string, plan faults.Plan) ExtFaultsRow {
+	s := rs.opener(label, rs.cfg, rs.sc, plan)
+	defer s.Close()
+	s.drive()
+	return s.row()
 }
 
 // scenarioOpener maps a workload kind to its session opener.
@@ -278,18 +304,7 @@ func (r *ScenarioResult) Render(w io.Writer) error {
 		}
 	}
 	fmt.Fprintln(w)
-	row := r.Row
-	rep := row.Report
-	ia := rep.Interarrival(core.PerceptionThresholdMs)
-	fmt.Fprintf(w, "  %4d events  mean %s  >0.1s: %d  total latency %.2fs\n",
-		len(rep.Events), fmtMs(rep.Summary().Mean),
-		rep.CountAbove(core.PerceptionThresholdMs), rep.TotalLatency().Seconds())
-	fmt.Fprintf(w, "  interarrival of >0.1s events: n=%d mean %.2fs sd %.2fs\n",
-		ia.Count, ia.MeanSec, ia.StdDevSec)
-	fmt.Fprintf(w, "  think %.1fs / wait %.1fs (%d transitions)\n",
-		row.ThinkMs/1000, row.WaitMs/1000, row.Transitions)
-	fmt.Fprintf(w, "  machine: retries=%d media-errors=%d io-errors=%d evictions=%d interrupts=%d\n",
-		row.Retries, row.MediaErrors, row.IOErrors, row.ForcedEvictions, row.Interrupts)
+	r.Row.render(w, "  ", "  ")
 	maxMs, meanMs, ratio := r.Cliff()
 	fmt.Fprintf(w, "  cliff: max %s vs mean %s (%.1fx)\n", fmtMs(maxMs), fmtMs(meanMs), ratio)
 	fmt.Fprintln(w)

@@ -5,22 +5,20 @@ import (
 
 	"latlab/internal/faults"
 	"latlab/internal/kernel"
-	"latlab/internal/machine"
-	"latlab/internal/persona"
 	"latlab/internal/scenario"
 	"latlab/internal/simtime"
 	"latlab/internal/system"
 )
 
-// This file decomposes a scenario run into open / step-to-target /
-// finish so the batch engine (internal/system.Batch) can interleave
-// many sessions on one worker. The decomposition is a pure refactor of
-// the sequential drivers: every driver's run phase was already a
-// milestone program — a single Run(until) for typing, the 500 ms
-// poll-slice loop plus 2 s trailing for completion-paced chains — and
-// ScenarioSession replays exactly those milestones, so a session
-// stepped inside a batch is byte-identical to one run alone
-// (TestBatchSessionEquivalence pins this).
+// This file is the one driver for scripted and completion-paced
+// sessions. A session is opened (machine booted, input installed),
+// stepped through a milestone program — a single Run(until) for
+// typing, 500 ms poll slices then 2 s of trailing time for a
+// completion-paced chain — and then reduced. drive steps it alone; a
+// system.Batch steps many interleaved on one worker. The milestones are
+// the same either way, so a session stepped inside a batch is
+// byte-identical to one driven alone (TestBatchSessionEquivalence pins
+// this).
 
 // Session program kinds.
 const (
@@ -35,8 +33,7 @@ const (
 
 // ScenarioSession is one opened, not-yet-finished scenario run: a
 // booted machine plus the driver's milestone program. It implements
-// system.BatchSession so a batch can step it; Result extracts the
-// identical ScenarioResult the sequential path produces.
+// system.BatchSession so a batch can step it; drive steps it alone.
 type ScenarioSession struct {
 	r      *rig
 	label  string
@@ -73,9 +70,9 @@ func (s *ScenarioSession) NextTarget() simtime.Time {
 
 // OnTarget implements system.BatchSession: the machine's clock is at
 // the target; execute the program step and compute the next target.
-// The chain transitions replicate runChain's loop exactly: full 500 ms
-// slices while the chain is unfinished and the deadline unreached,
-// then one 2 s trailing slice.
+// A chain takes full 500 ms slices while it is unfinished and the
+// deadline unreached, then one 2 s trailing slice so the FSM end
+// matches the probe's last records.
 func (s *ScenarioSession) OnTarget() {
 	now := s.r.sys.K.Now()
 	switch s.kind {
@@ -94,28 +91,28 @@ func (s *ScenarioSession) OnTarget() {
 	}
 }
 
-// run drives the session to completion sequentially — the slow path
-// the drivers and the compare scenarios use.
-func (s *ScenarioSession) run() ExtFaultsRow {
-	defer s.Close()
+// drive runs the session's milestone program to completion alone and
+// leaves the machine up for the caller to reduce and Close.
+func (s *ScenarioSession) drive() {
 	for !s.finished {
 		s.r.sys.K.Run(s.target)
 		s.OnTarget()
 	}
-	return s.row()
 }
 
 // row extracts the driver's analysis row and releases the machine.
-// Extraction happens before shutdown, matching the sequential drivers'
-// deferred-shutdown ordering.
+// The order does not matter: shutdown leaves the instrumentation
+// readable, so the sequential path extracts first and a campaign wave
+// closes every session before extracting any.
 func (s *ScenarioSession) row() ExtFaultsRow {
 	row := faultsRow(s.label, s.r, s.thread, s.r.sys.K.Now())
 	s.Close()
 	return row
 }
 
-// Close releases the session's machine. Idempotent; a batch calls it
-// on abandoned sessions when a sibling fails mid-batch.
+// Close releases the session's machine. Idempotent: a batch closes
+// every session of a wave once it has run (or once a sibling's open
+// has failed), before calling Result.
 func (s *ScenarioSession) Close() {
 	if !s.closed {
 		s.closed = true
@@ -123,8 +120,9 @@ func (s *ScenarioSession) Close() {
 	}
 }
 
-// Result extracts the finished session's outcome — identical to what
-// runScenario's single-run path returns for the same Config and Doc.
+// Result extracts the finished session's outcome — what the compiled
+// Spec's Run returns for the same Config and Doc, which is this same
+// session driven alone.
 func (s *ScenarioSession) Result() *ScenarioResult {
 	if !s.finished {
 		panic("experiments: Result on an unfinished session")
@@ -149,32 +147,16 @@ func OpenScenarioSession(cfg Config, doc scenario.Doc) (*ScenarioSession, error)
 	if len(doc.Compare) > 0 {
 		return nil, fmt.Errorf("scenario %s: compare scenarios cannot run as batched sessions", doc.ID)
 	}
-	if doc.Seed != 0 {
-		cfg.Seed = doc.Seed
-	}
-	if doc.Machine != "" {
-		prof, ok := machine.ByShort(doc.Machine)
-		if !ok {
-			return nil, fmt.Errorf("scenario %s: unknown machine %q", doc.ID, doc.Machine)
-		}
-		cfg.Machine = prof
-	}
-	p, ok := persona.ByShort(doc.Persona)
-	if !ok {
-		return nil, fmt.Errorf("scenario %s: unknown persona %q", doc.ID, doc.Persona)
-	}
-	open, err := scenarioOpener(doc.Workload.Kind)
+	rs, err := resolveScenario(cfg, doc)
 	if err != nil {
 		return nil, err
 	}
-	sc := scRun{p: p, prm: doc.Workload.Resolve(cfg.Quick), stanzas: doc.Input, seed: cfg.Seed}
-	plan := scenarioPlan(doc, cfg)
-	s := open("run", cfg, sc, plan)
+	s := rs.opener("run", rs.cfg, rs.sc, rs.plan)
 	s.docID = doc.ID
 	s.banner = doc.BannerOrTitle()
 	s.persona = doc.Persona
-	s.machine = cfg.MachineProfile().Short
-	s.seed = cfg.Seed
-	s.plan = plan
+	s.machine = rs.cfg.MachineProfile().Short
+	s.seed = rs.cfg.Seed
+	s.plan = rs.plan
 	return s, nil
 }

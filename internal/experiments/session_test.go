@@ -17,7 +17,8 @@ import (
 // same seeds, arena-backed instrument buffers and all.
 // Every fuzzer-found corpus document (each pins its seed and machine)
 // runs once alone and once interleaved with the whole set in one batch,
-// and the two ScenarioResults must be deeply equal.
+// and the two ScenarioResults must be deeply equal. The batched sessions
+// are closed before Result, in the order campaigns use.
 func TestBatchSessionEquivalence(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join(twinDir, "fz-*.json"))
 	if err != nil {
@@ -68,6 +69,10 @@ func TestBatchSessionEquivalence(t *testing.T) {
 		b.Open(i, s)
 	}
 	b.Run()
+	// Campaigns close every session of a wave before extracting any.
+	for _, s := range open {
+		s.Close()
+	}
 	for i, s := range open {
 		got := s.Result()
 		if !reflect.DeepEqual(got, want[i]) {

@@ -217,6 +217,16 @@ func All() []P { return []P{NT351(), NT40(), W95()} }
 // Windows 95, as the paper did).
 func NTs() []P { return []P{NT351(), NT40()} }
 
+// Shorts returns the short names of every persona, in All order.
+func Shorts() []string {
+	all := All()
+	out := make([]string, len(all))
+	for i, p := range all {
+		out[i] = p.Short
+	}
+	return out
+}
+
 // ByShort returns the persona with the given short name, or ok=false.
 func ByShort(short string) (P, bool) {
 	for _, p := range All() {

@@ -1,6 +1,7 @@
 package persona
 
 import (
+	"strings"
 	"testing"
 
 	"latlab/internal/cpu"
@@ -39,6 +40,14 @@ func TestByShort(t *testing.T) {
 	}
 	if _, ok := ByShort("os2"); ok {
 		t.Fatalf("unknown persona should not resolve")
+	}
+	if got := strings.Join(Shorts(), ","); got != "nt351,nt40,w95" {
+		t.Fatalf("Shorts() = %s, want All order", got)
+	}
+	for _, short := range Shorts() {
+		if _, ok := ByShort(short); !ok {
+			t.Fatalf("Shorts lists %q but ByShort cannot resolve it", short)
+		}
 	}
 }
 

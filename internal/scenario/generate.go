@@ -6,6 +6,7 @@ import (
 	"latlab/internal/faults"
 	"latlab/internal/input"
 	"latlab/internal/machine"
+	"latlab/internal/persona"
 	"latlab/internal/rng"
 )
 
@@ -38,7 +39,7 @@ func (c Constraints) withDefaults() Constraints {
 		c.Kinds = WorkloadKinds()
 	}
 	if len(c.Personas) == 0 {
-		c.Personas = personaShorts()
+		c.Personas = persona.Shorts()
 	}
 	if len(c.Machines) == 0 {
 		c.Machines = append([]string{""}, machine.Shorts()...)

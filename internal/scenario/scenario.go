@@ -232,7 +232,7 @@ func (d Doc) Validate() error {
 	}
 	if _, ok := persona.ByShort(d.Persona); !ok {
 		return fmt.Errorf("scenario %s: unknown persona %q (valid: %s)",
-			d.ID, d.Persona, strings.Join(personaShorts(), ", "))
+			d.ID, d.Persona, strings.Join(persona.Shorts(), ", "))
 	}
 	if d.Machine != "" {
 		if _, ok := machine.ByShort(d.Machine); !ok {
@@ -402,13 +402,4 @@ func (d Doc) validateCompare() error {
 		return fmt.Errorf("scenario %s: a compare row is faulted but no faults are declared", d.ID)
 	}
 	return nil
-}
-
-// personaShorts lists the valid persona short names.
-func personaShorts() []string {
-	var out []string
-	for _, p := range persona.All() {
-		out = append(out, p.Short)
-	}
-	return out
 }
