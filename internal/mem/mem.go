@@ -10,6 +10,8 @@
 package mem
 
 import (
+	"math/bits"
+
 	"latlab/internal/machine"
 	"latlab/internal/spans"
 )
@@ -25,13 +27,24 @@ import (
 // lines; a campaign session ends holding a few dozen). The free list
 // holds only slots that EvictOldest released. A miss reuses one of
 // those, else appends a slot while the slab is below cap, else evicts
-// the LRU entry into its slot. A flush truncates the slab and the free
-// list and clears the index map in place, keeping all three allocations
-// for the refill: TLBs are flushed on every protection-domain crossing,
-// so both paths are hot.
+// the LRU entry into its slot.
+//
+// The index from identifier to slot is an open-addressed table with
+// linear probing. It holds exactly one entry per resident identifier,
+// and no empty entry lies between an entry and its home, the position
+// the top bits of the identifier's Fibonacci hash pick. So a lookup
+// stops at the first empty entry, and a delete shifts later entries of
+// its run back over the hole instead of leaving a tombstone. The table
+// starts empty and doubles whenever the slab outgrows half of it, so
+// its load never exceeds ½ and its length follows the peak working
+// set, not cap. A flush truncates the slab and the free list and clears
+// the table in place, keeping all three allocations for the refill:
+// TLBs are flushed on every protection-domain crossing, so both paths
+// are hot.
 type LRU struct {
 	cap   int
-	index map[uint64]int32
+	table []entry // the index: empty, or a power-of-two length at least minTable
+	shift uint    // 64 - log2(len(table)), so a hash's top bits pick the home entry
 	nodes []node  // grows to at most cap slots
 	free  []int32 // slots released by EvictOldest, reused before appending
 	head  int32   // most recently used, -1 when empty
@@ -45,7 +58,24 @@ type node struct {
 	prev, next int32
 }
 
-const noSlot int32 = -1
+// entry is one index entry: a resident identifier and its slab slot
+// plus one, so the zero entry is empty and clear empties the table.
+type entry struct {
+	id   uint64
+	slot int32
+}
+
+const (
+	noSlot int32 = -1
+
+	// minTable is the index length the first insert allocates.
+	minTable = 8
+	// fibonacci is 2^64 divided by the golden ratio. Multiplying by it
+	// carries every bit of an identifier into the product's top bits,
+	// so consecutive pages and ids that differ only in high bits (a
+	// buffer-cache file number) still spread over the table.
+	fibonacci = 0x9E3779B97F4A7C15
+)
 
 // NewLRU returns an empty LRU set with the given capacity. It allocates
 // nothing in proportion to capacity.
@@ -53,31 +83,27 @@ func NewLRU(capacity int) *LRU {
 	if capacity <= 0 {
 		panic("mem: non-positive LRU capacity")
 	}
-	return &LRU{
-		cap:   capacity,
-		index: make(map[uint64]int32),
-		head:  noSlot,
-		tail:  noSlot,
-	}
+	return &LRU{cap: capacity, head: noSlot, tail: noSlot}
 }
 
 // Cap returns the capacity.
 func (l *LRU) Cap() int { return l.cap }
 
 // Len returns the number of resident identifiers.
-func (l *LRU) Len() int { return len(l.index) }
+func (l *LRU) Len() int { return len(l.nodes) - len(l.free) }
 
 // Contains reports residency without updating recency.
 func (l *LRU) Contains(id uint64) bool {
-	_, ok := l.index[id]
+	_, ok := l.find(id)
 	return ok
 }
 
 // Touch references id, returning true on a hit. On a miss the id is
 // inserted, evicting the LRU entry if the set is full.
 func (l *LRU) Touch(id uint64) bool {
-	if n, ok := l.index[id]; ok {
-		l.moveToFront(n)
+	i, ok := l.find(id)
+	if ok {
+		l.moveToFront(l.table[i].slot - 1)
 		return true
 	}
 	var slot int32
@@ -87,11 +113,18 @@ func (l *LRU) Touch(id uint64) bool {
 	} else if len(l.nodes) < l.cap {
 		slot = int32(len(l.nodes))
 		l.nodes = append(l.nodes, node{})
+		if 2*len(l.nodes) > len(l.table) {
+			l.grow()
+			i, _ = l.find(id)
+		}
 	} else {
+		// The delete's backward shift may move the empty entry that
+		// ended id's probe.
 		slot = l.evict()
+		i, _ = l.find(id)
 	}
 	l.nodes[slot].id = id
-	l.index[id] = slot
+	l.table[i] = entry{id: id, slot: slot + 1}
 	l.pushFront(slot)
 	return false
 }
@@ -101,10 +134,60 @@ func (l *LRU) Insert(id uint64) { l.Touch(id) }
 
 // Flush empties the set (a TLB flush on protection-domain crossing).
 func (l *LRU) Flush() {
-	clear(l.index)
+	clear(l.table)
 	l.nodes = l.nodes[:0]
 	l.free = l.free[:0]
 	l.head, l.tail = noSlot, noSlot
+}
+
+// home returns the table position id's probe starts at.
+func (l *LRU) home(id uint64) int { return int(id * fibonacci >> l.shift) }
+
+// find returns the position of id's entry and true, or the empty
+// position that ends its probe and false. The load bound guarantees an
+// empty entry, so the probe terminates.
+func (l *LRU) find(id uint64) (int, bool) {
+	if len(l.table) == 0 {
+		return 0, false
+	}
+	mask := len(l.table) - 1
+	for i := l.home(id); ; i = (i + 1) & mask {
+		switch e := l.table[i]; {
+		case e.slot == 0:
+			return i, false
+		case e.id == id:
+			return i, true
+		}
+	}
+}
+
+// remove deletes the entry at position i by backward shift: each later
+// entry of the run whose home does not lie cyclically in (hole, its
+// position] moves into the hole, and the hole moves to where it was, so
+// every remaining entry stays reachable from its home.
+func (l *LRU) remove(i int) {
+	mask := len(l.table) - 1
+	for j := (i + 1) & mask; l.table[j].slot != 0; j = (j + 1) & mask {
+		if (j-l.home(l.table[j].id))&mask >= (j-i)&mask {
+			l.table[i] = l.table[j]
+			i = j
+		}
+	}
+	l.table[i] = entry{}
+}
+
+// grow doubles the table, or allocates the first one, and re-inserts
+// every entry.
+func (l *LRU) grow() {
+	old := l.table
+	l.table = make([]entry, max(2*len(old), minTable))
+	l.shift = 64 - uint(bits.TrailingZeros(uint(len(l.table))))
+	for _, e := range old {
+		if e.slot != 0 {
+			i, _ := l.find(e.id)
+			l.table[i] = e
+		}
+	}
 }
 
 func (l *LRU) pushFront(n int32) {
@@ -146,7 +229,8 @@ func (l *LRU) moveToFront(n int32) {
 func (l *LRU) evict() int32 {
 	victim := l.tail
 	l.unlink(victim)
-	delete(l.index, l.nodes[victim].id)
+	i, _ := l.find(l.nodes[victim].id)
+	l.remove(i)
 	return victim
 }
 

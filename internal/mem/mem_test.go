@@ -42,6 +42,23 @@ func TestNewLRUAllocationIndependentOfCapacity(t *testing.T) {
 	}
 }
 
+// Once a set has grown to its working set, Touch allocates nothing: not
+// on a hit, on a miss that evicts, or refilling after a flush.
+func TestLRUTouchSteadyStateAllocationFree(t *testing.T) {
+	l := NewLRU(64)
+	pass := func() {
+		for k := uint64(0); k < 90; k++ {
+			l.Touch(50_000 + k)
+			l.Touch(50_000 + k/2)
+		}
+		l.Flush()
+	}
+	pass()
+	if allocs := testing.AllocsPerRun(100, pass); allocs != 0 {
+		t.Fatalf("a pass of touches and a flush allocates %.1f times", allocs)
+	}
+}
+
 // The operations the equivalence tests drive, numbered as an op byte
 // selects them.
 const (
@@ -55,16 +72,29 @@ const (
 
 // lruPair drives LRU and the pre-allocating oracle (lru_oracle_test.go)
 // with one op stream and fails at the first disagreement. It counts
-// which path each LRU miss took, so a generator can show it reached
-// them all.
+// which path each LRU miss took, and which index shapes the stream
+// built, so a generator can show it reached them all.
 type lruPair struct {
-	tb   testing.TB
-	got  *LRU
-	want *oracleLRU
-	peak int // largest Len since the last flush
+	tb       testing.TB
+	got      *LRU
+	want     *oracleLRU
+	peak     int      // largest Len since the last flush
+	peakEver int      // largest Len since NewLRU: a flush keeps the index's length
+	wrapIDs  []uint64 // buffer reused by do
+	onList   []bool   // buffer reused by check: listed slots no index entry took yet
 
 	fromFree, appended, evicted, flushes int
+	// longRuns counts ops that left a probe cluster (a run of occupied
+	// index entries) of at least longRun, wraps ops after which some
+	// entry's probe had run off the end of the index, and wrapShifts
+	// ops whose backward-shift delete carried an entry from the start
+	// of the index back across its end.
+	longRuns, wraps, wrapShifts int
 }
+
+// longRun is the probe cluster length the equivalence tests must reach:
+// at load ½ a probe for an absent key crosses 2.5 entries on average.
+const longRun = 8
 
 func newLRUPair(tb testing.TB, capacity int) *lruPair {
 	return &lruPair{tb: tb, got: NewLRU(capacity), want: newOracleLRU(capacity)}
@@ -74,6 +104,16 @@ func newLRUPair(tb testing.TB, capacity int) *lruPair {
 // argument and n the EvictOldest count.
 func (p *lruPair) do(op int, id uint64, n int) {
 	p.tb.Helper()
+	// Only the run at the start of the index can hold entries whose
+	// probe wrapped; remember them to see whether a delete shifts one
+	// back across the end.
+	tableLen := len(p.got.table)
+	p.wrapIDs = p.wrapIDs[:0]
+	for i := 0; i < tableLen && p.got.table[i].slot != 0; i++ {
+		if e := p.got.table[i]; p.got.home(e.id) > i {
+			p.wrapIDs = append(p.wrapIDs, e.id)
+		}
+	}
 	switch op {
 	case opTouch, opInsert:
 		if !p.got.Contains(id) {
@@ -107,13 +147,41 @@ func (p *lruPair) do(op int, id uint64, n int) {
 		p.tb.Fatalf("Contains(%d) = %v, oracle %v", id, g, w)
 	}
 	p.peak = max(p.peak, p.got.Len())
+	p.peakEver = max(p.peakEver, p.got.Len())
 	p.check()
+	if len(p.got.table) == tableLen {
+		for _, id := range p.wrapIDs {
+			if i, ok := p.got.find(id); ok && p.got.home(id) <= i {
+				p.wrapShifts++
+				break
+			}
+		}
+	}
+}
+
+// indexLen is the index length LRU must have after a peak working set
+// of peak entries: none before the first insert, then the smallest
+// doubling of minTable that keeps the load at or below ½.
+func indexLen(peak int) int {
+	if peak == 0 {
+		return 0
+	}
+	n := minTable
+	for n < 2*peak {
+		n *= 2
+	}
+	return n
 }
 
 // check compares Len and the full MRU→LRU order, holds LRU's back links
-// and tail to that order, and holds the slab to its invariant: exactly
-// as many slots as the peak working set since the last flush (so never
-// more than cap), each holding an entry or waiting on the free list.
+// and tail to that order, and holds the slab and the index to their
+// invariants. The slab has exactly as many slots as the peak working
+// set since the last flush (so never more than cap), each holding an
+// entry or waiting on the free list. The index holds exactly Len
+// entries, one per resident id, each pointing at its id's slot and
+// reachable from its home without crossing an empty entry; its load is
+// at most ½, and its length follows the peak working set since NewLRU
+// (a flush clears it in place), not cap.
 func (p *lruPair) check() {
 	p.tb.Helper()
 	g, w := p.got, p.want
@@ -124,6 +192,7 @@ func (p *lruPair) check() {
 		p.tb.Fatalf("slab has %d slots, %d free, for %d entries; peak since flush %d", len(g.nodes), len(g.free), g.Len(), p.peak)
 	}
 	prev, k := noSlot, 0
+	p.onList = append(p.onList[:0], make([]bool, len(g.nodes))...)
 	for gi, wi := g.head, w.head; gi != noSlot || wi != noSlot; k++ {
 		if gi == noSlot || wi == noSlot || g.nodes[gi].id != w.nodes[wi].id {
 			p.tb.Fatalf("MRU→LRU order diverges from the oracle at position %d", k)
@@ -131,85 +200,177 @@ func (p *lruPair) check() {
 		if g.nodes[gi].prev != prev {
 			p.tb.Fatalf("back link broken at position %d", k)
 		}
+		p.onList[gi] = true
 		prev, gi, wi = gi, g.nodes[gi].next, w.nodes[wi].next
 	}
 	if k != g.Len() || g.tail != prev {
 		p.tb.Fatalf("recency list holds %d entries ending at slot %d, want Len %d ending at tail %d", k, prev, g.Len(), g.tail)
 	}
+
+	if len(g.table) != indexLen(p.peakEver) || 2*g.Len() > len(g.table) {
+		p.tb.Fatalf("index has %d entries for %d resident ids and a peak of %d, want %d", len(g.table), g.Len(), p.peakEver, indexLen(p.peakEver))
+	}
+	// Walk the index from an empty entry, so no run of occupied entries
+	// is split at the end of the table. Each entry must take a listed
+	// slot no other entry took, holding its id, so with Len entries the
+	// index maps every resident id exactly once. An entry is reachable
+	// when its home lies in the run of occupied entries that ends at it.
+	mask, start := len(g.table)-1, 0
+	for start < len(g.table) && g.table[start].slot != 0 {
+		start++
+	}
+	entries, run, longest, wrapped := 0, 0, 0, false
+	for t := 1; t <= len(g.table); t++ {
+		i := (start + t) & mask
+		e := g.table[i]
+		if e.slot == 0 {
+			run = 0
+			continue
+		}
+		entries++
+		run++
+		longest = max(longest, run)
+		s := int(e.slot - 1)
+		if s >= len(g.nodes) || !p.onList[s] || g.nodes[s].id != e.id {
+			p.tb.Fatalf("index entry %d maps id %d to slot %d, which is not that id's or is mapped twice", i, e.id, s)
+		}
+		p.onList[s] = false
+		h := g.home(e.id)
+		if (i-h)&mask >= run {
+			p.tb.Fatalf("id %d at index entry %d is unreachable: an empty entry lies after its home %d", e.id, i, h)
+		}
+		wrapped = wrapped || i < h
+	}
+	if entries != g.Len() {
+		p.tb.Fatalf("index holds %d entries, Len %d", entries, g.Len())
+	}
+	if longest >= longRun {
+		p.longRuns++
+	}
+	if wrapped {
+		p.wraps++
+	}
+}
+
+// idShapes map an alphabet index k to an identifier of the kind a
+// caller feeds an LRU, so the index meets each structure the simulator
+// gives its keys.
+var idShapes = []struct {
+	name string
+	id   func(k uint64) uint64
+}{
+	{"dense", func(k uint64) uint64 { return k }},
+	// fscache's pageKey: file<<40 | page, 16 pages a file.
+	{"fscache", func(k uint64) uint64 { return (1+k/16)<<40 | k%16 }},
+	// winsys's streaming windows: runs of 48 consecutive pages, one run
+	// every 4096 pages above 50,000.
+	{"winsys", func(k uint64) uint64 { return 50_000 + k/48*4096 + k%48 }},
+	// Ids that agree on their low 48 bits.
+	{"pow2", func(k uint64) uint64 { return 0x5a5a + k<<48 }},
 }
 
 // FuzzLRUEquivalence drives LRU and the oracle with a fuzzer-chosen
 // capacity (byte 0: 255 picks the paper's 8192-line L2, any other value
-// v picks v+1) and op stream (three bytes an op: the op, then a
-// little-endian argument that is the id, taken modulo an alphabet a
-// little larger than the capacity, or the EvictOldest count).
+// v picks v+1), id shape (byte 1, an index into idShapes) and op stream
+// (three bytes an op: the op, then a little-endian argument that is the
+// alphabet index of the id, taken modulo an alphabet a little larger
+// than the capacity, or the EvictOldest count).
 func FuzzLRUEquivalence(f *testing.F) {
-	f.Add([]byte{1, opTouch, 0, 0, opTouch, 1, 0, opTouch, 2, 0, opTouch, 0, 0})
-	f.Add([]byte{3, opTouch, 1, 0, opInsert, 2, 0, opEvictOldest, 1, 0, opTouch, 3, 0, opTouch, 4, 0, opTouch, 5, 0})
-	f.Add([]byte{0, opTouch, 7, 0, opFlush, 0, 0, opContains, 7, 0, opTouch, 7, 0})
-	f.Add([]byte{255, opTouch, 1, 2, opTouch, 3, 4, opEvictOldest, 1, 0, opTouch, 5, 6, opFlush, 0, 0, opTouch, 1, 2})
+	f.Add([]byte{1, 0, opTouch, 0, 0, opTouch, 1, 0, opTouch, 2, 0, opTouch, 0, 0})
+	f.Add([]byte{3, 0, opTouch, 1, 0, opInsert, 2, 0, opEvictOldest, 1, 0, opTouch, 3, 0, opTouch, 4, 0, opTouch, 5, 0})
+	f.Add([]byte{0, 0, opTouch, 7, 0, opFlush, 0, 0, opContains, 7, 0, opTouch, 7, 0})
+	f.Add([]byte{255, 0, opTouch, 1, 2, opTouch, 3, 4, opEvictOldest, 1, 0, opTouch, 5, 6, opFlush, 0, 0, opTouch, 1, 2})
+	// One structured family per shape: scan a 64-entry set past its
+	// capacity so misses evict, bulk-evict half, and again twice, then
+	// flush.
+	for shape := range idShapes {
+		seed := []byte{63, byte(shape)}
+		for _, from := range []int{0, 0, 32} {
+			for k := from; k < 90; k++ {
+				seed = append(seed, opTouch, byte(k), 0)
+			}
+			seed = append(seed, opEvictOldest, 32, 0)
+		}
+		f.Add(append(seed, opFlush, 0, 0, opTouch, 5, 0))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) == 0 {
+		if len(data) < 2 {
 			return
 		}
 		capacity := int(data[0]) + 1
 		if data[0] == 255 {
 			capacity = 8192
 		}
+		shape := idShapes[int(data[1])%len(idShapes)].id
 		alphabet := uint64(capacity + capacity/4 + 2)
 		p := newLRUPair(t, capacity)
-		for i := 1; i+2 < len(data); i += 3 {
+		for i := 2; i+2 < len(data); i += 3 {
 			arg := int(data[i+1]) | int(data[i+2])<<8
-			p.do(int(data[i])%numOps, uint64(arg)%alphabet, arg%(capacity+2))
+			p.do(int(data[i])%numOps, shape(uint64(arg)%alphabet), arg%(capacity+2))
 		}
 	})
 }
 
 // TestLRUEquivalenceRandom is the always-on cousin of
-// FuzzLRUEquivalence: seeded op streams over random capacities and the
-// 8192-line L2, with an id alphabet a quarter larger than the capacity.
-// Until a set first evicts, its ids scan the alphabet in order, so it
-// fills in about one capacity's worth of ops; after that half the ids
-// are drawn at random, and flushes and bulk evictions join in. Small
-// evictions keep freed slots coming back throughout.
+// FuzzLRUEquivalence: seeded op streams over random capacities under
+// every id shape, and over the 8192-line L2 under the dense shape (each
+// op's check walks the whole index), with an alphabet a quarter larger
+// than the capacity. Until a set first evicts, its ids scan the
+// alphabet in order, so it fills in about one capacity's worth of ops;
+// after that half the ids are drawn at random, and flushes and bulk
+// evictions join in. Small evictions keep freed slots coming back
+// throughout.
 func TestLRUEquivalenceRandom(t *testing.T) {
 	caps := []int{1, 2, 3, 8192}
 	r := rand.New(rand.NewSource(1))
 	for len(caps) < 40 {
 		caps = append(caps, 1+r.Intn(300))
 	}
-	var fromFree, flushes int
-	for i, capacity := range caps {
-		r := rand.New(rand.NewSource(int64(i + 1)))
-		p := newLRUPair(t, capacity)
-		alphabet := capacity + capacity/4 + 2
-		next := 0
-		for step := 0; step < alphabet+2000; step++ {
-			filled := p.evicted > 0
-			id := uint64(r.Intn(alphabet))
-			if !filled || r.Intn(2) == 0 {
-				id = uint64(next % alphabet)
-				next++
+	var fromFree, flushes, longRuns, wraps, wrapShifts int
+	for _, shape := range idShapes {
+		for i, capacity := range caps {
+			if capacity == 8192 && shape.name != "dense" {
+				continue
 			}
-			switch {
-			case filled && r.Intn(4*capacity) == 0:
-				p.do(opFlush, id, 0)
-			case filled && r.Intn(8*capacity) == 0:
-				p.do(opEvictOldest, id, r.Intn(capacity+2))
-			case r.Intn(50) == 0:
-				p.do(opEvictOldest, id, r.Intn(4))
-			default:
-				p.do([]int{opTouch, opTouch, opTouch, opInsert, opContains}[r.Intn(5)], id, 0)
+			r := rand.New(rand.NewSource(int64(i + 1)))
+			p := newLRUPair(t, capacity)
+			alphabet := capacity + capacity/4 + 2
+			next := 0
+			for step := 0; step < alphabet+2000; step++ {
+				filled := p.evicted > 0
+				k := r.Intn(alphabet)
+				if !filled || r.Intn(2) == 0 {
+					k = next % alphabet
+					next++
+				}
+				id := shape.id(uint64(k))
+				switch {
+				case filled && r.Intn(4*capacity) == 0:
+					p.do(opFlush, id, 0)
+				case filled && r.Intn(8*capacity) == 0:
+					p.do(opEvictOldest, id, r.Intn(capacity+2))
+				case r.Intn(50) == 0:
+					p.do(opEvictOldest, id, r.Intn(4))
+				default:
+					p.do([]int{opTouch, opTouch, opTouch, opInsert, opContains}[r.Intn(5)], id, 0)
+				}
 			}
+			if p.evicted == 0 {
+				t.Errorf("%s ids, capacity %d: never filled and evicted", shape.name, capacity)
+			}
+			fromFree += p.fromFree
+			flushes += p.flushes
+			longRuns += p.longRuns
+			wraps += p.wraps
+			wrapShifts += p.wrapShifts
 		}
-		if p.evicted == 0 {
-			t.Errorf("capacity %d never filled and evicted", capacity)
-		}
-		fromFree += p.fromFree
-		flushes += p.flushes
 	}
 	if fromFree == 0 || flushes == 0 {
 		t.Errorf("streams reused %d freed slots and flushed %d times, want both > 0", fromFree, flushes)
+	}
+	if longRuns == 0 || wraps == 0 || wrapShifts == 0 {
+		t.Errorf("streams left a probe cluster of %d+ entries after %d ops, a wrapped probe after %d and shifted an entry back across the end of the index in %d, want all > 0",
+			longRun, longRuns, wraps, wrapShifts)
 	}
 }
 
@@ -339,6 +500,27 @@ func BenchmarkLRUTouch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		l.Touch(uint64(i % 10000))
+	}
+}
+
+// BenchmarkLRUTouchTLB is a data TLB under NT 3.51: a 64-entry set
+// whose working set, 90 pages above a high base drawn at random, is
+// about 1.4x its capacity, so misses evict, flushed every 200 touches
+// as protection-domain crossings flush it.
+func BenchmarkLRUTouchTLB(b *testing.B) {
+	r := rand.New(rand.NewSource(1))
+	ids := make([]uint64, 4096)
+	for i := range ids {
+		ids[i] = 50_000 + uint64(r.Intn(90))
+	}
+	l := NewLRU(64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l.Touch(ids[i%len(ids)])
+		if i%200 == 199 {
+			l.Flush()
+		}
 	}
 }
 
