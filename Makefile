@@ -9,9 +9,10 @@ GO ?= go
 # AND be statistically significant at 95% to fail. The ns/op floor is
 # wide by default because shared hosts drift through minutes-scale
 # load regimes ±25% — tighten it (BENCH_NS_TOL=0.10) on quiet
-# dedicated hardware. allocs/op is deterministic, so its floor stays
-# tight; it is the reliable regression tripwire everywhere.
-BENCH_GATE_PAT  = ^(BenchmarkSimulatorThroughput|BenchmarkBatchThroughput|BenchmarkBoot|BenchmarkExtraction|BenchmarkDriveFSM|BenchmarkSchedulePop|BenchmarkLRUTouch|BenchmarkLRUTouchTLB|BenchmarkWriteIdleCSV|BenchmarkSketchAdd)$$
+# dedicated hardware. allocs/op and B/op are deterministic, so their
+# floor stays tight; they are the reliable regression tripwires
+# everywhere.
+BENCH_GATE_PAT  = ^(BenchmarkSimulatorThroughput|BenchmarkBatchThroughput|BenchmarkBoot|BenchmarkRunCells|BenchmarkExtraction|BenchmarkDriveFSM|BenchmarkSchedulePop|BenchmarkLRUTouch|BenchmarkLRUTouchTLB|BenchmarkWriteIdleCSV|BenchmarkSketchAdd)$$
 BENCH_GATE_PKGS = . ./internal/eventq ./internal/mem ./internal/trace ./internal/stats
 BENCH_NS_TOL    ?= 0.25
 BENCH_ALLOC_TOL ?= 0.10

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"latlab/internal/apps"
+	"latlab/internal/campaign"
 	"latlab/internal/core"
 	"latlab/internal/cpu"
 	"latlab/internal/experiments"
@@ -345,8 +346,9 @@ func (s *idleBenchSession) OnTarget() { s.done = true }
 // op, eight idle NT 4.0 machines each simulated for 30 seconds (a
 // campaign-session-sized horizon, so per-machine boot cost amortises as
 // it does in a sweep) stepped as one system.Batch, instrument buffers
-// recording into batch arenas reused across ops. machine-sim-s/s is the
-// headline machines/sec throughput. x-vs-single is the in-process
+// recording into batch arenas allocated before the timer starts and
+// reused across ops, so B/op does not depend on b.N. machine-sim-s/s
+// is the headline machines/sec throughput. x-vs-single is the in-process
 // speedup over untimed runs of one machine stepped alone, with the same
 // reused arena, on this host at the same moment: it isolates what
 // batching adds and survives a change of host.
@@ -357,14 +359,13 @@ func BenchmarkBatchThroughput(b *testing.B) {
 		horizon = simtime.Time(30 * simtime.Second)
 	)
 	batch := system.NewBatch(lanes)
+	for slot := 0; slot < lanes; slot++ {
+		*batch.Arena(slot) = make([]trace.IdleSample, 0, bufCap)
+	}
 	sessions := make([]*idleBenchSession, lanes)
 	boot := func(slot int) *system.System {
 		sys := system.New(system.Config{Persona: persona.NT40()})
-		arena := batch.Arena(slot)
-		if cap(*arena) < bufCap {
-			*arena = make([]trace.IdleSample, 0, bufCap)
-		}
-		core.StartIdleLoopBuffer(sys.K, trace.NewBufferBacked((*arena)[:0]))
+		core.StartIdleLoopBuffer(sys.K, trace.NewBufferBacked((*batch.Arena(slot))[:0]))
 		return sys
 	}
 	b.ResetTimer()
@@ -400,12 +401,13 @@ func BenchmarkBatchThroughput(b *testing.B) {
 // BenchmarkBoot reports what starting and releasing one campaign session
 // costs: experiments.OpenScenarioSession (machine, application, typing
 // script) then Close, on the demo-type scenario, with one system.Batch
-// slot's idle-sample arena reused across ops as a campaign worker reuses
-// it. The simulator benchmarks above boot only as a side effect of long
-// runs, so boot cost sits inside their noise; here it is the whole op,
-// and allocs/op is the tripwire. p100-quick is the campaign demo's
-// session, m2026 the 2026 machine in full mode, whose L2 alone models
-// 131,072 lines.
+// slot's idle-sample arena reused across ops, as a campaign worker
+// reuses its batch's arenas from cell to cell (BenchmarkRunCells gates
+// that reuse). The simulator benchmarks above boot only as a side
+// effect of long runs, so boot cost sits inside their noise; here it is
+// the whole op, and allocs/op is the tripwire. p100-quick is the
+// campaign demo's session, m2026 the 2026 machine in full mode, whose
+// L2 alone models 131,072 lines.
 func BenchmarkBoot(b *testing.B) {
 	doc, err := scenario.ParseFile("testdata/campaigns/demo-type.json")
 	if err != nil {
@@ -434,6 +436,31 @@ func BenchmarkBoot(b *testing.B) {
 				open()
 			}
 		})
+	}
+}
+
+// BenchmarkRunCells reports what a campaign run allocates per op: the
+// first four cells of the engine tests' mini campaign
+// (internal/campaign/testdata/mini.json; 4 cells × 6 quick typing
+// sessions on nt40 @ p100) through campaign.RunCells at one worker,
+// records discarded. Each session's idle-sample arena is 4.4 MB
+// (274,000 samples × 16 B), so a worker that allocated a batch per cell
+// would allocate four sets of six arenas per op where a worker reusing
+// its batch across cells allocates one; B/op is the tripwire.
+func BenchmarkRunCells(b *testing.B) {
+	c, err := campaign.LoadSpec("internal/campaign/testdata/mini.json")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cells := campaign.Cells(c)[:4]
+	opt := campaign.Options{Jobs: 1, Quick: true}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sum, err := campaign.RunCells(context.Background(), c, cells, opt,
+			func(campaign.Record) error { return nil })
+		if err != nil || len(sum.Quarantined) > 0 || sum.Sessions != 24 {
+			b.Fatalf("run: %v, summary %+v", err, sum)
+		}
 	}
 }
 

@@ -8,12 +8,14 @@
 //	go test -bench ... -benchmem | benchgate -record BENCH_2026-08-05.json
 //	go test -bench ... -benchmem | benchgate -check [-dir .] [-ns-tol 0.10] [-alloc-tol 0.10]
 //
-// ns/op is wall-clock and inherently noisy; allocs/op is deterministic.
-// Both gates apply a fractional tolerance on the means (default 10%,
-// overridable per run) as the practical-effect floor. Repeated lines of
-// the same benchmark (a `-count > 1` run) fold into a mean plus a
-// sample standard deviation, and the variance adds a statistical filter
-// on top of the floor: an exceedance only fails if it is also
+// ns/op is wall-clock and inherently noisy; allocs/op and B/op are
+// deterministic for a benchmark that does the same work every op. Every
+// gate applies a fractional tolerance on the means (default 10%,
+// overridable per run; B/op shares the allocs/op tolerance) as the
+// practical-effect floor. Repeated lines of the same benchmark (a
+// `-count > 1` run) fold into a mean plus a sample standard
+// deviation, and the variance adds a statistical filter on top of the
+// floor: an exceedance only fails if it is also
 // significant at 95% one-sided confidence — a Welch t test when both
 // runs are multi-sample, the baseline's prediction interval when the
 // current run is a single sample — so run-to-run noise wider than the
@@ -24,7 +26,7 @@
 // ns/op is only comparable on the host that recorded the baseline, so
 // -check refuses a baseline whose `cpu` string differs from the
 // current run's (exit 2); -allow-cpu-mismatch overrides, typically
-// together with -skip-ns to keep only the allocation gate.
+// together with -skip-ns to keep only the allocation gates.
 package main
 
 import (
@@ -44,8 +46,8 @@ import (
 
 // Result is one benchmark's measured costs. With `-count > 1` the
 // metrics are means over the repeated runs, Samples records how many
-// lines were folded, and NsStd/AllocStd carry the sample standard
-// deviations the confidence-interval gate runs on.
+// lines were folded, and NsStd/AllocStd/BytesStd carry the sample
+// standard deviations the confidence-interval gate runs on.
 type Result struct {
 	Pkg         string  `json:"pkg,omitempty"`
 	NsPerOp     float64 `json:"ns_per_op"`
@@ -55,12 +57,13 @@ type Result struct {
 	// Samples is the number of benchmark lines folded into this result
 	// (1 for a plain -count=1 run; absent in pre-Samples baselines).
 	Samples int `json:"samples,omitempty"`
-	// NsStd and AllocStd are the sample standard deviations across the
-	// folded lines; present only when Samples > 1.
+	// NsStd, AllocStd and BytesStd are the sample standard deviations
+	// across the folded lines; present only when Samples > 1.
 	NsStd    float64 `json:"ns_std,omitempty"`
 	AllocStd float64 `json:"alloc_std,omitempty"`
+	BytesStd float64 `json:"bytes_std,omitempty"`
 	// Welford M2 accumulators, live only while parsing.
-	nsM2, allocM2 float64
+	nsM2, allocM2, bytesM2 float64
 }
 
 // Baseline is the recorded state of the benchmark suite.
@@ -84,7 +87,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	dir := fs.String("dir", ".", "directory searched for BENCH_*.json baselines")
 	baselinePath := fs.String("baseline", "", "explicit baseline file (overrides -dir discovery)")
 	nsTol := fs.Float64("ns-tol", 0.10, "allowed fractional ns/op regression")
-	allocTol := fs.Float64("alloc-tol", 0.10, "allowed fractional allocs/op regression")
+	allocTol := fs.Float64("alloc-tol", 0.10, "allowed fractional allocs/op and B/op regression")
 	skipNs := fs.Bool("skip-ns", false, "skip the ns/op gate (cross-machine checks)")
 	allowCPU := fs.Bool("allow-cpu-mismatch", false, "check against a baseline recorded on a different cpu")
 	if err := fs.Parse(args); err != nil {
@@ -161,9 +164,10 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	for _, name := range names {
 		c := cur.Benchmarks[name]
 		if b, ok := base.Benchmarks[name]; ok {
-			fmt.Fprintf(stdout, "benchgate: %-32s ns/op %12.0f → %12.0f (%+.1f%%)  allocs/op %7.0f → %7.0f (%+.1f%%)\n",
+			fmt.Fprintf(stdout, "benchgate: %-32s ns/op %12.0f → %12.0f (%+.1f%%)  allocs/op %7.0f → %7.0f (%+.1f%%)  B/op %+.1f%%\n",
 				name, b.NsPerOp, c.NsPerOp, pct(b.NsPerOp, c.NsPerOp),
-				b.AllocsPerOp, c.AllocsPerOp, pct(b.AllocsPerOp, c.AllocsPerOp))
+				b.AllocsPerOp, c.AllocsPerOp, pct(b.AllocsPerOp, c.AllocsPerOp),
+				pct(b.BytesPerOp, c.BytesPerOp))
 		} else {
 			fmt.Fprintf(stdout, "benchgate: %-32s not in baseline (new benchmark)\n", name)
 		}
@@ -211,6 +215,10 @@ func compare(base, cur *Baseline, nsTol, allocTol float64, skipNs bool) []string
 		if fail, why := regressed(b.AllocsPerOp, b.AllocStd, b.Samples, c.AllocsPerOp, c.AllocStd, c.Samples, allocTol); fail {
 			failures = append(failures, fmt.Sprintf("%s: allocs/op %.0f vs baseline %.0f: %s",
 				name, c.AllocsPerOp, b.AllocsPerOp, why))
+		}
+		if fail, why := regressed(b.BytesPerOp, b.BytesStd, b.Samples, c.BytesPerOp, c.BytesStd, c.Samples, allocTol); fail {
+			failures = append(failures, fmt.Sprintf("%s: B/op %.0f vs baseline %.0f: %s",
+				name, c.BytesPerOp, b.BytesPerOp, why))
 		}
 	}
 	return failures
@@ -348,6 +356,7 @@ func parseBenchOutput(r io.Reader) (*Baseline, error) {
 		if res.Samples > 1 {
 			res.NsStd = math.Sqrt(res.nsM2 / float64(res.Samples-1))
 			res.AllocStd = math.Sqrt(res.allocM2 / float64(res.Samples-1))
+			res.BytesStd = math.Sqrt(res.bytesM2 / float64(res.Samples-1))
 			out.Benchmarks[name] = res
 		}
 	}
@@ -361,11 +370,13 @@ func fold(acc, next Result) Result {
 	n := float64(acc.Samples)
 	nsDelta := next.NsPerOp - acc.NsPerOp
 	allocDelta := next.AllocsPerOp - acc.AllocsPerOp
+	bytesDelta := next.BytesPerOp - acc.BytesPerOp
 	acc.NsPerOp = (acc.NsPerOp*n + next.NsPerOp) / (n + 1)
 	acc.BytesPerOp = (acc.BytesPerOp*n + next.BytesPerOp) / (n + 1)
 	acc.AllocsPerOp = (acc.AllocsPerOp*n + next.AllocsPerOp) / (n + 1)
 	acc.nsM2 += nsDelta * (next.NsPerOp - acc.NsPerOp)
 	acc.allocM2 += allocDelta * (next.AllocsPerOp - acc.AllocsPerOp)
+	acc.bytesM2 += bytesDelta * (next.BytesPerOp - acc.BytesPerOp)
 	acc.Iterations += next.Iterations
 	acc.Samples++
 	return acc

@@ -92,31 +92,41 @@ func TestParseBenchLineErrors(t *testing.T) {
 
 func TestCompareGates(t *testing.T) {
 	base := &Baseline{Benchmarks: map[string]Result{
-		"BenchmarkA": {NsPerOp: 1000, AllocsPerOp: 100},
+		"BenchmarkA": {NsPerOp: 1000, AllocsPerOp: 100, BytesPerOp: 4096},
 		"BenchmarkB": {NsPerOp: 1000, AllocsPerOp: 0},
+		"BenchmarkC": {NsPerOp: 1000, AllocsPerOp: 10, BytesPerOp: 1 << 20},
 	}}
 	ok := &Baseline{Benchmarks: map[string]Result{
-		"BenchmarkA": {NsPerOp: 1050, AllocsPerOp: 100}, // +5% ns: within tolerance
+		"BenchmarkA": {NsPerOp: 1050, AllocsPerOp: 100, BytesPerOp: 4300}, // +5%: within tolerance
 		"BenchmarkB": {NsPerOp: 900, AllocsPerOp: 0},
+		"BenchmarkC": {NsPerOp: 1000, AllocsPerOp: 10, BytesPerOp: 1 << 19},
 	}}
 	if f := compare(base, ok, 0.10, 0.10, false); len(f) != 0 {
 		t.Fatalf("unexpected failures: %v", f)
 	}
 	bad := &Baseline{Benchmarks: map[string]Result{
-		"BenchmarkA": {NsPerOp: 1200, AllocsPerOp: 150}, // both gates blown
-		"BenchmarkB": {NsPerOp: 1000, AllocsPerOp: 1},   // any alloc vs 0 baseline fails
+		"BenchmarkA": {NsPerOp: 1200, AllocsPerOp: 150, BytesPerOp: 4096}, // ns and allocs gates blown
+		"BenchmarkB": {NsPerOp: 1000, AllocsPerOp: 1},                     // any alloc vs 0 baseline fails
+		// The same allocation count moving four times the bytes — a
+		// buffer allocated per iteration instead of once — fails on B/op
+		// alone, under the allocs/op tolerance.
+		"BenchmarkC": {NsPerOp: 1000, AllocsPerOp: 10, BytesPerOp: 4 << 20},
 	}}
 	f := compare(base, bad, 0.10, 0.10, false)
-	if len(f) != 3 {
-		t.Fatalf("want 3 failures, got %v", f)
+	if len(f) != 4 {
+		t.Fatalf("want 4 failures, got %v", f)
 	}
-	// -skip-ns keeps the allocation gate only.
-	if f := compare(base, bad, 0.10, 0.10, true); len(f) != 2 {
-		t.Fatalf("want 2 failures with -skip-ns, got %v", f)
+	if !strings.Contains(f[3], "BenchmarkC: B/op") {
+		t.Fatalf("B/op regression not reported: %v", f)
+	}
+	// -skip-ns keeps the allocation gates only.
+	if f := compare(base, bad, 0.10, 0.10, true); len(f) != 3 {
+		t.Fatalf("want 3 failures with -skip-ns, got %v", f)
 	}
 	// A benchmark vanishing from the run is itself a failure.
 	missing := &Baseline{Benchmarks: map[string]Result{
-		"BenchmarkA": {NsPerOp: 1000, AllocsPerOp: 100},
+		"BenchmarkA": {NsPerOp: 1000, AllocsPerOp: 100, BytesPerOp: 4096},
+		"BenchmarkC": {NsPerOp: 1000, AllocsPerOp: 10, BytesPerOp: 1 << 20},
 	}}
 	if f := compare(base, missing, 0.10, 0.10, false); len(f) != 1 {
 		t.Fatalf("want 1 failure for missing benchmark, got %v", f)
@@ -126,17 +136,18 @@ func TestCompareGates(t *testing.T) {
 func TestParseBenchOutputRecordsStddev(t *testing.T) {
 	repeated := `pkg: latlab
 BenchmarkX-8	100	1000 ns/op	64 B/op	4 allocs/op
-BenchmarkX-8	200	2000 ns/op	64 B/op	4 allocs/op
-BenchmarkX-8	300	3000 ns/op	64 B/op	4 allocs/op
+BenchmarkX-8	200	2000 ns/op	96 B/op	4 allocs/op
+BenchmarkX-8	300	3000 ns/op	128 B/op	4 allocs/op
 `
 	base, err := parseBenchOutput(strings.NewReader(repeated))
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := base.Benchmarks["BenchmarkX"]
-	// Sample stddev of {1000, 2000, 3000} is exactly 1000; the identical
-	// allocs fold to zero variance.
-	if r.NsStd != 1000 || r.AllocStd != 0 {
+	// Sample stddev of {1000, 2000, 3000} is exactly 1000 and of
+	// {64, 96, 128} exactly 32; the identical allocs fold to zero
+	// variance.
+	if r.NsStd != 1000 || r.BytesStd != 32 || r.AllocStd != 0 {
 		t.Fatalf("stddev wrong: %+v", r)
 	}
 	// Single samples carry no stddev at all.
@@ -144,7 +155,7 @@ BenchmarkX-8	300	3000 ns/op	64 B/op	4 allocs/op
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := single.Benchmarks["BenchmarkExtraction"]; s.NsStd != 0 || s.AllocStd != 0 {
+	if s := single.Benchmarks["BenchmarkExtraction"]; s.NsStd != 0 || s.AllocStd != 0 || s.BytesStd != 0 {
 		t.Fatalf("single sample grew a stddev: %+v", s)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"sync"
 	"time"
 
 	"latlab/internal/experiments"
@@ -304,7 +305,9 @@ func Run(ctx context.Context, c *Campaign, opt Options, emit func(Record) error)
 // cell folds its sessions sequentially in seed order into a fresh
 // sketch, and emit receives one Record per completed cell in cell
 // order (the runner's reorder buffer restores it whatever the worker
-// count).
+// count). A cell reuses a system.Batch, with its idle-sample arenas,
+// that an earlier cell of the same call completed with, so the call
+// allocates about one batch per worker (see batchPool).
 //
 // A cell whose sessions error, panic, or time out is quarantined — the
 // run continues — and lands in Summary.Quarantined (and
@@ -315,10 +318,16 @@ func Run(ctx context.Context, c *Campaign, opt Options, emit func(Record) error)
 // byte-identical uninterrupted ledger. If emit or OnQuarantine returns
 // an error the run stops and that error is returned.
 func RunCells(ctx context.Context, c *Campaign, cells []Cell, opt Options, emit func(Record) error) (Summary, error) {
+	return runCells(ctx, c, cells, opt, newBatchPool(opt), emit)
+}
+
+// runCells is RunCells with the run's batch free list supplied, so
+// tests can inspect which batches the cells used.
+func runCells(ctx context.Context, c *Campaign, cells []Cell, opt Options, pool *batchPool, emit func(Record) error) (Summary, error) {
 	alpha := opt.SketchAlpha()
 	specs := make([]experiments.Spec, len(cells))
 	for i, cell := range cells {
-		specs[i] = cellSpec(c.Spec.ID, cell, alpha, opt)
+		specs[i] = cellSpec(c.Spec.ID, cell, alpha, opt, pool)
 	}
 	sum := Summary{Planned: len(cells)}
 	next := 0
@@ -410,7 +419,7 @@ func cellQuarantine(campaignID string, cell Cell, quick bool, attempts int, errM
 // and a cellResult carrying either the record or the quarantine entry
 // — it only returns an error for cancellation, so a failing cell never
 // aborts the suite.
-func cellSpec(campaignID string, cell Cell, alpha float64, opt Options) experiments.Spec {
+func cellSpec(campaignID string, cell Cell, alpha float64, opt Options, pool *batchPool) experiments.Spec {
 	return experiments.Spec{
 		ID:    cell.ID(),
 		Title: fmt.Sprintf("campaign %s cell %s", campaignID, cell.ID()),
@@ -430,7 +439,7 @@ func cellSpec(campaignID string, cell Cell, alpha float64, opt Options) experime
 					err = opt.Inject(ctx, cell, attempt)
 				}
 				if err == nil {
-					rec, err = runCell(ctx, campaignID, cell, alpha, opt)
+					rec, err = runCell(ctx, campaignID, cell, alpha, opt, pool)
 				}
 				if err == nil {
 					return &cellResult{id: cell.ID(), rec: rec}, nil
@@ -468,7 +477,7 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // system.Batch in waves of the batch width — opened, stepped, and folded
 // in seed order, so the record (and the ledger) is the same for every
 // width.
-func runCell(ctx context.Context, campaignID string, cell Cell, alpha float64, opt Options) (Record, error) {
+func runCell(ctx context.Context, campaignID string, cell Cell, alpha float64, opt Options, pool *batchPool) (Record, error) {
 	sk := stats.NewSketch(alpha)
 	sessions := 0
 	// The perception fold walks the same events in the same order as the
@@ -511,7 +520,7 @@ func runCell(ctx context.Context, campaignID string, cell Cell, alpha float64, o
 		}
 		sessions++
 	}
-	if err := runCellBatched(ctx, cell, opt, fold); err != nil {
+	if err := runCellBatched(ctx, cell, opt, pool, fold); err != nil {
 		return Record{}, err
 	}
 	return Record{
@@ -537,21 +546,22 @@ func runCell(ctx context.Context, campaignID string, cell Cell, alpha float64, o
 	}, nil
 }
 
-// runCellBatched steps the cell's sessions opt.Batch machines at a
-// time on this worker: each wave opens its sessions in seed order
-// (reusing the batch's per-slot sample arenas), interleaves their
-// stepping earliest-target-first, closes every session of the wave,
-// then extracts and folds in seed order. The same deferred close
-// releases the wave's already-open sessions if a sibling's open fails.
-func runCellBatched(ctx context.Context, cell Cell, opt Options, fold func(*experiments.ScenarioResult)) error {
+// runCellBatched steps the cell's sessions in waves of the pool's
+// batch width on one batch taken from pool: each wave opens its
+// sessions in seed order (recording into the batch's per-slot sample
+// arenas, kept from earlier cells), interleaves their stepping
+// earliest-target-first, closes every session of the wave, then
+// extracts and folds in seed order. The same deferred close releases
+// the wave's already-open sessions if a sibling's open fails. Only a
+// cell whose every wave completes hands the batch back, reset; an
+// error, cancellation or panic leaves slots open, so the batch is
+// dropped with the cell.
+func runCellBatched(ctx context.Context, cell Cell, opt Options, pool *batchPool, fold func(*experiments.ScenarioResult)) error {
 	if err := cell.Doc.Validate(); err != nil {
 		return err
 	}
-	width := opt.Batch
-	if width <= 0 {
-		width = DefaultBatch
-	}
-	b := system.NewBatch(width)
+	b := pool.get()
+	width := b.Size()
 	open := make([]*experiments.ScenarioSession, width)
 	for base := 0; base < cell.SeedCount; base += width {
 		n := width
@@ -592,5 +602,47 @@ func runCellBatched(ctx context.Context, cell Cell, opt Options, fold func(*expe
 		}
 		b.Reset()
 	}
+	pool.put(b)
 	return nil
+}
+
+// batchPool is one RunCells call's free list of batches. A worker's
+// cell takes one when it starts and returns it when it completes, so
+// each worker allocates its batch's idle-sample arenas once per run
+// instead of once per cell. The arenas stay live for the whole run:
+// their untouched pages count toward the collector's heap goal but not
+// toward resident memory, which keeps collections rare.
+type batchPool struct {
+	width int
+	mu    sync.Mutex
+	free  []*system.Batch
+}
+
+// newBatchPool returns an empty pool of opt's batch width.
+func newBatchPool(opt Options) *batchPool {
+	width := opt.Batch
+	if width <= 0 {
+		width = DefaultBatch
+	}
+	return &batchPool{width: width}
+}
+
+// get takes the most recently returned batch, or makes a new one.
+func (p *batchPool) get() *system.Batch {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := len(p.free)
+	if n == 0 {
+		return system.NewBatch(p.width)
+	}
+	b := p.free[n-1]
+	p.free = p.free[:n-1]
+	return b
+}
+
+// put returns a reset batch for the next cell.
+func (p *batchPool) put(b *system.Batch) {
+	p.mu.Lock()
+	p.free = append(p.free, b)
+	p.mu.Unlock()
 }

@@ -56,10 +56,11 @@ type Config struct {
 	// IdleArena, when non-nil, points at a reusable backing array for
 	// the idle-loop instrument's sample buffer. The rig grows the arena
 	// to the capacity it needs (writing the grown array back through the
-	// pointer) and records into it instead of allocating fresh — the
-	// batch engine keeps one arena per machine slot across sessions. The
-	// buffer's capacity is the same either way, so recorded behaviour is
-	// identical.
+	// pointer) and records into it instead of allocating fresh — a
+	// campaign worker keeps one arena per batch slot across the sessions
+	// of every cell it runs. An arena larger than the rig needs is
+	// resliced to the rig's capacity, and the buffer never reads past
+	// what it recorded, so recorded behaviour is identical either way.
 	IdleArena *[]trace.IdleSample
 }
 

@@ -159,7 +159,7 @@ func (k *Kernel) steal(d simtime.Duration) {
 		start = k.stolenUntil
 	}
 	k.stolenUntil = start.Add(d)
-	k.q.Schedule(k.stolenUntil, func(now simtime.Time) { k.reconcile() })
+	k.q.Schedule(k.stolenUntil, k.reconcileFn)
 }
 
 // peekBest returns the best ready thread without removing it.

@@ -520,17 +520,37 @@ func Modern2026NoCoalesce() Profile {
 
 // All returns every named profile, default first.
 func All() []Profile {
-	return []Profile{
-		Pentium100(), Pentium200(), PentiumTaggedTLB(), P100NoL2(), P100FastDisk(),
-		Modern2026(), Modern2026Pinned(), Modern2026Uni(), Modern2026HDD(), Modern2026NoCoalesce(),
+	out := make([]Profile, len(constructors))
+	for i, c := range constructors {
+		out[i] = c.construct()
 	}
+	return out
 }
 
-// ByShort returns the profile with the given short name, or ok=false.
+// constructors pairs each profile's short name with its constructor, in
+// All order, so ByShort builds only the profile it returns.
+var constructors = []struct {
+	short     string
+	construct func() Profile
+}{
+	{"p100", Pentium100},
+	{"p200", Pentium200},
+	{"ptlb", PentiumTaggedTLB},
+	{"nol2", P100NoL2},
+	{"fastdisk", P100FastDisk},
+	{"m2026", Modern2026},
+	{"m2026-pin", Modern2026Pinned},
+	{"m2026-uni", Modern2026Uni},
+	{"m2026-hdd", Modern2026HDD},
+	{"m2026-noirq", Modern2026NoCoalesce},
+}
+
+// ByShort returns a fresh copy of the profile with the given short
+// name, or ok=false.
 func ByShort(short string) (Profile, bool) {
-	for _, p := range All() {
-		if p.Short == short {
-			return p, true
+	for _, c := range constructors {
+		if c.short == short {
+			return c.construct(), true
 		}
 	}
 	return Profile{}, false
@@ -538,10 +558,9 @@ func ByShort(short string) (Profile, bool) {
 
 // Shorts returns the short names of every profile, in All order.
 func Shorts() []string {
-	all := All()
-	out := make([]string, len(all))
-	for i, p := range all {
-		out[i] = p.Short
+	out := make([]string, len(constructors))
+	for i, c := range constructors {
+		out[i] = c.short
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package machine_test
 
 import (
+	"reflect"
 	"testing"
 
 	"latlab/internal/cpu"
@@ -62,6 +63,27 @@ func TestByShort(t *testing.T) {
 	}
 	if _, ok := machine.ByShort(""); ok {
 		t.Fatalf("ByShort must reject the empty id")
+	}
+}
+
+// sink keeps the allocation probes' results live.
+var sink machine.Profile
+
+// TestByShortBuildsOnlyItsEntry pins the constructor table: for every
+// short name ByShort returns exactly All's entry, and a lookup
+// allocates no more than that entry's constructor alone.
+func TestByShortBuildsOnlyItsEntry(t *testing.T) {
+	all := machine.All()
+	for i, short := range machine.Shorts() {
+		p, ok := machine.ByShort(short)
+		if !ok || all[i].Short != short || !reflect.DeepEqual(p, all[i]) {
+			t.Errorf("ByShort(%q) differs from All()[%d]", short, i)
+		}
+	}
+	lookup := testing.AllocsPerRun(20, func() { sink, _ = machine.ByShort("m2026-noirq") })
+	build := testing.AllocsPerRun(20, func() { sink = machine.Modern2026NoCoalesce() })
+	if lookup > build {
+		t.Errorf("ByShort(m2026-noirq) allocates %.0f times, Modern2026NoCoalesce() alone %.0f", lookup, build)
 	}
 }
 

@@ -211,7 +211,24 @@ func W95() P {
 }
 
 // All returns the three personas in the paper's order.
-func All() []P { return []P{NT351(), NT40(), W95()} }
+func All() []P {
+	out := make([]P, len(constructors))
+	for i, c := range constructors {
+		out[i] = c.construct()
+	}
+	return out
+}
+
+// constructors pairs each persona's short name with its constructor, in
+// All order, so ByShort builds only the persona it returns.
+var constructors = []struct {
+	short     string
+	construct func() P
+}{
+	{"nt351", NT351},
+	{"nt40", NT40},
+	{"w95", W95},
+}
 
 // NTs returns only the two NT personas (several experiments exclude
 // Windows 95, as the paper did).
@@ -219,19 +236,19 @@ func NTs() []P { return []P{NT351(), NT40()} }
 
 // Shorts returns the short names of every persona, in All order.
 func Shorts() []string {
-	all := All()
-	out := make([]string, len(all))
-	for i, p := range all {
-		out[i] = p.Short
+	out := make([]string, len(constructors))
+	for i, c := range constructors {
+		out[i] = c.short
 	}
 	return out
 }
 
-// ByShort returns the persona with the given short name, or ok=false.
+// ByShort returns a fresh copy of the persona with the given short
+// name, or ok=false.
 func ByShort(short string) (P, bool) {
-	for _, p := range All() {
-		if p.Short == short {
-			return p, true
+	for _, c := range constructors {
+		if c.short == short {
+			return c.construct(), true
 		}
 	}
 	return P{}, false

@@ -1,6 +1,7 @@
 package persona
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -48,6 +49,27 @@ func TestByShort(t *testing.T) {
 		if _, ok := ByShort(short); !ok {
 			t.Fatalf("Shorts lists %q but ByShort cannot resolve it", short)
 		}
+	}
+}
+
+// sink keeps the allocation probes' results live.
+var sink P
+
+// TestByShortBuildsOnlyItsEntry pins the constructor table: for every
+// short name ByShort returns exactly All's entry, and a lookup
+// allocates no more than that entry's constructor alone.
+func TestByShortBuildsOnlyItsEntry(t *testing.T) {
+	all := All()
+	for i, short := range Shorts() {
+		p, ok := ByShort(short)
+		if !ok || all[i].Short != short || !reflect.DeepEqual(p, all[i]) {
+			t.Errorf("ByShort(%q) differs from All()[%d]", short, i)
+		}
+	}
+	lookup := testing.AllocsPerRun(20, func() { sink, _ = ByShort("w95") })
+	build := testing.AllocsPerRun(20, func() { sink = W95() })
+	if lookup > build {
+		t.Errorf("ByShort(w95) allocates %.0f times, W95() alone %.0f", lookup, build)
 	}
 }
 

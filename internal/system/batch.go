@@ -26,9 +26,10 @@ type BatchSession interface {
 // worker. Per-machine state is struct-of-arrays — sessions, cached
 // targets, and reusable sample arenas in parallel slices — so the
 // stepping loop touches only small dense arrays between kernel runs.
-// Slots are reused across waves of sessions (Reset keeps the arenas),
-// which is what amortises instrument-buffer allocation across a
-// campaign's thousands of sessions.
+// Slots are reused across waves of sessions and Reset keeps the arenas,
+// so a caller that keeps its batch allocates each slot's instrument
+// buffer once: campaign.RunCells hands each worker's batch from cell to
+// cell, which amortises the arenas over every session the worker runs.
 type Batch struct {
 	sessions []BatchSession
 	targets  []simtime.Time
