@@ -12,7 +12,7 @@ GO ?= go
 # dedicated hardware. allocs/op and B/op are deterministic, so their
 # floor stays tight; they are the reliable regression tripwires
 # everywhere.
-BENCH_GATE_PAT  = ^(BenchmarkSimulatorThroughput|BenchmarkBatchThroughput|BenchmarkBoot|BenchmarkRunCells|BenchmarkExtraction|BenchmarkDriveFSM|BenchmarkSchedulePop|BenchmarkLRUTouch|BenchmarkLRUTouchTLB|BenchmarkWriteIdleCSV|BenchmarkSketchAdd)$$
+BENCH_GATE_PAT  = ^(BenchmarkSimulatorThroughput|BenchmarkBatchThroughput|BenchmarkBoot|BenchmarkRunCells|BenchmarkThreadHandshake|BenchmarkWinsysCall|BenchmarkExtraction|BenchmarkDriveFSM|BenchmarkSchedulePop|BenchmarkLRUTouch|BenchmarkLRUTouchTLB|BenchmarkWriteIdleCSV|BenchmarkSketchAdd)$$
 BENCH_GATE_PKGS = . ./internal/eventq ./internal/mem ./internal/trace ./internal/stats
 BENCH_NS_TOL    ?= 0.25
 BENCH_ALLOC_TOL ?= 0.10
@@ -116,7 +116,10 @@ cover:
 # programs), the differential think/wait replay (DriveFSM's merge vs
 # a test-only sorting oracle on random monotone probe logs), and the
 # differential LRU check (the grow-on-demand TLB/cache LRU vs a test-only
-# pre-allocating oracle on random touch/insert/evict/flush streams).
+# pre-allocating oracle on random touch/insert/evict/flush streams), and
+# the differential kernel-loop check (a random script of primitives
+# issued through TC.Loop vs one by one, under ticks, keystrokes,
+# preemption and disk faults).
 # `go test` only accepts one -fuzz pattern at a time, so each fuzzer
 # gets its own run.
 FUZZ_TIME ?= 10s
@@ -131,6 +134,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzQueueEquivalence$$' -fuzztime $(FUZZ_TIME) ./internal/eventq
 	$(GO) test -run '^$$' -fuzz '^FuzzDriveFSMMerge$$' -fuzztime $(FUZZ_TIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzLRUEquivalence$$' -fuzztime $(FUZZ_TIME) ./internal/mem
+	$(GO) test -run '^$$' -fuzz '^FuzzLoopEquivalence$$' -fuzztime $(FUZZ_TIME) ./internal/kernel
 
 # The end-to-end determinism and crash-safety gate for the committed
 # demo campaign (10080 quick sessions), proving each property once:

@@ -28,6 +28,7 @@ import (
 	"latlab/internal/simtime"
 	"latlab/internal/system"
 	"latlab/internal/trace"
+	"latlab/internal/winsys"
 )
 
 func cfg() experiments.Config { return experiments.DefaultConfig() }
@@ -322,6 +323,68 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 		sys.Shutdown()
 	}
 	b.ReportMetric(10*float64(b.N), "sim-seconds")
+}
+
+// runUntilDone steps k a simulated second at a time until t exits.
+func runUntilDone(k *kernel.Kernel, t *kernel.Thread) {
+	for t.State() != kernel.StateDone {
+		k.RunFor(simtime.Second)
+	}
+}
+
+// warmUntil runs op on the thread until simulated time reaches t, so the
+// timed loop after it finds the kernel's calendar queue grown: each
+// bucket of its 268 ms ring allocates when it first holds an event and
+// again when it first holds two, and a B/op that still included that
+// growth would depend on b.N.
+func warmUntil(tc *kernel.TC, t simtime.Time, op func()) {
+	for tc.Now() < t {
+		op()
+	}
+}
+
+// BenchmarkThreadHandshake reports one goroutine round trip between an
+// application thread and the kernel: per op, one TC.Compute of a
+// 1 µs segment, the path application bodies still take for each
+// primitive they issue outside a kernel loop.
+func BenchmarkThreadHandshake(b *testing.B) {
+	k := kernel.New(kernel.DefaultConfig())
+	defer k.Shutdown()
+	seg := cpu.Segment{Name: "step", BaseCycles: 100, Instructions: 60}
+	warm := cpu.Segment{Name: "warm", BaseCycles: 10_000}
+	t := k.Spawn("app", 1, system.AppPrio, func(tc *kernel.TC) {
+		warmUntil(tc, simtime.Time(simtime.Second), func() { tc.Compute(warm) })
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			tc.Compute(seg)
+		}
+	})
+	b.ReportAllocs()
+	runUntilDone(k, t)
+}
+
+// BenchmarkWinsysCall reports one run of window-system calls: per op, a
+// RepaintLines(26) on NT 3.51 with an application bound, 26 calls of
+// glue, crossing, server segment and return crossing, issued as one
+// kernel loop (TestWinsysCallIsOneHandshake pins the single goroutine
+// resume). allocs/op is the tripwire for the call-sequence free list.
+func BenchmarkWinsysCall(b *testing.B) {
+	p := persona.NT351()
+	k := kernel.New(p.Kernel)
+	defer k.Shutdown()
+	w := winsys.New(k, p)
+	w.BindApp([]uint64{300, 301, 302, 303, 304, 305})
+	t := k.Spawn("app", 1, system.AppPrio, func(tc *kernel.TC) {
+		// Warm the TLBs, caches, call-sequence free list and event queue
+		// (about 1,700 calls of this op).
+		warmUntil(tc, simtime.Time(60*simtime.Second), func() { w.RepaintLines(tc, 26) })
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			w.RepaintLines(tc, 26)
+		}
+	})
+	b.ReportAllocs()
+	runUntilDone(k, t)
 }
 
 // idleBenchSession drives one idle machine to a fixed horizon — the

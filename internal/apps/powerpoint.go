@@ -181,12 +181,23 @@ func (p *Powerpoint) open(tc *kernel.TC, libPages int64, parse cpu.Segment) {
 	}
 	p.opened = true
 	readChunked(tc, p.libs, 0, libPages, 2)
-	for off := int64(0); off < p.params.DocPages; off++ {
-		tc.ReadFile(p.doc, off, 1)
-		if off%10 == 0 {
-			tc.Compute(parse)
+	// The document page by page, parsing after every tenth, as one
+	// kernel loop.
+	off, parsing := int64(0), false
+	tc.Loop(func(lc *kernel.LoopTC) bool {
+		switch {
+		case parsing:
+			lc.Compute(parse)
+			parsing = false
+		case off < p.params.DocPages:
+			lc.ReadFile(p.doc, off, 1)
+			parsing = off%10 == 0
+			off++
+		default:
+			return false
 		}
-	}
+		return true
+	})
 	p.CurSlide = 1
 	p.sys.Win.RepaintLines(tc, 20)
 	p.renderSlide(tc)
@@ -206,14 +217,26 @@ func (p *Powerpoint) save(tc *kernel.TC) {
 		scale = 1
 	}
 	pages := int64(float64(p.params.DocPages+30) * scale)
-	for i := int64(0); i < pages; i++ {
-		tc.WriteFile(p.temp, i%(p.params.DocPages*2), 1)
-		tc.WriteFile(p.meta, i%8, 1)
-	}
-	// Copy back in larger runs.
-	for i := int64(0); i+4 <= p.params.DocPages; i += 4 {
-		tc.WriteFile(p.doc, i, 4)
-	}
+	// Each data page to the temp file followed by a metadata update, then
+	// the copy back in larger runs, as one kernel loop.
+	i, meta, back := int64(0), false, int64(0)
+	tc.Loop(func(lc *kernel.LoopTC) bool {
+		switch {
+		case meta:
+			lc.WriteFile(p.meta, i%8, 1)
+			meta = false
+			i++
+		case i < pages:
+			lc.WriteFile(p.temp, i%(p.params.DocPages*2), 1)
+			meta = true
+		case back+4 <= p.params.DocPages:
+			lc.WriteFile(p.doc, back, 4)
+			back += 4
+		default:
+			return false
+		}
+		return true
+	})
 }
 
 // pageDown advances one slide and redraws it (the Fig. 9 operation when
@@ -248,13 +271,15 @@ func (p *Powerpoint) Objects() []*ole.Object { return p.objects }
 func (p *Powerpoint) ObjectSlide(i int) int { return p.params.ObjectSlides[i] }
 
 // readChunked demand-pages [first, first+pages) of f in chunk-page
-// requests.
+// requests, as one kernel loop.
 func readChunked(tc *kernel.TC, f fscache.FileID, first, pages, chunk int64) {
-	for p := first; p < first+pages; p += chunk {
-		n := chunk
-		if p+n > first+pages {
-			n = first + pages - p
+	p, end := first, first+pages
+	tc.Loop(func(lc *kernel.LoopTC) bool {
+		if p >= end {
+			return false
 		}
-		tc.ReadFile(f, p, n)
-	}
+		lc.ReadFile(f, p, min(chunk, end-p))
+		p += chunk
+		return true
+	})
 }

@@ -292,13 +292,14 @@ func newRigOn(cfg Config, p persona.P, prof machine.Profile, runSeconds int) *ri
 	return r
 }
 
-// spansOn attaches a span recorder to the rig's kernel (pre-grown so
-// steady-state recording stays allocation-free) and returns it; repeat
-// calls return the already-attached recorder.
+// spansOn attaches a span recorder to the rig's kernel and returns it;
+// repeat calls return the already-attached recorder. The span slab grows
+// by append to what the rig records (a quick ext-attrib rig records
+// ~20k spans), instead of starting at a fixed size every rig may not
+// need.
 func (r *rig) spansOn() *spans.Recorder {
 	if r.rec == nil {
 		rec := spans.NewRecorder(r.sys.K.Now)
-		rec.Grow(1 << 16)
 		r.sys.K.SetRecorder(rec)
 		r.rec = rec
 	}

@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"latlab/internal/cpu"
+	"latlab/internal/fscache"
 	"latlab/internal/simtime"
 )
 
@@ -257,11 +258,11 @@ func pagesEqual(a, b []uint64) bool {
 	return true
 }
 
-// LoopTC is the restricted thread context handed to kernel-resident
-// loop threads (SpawnLoop). Unlike TC it runs in simulator context —
-// no goroutine, no channel handshake — so a loop thread may record
-// exactly one request per invocation and must not block: only the
-// reply-free primitives are available.
+// LoopTC is the restricted thread context handed to loop functions
+// (SpawnLoop, TC.Loop). Unlike TC it runs in simulator context — no
+// goroutine, no channel handshake — so a loop function records exactly
+// one request per call and never waits for a reply: only the reply-free
+// primitives are available.
 type LoopTC struct {
 	t     *Thread
 	k     *Kernel
@@ -276,6 +277,19 @@ func (lc *LoopTC) Now() simtime.Time { return lc.k.now }
 
 // Cycles reads the free-running cycle counter (a user-mode rdtsc).
 func (lc *LoopTC) Cycles() int64 { return lc.k.cpu.CycleAt(lc.k.now) }
+
+// next calls fn for the thread's next request and reports whether it
+// issued one.
+func (lc *LoopTC) next(fn func(lc *LoopTC) bool) bool {
+	lc.armed = false
+	if !fn(lc) {
+		return false
+	}
+	if !lc.armed {
+		panic("kernel: loop of thread " + lc.t.name + " returned without issuing a request")
+	}
+	return true
+}
 
 // arm resets the thread's request slot and returns it for the caller
 // to fill in place — the slot is free whenever the kernel fetches
@@ -312,6 +326,32 @@ func (lc *LoopTC) Sleep(d simtime.Duration) {
 	r.d = d
 }
 
+// DomainCross models a protection-domain crossing, like TC.DomainCross.
+func (lc *LoopTC) DomainCross() { lc.arm().kind = reqDomainCross }
+
+// ModeSwitch models a user/kernel mode switch, like TC.ModeSwitch.
+func (lc *LoopTC) ModeSwitch() { lc.arm().kind = reqModeSwitch }
+
+// ReadFile synchronously reads pages [page, page+pages) of file, like
+// TC.ReadFile.
+func (lc *LoopTC) ReadFile(file fscache.FileID, page, pages int64) {
+	r := lc.arm()
+	r.kind = reqReadFile
+	r.file, r.page, r.pages = file, page, pages
+}
+
+// WriteFile synchronously writes pages [page, page+pages) of file, like
+// TC.WriteFile.
+func (lc *LoopTC) WriteFile(file fscache.FileID, page, pages int64) {
+	r := lc.arm()
+	r.kind = reqWriteFile
+	r.file, r.page, r.pages = file, page, pages
+}
+
+// PendingUserInput reports whether user-input messages are queued for
+// the thread, like TC.PendingUserInput.
+func (lc *LoopTC) PendingUserInput() bool { return lc.t.pendingUserInput() }
+
 // SpawnLoop creates a kernel-resident loop thread: fn is invoked in
 // simulator context each time the scheduler wants the thread's next
 // request, records exactly one primitive on the LoopTC, and returns
@@ -319,7 +359,8 @@ func (lc *LoopTC) Sleep(d simtime.Duration) {
 // is identical to a goroutine thread issuing the same primitives, but
 // without any channel handshake, which is what makes stepping thousands
 // of machines per worker affordable. Periodic housekeeping threads
-// (idle-loop instrument, persona background tasks) use this form.
+// (idle-loop instrument, persona background tasks) use this form; a
+// goroutine thread borrows it for a run of primitives with TC.Loop.
 func (k *Kernel) SpawnLoop(name string, proc ProcID, prio int, fn func(lc *LoopTC) bool) *Thread {
 	if prio < IdlePriority {
 		panic("kernel: priority below idle class")

@@ -1,0 +1,5 @@
+package kernel
+
+// Resumes returns how many times the kernel has resumed a goroutine
+// thread: one per primitive a thread body issues, one per TC.Loop run.
+func (k *Kernel) Resumes() int64 { return k.resumes }

@@ -4,9 +4,13 @@
 // whatever is running, per-thread message queues behind GetMessage/
 // PeekMessage, and synchronous file I/O through the buffer cache.
 //
-// Threads are goroutines coupled to the simulator by a strict handshake
-// (see thread.go): exactly one of {simulator, one thread} executes at any
-// moment, so runs are deterministic and data-race-free by construction.
+// Application threads are goroutines coupled to the simulator by a
+// strict handshake (see thread.go): exactly one of {simulator, one
+// thread} executes at any moment, so runs are deterministic and
+// data-race-free by construction. Housekeeping threads (SpawnLoop), and
+// application threads for a run of primitives (TC.Loop), instead hand
+// the kernel a loop function it calls in simulator context, which issues
+// the same requests with no handshake at all.
 //
 // One modelling approximation is worth stating up front: a Compute
 // request is costed against the memory system when it starts, even
@@ -19,6 +23,7 @@ package kernel
 
 import (
 	"fmt"
+	"runtime/debug"
 
 	"latlab/internal/cpu"
 	"latlab/internal/disk"
@@ -175,6 +180,9 @@ type Kernel struct {
 	// a process switch may flush the TLBs without an immediate miss.
 	bulkElided  int64
 	ctxSwitches uint64
+	// resumes counts goroutine-thread resumptions (fetchInto), the
+	// handshakes TC.Loop saves.
+	resumes int64
 
 	// rec, when non-nil, receives cause-tagged spans from every charge
 	// point in the kernel and its machine. episode/epThread/epOpen track
@@ -352,7 +360,10 @@ func (k *Kernel) NextTick(t simtime.Time) simtime.Time {
 
 // Spawn creates a thread in process proc at the given priority and makes
 // it runnable. The body runs on its own goroutine under the simulator's
-// handshake.
+// handshake. A panic in the body ends the thread and is raised again by
+// the Run call that was stepping it, naming the thread, so the caller of
+// Run can recover it; the kernel is unusable afterwards except for
+// Shutdown.
 func (k *Kernel) Spawn(name string, proc ProcID, prio int, body func(tc *TC)) *Thread {
 	if prio < IdlePriority {
 		panic("kernel: priority below idle class")
@@ -365,9 +376,10 @@ func (k *Kernel) Spawn(name string, proc ProcID, prio int, body func(tc *TC)) *T
 		k:        k,
 		body:     body,
 		resume:   make(chan resumeToken),
-		requests: make(chan request),
+		requests: make(chan struct{}),
 		state:    StateNew,
 	}
+	t.loopTC = LoopTC{t: t, k: k}
 	k.threads = append(k.threads, t)
 	go func() {
 		defer func() {
@@ -375,15 +387,19 @@ func (k *Kernel) Spawn(name string, proc ProcID, prio int, body func(tc *TC)) *T
 				if _, ok := r.(killSentinel); ok {
 					return
 				}
-				panic(r)
+				// The kernel goroutine is parked in fetchInto waiting for
+				// this thread's next request: hand it the panic instead
+				// of killing the process from this goroutine.
+				t.panicked = &threadPanic{value: r, stack: debug.Stack()}
+				t.requests <- struct{}{}
 			}
 		}()
-		tok := <-t.resume
-		if tok.kill {
+		if tok := <-t.resume; tok.kill {
 			return
 		}
 		t.body(&TC{t: t, k: k})
-		t.requests <- request{kind: reqExit}
+		t.reqSlot = request{kind: reqExit}
+		t.requests <- struct{}{}
 	}()
 	k.makeReady(t)
 	k.reconcile()
@@ -437,9 +453,9 @@ func (k *Kernel) Shutdown() {
 			continue
 		}
 		// A live goroutine thread is always parked receiving on resume
-		// (either in its primitive's handshake or the initial wait).
-		// Loop threads have no goroutine to unwind.
-		if t.loopFn == nil {
+		// (in its primitive's handshake, in TC.Loop, or in the initial
+		// wait). SpawnLoop threads have no goroutine to unwind.
+		if t.resume != nil {
 			t.resume <- resumeToken{kill: true}
 		}
 		t.state = StateDone

@@ -198,28 +198,67 @@ func (k *Kernel) hasReadyAtPrio(p int) bool {
 	return false
 }
 
-// fetchInto obtains t's next request, writing it into t.reqSlot. For
-// goroutine threads it resumes the goroutine and waits (strict
-// alternation: the kernel blocks here while thread code runs). For
-// kernel-resident loop threads it invokes the loop function directly
-// in simulator context — same request stream, no channel handshake;
-// the LoopTC primitives arm t.reqSlot in place, so the (large,
-// two-segment) request struct is never copied on this hot path.
+// fetchInto obtains t's next request, writing it into t.reqSlot, at
+// the instant t is to run on. A loop function, when the thread has one
+// (SpawnLoop, or a goroutine thread inside TC.Loop), is called directly
+// in simulator context and arms t.reqSlot in place: no handshake, and
+// the large two-segment request is never copied on this hot path. A
+// goroutine thread whose lent loop is spent, or that has none, is
+// resumed and the kernel waits for its next request (strict
+// alternation: the kernel blocks here while thread code runs). A panic
+// in its body or lent loop is raised again here, on the caller of Run,
+// naming the thread; a SpawnLoop function already runs there.
 func (k *Kernel) fetchInto(t *Thread) {
 	if t.loopFn != nil {
-		lc := &t.loopTC
-		lc.armed = false
-		if !t.loopFn(lc) {
-			t.reqSlot = request{kind: reqExit}
+		if t.resume == nil {
+			if !t.loopTC.next(t.loopFn) {
+				t.reqSlot = request{kind: reqExit}
+			}
 			return
 		}
-		if !lc.armed {
-			panic("kernel: loop thread " + t.name + " returned without issuing a request")
+		if k.nextFromLent(t) {
+			return
 		}
-		return
+		t.loopFn = nil // the lent loop is spent: TC.Loop returns
 	}
+	k.resumes++
 	t.resume <- resumeToken{}
-	t.reqSlot = <-t.requests
+	<-t.requests
+	if p := t.panicked; p != nil {
+		k.threadPanicked(t, p.value, p.stack)
+	}
+}
+
+// nextFromLent calls the loop function goroutine thread t lent with
+// TC.Loop for its next request and reports whether it issued one.
+func (k *Kernel) nextFromLent(t *Thread) bool {
+	defer func() {
+		if r := recover(); r != nil {
+			k.threadPanicked(t, r, nil)
+		}
+	}()
+	return t.loopTC.next(t.loopFn)
+}
+
+// threadPanicked ends goroutine thread t, whose body or lent loop
+// panicked with value, and panics again on the kernel goroutine naming
+// the thread. A thread whose lent loop panicked is still parked in
+// TC.Loop, so it is unwound first; one whose body panicked has already
+// exited.
+func (k *Kernel) threadPanicked(t *Thread, value any, stack []byte) {
+	if t.panicked == nil {
+		t.resume <- resumeToken{kill: true}
+	}
+	t.state = StateDone
+	t.pending = nil
+	if k.current == t {
+		k.current = nil
+	}
+	msg := fmt.Sprintf("kernel: thread %s panicked: %v", t.name, value)
+	if len(stack) > 0 {
+		msg += "\n\n" + string(stack)
+	}
+	panic(msg)
 }
 
 // step advances the current thread's instantaneous state: it fetches the

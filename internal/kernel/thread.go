@@ -76,8 +76,9 @@ const (
 	reqExit
 )
 
-// request is one primitive invocation, carried thread→kernel over the
-// handshake channel.
+// request is one primitive invocation. It lives in the thread's reqSlot:
+// a goroutine thread writes it there before its handshake, and loop
+// functions arm it in place.
 type request struct {
 	kind   reqKind
 	seg    cpu.Segment
@@ -103,25 +104,42 @@ type resumeToken struct {
 // killSentinel is the panic value used to unwind a killed thread.
 type killSentinel struct{}
 
-// Thread is a simulated thread of control. Application code runs in the
-// body function on a dedicated goroutine, but the kernel and at most one
-// thread ever execute at a time (strict channel handshake), so the
-// simulation is deterministic and race-free.
+// threadPanic carries a panic out of a goroutine thread's body to the
+// kernel goroutine, with the stack of the goroutine that panicked.
+type threadPanic struct {
+	value any
+	stack []byte
+}
+
+// Thread is a simulated thread of control. Its requests come from one of
+// three sources, each consulted in fetchInto at the instant the thread
+// is to run on: a body function on a dedicated goroutine (Spawn), a loop
+// function the kernel calls in simulator context (SpawnLoop), or a loop
+// function a goroutine thread lends the kernel for a run of primitives
+// (TC.Loop). The kernel and at most one goroutine ever execute at a time
+// (strict channel handshake), so the simulation is deterministic and
+// race-free.
 type Thread struct {
 	id   int
 	name string
 	proc ProcID
 	prio int
 
-	k        *Kernel
-	body     func(tc *TC)
+	k    *Kernel
+	body func(tc *TC)
+	// resume and requests are a goroutine thread's handshake; both are
+	// nil for a SpawnLoop thread. The kernel sends on resume to run the
+	// body up to its next primitive, and the body signals on requests
+	// once it has written that primitive into reqSlot, or its panic into
+	// panicked.
 	resume   chan resumeToken
-	requests chan request
+	requests chan struct{}
+	panicked *threadPanic
 
-	// loopFn, when non-nil, makes this a kernel-resident loop thread
-	// (SpawnLoop): no goroutine, no handshake — fetch invokes loopFn in
-	// simulator context and loopTC carries its one-request-per-call
-	// context.
+	// loopFn, when non-nil, is the thread's kernel-resident request
+	// source: fetchInto calls it in simulator context with loopTC, with
+	// no handshake. A SpawnLoop thread's loop is its whole life; a
+	// goroutine thread sets one for the span of a TC.Loop call.
 	loopFn func(lc *LoopTC) bool
 	loopTC LoopTC
 
@@ -218,14 +236,42 @@ func (tc *TC) Now() simtime.Time { return tc.k.now }
 // Cycles reads the free-running cycle counter (a user-mode rdtsc).
 func (tc *TC) Cycles() int64 { return tc.k.cpu.CycleAt(tc.k.now) }
 
-// call performs the handshake for one request and blocks until the
-// kernel completes it.
+// call hands one request to the kernel and blocks until the kernel has
+// completed it and resumes the thread: one goroutine round trip.
 func (tc *TC) call(r request) {
-	tc.t.requests <- r
-	tok := <-tc.t.resume
-	if tok.kill {
+	tc.t.reqSlot = r
+	tc.handoff()
+}
+
+// handoff signals the kernel, parked in fetchInto, that reqSlot holds
+// the thread's next request, and parks until the kernel resumes the
+// thread.
+func (tc *TC) handoff() {
+	tc.t.requests <- struct{}{}
+	if tok := <-tc.t.resume; tok.kill {
 		panic(killSentinel{})
 	}
+}
+
+// Loop lends the kernel fn as the thread's request source for a run of
+// reply-free primitives, so the run costs one goroutine round trip
+// instead of one per primitive. Each call of fn records one primitive
+// on lc and returns true, or returns false to end the run. Its first
+// call runs here, on the thread; every later call runs in simulator
+// context at the instant the kernel would otherwise have resumed the
+// thread after the previous primitive. The request stream, and with it
+// the whole simulation, is therefore exactly that of the same primitives
+// issued one by one, and fn sees the same Now and the same message
+// queue. Loop returns once fn has returned false. The thread is parked
+// while fn runs, so fn may use the thread's own variables, but it must
+// not call TC methods.
+func (tc *TC) Loop(fn func(lc *LoopTC) bool) {
+	t := tc.t
+	if !t.loopTC.next(fn) {
+		return
+	}
+	t.loopFn = fn
+	tc.handoff()
 }
 
 // Compute consumes CPU according to seg, subject to scheduling: the call
@@ -280,8 +326,10 @@ func (tc *TC) HasMessage() bool { return len(tc.t.msgq) > 0 }
 // to batch rendering requests when the input stream outruns the system —
 // the §1.1 batching behaviour ("the system batches requests more
 // aggressively" under an uninterrupted input stream).
-func (tc *TC) PendingUserInput() bool {
-	for _, m := range tc.t.msgq {
+func (tc *TC) PendingUserInput() bool { return tc.t.pendingUserInput() }
+
+func (t *Thread) pendingUserInput() bool {
+	for _, m := range t.msgq {
 		if m.Kind.UserInput() {
 			return true
 		}

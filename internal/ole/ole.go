@@ -112,14 +112,27 @@ func (s *Server) pageIn(tc *kernel.TC, first, pages int64) {
 	fixup := cpu.Segment{Name: "ole-fixup", BaseCycles: 45_000,
 		Instructions: 28_000, DataRefs: 11_000,
 		CodePages: s.codePages[:2], DataPages: []uint64{522}}
-	for p := first; p < first+pages; p += readChunkPages {
-		n := int64(readChunkPages)
-		if p+n > first+pages {
-			n = first + pages - p
+	readComputing(tc, s.exe, first, pages, readChunkPages, fixup)
+}
+
+// readComputing reads [first, first+pages) of f in chunk-page requests,
+// computing seg after each, as one kernel loop.
+func readComputing(tc *kernel.TC, f fscache.FileID, first, pages, chunk int64, seg cpu.Segment) {
+	p, end, computing := first, first+pages, false
+	tc.Loop(func(lc *kernel.LoopTC) bool {
+		switch {
+		case computing:
+			lc.Compute(seg)
+			computing = false
+		case p < end:
+			lc.ReadFile(f, p, min(chunk, end-p))
+			p += chunk
+			computing = true
+		default:
+			return false
 		}
-		tc.ReadFile(s.exe, p, n)
-		tc.Compute(fixup)
-	}
+		return true
+	})
 }
 
 // Object is one embedded object instance inside a document.
@@ -176,10 +189,7 @@ func (o *Object) Activate(tc *kernel.TC, w *winsys.WinSys) {
 	// records are small, so storage is read page-at-a-time — many
 	// rotational delays, the dominant cost of warm-server activations.
 	if o.edits == 0 {
-		for p := int64(0); p < o.dataPages; p++ {
-			tc.ReadFile(o.data, p, 1)
-			tc.Compute(s.initSeg)
-		}
+		readComputing(tc, o.data, 0, o.dataPages, 1, s.initSeg)
 	}
 	o.edits++
 

@@ -11,8 +11,13 @@ import (
 	"testing"
 	"time"
 
+	"latlab/internal/cpu"
 	"latlab/internal/experiments"
+	"latlab/internal/kernel"
+	"latlab/internal/persona"
 	"latlab/internal/scenario"
+	"latlab/internal/simtime"
+	"latlab/internal/system"
 )
 
 // fakeResult renders a fixed payload.
@@ -121,6 +126,41 @@ func TestPanicBecomesFailedRecord(t *testing.T) {
 	}
 	if !strings.Contains(rec.Error, "runner_test.go") {
 		t.Fatalf("panic record should carry a stack trace: %q", rec.Error)
+	}
+}
+
+// TestAppThreadPanicBecomesFailedRecord runs an experiment whose
+// simulated application thread panics while the machine is being
+// stepped. The panic reaches the experiment's goroutine through
+// kernel.Run instead of killing the process from the thread's own
+// goroutine, so the runner records it like any other panicking
+// experiment and the rest of the suite completes.
+func TestAppThreadPanicBecomesFailedRecord(t *testing.T) {
+	specs := []experiments.Spec{
+		mkSpec("ok1", time.Millisecond),
+		{ID: "appboom", Title: "panicking app thread", Paper: "test",
+			Run: func(context.Context, experiments.Config) (experiments.Result, error) {
+				sys := system.New(system.Config{Persona: persona.NT40()})
+				defer sys.Shutdown()
+				sys.SpawnApp("crashy", func(tc *kernel.TC) {
+					tc.Compute(cpu.Segment{Name: "work", BaseCycles: 50_000})
+					panic("app thread failure")
+				})
+				sys.K.Run(simtime.Time(simtime.Second))
+				return &fakeResult{id: "appboom", payload: "unreachable"}, nil
+			}},
+		mkSpec("ok2", time.Millisecond),
+	}
+	out, man := render(t, specs, 2, 0)
+	if want := "payload-ok1\nFAILED appboom\npayload-ok2\n"; out != want {
+		t.Fatalf("output = %q, want %q", out, want)
+	}
+	rec := man.Records[1]
+	if !rec.Panicked || !strings.Contains(rec.Error, "thread crashy panicked: app thread failure") {
+		t.Fatalf("panic record wrong: %+v", rec)
+	}
+	if !strings.Contains(rec.Error, "runner_test.go") {
+		t.Fatalf("panic record should carry the thread's stack: %q", rec.Error)
 	}
 }
 

@@ -28,4 +28,10 @@
 //   - Deterministic segment layout. Working-set page numbers are fixed
 //     at construction, so two runs touch identical pages in identical
 //     order.
+//   - Calls in sequence cost what calls one by one cost. A run of n
+//     calls is issued as one kernel loop (kernel.TC.Loop) whose steps
+//     run at the instants the calling thread would have run them, so
+//     the simulation sees the same primitives. Only the host cost
+//     falls: one goroutine round trip per run instead of one per
+//     primitive.
 package winsys

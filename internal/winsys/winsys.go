@@ -41,6 +41,8 @@ type WinSys struct {
 	nextBase uint64
 	calls    int64
 	batched  int64
+	// free holds call sequences not in flight, for reuse.
+	free []*callSeq
 }
 
 // New builds the window system for kernel k under persona p.
@@ -105,20 +107,119 @@ type op struct {
 	scale16 float64
 }
 
-// call performs one Win32 call under the persona's architecture.
-func (w *WinSys) call(tc *kernel.TC, o op) {
-	w.calls++
+// The operations, on the NT 4.0 baseline.
+var (
+	opKeyTranslate  = op{name: "keytranslate", cycles: 18_000, hot: 4, scale16: 1.8}
+	opDefWindowProc = op{name: "defwindowproc", cycles: 14_000, hot: 4, scale16: 1.8}
+	opMouseEvent    = op{name: "mouseevent", cycles: 16_000, hot: 4, scale16: 1.8}
+	opTextOut       = op{name: "textout", cycles: 150_000, hot: 8, stream: 3, chunks: 12, scale16: 0.7}
+	opScrollWindow  = op{name: "scrollwindow", cycles: 420_000, hot: 8, stream: 24, chunks: 16}
+	opRepaintLine   = op{name: "repaintline", cycles: 105_000, hot: 8, stream: 10, chunks: 10}
+	opDrawChart     = op{name: "drawchart", cycles: 36_000, hot: 10, stream: 12, chunks: 8}
+	opDrawFrame     = op{name: "drawframe", cycles: 40_000, hot: 6, stream: 4, chunks: 6}
+	opRepaintCell   = op{name: "repaintcell", cycles: 190_000, hot: 8, stream: 14, chunks: 12}
+	opOLESetup      = op{name: "olesetup", cycles: 30_000, hot: 10, stream: 40, chunks: 12}
+	opMenuCommand   = op{name: "menucommand", cycles: 60_000, hot: 6, stream: 2, chunks: 6}
+	opCreateWindow  = op{name: "createwindow", cycles: 900_000, hot: 12, stream: 20, chunks: 24}
+	opMaxPrep       = op{name: "maxprep", cycles: 7_800_000, hot: 16, stream: 30, chunks: 30}
+)
 
-	// Application-side glue (argument marshalling, dispatch); its code
-	// pages are the app's, so NT 3.51's return crossing is paid for here.
-	if len(w.appPages) > 0 {
-		tc.Compute(cpu.Segment{
-			Name: o.name + "-glue", BaseCycles: 2000,
-			Instructions: 1300, DataRefs: 500,
-			CodePages: w.appPages,
-		})
+// call performs n back-to-back Win32 calls of o under the persona's
+// architecture, as one kernel loop (kernel.TC.Loop): one goroutine round
+// trip for the lot instead of one per primitive. n = 1 is a single call.
+func (w *WinSys) call(tc *kernel.TC, o op, n int) {
+	if n <= 0 {
+		return
 	}
+	var s *callSeq
+	if last := len(w.free) - 1; last >= 0 {
+		s, w.free = w.free[last], w.free[:last]
+	} else {
+		s = &callSeq{w: w}
+		s.fn = s.next
+	}
+	if s.glue.Name == "" || s.o.name != o.name {
+		s.glue = cpu.Segment{Name: o.name + "-glue", BaseCycles: 2000, Instructions: 1300, DataRefs: 500}
+	}
+	s.o, s.left, s.stage = o, n, stageGlue
+	tc.Loop(s.fn)
+}
 
+// Stages of one call in a callSeq, in issue order.
+const (
+	stageGlue  uint8 = iota // application-side glue compute
+	stageEnter              // batching check, segment build, first crossing or mode switch
+	stageServe              // the window-system segment
+	stageLeave              // NT 3.51's return crossing
+	stageDone               // the call has completed
+)
+
+// callSeq is a run of calls of one op in flight: a kernel loop function
+// that issues, call after call, the application glue, the entry into the
+// window system, the server segment and (NT 3.51) the return crossing.
+// Every step runs at the instant the calling thread would have run it
+// between primitives, so the simulation cannot tell the run from the
+// same calls made one primitive at a time. Sequences are recycled
+// through WinSys.free, so a steady-state call allocates nothing.
+type callSeq struct {
+	w     *WinSys
+	fn    func(lc *kernel.LoopTC) bool // next, bound once
+	o     op
+	left  int   // calls still to complete, the current one included
+	stage uint8 // what the current call issues next
+	glue  cpu.Segment
+	seg   cpu.Segment
+	pages []uint64 // seg.DataPages, reused call after call
+}
+
+func (s *callSeq) next(lc *kernel.LoopTC) bool {
+	w := s.w
+	for {
+		switch s.stage {
+		case stageGlue:
+			w.calls++
+			s.stage = stageEnter
+			// Application-side glue (argument marshalling, dispatch); its
+			// code pages are the app's, so NT 3.51's return crossing is
+			// paid for here.
+			if len(w.appPages) > 0 {
+				s.glue.CodePages = w.appPages
+				lc.Compute(s.glue)
+				return true
+			}
+		case stageEnter:
+			s.build(lc)
+			s.stage = stageServe
+			if w.p.Arch == persona.ServerProcess {
+				lc.DomainCross()
+			} else {
+				lc.ModeSwitch()
+			}
+			return true
+		case stageServe:
+			lc.Compute(s.seg)
+			s.stage = stageDone
+			if w.p.Arch == persona.ServerProcess {
+				s.stage = stageLeave
+			}
+			return true
+		case stageLeave:
+			lc.DomainCross()
+			s.stage = stageDone
+			return true
+		case stageDone:
+			if s.left--; s.left == 0 {
+				w.free = append(w.free, s)
+				return false
+			}
+			s.stage = stageGlue
+		}
+	}
+}
+
+// build prices the current call's window-system segment, after its glue.
+func (s *callSeq) build(lc *kernel.LoopTC) {
+	w, o := s.w, s.o
 	base := int64(float64(o.cycles) * w.p.PathScale)
 	if w.p.Arch == persona.Shared16Bit && o.scale16 != 0 {
 		base = int64(float64(base) * o.scale16)
@@ -126,108 +227,82 @@ func (w *WinSys) call(tc *kernel.TC, o op) {
 	// Request batching: with more user input already queued, the window
 	// system coalesces invalidations — throughput up, responsiveness
 	// meaningless (§1.1). Realistically paced input never triggers this.
-	if w.p.BatchScale > 0 && w.p.BatchScale < 1 && tc.PendingUserInput() {
+	if w.p.BatchScale > 0 && w.p.BatchScale < 1 && lc.PendingUserInput() {
 		base = int64(float64(base) * w.p.BatchScale)
 		w.batched++
 	}
 	stream := int(float64(o.stream) * w.p.DataWindowScale)
 	c := w.cursor(o.name, stream, o.hot, o.chunks)
 
-	seg := cpu.Segment{
+	s.pages = append(s.pages[:0], c.hot...)
+	for i := 0; i < stream; i++ {
+		s.pages = append(s.pages, c.base+uint64((c.pos+i)%max(c.window, 1)))
+	}
+	c.pos = (c.pos + stream) % max(c.window, 1)
+
+	s.seg = cpu.Segment{
 		Name:         o.name,
 		BaseCycles:   base,
 		Instructions: base * 6 / 10,
 		DataRefs:     base * 3 / 10,
 		CacheChunks:  c.chunks,
-		DataPages:    make([]uint64, 0, len(c.hot)+stream),
+		DataPages:    s.pages,
 	}
-	seg.DataPages = append(seg.DataPages, c.hot...)
-	for i := 0; i < stream; i++ {
-		seg.DataPages = append(seg.DataPages, c.base+uint64((c.pos+i)%max(c.window, 1)))
-	}
-	c.pos = (c.pos + stream) % max(c.window, 1)
-
 	if w.p.SegLoadsPerKCycle > 0 {
-		seg.SegmentLoads = int64(w.p.SegLoadsPerKCycle * float64(base) / 1000)
+		s.seg.SegmentLoads = int64(w.p.SegLoadsPerKCycle * float64(base) / 1000)
 	}
 	if w.p.UnalignedPerKCycle > 0 {
-		seg.UnalignedAccesses = int64(w.p.UnalignedPerKCycle * float64(base) / 1000)
+		s.seg.UnalignedAccesses = int64(w.p.UnalignedPerKCycle * float64(base) / 1000)
 	}
-
 	switch w.p.Arch {
 	case persona.ServerProcess:
-		seg.CodePages = serverPages
-		tc.DomainCross()
-		tc.Compute(seg)
-		tc.DomainCross()
+		s.seg.CodePages = serverPages
 	case persona.KernelMode:
-		seg.CodePages = gdiKernelPages
-		tc.ModeSwitch()
-		tc.Compute(seg)
+		s.seg.CodePages = gdiKernelPages
 	case persona.Shared16Bit:
-		seg.CodePages = pages16
-		tc.ModeSwitch()
-		tc.Compute(seg)
+		s.seg.CodePages = pages16
 	}
 }
 
 // KeyTranslate is the system-side processing of a raw key-down into a
 // character event (TranslateMessage and friends).
-func (w *WinSys) KeyTranslate(tc *kernel.TC) {
-	w.call(tc, op{name: "keytranslate", cycles: 18_000, hot: 4, scale16: 1.8})
-}
+func (w *WinSys) KeyTranslate(tc *kernel.TC) { w.call(tc, opKeyTranslate, 1) }
 
 // DefWindowProc is the default handling of an unbound input event.
-func (w *WinSys) DefWindowProc(tc *kernel.TC) {
-	w.call(tc, op{name: "defwindowproc", cycles: 14_000, hot: 4, scale16: 1.8})
-}
+func (w *WinSys) DefWindowProc(tc *kernel.TC) { w.call(tc, opDefWindowProc, 1) }
 
 // MouseEvent is the system-side processing of a mouse button event.
-func (w *WinSys) MouseEvent(tc *kernel.TC) {
-	w.call(tc, op{name: "mouseevent", cycles: 16_000, hot: 4, scale16: 1.8})
-}
+func (w *WinSys) MouseEvent(tc *kernel.TC) { w.call(tc, opMouseEvent, 1) }
 
 // TextOut renders n characters at the caret (per-keystroke echo path:
-// glyph lookup, raster op, caret move).
-func (w *WinSys) TextOut(tc *kernel.TC, n int) {
-	for i := 0; i < n; i++ {
-		w.call(tc, op{name: "textout", cycles: 150_000, hot: 8, stream: 3, chunks: 12, scale16: 0.7})
-	}
-}
+// glyph lookup, raster op, caret move), one call per character.
+func (w *WinSys) TextOut(tc *kernel.TC, n int) { w.call(tc, opTextOut, n) }
 
 // ScrollWindow shifts the client area by one line (blit).
-func (w *WinSys) ScrollWindow(tc *kernel.TC) {
-	w.call(tc, op{name: "scrollwindow", cycles: 420_000, hot: 8, stream: 24, chunks: 16})
-}
+func (w *WinSys) ScrollWindow(tc *kernel.TC) { w.call(tc, opScrollWindow, 1) }
 
-// RepaintLines redraws n text lines (scroll/page-down refresh).
-func (w *WinSys) RepaintLines(tc *kernel.TC, n int) {
-	for i := 0; i < n; i++ {
-		w.call(tc, op{name: "repaintline", cycles: 105_000, hot: 8, stream: 10, chunks: 10})
-	}
-}
+// RepaintLines redraws n text lines (scroll/page-down refresh), one call
+// per line.
+func (w *WinSys) RepaintLines(tc *kernel.TC, n int) { w.call(tc, opRepaintLine, n) }
 
 // DrawChart renders an embedded graph of the given element count (the
-// PowerPoint OLE graph of Figs. 8-10).
+// PowerPoint OLE graph of Figs. 8-10), one call per two elements.
 func (w *WinSys) DrawChart(tc *kernel.TC, elements int) {
-	for i := 0; i < elements; i += 2 {
-		w.call(tc, op{name: "drawchart", cycles: 36_000, hot: 10, stream: 12, chunks: 8})
-	}
+	w.call(tc, opDrawChart, (elements+1)/2)
 }
 
 // DrawFrame draws the animated window outline at growth step i (the
 // maximize animation of Fig. 4); cost grows with the outline size.
 func (w *WinSys) DrawFrame(tc *kernel.TC, step int) {
-	w.call(tc, op{name: "drawframe", cycles: 40_000 + int64(step)*25_000, hot: 6, stream: 4, chunks: 6})
+	o := opDrawFrame
+	o.cycles += int64(step) * 25_000
+	w.call(tc, o, 1)
 }
 
 // RepaintWindow redraws the full client area: cells scales the work (a
-// maximized window redraw is the 200 ms burst in Fig. 4).
-func (w *WinSys) RepaintWindow(tc *kernel.TC, cells int) {
-	for i := 0; i < cells; i++ {
-		w.call(tc, op{name: "repaintcell", cycles: 190_000, hot: 8, stream: 14, chunks: 12})
-	}
-}
+// maximized window redraw is the 200 ms burst in Fig. 4), one call per
+// cell.
+func (w *WinSys) RepaintWindow(tc *kernel.TC, cells int) { w.call(tc, opRepaintCell, cells) }
 
 // OLESetup performs the GUI work of an OLE in-place activation: window
 // re-parenting, menu merging, toolbar negotiation. It is call-heavy, and
@@ -238,20 +313,14 @@ func (w *WinSys) OLESetup(tc *kernel.TC, calls int) {
 	if n < calls {
 		n = calls
 	}
-	for i := 0; i < n; i++ {
-		w.call(tc, op{name: "olesetup", cycles: 30_000, hot: 10, stream: 40, chunks: 12})
-	}
+	w.call(tc, opOLESetup, n)
 }
 
 // MenuCommand processes a menu/command dispatch.
-func (w *WinSys) MenuCommand(tc *kernel.TC) {
-	w.call(tc, op{name: "menucommand", cycles: 60_000, hot: 6, stream: 2, chunks: 6})
-}
+func (w *WinSys) MenuCommand(tc *kernel.TC) { w.call(tc, opMenuCommand, 1) }
 
 // CreateWindow sets up a new top-level window.
-func (w *WinSys) CreateWindow(tc *kernel.TC) {
-	w.call(tc, op{name: "createwindow", cycles: 900_000, hot: 12, stream: 20, chunks: 24})
-}
+func (w *WinSys) CreateWindow(tc *kernel.TC) { w.call(tc, opCreateWindow, 1) }
 
 // MaximizeAnimation performs the paper's §2.6 window-maximize sequence:
 // an initial processing burst, `steps` animation frames paced by the
@@ -259,7 +328,7 @@ func (w *WinSys) CreateWindow(tc *kernel.TC) {
 // redraw burst.
 func (w *WinSys) MaximizeAnimation(tc *kernel.TC, steps, redrawCells int) {
 	// Initial input processing: ~80 ms of window-manager work.
-	w.call(tc, op{name: "maxprep", cycles: 7_800_000, hot: 16, stream: 30, chunks: 30})
+	w.call(tc, opMaxPrep, 1)
 	for i := 1; i <= steps; i++ {
 		// Pace the animation: wait for the next clock tick.
 		tc.Sleep(simtime.Nanosecond)
