@@ -332,28 +332,23 @@ func runUntilDone(k *kernel.Kernel, t *kernel.Thread) {
 	}
 }
 
-// warmUntil runs op on the thread until simulated time reaches t, so the
-// timed loop after it finds the kernel's calendar queue grown: each
-// bucket of its 268 ms ring allocates when it first holds an event and
-// again when it first holds two, and a B/op that still included that
-// growth would depend on b.N.
-func warmUntil(tc *kernel.TC, t simtime.Time, op func()) {
-	for tc.Now() < t {
-		op()
-	}
-}
-
 // BenchmarkThreadHandshake reports one goroutine round trip between an
 // application thread and the kernel: per op, one TC.Compute of a
 // 1 µs segment, the path application bodies still take for each
 // primitive they issue outside a kernel loop.
+//
+// Its warm-up, and BenchmarkWinsysCall's, is the one op that allocates
+// state the timed loop would otherwise count, spread over b.N. Here
+// that is the Go runtime's record for its first wait on the handshake
+// channel (96 B). With more than one P the runtime may also start an
+// OS thread (~5 KB) inside a short timed loop, whatever the warm-up;
+// at the default -benchtime that rounds to 0 B/op.
 func BenchmarkThreadHandshake(b *testing.B) {
 	k := kernel.New(kernel.DefaultConfig())
 	defer k.Shutdown()
 	seg := cpu.Segment{Name: "step", BaseCycles: 100, Instructions: 60}
-	warm := cpu.Segment{Name: "warm", BaseCycles: 10_000}
 	t := k.Spawn("app", 1, system.AppPrio, func(tc *kernel.TC) {
-		warmUntil(tc, simtime.Time(simtime.Second), func() { tc.Compute(warm) })
+		tc.Compute(seg)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			tc.Compute(seg)
@@ -375,9 +370,9 @@ func BenchmarkWinsysCall(b *testing.B) {
 	w := winsys.New(k, p)
 	w.BindApp([]uint64{300, 301, 302, 303, 304, 305})
 	t := k.Spawn("app", 1, system.AppPrio, func(tc *kernel.TC) {
-		// Warm the TLBs, caches, call-sequence free list and event queue
-		// (about 1,700 calls of this op).
-		warmUntil(tc, simtime.Time(60*simtime.Second), func() { w.RepaintLines(tc, 26) })
+		// One untimed call grows the TLB and cache LRUs to the call's
+		// working set and fills the call-sequence free list.
+		w.RepaintLines(tc, 26)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			w.RepaintLines(tc, 26)

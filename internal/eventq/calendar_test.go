@@ -9,10 +9,10 @@ import (
 
 // bucket is one calendar bucket's width: the calendar tests space
 // events by it so they exercise the ring, not a single bucket's scan.
-const bucket = simtime.Time(1) << defaultCalendarShift
+const bucket = simtime.Time(1) << calendarShift
 
 // horizon is the span the bucket ring covers; later events overflow.
-const horizon = bucket * defaultCalendarBuckets
+const horizon = bucket * calendarBuckets
 
 // TestCalendarOrdering pops events scheduled out of order across
 // distinct buckets.
@@ -128,12 +128,11 @@ func TestCalendarEarlyAfterAdvance(t *testing.T) {
 	}
 }
 
-// TestCalendarSchedulePopAllocFree: at steady state (bucket slices
-// grown, no overflow churn) the calendar push/pop path must be
-// allocation-free.
+// TestCalendarSchedulePopAllocFree: once the slab holds the queue's
+// peak, the calendar push/pop path is allocation-free, also in the
+// buckets the advancing schedule reaches for the first time.
 func TestCalendarSchedulePopAllocFree(t *testing.T) {
 	var q Queue
-	q.Grow(64)
 	fn := func(simtime.Time) {}
 	var at simtime.Time
 	step := func() {
@@ -143,21 +142,66 @@ func TestCalendarSchedulePopAllocFree(t *testing.T) {
 		q.Pop()
 		q.Pop()
 	}
-	for i := 0; i < 4096; i++ { // warm every bucket's slice through one full ring cycle
-		step()
-	}
-	allocs := testing.AllocsPerRun(1000, step)
+	step() // the first Schedule allocates the slab
+	allocs := testing.AllocsPerRun(4096, step)
 	if allocs != 0 {
 		t.Fatalf("calendar Schedule+Pop allocates %.1f times per run, want 0", allocs)
 	}
 }
 
+// TestRingRevolutionAllocatesOnlySlab drives a zero Queue through a
+// simulated second — more than three revolutions of the ring — of 10 ms
+// ticks, each followed by µs-spaced schedules, some cancelled, that all
+// pop before the next tick. The only allocations allowed are the node
+// slab's: its first allocation and one per doubling to the peak. No
+// bucket may allocate on first use.
+func TestRingRevolutionAllocatesOnlySlab(t *testing.T) {
+	const tick = 10 * simtime.Millisecond
+	fn := func(simtime.Time) {}
+	var q Queue
+	peak := 0
+	allocs := testing.AllocsPerRun(10, func() {
+		q = Queue{}
+		var now simtime.Time
+		for now < simtime.Time(simtime.Second) {
+			tickAt := now.Add(tick)
+			q.Schedule(tickAt, fn)
+			for j := 1; j <= 40; j++ {
+				h := q.Schedule(now.Add(simtime.Duration(37*j)*simtime.Microsecond), fn)
+				if j%4 == 0 {
+					h.Cancel()
+				}
+			}
+			if q.Len() > peak {
+				peak = q.Len()
+			}
+			for now < tickAt {
+				e, ok := q.Pop()
+				if !ok {
+					t.Fatal("queue emptied before its tick")
+				}
+				now = e.At()
+			}
+		}
+	})
+	slabs := 1 // the first allocation, then one per doubling
+	for c := minSlab; c < peak+1; c *= 2 {
+		slabs++
+	}
+	if allocs > float64(slabs) {
+		t.Fatalf("a second of ticks allocates %.0f times, want at most %d (slab for a peak of %d events)", allocs, slabs, peak)
+	}
+}
+
 // FuzzQueueEquivalence drives the calendar Queue and the test-only heap
-// oracle (heap_test.go) with one op stream — schedule (with fuzzer-chosen deltas, including ties and
-// beyond-horizon jumps), cancel, pop — and requires identical NextTime
+// oracle (heap_test.go) with one op stream — schedule (with
+// fuzzer-chosen deltas, including ties and beyond-horizon jumps),
+// cancel, pop — and requires identical NextTime, HeadKey and NextSeq
 // after every op and an identical pop sequence, both instants and
 // callback identities. Together with the uniqueness of (at, seq) this
-// is the order-equivalence proof the calendar queue ships under.
+// is the order-equivalence proof the calendar queue ships under, and
+// the proof that a caller ordering its own event against HeadKey and
+// NextSeq sees the keys a heap would give it.
 func FuzzQueueEquivalence(f *testing.F) {
 	f.Add([]byte{0, 10, 0, 20, 2, 2})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 1, 1, 2, 2, 2})
@@ -240,6 +284,14 @@ func FuzzQueueEquivalence(f *testing.F) {
 			}
 			if hn, cn := hq.NextTime(), cq.NextTime(); hn != cn {
 				t.Fatalf("NextTime diverged: heap %v calendar %v", hn, cn)
+			}
+			hAt, hSeq, hOK := hq.HeadKey()
+			cAt, cSeq, cOK := cq.HeadKey()
+			if hAt != cAt || hSeq != cSeq || hOK != cOK {
+				t.Fatalf("HeadKey diverged: heap (%v, %d, %v) calendar (%v, %d, %v)", hAt, hSeq, hOK, cAt, cSeq, cOK)
+			}
+			if hn, cn := hq.NextSeq(), cq.NextSeq(); hn != cn {
+				t.Fatalf("NextSeq diverged: heap %d calendar %d", hn, cn)
 			}
 		}
 		// Drain both and require the identical event identity sequence.

@@ -40,59 +40,51 @@ func (h Handle) At() simtime.Time { return h.at }
 // of the queue. Cancelling an already-fired or already-cancelled event is
 // a no-op.
 func (h Handle) Cancel() {
-	if h.q != nil && h.q.tickets[h.slot].gen == h.gen {
-		h.q.tickets[h.slot].cancelled = true
-		h.q.cal.memoOK = false
+	if h.q != nil && h.q.nodes[h.slot].gen == h.gen {
+		h.q.nodes[h.slot].cancelled = true
+		h.q.memoOK = false
 	}
 }
 
 // Cancelled reports whether Cancel has been called on the event (false
 // once the event has fired or been discarded).
 func (h Handle) Cancelled() bool {
-	return h.q != nil && h.q.tickets[h.slot].gen == h.gen && h.q.tickets[h.slot].cancelled
+	return h.q != nil && h.q.nodes[h.slot].gen == h.gen && h.q.nodes[h.slot].cancelled
 }
 
-// entry is one scheduled event inside a calendar bucket, stored by
-// value.
-type entry struct {
-	at   simtime.Time
-	seq  uint64
-	slot int32
-	fn   func(now simtime.Time)
-}
-
-// ticket carries the cancellation flag for one in-flight event. Slots are
-// recycled through a free list; gen disambiguates reuse so stale Handles
-// are inert.
-type ticket struct {
+// node is one slot of the queue's slab. A queued node holds its event,
+// its link in a bucket or the overflow list, and its cancellation
+// ticket; a free node is linked into the free list. gen counts the
+// slot's releases, so a Handle to an earlier occupant is inert.
+type node struct {
+	at        simtime.Time
+	seq       uint64
+	fn        func(now simtime.Time)
+	next      int32 // next node in the same list; 0 ends it
 	gen       uint32
 	cancelled bool
 }
 
+// minSlab is the slab's first allocation, in nodes (the sentinel
+// included); it doubles from there as the queue's peak grows.
+const minSlab = 16
+
 // Queue is a deterministic priority queue of events on a calendar
 // (bucket) layout; see calendar.go. The zero value is an empty queue
-// ready for use: the bucket ring is allocated by the first Schedule.
-// Pops follow the total order (at, seq), and seq is unique, so the order
-// never depends on the layout. Queue is not safe for concurrent use; the
-// simulator is single-threaded by construction.
+// ready for use: its bucket heads and occupancy bitset are fixed arrays,
+// and the first Schedule allocates the node slab. Pops follow the total
+// order (at, seq), and seq is unique, so the order never depends on the
+// layout. Queue is not safe for concurrent use; the simulator is
+// single-threaded by construction.
 type Queue struct {
-	seq     uint64
-	tickets []ticket
-	free    []int32
-	cal     calendar
-}
-
-// Grow pre-sizes the ticket slab for at least n concurrently scheduled
-// events. It does not size the calendar buckets: each bucket grows by
-// append the first time it holds more entries than it ever has, so a
-// queue stops allocating once every bucket has reached its steady-state
-// depth.
-func (q *Queue) Grow(n int) {
-	if cap(q.tickets) < n {
-		t := make([]ticket, len(q.tickets), n)
-		copy(t, q.tickets)
-		q.tickets = t
-	}
+	seq   uint64
+	count int // queued nodes, including cancelled ones not yet skipped
+	// nodes is the slab every queued event lives in. Node 0 is a
+	// sentinel, so a zero link or list head means "none"; free heads
+	// the list of released nodes.
+	nodes []node
+	free  int32
+	calendar
 }
 
 // Schedule enqueues fn to run at instant at and returns a handle that can
@@ -102,65 +94,87 @@ func (q *Queue) Schedule(at simtime.Time, fn func(now simtime.Time)) Handle {
 	if fn == nil {
 		panic("eventq: nil event function")
 	}
-	if q.cal.buckets == nil {
-		q.cal.init()
-	}
-	var slot int32
-	if n := len(q.free); n > 0 {
-		slot = q.free[n-1]
-		q.free = q.free[:n-1]
-		q.tickets[slot].cancelled = false
-	} else {
-		slot = int32(len(q.tickets))
-		q.tickets = append(q.tickets, ticket{})
-	}
-	q.cal.schedule(entry{at: at, seq: q.seq, slot: slot, fn: fn})
+	i := q.alloc()
+	n := &q.nodes[i]
+	n.at, n.seq, n.fn = at, q.seq, fn
 	q.seq++
-	return Handle{q: q, at: at, slot: slot, gen: q.tickets[slot].gen}
+	q.insert(i)
+	q.count++
+	return Handle{q: q, at: at, slot: i, gen: n.gen}
 }
+
+// NextSeq returns the sequence number the next Schedule will assign.
+// A caller that keeps an event of its own beside the queue orders it
+// against the queued ones by comparing keys: an event it takes at
+// (at, NextSeq()) sorts after everything scheduled so far and before
+// everything scheduled later.
+func (q *Queue) NextSeq() uint64 { return q.seq }
 
 // Len returns the number of events still enqueued, including cancelled
 // events that have not yet been skipped.
-func (q *Queue) Len() int { return q.cal.count }
+func (q *Queue) Len() int { return q.count }
 
 // Empty reports whether no live events remain. It discards any cancelled
 // events at the head of the queue.
 func (q *Queue) Empty() bool {
-	_, _, ok := q.cal.minLocate(q)
+	_, ok := q.minLocate()
 	return !ok
 }
 
 // NextTime returns the firing time of the earliest live event, or
 // simtime.Never when the queue is empty.
 func (q *Queue) NextTime() simtime.Time {
-	c := &q.cal
-	if c.memoOK { // skip the scan when the cached minimum is live
-		return c.buckets[c.memoP][c.memoI].at
-	}
-	p, i, ok := c.minLocate(q)
+	at, _, _ := q.HeadKey()
+	return at
+}
+
+// HeadKey returns the (time, sequence) key of the earliest live event,
+// the key Pop would return it under; ok is false, and at is
+// simtime.Never, when the queue is empty.
+func (q *Queue) HeadKey() (at simtime.Time, seq uint64, ok bool) {
+	i, ok := q.minLocate()
 	if !ok {
-		return simtime.Never
+		return simtime.Never, 0, false
 	}
-	return c.buckets[p][i].at
+	return q.nodes[i].at, q.nodes[i].seq, true
 }
 
 // Pop removes and returns the earliest live event; ok is false when the
 // queue is empty.
 func (q *Queue) Pop() (e Event, ok bool) {
-	c := &q.cal
-	p, i, ok := c.memoP, c.memoI, c.memoOK
+	i, ok := q.minLocate()
 	if !ok {
-		if p, i, ok = c.minLocate(q); !ok {
-			return Event{}, false
-		}
+		return Event{}, false
 	}
-	head := c.removeAt(q, p, i)
-	return Event{at: head.at, fn: head.fn}, true
+	e = Event{at: q.nodes[i].at, fn: q.nodes[i].fn}
+	q.unlinkMemo()
+	q.release(i)
+	q.count--
+	return e, true
 }
 
-// release recycles a ticket slot, invalidating outstanding Handles to it.
-func (q *Queue) release(slot int32) {
-	q.tickets[slot].gen++
-	q.tickets[slot].cancelled = false
-	q.free = append(q.free, slot)
+// alloc takes a node off the free list, or appends one to the slab,
+// which doubles when full.
+func (q *Queue) alloc() int32 {
+	if i := q.free; i != 0 {
+		q.free = q.nodes[i].next
+		return i
+	}
+	if q.nodes == nil {
+		q.nodes = make([]node, 1, minSlab)
+	}
+	q.nodes = append(q.nodes, node{})
+	return int32(len(q.nodes) - 1)
+}
+
+// release recycles node i onto the free list, invalidating outstanding
+// Handles to it and dropping its callback so the slab keeps nothing
+// alive.
+func (q *Queue) release(i int32) {
+	n := &q.nodes[i]
+	n.gen++
+	n.cancelled = false
+	n.fn = nil
+	n.next = q.free
+	q.free = i
 }

@@ -139,29 +139,53 @@ func TestStaleHandleInert(t *testing.T) {
 	}
 }
 
-// TestGrowPreservesContents checks Grow against a non-empty queue.
+// TestGrowPreservesContents grows the node slab through several
+// doublings while events, a cancellation and Handles are outstanding:
+// the moved nodes keep their order, their callbacks and their tickets.
 func TestGrowPreservesContents(t *testing.T) {
 	var q Queue
-	for i := 0; i < 10; i++ {
-		q.Schedule(simtime.Time(10-i), func(simtime.Time) {})
+	var got []int
+	var handles []Handle
+	const n = 10 * minSlab
+	for i := 0; i < n; i++ {
+		i := i
+		handles = append(handles, q.Schedule(simtime.Time(n-i)*bucket/4, func(simtime.Time) { got = append(got, i) }))
+		if i == 3 {
+			handles[3].Cancel()
+		}
 	}
-	q.Grow(1024)
+	if !handles[3].Cancelled() || handles[4].Cancelled() {
+		t.Fatalf("cancellation lost across slab growth")
+	}
 	var prev simtime.Time = -1
 	for !q.Empty() {
 		e, _ := q.Pop()
 		if e.At() < prev {
-			t.Fatalf("order broken after Grow")
+			t.Fatalf("order broken after slab growth")
 		}
 		prev = e.At()
+		e.Fire(e.At())
+	}
+	if len(got) != n-1 {
+		t.Fatalf("fired %d events, want %d", len(got), n-1)
+	}
+	want := n - 1 // scheduled latest-first, so they fire in reverse
+	for j, i := range got {
+		if want == 3 {
+			want-- // the cancelled one
+		}
+		if i != want {
+			t.Fatalf("pop %d fired event %d, want %d", j, i, want)
+		}
+		want--
 	}
 }
 
 // TestSchedulePopAllocFree is the allocation budget for the hot path: a
-// pre-grown queue must push and pop without allocating. The tentpole
-// perf work depends on this staying at zero.
+// warm queue must push and pop without allocating. The simulator's
+// per-event path depends on this staying at zero.
 func TestSchedulePopAllocFree(t *testing.T) {
 	var q Queue
-	q.Grow(64)
 	fn := func(simtime.Time) {}
 	var at simtime.Time
 	allocs := testing.AllocsPerRun(1000, func() {
@@ -179,7 +203,6 @@ func TestSchedulePopAllocFree(t *testing.T) {
 // TestCancelAllocFree: cancel plus the lazy skip must also be free.
 func TestCancelAllocFree(t *testing.T) {
 	var q Queue
-	q.Grow(64)
 	fn := func(simtime.Time) {}
 	var at simtime.Time
 	allocs := testing.AllocsPerRun(1000, func() {
@@ -290,7 +313,6 @@ func TestCancelSubsetProperty(t *testing.T) {
 func BenchmarkSchedulePop(b *testing.B) {
 	const spacing = 250 * simtime.Microsecond
 	var q Queue
-	q.Grow(1024)
 	fn := func(simtime.Time) {}
 	for i := 0; i < 512; i++ {
 		q.Schedule(simtime.Time(0).Add(simtime.Duration(i)*spacing), fn)

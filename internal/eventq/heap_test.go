@@ -50,6 +50,19 @@ func (q *heapQueue) NextTime() simtime.Time {
 	return q.h[0].at
 }
 
+// HeadKey returns the earliest live event's (at, seq), or
+// (simtime.Never, 0, false).
+func (q *heapQueue) HeadKey() (simtime.Time, uint64, bool) {
+	q.skipCancelled()
+	if len(q.h) == 0 {
+		return simtime.Never, 0, false
+	}
+	return q.h[0].at, q.h[0].seq, true
+}
+
+// NextSeq returns the seq the next Schedule will assign.
+func (q *heapQueue) NextSeq() uint64 { return uint64(len(q.done)) }
+
 // Pop removes and returns the earliest live event.
 func (q *heapQueue) Pop() (Event, bool) {
 	q.skipCancelled()

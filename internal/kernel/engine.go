@@ -43,9 +43,10 @@ func (t *Thread) SetBulkLoop(b BulkLoop) { t.bulk = b }
 // instant: the CPU is not stolen by interrupt handlers, no thread is
 // waiting on the ready queue, and the running thread (if any) is
 // idle-class. In this state the future is fully determined by the event
-// queue — every fault injection, timer, wakeup, and device completion
-// arrives as a queued event — which is what makes analytic idle-span
-// elision sound: nothing can happen strictly before NextTime.
+// queue and the idle thread's own chunks — every fault injection,
+// timer, wakeup, and device completion arrives as a queued event —
+// which is what makes analytic idle-span elision sound: nothing else
+// can happen strictly before NextTime.
 //
 // An idle-class peer sitting on the ready queue defeats the proof:
 // quantum round-robin between idle peers consumes scheduler state, so
@@ -122,13 +123,14 @@ func (k *Kernel) noteBulkCycle(t *Thread, r *request) {
 //
 // Exactness contract: the elided span replays the slow path's entire
 // observable footprint — counter deltas (misses are zero by
-// cleanliness; the rest scale linearly), the quantum accounting and
-// the one completion event scheduled per chunk (replicated via
-// SkipSeq so every later event receives the identical sequence
-// number), and the instrument's samples (via OnBulk). The cycle that
-// would straddle NextTime is never elided; it executes honestly and
-// is the sample that detects the tick or interrupt, exactly as the
-// paper's methodology requires.
+// cleanliness; the rest scale linearly), the quantum accounting, and
+// the instrument's samples (via OnBulk). A simulated cycle queues
+// nothing — each chunk's completion is armed beside the queue (Run) —
+// so the queue's sequence counter, and every later event's
+// (at, seq) key, is the same whether the cycles ran or were elided.
+// The cycle that would straddle NextTime is never elided; it executes
+// honestly and is the sample that detects the tick or interrupt,
+// exactly as the paper's methodology requires.
 func (k *Kernel) tryBulkSkip(t *Thread) {
 	if !t.bulkClean || k.rec != nil || k.shutdown {
 		return
@@ -137,7 +139,7 @@ func (k *Kernel) tryBulkSkip(t *Thread) {
 	if r == nil || r.kind != reqCompute2 || r.started || r.stage != 0 {
 		return
 	}
-	if t != k.current || k.completion.Valid() || !k.ProvablyIdle() {
+	if t != k.current || k.chunkArmed || !k.ProvablyIdle() {
 		return
 	}
 	d := t.sigD1 + t.sigD2
@@ -154,7 +156,7 @@ func (k *Kernel) tryBulkSkip(t *Thread) {
 	}
 	// Elide only cycles that end strictly before the next queued event
 	// AND no later than the current Run's horizon. The slow path
-	// completes every cycle whose completion event lands at or before
+	// completes every cycle whose last chunk completes at or before
 	// `until` within this Run call, stops the clock at `until` exactly,
 	// and finishes the straddling cycle in a later Run — so the clamp
 	// (horizon + 1 makes the bound inclusive) is what keeps Run's return
@@ -174,18 +176,15 @@ func (k *Kernel) tryBulkSkip(t *Thread) {
 		return
 	}
 
-	// Replay the scheduler arithmetic of n cycles: each cycle is two
-	// compute stages, each stage split into quantum-bounded chunks, and
-	// each chunk schedules exactly one completion event in the slow
-	// path. No peer is ready (ProvablyIdle), so quantum expiry resets
-	// the slice in place rather than requeueing.
-	elidedSchedules := uint64(0)
+	// Replay the quantum arithmetic of n cycles: each cycle is two
+	// compute stages, each stage split into quantum-bounded chunks. No
+	// peer is ready (ProvablyIdle), so quantum expiry resets the slice
+	// in place rather than requeueing.
 	qL := t.quantumLeft
 	quantum := k.cfg.Quantum
-	if total := simtime.Duration(n) * d; qL >= total && t.sigD1 > 0 && t.sigD2 > 0 {
-		// No refill fits inside the span, so every stage is exactly one
-		// chunk — the common case when the quantum dwarfs the cycle.
-		elidedSchedules = uint64(2 * n)
+	if total := simtime.Duration(n) * d; qL >= total {
+		// No refill fits inside the span — the common case when the
+		// quantum dwarfs the cycle.
 		qL -= total
 	} else {
 		for i := int64(0); i < n; i++ {
@@ -201,7 +200,6 @@ func (k *Kernel) tryBulkSkip(t *Thread) {
 					}
 					rem -= run
 					qL -= run
-					elidedSchedules++
 				}
 			}
 		}
@@ -212,7 +210,6 @@ func (k *Kernel) tryBulkSkip(t *Thread) {
 		}
 	}
 	start := k.now
-	k.q.SkipSeq(elidedSchedules)
 	k.advance(start.Add(simtime.Duration(n) * d))
 	t.quantumLeft = qL
 	k.bulkElided += n

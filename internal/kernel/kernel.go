@@ -148,16 +148,28 @@ type Kernel struct {
 	seq     uint64
 
 	current     *Thread
-	completion  eventq.Handle
 	stolenUntil simtime.Time
 	lastRun     *Thread
+
+	// The running chunk's completion is kept beside the queue, not in
+	// it: there is at most one at a time, yet queued it would be two
+	// thirds of all schedules and the target of every cancellation (an
+	// interrupt or a preemption cutting the chunk short). chunkArmed
+	// says a chunk is running; it completes at chunkEnd. chunkSeq is
+	// the sequence number the queue was to give its next event when the
+	// chunk started, so Run fires the completion exactly where a queued
+	// one would have fired: before every event scheduled after the chunk
+	// started, and after every one scheduled before it for the same
+	// instant.
+	chunkArmed bool
+	chunkEnd   simtime.Time
+	chunkSeq   uint64
 
 	// Cached event callbacks: the scheduler arms these thousands of
 	// times per simulated second, and recreating the closure (or method
 	// value) on every arm was a measurable share of all allocations.
-	onCompletionFn func(now simtime.Time)
-	reconcileFn    func(now simtime.Time)
-	clockFn        func(now simtime.Time)
+	reconcileFn func(now simtime.Time)
+	clockFn     func(now simtime.Time)
 
 	inReconcile    bool
 	reconcileAgain bool
@@ -215,8 +227,6 @@ func New(cfg Config) *Kernel {
 	prof := cfg.Machine.OrDefault()
 	cfg.Machine = prof
 	k := &Kernel{cfg: cfg}
-	k.q.Grow(256)
-	k.onCompletionFn = k.onCompletion
 	k.reconcileFn = func(now simtime.Time) { k.reconcile() }
 	k.cpu = cpu.NewFor(prof)
 	if cfg.DomainCrossingCycles != 0 {
@@ -406,21 +416,35 @@ func (k *Kernel) Spawn(name string, proc ProcID, prio int, body func(tc *TC)) *T
 	return t
 }
 
-// Run processes events until the queue empties or simulated time would
-// pass `until`. It returns the time at which it stopped.
+// Run processes events until none remain or simulated time would pass
+// `until`. It returns the time at which it stopped.
 func (k *Kernel) Run(until simtime.Time) simtime.Time {
 	// Idle elision must never advance past the run horizon: the
 	// slow path stops mid-cycle at `until` exactly, so bulk elision is
 	// clamped to cycles ending at or before it (tryBulkSkip).
 	k.runUntil = until
 	for {
-		next := k.q.NextTime()
-		if next == simtime.Never || next > until {
+		// The next event is the queue head or the running chunk's
+		// completion, whichever comes first in (time, seq) order. The
+		// completion holds the seq the queue was to assign next when the
+		// chunk started, which it never used: at the same instant it
+		// loses to events scheduled before the chunk started and wins
+		// against the first one scheduled after.
+		at, seq, ok := k.q.HeadKey()
+		chunk := k.chunkArmed && (k.chunkEnd < at || (k.chunkEnd == at && k.chunkSeq <= seq))
+		if chunk {
+			at, ok = k.chunkEnd, true
+		}
+		if !ok || at > until {
 			k.advance(until)
 			return k.now
 		}
+		k.advance(at)
+		if chunk {
+			k.completeChunk()
+			continue
+		}
 		e, _ := k.q.Pop()
-		k.advance(e.At())
 		e.Fire(k.now)
 	}
 }

@@ -143,6 +143,64 @@ func TestInterruptStealsTime(t *testing.T) {
 	}
 }
 
+// TestCompletionTieRule pins where a chunk's completion falls among
+// queued events due at the same instant, which no golden does: after an
+// event scheduled before the chunk started, before one scheduled after
+// it. The interrupt's 1 ms handler delays the thread only when it fires
+// first.
+func TestCompletionTieRule(t *testing.T) {
+	const due = simtime.Time(5 * simtime.Millisecond)
+	run := func(interruptFirst bool) simtime.Time {
+		k := New(quietConfig())
+		defer k.Shutdown()
+		interrupt := func() {
+			k.At(due, func(simtime.Time) { k.RaiseInterrupt(burn("handler", 1), nil) })
+		}
+		if interruptFirst {
+			interrupt()
+		}
+		var done simtime.Time
+		k.Spawn("worker", 1, 8, func(tc *TC) {
+			tc.Compute(burn("w", 5)) // the chunk starts inside Spawn
+			done = tc.Now()
+		})
+		if !interruptFirst {
+			interrupt()
+		}
+		k.Run(simtime.Time(simtime.Second))
+		return done
+	}
+	if got := run(true); got != simtime.Time(6*simtime.Millisecond) {
+		t.Errorf("interrupt queued before the chunk started: thread done at %v, want 6ms (behind the handler)", got)
+	}
+	if got := run(false); got != due {
+		t.Errorf("interrupt queued after the chunk started: thread done at %v, want 5ms (completion first)", got)
+	}
+}
+
+// TestComputeChunksQueueNothing pins that a chunk's completion is armed
+// beside the event queue: a run of compute chunks schedules nothing, so
+// the queue's sequence counter does not move.
+func TestComputeChunksQueueNothing(t *testing.T) {
+	k := New(quietConfig())
+	defer k.Shutdown()
+	before := k.QueueSeq()
+	var done simtime.Time
+	k.Spawn("worker", 1, 8, func(tc *TC) {
+		for i := 0; i < 8; i++ {
+			tc.Compute(burn("w", 1))
+		}
+		done = tc.Now()
+	})
+	k.Run(simtime.Time(9 * simtime.Millisecond)) // before the first clock tick
+	if done != simtime.Time(8*simtime.Millisecond) {
+		t.Fatalf("computes finished at %v, want 8ms", done)
+	}
+	if after := k.QueueSeq(); after != before {
+		t.Fatalf("8 compute chunks moved the queue's sequence counter from %d to %d", before, after)
+	}
+}
+
 // TestStealReusesReconcileCallback pins that stealing the CPU arms the
 // kernel's cached reconcile callback instead of building a closure per
 // call: a steal scheduled and popped in steady state allocates nothing.

@@ -3,7 +3,6 @@ package kernel
 import (
 	"fmt"
 
-	"latlab/internal/eventq"
 	"latlab/internal/simtime"
 	"latlab/internal/spans"
 	"latlab/internal/trace"
@@ -13,7 +12,8 @@ import (
 // (wakeup, interrupt, completion, spawn) it re-establishes the invariant
 // that either the CPU is stolen by interrupt handlers (with a reconcile
 // event pending at stolenUntil), or the best-priority runnable thread is
-// current with a completion event scheduled, or nothing is runnable.
+// current with its chunk's completion armed beside the queue, or nothing
+// is runnable.
 //
 // It is guarded against reentrancy: hooks and thread steps can trigger
 // nested calls, which are absorbed into the outer loop.
@@ -60,7 +60,7 @@ func (k *Kernel) reconcile() {
 
 		t := k.current
 		if t.remaining > 0 {
-			if !k.completion.Valid() && !k.startChunk(t) {
+			if !k.chunkArmed && !k.startChunk(t) {
 				continue // context-switch charge or quantum requeue
 			}
 			if k.reconcileAgain {
@@ -75,10 +75,14 @@ func (k *Kernel) reconcile() {
 	k.updateBusy()
 }
 
-// startChunk gives the CPU to t for min(remaining, quantum). It returns
-// false when the chunk could not start yet: a context-switch charge stole
-// the CPU (a reconcile event is pending), or the quantum expired and t
-// was requeued behind an equal-priority peer.
+// startChunk gives the CPU to t for min(remaining, quantum), arming the
+// chunk's completion beside the queue: its instant, and the sequence
+// number the queue would give its next event, which fixes where the
+// completion falls among queued events due at the same instant (see
+// Run). Nothing is queued, so the queue's sequence counter does not
+// move. It returns false when the chunk could not start yet: a
+// context-switch charge stole the CPU (a reconcile event is pending), or
+// the quantum expired and t was requeued behind an equal-priority peer.
 func (k *Kernel) startChunk(t *Thread) bool {
 	if t != k.lastRun {
 		k.ctxSwitches++
@@ -110,18 +114,19 @@ func (k *Kernel) startChunk(t *Thread) bool {
 		runFor = t.quantumLeft
 	}
 	t.runStart = k.now
-	k.completion = k.q.Schedule(k.now.Add(runFor), k.onCompletionFn)
+	k.chunkArmed, k.chunkEnd, k.chunkSeq = true, k.now.Add(runFor), k.q.NextSeq()
 	return true
 }
 
-// onCompletion fires when the current thread's chunk (or quantum) ends.
-func (k *Kernel) onCompletion(now simtime.Time) {
-	k.completion = eventq.Handle{}
+// completeChunk runs when the current thread's chunk (or quantum) ends:
+// Run calls it at chunkEnd, in the chunk's place in the event order.
+func (k *Kernel) completeChunk() {
+	k.chunkArmed = false
 	t := k.current
 	if t == nil {
 		return
 	}
-	k.accountRun(t, now)
+	k.accountRun(t, k.now)
 	if t.remaining > 0 && t.quantumLeft <= 0 && k.hasReadyAtPrio(t.prio) {
 		k.current = nil
 		k.makeReady(t)
@@ -129,14 +134,13 @@ func (k *Kernel) onCompletion(now simtime.Time) {
 	k.reconcile()
 }
 
-// pauseCurrent stops the running chunk, banking its progress, so the CPU
-// can be stolen or switched.
+// pauseCurrent stops the running chunk, banking its progress and
+// disarming its completion, so the CPU can be stolen or switched.
 func (k *Kernel) pauseCurrent() {
-	if k.current == nil || !k.completion.Valid() {
+	if k.current == nil || !k.chunkArmed {
 		return
 	}
-	k.completion.Cancel()
-	k.completion = eventq.Handle{}
+	k.chunkArmed = false
 	k.accountRun(k.current, k.now)
 }
 
