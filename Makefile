@@ -12,7 +12,7 @@ GO ?= go
 # dedicated hardware. allocs/op and B/op are deterministic, so their
 # floor stays tight; they are the reliable regression tripwires
 # everywhere.
-BENCH_GATE_PAT  = ^(BenchmarkSimulatorThroughput|BenchmarkBatchThroughput|BenchmarkBoot|BenchmarkRunCells|BenchmarkThreadHandshake|BenchmarkWinsysCall|BenchmarkExtraction|BenchmarkDriveFSM|BenchmarkSchedulePop|BenchmarkLRUTouch|BenchmarkLRUTouchTLB|BenchmarkWriteIdleCSV|BenchmarkSketchAdd)$$
+BENCH_GATE_PAT  = ^(BenchmarkSimulatorThroughput|BenchmarkBatchThroughput|BenchmarkBoot|BenchmarkRunCells|BenchmarkThreadHandshake|BenchmarkWinsysCall|BenchmarkExtraction|BenchmarkDriveFSM|BenchmarkSchedulePop|BenchmarkLRUTouch|BenchmarkLRUTouchTLB|BenchmarkTouchPages|BenchmarkWriteIdleCSV|BenchmarkSketchAdd)$$
 BENCH_GATE_PKGS = . ./internal/eventq ./internal/mem ./internal/trace ./internal/stats
 BENCH_NS_TOL    ?= 0.25
 BENCH_ALLOC_TOL ?= 0.10
@@ -115,8 +115,9 @@ cover:
 # (calendar queue vs a test-only heap oracle on random schedule/cancel
 # programs), the differential think/wait replay (DriveFSM's merge vs
 # a test-only sorting oracle on random monotone probe logs), and the
-# differential LRU check (the grow-on-demand TLB/cache LRU vs a test-only
-# pre-allocating oracle on random touch/insert/evict/flush streams), and
+# differential LRU check (the run-based TLB/cache LRU vs a test-only
+# per-id oracle on random touch/insert/evict/flush and page-list
+# streams), and
 # the differential kernel-loop check (a random script of primitives
 # issued through TC.Loop vs one by one, under ticks, keystrokes,
 # preemption and disk faults).

@@ -25,6 +25,11 @@
 // cells, and with -emit-spec writes those suggestions as a runnable
 // follow-up spec.
 //
+// Profiling: -cpuprofile and -memprofile on run and resume write a CPU
+// profile of the run and an allocation profile at its end (pprof
+// format) to the files named; the ledger, the quarantine sidecar and
+// stdout are the same with or without them.
+//
 // Crash injection (testing): the LATLAB_CAMPAIGN_INJECT environment
 // variable accepts comma-separated directives — `sleep=50ms` delays
 // every cell attempt, `fail=SUBSTR` fails every attempt of cells whose
@@ -49,6 +54,7 @@ import (
 	"time"
 
 	"latlab/internal/campaign"
+	"latlab/internal/hostprof"
 )
 
 // Exit codes, so agents and CI can branch on outcome without parsing
@@ -94,8 +100,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 func usage(w io.Writer) {
 	fmt.Fprint(w, `usage:
   campaign run     -spec spec.json -ledger out.jsonl [-quick] [-jobs N] [-timeout D]
+                   [-cpuprofile F] [-memprofile F]
   campaign resume  -spec spec.json -ledger out.jsonl [-quick] [-jobs N] [-timeout D]
-                   [-retry-budget N] [-backoff D]
+                   [-retry-budget N] [-backoff D] [-cpuprofile F] [-memprofile F]
   campaign analyze -ledger out.jsonl [-out report.txt]
                    [-emit-spec next.json -spec spec.json]
   campaign repair  -ledger out.jsonl
@@ -113,6 +120,10 @@ in canonical order — an interrupted run plus a resume reproduces the
 uninterrupted ledger byte for byte. Quarantined cells are retried with
 the same seeds, with exponential -backoff between attempts, until each
 cell's total attempts reach -retry-budget.
+
+-cpuprofile and -memprofile (run and resume) write a CPU profile of the
+run and an allocation profile at its end, in pprof format, for 'go tool
+pprof'; the ledger and every other output are unchanged by them.
 
 analyze replays a ledger: merges each configuration's cells, ranks
 configurations by p95 (ties: p50, jitter), renders a KPI table, and
@@ -146,7 +157,7 @@ func (e planErr) Error() string { return e.err.Error() }
 // runCampaign implements `campaign run` (resume=false) and `campaign
 // resume` (resume=true); the two share everything but cell selection
 // and the retry budget.
-func runCampaign(args []string, stdout, stderr io.Writer, resume bool) int {
+func runCampaign(args []string, stdout, stderr io.Writer, resume bool) (code int) {
 	name := "campaign run"
 	if resume {
 		name = "campaign resume"
@@ -159,6 +170,8 @@ func runCampaign(args []string, stdout, stderr io.Writer, resume bool) int {
 		quick      = fs.Bool("quick", false, "trim workload sizes (for smoke runs)")
 		jobs       = fs.Int("jobs", runtime.NumCPU(), "run up to N cells concurrently")
 		timeout    = fs.Duration("timeout", 0, "per-cell timeout, retries included (0 = none)")
+		cpuProf    = fs.String("cpuprofile", "", "write a CPU profile of this run (pprof format) to this file")
+		memProf    = fs.String("memprofile", "", "write an allocation profile at the end of this run (pprof format) to this file")
 	)
 	budget, backoff := new(int), new(time.Duration)
 	if resume {
@@ -172,6 +185,19 @@ func runCampaign(args []string, stdout, stderr io.Writer, resume bool) int {
 		fmt.Fprintf(stderr, "%s: -spec and -ledger are required\n", name)
 		return exitUsage
 	}
+	stopProf, err := hostprof.Start(*cpuProf, *memProf)
+	if err != nil {
+		fmt.Fprintf(stderr, "%s: %v\n", name, err)
+		return exitUsage
+	}
+	defer func() {
+		if err := stopProf(); err != nil {
+			fmt.Fprintf(stderr, "%s: %v\n", name, err)
+			if code == exitOK {
+				code = exitUsage
+			}
+		}
+	}()
 	c, err := campaign.LoadSpec(*specPath)
 	if err != nil {
 		fmt.Fprintln(stderr, err)

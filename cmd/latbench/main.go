@@ -14,6 +14,7 @@
 //	         [-out results.txt] [-jobs N] [-timeout 5m] [-retries N]
 //	         [-json manifest.json] [-csv-dir dir] [-svg-dir dir]
 //	         [-trace trace.json] [-attrib attrib.csv]
+//	         [-cpuprofile cpu.prof] [-memprofile mem.prof]
 //	latbench -scenario doc.json [-force]
 //	latbench -run corpus [-corpus dir]
 //
@@ -27,6 +28,11 @@
 // and writes them as Chrome trace-event JSON (load the file in Perfetto
 // or chrome://tracing); -attrib reduces the same spans to a per-episode
 // "where did the time go" CSV (render it with traceview -attrib).
+//
+// -cpuprofile and -memprofile profile latbench itself, the host
+// process, for `go tool pprof`: a CPU profile of the whole run and an
+// allocation profile at its end. They leave every other output
+// untouched.
 package main
 
 import (
@@ -42,6 +48,7 @@ import (
 	"strings"
 
 	"latlab/internal/experiments"
+	"latlab/internal/hostprof"
 	"latlab/internal/machine"
 	"latlab/internal/runner"
 	"latlab/internal/scenario"
@@ -54,7 +61,7 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string, stdout, stderr io.Writer) int {
+func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("latbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -75,11 +82,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 		scenPath  = fs.String("scenario", "", "compile and run the scenario document at this path")
 		corpusDir = fs.String("corpus", "testdata/scenarios", "scenario corpus directory replayed by -run corpus")
 		force     = fs.Bool("force", false, "let a scenario's pinned machine silently override an explicit -machine")
+		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile of this run (pprof format) to this file")
+		memProf   = fs.String("memprofile", "", "write an allocation profile at the end of this run (pprof format) to this file")
 	)
 	fs.Usage = func() { groupedUsage(fs, stderr) }
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	stopProf, err := hostprof.Start(*cpuProf, *memProf)
+	if err != nil {
+		fmt.Fprintf(stderr, "latbench: %v\n", err)
+		return 1
+	}
+	defer func() {
+		if err := stopProf(); err != nil {
+			fmt.Fprintf(stderr, "latbench: %v\n", err)
+			if code == 0 {
+				code = 1
+			}
+		}
+	}()
 	userSet := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { userSet[f.Name] = true })
 
@@ -329,6 +351,7 @@ func groupedUsage(fs *flag.FlagSet, w io.Writer) {
 		{"run selection", []string{"list", "run", "quick", "seed", "jobs", "timeout", "retries"}},
 		{"output", []string{"out", "json", "csv-dir", "svg-dir", "trace", "attrib"}},
 		{"machine & scenario", []string{"machine", "scenario", "corpus", "force"}},
+		{"host profiling", []string{"cpuprofile", "memprofile"}},
 	}
 	for _, g := range groups {
 		fmt.Fprintf(w, "\n%s:\n", g.title)

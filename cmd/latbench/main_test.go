@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"compress/gzip"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -437,6 +439,59 @@ func TestExportErrorLeavesNoOutFile(t *testing.T) {
 	for _, e := range entries {
 		if strings.HasPrefix(e.Name(), ".results.txt.tmp") {
 			t.Fatalf("temp file left behind: %s", e.Name())
+		}
+	}
+}
+
+// checkPprof fails t unless path holds a non-empty gzipped profile.
+func checkPprof(t *testing.T, path string) {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatalf("%s is not gzip data: %v", path, err)
+	}
+	if raw, err := io.ReadAll(zr); err != nil || len(raw) == 0 {
+		t.Fatalf("%s holds %d bytes of profile (%v), want a non-empty profile", path, len(raw), err)
+	}
+}
+
+// TestProfileFlagsLeaveOutputUnchanged: -cpuprofile and -memprofile
+// write pprof data to their own files; the -out file is the unprofiled
+// run's byte for byte, and stdout stays empty.
+func TestProfileFlagsLeaveOutputUnchanged(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	var outs [2][]byte
+	for i, extra := range [][]string{nil, {"-cpuprofile", cpu, "-memprofile", mem}} {
+		path := filepath.Join(dir, fmt.Sprintf("out%d.txt", i))
+		var out, errBuf strings.Builder
+		if code := run(append([]string{"-quick", "-run", "fig1", "-out", path}, extra...), &out, &errBuf); code != 0 {
+			t.Fatalf("%v: exit %d: %s", extra, code, errBuf.String())
+		}
+		if out.Len() != 0 {
+			t.Fatalf("%v: stdout %q, want nothing beside -out", extra, out.String())
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		outs[i] = data
+	}
+	if !bytes.Equal(outs[0], outs[1]) {
+		t.Fatal("a profiled run's -out file differs from the unprofiled run's")
+	}
+	checkPprof(t, cpu)
+	checkPprof(t, mem)
+
+	for _, flag := range []string{"-cpuprofile", "-memprofile"} {
+		var out, errBuf strings.Builder
+		if code := run([]string{"-quick", "-run", "fig1", flag, filepath.Join(dir, "nope", "x.prof")}, &out, &errBuf); code != 1 || out.Len() != 0 {
+			t.Fatalf("unwritable %s: exit %d, stdout %q; want 1 and nothing run", flag, code, out.String())
 		}
 	}
 }

@@ -45,6 +45,9 @@ type IdleLoop struct {
 	// start. It lives on the struct rather than the loop closure so the
 	// bulk-elision path (OnBulk) can roll it forward.
 	start int64
+	// loopSeg and recordSeg are what one sample executes: the calibrated
+	// busy-wait, then the record's generation.
+	loopSeg, recordSeg cpu.Segment
 }
 
 // StartIdleLoop calibrates and spawns the instrument with a trace buffer
@@ -63,7 +66,7 @@ func StartIdleLoopBuffer(k *kernel.Kernel, buf *trace.Buffer) *IdleLoop {
 		n:    CalibrateN(k.CPU().Freq),
 		freq: k.CPU().Freq,
 	}
-	loopSeg := cpu.Segment{
+	il.loopSeg = cpu.Segment{
 		Name:         "idle-busywait",
 		BaseCycles:   il.n * perIterationCycles,
 		Instructions: il.n * 2,
@@ -72,7 +75,7 @@ func StartIdleLoopBuffer(k *kernel.Kernel, buf *trace.Buffer) *IdleLoop {
 		CodePages: []uint64{40},
 		DataPages: []uint64{41},
 	}
-	recordSeg := cpu.Segment{
+	il.recordSeg = cpu.Segment{
 		Name:         "idle-record",
 		BaseCycles:   recordCycles,
 		Instructions: 60,
@@ -104,7 +107,7 @@ func StartIdleLoopBuffer(k *kernel.Kernel, buf *trace.Buffer) *IdleLoop {
 		// kernel processes one request per record — keeping the
 		// instrument's own overhead minimal, as the paper requires of
 		// its idle loop (§2.2).
-		lc.Compute2(loopSeg, recordSeg)
+		lc.Compute2(il.loopSeg, il.recordSeg)
 		return true
 	})
 	il.thread.SetBulkLoop(il)

@@ -184,3 +184,23 @@ func TestStolenMatchesGroundTruth(t *testing.T) {
 		t.Fatalf("stolen %v vs ground truth %v (diff %v)", stolen, truth, diff)
 	}
 }
+
+// The idle loop's two segments touch page lists of one ascending run
+// each, the shape internal/mem prices cheapest (see cpu.Segment); a
+// list reordered by a later edit fails here instead of silently
+// costing more per sample.
+func TestIdleLoopSegmentsAreRuns(t *testing.T) {
+	k := kernel.New(quietConfig())
+	defer k.Shutdown()
+	il := StartIdleLoop(k, 4)
+	for _, seg := range []cpu.Segment{il.loopSeg, il.recordSeg} {
+		for _, list := range [][]uint64{seg.CodePages, seg.DataPages, seg.CacheChunks} {
+			for i := 1; i < len(list); i++ {
+				if list[i] != list[i-1]+1 {
+					t.Errorf("%s: list %v is not one ascending run", seg.Name, list)
+					break
+				}
+			}
+		}
+	}
+}

@@ -73,10 +73,15 @@ type Segment struct {
 	Name string
 	// BaseCycles is the cost with all TLB and cache accesses hitting.
 	BaseCycles int64
-	// CodePages and DataPages identify the TLB working set.
+	// CodePages and DataPages identify the TLB working set, touched in
+	// list order. The memory system prices a list per ascending run of
+	// consecutive ids (internal/mem), so lay a working set out as such
+	// runs; any order gives the same hits, misses and recency, only
+	// slower.
 	CodePages []uint64
 	DataPages []uint64
-	// CacheChunks identifies the cache working set.
+	// CacheChunks identifies the cache working set, touched the same
+	// way.
 	CacheChunks []uint64
 	// Instructions and DataRefs are counter feed only (no cost beyond
 	// BaseCycles); roughly proportional to cycles on a warm machine, as

@@ -3,10 +3,11 @@ package mem
 // oracleLRU is the LRU the package shipped before the slab grew on
 // demand: a capacity-hinted index map, a node slab of every slot and a
 // free list filled with every slot, all allocated at construction, and a
-// flush that refills the free list. It is kept, test-only, as the oracle
-// that FuzzLRUEquivalence and TestLRUEquivalenceRandom hold LRU to: slot
-// numbers are never observable, so the two must agree on every hit, miss
-// and recency order.
+// flush that refills the free list. One node holds one identifier, and a
+// list is touched one identifier at a time. It is kept, test-only, as
+// the oracle that FuzzLRUEquivalence and TestLRUEquivalenceRandom hold
+// LRU to: slots, windows and blocks are never observable, so the two
+// must agree on every hit, miss and recency order.
 type oracleLRU struct {
 	cap   int
 	index map[uint64]int32
@@ -14,6 +15,13 @@ type oracleLRU struct {
 	free  []int32
 	head  int32
 	tail  int32
+}
+
+// node is one slab slot of the oracle's intrusive recency list; prev
+// and next are slot indices, noSlot for none.
+type node struct {
+	id         uint64
+	prev, next int32
 }
 
 func newOracleLRU(capacity int) *oracleLRU {

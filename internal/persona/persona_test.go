@@ -135,3 +135,23 @@ func TestArchitecturalDifferences(t *testing.T) {
 		t.Fatalf("WordLinger should be set only for Windows 95")
 	}
 }
+
+// Every persona's interrupt and context-switch segments touch page
+// lists of one ascending run each, the shape internal/mem prices
+// cheapest (see cpu.Segment); a list reordered by a later edit fails
+// here instead of silently costing more per interrupt.
+func TestKernelSegmentsAreRuns(t *testing.T) {
+	for _, p := range All() {
+		k := p.Kernel
+		for _, seg := range []cpu.Segment{k.ClockInterrupt, k.KeyboardInterrupt, k.MouseInterrupt, k.DiskInterrupt, k.ContextSwitch} {
+			for _, list := range [][]uint64{seg.CodePages, seg.DataPages, seg.CacheChunks} {
+				for i := 1; i < len(list); i++ {
+					if list[i] != list[i-1]+1 {
+						t.Errorf("%s %s: list %v is not one ascending run", p.Short, seg.Name, list)
+						break
+					}
+				}
+			}
+		}
+	}
+}
