@@ -217,10 +217,7 @@ func BenchmarkAblationCrossingFlush(b *testing.B) {
 		p := persona.NT351()
 		with = keystrokeLatency(b, p)
 		noFlush := p
-		// Wholesale cost-model override: default hardware penalties but a
-		// free crossing (DomainCrossingCycles alone cannot express "zero").
-		noFlush.Kernel.Penalties = cpu.DefaultPenalties()
-		noFlush.Kernel.Penalties.DomainCrossing = 0
+		// A free crossing on the same hardware penalties.
 		noFlush.Kernel.DomainCrossingCycles = 0
 		noFlush.Kernel.FlushOnProcessSwitch = false
 		without = keystrokeLatency(b, noFlush)

@@ -41,10 +41,12 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 
 	"latlab/internal/experiments"
@@ -429,8 +431,13 @@ type atomicFile struct {
 	done bool
 }
 
+// newAtomicFile opens a hidden temp file with a random name beside path.
+// Like os.Create, and unlike os.CreateTemp's owner-only 0600, it asks
+// for mode 0666 and leaves the rest to the umask, so the committed file
+// has the mode a direct write would have given it.
 func newAtomicFile(path string) (*atomicFile, error) {
-	f, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp*")
+	tmp := filepath.Join(filepath.Dir(path), "."+filepath.Base(path)+".tmp"+strconv.FormatUint(rand.Uint64(), 36))
+	f, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o666)
 	if err != nil {
 		return nil, err
 	}

@@ -169,6 +169,34 @@ func TestOutFile(t *testing.T) {
 	}
 }
 
+// An -out file is written under a temp name and renamed into place, yet
+// it must get the mode a direct os.Create would have given it (0666
+// less umask), not the owner-only 0600 of os.CreateTemp.
+func TestOutFileModeMatchesCreate(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "results.txt")
+	var out, errBuf strings.Builder
+	if code := run([]string{"-quick", "-run", "fig1", "-out", path}, &out, &errBuf); code != 0 {
+		t.Fatalf("exit %d: %s", code, errBuf.String())
+	}
+	f, err := os.Create(filepath.Join(dir, "sibling.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	want, err := os.Stat(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Mode() != want.Mode() {
+		t.Fatalf("-out file mode %v, want %v (as os.Create makes it)", got.Mode(), want.Mode())
+	}
+}
+
 func TestCSVExport(t *testing.T) {
 	dir := t.TempDir()
 	var out, errBuf strings.Builder

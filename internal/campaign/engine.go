@@ -28,9 +28,6 @@ type Options struct {
 	// backoff included; 0 means no limit. A timed-out cell is
 	// quarantined, not fatal.
 	Timeout time.Duration
-	// Alpha is the sketch relative accuracy; 0 means
-	// stats.DefaultSketchAlpha.
-	Alpha float64
 	// RetryBudget caps the total attempts a quarantined cell may consume
 	// across the original run and every resume. Cells without a prior
 	// quarantine entry always get exactly one attempt (failures are
@@ -79,14 +76,10 @@ type Options struct {
 // DefaultBatch is the batch width Options.Batch <= 0 selects.
 const DefaultBatch = 8
 
-// SketchAlpha resolves the sketch accuracy the options run with —
-// the value resume planning must match against existing records.
-func (o Options) SketchAlpha() float64 {
-	if o.Alpha == 0 {
-		return stats.DefaultSketchAlpha
-	}
-	return o.Alpha
-}
+// SketchAlpha returns the sketch accuracy every campaign runs with,
+// stats.DefaultSketchAlpha — the value resume planning must match
+// against existing records.
+func (o Options) SketchAlpha() float64 { return stats.DefaultSketchAlpha }
 
 // attemptsFor returns how many attempts the cell may consume this run.
 func (o Options) attemptsFor(id string) (prior, allowed int) {

@@ -5,8 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"os"
-	"path/filepath"
+	"strconv"
 	"strings"
 )
 
@@ -188,7 +189,9 @@ func LoadQuarantine(path string) ([]Quarantine, error) {
 // given entries (write to a temp file, fsync, rename), compacting the
 // append-only stream; with no entries the sidecar is removed. A crash
 // at any point leaves either the old file or the new one, never a torn
-// sidecar.
+// sidecar. The temp file has a random name and mode 0644 less umask,
+// the mode the sidecar gets when it is first appended to (os.CreateTemp
+// would make it 0600).
 func WriteQuarantine(path string, entries []Quarantine) error {
 	if len(entries) == 0 {
 		if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
@@ -196,7 +199,7 @@ func WriteQuarantine(path string, entries []Quarantine) error {
 		}
 		return nil
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
+	tmp, err := os.OpenFile(path+".tmp-"+strconv.FormatUint(rand.Uint64(), 36), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return fmt.Errorf("campaign: %w", err)
 	}

@@ -144,6 +144,33 @@ func TestWriteAndLoadQuarantine(t *testing.T) {
 	}
 }
 
+// A compacted sidecar replaces one the CLI appended to, so it must keep
+// that file's mode (0644 less umask), not os.CreateTemp's 0600.
+func TestWriteQuarantineModeMatchesAppend(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "q.jsonl")
+	if err := WriteQuarantine(path, []Quarantine{sampleQuarantine()}); err != nil {
+		t.Fatal(err)
+	}
+	// The way cmd/campaign opens the sidecar to append to it.
+	f, err := os.OpenFile(filepath.Join(dir, "appended.jsonl"), os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	want, err := os.Stat(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Mode() != want.Mode() {
+		t.Fatalf("compacted sidecar mode %v, want %v (as an appended one)", got.Mode(), want.Mode())
+	}
+}
+
 // FuzzParseQuarantine mirrors FuzzParseLedger: whatever the input, the
 // parser must never panic, and accepted entries must round-trip to the
 // canonical bytes.

@@ -135,11 +135,12 @@ func TestEngineEquivalenceModernMachine(t *testing.T) {
 	requireIdenticalMachines(t, oracle, fast)
 }
 
-// TestEngineEquivalenceQuantumStraddle pins the subtlest piece of the
-// elision replay: idle cycles whose compute chunks straddle scheduler
-// quantum boundaries must replicate the slow path's per-chunk completion
-// events (sequence numbers) and leftover quantum. A 2.5 ms quantum slices
-// each 1 ms idle cycle differently on every iteration.
+// TestEngineEquivalenceQuantumStraddle runs the elision proof under a
+// 2.5 ms quantum, which slices each 1 ms idle cycle differently on every
+// iteration, so elided spans straddle quantum refills. It cannot see the
+// leftover quantum such a span leaves: each worker wakeup preempts the
+// idle thread, and re-dispatch resets its slice.
+// TestElisionReplaysLeftoverQuantum (internal/kernel) checks that value.
 func TestEngineEquivalenceQuantumStraddle(t *testing.T) {
 	cfg := kernel.DefaultConfig()
 	cfg.Quantum = 2500 * simtime.Microsecond

@@ -52,7 +52,8 @@ func DefaultPenalties() Penalties {
 // profile: the TLB-miss cost is the page walk, the cache-miss cost the
 // DRAM latency, both in cycles of that profile's clock. DomainCrossing
 // is an OS/architecture cost, not a hardware one, so it keeps the
-// default here and is overridden per persona.
+// default here and the kernel replaces it with the persona's
+// (kernel.Config.DomainCrossingCycles).
 func PenaltiesFor(prof machine.Profile) Penalties {
 	prof = prof.OrDefault()
 	return Penalties{
@@ -178,30 +179,57 @@ func (c *CPU) Add(k EventKind, n int64) { c.counts[k] += n }
 func (c *CPU) Snapshot() [NumEventKinds]int64 { return c.counts }
 
 // Execute runs a segment against the memory system and returns its cost.
-// It updates the event counters as a side effect.
+// It updates the event counters as a side effect, and with a recorder
+// attached it emits the segment's spans (traceExec).
 func (c *CPU) Execute(seg Segment) (cycles int64, d simtime.Duration) {
-	if c.rec != nil {
-		return c.executeTraced(seg)
-	}
 	im := c.Mem.TouchCode(seg.CodePages)
 	dm := c.Mem.TouchData(seg.DataPages)
-	cm := c.Mem.TouchCache(seg.CacheChunks)
+	cm := int64(c.Mem.TouchCache(seg.CacheChunks))
 
-	cycles = seg.BaseCycles
-	cycles += int64(im+dm) * c.Penalties.TLBMiss
-	cycles += int64(cm) * c.Penalties.CacheMiss
-	cycles += seg.SegmentLoads * c.Penalties.SegmentLoad
-	cycles += seg.UnalignedAccesses * c.Penalties.Unaligned
+	tlbMisses := int64(im + dm)
+	tlbCyc := tlbMisses * c.Penalties.TLBMiss
+	cacheCyc := cm * c.Penalties.CacheMiss
+	segCyc := seg.SegmentLoads * c.Penalties.SegmentLoad
+	unalCyc := seg.UnalignedAccesses * c.Penalties.Unaligned
+	cycles = seg.BaseCycles + tlbCyc + cacheCyc + segCyc + unalCyc
 
 	c.counts[Instructions] += seg.Instructions
 	c.counts[DataRefs] += seg.DataRefs
 	c.counts[ITLBMisses] += int64(im)
 	c.counts[DTLBMisses] += int64(dm)
-	c.counts[CacheMisses] += int64(cm)
+	c.counts[CacheMisses] += cm
 	c.counts[SegmentLoads] += seg.SegmentLoads
 	c.counts[UnalignedAccesses] += seg.UnalignedAccesses
 
+	if c.rec != nil {
+		// Out of line, so the untraced path keeps a small stack frame.
+		c.traceExec(&seg, tlbMisses, tlbCyc, cm, cacheCyc, segCyc, unalCyc)
+	}
 	return cycles, c.DurationOf(cycles)
+}
+
+// traceExec emits Execute's spans for seg from the cost parts Execute
+// computed: one CauseExec container covering the segment, with leaf
+// children laid out sequentially in the order the hardware would pay
+// them — base work first, then TLB refills, cache fills, segment loads,
+// and unaligned fixups.
+func (c *CPU) traceExec(seg *Segment, tlbMisses, tlbCyc, cacheMisses, cacheCyc, segCyc, unalCyc int64) {
+	t := c.clock()
+	ex := c.rec.BeginAt(spans.CauseExec, seg.Name, t)
+	charge := func(cause spans.Cause, cyc, count int64) {
+		if cyc == 0 && count == 0 {
+			return
+		}
+		end := t.Add(c.DurationOf(cyc))
+		c.rec.ChargeSpan(cause, seg.Name, t, end, cyc, count)
+		t = end
+	}
+	charge(spans.CauseBase, seg.BaseCycles, 0)
+	charge(spans.CauseTLBMiss, tlbCyc, tlbMisses)
+	charge(spans.CauseCacheMiss, cacheCyc, cacheMisses)
+	charge(spans.CauseSegLoad, segCyc, seg.SegmentLoads)
+	charge(spans.CauseUnaligned, unalCyc, seg.UnalignedAccesses)
+	c.rec.EndAt(ex, t)
 }
 
 // DomainCross models a protection-domain crossing: it flushes both TLBs
@@ -216,52 +244,6 @@ func (c *CPU) DomainCross() (cycles int64, d simtime.Duration) {
 		now := c.clock()
 		c.rec.ChargeSpan(spans.CauseDomainCross, "cross", now, now.Add(d), cycles, 1)
 	}
-	return cycles, d
-}
-
-// executeTraced is Execute with span emission: one CauseExec container
-// covering the whole segment, with leaf children laid out sequentially
-// in the order the hardware would pay them — base work first, then TLB
-// refills, cache fills, segment loads, and unaligned fixups. The cost
-// arithmetic and counter updates are identical to the untraced path.
-func (c *CPU) executeTraced(seg Segment) (cycles int64, d simtime.Duration) {
-	im := c.Mem.TouchCode(seg.CodePages)
-	dm := c.Mem.TouchData(seg.DataPages)
-	cm := c.Mem.TouchCache(seg.CacheChunks)
-
-	tlbMisses := int64(im + dm)
-	tlbCyc := tlbMisses * c.Penalties.TLBMiss
-	cacheCyc := int64(cm) * c.Penalties.CacheMiss
-	segCyc := seg.SegmentLoads * c.Penalties.SegmentLoad
-	unalCyc := seg.UnalignedAccesses * c.Penalties.Unaligned
-	cycles = seg.BaseCycles + tlbCyc + cacheCyc + segCyc + unalCyc
-
-	c.counts[Instructions] += seg.Instructions
-	c.counts[DataRefs] += seg.DataRefs
-	c.counts[ITLBMisses] += int64(im)
-	c.counts[DTLBMisses] += int64(dm)
-	c.counts[CacheMisses] += int64(cm)
-	c.counts[SegmentLoads] += seg.SegmentLoads
-	c.counts[UnalignedAccesses] += seg.UnalignedAccesses
-
-	d = c.DurationOf(cycles)
-	t := c.clock()
-	ex := c.rec.BeginAt(spans.CauseExec, seg.Name, t)
-	charge := func(cause spans.Cause, cyc, count int64) {
-		if cyc == 0 && count == 0 {
-			return
-		}
-		end := t.Add(c.DurationOf(cyc))
-		c.rec.ChargeSpan(cause, seg.Name, t, end, cyc, count)
-		t = end
-	}
-	charge(spans.CauseBase, seg.BaseCycles, 0)
-	charge(spans.CauseTLBMiss, tlbCyc, tlbMisses)
-	charge(spans.CauseCacheMiss, cacheCyc, int64(cm))
-	charge(spans.CauseSegLoad, segCyc, seg.SegmentLoads)
-	charge(spans.CauseUnaligned, unalCyc, seg.UnalignedAccesses)
-	c.rec.EndAt(ex, t)
-
 	return cycles, d
 }
 

@@ -45,29 +45,6 @@ func FromScenario(doc scenario.Doc) (Spec, error) {
 	}, nil
 }
 
-// RegisterScenario loads the scenario document at path, compiles it,
-// and adds it to the experiment registry (panicking on a duplicate id,
-// like Register). A non-empty id overrides the document's own. It
-// returns the registered Spec so callers can run it directly.
-func RegisterScenario(id, path string) (Spec, error) {
-	doc, err := scenario.ParseFile(path)
-	if err != nil {
-		return Spec{}, err
-	}
-	if id != "" {
-		doc.ID = id
-		if err := doc.Validate(); err != nil {
-			return Spec{}, err
-		}
-	}
-	spec, err := FromScenario(doc)
-	if err != nil {
-		return Spec{}, err
-	}
-	Register(spec)
-	return spec, nil
-}
-
 // scRun is one compiled workload invocation: everything a driver needs
 // beyond the label and fault plan.
 type scRun struct {

@@ -234,32 +234,25 @@ func (c *Clock) AttemptFails(_ disk.Op, _ int64, t simtime.Time, attempt int) bo
 }
 
 // DefaultStormSegment is the handler cost charged per spurious IRQStorm
-// interrupt when the Target does not supply one: a misbehaving device
-// whose handler runs ~100 µs at 100 MHz, so a few-kHz storm steals a
-// large fraction of the CPU — the paper's §2.5 "interrupt activity"
-// made pathological.
+// interrupt: a misbehaving device whose handler runs ~100 µs at
+// 100 MHz, so a few-kHz storm steals a large fraction of the CPU — the
+// paper's §2.5 "interrupt activity" made pathological.
 func DefaultStormSegment() cpu.Segment {
 	return cpu.Segment{Name: "stormintr", BaseCycles: 10_000, Instructions: 6_000, DataRefs: 2_200}
 }
 
-// Target names the machine pieces Arm injects into. K is required; the
-// rest configure individual kinds and are only consulted when the plan
-// schedules that kind.
+// Target names the machine pieces Arm injects into. K is required;
+// Background and BoostPrio configure PriorityInversion and are only
+// consulted when the plan schedules that kind.
 type Target struct {
 	// K is the kernel under attack.
 	K *kernel.Kernel
-	// StormSegment is the per-interrupt handler cost for IRQStorm
-	// windows; zero value means DefaultStormSegment.
-	StormSegment cpu.Segment
 	// Background is the thread boosted during PriorityInversion windows
 	// (typically an OS housekeeping thread); nil skips the kind.
 	Background *kernel.Thread
 	// BoostPrio is the priority Background is raised to; it should
 	// exceed the foreground application's priority to invert.
 	BoostPrio int
-	// PressureEvery is the CachePressure eviction interval; zero means
-	// one clock tick (10 ms).
-	PressureEvery simtime.Duration
 }
 
 // Arm installs the plan on t's machine. It must be called before the
@@ -283,11 +276,11 @@ func (c *Clock) Arm(t Target) {
 		case TimerJitter:
 			hasJitter = true
 		case IRQStorm:
-			c.armStorm(k, t, f)
+			c.armStorm(k, f)
 		case PriorityInversion:
 			c.armInversion(k, t, f)
 		case CachePressure:
-			c.armPressure(k, t, f)
+			c.armPressure(k, f)
 		}
 	}
 	if hasDisk {
@@ -306,11 +299,8 @@ func (c *Clock) Arm(t Target) {
 
 // armStorm schedules a self-rescheduling spurious-interrupt source over
 // f's window.
-func (c *Clock) armStorm(k *kernel.Kernel, t Target, f Fault) {
-	seg := t.StormSegment
-	if seg.BaseCycles == 0 {
-		seg = DefaultStormSegment()
-	}
+func (c *Clock) armStorm(k *kernel.Kernel, f Fault) {
+	seg := DefaultStormSegment()
 	period := simtime.Duration(float64(simtime.Second) / f.Magnitude)
 	if period < 50*simtime.Microsecond {
 		period = 50 * simtime.Microsecond
@@ -338,12 +328,10 @@ func (c *Clock) armInversion(k *kernel.Kernel, t Target, f Fault) {
 	k.At(f.End(), func(simtime.Time) { k.SetPriority(bg, restore) })
 }
 
-// armPressure evicts cache pages periodically over the window.
-func (c *Clock) armPressure(k *kernel.Kernel, t Target, f Fault) {
-	every := t.PressureEvery
-	if every <= 0 {
-		every = 10 * simtime.Millisecond
-	}
+// armPressure evicts cache pages every 10 ms (one clock tick) over the
+// window.
+func (c *Clock) armPressure(k *kernel.Kernel, f Fault) {
+	const every = 10 * simtime.Millisecond
 	pages := int(f.Magnitude)
 	var press func(now simtime.Time)
 	press = func(now simtime.Time) {

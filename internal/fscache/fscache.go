@@ -93,14 +93,6 @@ func (c *Cache) ForcedEvictions() int64 { return c.evictions }
 // IOErrors counts page reads/writes that completed with a device error.
 func (c *Cache) IOErrors() int64 { return c.ioErrs }
 
-// HitRate returns hits / (hits+misses), or 1 when nothing was accessed.
-func (c *Cache) HitRate() float64 {
-	if c.hits+c.misses == 0 {
-		return 1
-	}
-	return float64(c.hits) / float64(c.hits+c.misses)
-}
-
 // pageKey builds the LRU identifier for (file, page).
 func pageKey(id FileID, page int64) uint64 {
 	return uint64(id)<<40 | uint64(page)

@@ -176,33 +176,23 @@ func (k *Kernel) tryBulkSkip(t *Thread) {
 		return
 	}
 
-	// Replay the quantum arithmetic of n cycles: each cycle is two
-	// compute stages, each stage split into quantum-bounded chunks. No
-	// peer is ready (ProvablyIdle), so quantum expiry resets the slice
-	// in place rather than requeueing.
+	// Replay the quantum arithmetic of n cycles in closed form. The
+	// slow path splits each compute stage into quantum-bounded chunks,
+	// and a chunk that finds the slice spent refills it in place (no
+	// peer is ready, ProvablyIdle, so expiry does not requeue). Stage
+	// boundaries never refill on their own, so n cycles consume the
+	// span T as one stretch: what is left of the slice first, then
+	// whole quanta, the last possibly partial.
+	total := simtime.Duration(n) * d
 	qL := t.quantumLeft
-	quantum := k.cfg.Quantum
-	if total := simtime.Duration(n) * d; qL >= total {
+	if qL >= total {
 		// No refill fits inside the span — the common case when the
 		// quantum dwarfs the cycle.
 		qL -= total
 	} else {
-		for i := int64(0); i < n; i++ {
-			for _, stage := range [2]simtime.Duration{t.sigD1, t.sigD2} {
-				rem := stage
-				for rem > 0 {
-					if qL <= 0 {
-						qL = quantum
-					}
-					run := rem
-					if qL < run {
-						run = qL
-					}
-					rem -= run
-					qL -= run
-				}
-			}
-		}
+		q := k.cfg.Quantum
+		r := total - max(qL, 0)
+		qL = (q - r%q) % q
 	}
 	for i, delta := range t.sigDelta {
 		if delta != 0 {
@@ -210,7 +200,7 @@ func (k *Kernel) tryBulkSkip(t *Thread) {
 		}
 	}
 	start := k.now
-	k.advance(start.Add(simtime.Duration(n) * d))
+	k.advance(start.Add(total))
 	t.quantumLeft = qL
 	k.bulkElided += n
 	t.bulk.OnBulk(n, start, d)
@@ -308,7 +298,9 @@ func (lc *LoopTC) Compute(seg cpu.Segment) {
 	r.seg = seg
 }
 
-// Compute2 consumes CPU for two segments back to back, like TC.Compute2.
+// Compute2 consumes CPU for two segments back to back in one request:
+// the second is costed the instant the first finishes, as two Compute
+// calls would be. The idle-loop instrument issues one per sample.
 func (lc *LoopTC) Compute2(a, b cpu.Segment) {
 	r := lc.arm()
 	r.kind = reqCompute2
@@ -359,24 +351,5 @@ func (lc *LoopTC) PendingUserInput() bool { return lc.t.pendingUserInput() }
 // (idle-loop instrument, persona background tasks) use this form; a
 // goroutine thread borrows it for a run of primitives with TC.Loop.
 func (k *Kernel) SpawnLoop(name string, proc ProcID, prio int, fn func(lc *LoopTC) bool) *Thread {
-	if prio < IdlePriority {
-		panic("kernel: priority below idle class")
-	}
-	if fn == nil {
-		panic("kernel: nil loop function")
-	}
-	t := &Thread{
-		id:     len(k.threads) + 1,
-		name:   name,
-		proc:   proc,
-		prio:   prio,
-		k:      k,
-		state:  StateNew,
-		loopFn: fn,
-	}
-	t.loopTC = LoopTC{t: t, k: k}
-	k.threads = append(k.threads, t)
-	k.makeReady(t)
-	k.reconcile()
-	return t
+	return k.SpawnLoopOn(name, proc, prio, 0, fn)
 }

@@ -70,29 +70,21 @@ type Config struct {
 	// SetTimer behaviour that produces the paper's Fig. 4 animation
 	// stair pattern.
 	TimersTickAligned bool
-	// DiskParams overrides the drive parameters when non-zero; the zero
-	// value derives them from Machine (disk.ParamsFor). CachePages
-	// sizes the buffer cache; DiskSeed fixes rotational phase.
-	DiskParams disk.Params
-	CachePages int
-	DiskSeed   uint64
-	// DomainCrossingCycles overrides the direct protection-domain-
-	// crossing cost when non-zero. It is the one penalty the OS owns
-	// (trap path, state save, address-space switch), so personas set it
-	// while the Machine profile supplies the hardware penalties.
+	// DomainCrossingCycles is the direct cost of a protection-domain
+	// crossing, excluding the TLB refills it causes. It is the one
+	// penalty the OS owns (trap path, state save, address-space
+	// switch), so personas set it while the Machine profile supplies
+	// the hardware penalties. Zero makes a crossing free.
 	DomainCrossingCycles int64
-	// Penalties overrides the whole CPU cost model when non-zero,
-	// squashing both the Machine-derived penalties and
-	// DomainCrossingCycles — the pre-profile escape hatch for ablations
-	// that need exact control (including explicit zero fields).
-	Penalties cpu.Penalties
-	// CPUFrequency overrides the simulated clock rate when non-zero,
-	// taking precedence over Machine.ClockHz. Segment costs are in
-	// cycles, so a slower clock slows every operation proportionally —
-	// the paper's §5.1 remark that latencies unnoticed on their machine
-	// "might have a significant effect ... on a slower machine".
-	CPUFrequency simtime.Hz
 }
+
+// Every kernel gets the same buffer cache and the same disk phase:
+// cachePages sizes the cache (8 MB out of 32 MB RAM) and diskSeed fixes
+// the drive's rotational phase.
+const (
+	cachePages = 2048
+	diskSeed   = 1996
+)
 
 // DefaultConfig returns a neutral machine configuration; personas
 // override the OS-specific pieces.
@@ -108,8 +100,7 @@ func DefaultConfig() Config {
 		MouseInterrupt:       cpu.Segment{Name: "mouseintr", BaseCycles: 1500, Instructions: 900, DataRefs: 350},
 		ModeSwitchCycles:     150,
 		TimersTickAligned:    true,
-		CachePages:           2048, // 8 MB buffer cache out of 32 MB RAM
-		DiskSeed:             1996,
+		DomainCrossingCycles: 500,
 	}
 }
 
@@ -220,40 +211,25 @@ type Kernel struct {
 }
 
 // New builds a kernel (and its machine: CPU, disk, buffer cache) from
-// cfg. The hardware trio is derived from cfg.Machine (the paper's
-// Pentium when unset); explicit cfg overrides — penalty fields,
-// CPUFrequency, DiskParams — win over the profile derivation.
+// cfg. cfg.Machine (the paper's Pentium when unset) is the one source
+// of the clock, the hardware penalties and the disk; the crossing cost
+// is cfg.DomainCrossingCycles.
 func New(cfg Config) *Kernel {
 	prof := cfg.Machine.OrDefault()
 	cfg.Machine = prof
 	k := &Kernel{cfg: cfg}
 	k.reconcileFn = func(now simtime.Time) { k.reconcile() }
 	k.cpu = cpu.NewFor(prof)
-	if cfg.DomainCrossingCycles != 0 {
-		k.cpu.Penalties.DomainCrossing = cfg.DomainCrossingCycles
-	}
-	if cfg.Penalties != (cpu.Penalties{}) {
-		k.cpu.Penalties = cfg.Penalties
-	}
-	if cfg.CPUFrequency != 0 {
-		cfg.CPUFrequency.Validate()
-		k.cpu.Freq = cfg.CPUFrequency
-	}
-	dp := cfg.DiskParams
-	if dp == (disk.Params{}) {
-		dp = disk.ParamsFor(prof)
-	}
+	k.cpu.Penalties.DomainCrossing = cfg.DomainCrossingCycles
 	k.ctrs = cpu.NewCounterFile(k.cpu)
-	k.disk = disk.New(dp, k, cfg.DiskSeed)
-	k.cache = fscache.New(k.disk, cfg.CachePages)
+	k.disk = disk.New(disk.ParamsFor(prof), k, diskSeed)
+	k.cache = fscache.New(k.disk, cachePages)
 	if n := prof.Cores - 1; n > 0 {
 		k.aux = make([]auxCore, n)
 	}
-	if prof.DVFS.Enabled() && (cfg.CPUFrequency == 0 || cfg.CPUFrequency == prof.ClockHz) {
+	if prof.DVFS.Enabled() {
 		// The machine boots at the governor's lowest level, the resting
-		// point an idle machine decays to. A CPUFrequency override that
-		// contradicts the ladder disables the governor instead of
-		// running a ladder whose max is not the machine's clock.
+		// point an idle machine decays to.
 		k.dvfs = prof.DVFS
 		k.cpu.SetClock(k.dvfs.Level(0))
 	}
@@ -375,22 +351,10 @@ func (k *Kernel) NextTick(t simtime.Time) simtime.Time {
 // Run can recover it; the kernel is unusable afterwards except for
 // Shutdown.
 func (k *Kernel) Spawn(name string, proc ProcID, prio int, body func(tc *TC)) *Thread {
-	if prio < IdlePriority {
-		panic("kernel: priority below idle class")
-	}
-	t := &Thread{
-		id:       len(k.threads) + 1,
-		name:     name,
-		proc:     proc,
-		prio:     prio,
-		k:        k,
-		body:     body,
-		resume:   make(chan resumeToken),
-		requests: make(chan struct{}),
-		state:    StateNew,
-	}
-	t.loopTC = LoopTC{t: t, k: k}
-	k.threads = append(k.threads, t)
+	t := k.newThread(name, proc, prio)
+	t.body = body
+	t.resume = make(chan resumeToken)
+	t.requests = make(chan struct{})
 	go func() {
 		defer func() {
 			if r := recover(); r != nil {
@@ -413,6 +377,19 @@ func (k *Kernel) Spawn(name string, proc ProcID, prio int, body func(tc *TC)) *T
 	}()
 	k.makeReady(t)
 	k.reconcile()
+	return t
+}
+
+// newThread is the one constructor behind Spawn, SpawnLoop and
+// SpawnLoopOn: it checks the priority and registers a thread, with its
+// LoopTC, that has not run yet.
+func (k *Kernel) newThread(name string, proc ProcID, prio int) *Thread {
+	if prio < IdlePriority {
+		panic("kernel: priority below idle class")
+	}
+	t := &Thread{id: len(k.threads) + 1, name: name, proc: proc, prio: prio, k: k, state: StateNew}
+	t.loopTC = LoopTC{t: t, k: k}
+	k.threads = append(k.threads, t)
 	return t
 }
 

@@ -49,28 +49,18 @@ func (k *Kernel) SpawnLoopOn(name string, proc ProcID, prio int, cpuID int, fn f
 	if cpuID < 0 || cpuID > len(k.aux) {
 		panic(fmt.Sprintf("kernel: cpu %d outside machine (have %d aux cores)", cpuID, len(k.aux)))
 	}
-	if cpuID == 0 {
-		return k.SpawnLoop(name, proc, prio, fn)
-	}
-	if prio < IdlePriority {
-		panic("kernel: priority below idle class")
-	}
 	if fn == nil {
 		panic("kernel: nil loop function")
 	}
-	t := &Thread{
-		id:       len(k.threads) + 1,
-		name:     name,
-		proc:     proc,
-		prio:     prio,
-		k:        k,
-		state:    StateNew,
-		loopFn:   fn,
-		affinity: cpuID,
+	t := k.newThread(name, proc, prio)
+	t.loopFn = fn
+	t.affinity = cpuID
+	if cpuID == 0 {
+		k.makeReady(t)
+		k.reconcile()
+	} else {
+		k.auxReady(t)
 	}
-	t.loopTC = LoopTC{t: t, k: k}
-	k.threads = append(k.threads, t)
-	k.auxReady(t)
 	return t
 }
 
@@ -142,16 +132,7 @@ func (k *Kernel) auxRun(ci int, t *Thread) {
 			return
 
 		case reqSleep:
-			wake := k.now.Add(r.d)
-			if k.cfg.TimersTickAligned {
-				wake = k.NextTick(wake)
-			}
-			t.state = StateSleeping
-			k.At(wake, func(now simtime.Time) {
-				if t.state == StateSleeping {
-					k.wake(t)
-				}
-			})
+			k.sleep(t, r.d)
 			k.auxDispatch(ci)
 			return
 

@@ -430,17 +430,8 @@ func (k *Kernel) process(t *Thread) {
 	case reqSleep:
 		if !r.started {
 			r.started = true
-			wake := k.now.Add(r.d)
-			if k.cfg.TimersTickAligned {
-				wake = k.NextTick(wake)
-			}
-			t.state = StateSleeping
+			k.sleep(t, r.d)
 			k.current = nil
-			k.At(wake, func(now simtime.Time) {
-				if t.state == StateSleeping {
-					k.wake(t)
-				}
-			})
 			return
 		}
 		t.pending = nil
@@ -540,6 +531,22 @@ func (k *Kernel) process(t *Thread) {
 	default:
 		panic(fmt.Sprintf("kernel: unknown request kind %d", r.kind))
 	}
+}
+
+// sleep parks t for at least d and arms its wakeup — at now+d, rounded
+// up to the next clock tick when timers are tick-aligned. The scheduler
+// core and the aux cores share it.
+func (k *Kernel) sleep(t *Thread, d simtime.Duration) {
+	wake := k.now.Add(d)
+	if k.cfg.TimersTickAligned {
+		wake = k.NextTick(wake)
+	}
+	t.state = StateSleeping
+	k.At(wake, func(now simtime.Time) {
+		if t.state == StateSleeping {
+			k.wake(t)
+		}
+	})
 }
 
 func (k *Kernel) logMsgAPI(rec trace.MsgRecord) {

@@ -281,15 +281,6 @@ func (tc *TC) Compute(seg cpu.Segment) {
 	tc.call(request{kind: reqCompute, seg: seg})
 }
 
-// Compute2 consumes CPU for two segments back to back in one kernel
-// request. Timing and memory-system effects are identical to two Compute
-// calls — the second segment is costed the instant the first finishes —
-// but the thread↔kernel handshake fires once instead of twice, which
-// matters for instruments that compute on every sample.
-func (tc *TC) Compute2(a, b cpu.Segment) {
-	tc.call(request{kind: reqCompute2, seg: a, seg2: b})
-}
-
 // DomainCross models a protection-domain (address-space) crossing: TLB
 // flush plus direct cost.
 func (tc *TC) DomainCross() {

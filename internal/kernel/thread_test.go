@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"latlab/internal/cpu"
+	"latlab/internal/machine"
 	"latlab/internal/simtime"
 )
 
@@ -305,9 +306,12 @@ func TestNonIdleBusyWhileRunning(t *testing.T) {
 	}
 }
 
+// The clock comes from the machine profile alone: a Pentium down-clocked
+// to 20 MHz runs every cycle count five times slower.
 func TestCPUFrequencyOverride(t *testing.T) {
 	cfg := quietConfig()
-	cfg.CPUFrequency = 20_000_000 // 20 MHz
+	cfg.Machine = machine.Pentium100()
+	cfg.Machine.ClockHz = 20_000_000 // 20 MHz
 	k := New(cfg)
 	defer k.Shutdown()
 	var done simtime.Time
@@ -324,7 +328,8 @@ func TestCPUFrequencyOverride(t *testing.T) {
 
 func TestCPUFrequencyInvalidPanics(t *testing.T) {
 	cfg := quietConfig()
-	cfg.CPUFrequency = 3 // no integral ns period
+	cfg.Machine = machine.Pentium100()
+	cfg.Machine.ClockHz = 3 // no integral ns period
 	defer func() {
 		if recover() == nil {
 			t.Fatalf("invalid frequency should panic at boot")

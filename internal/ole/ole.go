@@ -103,9 +103,6 @@ func NewServer(w *winsys.WinSys, cache *fscache.Cache, cfg ServerConfig) *Server
 // Sessions returns how many activations have run.
 func (s *Server) Sessions() int { return s.sessions }
 
-// Exe returns the server image file.
-func (s *Server) Exe() fscache.FileID { return s.exe }
-
 // pageIn demand-pages [first, first+pages) of the image in small chunks,
 // with fix-up compute between chunks (relocation, import resolution).
 func (s *Server) pageIn(tc *kernel.TC, first, pages int64) {

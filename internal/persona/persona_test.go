@@ -120,15 +120,12 @@ func TestArchitecturalDifferences(t *testing.T) {
 
 	// The crossing penalty is wired into the kernel config as the
 	// persona-owned cost; hardware penalties come from the machine
-	// profile, so the wholesale override stays zero.
+	// profile.
 	if nt351.Kernel.DomainCrossingCycles == 0 || nt40.Kernel.DomainCrossingCycles == 0 {
 		t.Fatalf("domain-crossing cost not configured")
 	}
 	if nt351.Kernel.DomainCrossingCycles <= nt40.Kernel.DomainCrossingCycles {
 		t.Fatalf("the server-process persona's crossing must cost more")
-	}
-	if nt351.Kernel.Penalties != (cpu.Penalties{}) {
-		t.Fatalf("personas must not override the hardware cost model wholesale")
 	}
 	// Word-on-95 lingering prevents idleness (paper §5.4).
 	if w95.WordLinger == 0 || nt40.WordLinger != 0 {

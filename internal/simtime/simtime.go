@@ -53,9 +53,6 @@ func (d Duration) Seconds() float64 { return float64(d) / float64(Second) }
 // Milliseconds returns the duration as floating-point milliseconds.
 func (d Duration) Milliseconds() float64 { return float64(d) / float64(Millisecond) }
 
-// Microseconds returns the duration as floating-point microseconds.
-func (d Duration) Microseconds() float64 { return float64(d) / float64(Microsecond) }
-
 // String formats the duration, e.g. "10.76ms".
 func (d Duration) String() string { return time.Duration(d).String() }
 

@@ -6,11 +6,9 @@
 package system
 
 import (
-	"latlab/internal/faults"
 	"latlab/internal/kernel"
 	"latlab/internal/machine"
 	"latlab/internal/persona"
-	"latlab/internal/spans"
 	"latlab/internal/winsys"
 )
 
@@ -39,10 +37,10 @@ type System struct {
 }
 
 // Config describes one machine to boot: who it pretends to be
-// (Persona), what it runs on (Machine), and the optional cross-cutting
-// attachments — a fault plan to arm and a span recorder to observe
-// with. It is the single construction surface the scenario compiler
-// lowers onto; the zero value of every field but Persona is valid.
+// (Persona) and what it runs on (Machine). It is the single
+// construction surface the scenario compiler lowers onto. Fault plans
+// are armed on the booted kernel through faults.Target, and span
+// recorders are attached with its SetRecorder.
 type Config struct {
 	// Persona is the OS personality to boot. Required: an unnamed
 	// persona (empty Name) panics, because a zero persona.P would
@@ -51,25 +49,12 @@ type Config struct {
 	// Machine is the hardware profile; the zero value means the paper's
 	// Pentium (machine.Pentium100).
 	Machine machine.Profile
-	// Faults is armed on the booted kernel with a kernel-only target
-	// (faults.Target{K: ...}), before any application is spawned. Fault
-	// kinds that need richer targets — PriorityInversion's victim
-	// thread, a custom storm segment — are skipped or defaulted by
-	// faults.Arm; callers needing them arm their own faults.Clock
-	// instead and leave this empty. The empty plan takes the exact
-	// fault-free code path.
-	Faults faults.Plan
-	// Spans, when non-nil, is attached to the kernel before the first
-	// event runs, so the whole boot is observable. Recording never
-	// perturbs the simulation.
-	Spans *spans.Recorder
 }
 
 // New builds and starts a machine from cfg: kernel on cfg.Machine,
 // window system, the persona's background threads, and (for personas
-// with MouseBusyWait) the mouse router; then arms cfg.Faults and
-// attaches cfg.Spans. Call Shutdown when done to release thread
-// goroutines.
+// with MouseBusyWait) the mouse router. Call Shutdown when done to
+// release thread goroutines.
 func New(cfg Config) *System {
 	if cfg.Persona.Name == "" {
 		panic("system: New with zero-value Persona")
@@ -80,14 +65,18 @@ func New(cfg Config) *System {
 	s := &System{K: kernel.New(kcfg), P: p, M: prof, nextProc: 1}
 	s.Win = winsys.New(s.K, p)
 
+	// Housekeeping threads are kernel-resident loops (no goroutine): the
+	// phase toggle issues the identical Sleep/Compute request stream the
+	// goroutine form did. On a multicore profile they are pinned to
+	// logical CPU 1 — the housekeeping core, spilling onto further aux
+	// cores under contention — so the scheduler core (and the idle-loop
+	// instrument watching it) never sees them.
+	core := 0
+	if prof.Cores > 1 {
+		core = 1
+	}
 	for _, b := range p.Background {
 		b := b
-		// Housekeeping threads are kernel-resident loops (no goroutine):
-		// the phase toggle issues the identical Sleep/Compute request
-		// stream the goroutine form did. On a multicore profile they are
-		// pinned to logical CPU 1 — the housekeeping core, spilling onto
-		// further aux cores under contention — so the scheduler core
-		// (and the idle-loop instrument watching it) never sees them.
 		sleep := true
 		fn := func(lc *kernel.LoopTC) bool {
 			if sleep {
@@ -98,21 +87,11 @@ func New(cfg Config) *System {
 			sleep = !sleep
 			return true
 		}
-		if prof.Cores > 1 {
-			s.K.SpawnLoopOn(b.Name, kernel.KernelProc, BackgroundPrio, 1, fn)
-		} else {
-			s.K.SpawnLoop(b.Name, kernel.KernelProc, BackgroundPrio, fn)
-		}
+		s.K.SpawnLoopOn(b.Name, kernel.KernelProc, BackgroundPrio, core, fn)
 	}
 
 	if p.MouseBusyWait {
 		s.router = s.K.Spawn("mouse16", kernel.KernelProc, RouterPrio, s.mouseRouter)
-	}
-	if !cfg.Faults.Empty() {
-		faults.NewClock(cfg.Faults).Arm(faults.Target{K: s.K})
-	}
-	if cfg.Spans != nil {
-		s.K.SetRecorder(cfg.Spans)
 	}
 	return s
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"latlab/internal/cpu"
+	"latlab/internal/disk"
 	"latlab/internal/kernel"
 	"latlab/internal/machine"
 	"latlab/internal/persona"
@@ -200,7 +201,9 @@ func TestW95KeyboardBypassesRouter(t *testing.T) {
 
 // Every persona must boot and echo keystrokes on every hardware profile:
 // the scenario-matrix experiments (ext-hw-*) assume any cell of the
-// persona × machine grid is runnable.
+// persona × machine grid is runnable. Each setting has one owner: the
+// booted machine's clock, hardware penalties and disk are what the
+// profile derives, and its crossing cost is the persona's.
 func TestBootMatrixEveryPersonaOnEveryMachine(t *testing.T) {
 	for _, p := range persona.All() {
 		for _, m := range machine.All() {
@@ -209,6 +212,17 @@ func TestBootMatrixEveryPersonaOnEveryMachine(t *testing.T) {
 				defer s.Shutdown()
 				if s.M.Short != m.Short {
 					t.Fatalf("booted machine = %q, want %q", s.M.Short, m.Short)
+				}
+				if got := s.K.CPU().Freq; got != m.ClockHz {
+					t.Fatalf("clock = %d Hz, want the profile's %d", got, m.ClockHz)
+				}
+				want := cpu.PenaltiesFor(m)
+				want.DomainCrossing = p.Kernel.DomainCrossingCycles
+				if got := s.K.CPU().Penalties; got != want {
+					t.Fatalf("penalties = %+v, want the profile's with the persona's crossing: %+v", got, want)
+				}
+				if got, want := s.K.Disk().Params(), disk.ParamsFor(m); got != want {
+					t.Fatalf("disk = %+v, want the profile's %+v", got, want)
 				}
 				echoed := 0
 				s.SpawnApp("echo", func(tc *kernel.TC) {
