@@ -120,7 +120,10 @@ cover:
 # streams), and
 # the differential kernel-loop check (a random script of primitives
 # issued through TC.Loop vs one by one, under ticks, keystrokes,
-# preemption and disk faults).
+# preemption and disk faults), and the differential idle-elision check
+# (random sleep/compute workers on a persona's kernel, traced so every
+# idle cycle and tick is simulated vs untraced so they are elided and
+# crossed, compared at random Run boundaries).
 # `go test` only accepts one -fuzz pattern at a time, so each fuzzer
 # gets its own run.
 FUZZ_TIME ?= 10s
@@ -136,6 +139,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDriveFSMMerge$$' -fuzztime $(FUZZ_TIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzLRUEquivalence$$' -fuzztime $(FUZZ_TIME) ./internal/mem
 	$(GO) test -run '^$$' -fuzz '^FuzzLoopEquivalence$$' -fuzztime $(FUZZ_TIME) ./internal/kernel
+	$(GO) test -run '^$$' -fuzz '^FuzzElisionEquivalence$$' -fuzztime $(FUZZ_TIME) ./internal/core
 
 # The end-to-end determinism and crash-safety gate for the committed
 # demo campaign (10080 quick sessions), proving each property once:

@@ -208,6 +208,15 @@ func (c *CPU) Execute(seg Segment) (cycles int64, d simtime.Duration) {
 	return cycles, c.DurationOf(cycles)
 }
 
+// WarmCycles returns the cycles Execute charges for seg when every page
+// and chunk it touches is resident: its base cost plus its per-event
+// costs, with no TLB refill or cache fill. The kernel prices a handler
+// it replays without executing with it.
+func (c *CPU) WarmCycles(seg *Segment) int64 {
+	return seg.BaseCycles + seg.SegmentLoads*c.Penalties.SegmentLoad +
+		seg.UnalignedAccesses*c.Penalties.Unaligned
+}
+
 // traceExec emits Execute's spans for seg from the cost parts Execute
 // computed: one CauseExec container covering the segment, with leaf
 // children laid out sequentially in the order the hardware would pay

@@ -57,6 +57,19 @@ func TestExecuteWarmVsCold(t *testing.T) {
 	}
 }
 
+// TestWarmCyclesMatchesWarmExecute pins WarmCycles to what Execute
+// charges a segment whose pages and chunks are all resident, per-event
+// costs included.
+func TestWarmCyclesMatchesWarmExecute(t *testing.T) {
+	c := NewFor(machine.Pentium100())
+	seg := Segment{BaseCycles: 700, CodePages: []uint64{1}, DataPages: []uint64{10, 11},
+		CacheChunks: []uint64{100}, SegmentLoads: 3, UnalignedAccesses: 5}
+	c.Execute(seg)
+	if warm, _ := c.Execute(seg); warm != c.WarmCycles(&seg) {
+		t.Fatalf("warm Execute charged %d cycles, WarmCycles says %d", warm, c.WarmCycles(&seg))
+	}
+}
+
 func TestDomainCrossCausesTLBMissesButNotCacheMisses(t *testing.T) {
 	c := NewFor(machine.Pentium100())
 	seg := Segment{

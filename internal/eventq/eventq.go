@@ -110,6 +110,17 @@ func (q *Queue) Schedule(at simtime.Time, fn func(now simtime.Time)) Handle {
 // everything scheduled later.
 func (q *Queue) NextSeq() uint64 { return q.seq }
 
+// ReserveSeq takes the sequence number the next Schedule would assign
+// and returns it, for an event the caller keeps beside the queue: that
+// event owns the number as a queued one would, and every later
+// Schedule keys its event exactly as if the reserved one had been
+// queued.
+func (q *Queue) ReserveSeq() uint64 {
+	s := q.seq
+	q.seq++
+	return s
+}
+
 // Len returns the number of events still enqueued, including cancelled
 // events that have not yet been skipped.
 func (q *Queue) Len() int { return q.count }

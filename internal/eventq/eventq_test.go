@@ -42,6 +42,24 @@ func TestFIFOTieBreak(t *testing.T) {
 	}
 }
 
+// TestReserveSeq pins that a reserved sequence number is the one the
+// next Schedule would have taken, and that later events key after it.
+func TestReserveSeq(t *testing.T) {
+	var q Queue
+	q.Schedule(5, func(simtime.Time) {})
+	if got := q.ReserveSeq(); got != 1 {
+		t.Fatalf("ReserveSeq after one Schedule = %d, want 1", got)
+	}
+	if got := q.NextSeq(); got != 2 {
+		t.Fatalf("NextSeq after a reservation = %d, want 2", got)
+	}
+	q.Schedule(5, func(simtime.Time) {})
+	q.Pop()
+	if _, seq, _ := q.HeadKey(); seq != 2 {
+		t.Fatalf("event scheduled after the reservation has seq %d, want 2", seq)
+	}
+}
+
 func TestCancel(t *testing.T) {
 	var q Queue
 	fired := false

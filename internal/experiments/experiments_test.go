@@ -6,7 +6,10 @@ import (
 	"testing"
 
 	"latlab/internal/cpu"
+	"latlab/internal/machine"
+	"latlab/internal/persona"
 	"latlab/internal/simtime"
+	"latlab/internal/spans"
 )
 
 // cfg is the shared full-size configuration; individual tests opt into
@@ -349,6 +352,44 @@ func TestFig8AndTable1(t *testing.T) {
 		if longLat/total < 0.5 {
 			t.Fatalf("%s: long events carry %.0f%% of time, want majority",
 				s.Persona, 100*longLat/total)
+		}
+	}
+}
+
+// TestTracedPowerPointAfterUntraced pins that a traced fig8 run
+// simulates its own PowerPoint task, and so exports its track, even
+// after an untraced run of the same configuration filled the memo.
+func TestTracedPowerPointAfterUntraced(t *testing.T) {
+	mustRun(t, runFig8, quick())
+	col := &spans.Collector{}
+	traced := quick()
+	traced.Trace, traced.TraceTag = col, "fig8"
+	mustRun(t, runFig8, traced)
+	have := map[string]int{}
+	for _, tr := range col.Tracks() {
+		have[tr.Name] = len(tr.Spans)
+	}
+	for _, p := range persona.NTs() {
+		name := "fig8: " + p.Name + " @ " + machine.Pentium100().Short
+		if have[name] == 0 {
+			t.Errorf("traced fig8 exported no PowerPoint track %q; tracks: %v", name, have)
+		}
+	}
+}
+
+// TestPowerPointMemoKeyedOnMachine pins that the PowerPoint memo keys
+// on the machine: a fig8 run on a faster machine after one on the paper's
+// must simulate anew, not reuse the first machine's events.
+func TestPowerPointMemoKeyedOnMachine(t *testing.T) {
+	p100 := mustRun(t, runFig8, quick()).(*Fig8Result)
+	fast := quick()
+	fast.Machine = machine.Pentium200()
+	p200 := mustRun(t, runFig8, fast).(*Fig8Result)
+	for i := range p100.Systems {
+		a, b := p100.Systems[i].Report.Elapsed, p200.Systems[i].Report.Elapsed
+		if a == b {
+			t.Errorf("%s: the PowerPoint task took %v on p100 and on p200; the p200 run reused the memo",
+				p100.Systems[i].Persona, a)
 		}
 	}
 }

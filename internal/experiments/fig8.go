@@ -28,11 +28,14 @@ type labeledEvent struct {
 	ev    core.Event
 }
 
-// pptMemo caches task runs so fig8, table1 and fig12 don't re-simulate.
-// The runner schedules those experiments concurrently, so the cache is a
-// lock-protected singleflight: the first caller for a key simulates, any
-// concurrent caller for the same key waits for that run instead of
-// duplicating it. A cached *pptRun is immutable once published.
+// pptMemo caches untraced task runs so fig8, table1 and fig12 don't
+// re-simulate. A run depends on the persona, the machine, the workload
+// size and the seed, and the key holds all four (the whole machine
+// profile, not just its name). The runner schedules
+// those experiments concurrently, so the cache is a lock-protected
+// singleflight: the first caller for a key simulates, any concurrent
+// caller for the same key waits for that run instead of duplicating it.
+// A cached *pptRun is immutable once published.
 var pptMemo = struct {
 	mu sync.Mutex
 	m  map[string]*pptMemoEntry
@@ -48,8 +51,17 @@ type pptMemoEntry struct {
 // (rendering the three embedded graphs), start an OLE edit session on
 // each object with a few modification keystrokes, then save. Pacing is
 // completion-based with ≥150 ms think times, matching the Test script.
+//
+// A traced run bypasses the memo: its rig must deposit its spans in
+// this run's collector, which a run simulated for another caller never
+// saw. It is named after the calling experiment (cfg.TraceTag), so the
+// tracks fig8, table1 and fig12 each deposit keep distinct names at any
+// job count.
 func pptTask(p persona.P, cfg Config) *pptRun {
-	key := fmt.Sprintf("%s/%v/%d", p.Short, cfg.Quick, cfg.Seed)
+	if cfg.Trace != nil {
+		return pptSimulate(p, cfg)
+	}
+	key := fmt.Sprintf("%s/%+v/%v/%d", p.Short, cfg.MachineProfile(), cfg.Quick, cfg.Seed)
 	pptMemo.mu.Lock()
 	e, ok := pptMemo.m[key]
 	if !ok {
@@ -65,10 +77,6 @@ func pptTask(p persona.P, cfg Config) *pptRun {
 // the ext-faults-disk PowerPoint session with no faults, bounded by a
 // 200 s deadline.
 func pptSimulate(p persona.P, cfg Config) *pptRun {
-	// The run is shared by fig8/table1/fig12 but simulated once; a fixed
-	// tag keeps its span-track name independent of which spec got here
-	// first (trace export must not depend on pool completion order).
-	cfg.TraceTag = "powerpoint-task"
 	prm := pptTaskWorkload().Resolve(cfg.Quick)
 	prm.DeadlineS = 200
 	s := openPPT("", cfg, scRun{p: p, prm: prm}, faults.Plan{})

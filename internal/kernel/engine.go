@@ -25,7 +25,10 @@ func BatchedEngine() Engine { return Engine{} }
 // fits). OnBulk informs the instrument that n whole cycles of the given
 // duration, starting at start, completed without simulation; the
 // instrument must append the samples those cycles would have recorded
-// and roll its internal cycle-start state forward by n cycles.
+// and roll its internal cycle-start state forward by n cycles. A span
+// that crosses clock ticks calls OnBulk once per run of cycles between
+// ticks and once, with n = 1, for each cycle a tick's handler
+// stretched, in time order and within the budget.
 type BulkLoop interface {
 	BulkBudget() int64
 	OnBulk(n int64, start simtime.Time, cycle simtime.Duration)
@@ -43,10 +46,10 @@ func (t *Thread) SetBulkLoop(b BulkLoop) { t.bulk = b }
 // instant: the CPU is not stolen by interrupt handlers, no thread is
 // waiting on the ready queue, and the running thread (if any) is
 // idle-class. In this state the future is fully determined by the event
-// queue and the idle thread's own chunks — every fault injection,
-// timer, wakeup, and device completion arrives as a queued event —
-// which is what makes analytic idle-span elision sound: nothing else
-// can happen strictly before NextTime.
+// queue, the clock tick and the idle thread's own chunks — every fault
+// injection, timer, wakeup, and device completion arrives as a queued
+// event — which is what makes analytic idle-span elision sound: nothing
+// but ticks can happen strictly before the queue's next event.
 //
 // An idle-class peer sitting on the ready queue defeats the proof:
 // quantum round-robin between idle peers consumes scheduler state, so
@@ -59,18 +62,20 @@ func (k *Kernel) ProvablyIdle() bool {
 // noteBulkCycle records the outcome of one completed Compute2 cycle of
 // a bulk-tracked thread. A cycle is *canonically clean* when it ran
 // exactly its analytic duration (no interrupt, steal, or preemption
-// stretched it) with zero TLB/cache misses: that proves the LRU memory
-// system reached the cycle's fixed point — hits only reorder resident
-// entries, and the cycle touches the same pages in the same order every
-// time, so every subsequent identical cycle must cost exactly the same.
-// Canonical cycles set bulkClean and refresh the signature (sigD1/sigD2,
+// stretched it) with zero TLB/cache misses: that proves its costs are a
+// fixed point — hits only reorder resident entries, and the cycle
+// touches the same pages in the same order every time, so every
+// subsequent identical cycle must cost exactly the same. Canonical
+// cycles set bulkClean and refresh the signature (sigD1/sigD2,
 // sigDelta, cycleSeg/cycleSeg2) that tryBulkSkip replays.
 //
 // A cycle stretched by an interrupt (the clock tick) can still preserve
 // the fixed point: if the whole window — cycle plus handler — shows zero
 // ITLB/DTLB/cache-miss deltas, the handler inserted nothing into any
 // LRU structure and therefore evicted nothing; with no insertions ever,
-// hits are mere recency reorderings that no eviction will consult. Two
+// hits are mere recency reorderings, which cost nothing but leave the
+// handler's pages among the cycle's, an order a span must restore
+// (recencyStale, settleRecency). Two
 // transparent invalidation channels must also be excluded, because they
 // remove entries without an immediate miss: domain crossings flush both
 // TLBs (delta must be zero) and a process context switch may flush them
@@ -97,6 +102,9 @@ func (k *Kernel) noteBulkCycle(t *Thread, r *request) {
 		k.now.Sub(t.cycleStart) == d &&
 		t.cycleDelta[cpu.Interrupts] == 0:
 		t.bulkClean = true
+		if t.recency == recencyStale {
+			t.recency = recencyCycle
+		}
 		t.sigD1, t.sigD2 = t.cycleD1, t.cycleD2
 		t.sigDelta = t.cycleDelta
 		// The signature's durations were priced at this operating
@@ -108,29 +116,69 @@ func (k *Kernel) noteBulkCycle(t *Thread, r *request) {
 		t.cycleD1 == t.sigD1 && t.cycleD2 == t.sigD2 &&
 		segsEqual(&r.seg, &t.cycleSeg) && segsEqual(&r.seg2, &t.cycleSeg2):
 		// Interrupt-stretched but memory-transparent: keep bulkClean and
-		// the canonical signature.
+		// the canonical signature. The handler's pages were touched
+		// between or after the segments' pages, so the recency order is
+		// not the one further clean cycles leave (settleRecency).
+		t.recency = recencyStale
 	default:
 		t.bulkClean = false
+		t.recency = recencyStale
 	}
 }
 
+// recency is what an idle-loop thread knows of the front of the TLB and
+// L2 recency order, the entries its cycles and the tick handler touch
+// (settleRecency).
+type recency uint8
+
+const (
+	// recencyStale: a handler's pages may lie between or ahead of the
+	// cycle segments' pages.
+	recencyStale recency = iota
+	// recencyCycle: the segments' pages lead, as a clean cycle leaves
+	// them; another clean cycle changes nothing.
+	recencyCycle
+	// recencyTick: the segments' pages lead with the tick handler's
+	// right behind them, as clean cycles after a crossed tick leave
+	// them; neither a clean cycle nor a span that crosses ticks and
+	// elides cycles after the last changes anything.
+	recencyTick
+)
+
 // tryBulkSkip elides as many whole idle cycles as provably fit before
-// the next queued event. Called from step immediately after fetching a
-// bulk-tracked thread's next request — the request is pending but not
-// started, so skipping n cycles and then processing the request is
-// indistinguishable from simulating n cycles and fetching the request
-// afresh (the fetch is stateless for loop threads).
+// the next event that is not a clock tick, crossing the ticks in
+// between. Called from step immediately after fetching a bulk-tracked
+// thread's next request — the request is pending but not started, so
+// skipping cycles and then processing the request is indistinguishable
+// from simulating them and fetching the request afresh (the fetch is
+// stateless for loop threads).
 //
-// Exactness contract: the elided span replays the slow path's entire
-// observable footprint — counter deltas (misses are zero by
-// cleanliness; the rest scale linearly), the quantum accounting, and
-// the instrument's samples (via OnBulk). A simulated cycle queues
-// nothing — each chunk's completion is armed beside the queue (Run) —
-// so the queue's sequence counter, and every later event's
-// (at, seq) key, is the same whether the cycles ran or were elided.
-// The cycle that would straddle NextTime is never elided; it executes
-// honestly and is the sample that detects the tick or interrupt,
-// exactly as the paper's methodology requires.
+// A span is a run of pieces: n whole clean cycles that end strictly
+// before the next tick (elide), then the cycle that tick lands in,
+// stretched by its handler (crossTick), and again, until the next
+// event that is not a tick, the Run horizon or the instrument's budget.
+// Whatever cannot be crossed ends the span, and the cycle it falls in
+// is simulated honestly: that straddling cycle is the sample that
+// detects the tick or interrupt, exactly as the paper's methodology
+// requires.
+//
+// Exactness contract: the span leaves the machine exactly as the slow
+// path would, at every Run boundary:
+//   - counters: the signature's deltas per cycle, plus the handler's,
+//     with Interrupts +1, per crossed tick (misses are zero by
+//     cleanliness and residency);
+//   - the clock, ClockTicks, the governor's busy mark, the tick-jitter
+//     draws, and the queue's sequence counter: a crossed tick reserves
+//     the two numbers the slow path takes, its handler's reconcile and
+//     its re-arm, so every later event's (at, seq) key is unchanged. A
+//     simulated cycle queues nothing — each chunk's completion is armed
+//     beside the queue (Run);
+//   - busy accounting: busyAcc and stolenUntil, with OnBusy(true) at
+//     the tick and OnBusy(false) at its handler's end, Now() advanced
+//     to each instant before its hook fires;
+//   - the thread's quantum and the instrument's samples (OnBulk);
+//   - the TLB and L2 recency order (settleRecency), which no counter
+//     shows until an eviction reaches the entries that differ.
 func (k *Kernel) tryBulkSkip(t *Thread) {
 	if !t.bulkClean || k.rec != nil || k.shutdown {
 		return
@@ -149,51 +197,79 @@ func (k *Kernel) tryBulkSkip(t *Thread) {
 	if k.cpu.Clock() != t.sigClock {
 		// A DVFS transition since the signature was recorded re-prices
 		// every cycle; elision must wait for a fresh canonical cycle at
-		// the new operating point. Frequency only changes at clock-tick
-		// events, and elision never crosses a queued event, so within
-		// an elided span the clock is provably constant.
+		// the new operating point. Frequency only changes at clock
+		// ticks, and a span never crosses a tick that changes it, so
+		// within a span the clock is provably constant.
 		return
 	}
-	// Elide only cycles that end strictly before the next queued event
-	// AND no later than the current Run's horizon. The slow path
+	// Every cycle of the span ends strictly before the next queued
+	// event AND no later than the current Run's horizon. The slow path
 	// completes every cycle whose last chunk completes at or before
 	// `until` within this Run call, stops the clock at `until` exactly,
 	// and finishes the straddling cycle in a later Run — so the clamp
 	// (horizon + 1 makes the bound inclusive) is what keeps Run's return
 	// value and the machine state at every Run boundary byte-identical.
-	boundary := k.q.NextTime()
-	if horizon := k.runUntil.Add(1); boundary > horizon {
-		boundary = horizon
+	// Crossing a tick schedules nothing, so the limit holds for the
+	// whole span.
+	limit := k.q.NextTime()
+	if horizon := k.runUntil.Add(1); limit > horizon {
+		limit = horizon
 	}
-	if boundary == simtime.Never {
+	if limit == simtime.Never {
 		return
 	}
-	n := simtime.IterationsBefore(k.now, d, boundary)
-	if b := t.bulk.BulkBudget(); n > b {
-		n = b
+	// The busy state may still hold a handler that ended at this very
+	// instant: the reconcile that resumed the thread only settles it
+	// when it finishes, after this span. Settle it now, at the instant
+	// the slow path does, so the span starts idle.
+	k.updateBusy()
+	budget := t.bulk.BulkBudget()
+	var s bulkSpan
+	dh := simtime.Duration(-1) // the tick handler's cost, once a tick is due
+	for {
+		boundary, tick := limit, false
+		if k.tickArmed && k.tickAt < limit {
+			boundary, tick = k.tickAt, true
+		}
+		if n := min(simtime.IterationsBefore(k.now, d, boundary), budget); n > 0 {
+			k.elide(t, n, d, &s)
+			budget -= n
+		}
+		if !tick || budget <= 0 {
+			break
+		}
+		if dh < 0 {
+			// A span touches no page before its end (settleRecency), so
+			// the handler's residency, and with it its cost at the
+			// span's constant clock, holds for every tick of the span.
+			h := &k.cfg.ClockInterrupt
+			if !k.cpu.Mem.Resident(h.CodePages, h.DataPages, h.CacheChunks) {
+				break
+			}
+			dh = k.cpu.DurationOf(k.cpu.WarmCycles(h))
+		}
+		if !k.crossTick(t, dh, limit, &s) {
+			break
+		}
+		budget--
 	}
-	if n <= 0 {
-		return
-	}
+	k.settleRecency(t, &s)
+}
 
-	// Replay the quantum arithmetic of n cycles in closed form. The
-	// slow path splits each compute stage into quantum-bounded chunks,
-	// and a chunk that finds the slice spent refills it in place (no
-	// peer is ready, ProvablyIdle, so expiry does not requeue). Stage
-	// boundaries never refill on their own, so n cycles consume the
-	// span T as one stretch: what is left of the slice first, then
-	// whole quanta, the last possibly partial.
+// bulkSpan is what settleRecency needs to know of a span.
+type bulkSpan struct {
+	cycles int64 // cycles accounted, crossed ones included
+	ticks  int64 // clock ticks crossed
+	// tail counts the cycles elided after the last crossed tick, and
+	// inRecord says that tick fell in the record segment (the second).
+	tail     int64
+	inRecord bool
+}
+
+// elide accounts n whole clean cycles of t starting now.
+func (k *Kernel) elide(t *Thread, n int64, d simtime.Duration, s *bulkSpan) {
 	total := simtime.Duration(n) * d
-	qL := t.quantumLeft
-	if qL >= total {
-		// No refill fits inside the span — the common case when the
-		// quantum dwarfs the cycle.
-		qL -= total
-	} else {
-		q := k.cfg.Quantum
-		r := total - max(qL, 0)
-		qL = (q - r%q) % q
-	}
+	t.quantumLeft = k.consumeQuantum(t.quantumLeft, total)
 	for i, delta := range t.sigDelta {
 		if delta != 0 {
 			k.cpu.Add(cpu.EventKind(i), n*delta)
@@ -201,15 +277,173 @@ func (k *Kernel) tryBulkSkip(t *Thread) {
 	}
 	start := k.now
 	k.advance(start.Add(total))
-	t.quantumLeft = qL
 	k.bulkElided += n
+	s.cycles += n
+	s.tail += n
 	t.bulk.OnBulk(n, start, d)
 }
 
+// consumeQuantum returns the slice left after a stretch of total CPU
+// time, in closed form. The slow path splits each compute stage into
+// quantum-bounded chunks, and a chunk that finds the slice spent refills
+// it in place (no peer is ready, ProvablyIdle, so expiry does not
+// requeue). Stage boundaries and interrupts never refill on their own,
+// so cycles consume their CPU time as one stretch: what is left of the
+// slice first, then whole quanta, the last possibly partial.
+func (k *Kernel) consumeQuantum(left, total simtime.Duration) simtime.Duration {
+	if left >= total {
+		// No refill fits inside the stretch — the common case when the
+		// quantum dwarfs the cycle.
+		return left - total
+	}
+	q := k.cfg.Quantum
+	r := total - max(left, 0)
+	return (q - r%q) % q
+}
+
+// crossTick replays the clock tick due inside the cycle starting now,
+// and that cycle stretched by the tick's handler, whose pages the
+// caller found resident and whose cost is dh, or reports false, having
+// changed nothing, when the tick cannot be crossed:
+//   - it ties with a chunk boundary: it falls on the cycle's start, its
+//     stage boundary or its end, or on a quantum expiry. The replay
+//     below takes the tick inside a running chunk; a tie is simulated;
+//   - the stretched cycle does not end strictly before limit (the next
+//     event that is not a tick, or the Run horizon) and before the next
+//     tick;
+//   - the governor would change the operating point at this tick, which
+//     re-prices the rest of the cycle.
+//
+// A handler that would miss ends the span before crossTick is asked:
+// its misses would leave the fixed point.
+//
+// The slow path takes the tick as clockTick and RaiseInterrupt do: the
+// governor step, the handler's cost and counters, the steal, a reconcile
+// queued at the handler's end, the busy transition and the re-arm with
+// its jitter draw; at the handler's end the reconcile resumes the cycle
+// and the busy transition reverses. The replay does each of these at
+// its instant, in that order, with no event queued.
+func (k *Kernel) crossTick(t *Thread, dh simtime.Duration, limit simtime.Time, s *bulkSpan) bool {
+	start, at := k.now, k.tickAt
+	d1, d := t.sigD1, t.sigD1+t.sigD2
+	off := at.Sub(start)
+	if off <= 0 || off >= d || off == d1 {
+		return false
+	}
+	q, left := k.cfg.Quantum, t.quantumLeft
+	if left <= 0 {
+		left = q // spent at the cycle's start: its first chunk refills it
+	}
+	if off >= left && (off-left)%q == 0 {
+		return false
+	}
+	end := start.Add(d + dh)
+	if end >= limit || at.Add(k.cfg.ClockTick) <= end {
+		return false
+	}
+	if k.dvfs.Enabled() && k.dvfsNext() != k.dvfsLevel {
+		return false
+	}
+
+	// The tick and its handler. The governor step keeps the level, so
+	// it only moves the busy mark.
+	h := &k.cfg.ClockInterrupt
+	k.advance(at)
+	k.clockTicks++
+	if k.dvfs.Enabled() {
+		k.dvfsBusyMark = k.NonIdleBusyTime()
+	}
+	for i, delta := range t.sigDelta {
+		if delta != 0 {
+			k.cpu.Add(cpu.EventKind(i), delta)
+		}
+	}
+	k.cpu.Add(cpu.Instructions, h.Instructions)
+	k.cpu.Add(cpu.DataRefs, h.DataRefs)
+	k.cpu.Add(cpu.SegmentLoads, h.SegmentLoads)
+	k.cpu.Add(cpu.UnalignedAccesses, h.UnalignedAccesses)
+	k.cpu.Add(cpu.Interrupts, 1)
+	k.stolenUntil = at.Add(dh)
+	k.q.ReserveSeq() // the handler's reconcile
+	k.updateBusy()
+	k.rearmTick()
+	// The handler's end, where its reconcile resumes the cycle.
+	k.advance(k.stolenUntil)
+	k.updateBusy()
+	// The stretched cycle's end. The thread ran d of it.
+	k.advance(end)
+	t.quantumLeft = k.consumeQuantum(t.quantumLeft, d)
+	k.bulkElided++
+	k.ticksCrossed++
+	s.cycles++
+	s.ticks++
+	s.tail = 0
+	s.inRecord = off > d1
+	t.bulk.OnBulk(1, start, d+dh)
+	return true
+}
+
+// settleRecency leaves the TLB and L2 recency order that the span's
+// cycles and handlers would have left. Every touch in a span hits, so
+// it only reorders, and the order it leaves is that of each page's last
+// touch: one replay of the last touches per span is exact however many
+// cycles the span held. A clean cycle touches its two segments, so
+// after an undisturbed cycle another changes nothing; after a cycle an
+// interrupt stretched (recencyStale), the segments need one more touch
+// to come last. After a crossed tick, elided cycles leave the segments
+// ahead of the handler's pages, which a span that began so need not
+// redo (recencyTick). If none followed, the order is that of the
+// stretched cycle itself: the handler's pages between the two segments,
+// or ahead of both when the tick fell in the record segment. All these
+// touches hit, so no counter moves.
+func (k *Kernel) settleRecency(t *Thread, s *bulkSpan) {
+	h := &k.cfg.ClockInterrupt
+	switch {
+	case s.ticks == 0:
+		if t.recency == recencyStale && s.cycles > 0 {
+			k.touchWarm(&t.cycleSeg)
+			k.touchWarm(&t.cycleSeg2)
+			t.recency = recencyCycle
+		}
+	case s.tail > 0:
+		if t.recency != recencyTick {
+			k.touchWarm(h)
+			k.touchWarm(&t.cycleSeg)
+			k.touchWarm(&t.cycleSeg2)
+			t.recency = recencyTick
+		}
+	case s.inRecord:
+		k.touchWarm(&t.cycleSeg)
+		k.touchWarm(&t.cycleSeg2)
+		k.touchWarm(h)
+		t.recency = recencyStale
+	default:
+		k.touchWarm(&t.cycleSeg)
+		k.touchWarm(h)
+		k.touchWarm(&t.cycleSeg2)
+		t.recency = recencyStale
+	}
+}
+
+// touchWarm references seg's pages and chunks as Execute does, without
+// its counters or cost: for working sets known to be resident, where
+// every touch hits and only the recency order moves.
+func (k *Kernel) touchWarm(seg *cpu.Segment) {
+	m := k.cpu.Mem
+	m.TouchCode(seg.CodePages)
+	m.TouchData(seg.DataPages)
+	m.TouchCache(seg.CacheChunks)
+}
+
 // BulkElided returns the number of idle cycles accounted analytically
-// instead of simulated — the measure of how much work idle elision
-// saved, and always zero on a traced kernel.
+// instead of simulated, tick-stretched ones included — the measure of
+// how much work idle elision saved, and always zero on a traced kernel.
 func (k *Kernel) BulkElided() int64 { return k.bulkElided }
+
+// TicksCrossed returns the number of clock ticks idle elision replayed
+// inside elided spans instead of simulating the cycle each interrupts;
+// always zero on a traced kernel. They are among ClockTicks.
+func (k *Kernel) TicksCrossed() int64 { return k.ticksCrossed }
 
 // segsEqual reports whether two segments describe the identical work:
 // same costs, counters, and working set. Page-set slices are compared

@@ -28,14 +28,17 @@ func (p *quantumProbe) OnBulk(n int64, _ simtime.Time, cycle simtime.Duration) {
 	}
 }
 
-// TestElisionReplaysLeftoverQuantum checks the one piece of elided state
-// no sample or counter shows: the slice an elided span leaves the idle
-// thread. A traced kernel simulates every cycle and an untraced one
-// elides the clean ones; both are stopped at the same irregular
-// boundaries, and at each the idle thread's quantumLeft must agree. A
-// 2.5 ms quantum over 1.03 ms cycles makes the elided spans straddle
-// quantum refills at a different phase every time. No other thread
-// runs, so nothing preempts the idle thread and resets its slice.
+// TestElisionReplaysLeftoverQuantum checks the elided state no sample
+// or counter shows: the slice an elided span leaves the idle thread, and
+// the queue's sequence counter and next tick a span that crossed ticks
+// leaves. A traced kernel simulates every cycle and tick and an untraced
+// one elides the clean cycles and crosses the ticks among them; both
+// are stopped at the same irregular boundaries, and at each the idle
+// thread's quantumLeft, the next sequence number and the armed tick's
+// (time, seq) key must agree. A 2.5 ms quantum over 1.03 ms cycles makes
+// the elided spans straddle quantum refills at a different phase every
+// time. No other thread runs, so nothing preempts the idle thread and
+// resets its slice.
 func TestElisionReplaysLeftoverQuantum(t *testing.T) {
 	spin := cpu.Segment{Name: "spin", BaseCycles: 70_000, Instructions: 50_000,
 		CodePages: []uint64{40}, DataPages: []uint64{41}}
@@ -77,12 +80,18 @@ func TestElisionReplaysLeftoverQuantum(t *testing.T) {
 		if qa, qb := oracle.idle.quantumLeft, fast.idle.quantumLeft; qa != qb {
 			t.Fatalf("at %v the idle thread has %v of its quantum left traced, %v untraced", until, qa, qb)
 		}
+		if a, b := oracle.k.QueueSeq(), fast.k.QueueSeq(); a != b {
+			t.Fatalf("at %v the queue's next sequence number is %d traced, %d untraced", until, a, b)
+		}
+		if a, b := oracle.k, fast.k; a.tickAt != b.tickAt || a.tickSeq != b.tickSeq {
+			t.Fatalf("at %v the next tick is (%v, %d) traced, (%v, %d) untraced", until, a.tickAt, a.tickSeq, b.tickAt, b.tickSeq)
+		}
 	}
 	if n := oracle.k.BulkElided(); n != 0 {
 		t.Fatalf("traced kernel elided %d cycles, want 0", n)
 	}
-	if fast.k.BulkElided() == 0 || fast.probe.refills == 0 {
-		t.Fatalf("untraced kernel elided %d cycles in %d refilling spans; the check is vacuous",
-			fast.k.BulkElided(), fast.probe.refills)
+	if fast.k.BulkElided() == 0 || fast.probe.refills == 0 || fast.k.TicksCrossed() == 0 {
+		t.Fatalf("untraced kernel elided %d cycles in %d refilling spans and crossed %d ticks; the check is vacuous",
+			fast.k.BulkElided(), fast.probe.refills, fast.k.TicksCrossed())
 	}
 }

@@ -24,6 +24,7 @@ package kernel
 import (
 	"fmt"
 	"runtime/debug"
+	"slices"
 
 	"latlab/internal/cpu"
 	"latlab/internal/disk"
@@ -156,11 +157,21 @@ type Kernel struct {
 	chunkEnd   simtime.Time
 	chunkSeq   uint64
 
-	// Cached event callbacks: the scheduler arms these thousands of
-	// times per simulated second, and recreating the closure (or method
-	// value) on every arm was a measurable share of all allocations.
+	// The 10 ms clock tick waits beside the queue too, so idle elision
+	// can see the next event that is not a tick and cross the ticks
+	// before it (tryBulkSkip). tickArmed says a tick is due at tickAt;
+	// tickSeq is the sequence number reserved for it when it was armed,
+	// the one it would have taken in the queue, so every event keeps
+	// the key it had with the tick queued.
+	tickArmed bool
+	tickAt    simtime.Time
+	tickSeq   uint64
+
+	// reconcileFn is the cached reconcile callback: the scheduler arms
+	// it thousands of times per simulated second, and recreating the
+	// closure (or method value) on every arm was a measurable share of
+	// all allocations.
 	reconcileFn func(now simtime.Time)
-	clockFn     func(now simtime.Time)
 
 	inReconcile    bool
 	reconcileAgain bool
@@ -177,12 +188,14 @@ type Kernel struct {
 
 	clockTicks int64
 	shutdown   bool
-	// bulkElided counts idle cycles accounted analytically;
-	// ctxSwitches counts thread context switches (startChunk), letting
-	// the cleanliness proof require "no switch inside this cycle" —
-	// a process switch may flush the TLBs without an immediate miss.
-	bulkElided  int64
-	ctxSwitches uint64
+	// bulkElided counts idle cycles accounted analytically, and
+	// ticksCrossed the clock ticks replayed inside them; ctxSwitches
+	// counts thread context switches (startChunk), letting the
+	// cleanliness proof require "no switch inside this cycle" — a
+	// process switch may flush the TLBs without an immediate miss.
+	bulkElided   int64
+	ticksCrossed int64
+	ctxSwitches  uint64
 	// resumes counts goroutine-thread resumptions (fetchInto), the
 	// handshakes TC.Loop saves.
 	resumes int64
@@ -234,7 +247,7 @@ func New(cfg Config) *Kernel {
 		k.cpu.SetClock(k.dvfs.Level(0))
 	}
 	k.irqc = prof.IRQCoalesce
-	k.scheduleClock()
+	k.tickArmed, k.tickAt, k.tickSeq = true, k.now.Add(cfg.ClockTick), k.q.ReserveSeq()
 	return k
 }
 
@@ -276,6 +289,10 @@ func (k *Kernel) Disk() *disk.Disk { return k.disk }
 
 // Config returns the kernel configuration.
 func (k *Kernel) Config() Config { return k.cfg }
+
+// Threads returns every thread spawned so far, in spawn order, exited
+// ones included. The slice is the caller's.
+func (k *Kernel) Threads() []*Thread { return slices.Clone(k.threads) }
 
 // ClockTicks returns the number of clock interrupts taken so far.
 func (k *Kernel) ClockTicks() int64 { return k.clockTicks }
@@ -395,19 +412,26 @@ func (k *Kernel) newThread(name string, proc ProcID, prio int) *Thread {
 
 // Run processes events until none remain or simulated time would pass
 // `until`. It returns the time at which it stopped.
+//
+// Three sources hold the next event: the queue head, the clock tick and
+// the running chunk's completion, the last two kept beside the queue.
+// Run fires whichever comes first in (time, seq) order. The tick holds
+// the seq reserved for it when it was armed, so it falls exactly where a
+// queued tick would. The completion holds the seq the queue was to
+// assign next when the chunk started, which it never used: at the same
+// instant it loses to events (the tick included) scheduled before the
+// chunk started and wins against the first one scheduled after.
 func (k *Kernel) Run(until simtime.Time) simtime.Time {
 	// Idle elision must never advance past the run horizon: the
 	// slow path stops mid-cycle at `until` exactly, so bulk elision is
 	// clamped to cycles ending at or before it (tryBulkSkip).
 	k.runUntil = until
 	for {
-		// The next event is the queue head or the running chunk's
-		// completion, whichever comes first in (time, seq) order. The
-		// completion holds the seq the queue was to assign next when the
-		// chunk started, which it never used: at the same instant it
-		// loses to events scheduled before the chunk started and wins
-		// against the first one scheduled after.
 		at, seq, ok := k.q.HeadKey()
+		tick := k.tickArmed && (k.tickAt < at || (k.tickAt == at && k.tickSeq < seq))
+		if tick {
+			at, seq, ok = k.tickAt, k.tickSeq, true
+		}
 		chunk := k.chunkArmed && (k.chunkEnd < at || (k.chunkEnd == at && k.chunkSeq <= seq))
 		if chunk {
 			at, ok = k.chunkEnd, true
@@ -417,12 +441,15 @@ func (k *Kernel) Run(until simtime.Time) simtime.Time {
 			return k.now
 		}
 		k.advance(at)
-		if chunk {
+		switch {
+		case chunk:
 			k.completeChunk()
-			continue
+		case tick:
+			k.clockTick()
+		default:
+			e, _ := k.q.Pop()
+			e.Fire(k.now)
 		}
-		e, _ := k.q.Pop()
-		e.Fire(k.now)
 	}
 }
 
@@ -463,30 +490,33 @@ func (k *Kernel) Shutdown() {
 	}
 }
 
-// scheduleClock arms the recurring hardware clock interrupt. The tick
-// callback reschedules itself, so the whole recurring clock costs one
-// closure for the kernel's lifetime instead of one per tick.
-func (k *Kernel) scheduleClock() {
-	k.clockFn = func(now simtime.Time) {
-		if k.shutdown {
-			return
-		}
-		k.clockTicks++
-		if k.dvfs.Enabled() {
-			// Governor step first, over the window that just closed,
-			// before this tick's own handler cost lands in the next one.
-			k.dvfsTick()
-		}
-		k.RaiseInterrupt(k.cfg.ClockInterrupt, nil)
-		next := k.now.Add(k.cfg.ClockTick)
-		if k.tickJitter != nil {
-			if j := k.tickJitter(now, k.clockTicks); j > 0 {
-				next = next.Add(j)
-			}
-		}
-		k.At(next, k.clockFn)
+// clockTick takes the hardware clock interrupt Run found due, and arms
+// the next one.
+func (k *Kernel) clockTick() {
+	k.tickArmed = false
+	if k.shutdown {
+		return
 	}
-	k.At(k.now.Add(k.cfg.ClockTick), k.clockFn)
+	k.clockTicks++
+	if k.dvfs.Enabled() {
+		// Governor step first, over the window that just closed,
+		// before this tick's own handler cost lands in the next one.
+		k.dvfsTick()
+	}
+	k.RaiseInterrupt(k.cfg.ClockInterrupt, nil)
+	k.rearmTick()
+}
+
+// rearmTick arms the tick after the one taken at now: ClockTick later,
+// plus the jitter drawn for it, under the next sequence number.
+func (k *Kernel) rearmTick() {
+	next := k.now.Add(k.cfg.ClockTick)
+	if k.tickJitter != nil {
+		if j := k.tickJitter(k.now, k.clockTicks); j > 0 {
+			next = next.Add(j)
+		}
+	}
+	k.tickArmed, k.tickAt, k.tickSeq = true, next, k.q.ReserveSeq()
 }
 
 // RaiseInterrupt models a hardware interrupt: the handler segment is

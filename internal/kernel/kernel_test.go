@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -178,6 +179,43 @@ func TestCompletionTieRule(t *testing.T) {
 	}
 }
 
+// TestClockTieRule pins where the clock tick, kept beside the queue,
+// falls among events due at the same instant, which no golden does:
+// after a queued event scheduled before the tick was armed, before one
+// scheduled after it, and before a chunk completion, since every chunk
+// due at a tick started after that tick was armed (a tick is armed
+// when the one before it is taken).
+func TestClockTieRule(t *testing.T) {
+	const tick = 10 * simtime.Millisecond
+	k := New(quietConfig())
+	var seen []int64
+	record := func(simtime.Time) { seen = append(seen, k.ClockTicks()) }
+	k.At(simtime.Time(2*tick), record) // before the second tick is armed, at the first
+	k.At(simtime.Time(tick), record)   // after the first tick was armed, in New
+	k.At(simtime.Time(15*simtime.Millisecond), func(simtime.Time) {
+		k.At(simtime.Time(2*tick), record) // after the second tick was armed
+	})
+	k.Run(simtime.Time(25 * simtime.Millisecond))
+	k.Shutdown()
+	if want := []int64{1, 1, 2}; fmt.Sprint(seen) != fmt.Sprint(want) {
+		t.Errorf("ticks taken when the 10 ms, boot-queued 20 ms and later-queued 20 ms events fired = %v, want %v", seen, want)
+	}
+
+	cfg := quietConfig()
+	cfg.ClockInterrupt = burn("clock", 1)
+	k = New(cfg)
+	defer k.Shutdown()
+	var done simtime.Time
+	k.Spawn("worker", 1, 8, func(tc *TC) {
+		tc.Compute(burn("w", 10)) // its chunk is due at the first tick
+		done = tc.Now()
+	})
+	k.Run(simtime.Time(simtime.Second))
+	if done != simtime.Time(11*simtime.Millisecond) {
+		t.Errorf("chunk due at the first tick: thread done at %v, want 11ms (behind the tick's handler)", done)
+	}
+}
+
 // TestComputeChunksQueueNothing pins that a chunk's completion is armed
 // beside the event queue: a run of compute chunks schedules nothing, so
 // the queue's sequence counter does not move.
@@ -215,6 +253,31 @@ func TestStealReusesReconcileCallback(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("steal allocates %.1f times per call, want 0", allocs)
+	}
+}
+
+// TestSleepReusesWakeCallback pins that Sleep arms the thread's one
+// wake callback instead of building a closure per call: a thread that
+// sleeps and wakes in steady state allocates nothing.
+func TestSleepReusesWakeCallback(t *testing.T) {
+	cfg := quietConfig()
+	cfg.TimersTickAligned = false
+	k := New(cfg)
+	defer k.Shutdown()
+	sleeps := 0
+	k.SpawnLoop("sleeper", 1, 8, func(lc *LoopTC) bool {
+		sleeps++
+		lc.Sleep(simtime.Millisecond)
+		return true
+	})
+	k.RunFor(100 * simtime.Millisecond) // the queue's slab reaches its peak
+	before := sleeps
+	allocs := testing.AllocsPerRun(20, func() { k.RunFor(10 * simtime.Millisecond) })
+	if sleeps-before < 200 {
+		t.Fatalf("the thread slept %d times in 210 ms; the check is vacuous", sleeps-before)
+	}
+	if allocs != 0 {
+		t.Errorf("10 ms of 1 ms sleeps allocates %.1f times, want 0", allocs)
 	}
 }
 

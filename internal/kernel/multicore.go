@@ -242,15 +242,19 @@ func (k *Kernel) siblingBusy(c int) bool {
 // own sampling cycles, which is precisely the distortion the
 // ext-modern-dvfs experiment measures.
 func (k *Kernel) dvfsTick() {
-	busy := k.NonIdleBusyTime()
-	window := busy - k.dvfsBusyMark
-	k.dvfsBusyMark = busy
-	pct := int(100 * window / k.cfg.ClockTick)
-	next := k.dvfs.Next(k.dvfsLevel, pct)
+	next := k.dvfsNext()
+	k.dvfsBusyMark = k.NonIdleBusyTime()
 	if next != k.dvfsLevel {
 		k.dvfsLevel = next
 		k.cpu.SetClock(k.dvfs.Level(next))
 	}
+}
+
+// dvfsNext returns the ladder level a governor step taken now would
+// choose, changing nothing.
+func (k *Kernel) dvfsNext() int {
+	window := k.NonIdleBusyTime() - k.dvfsBusyMark
+	return k.dvfs.Next(k.dvfsLevel, int(100*window/k.cfg.ClockTick))
 }
 
 // DVFSLevel returns the governor's current ladder position (0 when the

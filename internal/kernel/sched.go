@@ -535,18 +535,24 @@ func (k *Kernel) process(t *Thread) {
 
 // sleep parks t for at least d and arms its wakeup — at now+d, rounded
 // up to the next clock tick when timers are tick-aligned. The scheduler
-// core and the aux cores share it.
+// core and the aux cores share it. The wakeup is the thread's one wake
+// callback, bound on its first sleep: a thread sleeps once at a time, so
+// one callback serves every Sleep it issues, and it wakes the thread
+// only if the thread is still sleeping.
 func (k *Kernel) sleep(t *Thread, d simtime.Duration) {
 	wake := k.now.Add(d)
 	if k.cfg.TimersTickAligned {
 		wake = k.NextTick(wake)
 	}
 	t.state = StateSleeping
-	k.At(wake, func(now simtime.Time) {
-		if t.state == StateSleeping {
-			k.wake(t)
+	if t.wakeFn == nil {
+		t.wakeFn = func(simtime.Time) {
+			if t.state == StateSleeping {
+				k.wake(t)
+			}
 		}
-	})
+	}
+	k.At(wake, t.wakeFn)
 }
 
 func (k *Kernel) logMsgAPI(rec trace.MsgRecord) {

@@ -147,8 +147,11 @@ type Thread struct {
 	// cleanliness tracking and the elision of clean cycles.
 	// cycle* fields observe the cycle in flight; sig* plus cycleSeg*
 	// hold the canonical interrupt-free signature elision replays from.
+	// recency is what the thread knows of the front of the TLB and L2
+	// recency order (settleRecency).
 	bulk          BulkLoop
 	bulkClean     bool
+	recency       recency
 	cycleStart    simtime.Time
 	cycleD1       simtime.Duration
 	cycleD2       simtime.Duration
@@ -182,6 +185,10 @@ type Thread struct {
 	runStart simtime.Time
 	// quantumLeft is the unexpired part of the timeslice.
 	quantumLeft simtime.Duration
+
+	// wakeFn is the thread's sleep wakeup callback (sleep), bound on
+	// its first Sleep.
+	wakeFn func(now simtime.Time)
 
 	// msgq is the thread's message queue.
 	msgq []Msg
@@ -218,6 +225,9 @@ func (t *Thread) State() ThreadState { return t.state }
 
 // QueueLen returns the current message-queue length.
 func (t *Thread) QueueLen() int { return len(t.msgq) }
+
+// QuantumLeft returns the unexpired part of the thread's timeslice.
+func (t *Thread) QuantumLeft() simtime.Duration { return t.quantumLeft }
 
 // TC is the thread-side handle to kernel services; every method must be
 // called from the thread's own body function.

@@ -144,6 +144,21 @@ func (l *LRU) Contains(id uint64) bool {
 	return w != noSlot && l.wins[w].mask>>(id&63)&1 != 0
 }
 
+// AppendRecency appends the resident identifiers to dst, most recently
+// used first, and returns the extended slice. It changes nothing: it is
+// how a test compares the recency order two machines leave, which no
+// hit or miss shows until an eviction reaches the entries that differ.
+func (l *LRU) AppendRecency(dst []uint64) []uint64 {
+	for k := l.head; k != noSlot; k = l.blocks[k].next {
+		bk := l.blocks[k]
+		num := l.wins[bk.w].num
+		for b := int(bk.hi); b >= int(bk.lo); b-- {
+			dst = append(dst, num<<6|uint64(b))
+		}
+	}
+	return dst
+}
+
 // Touch references id, returning true on a hit. On a miss the id is
 // inserted, evicting the LRU entry if the set is full.
 //
@@ -639,6 +654,31 @@ func (s *System) FlushTLBs() {
 	}
 	s.ITLB.Flush()
 	s.DTLB.Flush()
+}
+
+// Resident reports whether every code page, data page and cache chunk
+// listed is resident, so touching them would hit throughout, without
+// updating recency. With no L2 a cache chunk is never resident.
+func (s *System) Resident(code, data, chunks []uint64) bool {
+	for _, id := range code {
+		if !s.ITLB.Contains(id) {
+			return false
+		}
+	}
+	for _, id := range data {
+		if !s.DTLB.Contains(id) {
+			return false
+		}
+	}
+	if len(chunks) > 0 && s.Cache == nil {
+		return false
+	}
+	for _, id := range chunks {
+		if !s.Cache.Contains(id) {
+			return false
+		}
+	}
+	return true
 }
 
 // TouchCode references a set of code pages, returning the miss count.

@@ -96,6 +96,8 @@ type lruPair struct {
 	// blocks and of their start bits; per slot, whether a walk met it.
 	union, starts      []uint64
 	winSeen, blockSeen []bool
+	// order is AppendRecency's buffer.
+	order []uint64
 
 	evicted, flushes int // misses on a full set; flushes
 	// winReuses and blockReuses count ops after which the slot heading
@@ -383,6 +385,17 @@ func (p *lruPair) check(list bool) {
 	}
 	if wi != noSlot || pos != g.Len() || g.tail != prev {
 		p.tb.Fatalf("recency list holds %d ids ending at block %d, want Len %d ending at tail %d, and the oracle's whole list", pos, prev, g.Len(), g.tail)
+	}
+	p.order = g.AppendRecency(p.order[:0])
+	wi = w.head
+	for i, id := range p.order {
+		if wi == noSlot || w.nodes[wi].id != id {
+			p.tb.Fatalf("AppendRecency diverges from the oracle's MRU→LRU order at position %d (id %d)", i, id)
+		}
+		wi = w.nodes[wi].next
+	}
+	if wi != noSlot {
+		p.tb.Fatalf("AppendRecency lists %d ids, the oracle more", len(p.order))
 	}
 	if h := p.freeBlkHead; h != noSlot && int(h) < len(g.blocks) && p.blockSeen[h] {
 		p.blockReuses++
@@ -714,6 +727,36 @@ func TestLRUEquivalenceRandom(t *testing.T) {
 	}
 	t.Logf("window slot reuses %d, block slot reuses %d, splits %d, crossings %d, over capacity %d, own evictions %d, repeats %d, descents %d, long clusters %d, wraps %d, wrap shifts %d",
 		total.winReuses, total.blockReuses, total.splits, total.crossings, total.overCap, total.ownEvictions, total.repeats, total.descents, total.longRuns, total.wraps, total.wrapShifts)
+}
+
+// TestSystemResident pins System.Resident: true only when every listed
+// page and chunk is resident, without touching anything.
+func TestSystemResident(t *testing.T) {
+	s := NewSystem(DefaultConfig())
+	code, data, chunks := []uint64{1, 2}, []uint64{100}, []uint64{7}
+	if !s.Resident(nil, nil, nil) {
+		t.Fatalf("an empty working set is resident")
+	}
+	s.TouchCode(code)
+	s.TouchData(data)
+	if s.Resident(code, data, chunks) {
+		t.Fatalf("Resident with an absent cache chunk")
+	}
+	s.TouchCache(chunks)
+	before := s.ITLB.AppendRecency(nil)
+	if !s.Resident(code, data, chunks) {
+		t.Fatalf("not Resident after touching every page and chunk")
+	}
+	if after := s.ITLB.AppendRecency(nil); after[0] != before[0] {
+		t.Fatalf("Resident moved the ITLB's most recent entry from %d to %d", before[0], after[0])
+	}
+	if s.Resident([]uint64{3}, data, chunks) || s.Resident(code, []uint64{101}, chunks) {
+		t.Fatalf("Resident with an absent page")
+	}
+	noL2 := NewSystem(Config{ITLBEntries: 4, DTLBEntries: 4})
+	if noL2.Resident(nil, nil, chunks) {
+		t.Fatalf("a cache chunk is resident on a machine with no L2")
+	}
 }
 
 func TestLRURecencyUpdate(t *testing.T) {
