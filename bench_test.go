@@ -420,7 +420,7 @@ func BenchmarkBatchThroughput(b *testing.B) {
 	sessions := make([]*idleBenchSession, lanes)
 	boot := func(slot int) *system.System {
 		sys := system.New(system.Config{Persona: persona.NT40()})
-		core.StartIdleLoopBuffer(sys.K, trace.NewBufferBacked((*batch.Arena(slot))[:0]))
+		core.StartIdleLoopBuffer(sys.K, trace.NewBufferBacked(*batch.Arena(slot), bufCap))
 		return sys
 	}
 	b.ResetTimer()
@@ -455,10 +455,11 @@ func BenchmarkBatchThroughput(b *testing.B) {
 
 // BenchmarkBoot reports what starting and releasing one campaign session
 // costs: experiments.OpenScenarioSession (machine, application, typing
-// script) then Close, on the demo-type scenario, with one system.Batch
-// slot's idle-sample arena reused across ops, as a campaign worker
-// reuses its batch's arenas from cell to cell (BenchmarkRunCells gates
-// that reuse). The simulator benchmarks above boot only as a side
+// script) then Close, on the demo-type scenario, opened as
+// campaign.RunCells opens its sessions: EventsOnly, on one
+// system.Batch slot's idle-sample arena. The arena grows only as a
+// session records, so it stays empty here; BenchmarkRunCells gates its
+// growth and reuse. The simulator benchmarks above boot only as a side
 // effect of long runs, so boot cost sits inside their noise; here it is
 // the whole op, and allocs/op is the tripwire. p100-quick is the
 // campaign demo's session, m2026 the 2026 machine in full mode, whose
@@ -477,7 +478,7 @@ func BenchmarkBoot(b *testing.B) {
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			doc.Machine = c.machine
-			cfg := experiments.Config{Seed: 1, Quick: c.quick, IdleArena: system.NewBatch(1).Arena(0)}
+			cfg := experiments.Config{Seed: 1, Quick: c.quick, IdleArena: system.NewBatch(1).Arena(0), EventsOnly: true}
 			open := func() {
 				s, err := experiments.OpenScenarioSession(cfg, doc)
 				if err != nil {
@@ -485,7 +486,7 @@ func BenchmarkBoot(b *testing.B) {
 				}
 				s.Close()
 			}
-			open() // grow the arena once, as a worker's first wave does
+			open() // one untimed op, as before every timed loop here
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				open()
@@ -498,10 +499,12 @@ func BenchmarkBoot(b *testing.B) {
 // first four cells of the engine tests' mini campaign
 // (internal/campaign/testdata/mini.json; 4 cells × 6 quick typing
 // sessions on nt40 @ p100) through campaign.RunCells at one worker,
-// records discarded. Each session's idle-sample arena is 4.4 MB
-// (274,000 samples × 16 B), so a worker that allocated a batch per cell
-// would allocate four sets of six arenas per op where a worker reusing
-// its batch across cells allocates one; B/op is the tripwire.
+// records discarded. Each batch slot's idle-sample arena grows to what
+// its sessions record, under a thousand samples here, where the
+// instrument's bound is 274,000 (4.4 MB); a worker that pre-committed
+// arenas at the bound again, or took a new batch per cell, would add
+// megabytes per op for a handful of allocations, so B/op is the
+// tripwire.
 func BenchmarkRunCells(b *testing.B) {
 	c, err := campaign.LoadSpec("internal/campaign/testdata/mini.json")
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"latlab/internal/core"
 	"latlab/internal/experiments"
 	"latlab/internal/kernel"
 	"latlab/internal/perception"
@@ -465,7 +466,7 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 
 // runCell executes a cell's sessions in seed order, folding every
 // event latency into one sketch and returning the finished ledger
-// record. Each session's result is discarded after folding, so memory
+// record. Each session's events are discarded after folding, so memory
 // stays flat at any population size. Sessions run interleaved as a
 // system.Batch in waves of the batch width — opened, stepped, and folded
 // in seed order, so the record (and the ledger) is the same for every
@@ -481,8 +482,8 @@ func runCell(ctx context.Context, campaignID string, cell Cell, alpha float64, o
 	if cell.Perception {
 		per = &PerceptionStats{}
 	}
-	fold := func(sr *experiments.ScenarioResult) {
-		for _, ev := range sr.Row.Report.Events {
+	fold := func(events []core.Event) {
+		for _, ev := range events {
 			ms := ev.Latency.Milliseconds()
 			sk.Add(ms)
 			if per == nil {
@@ -544,12 +545,14 @@ func runCell(ctx context.Context, campaignID string, cell Cell, alpha float64, o
 // sessions in seed order (recording into the batch's per-slot sample
 // arenas, kept from earlier cells), interleaves their stepping
 // earliest-target-first, closes every session of the wave, then
-// extracts and folds in seed order. The same deferred close releases
+// extracts and folds in seed order. Sessions are opened EventsOnly:
+// the ledger reads only their events, so they log no think/wait
+// inputs and skip the FSM replay. The same deferred close releases
 // the wave's already-open sessions if a sibling's open fails. Only a
 // cell whose every wave completes hands the batch back, reset; an
 // error, cancellation or panic leaves slots open, so the batch is
 // dropped with the cell.
-func runCellBatched(ctx context.Context, cell Cell, opt Options, pool *batchPool, fold func(*experiments.ScenarioResult)) error {
+func runCellBatched(ctx context.Context, cell Cell, opt Options, pool *batchPool, fold func([]core.Event)) error {
 	if err := cell.Doc.Validate(); err != nil {
 		return err
 	}
@@ -575,7 +578,7 @@ func runCellBatched(ctx context.Context, cell Cell, opt Options, pool *batchPool
 				}
 				seed := cell.SeedStart + uint64(base+i)
 				s, err := experiments.OpenScenarioSession(experiments.Config{
-					Seed: seed, Quick: opt.Quick, IdleArena: b.Arena(i),
+					Seed: seed, Quick: opt.Quick, IdleArena: b.Arena(i), EventsOnly: true,
 				}, cell.Doc)
 				if err != nil {
 					return fmt.Errorf("seed %d: %w", seed, err)
@@ -590,7 +593,7 @@ func runCellBatched(ctx context.Context, cell Cell, opt Options, pool *batchPool
 			return err
 		}
 		for i := 0; i < n; i++ {
-			fold(open[i].Result())
+			fold(open[i].Events())
 			open[i] = nil
 		}
 		b.Reset()
@@ -601,10 +604,10 @@ func runCellBatched(ctx context.Context, cell Cell, opt Options, pool *batchPool
 
 // batchPool is one RunCells call's free list of batches. A worker's
 // cell takes one when it starts and returns it when it completes, so
-// each worker allocates its batch's idle-sample arenas once per run
-// instead of once per cell. The arenas stay live for the whole run:
-// their untouched pages count toward the collector's heap goal but not
-// toward resident memory, which keeps collections rare.
+// each worker's idle-sample arenas live for the whole run: each slot's
+// arena grows by append to the most samples any session in that slot
+// recorded and is then reused without allocating. Every byte of an
+// arena is resident once a session has recorded into it.
 type batchPool struct {
 	width int
 	mu    sync.Mutex

@@ -43,8 +43,11 @@ type IdleLoop struct {
 	freq   simtime.Hz
 	// start is the cycle-counter reading at the current iteration's
 	// start. It lives on the struct rather than the loop closure so the
-	// bulk-elision path (OnBulk) can roll it forward.
-	start int64
+	// bulk-elision path (OnBulk) can roll it forward. started says an
+	// iteration is in flight, so the loop's next call logs it; on the
+	// struct, it costs the boot no allocation of its own.
+	start   int64
+	started bool
 	// loopSeg and recordSeg are what one sample executes: the calibrated
 	// busy-wait, then the record's generation.
 	loopSeg, recordSeg cpu.Segment
@@ -57,8 +60,8 @@ func StartIdleLoop(k *kernel.Kernel, bufCap int) *IdleLoop {
 }
 
 // StartIdleLoopBuffer is StartIdleLoop recording into a caller-supplied
-// buffer — the batch engine reuses one arena-backed buffer per machine
-// slot across sessions (trace.NewBufferBacked).
+// buffer — a campaign worker backs each session's buffer with its batch
+// slot's arena, reused across sessions (trace.NewBufferBacked).
 func StartIdleLoopBuffer(k *kernel.Kernel, buf *trace.Buffer) *IdleLoop {
 	il := &IdleLoop{
 		k:    k,
@@ -88,16 +91,15 @@ func StartIdleLoopBuffer(k *kernel.Kernel, buf *trace.Buffer) *IdleLoop {
 	// iteration that just completed, then starts the next one — the same
 	// request stream (Compute2 per sample, then exit) and the same sample
 	// values as the goroutine form, proven by the golden corpus.
-	first := true
 	il.thread = k.SpawnLoop("idleloop", kernel.KernelProc, kernel.IdlePriority, func(lc *kernel.LoopTC) bool {
-		if !first {
+		if il.started {
 			end := lc.Cycles()
 			il.buf.Append(trace.IdleSample{
 				Done:    simtime.Time(il.freq.DurationOf(end)),
 				Elapsed: il.freq.DurationOf(end - il.start),
 			})
 		}
-		first = false
+		il.started = true
 		if il.buf.Full() {
 			return false
 		}

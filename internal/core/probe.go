@@ -78,6 +78,18 @@ func AttachProbe(k *kernel.Kernel) *Probe {
 	return p
 }
 
+// AttachMsgProbe installs only the probe's message-API hook on k and
+// returns it: Msgs fills as under AttachProbe, while Posts, Busy and
+// SyncIO stay empty. That is everything Extract reads besides the idle
+// samples, and nothing DriveFSM or GroundTruthBusySpans can use.
+func AttachMsgProbe(k *kernel.Kernel) *Probe {
+	p := &Probe{}
+	k.SetHooks(kernel.Hooks{
+		OnMsgAPI: func(rec trace.MsgRecord) { p.Msgs = append(p.Msgs, rec) },
+	})
+	return p
+}
+
 // MsgsForThread filters message records by thread id.
 func (p *Probe) MsgsForThread(id int) []trace.MsgRecord {
 	var out []trace.MsgRecord

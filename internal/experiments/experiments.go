@@ -54,14 +54,24 @@ type Config struct {
 	// sets it.
 	Engine kernel.Engine
 	// IdleArena, when non-nil, points at a reusable backing array for
-	// the idle-loop instrument's sample buffer. The rig grows the arena
-	// to the capacity it needs (writing the grown array back through the
-	// pointer) and records into it instead of allocating fresh — a
-	// campaign worker keeps one arena per batch slot across the sessions
-	// of every cell it runs. An arena larger than the rig needs is
-	// resliced to the rig's capacity, and the buffer never reads past
-	// what it recorded, so recorded behaviour is identical either way.
+	// the idle-loop instrument's sample buffer. The rig records into it
+	// from its start, growing it by append only when a session records
+	// more samples than it holds, and writes the grown array back
+	// through the pointer at shutdown — a campaign worker keeps one
+	// arena per batch slot across the sessions of every cell it runs,
+	// sized to the most any of them recorded. The buffer's capacity is
+	// the rig's own bound whatever the arena holds, and it never reads
+	// past what it recorded, so recorded behaviour is identical either
+	// way.
 	IdleArena *[]trace.IdleSample
+	// EventsOnly has every rig record only what event extraction reads:
+	// the message-API log and the idle samples (core.AttachMsgProbe).
+	// The think/wait FSM's inputs — the busy, post and synchronous-I/O
+	// logs — are never recorded, so a ScenarioSession opened with it
+	// yields Events, and its Result panics rather than return a wrong
+	// think/wait row. campaign.RunCells sets it: a ledger folds event
+	// latencies and nothing else.
+	EventsOnly bool
 }
 
 // DefaultConfig returns the paper-sized configuration.
@@ -251,6 +261,9 @@ type rig struct {
 	sys *system.System
 	pr  *core.Probe
 	il  *core.IdleLoop
+	// arena is Config.IdleArena, where shutdown leaves the instrument's
+	// grown sample array for the slot's next session; nil without one.
+	arena *[]trace.IdleSample
 
 	// rec is the attached span recorder, nil when untraced; col (with
 	// track) is where shutdown deposits the span log.
@@ -269,18 +282,20 @@ func newRig(cfg Config, p persona.P, runSeconds int) *rig {
 // scenario-matrix experiments use it to compare machines side by side.
 func newRigOn(cfg Config, p persona.P, prof machine.Profile, runSeconds int) *rig {
 	sys := system.New(system.Config{Persona: p, Machine: prof})
-	pr := core.AttachProbe(sys.K)
+	var pr *core.Probe
+	if cfg.EventsOnly {
+		pr = core.AttachMsgProbe(sys.K)
+	} else {
+		pr = core.AttachProbe(sys.K)
+	}
 	bufCap := runSeconds*1100 + 10_000
 	var il *core.IdleLoop
 	if cfg.IdleArena != nil {
-		if cap(*cfg.IdleArena) < bufCap {
-			*cfg.IdleArena = make([]trace.IdleSample, 0, bufCap)
-		}
-		il = core.StartIdleLoopBuffer(sys.K, trace.NewBufferBacked((*cfg.IdleArena)[:0:bufCap]))
+		il = core.StartIdleLoopBuffer(sys.K, trace.NewBufferBacked(*cfg.IdleArena, bufCap))
 	} else {
 		il = core.StartIdleLoop(sys.K, bufCap)
 	}
-	r := &rig{sys: sys, pr: pr, il: il}
+	r := &rig{sys: sys, pr: pr, il: il, arena: cfg.IdleArena}
 	if cfg.Trace != nil {
 		r.col = cfg.Trace
 		r.track = p.Name + " @ " + prof.OrDefault().Short
@@ -308,6 +323,11 @@ func (r *rig) spansOn() *spans.Recorder {
 
 func (r *rig) shutdown() {
 	r.sys.Shutdown()
+	if r.arena != nil {
+		// The samples stay readable: the slot's next session records
+		// over them only after this one has been extracted.
+		*r.arena = r.il.Samples()[:0]
+	}
 	if r.col != nil {
 		r.col.Add(r.track, r.rec.Spans())
 	}

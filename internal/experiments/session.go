@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"latlab/internal/core"
 	"latlab/internal/faults"
 	"latlab/internal/kernel"
 	"latlab/internal/scenario"
@@ -45,6 +46,9 @@ type ScenarioSession struct {
 	chainDone *simtime.Time
 	finished  bool
 	closed    bool
+	// eventsOnly: opened with Config.EventsOnly, so only Events may
+	// read it.
+	eventsOnly bool
 
 	// Result metadata, filled by OpenScenarioSession.
 	docID   string
@@ -112,7 +116,7 @@ func (s *ScenarioSession) row() ExtFaultsRow {
 
 // Close releases the session's machine. Idempotent: a batch closes
 // every session of a wave once it has run (or once a sibling's open
-// has failed), before calling Result.
+// has failed), before calling Events or Result.
 func (s *ScenarioSession) Close() {
 	if !s.closed {
 		s.closed = true
@@ -122,10 +126,14 @@ func (s *ScenarioSession) Close() {
 
 // Result extracts the finished session's outcome — what the compiled
 // Spec's Run returns for the same Config and Doc, which is this same
-// session driven alone.
+// session driven alone. It panics on a session opened with
+// Config.EventsOnly, which recorded no think/wait inputs.
 func (s *ScenarioSession) Result() *ScenarioResult {
 	if !s.finished {
 		panic("experiments: Result on an unfinished session")
+	}
+	if s.eventsOnly {
+		panic("experiments: Result on a session opened with EventsOnly; read Events")
 	}
 	return &ScenarioResult{
 		DocID:   s.docID,
@@ -138,11 +146,26 @@ func (s *ScenarioSession) Result() *ScenarioResult {
 	}
 }
 
+// Events extracts the finished session's events — exactly
+// Result().Row.Report.Events — and releases the machine. It skips the
+// think/wait replay and the rest of the row, which a campaign ledger
+// never reads, and is the only reader of a session opened with
+// Config.EventsOnly.
+func (s *ScenarioSession) Events() []core.Event {
+	if !s.finished {
+		panic("experiments: Events on an unfinished session")
+	}
+	events := s.r.extract(s.thread, true)
+	s.Close()
+	return events
+}
+
 // OpenScenarioSession resolves doc against cfg exactly like the
 // compiled Spec's Run and boots the session without running it. The
 // caller steps it (directly or inside a system.Batch) until
-// NextTarget returns simtime.Never, then calls Result. Compare
-// scenarios have no single-session decomposition and are refused.
+// NextTarget returns simtime.Never, then calls Result, or Events when
+// cfg.EventsOnly is set. Compare scenarios have no single-session
+// decomposition and are refused.
 func OpenScenarioSession(cfg Config, doc scenario.Doc) (*ScenarioSession, error) {
 	if len(doc.Compare) > 0 {
 		return nil, fmt.Errorf("scenario %s: compare scenarios cannot run as batched sessions", doc.ID)
@@ -158,5 +181,6 @@ func OpenScenarioSession(cfg Config, doc scenario.Doc) (*ScenarioSession, error)
 	s.machine = rs.cfg.MachineProfile().Short
 	s.seed = rs.cfg.Seed
 	s.plan = rs.plan
+	s.eventsOnly = rs.cfg.EventsOnly
 	return s, nil
 }

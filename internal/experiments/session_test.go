@@ -9,6 +9,7 @@ import (
 
 	"latlab/internal/scenario"
 	"latlab/internal/system"
+	"latlab/internal/trace"
 )
 
 // TestBatchSessionEquivalence pins the decomposition contract stated in
@@ -78,6 +79,144 @@ func TestBatchSessionEquivalence(t *testing.T) {
 		if !reflect.DeepEqual(got, want[i]) {
 			t.Errorf("%s: batched session result differs from the sequential run:\nbatched:    %+v\nsequential: %+v",
 				docs[i].ID, got, want[i])
+		}
+	}
+}
+
+// singleRunDocs returns every single-run scenario a session can open
+// that the repository commits: the scenario corpus and the campaign
+// templates (the demo's two and the engine tests' mini campaign's).
+func singleRunDocs(t *testing.T) []scenario.Doc {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(twinDir, "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths = append(paths,
+		"../../testdata/campaigns/demo-type.json",
+		"../../testdata/campaigns/demo-storm.json",
+		"../campaign/testdata/tiny-type.json")
+	var docs []scenario.Doc
+	for _, path := range paths {
+		doc, err := scenario.ParseFile(path)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if len(doc.Compare) == 0 {
+			docs = append(docs, doc)
+		}
+	}
+	if len(docs) < 9 {
+		t.Fatalf("found %d single-run documents, want the corpus's six and three templates", len(docs))
+	}
+	return docs
+}
+
+// openDriven opens doc under cfg and drives it to the end of its
+// program, leaving it open.
+func openDriven(t *testing.T, cfg Config, doc scenario.Doc) *ScenarioSession {
+	t.Helper()
+	s, err := OpenScenarioSession(cfg, doc)
+	if err != nil {
+		t.Fatalf("%s: %v", doc.ID, err)
+	}
+	s.drive()
+	return s
+}
+
+// TestEventsMatchResult pins the ledger path: for every single-run
+// document, in quick and full mode, a session opened EventsOnly and
+// read with Events returns exactly the events a fully recorded session
+// reports in Result().Row.Report.Events. The ledger sessions record
+// into one reused arena, as a campaign slot's do.
+func TestEventsMatchResult(t *testing.T) {
+	arena := new([]trace.IdleSample)
+	for _, doc := range singleRunDocs(t) {
+		for _, quick := range []bool{true, false} {
+			cfg := Config{Seed: 1996, Quick: quick}
+			want := openDriven(t, cfg, doc).Result().Row.Report.Events
+
+			cfg.EventsOnly, cfg.IdleArena = true, arena
+			got := openDriven(t, cfg, doc).Events()
+			if len(want) == 0 {
+				t.Errorf("%s quick=%t: no events to compare", doc.ID, quick)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s quick=%t: Events differ from Result's events:\nEvents: %v\nResult: %v", doc.ID, quick, got, want)
+			}
+		}
+	}
+}
+
+// TestEventsOnlyRecordsNoThinkWaitInputs pins what a ledger session
+// leaves out: its probe logs message-API calls but no busy, post or
+// synchronous-I/O records, which a fully recorded session of the same
+// document does log, and its Result panics instead of replaying the
+// think/wait FSM over empty logs.
+func TestEventsOnlyRecordsNoThinkWaitInputs(t *testing.T) {
+	doc, err := scenario.ParseFile(filepath.Join(twinDir, "fz-000000000000001b.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Seed: 1996, Quick: true}
+	full := openDriven(t, cfg, doc)
+	defer full.Close()
+	if pr := full.r.pr; len(pr.Busy) == 0 || len(pr.Posts) == 0 || len(pr.SyncIO) == 0 {
+		t.Fatalf("full session logged %d busy, %d post and %d sync-I/O records; want some of each",
+			len(pr.Busy), len(pr.Posts), len(pr.SyncIO))
+	}
+	cfg.EventsOnly = true
+	s := openDriven(t, cfg, doc)
+	defer s.Close()
+	pr := s.r.pr
+	if len(pr.Msgs) != len(full.r.pr.Msgs) {
+		t.Errorf("ledger session logged %d message-API records, the full session %d", len(pr.Msgs), len(full.r.pr.Msgs))
+	}
+	if len(pr.Busy)+len(pr.Posts)+len(pr.SyncIO) != 0 {
+		t.Errorf("ledger session logged %d busy, %d post and %d sync-I/O records; want none",
+			len(pr.Busy), len(pr.Posts), len(pr.SyncIO))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Result on a ledger session returned instead of panicking")
+		}
+	}()
+	s.Result()
+}
+
+// TestArenaGrowsByUse pins the slot arena's sizing: a session that
+// records n idle samples into an empty arena leaves it holding at least
+// n and fewer than 2n, and a following session that records no more
+// records into that same array without reallocating it.
+func TestArenaGrowsByUse(t *testing.T) {
+	long, err := scenario.ParseFile(filepath.Join(twinDir, "fz-000000000000001b.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	short, err := scenario.ParseFile("../../testdata/campaigns/demo-type.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	arena := new([]trace.IdleSample)
+	cfg := Config{Seed: 1996, Quick: true, IdleArena: arena, EventsOnly: true}
+
+	s := openDriven(t, cfg, long)
+	n := len(s.r.il.Samples())
+	s.Close()
+	if c := cap(*arena); n == 0 || c < n || c >= 2*n {
+		t.Fatalf("a session of %d samples left an arena of capacity %d, want [%d, %d)", n, c, n, 2*n)
+	}
+	grown, first := cap(*arena), &(*arena)[:1][0]
+
+	for _, doc := range []scenario.Doc{long, short} {
+		s := openDriven(t, cfg, doc)
+		m := len(s.r.il.Samples())
+		s.Close()
+		if m > n {
+			t.Fatalf("%s recorded %d samples, more than the first session's %d", doc.ID, m, n)
+		}
+		if cap(*arena) != grown || &(*arena)[:1][0] != first {
+			t.Errorf("%s (%d samples) reallocated the arena: capacity %d, was %d", doc.ID, m, cap(*arena), grown)
 		}
 	}
 }

@@ -40,7 +40,31 @@ type BulkLoop interface {
 // elide its clean cycles. A traced kernel (SetRecorder) tracks but never
 // elides: every cycle it runs is simulated, which makes it the oracle
 // the elision tests compare against.
-func (t *Thread) SetBulkLoop(b BulkLoop) { t.bulk = b }
+func (t *Thread) SetBulkLoop(b BulkLoop) { t.bulk = &bulkState{loop: b} }
+
+// bulkState is a bulk-tracked thread's elision state, which only the
+// thread SetBulkLoop registered carries. The cycle* fields observe the
+// cycle in flight; sig* plus cycleSeg* hold the canonical
+// interrupt-free signature elision replays from. recency is what the
+// thread knows of the front of the TLB and L2 recency order
+// (settleRecency).
+type bulkState struct {
+	loop          BulkLoop
+	clean         bool
+	recency       recency
+	cycleStart    simtime.Time
+	cycleD1       simtime.Duration
+	cycleD2       simtime.Duration
+	cycleSnap     [cpu.NumEventKinds]int64
+	cycleDelta    [cpu.NumEventKinds]int64
+	cycleSwitches uint64
+	sigD1         simtime.Duration
+	sigD2         simtime.Duration
+	sigDelta      [cpu.NumEventKinds]int64
+	sigClock      simtime.Hz
+	cycleSeg      cpu.Segment
+	cycleSeg2     cpu.Segment
+}
 
 // ProvablyIdle reports whether the machine is provably idle at this
 // instant: the CPU is not stolen by interrupt handlers, no thread is
@@ -66,7 +90,7 @@ func (k *Kernel) ProvablyIdle() bool {
 // fixed point — hits only reorder resident entries, and the cycle
 // touches the same pages in the same order every time, so every
 // subsequent identical cycle must cost exactly the same. Canonical
-// cycles set bulkClean and refresh the signature (sigD1/sigD2,
+// cycles set clean and refresh the signature (sigD1/sigD2,
 // sigDelta, cycleSeg/cycleSeg2) that tryBulkSkip replays.
 //
 // A cycle stretched by an interrupt (the clock tick) can still preserve
@@ -80,49 +104,50 @@ func (k *Kernel) ProvablyIdle() bool {
 // remove entries without an immediate miss: domain crossings flush both
 // TLBs (delta must be zero) and a process context switch may flush them
 // too (the kernel-wide switch counter must not have moved). Such a
-// cycle keeps bulkClean without touching the signature — its own deltas
+// cycle keeps clean without touching the signature — its own deltas
 // include the handler's counters, which elision must not replay — after
 // verifying it ran the signature's exact segments and analytic stage
 // durations. Anything else marks the thread dirty until the next
 // canonical cycle re-proves the fixed point.
 func (k *Kernel) noteBulkCycle(t *Thread, r *request) {
+	b := t.bulk
 	snap := k.cpu.Snapshot()
 	for i := range snap {
-		t.cycleDelta[i] = snap[i] - t.cycleSnap[i]
+		b.cycleDelta[i] = snap[i] - b.cycleSnap[i]
 	}
-	d := t.cycleD1 + t.cycleD2
+	d := b.cycleD1 + b.cycleD2
 	transparent := d > 0 &&
-		t.cycleDelta[cpu.ITLBMisses] == 0 &&
-		t.cycleDelta[cpu.DTLBMisses] == 0 &&
-		t.cycleDelta[cpu.CacheMisses] == 0 &&
-		t.cycleDelta[cpu.DomainCrossings] == 0 &&
-		t.cycleSwitches == k.ctxSwitches
+		b.cycleDelta[cpu.ITLBMisses] == 0 &&
+		b.cycleDelta[cpu.DTLBMisses] == 0 &&
+		b.cycleDelta[cpu.CacheMisses] == 0 &&
+		b.cycleDelta[cpu.DomainCrossings] == 0 &&
+		b.cycleSwitches == k.ctxSwitches
 	switch {
 	case transparent &&
-		k.now.Sub(t.cycleStart) == d &&
-		t.cycleDelta[cpu.Interrupts] == 0:
-		t.bulkClean = true
-		if t.recency == recencyStale {
-			t.recency = recencyCycle
+		k.now.Sub(b.cycleStart) == d &&
+		b.cycleDelta[cpu.Interrupts] == 0:
+		b.clean = true
+		if b.recency == recencyStale {
+			b.recency = recencyCycle
 		}
-		t.sigD1, t.sigD2 = t.cycleD1, t.cycleD2
-		t.sigDelta = t.cycleDelta
+		b.sigD1, b.sigD2 = b.cycleD1, b.cycleD2
+		b.sigDelta = b.cycleDelta
 		// The signature's durations were priced at this operating
 		// frequency; under DVFS a later governor transition invalidates
 		// them (tryBulkSkip checks).
-		t.sigClock = k.cpu.Clock()
-		t.cycleSeg, t.cycleSeg2 = r.seg, r.seg2
-	case t.bulkClean && transparent &&
-		t.cycleD1 == t.sigD1 && t.cycleD2 == t.sigD2 &&
-		segsEqual(&r.seg, &t.cycleSeg) && segsEqual(&r.seg2, &t.cycleSeg2):
-		// Interrupt-stretched but memory-transparent: keep bulkClean and
+		b.sigClock = k.cpu.Clock()
+		b.cycleSeg, b.cycleSeg2 = r.seg, r.seg2
+	case b.clean && transparent &&
+		b.cycleD1 == b.sigD1 && b.cycleD2 == b.sigD2 &&
+		segsEqual(&r.seg, &b.cycleSeg) && segsEqual(&r.seg2, &b.cycleSeg2):
+		// Interrupt-stretched but memory-transparent: keep clean and
 		// the canonical signature. The handler's pages were touched
 		// between or after the segments' pages, so the recency order is
 		// not the one further clean cycles leave (settleRecency).
-		t.recency = recencyStale
+		b.recency = recencyStale
 	default:
-		t.bulkClean = false
-		t.recency = recencyStale
+		b.clean = false
+		b.recency = recencyStale
 	}
 }
 
@@ -180,7 +205,8 @@ const (
 //   - the TLB and L2 recency order (settleRecency), which no counter
 //     shows until an eviction reaches the entries that differ.
 func (k *Kernel) tryBulkSkip(t *Thread) {
-	if !t.bulkClean || k.rec != nil || k.shutdown {
+	b := t.bulk
+	if !b.clean || k.rec != nil || k.shutdown {
 		return
 	}
 	r := t.pending
@@ -190,11 +216,11 @@ func (k *Kernel) tryBulkSkip(t *Thread) {
 	if t != k.current || k.chunkArmed || !k.ProvablyIdle() {
 		return
 	}
-	d := t.sigD1 + t.sigD2
-	if d <= 0 || !segsEqual(&r.seg, &t.cycleSeg) || !segsEqual(&r.seg2, &t.cycleSeg2) {
+	d := b.sigD1 + b.sigD2
+	if d <= 0 || !segsEqual(&r.seg, &b.cycleSeg) || !segsEqual(&r.seg2, &b.cycleSeg2) {
 		return
 	}
-	if k.cpu.Clock() != t.sigClock {
+	if k.cpu.Clock() != b.sigClock {
 		// A DVFS transition since the signature was recorded re-prices
 		// every cycle; elision must wait for a fresh canonical cycle at
 		// the new operating point. Frequency only changes at clock
@@ -223,7 +249,7 @@ func (k *Kernel) tryBulkSkip(t *Thread) {
 	// when it finishes, after this span. Settle it now, at the instant
 	// the slow path does, so the span starts idle.
 	k.updateBusy()
-	budget := t.bulk.BulkBudget()
+	budget := b.loop.BulkBudget()
 	var s bulkSpan
 	dh := simtime.Duration(-1) // the tick handler's cost, once a tick is due
 	for {
@@ -268,9 +294,10 @@ type bulkSpan struct {
 
 // elide accounts n whole clean cycles of t starting now.
 func (k *Kernel) elide(t *Thread, n int64, d simtime.Duration, s *bulkSpan) {
+	b := t.bulk
 	total := simtime.Duration(n) * d
 	t.quantumLeft = k.consumeQuantum(t.quantumLeft, total)
-	for i, delta := range t.sigDelta {
+	for i, delta := range b.sigDelta {
 		if delta != 0 {
 			k.cpu.Add(cpu.EventKind(i), n*delta)
 		}
@@ -280,7 +307,7 @@ func (k *Kernel) elide(t *Thread, n int64, d simtime.Duration, s *bulkSpan) {
 	k.bulkElided += n
 	s.cycles += n
 	s.tail += n
-	t.bulk.OnBulk(n, start, d)
+	b.loop.OnBulk(n, start, d)
 }
 
 // consumeQuantum returns the slice left after a stretch of total CPU
@@ -324,8 +351,9 @@ func (k *Kernel) consumeQuantum(left, total simtime.Duration) simtime.Duration {
 // and the busy transition reverses. The replay does each of these at
 // its instant, in that order, with no event queued.
 func (k *Kernel) crossTick(t *Thread, dh simtime.Duration, limit simtime.Time, s *bulkSpan) bool {
+	b := t.bulk
 	start, at := k.now, k.tickAt
-	d1, d := t.sigD1, t.sigD1+t.sigD2
+	d1, d := b.sigD1, b.sigD1+b.sigD2
 	off := at.Sub(start)
 	if off <= 0 || off >= d || off == d1 {
 		return false
@@ -353,7 +381,7 @@ func (k *Kernel) crossTick(t *Thread, dh simtime.Duration, limit simtime.Time, s
 	if k.dvfs.Enabled() {
 		k.dvfsBusyMark = k.NonIdleBusyTime()
 	}
-	for i, delta := range t.sigDelta {
+	for i, delta := range b.sigDelta {
 		if delta != 0 {
 			k.cpu.Add(cpu.EventKind(i), delta)
 		}
@@ -379,7 +407,7 @@ func (k *Kernel) crossTick(t *Thread, dh simtime.Duration, limit simtime.Time, s
 	s.ticks++
 	s.tail = 0
 	s.inRecord = off > d1
-	t.bulk.OnBulk(1, start, d+dh)
+	b.loop.OnBulk(1, start, d+dh)
 	return true
 }
 
@@ -397,31 +425,32 @@ func (k *Kernel) crossTick(t *Thread, dh simtime.Duration, limit simtime.Time, s
 // or ahead of both when the tick fell in the record segment. All these
 // touches hit, so no counter moves.
 func (k *Kernel) settleRecency(t *Thread, s *bulkSpan) {
+	b := t.bulk
 	h := &k.cfg.ClockInterrupt
 	switch {
 	case s.ticks == 0:
-		if t.recency == recencyStale && s.cycles > 0 {
-			k.touchWarm(&t.cycleSeg)
-			k.touchWarm(&t.cycleSeg2)
-			t.recency = recencyCycle
+		if b.recency == recencyStale && s.cycles > 0 {
+			k.touchWarm(&b.cycleSeg)
+			k.touchWarm(&b.cycleSeg2)
+			b.recency = recencyCycle
 		}
 	case s.tail > 0:
-		if t.recency != recencyTick {
+		if b.recency != recencyTick {
 			k.touchWarm(h)
-			k.touchWarm(&t.cycleSeg)
-			k.touchWarm(&t.cycleSeg2)
-			t.recency = recencyTick
+			k.touchWarm(&b.cycleSeg)
+			k.touchWarm(&b.cycleSeg2)
+			b.recency = recencyTick
 		}
 	case s.inRecord:
-		k.touchWarm(&t.cycleSeg)
-		k.touchWarm(&t.cycleSeg2)
+		k.touchWarm(&b.cycleSeg)
+		k.touchWarm(&b.cycleSeg2)
 		k.touchWarm(h)
-		t.recency = recencyStale
+		b.recency = recencyStale
 	default:
-		k.touchWarm(&t.cycleSeg)
+		k.touchWarm(&b.cycleSeg)
 		k.touchWarm(h)
-		k.touchWarm(&t.cycleSeg2)
-		t.recency = recencyStale
+		k.touchWarm(&b.cycleSeg2)
+		b.recency = recencyStale
 	}
 }
 
@@ -482,8 +511,8 @@ func pagesEqual(a, b []uint64) bool {
 // LoopTC is the restricted thread context handed to loop functions
 // (SpawnLoop, TC.Loop). Unlike TC it runs in simulator context — no
 // goroutine, no channel handshake — so a loop function records exactly
-// one request per call and never waits for a reply: only the reply-free
-// primitives are available.
+// one request per call and never waits for a reply: a message
+// primitive's result is read with Reply on the next call.
 type LoopTC struct {
 	t     *Thread
 	k     *Kernel
@@ -574,6 +603,29 @@ func (lc *LoopTC) WriteFile(file fscache.FileID, page, pages int64) {
 // PendingUserInput reports whether user-input messages are queued for
 // the thread, like TC.PendingUserInput.
 func (lc *LoopTC) PendingUserInput() bool { return lc.t.pendingUserInput() }
+
+// GetMessage takes the head message, blocking until one is queued, like
+// TC.GetMessage; Reply returns it on the loop's next call.
+func (lc *LoopTC) GetMessage() { lc.arm().kind = reqGetMessage }
+
+// PeekMessage takes the head message if one is queued, like
+// TC.PeekMessage; Reply returns it on the loop's next call.
+func (lc *LoopTC) PeekMessage() { lc.arm().kind = reqPeekMessage }
+
+// Forward re-posts msg to target keeping its Enqueued stamp, like
+// TC.Forward.
+func (lc *LoopTC) Forward(target *Thread, msg Msg) {
+	r := lc.arm()
+	r.kind = reqPost
+	r.target = target
+	r.msg = msg
+}
+
+// Reply returns what the thread's last GetMessage or PeekMessage took:
+// the message, and whether there was one (always true after
+// GetMessage). The loop's next call, where it is read, runs at the
+// instant a goroutine thread would have returned from the primitive.
+func (lc *LoopTC) Reply() (Msg, bool) { return lc.t.replyMsg, lc.t.replyOK }
 
 // SpawnLoop creates a kernel-resident loop thread: fn is invoked in
 // simulator context each time the scheduler wants the thread's next

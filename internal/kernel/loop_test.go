@@ -18,7 +18,7 @@ import (
 
 // prim is one primitive of a loop-equivalence script.
 type prim struct {
-	kind uint8 // primCompute ... primSleep
+	kind uint8 // primCompute ... primForward
 	arg  int64
 }
 
@@ -29,12 +29,17 @@ const (
 	primRead
 	primWrite
 	primSleep
+	primGet
+	primPeek
+	primForward
 	numPrims
 )
 
 // loopScript is what an application thread does and what happens to it:
 // before each episode the thread takes a message; keyboard interrupts
-// supply those messages and land mid-episode too, a higher-priority
+// supply those messages and land mid-episode too, where the thread may
+// take them with GetMessage or PeekMessage and forward the last message
+// it took to a higher-priority sink thread; another higher-priority
 // thread preempts, and the disk runs under a fault plan.
 type loopScript struct {
 	episodes [][]prim
@@ -103,14 +108,17 @@ type loopObservation struct {
 type loopRun struct {
 	obs  []loopObservation
 	msgs []trace.MsgRecord
-	// seen logs what the thread saw before each primitive: the time and
-	// whether user input was pending.
+	// seen logs what the thread saw before each primitive, the time
+	// and whether user input was pending, and after each message
+	// primitive, the time and the reply.
 	seen    []string
 	resumes int64
 }
 
-// issue records p on lc, or on tc when lc is nil.
-func issue(tc *kernel.TC, lc *kernel.LoopTC, p prim, file fscache.FileID) {
+// issue records p on lc, or on tc when lc is nil. A forward sends last
+// to sink. The one-by-one form issues GetMessage and PeekMessage itself,
+// to read their replies.
+func issue(tc *kernel.TC, lc *kernel.LoopTC, p prim, file fscache.FileID, sink *kernel.Thread, last kernel.Msg) {
 	seg := cpu.Segment{Name: "work", BaseCycles: 2_000 + p.arg*1_500, Instructions: 1_000 + p.arg*700,
 		DataRefs: 300 + p.arg*200, CodePages: []uint64{300 + uint64(p.arg%5)},
 		DataPages: []uint64{400 + uint64(p.arg%7), 500 + uint64(p.arg%3)}}
@@ -153,6 +161,16 @@ func issue(tc *kernel.TC, lc *kernel.LoopTC, p prim, file fscache.FileID) {
 		} else {
 			tc.Sleep(d)
 		}
+	case primGet:
+		lc.GetMessage()
+	case primPeek:
+		lc.PeekMessage()
+	case primForward:
+		if lc != nil {
+			lc.Forward(sink, last)
+		} else {
+			tc.Forward(sink, last)
+		}
 	}
 }
 
@@ -174,24 +192,54 @@ func runLoopScript(s loopScript, useLoop bool) loopRun {
 	saw := func(now simtime.Time, pending bool) {
 		out.seen = append(out.seen, fmt.Sprintf("%d/%t", now, pending))
 	}
+	// The sink takes what the app forwards and works on each message.
+	sink := k.Spawn("sink", 3, 10, func(tc *kernel.TC) {
+		for {
+			m := tc.GetMessage()
+			tc.Compute(cpu.Segment{Name: "sink", BaseCycles: 5_000 + int64(m.Kind)*1_000, CodePages: []uint64{800}})
+		}
+	})
+	var last kernel.Msg
+	took := func(now simtime.Time, m kernel.Msg, ok bool) {
+		out.seen = append(out.seen, fmt.Sprintf("%d: %+v %t", now, m, ok))
+		if ok {
+			last = m
+		}
+	}
 	app := k.Spawn("app", 1, 8, func(tc *kernel.TC) {
 		for e, ep := range s.episodes {
-			tc.GetMessage()
+			last = tc.GetMessage()
 			if !useLoop {
 				for _, p := range ep {
 					saw(tc.Now(), tc.PendingUserInput())
-					issue(tc, nil, p, file)
+					switch p.kind {
+					case primGet:
+						m := tc.GetMessage()
+						took(tc.Now(), m, true)
+					case primPeek:
+						m, ok := tc.PeekMessage()
+						took(tc.Now(), m, ok)
+					default:
+						issue(tc, nil, p, file, sink, last)
+					}
 				}
 				continue
 			}
 			i := 0
+			replied := false
 			part := func(end int) func(lc *kernel.LoopTC) bool {
 				return func(lc *kernel.LoopTC) bool {
+					if replied {
+						replied = false
+						m, ok := lc.Reply()
+						took(lc.Now(), m, ok)
+					}
 					if i == end {
 						return false
 					}
 					saw(lc.Now(), lc.PendingUserInput())
-					issue(nil, lc, ep[i], file)
+					issue(nil, lc, ep[i], file, sink, last)
+					replied = ep[i].kind == primGet || ep[i].kind == primPeek
 					i++
 					return true
 				}
@@ -200,7 +248,7 @@ func runLoopScript(s loopScript, useLoop bool) loopRun {
 			tc.Loop(part(len(ep)))
 		}
 	})
-	threads := []*kernel.Thread{app}
+	threads := []*kernel.Thread{app, sink}
 	if s.preempt {
 		threads = append(threads, k.Spawn("preempter", 2, 12, func(tc *kernel.TC) {
 			for i := 0; i < 40; i++ {
@@ -251,7 +299,8 @@ func checkLoopEquivalence(t *testing.T, s loopScript) {
 // TestLoopMatchesPrimitives holds TC.Loop to the primitive-by-primitive
 // path on random scripts: same clock, counters, busy time, ticks, I/O
 // errors, message log and thread states at every Run horizon, and the
-// same instants and queue contents seen by the code between primitives.
+// same instants, queue contents and message replies seen by the code
+// between primitives.
 func TestLoopMatchesPrimitives(t *testing.T) {
 	r := rng.New(18)
 	for i := 0; i < 60; i++ {
@@ -269,6 +318,9 @@ func FuzzLoopEquivalence(f *testing.F) {
 	f.Add([]byte{1, 7, 3, 10, 20, 30, 40, 50, 60, 5, 0, 9, 1, 40, 2, 3, 3, 4, 4, 8, 5, 2, 3})
 	f.Add([]byte{0, 0, 0, 9, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add([]byte{1, 200, 7, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 9, 3, 255, 4, 255, 1, 0, 2, 0, 5})
+	// Keys at 1, 2.8 and 5.1 ms; two episodes that peek, take and
+	// forward, split after their third and second primitives.
+	f.Add([]byte{0, 0, 2, 10, 240, 19, 236, 5, 7, 0, 8, 1, 6, 0, 8, 2, 0, 3, 7, 1, 3, 3, 6, 0, 8, 3, 7, 0, 2, 1, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkLoopEquivalence(t, scriptFrom(data))
 	})

@@ -331,17 +331,18 @@ func (k *Kernel) process(t *Thread) {
 				// analytic durations, a counter snapshot to diff at
 				// completion (engine.go), and the context-switch count so
 				// cleanliness can require the cycle ran switch-free.
-				t.cycleStart = k.now
-				t.cycleD1, t.cycleD2 = 0, 0
-				t.cycleSnap = k.cpu.Snapshot()
-				t.cycleSwitches = k.ctxSwitches
+				b := t.bulk
+				b.cycleStart = k.now
+				b.cycleD1, b.cycleD2 = 0, 0
+				b.cycleSnap = k.cpu.Snapshot()
+				b.cycleSwitches = k.ctxSwitches
 			}
 			_, d := k.cpu.Execute(*seg)
 			if t.bulk != nil {
 				if r.stage == 0 {
-					t.cycleD1 = d
+					t.bulk.cycleD1 = d
 				} else {
-					t.cycleD2 = d
+					t.bulk.cycleD2 = d
 				}
 			}
 			if d > 0 {
@@ -377,7 +378,7 @@ func (k *Kernel) process(t *Thread) {
 		if len(t.msgq) > 0 {
 			msg := t.msgq[0]
 			t.msgq = t.msgq[1:]
-			t.replyMsg = msg
+			t.replyMsg, t.replyOK = msg, true
 			call := k.now
 			if r.started { // the call blocked earlier
 				call = t.getCall

@@ -143,27 +143,10 @@ type Thread struct {
 	loopFn func(lc *LoopTC) bool
 	loopTC LoopTC
 
-	// Bulk idle-skip state (engine.go). bulk non-nil enables per-cycle
-	// cleanliness tracking and the elision of clean cycles.
-	// cycle* fields observe the cycle in flight; sig* plus cycleSeg*
-	// hold the canonical interrupt-free signature elision replays from.
-	// recency is what the thread knows of the front of the TLB and L2
-	// recency order (settleRecency).
-	bulk          BulkLoop
-	bulkClean     bool
-	recency       recency
-	cycleStart    simtime.Time
-	cycleD1       simtime.Duration
-	cycleD2       simtime.Duration
-	cycleSnap     [cpu.NumEventKinds]int64
-	cycleDelta    [cpu.NumEventKinds]int64
-	cycleSwitches uint64
-	sigD1         simtime.Duration
-	sigD2         simtime.Duration
-	sigDelta      [cpu.NumEventKinds]int64
-	sigClock      simtime.Hz
-	cycleSeg      cpu.Segment
-	cycleSeg2     cpu.Segment
+	// bulk, non-nil once SetBulkLoop registers a delegate, enables
+	// per-cycle cleanliness tracking and the elision of clean cycles
+	// (engine.go).
+	bulk *bulkState
 
 	// affinity pins a loop thread to a logical CPU (multicore.go);
 	// 0 means the scheduler core. lastCPU is where the thread's last

@@ -26,10 +26,12 @@ type BatchSession interface {
 // worker. Per-machine state is struct-of-arrays — sessions, cached
 // targets, and reusable sample arenas in parallel slices — so the
 // stepping loop touches only small dense arrays between kernel runs.
-// Slots are reused across waves of sessions and Reset keeps the arenas,
-// so a caller that keeps its batch allocates each slot's instrument
-// buffer once: campaign.RunCells hands each worker's batch from cell to
-// cell, which amortises the arenas over every session the worker runs.
+// Slots are reused across waves of sessions and Reset keeps the arenas.
+// An arena starts empty and grows by use, so a caller that keeps its
+// batch allocates each slot's instrument buffer only while its sessions
+// record more samples than any before them: campaign.RunCells hands
+// each worker's batch from cell to cell, which amortises the arenas
+// over every session the worker runs.
 type Batch struct {
 	sessions []BatchSession
 	targets  []simtime.Time
@@ -51,10 +53,12 @@ func NewBatch(n int) *Batch {
 // Size returns the slot count.
 func (b *Batch) Size() int { return len(b.sessions) }
 
-// Arena returns a stable pointer to the slot's sample arena. Callers
-// hand it to the session's booter (experiments.Config.IdleArena),
-// which grows it on first use and records into it; the grown backing
-// stays with the slot for the next session.
+// Arena returns a stable pointer to the slot's sample arena, empty
+// until a session records into it. Callers hand it to the session's
+// booter (experiments.Config.IdleArena), which records into it, grows
+// it by append when a session records more than it holds, and writes
+// the grown backing back at shutdown, so the slot keeps the largest
+// backing any of its sessions needed.
 func (b *Batch) Arena(slot int) *[]trace.IdleSample { return &b.arenas[slot] }
 
 // Open installs s in the given slot.

@@ -91,32 +91,46 @@ func New(cfg Config) *System {
 	}
 
 	if p.MouseBusyWait {
-		s.router = s.K.Spawn("mouse16", kernel.KernelProc, RouterPrio, s.mouseRouter)
+		s.router = s.K.SpawnLoop("mouse16", kernel.KernelProc, RouterPrio, s.mouseRouter())
 	}
 	return s
 }
 
 // mouseRouter reproduces the Windows 95 behaviour the paper found: "the
 // system busy-waits between 'mouse down' and 'mouse up' events", so the
-// measured latency of a click is the duration of the user's press.
-func (s *System) mouseRouter(tc *kernel.TC) {
-	for {
-		m := tc.GetMessage()
-		if m.Kind != kernel.WMMouseDown {
-			tc.Forward(s.focus, m)
-			continue
-		}
-		tc.Forward(s.focus, m)
-		for {
-			if m2, ok := tc.PeekMessage(); ok {
-				tc.Forward(s.focus, m2)
-				if m2.Kind == kernel.WMMouseUp {
-					break
-				}
-				continue
+// measured latency of a click is the duration of the user's press. The
+// router forwards every message it takes to the focused application.
+// Between a mouse-down and the next mouse-up it polls its queue with
+// PeekMessage instead of blocking in GetMessage, spinning for MousePoll
+// after each empty poll. It is a kernel-resident loop: each call reads
+// the reply to the message primitive before it, if that was one, and
+// issues the request a goroutine body would issue next.
+func (s *System) mouseRouter() func(lc *kernel.LoopTC) bool {
+	var replied, pressed bool
+	return func(lc *kernel.LoopTC) bool {
+		if replied {
+			replied = false
+			m, ok := lc.Reply()
+			if !ok {
+				lc.Compute(s.P.MousePoll)
+				return true
 			}
-			tc.Compute(s.P.MousePoll)
+			switch m.Kind {
+			case kernel.WMMouseDown:
+				pressed = true
+			case kernel.WMMouseUp:
+				pressed = false
+			}
+			lc.Forward(s.focus, m)
+			return true
 		}
+		replied = true
+		if pressed {
+			lc.PeekMessage()
+		} else {
+			lc.GetMessage()
+		}
+		return true
 	}
 }
 

@@ -128,15 +128,18 @@ func NewBuffer(capacity int) *Buffer {
 	return &Buffer{cap: capacity, samples: make([]IdleSample, 0, pre)}
 }
 
-// NewBufferBacked returns a buffer that records into the caller's
-// backing array: capacity is cap(backing) and no allocation happens at
-// construction or append. The batch engine pre-grows one arena per
-// machine slot and reuses it across sessions.
-func NewBufferBacked(backing []IdleSample) *Buffer {
-	if cap(backing) == 0 {
-		panic("trace: zero-capacity backing array")
+// NewBufferBacked returns a buffer holding at most capacity samples
+// that records into the caller's backing array from its start and grows
+// it by append once its own capacity is spent, so the array ends up
+// sized to what was recorded rather than to the bound. The backing may
+// be empty or nil. The campaign engine keeps one arena per machine slot
+// and hands it to each session in turn; Samples()[:0] is the grown
+// array to keep for the next.
+func NewBufferBacked(backing []IdleSample, capacity int) *Buffer {
+	if capacity <= 0 {
+		panic("trace: non-positive buffer capacity")
 	}
-	return &Buffer{cap: cap(backing), samples: backing[:0]}
+	return &Buffer{cap: capacity, samples: backing[:0]}
 }
 
 // Append records a sample; it returns false (and counts a drop) when full.

@@ -73,6 +73,29 @@ func TestBuffer(t *testing.T) {
 	}
 }
 
+// TestBufferBacked pins the backed buffer: its capacity is the one
+// given, not the backing's, an empty backing grows by append, and a
+// backing with room is recorded into in place.
+func TestBufferBacked(t *testing.T) {
+	b := NewBufferBacked(nil, 3)
+	for i := 1; i <= 3; i++ {
+		if !b.Append(IdleSample{Done: simtime.Time(i)}) {
+			t.Fatalf("append %d within capacity 3 failed", i)
+		}
+	}
+	if b.Append(IdleSample{Done: 4}) || !b.Full() || b.Cap() != 3 || b.Dropped() != 1 {
+		t.Fatalf("full/cap/dropped = %v/%d/%d, want a full buffer of 3 that dropped 1", b.Full(), b.Cap(), b.Dropped())
+	}
+
+	backing := make([]IdleSample, 1, 8)
+	b = NewBufferBacked(backing, 2)
+	b.Append(IdleSample{Done: 5})
+	b.Append(IdleSample{Done: 6})
+	if !b.Full() || b.Len() != 2 || &b.Samples()[0] != &backing[0] || backing[:2][1].Done != 6 {
+		t.Fatalf("a backing with room must be recorded into from its start, in place, up to capacity 2")
+	}
+}
+
 func TestBufferBadCapacityPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -77,11 +77,17 @@ func (w *WinSys) cursor(name string, stream, hot, chunks int) *opCursor {
 		window = stream
 	}
 	c = &opCursor{base: w.nextBase, window: window}
+	// Both id lists share one array, sized once.
+	ids := make([]uint64, hot+chunks)
 	for i := 0; i < hot; i++ {
-		c.hot = append(c.hot, w.nextBase+3000+uint64(i))
+		ids[i] = w.nextBase + 3000 + uint64(i)
 	}
 	for i := 0; i < chunks; i++ {
-		c.chunks = append(c.chunks, (w.nextBase+3000)*8+uint64(i))
+		ids[hot+i] = (w.nextBase+3000)*8 + uint64(i)
+	}
+	c.hot = ids[:hot:hot]
+	if chunks > 0 {
+		c.chunks = ids[hot:]
 	}
 	w.nextBase += 4096
 	w.cursors[name] = c
