@@ -12,7 +12,7 @@ GO ?= go
 # dedicated hardware. allocs/op and B/op are deterministic, so their
 # floor stays tight; they are the reliable regression tripwires
 # everywhere.
-BENCH_GATE_PAT  = ^(BenchmarkSimulatorThroughput|BenchmarkBatchThroughput|BenchmarkBoot|BenchmarkRunCells|BenchmarkThreadHandshake|BenchmarkWinsysCall|BenchmarkExtraction|BenchmarkDriveFSM|BenchmarkSchedulePop|BenchmarkLRUTouch|BenchmarkLRUTouchTLB|BenchmarkTouchPages|BenchmarkWriteIdleCSV|BenchmarkSketchAdd)$$
+BENCH_GATE_PAT  = ^(BenchmarkSimulatorThroughput|BenchmarkBatchThroughput|BenchmarkBoot|BenchmarkRunCells|BenchmarkThreadHandshake|BenchmarkWinsysCall|BenchmarkExtraction|BenchmarkSchedulePop|BenchmarkLRUTouch|BenchmarkLRUTouchTLB|BenchmarkTouchPages|BenchmarkWriteIdleCSV|BenchmarkSketchAdd)$$
 BENCH_GATE_PKGS = . ./internal/eventq ./internal/mem ./internal/trace ./internal/stats
 BENCH_NS_TOL    ?= 0.25
 BENCH_ALLOC_TOL ?= 0.10
@@ -113,8 +113,9 @@ cover:
 # 10 seconds of coverage-guided fuzzing per fuzzer: the CSV/JSONL
 # parsers, the scenario DSL, the differential event-queue check
 # (calendar queue vs a test-only heap oracle on random schedule/cancel
-# programs), the differential think/wait replay (DriveFSM's merge vs
-# a test-only sorting oracle on random monotone probe logs), and the
+# programs), the differential think/wait check (the probe's online FSM
+# with its transition count vs a test-only log-keeping FSM on random
+# firing-order hook streams), and the
 # differential LRU check (the run-based TLB/cache LRU vs a test-only
 # per-id oracle on random touch/insert/evict/flush and page-list
 # streams), and
@@ -136,7 +137,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseLedger$$' -fuzztime $(FUZZ_TIME) ./internal/campaign
 	$(GO) test -run '^$$' -fuzz '^FuzzParseQuarantine$$' -fuzztime $(FUZZ_TIME) ./internal/campaign
 	$(GO) test -run '^$$' -fuzz '^FuzzQueueEquivalence$$' -fuzztime $(FUZZ_TIME) ./internal/eventq
-	$(GO) test -run '^$$' -fuzz '^FuzzDriveFSMMerge$$' -fuzztime $(FUZZ_TIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzFSMCount$$' -fuzztime $(FUZZ_TIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzLRUEquivalence$$' -fuzztime $(FUZZ_TIME) ./internal/mem
 	$(GO) test -run '^$$' -fuzz '^FuzzLoopEquivalence$$' -fuzztime $(FUZZ_TIME) ./internal/kernel
 	$(GO) test -run '^$$' -fuzz '^FuzzElisionEquivalence$$' -fuzztime $(FUZZ_TIME) ./internal/core

@@ -456,8 +456,8 @@ func BenchmarkBatchThroughput(b *testing.B) {
 // BenchmarkBoot reports what starting and releasing one campaign session
 // costs: experiments.OpenScenarioSession (machine, application, typing
 // script) then Close, on the demo-type scenario, opened as
-// campaign.RunCells opens its sessions: EventsOnly, on one
-// system.Batch slot's idle-sample arena. The arena grows only as a
+// campaign.RunCells opens its sessions: on one system.Batch slot's
+// idle-sample arena. The arena grows only as a
 // session records, so it stays empty here; BenchmarkRunCells gates its
 // growth and reuse. The simulator benchmarks above boot only as a side
 // effect of long runs, so boot cost sits inside their noise; here it is
@@ -478,7 +478,7 @@ func BenchmarkBoot(b *testing.B) {
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			doc.Machine = c.machine
-			cfg := experiments.Config{Seed: 1, Quick: c.quick, IdleArena: system.NewBatch(1).Arena(0), EventsOnly: true}
+			cfg := experiments.Config{Seed: 1, Quick: c.quick, IdleArena: system.NewBatch(1).Arena(0)}
 			open := func() {
 				s, err := experiments.OpenScenarioSession(cfg, doc)
 				if err != nil {
@@ -522,11 +522,11 @@ func BenchmarkRunCells(b *testing.B) {
 	}
 }
 
-// notepadTrace records the analysis benchmarks' input: 500 keystrokes
+// notepadTrace records the extraction benchmark's input: 500 keystrokes
 // typed into Notepad on NT 4.0 under Microsoft Test, about a minute of
-// simulated time. It returns the idle-loop samples, the probe, the
-// Notepad thread id and the run's end.
-func notepadTrace() ([]trace.IdleSample, *core.Probe, int, simtime.Time) {
+// simulated time. It returns the idle-loop samples, the message-API
+// log and the Notepad thread id.
+func notepadTrace() ([]trace.IdleSample, []trace.MsgRecord, int) {
 	sys := system.New(system.Config{Persona: persona.NT40()})
 	defer sys.Shutdown()
 	probe := core.AttachProbe(sys.K)
@@ -537,37 +537,20 @@ func notepadTrace() ([]trace.IdleSample, *core.Probe, int, simtime.Time) {
 		QueueSync: true,
 	}
 	script.Install(sys)
-	end := sys.K.Run(script.End().Add(simtime.Second))
-	return idle.Samples(), probe, n.Thread().ID(), end
+	sys.K.Run(script.End().Add(simtime.Second))
+	return idle.Samples(), probe.Msgs, n.Thread().ID()
 }
 
 // BenchmarkExtraction reports the analysis-side cost: extracting events
 // from a large pre-recorded trace.
 func BenchmarkExtraction(b *testing.B) {
-	samples, probe, tid, _ := notepadTrace()
-	msgs := probe.Msgs
+	samples, msgs, tid := notepadTrace()
 
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		events := core.Extract(samples, msgs, core.ExtractOptions{Thread: tid, StripQueueSync: true})
 		if len(events) != 500 {
 			b.Fatalf("events = %d", len(events))
-		}
-	}
-}
-
-// BenchmarkDriveFSM reports the cost of replaying a long recorded
-// session through the paper's Fig. 2 think/wait FSM — the replay every
-// scenario session's result runs. The only allocations are the FSM and
-// its transition log.
-func BenchmarkDriveFSM(b *testing.B) {
-	_, probe, tid, end := notepadTrace()
-
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f := core.DriveFSM(probe, tid, end)
-		if f.ThinkTime()+f.WaitTime() != simtime.Duration(end) {
-			b.Fatalf("think %v + wait %v != %v", f.ThinkTime(), f.WaitTime(), end)
 		}
 	}
 }

@@ -54,6 +54,7 @@ func main() {
 				}
 			}
 		})
+		probe.Watch(app)
 		sys.Win.BindApp([]uint64{420, 421})
 
 		ty := input.NewTypist(42, 80)
@@ -61,11 +62,11 @@ func main() {
 		script.Install(sys)
 		end := sys.K.Run(script.End().Add(2 * simtime.Second))
 
-		f := core.DriveFSM(probe, app.ID(), end)
+		f := probe.FSM(end)
 		think, wait := f.ThinkTime(), f.WaitTime()
 		fmt.Printf("  %-18s %9.2fs %9.2fs %7.1f%% %13d\n",
 			p.Name, think.Seconds(), wait.Seconds(),
-			100*float64(wait)/float64(think+wait), len(f.Transitions()))
+			100*float64(wait)/float64(think+wait), f.Transitions())
 		sys.Shutdown()
 	}
 

@@ -545,9 +545,9 @@ func runCell(ctx context.Context, campaignID string, cell Cell, alpha float64, o
 // sessions in seed order (recording into the batch's per-slot sample
 // arenas, kept from earlier cells), interleaves their stepping
 // earliest-target-first, closes every session of the wave, then
-// extracts and folds in seed order. Sessions are opened EventsOnly:
-// the ledger reads only their events, so they log no think/wait
-// inputs and skip the FSM replay. The same deferred close releases
+// extracts and folds in seed order. The ledger reads only the
+// sessions' events, so each is read with Events, which skips the rest
+// of the analysis row. The same deferred close releases
 // the wave's already-open sessions if a sibling's open fails. Only a
 // cell whose every wave completes hands the batch back, reset; an
 // error, cancellation or panic leaves slots open, so the batch is
@@ -578,7 +578,7 @@ func runCellBatched(ctx context.Context, cell Cell, opt Options, pool *batchPool
 				}
 				seed := cell.SeedStart + uint64(base+i)
 				s, err := experiments.OpenScenarioSession(experiments.Config{
-					Seed: seed, Quick: opt.Quick, IdleArena: b.Arena(i), EventsOnly: true,
+					Seed: seed, Quick: opt.Quick, IdleArena: b.Arena(i),
 				}, cell.Doc)
 				if err != nil {
 					return fmt.Errorf("seed %d: %w", seed, err)

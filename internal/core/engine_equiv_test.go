@@ -19,9 +19,9 @@ import (
 // elisionRun is one booted machine and what its hooks and its idle-loop
 // instrument observed.
 type elisionRun struct {
-	k     *kernel.Kernel
-	il    *IdleLoop
-	probe *Probe
+	k   *kernel.Kernel
+	il  *IdleLoop
+	rec *hookRecorder
 }
 
 // elisionCase is one scenario the elision exactness proof runs twice.
@@ -76,7 +76,7 @@ func runElisionPair(t *testing.T, c elisionCase) (oracle, fast elisionRun) {
 		if traced {
 			k.SetRecorder(spans.NewRecorder(k.Now))
 		}
-		r := elisionRun{k: k, probe: AttachProbe(k)}
+		r := elisionRun{k: k, rec: recordHooks(k)}
 		r.il = StartIdleLoop(k, c.bufCap)
 		if c.load != nil {
 			c.load(k)
@@ -134,8 +134,8 @@ func requireSameAtBoundary(t *testing.T, oracle, fast elisionRun) {
 // traced oracle must have elided nothing, and the two machines must be
 // indistinguishable — identical idle-sample traces, hardware counters,
 // clock ticks, busy-time accounting, governor level, auxiliary-core
-// busy time, and the busy, message-API, post and synchronous-I/O hook
-// logs.
+// busy time, and one firing-order log of the busy, message-API, post
+// and synchronous-I/O hooks, which also pins how the hooks interleave.
 func requireIdenticalMachines(t *testing.T, oracle, fast elisionRun) {
 	t.Helper()
 	if n, x := oracle.k.BulkElided(), oracle.k.TicksCrossed(); n != 0 || x != 0 {
@@ -160,10 +160,7 @@ func requireIdenticalMachines(t *testing.T, oracle, fast elisionRun) {
 	if a, b := oracle.k.AuxBusyTime(), fast.k.AuxBusyTime(); a != b {
 		t.Fatalf("aux busy diverged: %v vs %v", a, b)
 	}
-	requireSameLog(t, "OnBusy", oracle.probe.Busy, fast.probe.Busy)
-	requireSameLog(t, "OnMsgAPI", oracle.probe.Msgs, fast.probe.Msgs)
-	requireSameLog(t, "OnPost", oracle.probe.Posts, fast.probe.Posts)
-	requireSameLog(t, "OnSyncIO", oracle.probe.SyncIO, fast.probe.SyncIO)
+	requireSameLog(t, "hook record", oracle.rec.log, fast.rec.log)
 }
 
 func requireSameLog[T comparable](t *testing.T, what string, oracle, fast []T) {

@@ -6,7 +6,6 @@ import (
 	"latlab/internal/cpu"
 	"latlab/internal/kernel"
 	"latlab/internal/simtime"
-	"latlab/internal/trace"
 )
 
 // echoRig builds a quiet kernel with an idle loop, a probe, and an echo
@@ -299,15 +298,5 @@ func TestExtractCustomBusyThreshold(t *testing.T) {
 	})
 	if len(events) != 1 || events[0].Busy != 0 {
 		t.Fatalf("threshold should hide busy spans: %+v", events)
-	}
-}
-
-func TestProbeMsgsForThread(t *testing.T) {
-	p := &Probe{Msgs: []trace.MsgRecord{{Thread: 1}, {Thread: 2}, {Thread: 1}}}
-	if got := p.MsgsForThread(1); len(got) != 2 {
-		t.Fatalf("filtered = %d", len(got))
-	}
-	if got := p.MsgsForThread(9); len(got) != 0 {
-		t.Fatalf("unknown thread should be empty")
 	}
 }

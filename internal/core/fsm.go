@@ -24,12 +24,6 @@ func (p Phase) String() string {
 	return "wait"
 }
 
-// PhaseChange is one FSM transition.
-type PhaseChange struct {
-	To Phase
-	At simtime.Time
-}
-
 // FSM is the think-time/wait-time state machine of the paper's Fig. 2.
 // Its inputs are the three observables the paper identifies: CPU state
 // (busy/idle), message-queue state (empty/non-empty), and outstanding
@@ -39,17 +33,22 @@ type PhaseChange struct {
 // The paper notes that full implementation "requires additional system
 // support for monitoring I/O and message queue state transitions"; the
 // simulated kernel provides exactly those hooks, so latlab implements the
-// complete FSM.
+// complete FSM, online: a Probe feeds it each input as its hook fires.
+// It keeps the totals and a transition count, so its state stays the
+// same size however long the session runs.
 type FSM struct {
 	cpuBusy  bool
 	queueLen int
 	syncIO   int
 
-	cur         Phase
-	since       simtime.Time
-	transitions []PhaseChange
-	think       simtime.Duration
-	wait        simtime.Duration
+	cur   Phase
+	since simtime.Time
+	think simtime.Duration
+	wait  simtime.Duration
+	// transitions counts net phase changes; lastAt is the instant of
+	// the last one counted, or -1 once a same-instant change undid it.
+	transitions int
+	lastAt      simtime.Time
 }
 
 // NewFSM returns an FSM in the Think state at time 0.
@@ -106,26 +105,25 @@ func (f *FSM) advance(now simtime.Time) {
 	f.since = now
 }
 
-// settle records a transition if the inputs imply a new phase.
+// settle counts a transition if the inputs imply a new phase.
 // Zero-duration flaps — several inputs updated at the same instant — are
-// collapsed so the log reflects net phase changes only.
+// collapsed so the count is of net phase changes only. With two phases a
+// change at the instant of the last counted transition undoes it, and no
+// earlier counted transition shares that instant, so the undo leaves no
+// transition at now.
 func (f *FSM) settle(now simtime.Time) {
 	next := f.phase()
 	if next == f.cur {
 		return
 	}
 	f.cur = next
-	if n := len(f.transitions); n > 0 && f.transitions[n-1].At == now {
-		f.transitions = f.transitions[:n-1]
-		before := Think
-		if n >= 2 {
-			before = f.transitions[n-2].To
-		}
-		if before == next {
-			return // net no-op at this instant
-		}
+	if f.transitions > 0 && f.lastAt == now {
+		f.transitions--
+		f.lastAt = -1
+		return
 	}
-	f.transitions = append(f.transitions, PhaseChange{To: next, At: now})
+	f.transitions++
+	f.lastAt = now
 }
 
 // Finish accrues time through end and returns the totals.
@@ -137,8 +135,8 @@ func (f *FSM) Finish(end simtime.Time) (think, wait simtime.Duration) {
 // Phase returns the current phase.
 func (f *FSM) Phase() Phase { return f.cur }
 
-// Transitions returns the transition log.
-func (f *FSM) Transitions() []PhaseChange { return f.transitions }
+// Transitions returns the number of net phase changes so far.
+func (f *FSM) Transitions() int { return f.transitions }
 
 // ThinkTime and WaitTime return the accrued totals (excluding time since
 // the last input update; call Finish for final numbers).
@@ -146,67 +144,3 @@ func (f *FSM) ThinkTime() simtime.Duration { return f.think }
 
 // WaitTime returns the accrued wait time.
 func (f *FSM) WaitTime() simtime.Duration { return f.wait }
-
-// DriveFSM replays a probe's logs (ground-truth CPU, posts and
-// message-API records for the given thread, sync-I/O changes) through a
-// fresh FSM and returns it, finished at end. This is the "additional
-// system support" configuration; RunFSMFromMeasurement feeds measured CPU
-// state instead.
-//
-// The replay is a streaming merge of the four logs, read in place. Each
-// log is already non-decreasing in time: the kernel stamps every record
-// with its clock as it writes it, and a message record's Return is that
-// clock too. Records are fed in (time, kind, seq) order — busy changes
-// first, then posts and messages, then sync-I/O changes, with seq the
-// record's index in its own log (other threads included) and a post
-// ahead of a message on a full tie. A log that ran backwards is never
-// reordered: its late record reaches the FSM after a later one and
-// panics there.
-func DriveFSM(p *Probe, thread int, end simtime.Time) *FSM {
-	f := NewFSM()
-	b, q, m, s := 0, 0, 0, 0 // next unread Busy, Posts, Msgs, SyncIO record
-	for {
-		for q < len(p.Posts) && p.Posts[q].Thread != thread {
-			q++
-		}
-		for m < len(p.Msgs) && p.Msgs[m].Thread != thread {
-			m++
-		}
-		tb, tq, tm, ts := simtime.Never, simtime.Never, simtime.Never, simtime.Never
-		if b < len(p.Busy) {
-			tb = p.Busy[b].At
-		}
-		if q < len(p.Posts) {
-			tq = p.Posts[q].At
-		}
-		if m < len(p.Msgs) {
-			tm = p.Msgs[m].Return
-		}
-		if s < len(p.SyncIO) {
-			ts = p.SyncIO[s].At
-		}
-		// The queue-kind head: the post or the message, whichever is first.
-		post := q < len(p.Posts) && (m == len(p.Msgs) || tq < tm || tq == tm && q <= m)
-		tQueue := tm
-		if post {
-			tQueue = tq
-		}
-		switch {
-		case b < len(p.Busy) && tb <= tQueue && tb <= ts:
-			f.SetCPU(p.Busy[b].Busy, tb)
-			b++
-		case post && tq <= ts:
-			f.SetQueue(p.Posts[q].QueueLen, tq)
-			q++
-		case !post && m < len(p.Msgs) && tm <= ts:
-			f.SetQueue(p.Msgs[m].QueueLen, tm)
-			m++
-		case s < len(p.SyncIO):
-			f.SetSyncIO(p.SyncIO[s].Outstanding, ts)
-			s++
-		default:
-			f.Finish(end)
-			return f
-		}
-	}
-}

@@ -1,16 +1,12 @@
 package core
 
 import (
-	"fmt"
-	"slices"
-	"strings"
 	"testing"
 	"testing/quick"
 
 	"latlab/internal/cpu"
 	"latlab/internal/kernel"
 	"latlab/internal/simtime"
-	"latlab/internal/trace"
 )
 
 func ms(f float64) simtime.Duration { return simtime.FromMillis(f) }
@@ -44,10 +40,35 @@ func TestFSMBasicTransitions(t *testing.T) {
 	if wait != ms(10) {
 		t.Fatalf("wait = %v, want 10ms", wait)
 	}
-	// Transition log: think→wait at 100, wait→think at 110.
-	trs := f.Transitions()
-	if len(trs) != 2 || trs[0].To != Wait || trs[0].At != at(100) || trs[1].To != Think || trs[1].At != at(110) {
-		t.Fatalf("transitions = %+v", trs)
+	// Think→wait at 100, wait→think at 110; the dequeue at 101 and the
+	// CPU going busy at the same instant net to no change.
+	if n := f.Transitions(); n != 2 {
+		t.Fatalf("transitions = %d, want 2", n)
+	}
+}
+
+// TestFSMCountsNetTransitions pins the same-instant collapse: a change
+// at the instant of the last counted transition undoes it, so a flap
+// counts nothing, and a third change at that instant counts once.
+func TestFSMCountsNetTransitions(t *testing.T) {
+	f := NewFSM()
+	f.SetCPU(true, at(5))
+	f.SetCPU(false, at(5))
+	if n := f.Transitions(); n != 0 {
+		t.Fatalf("a flap at one instant counted %d transitions, want 0", n)
+	}
+	f.SetQueue(1, at(5))
+	if n := f.Transitions(); n != 1 {
+		t.Fatalf("think→wait→think→wait at one instant counted %d, want 1", n)
+	}
+	f.SetQueue(0, at(8))
+	f.SetSyncIO(1, at(8))
+	f.SetSyncIO(0, at(8))
+	if n := f.Transitions(); n != 2 {
+		t.Fatalf("wait→think→wait→think at 8 after a change at 5 counted %d in all, want 2", n)
+	}
+	if think, wait := f.Finish(at(10)); think != ms(7) || wait != ms(3) {
+		t.Fatalf("think/wait = %v/%v, want 7ms/3ms", think, wait)
 	}
 }
 
@@ -116,14 +137,9 @@ func TestFSMConservationProperty(t *testing.T) {
 	}
 }
 
-// keystrokeProbe records an app that handles one keystroke with a sync
-// read, then quits; it returns the probe, the app's thread id and the
-// run's end.
-func keystrokeProbe(t *testing.T) (*Probe, int, simtime.Time) {
-	t.Helper()
-	k := kernel.New(quietConfig())
-	defer k.Shutdown()
-	pr := AttachProbe(k)
+// keystroke loads k with an app that handles one keystroke with a sync
+// read, then quits at 500 ms, and returns the app's thread.
+func keystroke(k *kernel.Kernel) *kernel.Thread {
 	file := k.Cache().AddFile("doc", 200_000, 32)
 	app := k.Spawn("app", 1, 8, func(tc *kernel.TC) {
 		for {
@@ -136,16 +152,36 @@ func keystrokeProbe(t *testing.T) (*Probe, int, simtime.Time) {
 	})
 	k.At(at(50), func(simtime.Time) { k.KeyboardInterrupt(app, kernel.WMChar, 0) })
 	k.At(at(500), func(simtime.Time) { k.PostMessage(app, kernel.WMQuit, 0) })
-	end := k.Run(simtime.Time(600 * simtime.Millisecond))
-	return pr, app.ID(), end
+	return app
 }
 
+// keystrokeEnd is where the keystroke runs stop.
+const keystrokeEnd = simtime.Time(600 * simtime.Millisecond)
+
+// recordKeystroke runs the keystroke workload with a hook recorder in
+// place of a probe and returns the recorded log, the app's thread id
+// and the run's end.
+func recordKeystroke(t *testing.T) ([]hookRecord, int, simtime.Time) {
+	t.Helper()
+	k := kernel.New(quietConfig())
+	defer k.Shutdown()
+	rec := recordHooks(k)
+	app := keystroke(k)
+	end := k.Run(keystrokeEnd)
+	return rec.log, app.ID(), end
+}
+
+// TestDriveFSMFromProbe drives the FSM end to end from a probe's hooks:
+// an app handles one keystroke with a sync read, and the online FSM
+// must classify wait = handling + I/O and think = the rest, and equal
+// the reference replay of a second, recorded run of the same workload.
 func TestDriveFSMFromProbe(t *testing.T) {
-	// End-to-end: an app handles one keystroke with a sync read; the FSM
-	// driven from probe logs must classify wait = handling + I/O and
-	// think = the rest.
-	pr, tid, end := keystrokeProbe(t)
-	f := DriveFSM(pr, tid, end)
+	k := kernel.New(quietConfig())
+	defer k.Shutdown()
+	pr := AttachProbe(k)
+	pr.Watch(keystroke(k))
+	end := k.Run(keystrokeEnd)
+	f := pr.FSM(end)
 	think, wait := f.ThinkTime(), f.WaitTime()
 	if think+wait != simtime.Duration(end) {
 		t.Fatalf("conservation: think %v + wait %v != %v", think, wait, end)
@@ -158,198 +194,154 @@ func TestDriveFSMFromProbe(t *testing.T) {
 	if think < ms(500) {
 		t.Fatalf("think = %v, want the bulk of the 600ms run", think)
 	}
+
+	log, app, refEnd := recordKeystroke(t)
+	if refEnd != end {
+		t.Fatalf("the recorded run ended at %v, the probed one at %v", refEnd, end)
+	}
+	ref := replayReference(log, app, end)
+	if diff := ref.partition(end); diff != "" {
+		t.Fatal(diff)
+	}
+	if diff := sameAsReference(f, ref); diff != "" {
+		t.Fatal(diff)
+	}
 }
 
-// driveFSMOracle is the materialise-and-sort replay DriveFSM replaced:
-// every record becomes an ev, and a stable insertion sort orders them by
-// (time, kind, seq). It is the reference the merge must match.
-func driveFSMOracle(p *Probe, thread int, end simtime.Time) *FSM {
-	type ev struct {
-		at   simtime.Time
-		seq  int
-		kind int
-		b    bool
-		n    int
-	}
-	less := func(a, b ev) bool {
-		if a.at != b.at {
-			return a.at < b.at
+// TestProbeFSMNeedsWatch pins that a probe with no watched thread
+// refuses to report: its FSM never saw a queue input.
+func TestProbeFSMNeedsWatch(t *testing.T) {
+	k := kernel.New(quietConfig())
+	defer k.Shutdown()
+	pr := AttachProbe(k)
+	keystroke(k)
+	end := k.Run(keystrokeEnd)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("FSM with no watched thread returned instead of panicking")
 		}
-		if a.kind != b.kind {
-			return a.kind < b.kind
-		}
-		return a.seq < b.seq
-	}
-	var evs []ev
-	for i, b := range p.Busy {
-		evs = append(evs, ev{at: b.At, seq: i, kind: 0, b: b.Busy})
-	}
-	for i, post := range p.Posts {
-		if post.Thread == thread {
-			evs = append(evs, ev{at: post.At, seq: i, kind: 1, n: post.QueueLen})
-		}
-	}
-	for i, m := range p.Msgs {
-		if m.Thread == thread {
-			evs = append(evs, ev{at: m.Return, seq: i, kind: 1, n: m.QueueLen})
-		}
-	}
-	for i, s := range p.SyncIO {
-		evs = append(evs, ev{at: s.At, seq: i, kind: 2, n: s.Outstanding})
-	}
-	for i := 1; i < len(evs); i++ {
-		for j := i; j > 0 && less(evs[j], evs[j-1]); j-- {
-			evs[j], evs[j-1] = evs[j-1], evs[j]
-		}
-	}
-	f := NewFSM()
-	for _, e := range evs {
-		switch e.kind {
-		case 0:
-			f.SetCPU(e.b, e.at)
-		case 1:
-			f.SetQueue(e.n, e.at)
-		case 2:
-			f.SetSyncIO(e.n, e.at)
-		}
-	}
-	f.Finish(end)
-	return f
+	}()
+	pr.FSM(end)
 }
 
-// sameFSM reports how got differs from want, or "" when their
-// transition logs and totals are identical.
-func sameFSM(got, want *FSM) string {
-	if got.ThinkTime() != want.ThinkTime() || got.WaitTime() != want.WaitTime() {
-		return fmt.Sprintf("think/wait %v/%v, want %v/%v",
-			got.ThinkTime(), got.WaitTime(), want.ThinkTime(), want.WaitTime())
-	}
-	if !slices.Equal(got.Transitions(), want.Transitions()) {
-		return fmt.Sprintf("transitions %+v, want %+v", got.Transitions(), want.Transitions())
-	}
-	return ""
+// Hand-built hook records; threads have ids from 1, and a probe in the
+// cases below watches thread 1.
+func busy(ms float64, b bool) hookRecord { return busyAt(b, at(ms)) }
+func post(thread int, ms float64, qlen int) hookRecord {
+	return hookRecord{hook: onPost, at: at(ms), thread: thread, n: qlen}
+}
+func msg(thread int, ms float64, qlen int) hookRecord {
+	return hookRecord{hook: onMsgAPI, at: at(ms), thread: thread, n: qlen}
+}
+func syncIO(ms float64, n int) hookRecord { return hookRecord{hook: onSyncIO, at: at(ms), n: n} }
+
+// probeReplay fires log through a fresh probe's hooks, watching the
+// thread with id watch, and returns its FSM finished at end; threads[i]
+// is the thread with id i+1.
+func probeReplay(threads []*kernel.Thread, log []hookRecord, watch int, end simtime.Time) *FSM {
+	p := &Probe{}
+	p.Watch(threads[watch-1])
+	feed(p.hooks(), log, threads)
+	return p.FSM(end)
 }
 
-func post(thread int, ms float64, qlen int) PostRecord {
-	return PostRecord{Thread: thread, At: at(ms), QueueLen: qlen}
-}
-
-func msg(thread int, ms float64, qlen int) trace.MsgRecord {
-	return trace.MsgRecord{Thread: thread, Call: at(ms), Return: at(ms), QueueLen: qlen}
-}
-
+// TestDriveFSMMatchesOracle feeds hook streams, in firing order, through
+// a probe's hooks and holds its online FSM to the reference replay of
+// the same stream: equal think, wait and transition count, and a
+// reference log that partitions the run. The probe keeps only the
+// watched thread's queue input and applies records as they fire, so
+// within an instant the last queue record fired sets the length.
 func TestDriveFSMMatchesOracle(t *testing.T) {
-	pr, tid, end := keystrokeProbe(t)
+	keyLog, keyApp, keyEnd := recordKeystroke(t)
+	threads := idleThreads(t, max(keyApp, 3))
 	cases := []struct {
-		name   string
-		p      *Probe
-		thread int
-		end    simtime.Time
+		name  string
+		log   []hookRecord
+		watch int
+		end   simtime.Time
 	}{
-		{"keystroke trace", pr, tid, end},
-		{"empty logs", &Probe{}, 0, at(10)},
-		{"busy only", &Probe{Busy: []BusyChange{{true, at(1)}, {false, at(4)}}}, 0, at(10)},
-		{"sync I/O only", &Probe{SyncIO: []SyncIOChange{{1, at(2)}, {0, at(7)}}}, 0, at(10)},
-		{"other threads only", &Probe{
-			Posts: []PostRecord{post(1, 1, 1), post(2, 2, 1)},
-			Msgs:  []trace.MsgRecord{msg(1, 3, 0), msg(2, 4, 0)},
-		}, 0, at(10)},
-		{"all four kinds at one instant", &Probe{
-			Busy:   []BusyChange{{true, at(5)}, {false, at(5)}, {true, at(8)}},
-			Posts:  []PostRecord{post(0, 5, 1)},
-			Msgs:   []trace.MsgRecord{msg(0, 5, 0)},
-			SyncIO: []SyncIOChange{{1, at(5)}, {0, at(5)}, {1, at(9)}},
-		}, 0, at(10)},
-		{"sync I/O after busy at the same instant", &Probe{
-			Busy:   []BusyChange{{true, at(2)}, {false, at(6)}},
-			SyncIO: []SyncIOChange{{1, at(6)}, {0, at(6)}},
-		}, 0, at(10)},
-		// At t=3 the queue records run msg0, post1, post2, msg2, post3:
-		// the post wins the seq-2 collision, so msg2's length 4 is
-		// overwritten by post3's 0 only because post3 has the higher seq.
-		{"post/message seq collisions", &Probe{
-			Posts: []PostRecord{post(1, 1, 1), post(0, 3, 2), post(0, 3, 3), post(0, 3, 0)},
-			Msgs:  []trace.MsgRecord{msg(0, 3, 1), msg(1, 3, 0), msg(0, 3, 4), msg(0, 5, 2)},
-		}, 0, at(10)},
-		// Same instant, the message has the higher seq, so it is last.
-		{"message last on the higher seq", &Probe{
-			Posts: []PostRecord{post(0, 2, 0), post(0, 4, 1)},
-			Msgs:  []trace.MsgRecord{msg(1, 1, 0), msg(0, 2, 3), msg(0, 4, 0)},
-		}, 0, at(10)},
-		{"interleaved threads", &Probe{
-			Busy: []BusyChange{{true, at(1)}, {false, at(2)}, {true, at(6)}, {false, at(7)}},
-			Posts: []PostRecord{post(0, 1, 1), post(2, 1, 1), post(1, 3, 1), post(0, 4, 1),
-				post(2, 4, 2), post(1, 6, 2)},
-			Msgs: []trace.MsgRecord{msg(1, 0, 0), msg(0, 2, 0), msg(2, 2, 1), msg(1, 4, 1),
-				msg(0, 6, 0), msg(2, 9, 0)},
-			SyncIO: []SyncIOChange{{1, at(3)}, {0, at(5)}},
-		}, 0, at(10)},
+		{"keystroke trace", keyLog, keyApp, keyEnd},
+		{"empty logs", nil, 1, at(10)},
+		{"busy only", []hookRecord{busy(1, true), busy(4, false)}, 1, at(10)},
+		{"sync I/O only", []hookRecord{syncIO(2, 1), syncIO(7, 0)}, 1, at(10)},
+		{"other threads only", []hookRecord{post(2, 1, 1), post(3, 2, 1), msg(2, 3, 0), msg(3, 4, 0)}, 1, at(10)},
+		{"all four kinds at one instant", []hookRecord{
+			busy(5, true), post(1, 5, 1), syncIO(5, 1), busy(5, false), msg(1, 5, 0), syncIO(5, 0),
+			busy(8, true), syncIO(9, 1),
+		}, 1, at(10)},
+		{"sync I/O after busy at the same instant", []hookRecord{
+			busy(2, true), busy(6, false), syncIO(6, 1), syncIO(6, 0),
+		}, 1, at(10)},
+		// At t=3 the watched thread's posts and messages interleave
+		// with another thread's; post(1, 3, 0) fires last and empties
+		// the queue.
+		{"post/message seq collisions", []hookRecord{
+			post(2, 1, 1), msg(1, 3, 1), msg(2, 3, 0), post(1, 3, 2), post(1, 3, 3), msg(1, 3, 4),
+			post(1, 3, 0), msg(1, 5, 2),
+		}, 1, at(10)},
+		// At t=2 the message fires after the post, so its length wins.
+		{"message last on the higher seq", []hookRecord{
+			msg(2, 1, 0), post(1, 2, 0), msg(1, 2, 3), post(1, 4, 1), msg(1, 4, 0),
+		}, 1, at(10)},
+		{"interleaved threads", []hookRecord{
+			msg(2, 0, 0), busy(1, true), post(1, 1, 1), post(3, 1, 1), busy(2, false), msg(1, 2, 0),
+			msg(3, 2, 1), post(2, 3, 1), syncIO(3, 1), msg(2, 4, 1), post(1, 4, 1), post(3, 4, 2),
+			syncIO(5, 0), busy(6, true), msg(1, 6, 0), post(2, 6, 2), busy(7, false), msg(3, 9, 0),
+		}, 1, at(10)},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			got, want := DriveFSM(c.p, c.thread, c.end), driveFSMOracle(c.p, c.thread, c.end)
-			if diff := sameFSM(got, want); diff != "" {
+			ref := replayReference(c.log, c.watch, c.end)
+			if diff := ref.partition(c.end); diff != "" {
 				t.Fatal(diff)
 			}
-			if got.ThinkTime()+got.WaitTime() != simtime.Duration(c.end) {
-				t.Fatalf("think %v + wait %v != end %v", got.ThinkTime(), got.WaitTime(), c.end)
+			if diff := sameAsReference(probeReplay(threads, c.log, c.watch, c.end), ref); diff != "" {
+				t.Fatal(diff)
 			}
 		})
 	}
 }
 
-// TestDriveFSMBackwardsLogPanics pins that the merge trusts each log's
-// order: a record earlier than its predecessor panics in the FSM rather
-// than being sorted into place as the oracle would.
-func TestDriveFSMBackwardsLogPanics(t *testing.T) {
-	p := &Probe{
-		Busy:   []BusyChange{{true, at(10)}, {false, at(20)}},
-		SyncIO: []SyncIOChange{{1, at(15)}, {0, at(12)}},
-	}
-	driveFSMOracle(p, 0, at(30)) // sorting hides the fault
-	defer func() {
-		r := recover()
-		if s, _ := r.(string); !strings.Contains(s, "time went backwards") {
-			t.Fatalf("recovered %v, want the FSM's time-went-backwards panic", r)
-		}
-	}()
-	DriveFSM(p, 0, at(30))
-	t.Fatal("a backwards log replayed without panicking")
-}
-
-// probeFromBytes builds four non-decreasing logs from data, one record
-// per byte: bits 0-1 pick the log, bits 2-3 advance that log's clock by
-// 0-3 µs (so cross-log ties are common), bit 4 picks thread 0 or 1 for
-// posts and messages, and bits 5-7 give the value.
-func probeFromBytes(data []byte) *Probe {
-	var clock [4]simtime.Time
-	p := &Probe{}
+// streamFromBytes builds a firing-order hook stream from data, one
+// record per byte: bits 0-1 pick the hook, bits 2-3 advance the one
+// clock by 0-3 µs (so same-instant flaps are common), bit 4 picks
+// thread 1 or 2 for posts and messages, and bits 5-7 give the value.
+func streamFromBytes(data []byte) ([]hookRecord, simtime.Time) {
+	var now simtime.Time
+	log := make([]hookRecord, 0, len(data))
 	for _, c := range data {
-		log := c & 3
-		clock[log] += simtime.Time(c>>2&3) * simtime.Time(simtime.Microsecond)
-		now, thread, v := clock[log], int(c>>4&1), int(c>>5)
-		switch log {
+		now += simtime.Time(c>>2&3) * simtime.Time(simtime.Microsecond)
+		thread, v := int(c>>4&1)+1, int(c>>5)
+		switch c & 3 {
 		case 0:
-			p.Busy = append(p.Busy, BusyChange{Busy: v&1 == 1, At: now})
+			log = append(log, busyAt(v&1 == 1, now))
 		case 1:
-			p.Posts = append(p.Posts, PostRecord{Thread: thread, At: now, QueueLen: v & 3})
+			log = append(log, hookRecord{hook: onPost, at: now, thread: thread, n: v & 3})
 		case 2:
-			p.Msgs = append(p.Msgs, trace.MsgRecord{Thread: thread, Call: now, Return: now, QueueLen: v & 3})
+			log = append(log, hookRecord{hook: onMsgAPI, at: now, thread: thread, n: v & 3})
 		case 3:
-			p.SyncIO = append(p.SyncIO, SyncIOChange{Outstanding: v & 3, At: now})
+			log = append(log, hookRecord{hook: onSyncIO, at: now, n: v & 3})
 		}
 	}
-	return p
+	return log, now + simtime.Time(simtime.Microsecond)
 }
 
-func FuzzDriveFSMMerge(f *testing.F) {
+// FuzzFSMCount holds the probe's online FSM, with its transition count,
+// to the reference log FSM on random firing-order hook streams: equal
+// think, wait and count, and a reference log that alternates and
+// accrues exactly the totals.
+func FuzzFSMCount(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x20, 0x01, 0x02, 0x03, 0x00, 0x21, 0x22, 0x23})
 	f.Add([]byte{0x25, 0x41, 0x12, 0x61, 0x06, 0x33, 0x4a, 0x19, 0x02, 0x7f, 0xe4, 0x0b})
+	threads := idleThreads(f, 2)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p := probeFromBytes(data)
-		end := simtime.Time(len(data)*3+1) * simtime.Time(simtime.Microsecond)
-		if diff := sameFSM(DriveFSM(p, 0, end), driveFSMOracle(p, 0, end)); diff != "" {
+		log, end := streamFromBytes(data)
+		ref := replayReference(log, 1, end)
+		if diff := ref.partition(end); diff != "" {
+			t.Fatal(diff)
+		}
+		if diff := sameAsReference(probeReplay(threads, log, 1, end), ref); diff != "" {
 			t.Fatal(diff)
 		}
 	})
@@ -368,23 +360,5 @@ func TestSpanHelpers(t *testing.T) {
 	}
 	if s.Overlaps(Span{Start: at(20), End: at(30)}) {
 		t.Fatalf("touching spans do not overlap")
-	}
-}
-
-func TestGroundTruthBusySpans(t *testing.T) {
-	p := &Probe{Busy: []BusyChange{
-		{Busy: true, At: at(10)},
-		{Busy: false, At: at(15)},
-		{Busy: true, At: at(40)},
-	}}
-	spans := p.GroundTruthBusySpans(at(50))
-	if len(spans) != 2 {
-		t.Fatalf("spans = %d", len(spans))
-	}
-	if spans[0] != (Span{Start: at(10), End: at(15)}) {
-		t.Fatalf("span0 = %+v", spans[0])
-	}
-	if spans[1] != (Span{Start: at(40), End: at(50)}) {
-		t.Fatalf("open span not closed at end: %+v", spans[1])
 	}
 }

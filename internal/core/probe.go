@@ -27,99 +27,62 @@ import (
 	"latlab/internal/trace"
 )
 
-// PostRecord logs one message enqueue observed by the probe.
-type PostRecord struct {
-	Thread   int
-	Kind     int
-	At       simtime.Time
-	QueueLen int
-}
-
-// BusyChange logs a ground-truth CPU busy/idle transition. It is exposed
-// for validation; the measured path derives CPU state from idle samples.
-type BusyChange struct {
-	Busy bool
-	At   simtime.Time
-}
-
-// SyncIOChange logs a change in outstanding synchronous I/O.
-type SyncIOChange struct {
-	Outstanding int
-	At          simtime.Time
-}
-
-// Probe attaches to a kernel's observation hooks and records everything
-// the methodology (and its validation) needs. Attach exactly one Probe
+// Probe attaches to a kernel's observation hooks. It logs every
+// message-API call, which event extraction reads, and drives the Fig. 2
+// think/wait FSM online from the hooks as they fire: CPU and synchronous
+// I/O state from the whole machine, queue state from the one watched
+// thread (Watch). The kernel fires its hooks in the order the state
+// changed, so nothing is buffered or replayed. Attach exactly one Probe
 // per kernel, before running.
 type Probe struct {
-	Msgs   []trace.MsgRecord
-	Posts  []PostRecord
-	Busy   []BusyChange
-	SyncIO []SyncIOChange
+	Msgs []trace.MsgRecord
+
+	fsm FSM
+	// watch is the watched thread's id; thread ids start at 1, so 0
+	// watches none.
+	watch int
 }
 
 // AttachProbe installs the probe's hooks on k and returns it.
 func AttachProbe(k *kernel.Kernel) *Probe {
 	p := &Probe{}
-	k.SetHooks(kernel.Hooks{
-		OnMsgAPI: func(rec trace.MsgRecord) { p.Msgs = append(p.Msgs, rec) },
-		OnPost: func(target *kernel.Thread, msg kernel.Msg, now simtime.Time, qlen int) {
-			p.Posts = append(p.Posts, PostRecord{
-				Thread: target.ID(), Kind: int(msg.Kind), At: now, QueueLen: qlen,
-			})
-		},
-		OnBusy: func(busy bool, now simtime.Time) {
-			p.Busy = append(p.Busy, BusyChange{Busy: busy, At: now})
-		},
-		OnSyncIO: func(outstanding int, now simtime.Time) {
-			p.SyncIO = append(p.SyncIO, SyncIOChange{Outstanding: outstanding, At: now})
-		},
-	})
+	k.SetHooks(p.hooks())
 	return p
 }
 
-// AttachMsgProbe installs only the probe's message-API hook on k and
-// returns it: Msgs fills as under AttachProbe, while Posts, Busy and
-// SyncIO stay empty. That is everything Extract reads besides the idle
-// samples, and nothing DriveFSM or GroundTruthBusySpans can use.
-func AttachMsgProbe(k *kernel.Kernel) *Probe {
-	p := &Probe{}
-	k.SetHooks(kernel.Hooks{
-		OnMsgAPI: func(rec trace.MsgRecord) { p.Msgs = append(p.Msgs, rec) },
-	})
-	return p
+// hooks returns the kernel hooks that feed the probe.
+func (p *Probe) hooks() kernel.Hooks {
+	return kernel.Hooks{
+		OnMsgAPI: func(rec trace.MsgRecord) {
+			p.Msgs = append(p.Msgs, rec)
+			if rec.Thread == p.watch {
+				p.fsm.SetQueue(rec.QueueLen, rec.Return)
+			}
+		},
+		OnPost: func(target *kernel.Thread, _ kernel.Msg, now simtime.Time, qlen int) {
+			if target.ID() == p.watch {
+				p.fsm.SetQueue(qlen, now)
+			}
+		},
+		OnBusy:   p.fsm.SetCPU,
+		OnSyncIO: p.fsm.SetSyncIO,
+	}
 }
 
-// MsgsForThread filters message records by thread id.
-func (p *Probe) MsgsForThread(id int) []trace.MsgRecord {
-	var out []trace.MsgRecord
-	for _, m := range p.Msgs {
-		if m.Thread == id {
-			out = append(out, m)
-		}
-	}
-	return out
-}
+// Watch names the thread whose message queue feeds the FSM: the
+// session's application thread. Call it before the thread is first
+// posted to.
+func (p *Probe) Watch(t *kernel.Thread) { p.watch = t.ID() }
 
-// GroundTruthBusySpans converts the busy transition log into closed
-// spans, ending an open span at end if still busy.
-func (p *Probe) GroundTruthBusySpans(end simtime.Time) []Span {
-	var spans []Span
-	var open *Span
-	for _, b := range p.Busy {
-		if b.Busy && open == nil {
-			open = &Span{Start: b.At}
-		} else if !b.Busy && open != nil {
-			open.End = b.At
-			spans = append(spans, *open)
-			open = nil
-		}
+// FSM finishes the think/wait FSM at end, the run's end, and returns
+// it. It panics when no thread is watched: that FSM never saw a queue
+// input.
+func (p *Probe) FSM(end simtime.Time) *FSM {
+	if p.watch == 0 {
+		panic("core: Probe.FSM with no watched thread")
 	}
-	if open != nil {
-		open.End = end
-		spans = append(spans, *open)
-	}
-	return spans
+	p.fsm.Finish(end)
+	return &p.fsm
 }
 
 // Span is a half-open time interval [Start, End).

@@ -64,14 +64,6 @@ type Config struct {
 	// past what it recorded, so recorded behaviour is identical either
 	// way.
 	IdleArena *[]trace.IdleSample
-	// EventsOnly has every rig record only what event extraction reads:
-	// the message-API log and the idle samples (core.AttachMsgProbe).
-	// The think/wait FSM's inputs — the busy, post and synchronous-I/O
-	// logs — are never recorded, so a ScenarioSession opened with it
-	// yields Events, and its Result panics rather than return a wrong
-	// think/wait row. campaign.RunCells sets it: a ledger folds event
-	// latencies and nothing else.
-	EventsOnly bool
 }
 
 // DefaultConfig returns the paper-sized configuration.
@@ -282,12 +274,7 @@ func newRig(cfg Config, p persona.P, runSeconds int) *rig {
 // scenario-matrix experiments use it to compare machines side by side.
 func newRigOn(cfg Config, p persona.P, prof machine.Profile, runSeconds int) *rig {
 	sys := system.New(system.Config{Persona: p, Machine: prof})
-	var pr *core.Probe
-	if cfg.EventsOnly {
-		pr = core.AttachMsgProbe(sys.K)
-	} else {
-		pr = core.AttachProbe(sys.K)
-	}
+	pr := core.AttachProbe(sys.K)
 	bufCap := runSeconds*1100 + 10_000
 	var il *core.IdleLoop
 	if cfg.IdleArena != nil {

@@ -135,6 +135,7 @@ func runExtThinkWait(ctx context.Context, cfg Config) (Result, error) {
 		}
 		r := newRig(cfg, p, 180)
 		n := apps.NewNotepad(r.sys, 250_000)
+		r.pr.Watch(n.Thread())
 		// Typing with composition pauses, then a simulated save-scale
 		// synchronous I/O burst via the document reload.
 		ty := input.NewTypist(cfg.Seed, 70)
@@ -142,7 +143,7 @@ func runExtThinkWait(ctx context.Context, cfg Config) (Result, error) {
 		script.Install(r.sys)
 		end := r.sys.K.Run(script.End().Add(2 * simtime.Second))
 
-		f := core.DriveFSM(r.pr, n.Thread().ID(), end)
+		f := r.pr.FSM(end)
 		think, wait := f.ThinkTime(), f.WaitTime()
 		res.Systems = append(res.Systems, struct {
 			Persona     string
@@ -151,7 +152,7 @@ func runExtThinkWait(ctx context.Context, cfg Config) (Result, error) {
 			WaitShare   float64
 		}{
 			Persona: p.Name, Think: think, Wait: wait,
-			Transitions: len(f.Transitions()),
+			Transitions: f.Transitions(),
 			WaitShare:   float64(wait) / float64(think+wait),
 		})
 		r.shutdown()

@@ -159,6 +159,7 @@ func openPPT(label string, cfg Config, sc scRun, plan faults.Plan) *ScenarioSess
 // completes (panicking at deadline if it has not), then 2 s of
 // trailing time.
 func openChain(label string, r *rig, t *kernel.Thread, steps []chainStep, sync bool, deadline simtime.Time) *ScenarioSession {
+	r.pr.Watch(t)
 	s := &ScenarioSession{r: r, label: label, thread: t,
 		kind: sessChain, deadline: deadline, chainDone: new(simtime.Time)}
 	driveChain(r.sys, steps, sync, s.chainDone)
@@ -175,6 +176,7 @@ func openTyping(label string, cfg Config, sc scRun, plan faults.Plan) *ScenarioS
 	r := newRig(cfg, sc.p, 240)
 	faults.NewClock(plan).Arm(faultsTarget(r, true))
 	n := apps.NewNotepad(r.sys, 250_000)
+	r.pr.Watch(n.Thread())
 	script := sc.scenarioScript(defF(sc.prm.StartMs, 300))
 	script.Install(r.sys)
 	return &ScenarioSession{r: r, label: label, thread: n.Thread(),
@@ -184,14 +186,14 @@ func openTyping(label string, cfg Config, sc scRun, plan faults.Plan) *ScenarioS
 // faultsRow extracts the common analysis from a finished rig.
 func faultsRow(label string, r *rig, t *kernel.Thread, end simtime.Time) ExtFaultsRow {
 	events := r.extract(t, true)
-	f := core.DriveFSM(r.pr, t.ID(), end)
+	f := r.pr.FSM(end)
 	k := r.sys.K
 	return ExtFaultsRow{
 		Label:           label,
 		Report:          core.NewReport(events, simtime.Duration(end)),
 		ThinkMs:         f.ThinkTime().Milliseconds(),
 		WaitMs:          f.WaitTime().Milliseconds(),
-		Transitions:     len(f.Transitions()),
+		Transitions:     f.Transitions(),
 		Retries:         k.Disk().Retries(),
 		MediaErrors:     k.Disk().MediaErrors(),
 		IOErrors:        k.IOErrors(),

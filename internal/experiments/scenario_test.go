@@ -9,7 +9,6 @@ import (
 	"reflect"
 	"testing"
 
-	"latlab/internal/core"
 	"latlab/internal/scenario"
 	"latlab/internal/simtime"
 )
@@ -91,11 +90,11 @@ func renderOf(t *testing.T, spec Spec, cfg Config) string {
 
 // TestScenarioFSMConservation is the think/wait law on real sessions:
 // for every committed corpus document in quick mode (each compare row
-// of a compare document), the Fig. 2 FSM replayed from the session's
-// probe partitions the whole run. Think + wait equals the end time
-// exactly, and the transition log, walked from Think at time zero,
-// accrues exactly the FSM's totals: its instants strictly increase and
-// its phases alternate, so no span is counted twice or dropped.
+// of a compare document), the Fig. 2 FSM the session's probe ran online
+// covers the whole run: think + wait equals the end time exactly, and
+// at least one transition happened. That the transitions alternate and
+// accrue exactly the totals is held against the reference log FSM in
+// internal/core's tests, on these same documents.
 func TestScenarioFSMConservation(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join(twinDir, "*.json"))
 	if err != nil || len(paths) == 0 {
@@ -130,36 +129,14 @@ func TestScenarioFSMConservation(t *testing.T) {
 					s.OnTarget()
 				}
 				end := s.r.sys.K.Now()
-				f := core.DriveFSM(s.r.pr, s.thread.ID(), end)
-				if len(f.Transitions()) == 0 {
+				f := s.r.pr.FSM(end)
+				if f.Transitions() == 0 {
 					t.Fatalf("session ended at %v without a think/wait transition", end)
 				}
-				checkFSMPartition(t, f, end)
+				if think, wait := f.ThinkTime(), f.WaitTime(); think+wait != simtime.Duration(end) {
+					t.Fatalf("think %v + wait %v = %v, want end %v", think, wait, think+wait, end)
+				}
 			})
 		}
-	}
-}
-
-// checkFSMPartition requires f, finished at end, to split [0, end) into
-// alternating think and wait spans with no gap or overlap.
-func checkFSMPartition(t *testing.T, f *core.FSM, end simtime.Time) {
-	t.Helper()
-	think, wait := f.ThinkTime(), f.WaitTime()
-	if think+wait != simtime.Duration(end) {
-		t.Fatalf("think %v + wait %v = %v, want end %v", think, wait, think+wait, end)
-	}
-	var acc [2]simtime.Duration
-	phase, since := core.Think, simtime.Time(0)
-	for i, tr := range f.Transitions() {
-		if tr.To == phase || (i > 0 && tr.At <= since) || tr.At > end {
-			t.Fatalf("transition %d %+v after %v at %v: not an alternating, increasing log within the run", i, tr, phase, since)
-		}
-		acc[phase] += tr.At.Sub(since)
-		phase, since = tr.To, tr.At
-	}
-	acc[phase] += end.Sub(since)
-	if acc[core.Think] != think || acc[core.Wait] != wait {
-		t.Fatalf("transition log accrues think %v / wait %v, FSM says %v / %v",
-			acc[core.Think], acc[core.Wait], think, wait)
 	}
 }

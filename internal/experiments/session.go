@@ -35,6 +35,9 @@ const (
 // ScenarioSession is one opened, not-yet-finished scenario run: a
 // booted machine plus the driver's milestone program. It implements
 // system.BatchSession so a batch can step it; drive steps it alone.
+// Every session records the same way: its probe logs message-API calls
+// and runs the think/wait FSM online for the application thread, so
+// both Result and Events read any session.
 type ScenarioSession struct {
 	r      *rig
 	label  string
@@ -46,9 +49,6 @@ type ScenarioSession struct {
 	chainDone *simtime.Time
 	finished  bool
 	closed    bool
-	// eventsOnly: opened with Config.EventsOnly, so only Events may
-	// read it.
-	eventsOnly bool
 
 	// Result metadata, filled by OpenScenarioSession.
 	docID   string
@@ -75,8 +75,8 @@ func (s *ScenarioSession) NextTarget() simtime.Time {
 // OnTarget implements system.BatchSession: the machine's clock is at
 // the target; execute the program step and compute the next target.
 // A chain takes full 500 ms slices while it is unfinished and the
-// deadline unreached, then one 2 s trailing slice so the FSM end
-// matches the probe's last records.
+// deadline unreached, then one 2 s trailing slice of quiescence, which
+// the think/wait totals include.
 func (s *ScenarioSession) OnTarget() {
 	now := s.r.sys.K.Now()
 	switch s.kind {
@@ -126,14 +126,10 @@ func (s *ScenarioSession) Close() {
 
 // Result extracts the finished session's outcome — what the compiled
 // Spec's Run returns for the same Config and Doc, which is this same
-// session driven alone. It panics on a session opened with
-// Config.EventsOnly, which recorded no think/wait inputs.
+// session driven alone.
 func (s *ScenarioSession) Result() *ScenarioResult {
 	if !s.finished {
 		panic("experiments: Result on an unfinished session")
-	}
-	if s.eventsOnly {
-		panic("experiments: Result on a session opened with EventsOnly; read Events")
 	}
 	return &ScenarioResult{
 		DocID:   s.docID,
@@ -148,9 +144,8 @@ func (s *ScenarioSession) Result() *ScenarioResult {
 
 // Events extracts the finished session's events — exactly
 // Result().Row.Report.Events — and releases the machine. It skips the
-// think/wait replay and the rest of the row, which a campaign ledger
-// never reads, and is the only reader of a session opened with
-// Config.EventsOnly.
+// latency report and the rest of the row, which a campaign ledger never
+// reads.
 func (s *ScenarioSession) Events() []core.Event {
 	if !s.finished {
 		panic("experiments: Events on an unfinished session")
@@ -164,7 +159,7 @@ func (s *ScenarioSession) Events() []core.Event {
 // compiled Spec's Run and boots the session without running it. The
 // caller steps it (directly or inside a system.Batch) until
 // NextTarget returns simtime.Never, then calls Result, or Events when
-// cfg.EventsOnly is set. Compare scenarios have no single-session
+// it needs only the events. Compare scenarios have no single-session
 // decomposition and are refused.
 func OpenScenarioSession(cfg Config, doc scenario.Doc) (*ScenarioSession, error) {
 	if len(doc.Compare) > 0 {
@@ -181,6 +176,5 @@ func OpenScenarioSession(cfg Config, doc scenario.Doc) (*ScenarioSession, error)
 	s.machine = rs.cfg.MachineProfile().Short
 	s.seed = rs.cfg.Seed
 	s.plan = rs.plan
-	s.eventsOnly = rs.cfg.EventsOnly
 	return s, nil
 }

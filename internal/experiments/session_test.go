@@ -125,10 +125,10 @@ func openDriven(t *testing.T, cfg Config, doc scenario.Doc) *ScenarioSession {
 }
 
 // TestEventsMatchResult pins the ledger path: for every single-run
-// document, in quick and full mode, a session opened EventsOnly and
-// read with Events returns exactly the events a fully recorded session
-// reports in Result().Row.Report.Events. The ledger sessions record
-// into one reused arena, as a campaign slot's do.
+// document, in quick and full mode, a session read with Events returns
+// exactly the events a session of the same document reports in
+// Result().Row.Report.Events. The ledger sessions record into one
+// reused arena, as a campaign slot's do.
 func TestEventsMatchResult(t *testing.T) {
 	arena := new([]trace.IdleSample)
 	for _, doc := range singleRunDocs(t) {
@@ -136,7 +136,7 @@ func TestEventsMatchResult(t *testing.T) {
 			cfg := Config{Seed: 1996, Quick: quick}
 			want := openDriven(t, cfg, doc).Result().Row.Report.Events
 
-			cfg.EventsOnly, cfg.IdleArena = true, arena
+			cfg.IdleArena = arena
 			got := openDriven(t, cfg, doc).Events()
 			if len(want) == 0 {
 				t.Errorf("%s quick=%t: no events to compare", doc.ID, quick)
@@ -148,40 +148,47 @@ func TestEventsMatchResult(t *testing.T) {
 	}
 }
 
-// TestEventsOnlyRecordsNoThinkWaitInputs pins what a ledger session
-// leaves out: its probe logs message-API calls but no busy, post or
-// synchronous-I/O records, which a fully recorded session of the same
-// document does log, and its Result panics instead of replaying the
-// think/wait FSM over empty logs.
-func TestEventsOnlyRecordsNoThinkWaitInputs(t *testing.T) {
-	doc, err := scenario.ParseFile(filepath.Join(twinDir, "fz-000000000000001b.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{Seed: 1996, Quick: true}
-	full := openDriven(t, cfg, doc)
-	defer full.Close()
-	if pr := full.r.pr; len(pr.Busy) == 0 || len(pr.Posts) == 0 || len(pr.SyncIO) == 0 {
-		t.Fatalf("full session logged %d busy, %d post and %d sync-I/O records; want some of each",
-			len(pr.Busy), len(pr.Posts), len(pr.SyncIO))
-	}
-	cfg.EventsOnly = true
-	s := openDriven(t, cfg, doc)
-	defer s.Close()
-	pr := s.r.pr
-	if len(pr.Msgs) != len(full.r.pr.Msgs) {
-		t.Errorf("ledger session logged %d message-API records, the full session %d", len(pr.Msgs), len(full.r.pr.Msgs))
-	}
-	if len(pr.Busy)+len(pr.Posts)+len(pr.SyncIO) != 0 {
-		t.Errorf("ledger session logged %d busy, %d post and %d sync-I/O records; want none",
-			len(pr.Busy), len(pr.Posts), len(pr.SyncIO))
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Result on a ledger session returned instead of panicking")
+// TestLedgerSessionResult pins that a session opened exactly as
+// campaign.RunCells opens one — on a batch slot's arena, stepped in the
+// batch and closed before it is read — reports through Result the
+// think/wait row runScenario reports for the same document and seed.
+// Each campaign template runs at two seeds through one slot, so the
+// second session records into the arena the first one grew.
+func TestLedgerSessionResult(t *testing.T) {
+	b := system.NewBatch(1)
+	for _, path := range []string{
+		"../../testdata/campaigns/demo-type.json",
+		"../../testdata/campaigns/demo-storm.json",
+		"../campaign/testdata/tiny-type.json",
+	} {
+		doc, err := scenario.ParseFile(path)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}()
-	s.Result()
+		for seed := uint64(1); seed <= 2; seed++ {
+			res, err := runScenario(context.Background(), Config{Seed: seed, Quick: true}, doc)
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", doc.ID, seed, err)
+			}
+			want := res.(*ScenarioResult).Row
+			s, err := OpenScenarioSession(Config{Seed: seed, Quick: true, IdleArena: b.Arena(0)}, doc)
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", doc.ID, seed, err)
+			}
+			b.Open(0, s)
+			b.Run()
+			s.Close()
+			b.Reset()
+			got := s.Result().Row
+			if got.Transitions == 0 {
+				t.Errorf("%s seed %d: no think/wait transition", doc.ID, seed)
+			}
+			if got.ThinkMs != want.ThinkMs || got.WaitMs != want.WaitMs || got.Transitions != want.Transitions {
+				t.Errorf("%s seed %d: ledger session think/wait/transitions %v/%v/%d, runScenario %v/%v/%d",
+					doc.ID, seed, got.ThinkMs, got.WaitMs, got.Transitions, want.ThinkMs, want.WaitMs, want.Transitions)
+			}
+		}
+	}
 }
 
 // TestArenaGrowsByUse pins the slot arena's sizing: a session that
@@ -198,7 +205,7 @@ func TestArenaGrowsByUse(t *testing.T) {
 		t.Fatal(err)
 	}
 	arena := new([]trace.IdleSample)
-	cfg := Config{Seed: 1996, Quick: true, IdleArena: arena, EventsOnly: true}
+	cfg := Config{Seed: 1996, Quick: true, IdleArena: arena}
 
 	s := openDriven(t, cfg, long)
 	n := len(s.r.il.Samples())

@@ -27,9 +27,14 @@ import (
 // simulator's ground truth for what the idle loop can no longer see.
 type auxCore struct {
 	// current is the thread whose chunk occupies the core; busyUntil
-	// when that chunk completes.
+	// when that chunk completes, and chunk its length.
 	current   *Thread
 	busyUntil simtime.Time
+	chunk     simtime.Duration
+	// done completes the chunk in flight, reading its thread from
+	// current. A core runs one chunk at a time, so one callback, bound
+	// on the core's first chunk, serves them all.
+	done func(simtime.Time)
 	// queue is the core's FIFO of ready-but-waiting threads.
 	queue []*Thread
 	// lastThread tracks whose working set is warm on this core: a
@@ -148,20 +153,24 @@ func (k *Kernel) auxRun(ci int, t *Thread) {
 			}
 			t.state = StateRunning
 			t.lastCPU = ci + 1
-			c.current = t
+			c.current, c.chunk = t, d
 			c.busyUntil = k.now.Add(d)
-			k.At(c.busyUntil, func(now simtime.Time) {
-				if k.shutdown {
-					return
+			if c.done == nil {
+				c.done = func(simtime.Time) {
+					if k.shutdown {
+						return
+					}
+					t := c.current
+					c.busyAcc += c.chunk
+					c.current = nil
+					if t.state == StateRunning {
+						k.auxRun(ci, t)
+					} else {
+						k.auxDispatch(ci)
+					}
 				}
-				c.busyAcc += d
-				c.current = nil
-				if t.state == StateRunning {
-					k.auxRun(ci, t)
-				} else {
-					k.auxDispatch(ci)
-				}
-			})
+			}
+			k.At(c.busyUntil, c.done)
 			return
 
 		case reqPost:

@@ -15,6 +15,19 @@ var allOps = []op{
 	opMenuCommand, opCreateWindow, opMaxPrep,
 }
 
+// TestOpIDsIndexCursors pins that the operations' ids are 0 to
+// numOps-1, one each, so every operation has its own cursor slot.
+func TestOpIDsIndexCursors(t *testing.T) {
+	if len(allOps) != numOps {
+		t.Fatalf("%d operations listed, numOps is %d", len(allOps), numOps)
+	}
+	for i, o := range allOps {
+		if o.id != i {
+			t.Errorf("%s has id %d, want %d", o.name, o.id, i)
+		}
+	}
+}
+
 // ascendingRuns returns how many maximal runs of consecutive ascending
 // ids a page or chunk list holds.
 func ascendingRuns(ids []uint64) int {

@@ -38,7 +38,7 @@ func oracleCall(w *WinSys, tc *kernel.TC, o op, glues *[]simtime.Time) {
 		w.batched++
 	}
 	stream := int(float64(o.stream) * w.p.DataWindowScale)
-	c := w.cursor(o.name, stream, o.hot, o.chunks)
+	c := w.cursor(o, stream)
 
 	seg := cpu.Segment{
 		Name:         o.name,

@@ -37,7 +37,9 @@ type WinSys struct {
 	k        *kernel.Kernel
 	p        persona.P
 	appPages []uint64
-	cursors  map[string]*opCursor
+	// cursors holds each operation's cursor at its op id, created on
+	// the operation's first call.
+	cursors  [numOps]*opCursor
 	nextBase uint64
 	calls    int64
 	batched  int64
@@ -47,7 +49,7 @@ type WinSys struct {
 
 // New builds the window system for kernel k under persona p.
 func New(k *kernel.Kernel, p persona.P) *WinSys {
-	return &WinSys{k: k, p: p, cursors: make(map[string]*opCursor), nextBase: 50_000}
+	return &WinSys{k: k, p: p, nextBase: 50_000}
 }
 
 // Persona returns the persona this window system models.
@@ -64,9 +66,11 @@ func (w *WinSys) BatchedCalls() int64 { return w.batched }
 // as the application-side glue refilled after every server crossing.
 func (w *WinSys) BindApp(codePages []uint64) { w.appPages = codePages }
 
-func (w *WinSys) cursor(name string, stream, hot, chunks int) *opCursor {
-	c, ok := w.cursors[name]
-	if ok {
+// cursor returns o's cursor, creating it on o's first call with a
+// streaming window for stream pages per call. Cursors take their base
+// pages in first-use order.
+func (w *WinSys) cursor(o op, stream int) *opCursor {
+	if c := w.cursors[o.id]; c != nil {
 		return c
 	}
 	// The streaming window must exceed the data TLB so cycling through it
@@ -76,27 +80,29 @@ func (w *WinSys) cursor(name string, stream, hot, chunks int) *opCursor {
 	if window < stream {
 		window = stream
 	}
-	c = &opCursor{base: w.nextBase, window: window}
+	c := &opCursor{base: w.nextBase, window: window}
 	// Both id lists share one array, sized once.
-	ids := make([]uint64, hot+chunks)
-	for i := 0; i < hot; i++ {
+	ids := make([]uint64, o.hot+o.chunks)
+	for i := 0; i < o.hot; i++ {
 		ids[i] = w.nextBase + 3000 + uint64(i)
 	}
-	for i := 0; i < chunks; i++ {
-		ids[hot+i] = (w.nextBase+3000)*8 + uint64(i)
+	for i := 0; i < o.chunks; i++ {
+		ids[o.hot+i] = (w.nextBase+3000)*8 + uint64(i)
 	}
-	c.hot = ids[:hot:hot]
-	if chunks > 0 {
-		c.chunks = ids[hot:]
+	c.hot = ids[:o.hot:o.hot]
+	if o.chunks > 0 {
+		c.chunks = ids[o.hot:]
 	}
 	w.nextBase += 4096
-	w.cursors[name] = c
+	w.cursors[o.id] = c
 	return c
 }
 
 // op describes one Win32 operation's cost on the NT 4.0 baseline; the
 // persona transforms it.
 type op struct {
+	// id indexes WinSys.cursors; each operation has its own.
+	id   int
 	name string
 	// cycles is the base (warm, NT 4.0) path length.
 	cycles int64
@@ -113,22 +119,25 @@ type op struct {
 	scale16 float64
 }
 
-// The operations, on the NT 4.0 baseline.
+// The operations, on the NT 4.0 baseline, with ids 0 to numOps-1.
 var (
-	opKeyTranslate  = op{name: "keytranslate", cycles: 18_000, hot: 4, scale16: 1.8}
-	opDefWindowProc = op{name: "defwindowproc", cycles: 14_000, hot: 4, scale16: 1.8}
-	opMouseEvent    = op{name: "mouseevent", cycles: 16_000, hot: 4, scale16: 1.8}
-	opTextOut       = op{name: "textout", cycles: 150_000, hot: 8, stream: 3, chunks: 12, scale16: 0.7}
-	opScrollWindow  = op{name: "scrollwindow", cycles: 420_000, hot: 8, stream: 24, chunks: 16}
-	opRepaintLine   = op{name: "repaintline", cycles: 105_000, hot: 8, stream: 10, chunks: 10}
-	opDrawChart     = op{name: "drawchart", cycles: 36_000, hot: 10, stream: 12, chunks: 8}
-	opDrawFrame     = op{name: "drawframe", cycles: 40_000, hot: 6, stream: 4, chunks: 6}
-	opRepaintCell   = op{name: "repaintcell", cycles: 190_000, hot: 8, stream: 14, chunks: 12}
-	opOLESetup      = op{name: "olesetup", cycles: 30_000, hot: 10, stream: 40, chunks: 12}
-	opMenuCommand   = op{name: "menucommand", cycles: 60_000, hot: 6, stream: 2, chunks: 6}
-	opCreateWindow  = op{name: "createwindow", cycles: 900_000, hot: 12, stream: 20, chunks: 24}
-	opMaxPrep       = op{name: "maxprep", cycles: 7_800_000, hot: 16, stream: 30, chunks: 30}
+	opKeyTranslate  = op{id: 0, name: "keytranslate", cycles: 18_000, hot: 4, scale16: 1.8}
+	opDefWindowProc = op{id: 1, name: "defwindowproc", cycles: 14_000, hot: 4, scale16: 1.8}
+	opMouseEvent    = op{id: 2, name: "mouseevent", cycles: 16_000, hot: 4, scale16: 1.8}
+	opTextOut       = op{id: 3, name: "textout", cycles: 150_000, hot: 8, stream: 3, chunks: 12, scale16: 0.7}
+	opScrollWindow  = op{id: 4, name: "scrollwindow", cycles: 420_000, hot: 8, stream: 24, chunks: 16}
+	opRepaintLine   = op{id: 5, name: "repaintline", cycles: 105_000, hot: 8, stream: 10, chunks: 10}
+	opDrawChart     = op{id: 6, name: "drawchart", cycles: 36_000, hot: 10, stream: 12, chunks: 8}
+	opDrawFrame     = op{id: 7, name: "drawframe", cycles: 40_000, hot: 6, stream: 4, chunks: 6}
+	opRepaintCell   = op{id: 8, name: "repaintcell", cycles: 190_000, hot: 8, stream: 14, chunks: 12}
+	opOLESetup      = op{id: 9, name: "olesetup", cycles: 30_000, hot: 10, stream: 40, chunks: 12}
+	opMenuCommand   = op{id: 10, name: "menucommand", cycles: 60_000, hot: 6, stream: 2, chunks: 6}
+	opCreateWindow  = op{id: 11, name: "createwindow", cycles: 900_000, hot: 12, stream: 20, chunks: 24}
+	opMaxPrep       = op{id: 12, name: "maxprep", cycles: 7_800_000, hot: 16, stream: 30, chunks: 30}
 )
+
+// numOps is the number of operations above.
+const numOps = 13
 
 // call performs n back-to-back Win32 calls of o under the persona's
 // architecture, as one kernel loop (kernel.TC.Loop): one goroutine round
@@ -144,7 +153,7 @@ func (w *WinSys) call(tc *kernel.TC, o op, n int) {
 		s = &callSeq{w: w}
 		s.fn = s.next
 	}
-	if s.glue.Name == "" || s.o.name != o.name {
+	if s.glue.Name == "" || s.o.id != o.id {
 		s.glue = cpu.Segment{Name: o.name + "-glue", BaseCycles: 2000, Instructions: 1300, DataRefs: 500}
 	}
 	s.o, s.left, s.stage = o, n, stageGlue
@@ -238,7 +247,7 @@ func (s *callSeq) build(lc *kernel.LoopTC) {
 		w.batched++
 	}
 	stream := int(float64(o.stream) * w.p.DataWindowScale)
-	c := w.cursor(o.name, stream, o.hot, o.chunks)
+	c := w.cursor(o, stream)
 
 	s.pages = append(s.pages[:0], c.hot...)
 	for i := 0; i < stream; i++ {
