@@ -112,9 +112,9 @@ cover:
 
 # 10 seconds of coverage-guided fuzzing per fuzzer: the CSV/JSONL
 # parsers, the scenario DSL, the differential event-queue check
-# (calendar queue vs a test-only heap oracle on random schedule/cancel
-# programs), the differential think/wait check (the probe's online FSM
-# with its transition count vs a test-only log-keeping FSM on random
+# (the heap queue vs a test-only linear-scan oracle on random
+# schedule/reserve/pop programs), the differential think/wait check
+# (the probe's online FSM with its transition count vs a test-only log-keeping FSM on random
 # firing-order hook streams), and the
 # differential LRU check (the run-based TLB/cache LRU vs a test-only
 # per-id oracle on random touch/insert/evict/flush and page-list

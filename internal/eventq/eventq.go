@@ -1,106 +1,54 @@
 package eventq
 
-import (
-	"latlab/internal/simtime"
-)
+import "latlab/internal/simtime"
 
-// Event is a popped event: the instant it was scheduled for and its
-// callback. It is a value; popping performs no allocation.
+// Event is a popped event's callback; its instant is the one HeadKey
+// reported before the Pop. It is a value; popping performs no
+// allocation.
 type Event struct {
-	at simtime.Time
 	fn func(now simtime.Time)
 }
-
-// At returns the instant the event was scheduled to fire.
-func (e Event) At() simtime.Time { return e.at }
 
 // Fire invokes the event's callback at instant now. It is split from Pop
 // so the simulator can update its clock between the two.
 func (e Event) Fire(now simtime.Time) { e.fn(now) }
 
-// Handle identifies a scheduled event for cancellation. The zero Handle
-// is invalid. Handles are values; holding one does not keep anything
-// alive, and using a handle after its event fired is detected via a
-// generation check (the methods then report a dead event).
-type Handle struct {
-	q    *Queue
-	at   simtime.Time
-	slot int32
-	gen  uint32
+// entry is one queued event under its key (at, seq).
+type entry struct {
+	at  simtime.Time
+	seq uint64
+	fn  func(now simtime.Time)
 }
 
-// Valid reports whether the handle refers to a queue at all (the zero
-// Handle does not).
-func (h Handle) Valid() bool { return h.q != nil }
-
-// At returns the instant the event was scheduled to fire.
-func (h Handle) At() simtime.Time { return h.at }
-
-// Cancel marks the event so it will be skipped when it reaches the head
-// of the queue. Cancelling an already-fired or already-cancelled event is
-// a no-op.
-func (h Handle) Cancel() {
-	if h.q != nil && h.q.nodes[h.slot].gen == h.gen {
-		h.q.nodes[h.slot].cancelled = true
-		h.q.memoOK = false
-	}
+// before reports whether e pops before o in (at, seq) order.
+func (e *entry) before(o *entry) bool {
+	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
 }
 
-// Cancelled reports whether Cancel has been called on the event (false
-// once the event has fired or been discarded).
-func (h Handle) Cancelled() bool {
-	return h.q != nil && h.q.nodes[h.slot].gen == h.gen && h.q.nodes[h.slot].cancelled
-}
+// minCap is the heap's first allocation, in events.
+const minCap = 16
 
-// node is one slot of the queue's slab. A queued node holds its event,
-// its link in a bucket or the overflow list, and its cancellation
-// ticket; a free node is linked into the free list. gen counts the
-// slot's releases, so a Handle to an earlier occupant is inert.
-type node struct {
-	at        simtime.Time
-	seq       uint64
-	fn        func(now simtime.Time)
-	next      int32 // next node in the same list; 0 ends it
-	gen       uint32
-	cancelled bool
-}
-
-// minSlab is the slab's first allocation, in nodes (the sentinel
-// included); it doubles from there as the queue's peak grows.
-const minSlab = 16
-
-// Queue is a deterministic priority queue of events on a calendar
-// (bucket) layout; see calendar.go. The zero value is an empty queue
-// ready for use: its bucket heads and occupancy bitset are fixed arrays,
-// and the first Schedule allocates the node slab. Pops follow the total
-// order (at, seq), and seq is unique, so the order never depends on the
-// layout. Queue is not safe for concurrent use; the simulator is
-// single-threaded by construction.
+// Queue is a deterministic priority queue of events: a binary min-heap
+// of values in (at, seq) order, where seq is unique, so the pop order
+// never depends on the heap's layout. The zero value is an empty queue.
+// It is not safe for concurrent use; the simulator is single-threaded.
 type Queue struct {
-	seq   uint64
-	count int // queued nodes, including cancelled ones not yet skipped
-	// nodes is the slab every queued event lives in. Node 0 is a
-	// sentinel, so a zero link or list head means "none"; free heads
-	// the list of released nodes.
-	nodes []node
-	free  int32
-	calendar
+	h   []entry
+	seq uint64
 }
 
-// Schedule enqueues fn to run at instant at and returns a handle that can
-// cancel it. Scheduling in the past is the caller's bug and panics, since
-// it would silently corrupt causality.
-func (q *Queue) Schedule(at simtime.Time, fn func(now simtime.Time)) Handle {
+// Schedule enqueues fn to run at instant at. A nil fn is the caller's
+// bug and panics.
+func (q *Queue) Schedule(at simtime.Time, fn func(now simtime.Time)) {
 	if fn == nil {
 		panic("eventq: nil event function")
 	}
-	i := q.alloc()
-	n := &q.nodes[i]
-	n.at, n.seq, n.fn = at, q.seq, fn
+	if q.h == nil {
+		q.h = make([]entry, 0, minCap)
+	}
+	q.h = append(q.h, entry{at: at, seq: q.seq, fn: fn})
 	q.seq++
-	q.insert(i)
-	q.count++
-	return Handle{q: q, at: at, slot: i, gen: n.gen}
+	q.up(len(q.h) - 1)
 }
 
 // NextSeq returns the sequence number the next Schedule will assign.
@@ -116,76 +64,76 @@ func (q *Queue) NextSeq() uint64 { return q.seq }
 // Schedule keys its event exactly as if the reserved one had been
 // queued.
 func (q *Queue) ReserveSeq() uint64 {
-	s := q.seq
 	q.seq++
-	return s
+	return q.seq - 1
 }
 
-// Len returns the number of events still enqueued, including cancelled
-// events that have not yet been skipped.
-func (q *Queue) Len() int { return q.count }
-
-// Empty reports whether no live events remain. It discards any cancelled
-// events at the head of the queue.
-func (q *Queue) Empty() bool {
-	_, ok := q.minLocate()
-	return !ok
-}
-
-// NextTime returns the firing time of the earliest live event, or
+// NextTime returns the firing time of the earliest event, or
 // simtime.Never when the queue is empty.
 func (q *Queue) NextTime() simtime.Time {
 	at, _, _ := q.HeadKey()
 	return at
 }
 
-// HeadKey returns the (time, sequence) key of the earliest live event,
-// the key Pop would return it under; ok is false, and at is
-// simtime.Never, when the queue is empty.
+// HeadKey returns the (time, sequence) key of the event Pop would
+// remove next; ok is false, and at is simtime.Never, when the queue is
+// empty.
 func (q *Queue) HeadKey() (at simtime.Time, seq uint64, ok bool) {
-	i, ok := q.minLocate()
-	if !ok {
+	if len(q.h) == 0 {
 		return simtime.Never, 0, false
 	}
-	return q.nodes[i].at, q.nodes[i].seq, true
+	return q.h[0].at, q.h[0].seq, true
 }
 
-// Pop removes and returns the earliest live event; ok is false when the
+// Pop removes and returns the earliest event; ok is false when the
 // queue is empty.
 func (q *Queue) Pop() (e Event, ok bool) {
-	i, ok := q.minLocate()
-	if !ok {
+	n := len(q.h) - 1
+	if n < 0 {
 		return Event{}, false
 	}
-	e = Event{at: q.nodes[i].at, fn: q.nodes[i].fn}
-	q.unlinkMemo()
-	q.release(i)
-	q.count--
+	e = Event{fn: q.h[0].fn}
+	q.h[0] = q.h[n]
+	q.h[n] = entry{} // the backing array keeps no callback alive
+	q.h = q.h[:n]
+	if n > 0 {
+		q.down(0)
+	}
 	return e, true
 }
 
-// alloc takes a node off the free list, or appends one to the slab,
-// which doubles when full.
-func (q *Queue) alloc() int32 {
-	if i := q.free; i != 0 {
-		q.free = q.nodes[i].next
-		return i
+// up moves the entry at i toward the root until its parent pops first.
+func (q *Queue) up(i int) {
+	e := q.h[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.before(&q.h[p]) {
+			break
+		}
+		q.h[i] = q.h[p]
+		i = p
 	}
-	if q.nodes == nil {
-		q.nodes = make([]node, 1, minSlab)
-	}
-	q.nodes = append(q.nodes, node{})
-	return int32(len(q.nodes) - 1)
+	q.h[i] = e
 }
 
-// release recycles node i onto the free list, invalidating outstanding
-// Handles to it and dropping its callback so the slab keeps nothing
-// alive.
-func (q *Queue) release(i int32) {
-	n := &q.nodes[i]
-	n.gen++
-	n.cancelled = false
-	n.fn = nil
-	n.next = q.free
-	q.free = i
+// down moves the entry at i toward the leaves until it pops before both
+// of its children.
+func (q *Queue) down(i int) {
+	n := len(q.h)
+	e := q.h[i]
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q.h[r].before(&q.h[c]) {
+			c = r
+		}
+		if !q.h[c].before(&e) {
+			break
+		}
+		q.h[i] = q.h[c]
+		i = c
+	}
+	q.h[i] = e
 }

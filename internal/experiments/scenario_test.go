@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"latlab/internal/scenario"
-	"latlab/internal/simtime"
 )
 
 // -update rewrites the JSON twins under testdata/scenarios/ from the
@@ -86,57 +85,4 @@ func renderOf(t *testing.T, spec Spec, cfg Config) string {
 		t.Fatal(err)
 	}
 	return buf.String()
-}
-
-// TestScenarioFSMConservation is the think/wait law on real sessions:
-// for every committed corpus document in quick mode (each compare row
-// of a compare document), the Fig. 2 FSM the session's probe ran online
-// covers the whole run: think + wait equals the end time exactly, and
-// at least one transition happened. That the transitions alternate and
-// accrue exactly the totals is held against the reference log FSM in
-// internal/core's tests, on these same documents.
-func TestScenarioFSMConservation(t *testing.T) {
-	paths, err := filepath.Glob(filepath.Join(twinDir, "*.json"))
-	if err != nil || len(paths) == 0 {
-		t.Fatalf("no corpus documents under %s (err %v)", twinDir, err)
-	}
-	cfg := DefaultConfig()
-	cfg.Quick = true
-	for _, path := range paths {
-		doc, err := scenario.ParseFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rows := []scenario.Row{{Label: "run", Faulted: true}}
-		if len(doc.Compare) > 0 {
-			rows = doc.Compare
-		}
-		for _, row := range rows {
-			d := doc
-			d.Compare = nil
-			if !row.Faulted {
-				d.Faults = nil
-			}
-			t.Run(doc.ID+"/"+row.Label, func(t *testing.T) {
-				t.Parallel()
-				s, err := OpenScenarioSession(cfg, d)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer s.Close()
-				for !s.finished {
-					s.r.sys.K.Run(s.target)
-					s.OnTarget()
-				}
-				end := s.r.sys.K.Now()
-				f := s.r.pr.FSM(end)
-				if f.Transitions() == 0 {
-					t.Fatalf("session ended at %v without a think/wait transition", end)
-				}
-				if think, wait := f.ThinkTime(), f.WaitTime(); think+wait != simtime.Duration(end) {
-					t.Fatalf("think %v + wait %v = %v, want end %v", think, wait, think+wait, end)
-				}
-			})
-		}
-	}
 }

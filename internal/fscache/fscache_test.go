@@ -19,11 +19,12 @@ func (s *fakeSched) After(d simtime.Duration, fn func(simtime.Time)) {
 }
 func (s *fakeSched) run() {
 	for {
+		at := s.q.NextTime()
 		e, ok := s.q.Pop()
 		if !ok {
 			return
 		}
-		s.now = e.At()
+		s.now = at
 		e.Fire(s.now)
 	}
 }

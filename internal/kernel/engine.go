@@ -7,7 +7,7 @@ import (
 )
 
 // Engine is empty and nothing reads it: the kernel has one engine, the
-// calendar queue with analytic idle elision.
+// event queue with analytic idle elision.
 //
 // Deprecated: kept only because the benchmark module (bench/) still
 // names it; it goes when that module stops doing so.
@@ -366,7 +366,7 @@ func (k *Kernel) crossTick(t *Thread, dh simtime.Duration, limit simtime.Time, s
 		return false
 	}
 	end := start.Add(d + dh)
-	if end >= limit || at.Add(k.cfg.ClockTick) <= end {
+	if end >= limit || at.Add(ClockTick) <= end {
 		return false
 	}
 	if k.dvfs.Enabled() && k.dvfsNext() != k.dvfsLevel {

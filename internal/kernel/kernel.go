@@ -53,9 +53,6 @@ type Config struct {
 	// FlushOnProcessSwitch flushes the TLBs when the incoming thread
 	// belongs to a different process (address space).
 	FlushOnProcessSwitch bool
-	// ClockTick is the hardware timer period (10 ms on the paper's
-	// systems).
-	ClockTick simtime.Duration
 	// ClockInterrupt is the per-tick handler cost (~400 cycles minimum
 	// on NT 4.0, paper §2.5).
 	ClockInterrupt cpu.Segment
@@ -87,6 +84,10 @@ const (
 	diskSeed   = 1996
 )
 
+// ClockTick is the hardware timer period: 10 ms on every system the
+// paper measured, and on every machine latlab simulates.
+const ClockTick = 10 * simtime.Millisecond
+
 // DefaultConfig returns a neutral machine configuration; personas
 // override the OS-specific pieces.
 func DefaultConfig() Config {
@@ -94,7 +95,6 @@ func DefaultConfig() Config {
 		Quantum:              20 * simtime.Millisecond,
 		ContextSwitch:        cpu.Segment{Name: "ctxsw", BaseCycles: 600, Instructions: 400, DataRefs: 150},
 		FlushOnProcessSwitch: true,
-		ClockTick:            10 * simtime.Millisecond,
 		ClockInterrupt:       cpu.Segment{Name: "clock", BaseCycles: 400, Instructions: 250, DataRefs: 80},
 		DiskInterrupt:        cpu.Segment{Name: "diskintr", BaseCycles: 2500, Instructions: 1500, DataRefs: 600},
 		KeyboardInterrupt:    cpu.Segment{Name: "kbdintr", BaseCycles: 3000, Instructions: 1800, DataRefs: 700},
@@ -212,7 +212,7 @@ type Kernel struct {
 	// Modern-machine state (multicore.go); all of it stays zero on a
 	// 1996 profile. aux holds logical CPUs 1..Cores-1; dvfs is the
 	// governor spec with dvfsLevel/dvfsBusyMark its per-tick state;
-	// irqc/irqPending/irqTimer implement disk-interrupt coalescing.
+	// irqc/irqPending/irqFlushes implement disk-interrupt coalescing.
 	aux           []auxCore
 	auxMigrations int64
 	dvfs          machine.DVFSSpec
@@ -220,7 +220,7 @@ type Kernel struct {
 	dvfsBusyMark  simtime.Duration
 	irqc          machine.IRQCoalesceSpec
 	irqPending    []func(now simtime.Time)
-	irqTimer      eventq.Handle
+	irqFlushes    uint64
 }
 
 // New builds a kernel (and its machine: CPU, disk, buffer cache) from
@@ -247,7 +247,7 @@ func New(cfg Config) *Kernel {
 		k.cpu.SetClock(k.dvfs.Level(0))
 	}
 	k.irqc = prof.IRQCoalesce
-	k.tickArmed, k.tickAt, k.tickSeq = true, k.now.Add(cfg.ClockTick), k.q.ReserveSeq()
+	k.tickArmed, k.tickAt, k.tickSeq = true, k.now.Add(ClockTick), k.q.ReserveSeq()
 	return k
 }
 
@@ -347,16 +347,16 @@ func (k *Kernel) After(d simtime.Duration, fn func(now simtime.Time)) {
 }
 
 // At schedules fn at instant t (panics if t is in the past).
-func (k *Kernel) At(t simtime.Time, fn func(now simtime.Time)) eventq.Handle {
+func (k *Kernel) At(t simtime.Time, fn func(now simtime.Time)) {
 	if t < k.now {
 		panic(fmt.Sprintf("kernel: scheduling into the past (%v < %v)", t, k.now))
 	}
-	return k.q.Schedule(t, fn)
+	k.q.Schedule(t, fn)
 }
 
 // NextTick returns the first clock-tick instant at or after t.
 func (k *Kernel) NextTick(t simtime.Time) simtime.Time {
-	tick := int64(k.cfg.ClockTick)
+	tick := int64(ClockTick)
 	n := (int64(t) + tick - 1) / tick
 	return simtime.Time(n * tick)
 }
@@ -510,7 +510,7 @@ func (k *Kernel) clockTick() {
 // rearmTick arms the tick after the one taken at now: ClockTick later,
 // plus the jitter drawn for it, under the next sequence number.
 func (k *Kernel) rearmTick() {
-	next := k.now.Add(k.cfg.ClockTick)
+	next := k.now.Add(ClockTick)
 	if k.tickJitter != nil {
 		if j := k.tickJitter(k.now, k.clockTicks); j > 0 {
 			next = next.Add(j)

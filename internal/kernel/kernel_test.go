@@ -829,3 +829,46 @@ func TestIRQCoalescingBatchesDiskCompletions(t *testing.T) {
 		t.Fatalf("coalescing took %d interrupts, per-request twin %d — no batching happened", coalesced, perIRQ)
 	}
 }
+
+// TestIRQCoalescingEarlyFlush drives the MaxBatch path: two completions
+// reach the batch limit and flush at once, long before the window timer
+// the first one armed. A third completion arrives before that timer's
+// instant and must wait its own full window: the first batch's timer
+// finds its batch already flushed and leaves the new one pending.
+// Every batch raises exactly one disk interrupt.
+func TestIRQCoalescingEarlyFlush(t *testing.T) {
+	const window = simtime.Millisecond
+	prof := machine.Modern2026Pinned()
+	prof.IRQCoalesce = machine.IRQCoalesceSpec{Window: window, MaxBatch: 2}
+	cfg := quietConfig()
+	cfg.Machine = prof
+	k := New(cfg)
+	defer k.Shutdown()
+	t1 := simtime.Time(2 * simtime.Millisecond)
+	t2 := t1.Add(100 * simtime.Microsecond)
+	t3 := t1.Add(window / 2)
+	delivered := map[string]simtime.Time{}
+	complete := func(name string) func(simtime.Time) {
+		return func(simtime.Time) {
+			k.raiseDiskInterrupt(func(now simtime.Time) { delivered[name] = now })
+		}
+	}
+	k.At(t1, complete("a"))
+	k.At(t2, complete("b"))
+	k.At(t3, complete("c"))
+	k.Run(t3.Add(3 * window))
+	if len(delivered) != 3 {
+		t.Fatalf("delivered %v, want a, b and c", delivered)
+	}
+	a, b, c := delivered["a"], delivered["b"], delivered["c"]
+	if a != b || a < t2 || a >= t2.Add(window/10) {
+		t.Fatalf("first batch delivered at %v and %v, want both just after the early flush at %v", a, b, t2)
+	}
+	if c < t3.Add(window) || c >= t3.Add(window+window/10) {
+		t.Fatalf("third completion delivered at %v, want one window after its arrival at %v (the first batch's timer was due at %v)",
+			c, t3, t1.Add(window))
+	}
+	if disk := k.CPU().Count(cpu.Interrupts) - k.ClockTicks(); disk != 2 {
+		t.Fatalf("%d disk interrupts for two batches, want 2", disk)
+	}
+}

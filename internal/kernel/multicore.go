@@ -3,7 +3,6 @@ package kernel
 import (
 	"fmt"
 
-	"latlab/internal/eventq"
 	"latlab/internal/simtime"
 )
 
@@ -263,7 +262,7 @@ func (k *Kernel) dvfsTick() {
 // choose, changing nothing.
 func (k *Kernel) dvfsNext() int {
 	window := k.NonIdleBusyTime() - k.dvfsBusyMark
-	return k.dvfs.Next(k.dvfsLevel, int(100*window/k.cfg.ClockTick))
+	return k.dvfs.Next(k.dvfsLevel, int(100*window/ClockTick))
 }
 
 // DVFSLevel returns the governor's current ladder position (0 when the
@@ -277,7 +276,9 @@ func (k *Kernel) DVFSLevel() int { return k.dvfsLevel }
 // the timer fires or MaxBatch is reached, then a single interrupt
 // runs the whole batch's actions in completion order. One handler
 // cost amortized over the batch, bought with up to one window of
-// added completion latency.
+// added completion latency. A batch that MaxBatch flushed early leaves
+// its timer queued; the timer sees irqFlushes moved past the batch it
+// was armed for and does nothing.
 func (k *Kernel) raiseDiskInterrupt(action func(now simtime.Time)) {
 	if !k.irqc.Enabled() {
 		k.RaiseInterrupt(k.cfg.DiskInterrupt, action)
@@ -285,19 +286,17 @@ func (k *Kernel) raiseDiskInterrupt(action func(now simtime.Time)) {
 	}
 	k.irqPending = append(k.irqPending, action)
 	if len(k.irqPending) == 1 {
-		k.irqTimer = k.At(k.now.Add(k.irqc.Window), func(now simtime.Time) {
-			k.irqTimer = eventq.Handle{}
-			k.flushDiskInterrupts()
+		batch := k.irqFlushes
+		k.At(k.now.Add(k.irqc.Window), func(now simtime.Time) {
+			if k.irqFlushes == batch {
+				k.flushDiskInterrupts()
+			}
 		})
 		if k.irqc.MaxBatch > 1 {
 			return
 		}
 	}
 	if k.irqc.MaxBatch > 0 && len(k.irqPending) >= k.irqc.MaxBatch {
-		if k.irqTimer.Valid() {
-			k.irqTimer.Cancel()
-			k.irqTimer = eventq.Handle{}
-		}
 		k.flushDiskInterrupts()
 	}
 }
@@ -310,6 +309,7 @@ func (k *Kernel) flushDiskInterrupts() {
 	}
 	batch := k.irqPending
 	k.irqPending = nil
+	k.irqFlushes++
 	k.RaiseInterrupt(k.cfg.DiskInterrupt, func(now simtime.Time) {
 		for _, a := range batch {
 			a(now)

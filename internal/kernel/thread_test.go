@@ -223,7 +223,7 @@ func TestKernelAccessors(t *testing.T) {
 	if k.Counters() == nil || k.Disk() == nil || k.Cache() == nil || k.CPU() == nil {
 		t.Fatalf("nil accessor")
 	}
-	if k.Config().ClockTick != cfg.ClockTick {
+	if k.Config().Quantum != cfg.Quantum {
 		t.Fatalf("config accessor wrong")
 	}
 	end := k.RunFor(95 * simtime.Millisecond)

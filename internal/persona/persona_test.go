@@ -27,7 +27,6 @@ func TestAllPersonas(t *testing.T) {
 		if p.QueueSyncCycles <= 0 {
 			t.Fatalf("persona %q missing QueueSync cost", p.Short)
 		}
-		p.Kernel.ClockTick.Milliseconds()
 	}
 	if len(NTs()) != 2 {
 		t.Fatalf("NTs should return both NT personas")
