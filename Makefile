@@ -119,8 +119,10 @@ cover:
 # differential LRU check (the run-based TLB/cache LRU vs a test-only
 # per-id oracle on random touch/insert/evict/flush and page-list
 # streams), and
-# the differential kernel-loop check (a random script of primitives
-# issued through TC.Loop vs one by one, under ticks, keystrokes,
+# the differential kernel-loop check (a random script whose runs of
+# reply-free primitives are lent to the kernel through TC.Loop, with
+# the body's GetMessage, PeekMessage and Forward calls between them, vs
+# every primitive issued one by one, under ticks, keystrokes,
 # preemption and disk faults), and the differential idle-elision check
 # (random sleep/compute workers on a persona's kernel, traced so every
 # idle cycle and tick is simulated vs untraced so they are elided and

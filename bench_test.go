@@ -329,17 +329,16 @@ func runUntilDone(k *kernel.Kernel, t *kernel.Thread) {
 	}
 }
 
-// BenchmarkThreadHandshake reports one goroutine round trip between an
+// BenchmarkThreadHandshake reports one coroutine round trip between an
 // application thread and the kernel: per op, one TC.Compute of a
 // 1 µs segment, the path application bodies still take for each
 // primitive they issue outside a kernel loop.
 //
 // Its warm-up, and BenchmarkWinsysCall's, is the one op that allocates
 // state the timed loop would otherwise count, spread over b.N. Here
-// that is the Go runtime's record for its first wait on the handshake
-// channel (96 B). With more than one P the runtime may also start an
-// OS thread (~5 KB) inside a short timed loop, whatever the warm-up;
-// at the default -benchtime that rounds to 0 B/op.
+// that is the event queue's first heap (384 B), made when the thread's
+// first context switch schedules a reconcile; a coroutine resume
+// allocates nothing.
 func BenchmarkThreadHandshake(b *testing.B) {
 	k := kernel.New(kernel.DefaultConfig())
 	defer k.Shutdown()
@@ -358,7 +357,7 @@ func BenchmarkThreadHandshake(b *testing.B) {
 // BenchmarkWinsysCall reports one run of window-system calls: per op, a
 // RepaintLines(26) on NT 3.51 with an application bound, 26 calls of
 // glue, crossing, server segment and return crossing, issued as one
-// kernel loop (TestWinsysCallIsOneHandshake pins the single goroutine
+// kernel loop (TestWinsysCallIsOneHandshake pins the single coroutine
 // resume). allocs/op is the tripwire for the call-sequence free list.
 func BenchmarkWinsysCall(b *testing.B) {
 	p := persona.NT351()

@@ -60,8 +60,8 @@ func TestTraceBufferExhaustion(t *testing.T) {
 // the scheduler must detect it and fail loudly rather than hang the host.
 func TestSchedulerLivelockGuard(t *testing.T) {
 	k := kernel.New(quietConfig())
-	// No Shutdown: the panic leaves the kernel mid-flight; the spinner
-	// goroutine is parked forever, which is acceptable for a test of a
+	// No Shutdown: the panic leaves the kernel mid-flight; the spinner's
+	// coroutine is parked forever, which is acceptable for a test of a
 	// fatal-diagnostic path. The guard fires as soon as the spinner is
 	// scheduled — already inside Spawn.
 	defer func() {

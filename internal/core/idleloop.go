@@ -87,10 +87,10 @@ func StartIdleLoopBuffer(k *kernel.Kernel, buf *trace.Buffer) *IdleLoop {
 		DataPages:    []uint64{42},
 	}
 	// The instrument is a kernel-resident loop thread: one invocation per
-	// sample, no goroutine handshake. Each invocation first logs the
+	// sample, no coroutine resume. Each invocation first logs the
 	// iteration that just completed, then starts the next one — the same
 	// request stream (Compute2 per sample, then exit) and the same sample
-	// values as the goroutine form, proven by the golden corpus.
+	// values as a thread body would issue, proven by the golden corpus.
 	il.thread = k.SpawnLoop("idleloop", kernel.KernelProc, kernel.IdlePriority, func(lc *kernel.LoopTC) bool {
 		if il.started {
 			end := lc.Cycles()

@@ -509,10 +509,11 @@ func pagesEqual(a, b []uint64) bool {
 }
 
 // LoopTC is the restricted thread context handed to loop functions
-// (SpawnLoop, TC.Loop). Unlike TC it runs in simulator context — no
-// goroutine, no channel handshake — so a loop function records exactly
-// one request per call and never waits for a reply: a message
-// primitive's result is read with Reply on the next call.
+// (SpawnLoop, TC.Loop). Unlike TC it runs in simulator context, with no
+// coroutine to resume, so a loop function records exactly one request
+// per call and offers only primitives that return nothing: code that
+// reads a message is a coroutine body (Spawn), which may lend the
+// kernel a loop between its message calls.
 type LoopTC struct {
 	t     *Thread
 	k     *Kernel
@@ -604,38 +605,16 @@ func (lc *LoopTC) WriteFile(file fscache.FileID, page, pages int64) {
 // the thread, like TC.PendingUserInput.
 func (lc *LoopTC) PendingUserInput() bool { return lc.t.pendingUserInput() }
 
-// GetMessage takes the head message, blocking until one is queued, like
-// TC.GetMessage; Reply returns it on the loop's next call.
-func (lc *LoopTC) GetMessage() { lc.arm().kind = reqGetMessage }
-
-// PeekMessage takes the head message if one is queued, like
-// TC.PeekMessage; Reply returns it on the loop's next call.
-func (lc *LoopTC) PeekMessage() { lc.arm().kind = reqPeekMessage }
-
-// Forward re-posts msg to target keeping its Enqueued stamp, like
-// TC.Forward.
-func (lc *LoopTC) Forward(target *Thread, msg Msg) {
-	r := lc.arm()
-	r.kind = reqPost
-	r.target = target
-	r.msg = msg
-}
-
-// Reply returns what the thread's last GetMessage or PeekMessage took:
-// the message, and whether there was one (always true after
-// GetMessage). The loop's next call, where it is read, runs at the
-// instant a goroutine thread would have returned from the primitive.
-func (lc *LoopTC) Reply() (Msg, bool) { return lc.t.replyMsg, lc.t.replyOK }
-
 // SpawnLoop creates a kernel-resident loop thread: fn is invoked in
 // simulator context each time the scheduler wants the thread's next
-// request, records exactly one primitive on the LoopTC, and returns
-// false to exit. The request stream — and therefore the simulation —
-// is identical to a goroutine thread issuing the same primitives, but
-// without any channel handshake, which is what makes stepping thousands
-// of machines per worker affordable. Periodic housekeeping threads
-// (idle-loop instrument, persona background tasks) use this form; a
-// goroutine thread borrows it for a run of primitives with TC.Loop.
+// request, records exactly one reply-free primitive on the LoopTC, and
+// returns false to exit. The request stream — and therefore the
+// simulation — is identical to a coroutine thread issuing the same
+// primitives, but without resuming a coroutine per request, which is
+// what makes stepping thousands of machines per worker affordable.
+// Periodic housekeeping threads (idle-loop instrument, persona
+// background tasks) use this form; a coroutine thread borrows it for a
+// run of primitives with TC.Loop.
 func (k *Kernel) SpawnLoop(name string, proc ProcID, prio int, fn func(lc *LoopTC) bool) *Thread {
 	return k.SpawnLoopOn(name, proc, prio, 0, fn)
 }

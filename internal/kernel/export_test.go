@@ -1,6 +1,6 @@
 package kernel
 
-// Resumes returns how many times the kernel has resumed a goroutine
+// Resumes returns how many times the kernel has resumed a coroutine
 // thread: one per primitive a thread body issues, one per TC.Loop run.
 func (k *Kernel) Resumes() int64 { return k.resumes }
 

@@ -4,13 +4,15 @@
 // whatever is running, per-thread message queues behind GetMessage/
 // PeekMessage, and synchronous file I/O through the buffer cache.
 //
-// Application threads are goroutines coupled to the simulator by a
-// strict handshake (see thread.go): exactly one of {simulator, one
-// thread} executes at any moment, so runs are deterministic and
-// data-race-free by construction. Housekeeping threads (SpawnLoop), and
-// application threads for a run of primitives (TC.Loop), instead hand
-// the kernel a loop function it calls in simulator context, which issues
-// the same requests with no handshake at all.
+// Application threads are coroutines (Spawn): the kernel resumes a
+// thread's body when it wants the thread's next request, and the body
+// yields that request back, so exactly one of {simulator, one thread}
+// executes at any moment and runs are deterministic and data-race-free
+// by construction. Any code that reads a message is such a body.
+// Housekeeping threads (SpawnLoop), and application threads for a run
+// of primitives (TC.Loop), instead hand the kernel a loop function it
+// calls in simulator context, which issues the same reply-free requests
+// with no resume at all.
 //
 // One modelling approximation is worth stating up front: a Compute
 // request is costed against the memory system when it starts, even
@@ -23,7 +25,6 @@ package kernel
 
 import (
 	"fmt"
-	"runtime/debug"
 	"slices"
 
 	"latlab/internal/cpu"
@@ -196,8 +197,8 @@ type Kernel struct {
 	bulkElided   int64
 	ticksCrossed int64
 	ctxSwitches  uint64
-	// resumes counts goroutine-thread resumptions (fetchInto), the
-	// handshakes TC.Loop saves.
+	// resumes counts coroutine-thread resumptions (fetchInto), the
+	// round trips TC.Loop saves.
 	resumes int64
 
 	// rec, when non-nil, receives cause-tagged spans from every charge
@@ -361,42 +362,6 @@ func (k *Kernel) NextTick(t simtime.Time) simtime.Time {
 	return simtime.Time(n * tick)
 }
 
-// Spawn creates a thread in process proc at the given priority and makes
-// it runnable. The body runs on its own goroutine under the simulator's
-// handshake. A panic in the body ends the thread and is raised again by
-// the Run call that was stepping it, naming the thread, so the caller of
-// Run can recover it; the kernel is unusable afterwards except for
-// Shutdown.
-func (k *Kernel) Spawn(name string, proc ProcID, prio int, body func(tc *TC)) *Thread {
-	t := k.newThread(name, proc, prio)
-	t.body = body
-	t.resume = make(chan resumeToken)
-	t.requests = make(chan struct{})
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(killSentinel); ok {
-					return
-				}
-				// The kernel goroutine is parked in fetchInto waiting for
-				// this thread's next request: hand it the panic instead
-				// of killing the process from this goroutine.
-				t.panicked = &threadPanic{value: r, stack: debug.Stack()}
-				t.requests <- struct{}{}
-			}
-		}()
-		if tok := <-t.resume; tok.kill {
-			return
-		}
-		t.body(&TC{t: t, k: k})
-		t.reqSlot = request{kind: reqExit}
-		t.requests <- struct{}{}
-	}()
-	k.makeReady(t)
-	k.reconcile()
-	return t
-}
-
 // newThread is the one constructor behind Spawn, SpawnLoop and
 // SpawnLoopOn: it checks the priority and registers a thread, with its
 // LoopTC, that has not run yet.
@@ -465,8 +430,8 @@ func (k *Kernel) advance(t simtime.Time) {
 	k.now = t
 }
 
-// Shutdown kills all live threads so their goroutines exit. The kernel
-// is unusable afterwards.
+// Shutdown kills all live threads, so every coroutine's goroutine
+// exits. The kernel is unusable afterwards.
 func (k *Kernel) Shutdown() {
 	if k.shutdown {
 		return
@@ -480,11 +445,11 @@ func (k *Kernel) Shutdown() {
 		if t.state == StateDone {
 			continue
 		}
-		// A live goroutine thread is always parked receiving on resume
-		// (in its primitive's handshake, in TC.Loop, or in the initial
-		// wait). SpawnLoop threads have no goroutine to unwind.
-		if t.resume != nil {
-			t.resume <- resumeToken{kill: true}
+		// A live coroutine thread is parked in a primitive's yield (or
+		// TC.Loop's), or has not run yet; stop unwinds the first and
+		// ends the second. SpawnLoop threads have no coroutine.
+		if t.stop != nil {
+			t.stop()
 		}
 		t.state = StateDone
 	}

@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -692,7 +693,12 @@ func TestDeterministicRuns(t *testing.T) {
 	}
 }
 
+// TestShutdownTerminatesThreads pins the kill path: Shutdown ends every
+// live thread, wherever its body is parked (a blocking primitive, a
+// compute, inside a lent loop, or not started yet), and each thread's
+// goroutine exits.
 func TestShutdownTerminatesThreads(t *testing.T) {
+	base := runtime.NumGoroutine()
 	k := New(quietConfig())
 	k.Spawn("blocked", 1, 8, func(tc *TC) { tc.GetMessage() })
 	k.Spawn("computing", 2, 8, func(tc *TC) {
@@ -700,9 +706,23 @@ func TestShutdownTerminatesThreads(t *testing.T) {
 			tc.Compute(burn("w", 1))
 		}
 	})
+	k.Spawn("lending", 3, 8, func(tc *TC) {
+		tc.Loop(func(lc *LoopTC) bool {
+			lc.Compute(burn("w", 1))
+			return true
+		})
+	})
+	// Below idle class nothing ever runs, so this body never starts.
+	k.Spawn("unstarted", 4, IdlePriority, func(tc *TC) {})
 	k.Run(simtime.Time(5 * simtime.Millisecond))
 	k.Shutdown()
 	k.Shutdown() // idempotent
+	for _, th := range k.Threads() {
+		if th.State() != StateDone {
+			t.Fatalf("thread %s is %v after Shutdown, want done", th.Name(), th.State())
+		}
+	}
+	waitGoroutines(t, base)
 }
 
 func TestSpawnValidation(t *testing.T) {

@@ -44,7 +44,8 @@ const (
 type loopScript struct {
 	episodes [][]prim
 	// splits[i] is where the TC.Loop form of episode i hands control
-	// back to the body and starts a second loop.
+	// back to the body and starts another loop, besides each message
+	// primitive, which the body issues itself between two loops.
 	splits    []int
 	keys      []simtime.Time
 	preempt   bool
@@ -115,10 +116,9 @@ type loopRun struct {
 	resumes int64
 }
 
-// issue records p on lc, or on tc when lc is nil. A forward sends last
-// to sink. The one-by-one form issues GetMessage and PeekMessage itself,
-// to read their replies.
-func issue(tc *kernel.TC, lc *kernel.LoopTC, p prim, file fscache.FileID, sink *kernel.Thread, last kernel.Msg) {
+// issue records the reply-free primitive p on lc, or on tc when lc is
+// nil.
+func issue(tc *kernel.TC, lc *kernel.LoopTC, p prim, file fscache.FileID) {
 	seg := cpu.Segment{Name: "work", BaseCycles: 2_000 + p.arg*1_500, Instructions: 1_000 + p.arg*700,
 		DataRefs: 300 + p.arg*200, CodePages: []uint64{300 + uint64(p.arg%5)},
 		DataPages: []uint64{400 + uint64(p.arg%7), 500 + uint64(p.arg%3)}}
@@ -161,21 +161,16 @@ func issue(tc *kernel.TC, lc *kernel.LoopTC, p prim, file fscache.FileID, sink *
 		} else {
 			tc.Sleep(d)
 		}
-	case primGet:
-		lc.GetMessage()
-	case primPeek:
-		lc.PeekMessage()
-	case primForward:
-		if lc != nil {
-			lc.Forward(sink, last)
-		} else {
-			tc.Forward(sink, last)
-		}
 	}
 }
 
+// isMessage reports whether p is a message primitive, which only a
+// thread body can issue.
+func isMessage(p prim) bool { return p.kind >= primGet }
+
 // runLoopScript runs s with each episode issued primitive by primitive
-// (useLoop false) or through TC.Loop, and observes it at every horizon.
+// (useLoop false) or with its runs of reply-free primitives lent to the
+// kernel through TC.Loop, and observes it at every horizon.
 func runLoopScript(s loopScript, useLoop bool) loopRun {
 	k := kernel.New(kernel.DefaultConfig())
 	defer k.Shutdown()
@@ -200,8 +195,23 @@ func runLoopScript(s loopScript, useLoop bool) loopRun {
 		}
 	})
 	var last kernel.Msg
-	took := func(now simtime.Time, m kernel.Msg, ok bool) {
-		out.seen = append(out.seen, fmt.Sprintf("%d: %+v %t", now, m, ok))
+	// message issues the message primitive p on tc: it logs what
+	// GetMessage and PeekMessage took, and Forward sends the last message
+	// taken to the sink.
+	message := func(tc *kernel.TC, p prim) {
+		saw(tc.Now(), tc.PendingUserInput())
+		var m kernel.Msg
+		ok := true
+		switch p.kind {
+		case primGet:
+			m = tc.GetMessage()
+		case primPeek:
+			m, ok = tc.PeekMessage()
+		case primForward:
+			tc.Forward(sink, last)
+			return
+		}
+		out.seen = append(out.seen, fmt.Sprintf("%d: %+v %t", tc.Now(), m, ok))
 		if ok {
 			last = m
 		}
@@ -209,43 +219,33 @@ func runLoopScript(s loopScript, useLoop bool) loopRun {
 	app := k.Spawn("app", 1, 8, func(tc *kernel.TC) {
 		for e, ep := range s.episodes {
 			last = tc.GetMessage()
-			if !useLoop {
-				for _, p := range ep {
-					saw(tc.Now(), tc.PendingUserInput())
-					switch p.kind {
-					case primGet:
-						m := tc.GetMessage()
-						took(tc.Now(), m, true)
-					case primPeek:
-						m, ok := tc.PeekMessage()
-						took(tc.Now(), m, ok)
-					default:
-						issue(tc, nil, p, file, sink, last)
-					}
-				}
-				continue
-			}
 			i := 0
-			replied := false
-			part := func(end int) func(lc *kernel.LoopTC) bool {
-				return func(lc *kernel.LoopTC) bool {
-					if replied {
-						replied = false
-						m, ok := lc.Reply()
-						took(lc.Now(), m, ok)
-					}
-					if i == end {
+			for i < len(ep) {
+				if isMessage(ep[i]) {
+					message(tc, ep[i])
+					i++
+					continue
+				}
+				if !useLoop {
+					saw(tc.Now(), tc.PendingUserInput())
+					issue(tc, nil, ep[i], file)
+					i++
+					continue
+				}
+				end := len(ep)
+				if i < s.splits[e] {
+					end = s.splits[e]
+				}
+				tc.Loop(func(lc *kernel.LoopTC) bool {
+					if i == end || isMessage(ep[i]) {
 						return false
 					}
 					saw(lc.Now(), lc.PendingUserInput())
-					issue(nil, lc, ep[i], file, sink, last)
-					replied = ep[i].kind == primGet || ep[i].kind == primPeek
+					issue(nil, lc, ep[i], file)
 					i++
 					return true
-				}
+				})
 			}
-			tc.Loop(part(s.splits[e]))
-			tc.Loop(part(len(ep)))
 		}
 	})
 	threads := []*kernel.Thread{app, sink}
@@ -292,14 +292,15 @@ func checkLoopEquivalence(t *testing.T, s loopScript) {
 		t.Fatalf("the thread saw different instants or input:\nloop      %v\none by one %v", got.seen, want.seen)
 	}
 	if got.resumes > want.resumes {
-		t.Fatalf("loops took %d goroutine resumes, one by one %d", got.resumes, want.resumes)
+		t.Fatalf("loops took %d coroutine resumes, one by one %d", got.resumes, want.resumes)
 	}
 }
 
 // TestLoopMatchesPrimitives holds TC.Loop to the primitive-by-primitive
-// path on random scripts: same clock, counters, busy time, ticks, I/O
+// path on random scripts whose message primitives the body issues
+// between lent loops: same clock, counters, busy time, ticks, I/O
 // errors, message log and thread states at every Run horizon, and the
-// same instants, queue contents and message replies seen by the code
+// same instants, pending input and message replies seen by the code
 // between primitives.
 func TestLoopMatchesPrimitives(t *testing.T) {
 	r := rng.New(18)
@@ -326,10 +327,10 @@ func FuzzLoopEquivalence(f *testing.F) {
 	})
 }
 
-// TestWinsysCallIsOneHandshake pins the handshake count of a run of
+// TestWinsysCallIsOneHandshake pins the resume count of a run of
 // window-system calls: RepaintLines(26) on NT 3.51 with an application
 // bound is 104 primitives (glue, crossing, server segment, return
-// crossing per line), one goroutine resume as a single kernel loop
+// crossing per line), one coroutine resume as a single kernel loop
 // where a round trip per primitive would take 104.
 func TestWinsysCallIsOneHandshake(t *testing.T) {
 	p := persona.NT351()
@@ -345,7 +346,7 @@ func TestWinsysCallIsOneHandshake(t *testing.T) {
 	})
 	k.Run(simtime.Time(simtime.Second))
 	if resumes != 1 {
-		t.Fatalf("RepaintLines(26) took %d goroutine resumes, want 1", resumes)
+		t.Fatalf("RepaintLines(26) took %d coroutine resumes, want 1", resumes)
 	}
 	if w.Calls() != 26 || k.CPU().Count(cpu.DomainCrossings) != 2*26 {
 		t.Fatalf("calls %d, crossings %d: want 26 calls crossing twice each",

@@ -47,8 +47,7 @@ type auxCore struct {
 // CPU cpuID. cpuID 0 is the scheduler core (identical to SpawnLoop);
 // 1..Cores-1 are the auxiliary cores. Only loop threads can be pinned
 // off core 0: the aux interpreter runs in simulator context and
-// supports the reply-free loop primitives (Compute, Compute2, Sleep,
-// Post, Yield) plus exit.
+// supports the loop primitives Compute, Compute2 and Sleep, plus exit.
 func (k *Kernel) SpawnLoopOn(name string, proc ProcID, prio int, cpuID int, fn func(lc *LoopTC) bool) *Thread {
 	if cpuID < 0 || cpuID > len(k.aux) {
 		panic(fmt.Sprintf("kernel: cpu %d outside machine (have %d aux cores)", cpuID, len(k.aux)))
@@ -119,8 +118,8 @@ func (k *Kernel) auxDispatch(ci int) {
 
 // auxRun drives thread t on aux core ci until it blocks (compute chunk
 // in flight, sleeping) or exits. Loop threads issue one request per
-// invocation; the zero-time requests (Post, Yield) are absorbed here,
-// bounded against a request stream that never consumes time.
+// invocation; a compute that costs no time is absorbed here, bounded
+// against a request stream that never consumes time.
 func (k *Kernel) auxRun(ci int, t *Thread) {
 	c := &k.aux[ci]
 	for iter := 0; ; iter++ {
@@ -171,18 +170,6 @@ func (k *Kernel) auxRun(ci int, t *Thread) {
 			}
 			k.At(c.busyUntil, c.done)
 			return
-
-		case reqPost:
-			k.deliver(r.target, r.msg)
-			k.reconcile()
-
-		case reqYield:
-			if len(c.queue) > 0 {
-				k.aux[ci].queue = append(c.queue, t)
-				t.state = StateReady
-				k.auxDispatch(ci)
-				return
-			}
 
 		default:
 			panic(fmt.Sprintf("kernel: aux thread %s issued unsupported request kind %d", t.name, r.kind))

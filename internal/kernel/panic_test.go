@@ -32,10 +32,10 @@ func waitGoroutines(t *testing.T, base int) {
 }
 
 // TestThreadPanicReachesRun pins where a panicking request source ends
-// up: on the caller of Run, naming the thread and carrying the value,
-// with the thread done and every other thread still unwound by
-// Shutdown. Raised on the thread's own goroutine instead, nothing could
-// recover it and the whole process would die.
+// up: on the caller of Run, naming the thread and carrying the value and
+// the frame that panicked, with the thread done and every other thread
+// still unwound by Shutdown. Raised on the coroutine's own goroutine
+// instead, nothing could recover it and the whole process would die.
 func TestThreadPanicReachesRun(t *testing.T) {
 	compute := func(lc *LoopTC) { lc.Compute(burn("w", 1)) }
 	cases := []struct {
@@ -52,7 +52,7 @@ func TestThreadPanicReachesRun(t *testing.T) {
 			})
 		}, "boom", "panic_test.go"},
 		{"loop-first-call", func(k *Kernel) *Thread {
-			// The first call of a lent loop runs on the thread's goroutine.
+			// The first call of a lent loop runs in the thread's body.
 			return k.Spawn("crasher", 1, 8, func(tc *TC) {
 				tc.Compute(burn("w", 1))
 				tc.Loop(func(lc *LoopTC) bool { panic("boom") })
@@ -70,7 +70,7 @@ func TestThreadPanicReachesRun(t *testing.T) {
 					return true
 				})
 			})
-		}, "boom", ""},
+		}, "boom", "panic_test.go"},
 		{"loop-silent", func(k *Kernel) *Thread {
 			// A loop that returns true without issuing a request.
 			return k.Spawn("crasher", 1, 8, func(tc *TC) {

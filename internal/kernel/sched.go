@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"fmt"
+	"runtime/debug"
 
 	"latlab/internal/simtime"
 	"latlab/internal/spans"
@@ -204,17 +205,17 @@ func (k *Kernel) hasReadyAtPrio(p int) bool {
 
 // fetchInto obtains t's next request, writing it into t.reqSlot, at
 // the instant t is to run on. A loop function, when the thread has one
-// (SpawnLoop, or a goroutine thread inside TC.Loop), is called directly
-// in simulator context and arms t.reqSlot in place: no handshake, and
-// the large two-segment request is never copied on this hot path. A
-// goroutine thread whose lent loop is spent, or that has none, is
-// resumed and the kernel waits for its next request (strict
-// alternation: the kernel blocks here while thread code runs). A panic
+// (SpawnLoop, or a coroutine thread inside TC.Loop), is called directly
+// in simulator context and arms t.reqSlot in place: no resume, and the
+// large two-segment request is never copied on this hot path. A
+// coroutine thread whose lent loop is spent, or that has none, is
+// resumed, and runs until it yields its next request (the kernel waits
+// here while thread code runs); a body that returns has exited. A panic
 // in its body or lent loop is raised again here, on the caller of Run,
 // naming the thread; a SpawnLoop function already runs there.
 func (k *Kernel) fetchInto(t *Thread) {
 	if t.loopFn != nil {
-		if t.resume == nil {
+		if t.next == nil {
 			if !t.loopTC.next(t.loopFn) {
 				t.reqSlot = request{kind: reqExit}
 			}
@@ -226,33 +227,32 @@ func (k *Kernel) fetchInto(t *Thread) {
 		t.loopFn = nil // the lent loop is spent: TC.Loop returns
 	}
 	k.resumes++
-	t.resume <- resumeToken{}
-	<-t.requests
-	if p := t.panicked; p != nil {
-		k.threadPanicked(t, p.value, p.stack)
+	if _, ok := t.next(); !ok {
+		if p := t.panicked; p != nil {
+			k.threadPanicked(t, p.value, p.stack)
+		}
+		t.reqSlot = request{kind: reqExit}
 	}
 }
 
-// nextFromLent calls the loop function goroutine thread t lent with
+// nextFromLent calls the loop function coroutine thread t lent with
 // TC.Loop for its next request and reports whether it issued one.
 func (k *Kernel) nextFromLent(t *Thread) bool {
 	defer func() {
 		if r := recover(); r != nil {
-			k.threadPanicked(t, r, nil)
+			k.threadPanicked(t, r, debug.Stack())
 		}
 	}()
 	return t.loopTC.next(t.loopFn)
 }
 
-// threadPanicked ends goroutine thread t, whose body or lent loop
-// panicked with value, and panics again on the kernel goroutine naming
-// the thread. A thread whose lent loop panicked is still parked in
-// TC.Loop, so it is unwound first; one whose body panicked has already
-// exited.
+// threadPanicked ends coroutine thread t, whose body or lent loop
+// panicked with value, and panics again on the caller of Run naming the
+// thread. A thread whose lent loop panicked is still parked in TC.Loop,
+// so stop unwinds it; one whose body panicked has already returned, and
+// stop does nothing.
 func (k *Kernel) threadPanicked(t *Thread, value any, stack []byte) {
-	if t.panicked == nil {
-		t.resume <- resumeToken{kill: true}
-	}
+	t.stop()
 	t.state = StateDone
 	t.pending = nil
 	if k.current == t {
@@ -306,9 +306,9 @@ func (k *Kernel) process(t *Thread) {
 	case reqCompute2:
 		// Two segments in one request: the second is costed the instant
 		// the first finishes consuming CPU, exactly as two back-to-back
-		// Compute calls would be, but without the thread handshake in
+		// Compute calls would be, but without fetching a request in
 		// between. The idle-loop instrument uses this so its sampling
-		// costs one handshake per record, not two.
+		// costs one fetch per record, not two.
 		for {
 			if r.started {
 				if r.stage == 1 {

@@ -77,7 +77,7 @@ const (
 )
 
 // request is one primitive invocation. It lives in the thread's reqSlot:
-// a goroutine thread writes it there before its handshake, and loop
+// a coroutine thread writes it there before it yields, and loop
 // functions arm it in place.
 type request struct {
 	kind   reqKind
@@ -96,16 +96,11 @@ type request struct {
 	stage   uint8
 }
 
-// resumeToken is sent kernel→thread; kill aborts the thread.
-type resumeToken struct {
-	kill bool
-}
-
 // killSentinel is the panic value used to unwind a killed thread.
 type killSentinel struct{}
 
-// threadPanic carries a panic out of a goroutine thread's body to the
-// kernel goroutine, with the stack of the goroutine that panicked.
+// threadPanic carries a panic out of a coroutine thread's body to the
+// kernel, with the stack of the body that panicked.
 type threadPanic struct {
 	value any
 	stack []byte
@@ -113,33 +108,32 @@ type threadPanic struct {
 
 // Thread is a simulated thread of control. Its requests come from one of
 // three sources, each consulted in fetchInto at the instant the thread
-// is to run on: a body function on a dedicated goroutine (Spawn), a loop
+// is to run on: a body function run as a coroutine (Spawn), a loop
 // function the kernel calls in simulator context (SpawnLoop), or a loop
-// function a goroutine thread lends the kernel for a run of primitives
-// (TC.Loop). The kernel and at most one goroutine ever execute at a time
-// (strict channel handshake), so the simulation is deterministic and
-// race-free.
+// function a coroutine thread lends the kernel for a run of primitives
+// (TC.Loop). A coroutine runs only between the kernel's resume and its
+// yield, so the kernel and at most one body ever execute at a time, and
+// the simulation is deterministic and race-free.
 type Thread struct {
 	id   int
 	name string
 	proc ProcID
 	prio int
 
-	k    *Kernel
-	body func(tc *TC)
-	// resume and requests are a goroutine thread's handshake; both are
-	// nil for a SpawnLoop thread. The kernel sends on resume to run the
-	// body up to its next primitive, and the body signals on requests
-	// once it has written that primitive into reqSlot, or its panic into
-	// panicked.
-	resume   chan resumeToken
-	requests chan struct{}
+	k *Kernel
+	// next and stop drive a coroutine thread's body; both are nil for a
+	// SpawnLoop thread. next runs the body up to its next primitive,
+	// which it has written into reqSlot, and reports false once the body
+	// has returned, or has panicked and left its panic in panicked. stop
+	// unwinds a body parked in a primitive.
+	next     func() (struct{}, bool)
+	stop     func()
 	panicked *threadPanic
 
 	// loopFn, when non-nil, is the thread's kernel-resident request
 	// source: fetchInto calls it in simulator context with loopTC, with
-	// no handshake. A SpawnLoop thread's loop is its whole life; a
-	// goroutine thread sets one for the span of a TC.Loop call.
+	// no resume. A SpawnLoop thread's loop is its whole life; a
+	// coroutine thread sets one for the span of a TC.Loop call.
 	loopFn func(lc *LoopTC) bool
 	loopTC LoopTC
 
@@ -217,37 +211,39 @@ func (t *Thread) QuantumLeft() simtime.Duration { return t.quantumLeft }
 type TC struct {
 	t *Thread
 	k *Kernel
+	// yield parks the body until the kernel resumes it; it returns false
+	// when the kernel stops the thread instead.
+	yield func(struct{}) bool
 }
 
 // Thread returns the thread this context belongs to.
 func (tc *TC) Thread() *Thread { return tc.t }
 
 // Now returns the current simulated time. Reading it needs no yield: the
-// kernel goroutine is parked while thread code runs.
+// kernel waits while thread code runs.
 func (tc *TC) Now() simtime.Time { return tc.k.now }
 
 // Cycles reads the free-running cycle counter (a user-mode rdtsc).
 func (tc *TC) Cycles() int64 { return tc.k.cpu.CycleAt(tc.k.now) }
 
 // call hands one request to the kernel and blocks until the kernel has
-// completed it and resumes the thread: one goroutine round trip.
+// completed it and resumes the thread: one coroutine round trip.
 func (tc *TC) call(r request) {
 	tc.t.reqSlot = r
 	tc.handoff()
 }
 
-// handoff signals the kernel, parked in fetchInto, that reqSlot holds
-// the thread's next request, and parks until the kernel resumes the
-// thread.
+// handoff yields to the kernel, waiting in fetchInto, with the thread's
+// next request in reqSlot, and parks until the kernel resumes the
+// thread. A stopped thread unwinds from here.
 func (tc *TC) handoff() {
-	tc.t.requests <- struct{}{}
-	if tok := <-tc.t.resume; tok.kill {
+	if !tc.yield(struct{}{}) {
 		panic(killSentinel{})
 	}
 }
 
 // Loop lends the kernel fn as the thread's request source for a run of
-// reply-free primitives, so the run costs one goroutine round trip
+// reply-free primitives, so the run costs one coroutine round trip
 // instead of one per primitive. Each call of fn records one primitive
 // on lc and returns true, or returns false to end the run. Its first
 // call runs here, on the thread; every later call runs in simulator

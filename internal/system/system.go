@@ -65,9 +65,9 @@ func New(cfg Config) *System {
 	s := &System{K: kernel.New(kcfg), P: p, M: prof, nextProc: 1}
 	s.Win = winsys.New(s.K, p)
 
-	// Housekeeping threads are kernel-resident loops (no goroutine): the
-	// phase toggle issues the identical Sleep/Compute request stream the
-	// goroutine form did. On a multicore profile they are pinned to
+	// Housekeeping threads are kernel-resident loops (no coroutine): the
+	// phase toggle issues the identical Sleep/Compute request stream a
+	// coroutine body would. On a multicore profile they are pinned to
 	// logical CPU 1 — the housekeeping core, spilling onto further aux
 	// cores under contention — so the scheduler core (and the idle-loop
 	// instrument watching it) never sees them.
@@ -91,7 +91,7 @@ func New(cfg Config) *System {
 	}
 
 	if p.MouseBusyWait {
-		s.router = s.K.SpawnLoop("mouse16", kernel.KernelProc, RouterPrio, s.mouseRouter())
+		s.router = s.K.Spawn("mouse16", kernel.KernelProc, RouterPrio, s.mouseRouter)
 	}
 	return s
 }
@@ -102,35 +102,20 @@ func New(cfg Config) *System {
 // router forwards every message it takes to the focused application.
 // Between a mouse-down and the next mouse-up it polls its queue with
 // PeekMessage instead of blocking in GetMessage, spinning for MousePoll
-// after each empty poll. It is a kernel-resident loop: each call reads
-// the reply to the message primitive before it, if that was one, and
-// issues the request a goroutine body would issue next.
-func (s *System) mouseRouter() func(lc *kernel.LoopTC) bool {
-	var replied, pressed bool
-	return func(lc *kernel.LoopTC) bool {
-		if replied {
-			replied = false
-			m, ok := lc.Reply()
+// after each empty poll.
+func (s *System) mouseRouter(tc *kernel.TC) {
+	for {
+		m := tc.GetMessage()
+		tc.Forward(s.focus, m)
+		for pressed := m.Kind == kernel.WMMouseDown; pressed; {
+			polled, ok := tc.PeekMessage()
 			if !ok {
-				lc.Compute(s.P.MousePoll)
-				return true
+				tc.Compute(s.P.MousePoll)
+				continue
 			}
-			switch m.Kind {
-			case kernel.WMMouseDown:
-				pressed = true
-			case kernel.WMMouseUp:
-				pressed = false
-			}
-			lc.Forward(s.focus, m)
-			return true
+			tc.Forward(s.focus, polled)
+			pressed = polled.Kind != kernel.WMMouseUp
 		}
-		replied = true
-		if pressed {
-			lc.PeekMessage()
-		} else {
-			lc.GetMessage()
-		}
-		return true
 	}
 }
 

@@ -32,6 +32,6 @@
 //     calls is issued as one kernel loop (kernel.TC.Loop) whose steps
 //     run at the instants the calling thread would have run them, so
 //     the simulation sees the same primitives. Only the host cost
-//     falls: one goroutine round trip per run instead of one per
+//     falls: one coroutine round trip per run instead of one per
 //     primitive.
 package winsys

@@ -13,7 +13,7 @@ import (
 )
 
 // oracleCall is one Win32 call issued one primitive at a time, each its
-// own goroutine round trip: the oracle callSeq is held to. glues, when
+// own coroutine round trip: the oracle callSeq is held to. glues, when
 // non-nil, collects the instant each glue compute starts.
 func oracleCall(w *WinSys, tc *kernel.TC, o op, glues *[]simtime.Time) {
 	w.calls++

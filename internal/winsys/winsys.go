@@ -140,7 +140,7 @@ var (
 const numOps = 13
 
 // call performs n back-to-back Win32 calls of o under the persona's
-// architecture, as one kernel loop (kernel.TC.Loop): one goroutine round
+// architecture, as one kernel loop (kernel.TC.Loop): one coroutine round
 // trip for the lot instead of one per primitive. n = 1 is a single call.
 func (w *WinSys) call(tc *kernel.TC, o op, n int) {
 	if n <= 0 {
