@@ -55,7 +55,8 @@ bench-smoke:
 # The CI gate: vet (with the gofmt check) plus the full suite under the
 # race detector (the runner is concurrent, so a plain `go test` can miss
 # real bugs) and the benchmark module's smoke test, then the benchmark
-# regression gate and a short fuzz of the CSV parsers. The race run is
+# regression gate and a short fuzz of the parsers and differential
+# checks (see fuzz-smoke). The race run is
 # also the corpus and modern-chapter gate: TestCorpusGolden,
 # TestCorpusGoldenBatched, TestRunCorpus,
 # TestScenarioTwinsMatchGoRegistered (quick and full mode),
@@ -110,8 +111,9 @@ cover:
 			if (pct + 0 < floor) { printf "cover: %s below floor %d%%\n", $$2, floor; bad = 1 } } \
 		END { if (n < 5) { printf "cover: expected 5 covered packages, saw %d\n", n; exit 1 }; exit bad }'
 
-# 10 seconds of coverage-guided fuzzing per fuzzer: the CSV/JSONL
-# parsers, the scenario DSL, the differential event-queue check
+# 10 seconds of coverage-guided fuzzing per fuzzer: the idle and
+# attribution CSV parsers, the ledger and quarantine JSONL parsers, the
+# scenario DSL, the differential event-queue check
 # (the heap queue vs a test-only linear-scan oracle on random
 # schedule/reserve/pop programs), the differential think/wait check
 # (the probe's online FSM with its transition count vs a test-only log-keeping FSM on random
@@ -128,21 +130,22 @@ cover:
 # idle cycle and tick is simulated vs untraced so they are elided and
 # crossed, compared at random Run boundaries).
 # `go test` only accepts one -fuzz pattern at a time, so each fuzzer
-# gets its own run.
+# gets its own run. -fuzzminimizetime 0 keeps the budget for fuzzing:
+# minimising a newly interesting input can otherwise take the rest of
+# it, with the exec count frozen. A failing input is still saved under
+# testdata/fuzz and reported, just not minimised.
 FUZZ_TIME ?= 10s
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzParseIdleCSV$$' -fuzztime $(FUZZ_TIME) ./internal/trace
-	$(GO) test -run '^$$' -fuzz '^FuzzParseCounterCSV$$' -fuzztime $(FUZZ_TIME) ./internal/trace
-	$(GO) test -run '^$$' -fuzz '^FuzzParseMsgCSV$$' -fuzztime $(FUZZ_TIME) ./internal/trace
-	$(GO) test -run '^$$' -fuzz '^FuzzParseAttribCSV$$' -fuzztime $(FUZZ_TIME) ./internal/trace
-	$(GO) test -run '^$$' -fuzz '^FuzzScenarioParse$$' -fuzztime $(FUZZ_TIME) ./internal/scenario
-	$(GO) test -run '^$$' -fuzz '^FuzzParseLedger$$' -fuzztime $(FUZZ_TIME) ./internal/campaign
-	$(GO) test -run '^$$' -fuzz '^FuzzParseQuarantine$$' -fuzztime $(FUZZ_TIME) ./internal/campaign
-	$(GO) test -run '^$$' -fuzz '^FuzzQueueEquivalence$$' -fuzztime $(FUZZ_TIME) ./internal/eventq
-	$(GO) test -run '^$$' -fuzz '^FuzzFSMCount$$' -fuzztime $(FUZZ_TIME) ./internal/core
-	$(GO) test -run '^$$' -fuzz '^FuzzLRUEquivalence$$' -fuzztime $(FUZZ_TIME) ./internal/mem
-	$(GO) test -run '^$$' -fuzz '^FuzzLoopEquivalence$$' -fuzztime $(FUZZ_TIME) ./internal/kernel
-	$(GO) test -run '^$$' -fuzz '^FuzzElisionEquivalence$$' -fuzztime $(FUZZ_TIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzParseIdleCSV$$' -fuzztime $(FUZZ_TIME) -fuzzminimizetime 0 ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzParseAttribCSV$$' -fuzztime $(FUZZ_TIME) -fuzzminimizetime 0 ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzScenarioParse$$' -fuzztime $(FUZZ_TIME) -fuzzminimizetime 0 ./internal/scenario
+	$(GO) test -run '^$$' -fuzz '^FuzzParseLedger$$' -fuzztime $(FUZZ_TIME) -fuzzminimizetime 0 ./internal/campaign
+	$(GO) test -run '^$$' -fuzz '^FuzzParseQuarantine$$' -fuzztime $(FUZZ_TIME) -fuzzminimizetime 0 ./internal/campaign
+	$(GO) test -run '^$$' -fuzz '^FuzzQueueEquivalence$$' -fuzztime $(FUZZ_TIME) -fuzzminimizetime 0 ./internal/eventq
+	$(GO) test -run '^$$' -fuzz '^FuzzFSMCount$$' -fuzztime $(FUZZ_TIME) -fuzzminimizetime 0 ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzLRUEquivalence$$' -fuzztime $(FUZZ_TIME) -fuzzminimizetime 0 ./internal/mem
+	$(GO) test -run '^$$' -fuzz '^FuzzLoopEquivalence$$' -fuzztime $(FUZZ_TIME) -fuzzminimizetime 0 ./internal/kernel
+	$(GO) test -run '^$$' -fuzz '^FuzzElisionEquivalence$$' -fuzztime $(FUZZ_TIME) -fuzzminimizetime 0 ./internal/core
 
 # The end-to-end determinism and crash-safety gate for the committed
 # demo campaign (10080 quick sessions), proving each property once:

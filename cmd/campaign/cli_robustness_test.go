@@ -86,6 +86,55 @@ func TestRepairCLI(t *testing.T) {
 	}
 }
 
+// TestRepairCLISalvagesTornQuarantine: the sidecar is appended like the
+// ledger, so a crash can tear its final entry too. run and resume refuse
+// it and name repair, repair truncates it, and resume then proceeds.
+// Other sidecar damage is refused before either file is touched.
+func TestRepairCLISalvagesTornQuarantine(t *testing.T) {
+	ledger, golden := goldenCLILedger(t)
+	qPath := campaign.QuarantinePath(ledger)
+	torn := []byte(`{"schema":1,"campaign":"mini","scen`)
+	if err := os.WriteFile(qPath, torn, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, verb := range []string{"run", "resume"} {
+		code, _, stderr := cli(t, verb, "-spec", "testdata/mini.json", "-ledger", ledger, "-quick")
+		if code != exitCorrupt || !strings.Contains(stderr, "mid-entry") || !strings.Contains(stderr, "campaign repair") {
+			t.Fatalf("%s on torn sidecar: exit %d, err %q", verb, code, stderr)
+		}
+	}
+	if !bytes.Equal(mustRead(t, ledger), golden) {
+		t.Fatal("a refused run changed the ledger")
+	}
+	code, out, stderr := cli(t, "repair", "-ledger", ledger)
+	if code != exitOK || !strings.Contains(out, qPath+": dropped a torn final append") {
+		t.Fatalf("repair torn sidecar: exit %d, out %q, err %q", code, out, stderr)
+	}
+	if got := mustRead(t, qPath); len(got) != 0 {
+		t.Fatalf("repaired sidecar holds %q, want nothing", got)
+	}
+	if code, _, stderr := cli(t, "resume", "-spec", "testdata/mini.json", "-ledger", ledger, "-quick"); code != exitOK {
+		t.Fatalf("resume after repair: exit %d, err %q", code, stderr)
+	}
+	// A torn ledger beside a sidecar with a terminated bad line: repair
+	// refuses, and leaves both files as they were.
+	tornLedger := golden[:len(golden)-5]
+	if err := os.WriteFile(ledger, tornLedger, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	badSidecar := []byte("{}\n")
+	if err := os.WriteFile(qPath, badSidecar, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, _, stderr = cli(t, "repair", "-ledger", ledger)
+	if code != exitCorrupt || !strings.Contains(stderr, "quarantine line 1") || !strings.Contains(stderr, "refusing") {
+		t.Fatalf("repair corrupt sidecar: exit %d, err %q", code, stderr)
+	}
+	if !bytes.Equal(mustRead(t, ledger), tornLedger) || !bytes.Equal(mustRead(t, qPath), badSidecar) {
+		t.Fatal("refused repair modified a file")
+	}
+}
+
 // TestResumeCLIReconverges: truncate a ledger mid-append, repair it,
 // resume it at a different worker count — the result must be
 // byte-identical to the uninterrupted run.

@@ -17,8 +17,9 @@
 // canonical order, retrying quarantined cells with the same seeds under
 // a bounded backoff budget: an interrupted run plus a resume produces a
 // ledger byte-identical to an uninterrupted run. `campaign repair`
-// salvages the one legal corruption shape — a torn final append — by
-// truncating to the last valid record; it refuses anything else.
+// salvages the one legal corruption shape — a torn final append to the
+// ledger or to its sidecar — by truncating the file to its last valid
+// line; it refuses anything else.
 //
 // `campaign analyze` replays a ledger: it ranks configurations by tail
 // latency and jitter, renders a KPI table, suggests refined follow-up
@@ -130,9 +131,10 @@ configurations by p95 (ties: p50, jitter), renders a KPI table, and
 suggests refined follow-up cells; -emit-spec writes the suggestions as
 a runnable campaign spec (needs -spec to resolve scenario paths).
 
-repair salvages a ledger whose final append was torn (e.g. by a crash
-mid-write): it truncates to the last valid record and reports exactly
-what was dropped. Any other corruption is refused.
+repair salvages a ledger, or its quarantine sidecar, whose final
+append was torn (e.g. by a crash mid-write): it truncates the file to
+its last valid line and reports exactly what was dropped. Any other
+corruption is refused.
 
 exit codes:
   0  success
@@ -141,8 +143,8 @@ exit codes:
      with 'campaign resume'
   3  interrupted — the ledger is a clean, resumable prefix; continue
      with 'campaign resume'
-  4  ledger corruption — a torn final append is fixable with
-     'campaign repair', anything else is not
+  4  ledger or quarantine-sidecar corruption — a torn final append
+     is fixable with 'campaign repair', anything else is not
 `)
 }
 
@@ -245,6 +247,7 @@ func runCampaign(args []string, stdout, stderr io.Writer, resume bool) (code int
 	prior := map[string]campaign.Quarantine{}
 	if entries, err := campaign.LoadQuarantine(qPath); err != nil {
 		fmt.Fprintf(stderr, "%s: %v\n", name, err)
+		fmt.Fprintf(stderr, "%s: if the final append was torn, `campaign repair -ledger %s` can salvage it\n", name, *ledgerPath)
 		return exitCorrupt
 	} else {
 		for _, q := range entries {
@@ -512,7 +515,8 @@ func writeNextSpec(a *campaign.Analysis, specPath, outPath string) error {
 }
 
 // runRepair implements `campaign repair`: salvage a torn final append
-// by truncating the ledger to its last valid record.
+// by truncating the ledger, and its quarantine sidecar, to the last
+// valid line. Both files are checked before either is touched.
 func runRepair(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("campaign repair", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -536,20 +540,44 @@ func runRepair(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "campaign repair: this is not a torn final append; refusing to touch the ledger")
 		return exitCorrupt
 	}
-	if s.Tail == nil {
+	// The sidecar is appended the same way as the ledger, so it can be
+	// torn the same way; a missing one is an empty quarantine.
+	var qs campaign.Salvage
+	qf, err := os.OpenFile(campaign.QuarantinePath(*ledgerPath), os.O_RDWR, 0)
+	if err == nil {
+		defer qf.Close()
+		if qs, err = campaign.SalvageQuarantine(qf); err != nil {
+			fmt.Fprintln(stderr, err)
+			fmt.Fprintf(stderr, "campaign repair: %s is not a torn final append; refusing to touch it or the ledger\n", qf.Name())
+			return exitCorrupt
+		}
+	} else if !os.IsNotExist(err) {
+		fmt.Fprintln(stderr, err)
+		return exitUsage
+	}
+	if s.Tail == nil && qs.Tail == nil {
 		fmt.Fprintf(stdout, "campaign repair: %s is intact (%d records); nothing to do\n", *ledgerPath, s.Records)
 		return exitOK
 	}
-	if err := f.Truncate(s.ValidBytes); err != nil {
-		fmt.Fprintln(stderr, err)
-		return exitUsage
+	for _, torn := range []struct {
+		f    *os.File
+		s    campaign.Salvage
+		noun string
+	}{{f, s, "records"}, {qf, qs, "quarantine entries"}} {
+		if torn.s.Tail == nil {
+			continue
+		}
+		if err := torn.f.Truncate(torn.s.ValidBytes); err != nil {
+			fmt.Fprintln(stderr, err)
+			return exitUsage
+		}
+		if err := torn.f.Sync(); err != nil {
+			fmt.Fprintln(stderr, err)
+			return exitUsage
+		}
+		fmt.Fprintf(stdout, "campaign repair: %s: dropped a torn final append (%d bytes, %s) after %d valid %s; resume with `campaign resume`\n",
+			torn.f.Name(), len(torn.s.Tail), peek(torn.s.Tail), torn.s.Records, torn.noun)
 	}
-	if err := f.Sync(); err != nil {
-		fmt.Fprintln(stderr, err)
-		return exitUsage
-	}
-	fmt.Fprintf(stdout, "campaign repair: %s: dropped a torn final append (%d bytes, %s) after %d valid records; resume with `campaign resume`\n",
-		*ledgerPath, len(s.Tail), peek(s.Tail), s.Records)
 	return exitOK
 }
 

@@ -22,7 +22,6 @@
 package campaign
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -280,19 +279,12 @@ func validFaultVariant(v string) error {
 	return nil
 }
 
-// ParseSpec decodes and validates a campaign spec. Decoding is strict:
-// unknown fields and trailing data are errors, mirroring
-// scenario.Parse.
+// ParseSpec decodes and validates a campaign spec. Decoding is strict
+// (decodeStrict): unknown fields and trailing data are errors.
 func ParseSpec(data []byte) (Spec, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var s Spec
-	if err := dec.Decode(&s); err != nil {
+	s, err := decodeStrict[Spec](data, "spec")
+	if err != nil {
 		return Spec{}, fmt.Errorf("campaign: %w", err)
-	}
-	var trailing json.RawMessage
-	if err := dec.Decode(&trailing); err == nil || len(trailing) > 0 {
-		return Spec{}, fmt.Errorf("campaign: trailing data after spec")
 	}
 	if err := s.Validate(); err != nil {
 		return Spec{}, err

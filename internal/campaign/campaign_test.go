@@ -54,6 +54,7 @@ func TestParseSpecRejects(t *testing.T) {
 		{"zero count", strings.Replace(validSpecJSON, `"count": 10`, `"count": 0`, 1), "seeds.count"},
 		{"per_cell over count", strings.Replace(validSpecJSON, `"per_cell": 4`, `"per_cell": 11`, 1), "per_cell"},
 		{"trailing data", validSpecJSON + `{"more": 1}`, "trailing"},
+		{"trailing non-JSON", validSpecJSON + `}`, "trailing"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -272,9 +272,6 @@ type cellResult struct {
 	fail *Quarantine
 }
 
-// ExperimentID implements experiments.Result.
-func (r *cellResult) ExperimentID() string { return r.id }
-
 // Render implements experiments.Result with the cell's headline.
 func (r *cellResult) Render(w io.Writer) error {
 	if r.fail != nil {

@@ -1,9 +1,7 @@
 package campaign
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -174,15 +172,8 @@ func (r Record) Validate() error {
 }
 
 // MarshalRecord renders r as one canonical ledger line (compact JSON
-// plus newline). Field order is fixed by the struct, floats use Go's
-// shortest-round-trip formatting, so the bytes are deterministic.
-func MarshalRecord(r Record) ([]byte, error) {
-	data, err := json.Marshal(r)
-	if err != nil {
-		return nil, fmt.Errorf("campaign: %w", err)
-	}
-	return append(data, '\n'), nil
-}
+// plus newline); the bytes are deterministic.
+func MarshalRecord(r Record) ([]byte, error) { return marshalLine(r) }
 
 // AppendRecord writes r to w as one ledger line.
 func AppendRecord(w io.Writer, r Record) error {
@@ -212,13 +203,13 @@ func ParseLedger(data []byte) ([]Record, error) {
 	return out, nil
 }
 
-// ScanLedger streams a JSONL ledger through a bufio.Reader one line at
-// a time, calling fn for each record, with exactly ParseLedger's
-// strictness — so a million-cell ledger costs one line of buffer, not
-// O(file) memory, and the caller decides what to retain. If fn returns
-// an error the scan stops and returns it.
+// ScanLedger streams a JSONL ledger one line at a time, calling fn for
+// each record, with exactly ParseLedger's strictness — so a
+// million-cell ledger costs one line of buffer, not O(file) memory, and
+// the caller decides what to retain. If fn returns an error the scan
+// stops and returns it.
 func ScanLedger(r io.Reader, fn func(Record) error) error {
-	s, err := salvageLedger(r, fn)
+	s, err := scanLines(r, "ledger", "record", fn)
 	if err != nil {
 		return err
 	}
@@ -226,19 +217,6 @@ func ScanLedger(r io.Reader, fn func(Record) error) error {
 		return fmt.Errorf("campaign: ledger ends mid-record (truncated append?)")
 	}
 	return nil
-}
-
-// Salvage is the result of scanning a possibly-torn ledger: how much of
-// it is intact and what hangs off the end.
-type Salvage struct {
-	// Records counts the valid records before the tear.
-	Records int
-	// ValidBytes is the byte offset just past the final valid record —
-	// the length to truncate a torn ledger to.
-	ValidBytes int64
-	// Tail is the torn final fragment (the bytes of an interrupted
-	// append, missing their newline); nil when the ledger is intact.
-	Tail []byte
 }
 
 // SalvageLedger scans a ledger tolerating the one legal corruption
@@ -250,68 +228,5 @@ type Salvage struct {
 // record — is corruption the append-only engine could not have
 // produced, and is returned as an error instead.
 func SalvageLedger(r io.Reader) (Salvage, error) {
-	return salvageLedger(r, nil)
-}
-
-// salvageLedger is the shared line-at-a-time scan under ScanLedger and
-// SalvageLedger.
-func salvageLedger(r io.Reader, fn func(Record) error) (Salvage, error) {
-	br := bufio.NewReader(r)
-	var s Salvage
-	line := 0
-	for {
-		raw, err := br.ReadBytes('\n')
-		if err == io.EOF {
-			if len(raw) > 0 {
-				s.Tail = raw
-			}
-			return s, nil
-		}
-		if err != nil {
-			return Salvage{}, fmt.Errorf("campaign: %w", err)
-		}
-		line++
-		body := raw[:len(raw)-1]
-		if len(bytes.TrimSpace(body)) == 0 {
-			return Salvage{}, fmt.Errorf("campaign: ledger line %d is blank", line)
-		}
-		rec, err := parseRecord(body)
-		if err != nil {
-			return Salvage{}, fmt.Errorf("campaign: ledger line %d: %w", line, err)
-		}
-		s.Records++
-		s.ValidBytes += int64(len(raw))
-		if fn != nil {
-			if err := fn(rec); err != nil {
-				return Salvage{}, err
-			}
-		}
-	}
-}
-
-// parseRecord decodes one ledger line strictly and checks it is in
-// canonical form: the ledger is append-only and byte-deterministic, so
-// a line the engine could not have written is corruption, not style.
-func parseRecord(raw []byte) (Record, error) {
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	var rec Record
-	if err := dec.Decode(&rec); err != nil {
-		return Record{}, err
-	}
-	var trailing json.RawMessage
-	if err := dec.Decode(&trailing); err == nil || len(trailing) > 0 {
-		return Record{}, fmt.Errorf("trailing data after record")
-	}
-	if err := rec.Validate(); err != nil {
-		return Record{}, err
-	}
-	canon, err := json.Marshal(rec)
-	if err != nil {
-		return Record{}, err
-	}
-	if !bytes.Equal(canon, raw) {
-		return Record{}, fmt.Errorf("record is not in canonical form")
-	}
-	return rec, nil
+	return scanLines[Record](r, "ledger", "record", nil)
 }

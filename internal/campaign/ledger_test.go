@@ -103,6 +103,7 @@ func TestParseLedgerRejects(t *testing.T) {
 		{"events vs sketch count", strings.Replace(valid, `"events":6`, `"events":5`, 1), "sketch count"},
 		{"negative quantile", strings.Replace(valid, `"p50_ms":`, `"p50_ms":-`, 1), "p50_ms"},
 		{"corrupt sketch buckets", strings.Replace(valid, `"buckets":[[`, `"buckets":[[-9999,0],[`, 1), "bucket"},
+		{"non-canonical", strings.Replace(valid, `"events":6`, `"events": 6`, 1), "canonical"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -2,7 +2,6 @@ package campaign
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand/v2"
@@ -75,14 +74,8 @@ func (q Quarantine) Validate() error {
 }
 
 // MarshalQuarantine renders q as one canonical sidecar line (compact
-// JSON plus newline), mirroring MarshalRecord.
-func MarshalQuarantine(q Quarantine) ([]byte, error) {
-	data, err := json.Marshal(q)
-	if err != nil {
-		return nil, fmt.Errorf("campaign: %w", err)
-	}
-	return append(data, '\n'), nil
-}
+// JSON plus newline), as MarshalRecord renders a ledger line.
+func MarshalQuarantine(q Quarantine) ([]byte, error) { return marshalLine(q) }
 
 // AppendQuarantine writes q to w as one sidecar line.
 func AppendQuarantine(w io.Writer, q Quarantine) error {
@@ -95,60 +88,32 @@ func AppendQuarantine(w io.Writer, q Quarantine) error {
 }
 
 // ParseQuarantine parses a quarantine sidecar with the ledger's
-// strictness: every line a complete, canonical, schema-valid entry.
+// strictness: every line a complete, canonical, schema-valid entry, and
+// a final line without its newline rejected as a truncated entry.
 // The file is append-only during a run, so the same cell may appear
 // repeatedly with increasing attempt counts; the caller collapses with
 // LatestQuarantine. An empty sidecar parses to no entries.
 func ParseQuarantine(data []byte) ([]Quarantine, error) {
-	if len(data) == 0 {
-		return nil, nil
-	}
-	if data[len(data)-1] != '\n' {
-		return nil, fmt.Errorf("campaign: quarantine file ends mid-entry (truncated append?)")
-	}
 	var out []Quarantine
-	line := 0
-	for len(data) > 0 {
-		line++
-		nl := bytes.IndexByte(data, '\n')
-		raw := data[:nl]
-		data = data[nl+1:]
-		if len(bytes.TrimSpace(raw)) == 0 {
-			return nil, fmt.Errorf("campaign: quarantine line %d is blank", line)
-		}
-		q, err := parseQuarantineEntry(raw)
-		if err != nil {
-			return nil, fmt.Errorf("campaign: quarantine line %d: %w", line, err)
-		}
+	s, err := scanLines(bytes.NewReader(data), "quarantine", "entry", func(q Quarantine) error {
 		out = append(out, q)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if s.Tail != nil {
+		return nil, fmt.Errorf("campaign: quarantine file ends mid-entry (truncated append?)")
 	}
 	return out, nil
 }
 
-// parseQuarantineEntry decodes one sidecar line strictly and checks
-// canonical form, mirroring parseRecord.
-func parseQuarantineEntry(raw []byte) (Quarantine, error) {
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	var q Quarantine
-	if err := dec.Decode(&q); err != nil {
-		return Quarantine{}, err
-	}
-	var trailing json.RawMessage
-	if err := dec.Decode(&trailing); err == nil || len(trailing) > 0 {
-		return Quarantine{}, fmt.Errorf("trailing data after entry")
-	}
-	if err := q.Validate(); err != nil {
-		return Quarantine{}, err
-	}
-	canon, err := json.Marshal(q)
-	if err != nil {
-		return Quarantine{}, err
-	}
-	if !bytes.Equal(canon, raw) {
-		return Quarantine{}, fmt.Errorf("entry is not in canonical form")
-	}
-	return q, nil
+// SalvageQuarantine scans a quarantine sidecar as SalvageLedger scans
+// a ledger: the sidecar is appended the same way (one write, then
+// fsync), so a torn final entry is the one legal corruption shape and
+// any other malformation is an error.
+func SalvageQuarantine(r io.Reader) (Salvage, error) {
+	return scanLines[Quarantine](r, "quarantine", "entry", nil)
 }
 
 // LatestQuarantine collapses an append-only entry stream to the latest

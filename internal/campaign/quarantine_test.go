@@ -68,6 +68,7 @@ func TestParseQuarantineRejects(t *testing.T) {
 		{"no error", bytes.Replace(valid, []byte(`"seed 9: boom"`), []byte(`""`), 1), "no error"},
 		{"non-canonical", bytes.Replace(valid, []byte(`"attempts":2`), []byte(`"attempts": 2`), 1), "canonical"},
 		{"trailing data", bytes.Replace(valid, []byte("\n"), []byte(` {}`+"\n"), 1), "trailing"},
+		{"bad second line", append(append([]byte{}, valid...), []byte(`{"schema":1}`+"\n")...), "line 2"},
 	}
 	for _, tc := range cases {
 		if _, err := ParseQuarantine(tc.data); err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -3,7 +3,6 @@ package core
 import (
 	"latlab/internal/cpu"
 	"latlab/internal/kernel"
-	"latlab/internal/simtime"
 )
 
 // CounterMeasurement holds the hardware-event counts and cycle cost of
@@ -12,12 +11,6 @@ type CounterMeasurement struct {
 	Label  string
 	Cycles int64
 	Events map[cpu.EventKind]int64
-}
-
-// LatencyMs converts the cycle count to milliseconds at the machine's
-// clock rate.
-func (m CounterMeasurement) LatencyMs(freq simtime.Hz) float64 {
-	return freq.DurationOf(m.Cycles).Milliseconds()
 }
 
 // MeasureCounters measures op once per counter *pair*, exactly as the

@@ -115,7 +115,7 @@ func TestMeasureCountersPairwise(t *testing.T) {
 		t.Fatalf("segment loads = %d", m.Events[cpu.SegmentLoads])
 	}
 	// Cycles from the first repetition include the op plus dispatch.
-	if lm := m.LatencyMs(k.CPU().Freq); lm < 0.5 || lm > 11 {
+	if lm := k.CPU().Freq.DurationOf(m.Cycles).Milliseconds(); lm < 0.5 || lm > 11 {
 		t.Fatalf("latency = %vms", lm)
 	}
 	if m.Label != "op" {

@@ -96,17 +96,6 @@ func fraction(s trace.IdleSample, _, _ simtime.Time, stolen, idle simtime.Durati
 	return float64(stolen) / float64(total)
 }
 
-// MaxUtil returns the maximum utilization in a profile.
-func MaxUtil(pts []ProfilePoint) float64 {
-	m := 0.0
-	for _, p := range pts {
-		if p.Util > m {
-			m = p.Util
-		}
-	}
-	return m
-}
-
 // MeanUtil returns the mean utilization across points.
 func MeanUtil(pts []ProfilePoint) float64 {
 	if len(pts) == 0 {

@@ -80,13 +80,10 @@ func TestAveragedProfileValidation(t *testing.T) {
 
 func TestProfileHelpers(t *testing.T) {
 	pts := []ProfilePoint{{Util: 0.2}, {Util: 0.8}, {Util: 0.5}}
-	if MaxUtil(pts) != 0.8 {
-		t.Fatalf("MaxUtil = %v", MaxUtil(pts))
-	}
 	if math.Abs(MeanUtil(pts)-0.5) > 1e-9 {
 		t.Fatalf("MeanUtil = %v", MeanUtil(pts))
 	}
-	if MaxUtil(nil) != 0 || MeanUtil(nil) != 0 {
+	if MeanUtil(nil) != 0 {
 		t.Fatalf("empty helpers wrong")
 	}
 }

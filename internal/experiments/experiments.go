@@ -74,8 +74,6 @@ func (c Config) MachineProfile() machine.Profile { return c.Machine.OrDefault() 
 
 // Result is a rendered experiment outcome.
 type Result interface {
-	// ExperimentID returns the registry id ("fig7", "table1", ...).
-	ExperimentID() string
 	// Render writes the paper-style presentation.
 	Render(w io.Writer) error
 }

@@ -45,9 +45,6 @@ type ExtBatchingResult struct {
 	SaturatedBatched int64
 }
 
-// ExperimentID implements Result.
-func (r *ExtBatchingResult) ExperimentID() string { return "ext-batching" }
-
 // Render implements Result.
 func (r *ExtBatchingResult) Render(w io.Writer) error {
 	fmt.Fprintf(w, "Extension (§1.1) — the infinitely fast user: Notepad, NT 4.0\n\n")
@@ -106,9 +103,6 @@ type ExtThinkWaitResult struct {
 		WaitShare float64
 	}
 }
-
-// ExperimentID implements Result.
-func (r *ExtThinkWaitResult) ExperimentID() string { return "ext-thinkwait" }
 
 // Render implements Result.
 func (r *ExtThinkWaitResult) Render(w io.Writer) error {
@@ -170,9 +164,6 @@ type ExtMetricResult struct {
 		Values  []float64
 	}
 }
-
-// ExperimentID implements Result.
-func (r *ExtMetricResult) ExperimentID() string { return "ext-metric" }
 
 // Render implements Result.
 func (r *ExtMetricResult) Render(w io.Writer) error {

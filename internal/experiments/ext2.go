@@ -33,9 +33,6 @@ type ExtSlowCPURow struct {
 	OverPerception int
 }
 
-// ExperimentID implements Result.
-func (r *ExtSlowCPUResult) ExperimentID() string { return "ext-slowcpu" }
-
 // Render implements Result.
 func (r *ExtSlowCPUResult) Render(w io.Writer) error {
 	fmt.Fprintf(w, "Extension (§5.1) — the same Notepad session on slower machines (NT 4.0)\n\n")

@@ -28,9 +28,6 @@ type ExtInterruptsRow struct {
 	Cycles  map[string]float64
 }
 
-// ExperimentID implements Result.
-func (r *ExtInterruptsResult) ExperimentID() string { return "ext-interrupts" }
-
 // Render implements Result.
 func (r *ExtInterruptsResult) Render(w io.Writer) error {
 	fmt.Fprintf(w, "Extension (§2.5) — interrupt handling overhead by class (cycles, via idle loop + counters)\n\n")

@@ -108,9 +108,6 @@ func cellByPersona(cells []ExtAttribCell, name string) ExtAttribCell {
 	return ExtAttribCell{}
 }
 
-// ExperimentID implements Result.
-func (r *ExtAttribResult) ExperimentID() string { return "ext-attrib" }
-
 // Render implements Result.
 func (r *ExtAttribResult) Render(w io.Writer) error {
 	fmt.Fprintf(w, "Extension (§5.3) — where did the time go? Span-derived attribution on the %s\n", r.Machine)

@@ -44,9 +44,6 @@ type ExtFaultsResult struct {
 	Rows  []ExtFaultsRow // exactly {clean, degraded}
 }
 
-// ExperimentID implements Result.
-func (r *ExtFaultsResult) ExperimentID() string { return r.ID }
-
 // Render implements Result.
 func (r *ExtFaultsResult) Render(w io.Writer) error {
 	fmt.Fprintf(w, "Extension (robustness) — %s, NT 4.0 clean vs degraded\n\n", r.Title)

@@ -107,9 +107,6 @@ type ExtHWClockResult struct {
 	Cells      []ExtHWCell
 }
 
-// ExperimentID implements Result.
-func (r *ExtHWClockResult) ExperimentID() string { return "ext-hw-clock" }
-
 // Render implements Result.
 func (r *ExtHWClockResult) Render(w io.Writer) error {
 	fmt.Fprintf(w, "Extension (§5.1) — persona × clock-rate matrix (streaming redraw keystrokes, warm)\n\n")
@@ -155,9 +152,6 @@ type ExtHWL2Result struct {
 	Base, NoL2 string
 	Cells      []ExtHWCell
 }
-
-// ExperimentID implements Result.
-func (r *ExtHWL2Result) ExperimentID() string { return "ext-hw-l2" }
 
 // Render implements Result.
 func (r *ExtHWL2Result) Render(w io.Writer) error {
@@ -245,9 +239,6 @@ func crossKeys(cfg Config, app, work string) (keyWorkload, func(r *rig, tc *kern
 		}
 	}
 }
-
-// ExperimentID implements Result.
-func (r *ExtHWTLBResult) ExperimentID() string { return "ext-hw-tlb" }
 
 // Render implements Result.
 func (r *ExtHWTLBResult) Render(w io.Writer) error {

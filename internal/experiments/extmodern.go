@@ -119,9 +119,6 @@ type ExtModernClockResult struct {
 	Cells []ModernCell
 }
 
-// ExperimentID implements Result.
-func (r *ExtModernClockResult) ExperimentID() string { return "ext-modern-clock" }
-
 // Render implements Result.
 func (r *ExtModernClockResult) Render(w io.Writer) error {
 	fmt.Fprintf(w, "Modern (§5.1) — the 1996 streaming redraw across three decades of hardware\n\n")
@@ -186,9 +183,6 @@ type ExtModernDVFSResult struct {
 	Cells []ModernCell
 }
 
-// ExperimentID implements Result.
-func (r *ExtModernDVFSResult) ExperimentID() string { return "ext-modern-dvfs" }
-
 // Render implements Result.
 func (r *ExtModernDVFSResult) Render(w io.Writer) error {
 	fmt.Fprintf(w, "Modern (§3) — DVFS governor vs pinned clock under the idle-loop instrument\n\n")
@@ -243,9 +237,6 @@ func runExtModernDVFS(ctx context.Context, cfg Config) (Result, error) {
 type ExtModernNVMeResult struct {
 	Cells []ModernCell
 }
-
-// ExperimentID implements Result.
-func (r *ExtModernNVMeResult) ExperimentID() string { return "ext-modern-nvme" }
 
 // Render implements Result.
 func (r *ExtModernNVMeResult) Render(w io.Writer) error {
@@ -315,9 +306,6 @@ func runExtModernNVMe(ctx context.Context, cfg Config) (Result, error) {
 type ExtModernIRQResult struct {
 	Cells []ModernCell
 }
-
-// ExperimentID implements Result.
-func (r *ExtModernIRQResult) ExperimentID() string { return "ext-modern-irq" }
 
 // Render implements Result.
 func (r *ExtModernIRQResult) Render(w io.Writer) error {
@@ -398,9 +386,6 @@ func runExtModernIRQ(ctx context.Context, cfg Config) (Result, error) {
 type ExtModernSMTResult struct {
 	Cells []ModernCell
 }
-
-// ExperimentID implements Result.
-func (r *ExtModernSMTResult) ExperimentID() string { return "ext-modern-smt" }
 
 // Render implements Result.
 func (r *ExtModernSMTResult) Render(w io.Writer) error {

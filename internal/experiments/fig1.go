@@ -29,9 +29,6 @@ type Fig1Result struct {
 	SampleElapsedMs []float64
 }
 
-// ExperimentID implements Result.
-func (r *Fig1Result) ExperimentID() string { return "fig1" }
-
 // Render implements Result.
 func (r *Fig1Result) Render(w io.Writer) error {
 	fmt.Fprintf(w, "Fig. 1 — Validation of the idle-loop methodology (echo microbenchmark)\n\n")

@@ -25,9 +25,6 @@ type Fig11Result struct {
 	Systems []Fig11Persona
 }
 
-// ExperimentID implements Result.
-func (r *Fig11Result) ExperimentID() string { return "fig11" }
-
 // Render implements Result.
 func (r *Fig11Result) Render(w io.Writer) error {
 	fmt.Fprintf(w, "Fig. 11 — Microsoft Word event latency summary (Test input, NT only)\n\n")
@@ -99,9 +96,6 @@ type Table2Result struct {
 	TotalEvents int
 	Rows        []Table2Row
 }
-
-// ExperimentID implements Result.
-func (r *Table2Result) ExperimentID() string { return "table2" }
 
 // Render implements Result.
 func (r *Table2Result) Render(w io.Writer) error {

@@ -31,9 +31,6 @@ type Fig3Result struct {
 	Systems []Fig3Persona
 }
 
-// ExperimentID implements Result.
-func (r *Fig3Result) ExperimentID() string { return "fig3" }
-
 // Render implements Result.
 func (r *Fig3Result) Render(w io.Writer) error {
 	fmt.Fprintf(w, "Fig. 3 — Idle-system profiles\n\n")

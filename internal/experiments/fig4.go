@@ -29,9 +29,6 @@ type Fig4Result struct {
 	RedrawBurst  simtime.Duration
 }
 
-// ExperimentID implements Result.
-func (r *Fig4Result) ExperimentID() string { return "fig4" }
-
 // Render implements Result.
 func (r *Fig4Result) Render(w io.Writer) error {
 	fmt.Fprintf(w, "Fig. 4 — Window maximize under Windows NT 4.0\n\n")

@@ -73,9 +73,6 @@ type Fig5Result struct {
 	WindowHi  simtime.Time
 }
 
-// ExperimentID implements Result.
-func (r *Fig5Result) ExperimentID() string { return "fig5" }
-
 // Render implements Result.
 func (r *Fig5Result) Render(w io.Writer) error {
 	fmt.Fprintf(w, "Fig. 5 — Raw data representation (Word on Windows NT 3.51, %d events)\n\n", len(r.Events))

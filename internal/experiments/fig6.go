@@ -34,9 +34,6 @@ type Fig6Result struct {
 	MeanHoldMs float64
 }
 
-// ExperimentID implements Result.
-func (r *Fig6Result) ExperimentID() string { return "fig6" }
-
 // Render implements Result.
 func (r *Fig6Result) Render(w io.Writer) error {
 	fmt.Fprintf(w, "Fig. 6 — Latency of simple interactive events (manual input, mean of trials)\n\n")

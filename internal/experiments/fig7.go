@@ -31,9 +31,6 @@ type Fig7Result struct {
 	Systems []Fig7Persona
 }
 
-// ExperimentID implements Result.
-func (r *Fig7Result) ExperimentID() string { return "fig7" }
-
 // Render implements Result.
 func (r *Fig7Result) Render(w io.Writer) error {
 	fmt.Fprintf(w, "Fig. 7 — Notepad event latency summary (Test input, WM_QUEUESYNC stripped)\n\n")

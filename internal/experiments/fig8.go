@@ -114,9 +114,6 @@ type Fig8Result struct {
 	Systems []Fig8Persona
 }
 
-// ExperimentID implements Result.
-func (r *Fig8Result) ExperimentID() string { return "fig8" }
-
 // Render implements Result.
 func (r *Fig8Result) Render(w io.Writer) error {
 	fmt.Fprintf(w, "Fig. 8 — Powerpoint event latency summary (events <50ms excluded, NT only)\n\n")
@@ -176,9 +173,6 @@ type Table1Result struct {
 	Rows []Table1Row
 }
 
-// ExperimentID implements Result.
-func (r *Table1Result) ExperimentID() string { return "table1" }
-
 // Render implements Result.
 func (r *Table1Result) Render(w io.Writer) error {
 	fmt.Fprintf(w, "Table 1 — Powerpoint events with latency over one second\n\n")
@@ -233,9 +227,6 @@ type Fig12Result struct {
 		MeanInterarrivalMs float64
 	}
 }
-
-// ExperimentID implements Result.
-func (r *Fig12Result) ExperimentID() string { return "fig12" }
 
 // Render implements Result.
 func (r *Fig12Result) Render(w io.Writer) error {

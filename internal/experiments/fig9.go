@@ -25,7 +25,6 @@ var counterKinds = []cpu.EventKind{
 // CounterResult holds a counter comparison across the three systems for
 // one operation (the shape of Figs. 9 and 10).
 type CounterResult struct {
-	id        string
 	Title     string
 	Operation string
 	Systems   []core.CounterMeasurement
@@ -39,9 +38,6 @@ type CounterResult struct {
 	W95TLBRatio float64
 }
 
-// ExperimentID implements Result.
-func (r *CounterResult) ExperimentID() string { return r.id }
-
 // Render implements Result.
 func (r *CounterResult) Render(w io.Writer) error {
 	fmt.Fprintf(w, "%s\n\n", r.Title)
@@ -54,11 +50,11 @@ func (r *CounterResult) Render(w io.Writer) error {
 	return nil
 }
 
-// measurePerPersona runs op-measurement over all three personas using a
+// measureOp runs op-measurement over all three personas using a
 // prepared rig per persona.
-func measureOp(ctx context.Context, id, title, operation string, cfg Config, warmups int,
+func measureOp(ctx context.Context, title, operation string, cfg Config, warmups int,
 	prepare func(r *rig) (runOnce func())) (*CounterResult, error) {
-	res := &CounterResult{id: id, Title: title, Operation: operation}
+	res := &CounterResult{Title: title, Operation: operation}
 	byShort := map[string]core.CounterMeasurement{}
 	for _, p := range persona.All() {
 		if err := ctx.Err(); err != nil {
@@ -122,7 +118,7 @@ func quiesce(r *rig) {
 }
 
 func runFig9(ctx context.Context, cfg Config) (Result, error) {
-	return liftCounters(measureOp(ctx, "fig9",
+	return liftCounters(measureOp(ctx,
 		"Fig. 9 — Counter measurements for the Powerpoint page-down operation",
 		"page down to a page containing an OLE embedded graph (warm)",
 		cfg, 1,
@@ -140,7 +136,7 @@ func runFig9(ctx context.Context, cfg Config) (Result, error) {
 func runFig10(ctx context.Context, cfg Config) (Result, error) {
 	// Three warm-up sessions walk the server's per-session extra-page
 	// schedule so the buffer cache is genuinely hot (paper §5.3).
-	return liftCounters(measureOp(ctx, "fig10",
+	return liftCounters(measureOp(ctx,
 		"Fig. 10 — Counter measurements for the OLE edit start-up (hot buffer cache)",
 		"start OLE edit session, hot cache",
 		cfg, 3,

@@ -29,9 +29,6 @@ type S54Result struct {
 	TestBackgroundBursts int
 }
 
-// ExperimentID implements Result.
-func (r *S54Result) ExperimentID() string { return "s54" }
-
 // Render implements Result.
 func (r *S54Result) Render(w io.Writer) error {
 	fmt.Fprintf(w, "§5.4 — Word under Microsoft Test vs hand-generated input (NT 3.51)\n\n")

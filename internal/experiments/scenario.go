@@ -255,9 +255,6 @@ type ScenarioResult struct {
 	Row     ExtFaultsRow
 }
 
-// ExperimentID implements Result.
-func (r *ScenarioResult) ExperimentID() string { return r.DocID }
-
 // Cliff returns the run's cliff metrics: worst and mean event latency
 // in milliseconds, and their ratio (1 when the run had no events).
 func (r *ScenarioResult) Cliff() (maxMs, meanMs, ratio float64) {

@@ -317,11 +317,6 @@ func (t *Thread) pendingUserInput() bool {
 	return false
 }
 
-// Post appends a message to target's queue.
-func (tc *TC) Post(target *Thread, kind MsgKind, param int64) {
-	tc.call(request{kind: reqPost, target: target, msg: Msg{Kind: kind, Param: param}})
-}
-
 // Forward re-posts a received message to target preserving its original
 // Enqueued stamp, so latency measured from the hardware event survives
 // system-internal routing (the Windows 95 mouse path).

@@ -129,9 +129,9 @@ func TestTCPostAndHasMessage(t *testing.T) {
 	k.Spawn("tx", 2, 8, func(tc *TC) {
 		hadBefore = tc.HasMessage()
 		tc.Compute(burn("w", 2))
-		tc.Post(receiver, WMCommand, 77)
+		tc.Forward(receiver, Msg{Kind: WMCommand, Param: 77})
 		// Posting to self makes HasMessage true without consuming.
-		tc.Post(tc.Thread(), WMNull, 0)
+		tc.Forward(tc.Thread(), Msg{Kind: WMNull})
 		hadAfter = tc.HasMessage()
 	})
 	k.Run(simtime.Time(simtime.Second))

@@ -74,11 +74,3 @@ func (s *Source) Perm(n int) []int {
 	}
 	return p
 }
-
-// Fork derives an independent generator from s. Streams drawn from the
-// parent and the child are uncorrelated for practical purposes, letting
-// subsystems own private generators without perturbing each other's
-// sequences when one draws more values.
-func (s *Source) Fork() *Source {
-	return New(s.Uint64() ^ 0xa5a5a5a5deadbeef)
-}

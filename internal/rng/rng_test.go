@@ -147,20 +147,3 @@ func TestPermIsPermutation(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestForkIndependence(t *testing.T) {
-	parent := New(42)
-	child := parent.Fork()
-	// Child stream should not equal a shifted parent stream.
-	p2 := New(42)
-	p2.Uint64() // advance past the fork draw
-	same := 0
-	for i := 0; i < 100; i++ {
-		if child.Uint64() == p2.Uint64() {
-			same++
-		}
-	}
-	if same > 2 {
-		t.Fatalf("forked stream tracks parent: %d/100 identical", same)
-	}
-}

@@ -22,11 +22,9 @@ import (
 
 // fakeResult renders a fixed payload.
 type fakeResult struct {
-	id      string
 	payload string
 }
 
-func (r *fakeResult) ExperimentID() string { return r.id }
 func (r *fakeResult) Render(w io.Writer) error {
 	_, err := fmt.Fprintln(w, r.payload)
 	return err
@@ -43,7 +41,7 @@ func mkSpec(id string, d time.Duration) experiments.Spec {
 			case <-ctx.Done():
 				return nil, ctx.Err()
 			}
-			return &fakeResult{id: id, payload: "payload-" + id}, nil
+			return &fakeResult{payload: "payload-" + id}, nil
 		},
 	}
 }
@@ -147,7 +145,7 @@ func TestAppThreadPanicBecomesFailedRecord(t *testing.T) {
 					panic("app thread failure")
 				})
 				sys.K.Run(simtime.Time(simtime.Second))
-				return &fakeResult{id: "appboom", payload: "unreachable"}, nil
+				return &fakeResult{payload: "unreachable"}, nil
 			}},
 		mkSpec("ok2", time.Millisecond),
 	}
@@ -285,7 +283,7 @@ func TestRetrySucceedsAfterFailures(t *testing.T) {
 			if len(seeds) < 3 {
 				return nil, fmt.Errorf("transient failure %d", len(seeds))
 			}
-			return &fakeResult{id: "flaky", payload: "ok"}, nil
+			return &fakeResult{payload: "ok"}, nil
 		},
 	}
 	man, err := Run(context.Background(), []experiments.Spec{spec},
@@ -455,7 +453,7 @@ func TestDrainMidRunCompletesInFlight(t *testing.T) {
 		{ID: "slow", Title: "slow", Run: func(ctx context.Context, cfg experiments.Config) (experiments.Result, error) {
 			close(started)
 			<-drain // hold until the drain fires, then finish normally
-			return &fakeResult{id: "slow", payload: "done"}, nil
+			return &fakeResult{payload: "done"}, nil
 		}},
 		mkSpec("later", time.Millisecond),
 	}

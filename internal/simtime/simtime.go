@@ -29,9 +29,6 @@ func (t Time) Add(d Duration) Time { return t + Time(d) }
 // Sub returns the duration t-u.
 func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 
-// Before reports whether t precedes u.
-func (t Time) Before(u Time) bool { return t < u }
-
 // After reports whether t follows u.
 func (t Time) After(u Time) bool { return t > u }
 
@@ -43,9 +40,6 @@ func (t Time) Milliseconds() float64 { return float64(t) / float64(Millisecond) 
 
 // String formats the instant as a duration since boot, e.g. "1.204s".
 func (t Time) String() string { return time.Duration(t).String() }
-
-// Std converts a simulated duration to a time.Duration for formatting.
-func (d Duration) Std() time.Duration { return time.Duration(d) }
 
 // Seconds returns the duration as floating-point seconds.
 func (d Duration) Seconds() float64 { return float64(d) / float64(Second) }

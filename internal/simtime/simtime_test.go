@@ -11,9 +11,6 @@ func TestArithmetic(t *testing.T) {
 	if got := t1.Sub(t0); got != 10*Millisecond {
 		t.Fatalf("Sub = %v, want 10ms", got)
 	}
-	if !t0.Before(t1) || t1.Before(t0) {
-		t.Fatalf("Before ordering wrong")
-	}
 	if !t1.After(t0) {
 		t.Fatalf("After ordering wrong")
 	}
@@ -136,8 +133,5 @@ func TestStrings(t *testing.T) {
 	}
 	if got := Time(1500 * Millisecond).String(); got != "1.5s" {
 		t.Fatalf("Time.String = %q", got)
-	}
-	if (2 * Millisecond).Std().Milliseconds() != 2 {
-		t.Fatalf("Std conversion wrong")
 	}
 }

@@ -132,16 +132,6 @@ func (c Cause) String() string {
 	return "cause-unknown"
 }
 
-// CauseByName inverts String; ok reports whether name is known.
-func CauseByName(name string) (Cause, bool) {
-	for i, n := range causeNames {
-		if n == name {
-			return Cause(i), true
-		}
-	}
-	return 0, false
-}
-
 // Container reports whether the cause groups children rather than
 // carrying leaf cost; attribution sums skip containers.
 func (c Cause) Container() bool {

@@ -63,15 +63,6 @@ func (s Summary) RelStdDev() float64 {
 	return s.StdDev / math.Abs(s.Mean)
 }
 
-// SummarizeDurations converts durations to milliseconds and summarizes.
-func SummarizeDurations(ds []simtime.Duration) Summary {
-	xs := make([]float64, len(ds))
-	for i, d := range ds {
-		xs[i] = d.Milliseconds()
-	}
-	return Summarize(xs)
-}
-
 // Percentile returns the p-th percentile (0 ≤ p ≤ 100) of xs using
 // linear interpolation between closest ranks. It panics on empty input.
 func Percentile(xs []float64, p float64) float64 {
@@ -138,11 +129,6 @@ func (h *Histogram) Add(x float64) {
 
 // Total returns the number of samples recorded, including out-of-range ones.
 func (h *Histogram) Total() int { return h.total }
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	return h.Lo + (float64(i)+0.5)*h.Width
-}
 
 // MaxCount returns the largest bin count (useful for scaling plots).
 func (h *Histogram) MaxCount() int {

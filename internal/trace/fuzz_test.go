@@ -34,72 +34,6 @@ func FuzzParseIdleCSV(f *testing.F) {
 	})
 }
 
-// FuzzParseCounterCSV checks that arbitrary input never panics the
-// counter-snapshot parser and that anything it accepts survives a
-// write/parse round trip exactly: the first parse canonicalises the
-// input (sorted events, canonical integers), so write must reproduce it.
-func FuzzParseCounterCSV(f *testing.F) {
-	const hdr = "label,cycles,events\n"
-	f.Add(hdr + "getmsg-warm,4320,dtlb_miss=7;itlb_miss=3;l2_miss=12\n")
-	f.Add(hdr + "getmsg-cold,58000,dtlb_miss=64;itlb_miss=31;l2_miss=410\n")
-	f.Add(hdr + "empty,0,\n")
-	f.Add(hdr + "negative,-1,x=-5\n")
-	f.Add(hdr)
-	f.Add(hdr + "dup,1,a=1;a=2\n")
-	f.Add(hdr + "bad,1,a\n")
-	f.Add(hdr + "bad,notanumber,\n")
-	f.Add("bogus header\nx,1,\n")
-	f.Add("")
-	f.Fuzz(func(t *testing.T, in string) {
-		snaps, err := ParseCounterCSV(strings.NewReader(in))
-		if err != nil {
-			return
-		}
-		var sb strings.Builder
-		if err := WriteCounterCSV(&sb, snaps); err != nil {
-			t.Fatalf("re-encode failed: %v", err)
-		}
-		again, err := ParseCounterCSV(strings.NewReader(sb.String()))
-		if err != nil {
-			t.Fatalf("re-parse failed: %v", err)
-		}
-		if !reflect.DeepEqual(again, snaps) {
-			t.Fatalf("round trip changed data:\n%#v\n%#v", snaps, again)
-		}
-	})
-}
-
-// FuzzParseMsgCSV checks that arbitrary input never panics the message
-// parser and that anything it accepts survives a write/parse round trip.
-func FuzzParseMsgCSV(f *testing.F) {
-	const hdr = "api,call_ms,return_ms,received,kind,enqueued_ms,queue_len,thread\n"
-	f.Add(hdr + "GetMessage,1.000000,2.000000,true,3,0.500000,1,2\n")
-	f.Add(hdr + "PeekMessage,1.000000,1.000000,false,0,0.000000,0,1\n")
-	f.Add(hdr + "MsgAPI(7),0.000000,0.000000,true,-1,0.000000,0,0\n")
-	f.Add(hdr)
-	f.Add(hdr + "GetMessage,not,a,number,row,x,y,z\n")
-	f.Add(hdr + "GetMessage,1,2\n")
-	f.Add("bogus header\nGetMessage,1,2,true,0,1,0,0\n")
-	f.Add("")
-	f.Fuzz(func(t *testing.T, in string) {
-		recs, err := ParseMsgCSV(strings.NewReader(in))
-		if err != nil {
-			return
-		}
-		var sb strings.Builder
-		if err := WriteMsgCSV(&sb, recs); err != nil {
-			t.Fatalf("re-encode failed: %v", err)
-		}
-		again, err := ParseMsgCSV(strings.NewReader(sb.String()))
-		if err != nil {
-			t.Fatalf("re-parse failed: %v", err)
-		}
-		if len(again) != len(recs) {
-			t.Fatalf("round trip changed length: %d → %d", len(recs), len(again))
-		}
-	})
-}
-
 // FuzzParseAttribCSV checks that arbitrary input never panics the
 // attribution parser and that anything it accepts survives a write/parse
 // round trip: cause maps exactly (they are integers), record count

@@ -8,7 +8,6 @@ package trace
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -90,14 +89,6 @@ type MsgRecord struct {
 	QueueLen int
 	// Thread identifies the calling thread.
 	Thread int
-}
-
-// CounterSnapshot pairs a label with hardware-counter readings taken
-// around an operation (paper §2.2, Figs. 9-10).
-type CounterSnapshot struct {
-	Label  string
-	Cycles int64
-	Events map[string]int64
 }
 
 // Buffer accumulates idle samples up to a fixed capacity, modelling the
@@ -223,217 +214,6 @@ func ParseIdleCSV(r io.Reader) ([]IdleSample, error) {
 			Done:    simtime.Time(simtime.FromMillis(doneMs)),
 			Elapsed: simtime.FromMillis(elapsedMs),
 		})
-	}
-	return out, nil
-}
-
-// parseMsgAPI inverts MsgAPI.String: the two Win32 names plus the
-// MsgAPI(n) fallback for values outside the known set.
-func parseMsgAPI(s string) (MsgAPI, error) {
-	switch s {
-	case "GetMessage":
-		return GetMessage, nil
-	case "PeekMessage":
-		return PeekMessage, nil
-	}
-	var n uint8
-	if _, err := fmt.Sscanf(s, "MsgAPI(%d)", &n); err == nil && s == fmt.Sprintf("MsgAPI(%d)", n) {
-		return MsgAPI(n), nil
-	}
-	return 0, fmt.Errorf("trace: unknown message API %q", s)
-}
-
-// WriteMsgCSV writes message records as CSV with a header row.
-func WriteMsgCSV(w io.Writer, recs []MsgRecord) error {
-	if _, err := io.WriteString(w, "api,call_ms,return_ms,received,kind,enqueued_ms,queue_len,thread\n"); err != nil {
-		return err
-	}
-	buf := make([]byte, 0, 128)
-	for _, r := range recs {
-		buf = buf[:0]
-		switch r.API {
-		case GetMessage:
-			buf = append(buf, "GetMessage"...)
-		case PeekMessage:
-			buf = append(buf, "PeekMessage"...)
-		default:
-			buf = append(buf, "MsgAPI("...)
-			buf = strconv.AppendUint(buf, uint64(uint8(r.API)), 10)
-			buf = append(buf, ')')
-		}
-		buf = append(buf, ',')
-		buf = appendMs(buf, r.Call.Milliseconds())
-		buf = append(buf, ',')
-		buf = appendMs(buf, r.Return.Milliseconds())
-		buf = append(buf, ',')
-		buf = strconv.AppendBool(buf, r.Received)
-		buf = append(buf, ',')
-		buf = strconv.AppendInt(buf, int64(r.Kind), 10)
-		buf = append(buf, ',')
-		buf = appendMs(buf, r.Enqueued.Milliseconds())
-		buf = append(buf, ',')
-		buf = strconv.AppendInt(buf, int64(r.QueueLen), 10)
-		buf = append(buf, ',')
-		buf = strconv.AppendInt(buf, int64(r.Thread), 10)
-		buf = append(buf, '\n')
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// counterHeader is the header row of the counter-snapshot CSV format.
-const counterHeader = "label,cycles,events"
-
-// WriteCounterCSV writes snapshots as CSV with a header row:
-// label,cycles,events. The events column is a semicolon-joined list of
-// name=count pairs sorted by name, so the output is deterministic
-// regardless of map iteration order. Labels must not contain commas or
-// newlines, and event names must not contain ',', ';', '=' or newlines.
-func WriteCounterCSV(w io.Writer, snaps []CounterSnapshot) error {
-	if _, err := io.WriteString(w, counterHeader+"\n"); err != nil {
-		return err
-	}
-	buf := make([]byte, 0, 128)
-	var names []string
-	for _, s := range snaps {
-		if strings.ContainsAny(s.Label, ",\n") {
-			return fmt.Errorf("trace: counter label %q contains a reserved character", s.Label)
-		}
-		names = names[:0]
-		for name := range s.Events {
-			if strings.ContainsAny(name, ",;=\n") {
-				return fmt.Errorf("trace: counter event name %q contains a reserved character", name)
-			}
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		buf = buf[:0]
-		buf = append(buf, s.Label...)
-		buf = append(buf, ',')
-		buf = strconv.AppendInt(buf, s.Cycles, 10)
-		buf = append(buf, ',')
-		for i, name := range names {
-			if i > 0 {
-				buf = append(buf, ';')
-			}
-			buf = append(buf, name...)
-			buf = append(buf, '=')
-			buf = strconv.AppendInt(buf, s.Events[name], 10)
-		}
-		buf = append(buf, '\n')
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ParseCounterCSV parses the format written by WriteCounterCSV. A row
-// with an empty events column yields a nil Events map; duplicate event
-// names within a row are an error.
-func ParseCounterCSV(r io.Reader) ([]CounterSnapshot, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
-	if len(lines) == 0 || strings.TrimSpace(lines[0]) != counterHeader {
-		return nil, fmt.Errorf("trace: missing counter CSV header")
-	}
-	var out []CounterSnapshot
-	for i, line := range lines[1:] {
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
-		}
-		fields := strings.Split(line, ",")
-		if len(fields) != 3 {
-			return nil, fmt.Errorf("trace: line %d: want 3 fields, got %d", i+2, len(fields))
-		}
-		snap := CounterSnapshot{Label: fields[0]}
-		if snap.Cycles, err = strconv.ParseInt(fields[1], 10, 64); err != nil {
-			return nil, fmt.Errorf("trace: line %d: cycles: %w", i+2, err)
-		}
-		if fields[2] != "" {
-			snap.Events = make(map[string]int64)
-			for _, pair := range strings.Split(fields[2], ";") {
-				name, val, ok := strings.Cut(pair, "=")
-				if !ok || name == "" {
-					return nil, fmt.Errorf("trace: line %d: malformed event pair %q", i+2, pair)
-				}
-				if _, dup := snap.Events[name]; dup {
-					return nil, fmt.Errorf("trace: line %d: duplicate event %q", i+2, name)
-				}
-				n, err := strconv.ParseInt(val, 10, 64)
-				if err != nil {
-					return nil, fmt.Errorf("trace: line %d: event %q: %w", i+2, name, err)
-				}
-				snap.Events[name] = n
-			}
-		}
-		out = append(out, snap)
-	}
-	return out, nil
-}
-
-// ParseMsgCSV parses the format written by WriteMsgCSV.
-func ParseMsgCSV(r io.Reader) ([]MsgRecord, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
-	const header = "api,call_ms,return_ms,received,kind,enqueued_ms,queue_len,thread"
-	if len(lines) == 0 || strings.TrimSpace(lines[0]) != header {
-		return nil, fmt.Errorf("trace: missing message CSV header")
-	}
-	var out []MsgRecord
-	for i, line := range lines[1:] {
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
-		}
-		fields := strings.Split(line, ",")
-		if len(fields) != 8 {
-			return nil, fmt.Errorf("trace: line %d: want 8 fields, got %d", i+2, len(fields))
-		}
-		bad := func(col string, err error) error {
-			return fmt.Errorf("trace: line %d: %s: %w", i+2, col, err)
-		}
-		var rec MsgRecord
-		if rec.API, err = parseMsgAPI(fields[0]); err != nil {
-			return nil, bad("api", err)
-		}
-		callMs, err := strconv.ParseFloat(fields[1], 64)
-		if err != nil {
-			return nil, bad("call_ms", err)
-		}
-		returnMs, err := strconv.ParseFloat(fields[2], 64)
-		if err != nil {
-			return nil, bad("return_ms", err)
-		}
-		if rec.Received, err = strconv.ParseBool(fields[3]); err != nil {
-			return nil, bad("received", err)
-		}
-		if rec.Kind, err = strconv.Atoi(fields[4]); err != nil {
-			return nil, bad("kind", err)
-		}
-		enqMs, err := strconv.ParseFloat(fields[5], 64)
-		if err != nil {
-			return nil, bad("enqueued_ms", err)
-		}
-		if rec.QueueLen, err = strconv.Atoi(fields[6]); err != nil {
-			return nil, bad("queue_len", err)
-		}
-		if rec.Thread, err = strconv.Atoi(fields[7]); err != nil {
-			return nil, bad("thread", err)
-		}
-		rec.Call = simtime.Time(simtime.FromMillis(callMs))
-		rec.Return = simtime.Time(simtime.FromMillis(returnMs))
-		rec.Enqueued = simtime.Time(simtime.FromMillis(enqMs))
-		out = append(out, rec)
 	}
 	return out, nil
 }

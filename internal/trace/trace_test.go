@@ -170,137 +170,6 @@ func TestParseIdleCSVErrors(t *testing.T) {
 	}
 }
 
-func TestWriteMsgCSV(t *testing.T) {
-	var sb strings.Builder
-	err := WriteMsgCSV(&sb, []MsgRecord{{
-		API: GetMessage, Call: 0, Return: simtime.Time(simtime.Millisecond),
-		Received: true, Kind: 7, Enqueued: 0, QueueLen: 1, Thread: 3,
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := sb.String()
-	if !strings.HasPrefix(got, "api,call_ms") {
-		t.Fatalf("missing header: %q", got)
-	}
-	if !strings.Contains(got, "GetMessage,0.000000,1.000000,true,7,0.000000,1,3") {
-		t.Fatalf("row wrong: %q", got)
-	}
-}
-
-func TestMsgCSVRoundTrip(t *testing.T) {
-	in := []MsgRecord{
-		{API: GetMessage, Call: simtime.Time(simtime.Millisecond), Return: simtime.Time(3 * simtime.Millisecond),
-			Received: true, Kind: 7, Enqueued: simtime.Time(simtime.FromMillis(0.25)), QueueLen: 2, Thread: 1},
-		{API: PeekMessage, Call: simtime.Time(simtime.FromMillis(11.76)), Return: simtime.Time(simtime.FromMillis(11.76)),
-			Received: false, Kind: 0, Enqueued: 0, QueueLen: 0, Thread: 4},
-		{API: MsgAPI(9), Call: 0, Return: 0, Received: true, Kind: -3, Enqueued: 0, QueueLen: 0, Thread: 0},
-	}
-	var sb strings.Builder
-	if err := WriteMsgCSV(&sb, in); err != nil {
-		t.Fatal(err)
-	}
-	out, err := ParseMsgCSV(strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != len(in) {
-		t.Fatalf("round trip length %d, want %d", len(out), len(in))
-	}
-	for i := range in {
-		if out[i] != in[i] {
-			t.Fatalf("record %d: got %+v, want %+v", i, out[i], in[i])
-		}
-	}
-}
-
-func TestCounterCSVRoundTrip(t *testing.T) {
-	in := []CounterSnapshot{
-		{Label: "getmsg-warm", Cycles: 4320, Events: map[string]int64{
-			"itlb_miss": 3, "dtlb_miss": 7, "l2_miss": 12,
-		}},
-		{Label: "getmsg-cold", Cycles: 58000, Events: map[string]int64{
-			"itlb_miss": 31, "dtlb_miss": 64, "l2_miss": 410,
-		}},
-		{Label: "empty-events", Cycles: -1},
-	}
-	var sb strings.Builder
-	if err := WriteCounterCSV(&sb, in); err != nil {
-		t.Fatal(err)
-	}
-	out, err := ParseCounterCSV(strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != len(in) {
-		t.Fatalf("round trip length %d, want %d", len(out), len(in))
-	}
-	for i := range in {
-		if out[i].Label != in[i].Label || out[i].Cycles != in[i].Cycles {
-			t.Fatalf("snapshot %d: got %+v, want %+v", i, out[i], in[i])
-		}
-		if len(out[i].Events) != len(in[i].Events) {
-			t.Fatalf("snapshot %d events: got %v, want %v", i, out[i].Events, in[i].Events)
-		}
-		for k, v := range in[i].Events {
-			if out[i].Events[k] != v {
-				t.Fatalf("snapshot %d event %q: got %d, want %d", i, k, out[i].Events[k], v)
-			}
-		}
-	}
-}
-
-func TestWriteCounterCSVDeterministic(t *testing.T) {
-	// Map iteration order varies run to run; the writer must not.
-	snap := []CounterSnapshot{{Label: "x", Cycles: 1, Events: map[string]int64{
-		"c": 3, "a": 1, "b": 2,
-	}}}
-	var first string
-	for i := 0; i < 10; i++ {
-		var sb strings.Builder
-		if err := WriteCounterCSV(&sb, snap); err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 {
-			first = sb.String()
-			if !strings.Contains(first, "x,1,a=1;b=2;c=3") {
-				t.Fatalf("events not sorted by name: %q", first)
-			}
-		} else if sb.String() != first {
-			t.Fatalf("write %d differs from first:\n%q\n%q", i, sb.String(), first)
-		}
-	}
-}
-
-func TestWriteCounterCSVReservedChars(t *testing.T) {
-	var sb strings.Builder
-	if err := WriteCounterCSV(&sb, []CounterSnapshot{{Label: "a,b"}}); err == nil {
-		t.Fatalf("comma in label should error")
-	}
-	if err := WriteCounterCSV(&sb, []CounterSnapshot{{
-		Label: "ok", Events: map[string]int64{"a=b": 1},
-	}}); err == nil {
-		t.Fatalf("'=' in event name should error")
-	}
-}
-
-func TestParseCounterCSVErrors(t *testing.T) {
-	cases := []string{
-		"bogus\nx,1,\n",
-		"label,cycles,events\nx,notanumber,\n",
-		"label,cycles,events\nx,1\n",
-		"label,cycles,events\nx,1,a=1;a=2\n",
-		"label,cycles,events\nx,1,=5\n",
-		"label,cycles,events\nx,1,a\n",
-		"label,cycles,events\nx,1,a=nope\n",
-	}
-	for i, c := range cases {
-		if _, err := ParseCounterCSV(strings.NewReader(c)); err == nil {
-			t.Fatalf("case %d should error:\n%s", i, c)
-		}
-	}
-}
-
 // discard is a Writer that counts nothing and allocates nothing, so the
 // CSV-writer allocation budgets measure the encoder alone.
 type discard struct{}
@@ -334,35 +203,6 @@ func TestWriteIdleCSVRowAllocFree(t *testing.T) {
 		}
 	}); avg > 2 {
 		t.Fatalf("WriteIdleCSV allocates %.1f per 1000 rows, want ≤2", avg)
-	}
-}
-
-func TestWriteMsgCSVRowAllocFree(t *testing.T) {
-	recs := make([]MsgRecord, 1000)
-	for i := range recs {
-		recs[i] = MsgRecord{API: GetMessage, Received: true, Kind: 3, QueueLen: 1, Thread: 2}
-	}
-	if avg := testing.AllocsPerRun(10, func() {
-		if err := WriteMsgCSV(discard{}, recs); err != nil {
-			t.Fatal(err)
-		}
-	}); avg > 2 {
-		t.Fatalf("WriteMsgCSV allocates %.1f per 1000 rows, want ≤2", avg)
-	}
-}
-
-func TestParseMsgCSVErrors(t *testing.T) {
-	cases := []string{
-		"bogus\nGetMessage,1,2,true,0,1,0,0\n",
-		"api,call_ms,return_ms,received,kind,enqueued_ms,queue_len,thread\nGetMessage,1,2\n",
-		"api,call_ms,return_ms,received,kind,enqueued_ms,queue_len,thread\nNoSuchAPI,1,2,true,0,1,0,0\n",
-		"api,call_ms,return_ms,received,kind,enqueued_ms,queue_len,thread\nGetMessage,x,2,true,0,1,0,0\n",
-		"api,call_ms,return_ms,received,kind,enqueued_ms,queue_len,thread\nGetMessage,1,2,maybe,0,1,0,0\n",
-	}
-	for i, c := range cases {
-		if _, err := ParseMsgCSV(strings.NewReader(c)); err == nil {
-			t.Fatalf("case %d should error:\n%s", i, c)
-		}
 	}
 }
 

@@ -69,9 +69,6 @@ func TestRenderersPropagateWriteErrors(t *testing.T) {
 		"events-csv": func(w *failWriter) error {
 			return EventsCSV(w, events)
 		},
-		"profile-csv": func(w *failWriter) error {
-			return ProfileCSV(w, profile)
-		},
 	}
 	for name, render := range renderers {
 		// Unbounded writer: must succeed.

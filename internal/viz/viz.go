@@ -365,19 +365,6 @@ func EventsCSV(w io.Writer, events []core.Event) error {
 	return nil
 }
 
-// ProfileCSV writes a utilization profile as CSV.
-func ProfileCSV(w io.Writer, pts []core.ProfilePoint) error {
-	if _, err := io.WriteString(w, "t_ms,util\n"); err != nil {
-		return err
-	}
-	for _, p := range pts {
-		if _, err := fmt.Fprintf(w, "%.6f,%.6f\n", p.T.Milliseconds(), p.Util); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // SortedByLatency returns events sorted descending by latency (for
 // long-event tables like Table 1).
 func SortedByLatency(events []core.Event) []core.Event {

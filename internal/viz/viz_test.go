@@ -150,13 +150,6 @@ func TestCSVWriters(t *testing.T) {
 	if !strings.HasPrefix(sb.String(), "enqueued_ms,") || !strings.Contains(sb.String(), "2.000000") {
 		t.Fatalf("events csv wrong: %s", sb.String())
 	}
-	sb.Reset()
-	if err := ProfileCSV(&sb, []core.ProfilePoint{{T: at(1), Util: 0.5}}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "0.500000") {
-		t.Fatalf("profile csv wrong: %s", sb.String())
-	}
 }
 
 func TestSortedByLatency(t *testing.T) {
