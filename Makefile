@@ -128,7 +128,10 @@ cover:
 # preemption and disk faults), and the differential idle-elision check
 # (random sleep/compute workers on a persona's kernel, traced so every
 # idle cycle and tick is simulated vs untraced so they are elided and
-# crossed, compared at random Run boundaries).
+# crossed, compared at random Run boundaries), and the differential
+# span-fold check (the idle loop's online fold, which takes elided runs
+# of clean, elongated or threshold-straddling cycles in closed form, vs
+# BusySpans over the same stream expanded cycle by cycle).
 # `go test` only accepts one -fuzz pattern at a time, so each fuzzer
 # gets its own run. -fuzzminimizetime 0 keeps the budget for fuzzing:
 # minimising a newly interesting input can otherwise take the rest of
@@ -146,6 +149,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLRUEquivalence$$' -fuzztime $(FUZZ_TIME) -fuzzminimizetime 0 ./internal/mem
 	$(GO) test -run '^$$' -fuzz '^FuzzLoopEquivalence$$' -fuzztime $(FUZZ_TIME) -fuzzminimizetime 0 ./internal/kernel
 	$(GO) test -run '^$$' -fuzz '^FuzzElisionEquivalence$$' -fuzztime $(FUZZ_TIME) -fuzzminimizetime 0 ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzSpanFold$$' -fuzztime $(FUZZ_TIME) -fuzzminimizetime 0 ./internal/core
 
 # The end-to-end determinism and crash-safety gate for the committed
 # demo campaign (10080 quick sessions), proving each property once:

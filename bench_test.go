@@ -183,7 +183,7 @@ func keystrokeLatency(b *testing.B, p persona.P) float64 {
 	sys := system.New(system.Config{Persona: p})
 	defer sys.Shutdown()
 	probe := core.AttachProbe(sys.K)
-	idle := core.StartIdleLoop(sys.K, 60_000)
+	idle := core.StartIdleLoop(sys.K)
 	app := sys.SpawnApp("bench", func(tc *kernel.TC) {
 		for {
 			m := tc.GetMessage()
@@ -200,7 +200,7 @@ func keystrokeLatency(b *testing.B, p persona.P) float64 {
 		sys.K.At(at, func(simtime.Time) { sys.Inject(kernel.WMKeyDown, 'a', false) })
 	}
 	sys.K.Run(simtime.Time(6 * simtime.Second))
-	events := core.Extract(idle.Samples(), probe.Msgs, core.ExtractOptions{Thread: app.ID()})
+	events := idle.Extract(probe.Msgs, core.ExtractOptions{Thread: app.ID()})
 	var sum float64
 	for _, e := range events[1:] { // drop the cold trial
 		sum += e.Latency.Milliseconds()
@@ -251,7 +251,7 @@ func BenchmarkAblationQueueSync(b *testing.B) {
 		sys := system.New(system.Config{Persona: persona.W95()})
 		defer sys.Shutdown()
 		probe := core.AttachProbe(sys.K)
-		idle := core.StartIdleLoop(sys.K, 100_000)
+		idle := core.StartIdleLoop(sys.K)
 		n := apps.NewNotepad(sys, 250_000)
 		script := &input.Script{
 			Events:    input.TypeText(simtime.Time(300*simtime.Millisecond), input.SampleText(60), 120*simtime.Millisecond),
@@ -259,7 +259,7 @@ func BenchmarkAblationQueueSync(b *testing.B) {
 		}
 		script.Install(sys)
 		sys.K.Run(script.End().Add(simtime.Second))
-		events := core.Extract(idle.Samples(), probe.Msgs, core.ExtractOptions{Thread: n.Thread().ID()})
+		events := idle.Extract(probe.Msgs, core.ExtractOptions{Thread: n.Thread().ID()})
 		var total simtime.Duration
 		for _, e := range events {
 			total += e.Latency
@@ -315,7 +315,7 @@ func BenchmarkAblationBufferCache(b *testing.B) {
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sys := system.New(system.Config{Persona: persona.NT40()})
-		core.StartIdleLoop(sys.K, 1_100_000)
+		core.StartIdleLoop(sys.K)
 		sys.K.Run(simtime.Time(10 * simtime.Second))
 		sys.Shutdown()
 	}
@@ -399,33 +399,28 @@ func (s *idleBenchSession) OnTarget() { s.done = true }
 // BenchmarkBatchThroughput reports multi-machine simulator speed: per
 // op, eight idle NT 4.0 machines each simulated for 30 seconds (a
 // campaign-session-sized horizon, so per-machine boot cost amortises as
-// it does in a sweep) stepped as one system.Batch, instrument buffers
-// recording into batch arenas allocated before the timer starts and
-// reused across ops, so B/op does not depend on b.N. machine-sim-s/s
+// it does in a sweep) stepped as one system.Batch. The instruments
+// store no samples, so B/op does not depend on b.N. machine-sim-s/s
 // is the headline machines/sec throughput. x-vs-single is the in-process
-// speedup over untimed runs of one machine stepped alone, with the same
-// reused arena, on this host at the same moment: it isolates what
-// batching adds and survives a change of host.
+// speedup over untimed runs of one machine stepped alone, on this host
+// at the same moment: it isolates what batching adds and survives a
+// change of host.
 func BenchmarkBatchThroughput(b *testing.B) {
 	const (
 		lanes   = 8
-		bufCap  = 1_100_000
 		horizon = simtime.Time(30 * simtime.Second)
 	)
 	batch := system.NewBatch(lanes)
-	for slot := 0; slot < lanes; slot++ {
-		*batch.Arena(slot) = make([]trace.IdleSample, 0, bufCap)
-	}
 	sessions := make([]*idleBenchSession, lanes)
-	boot := func(slot int) *system.System {
+	boot := func() *system.System {
 		sys := system.New(system.Config{Persona: persona.NT40()})
-		core.StartIdleLoopBuffer(sys.K, trace.NewBufferBacked(*batch.Arena(slot), bufCap))
+		core.StartIdleLoop(sys.K)
 		return sys
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for slot := 0; slot < lanes; slot++ {
-			sessions[slot] = &idleBenchSession{sys: boot(slot), horizon: horizon}
+			sessions[slot] = &idleBenchSession{sys: boot(), horizon: horizon}
 			batch.Open(slot, sessions[slot])
 		}
 		batch.Run()
@@ -441,7 +436,7 @@ func BenchmarkBatchThroughput(b *testing.B) {
 	single := 0.0
 	for i := 0; i < 3; i++ {
 		start := time.Now()
-		sys := boot(0)
+		sys := boot()
 		sys.K.Run(horizon)
 		sys.Shutdown()
 		if w := time.Since(start).Seconds(); single == 0 || w < single {
@@ -455,14 +450,11 @@ func BenchmarkBatchThroughput(b *testing.B) {
 // BenchmarkBoot reports what starting and releasing one campaign session
 // costs: experiments.OpenScenarioSession (machine, application, typing
 // script) then Close, on the demo-type scenario, opened as
-// campaign.RunCells opens its sessions: on one system.Batch slot's
-// idle-sample arena. The arena grows only as a
-// session records, so it stays empty here; BenchmarkRunCells gates its
-// growth and reuse. The simulator benchmarks above boot only as a side
-// effect of long runs, so boot cost sits inside their noise; here it is
-// the whole op, and allocs/op is the tripwire. p100-quick is the
-// campaign demo's session, m2026 the 2026 machine in full mode, whose
-// L2 alone models 131,072 lines.
+// campaign.RunCells opens its sessions. The simulator benchmarks above
+// boot only as a side effect of long runs, so boot cost sits inside
+// their noise; here it is the whole op, and allocs/op is the tripwire.
+// p100-quick is the campaign demo's session, m2026 the 2026 machine in
+// full mode, whose L2 alone models 131,072 lines.
 func BenchmarkBoot(b *testing.B) {
 	doc, err := scenario.ParseFile("testdata/campaigns/demo-type.json")
 	if err != nil {
@@ -477,7 +469,7 @@ func BenchmarkBoot(b *testing.B) {
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			doc.Machine = c.machine
-			cfg := experiments.Config{Seed: 1, Quick: c.quick, IdleArena: system.NewBatch(1).Arena(0)}
+			cfg := experiments.Config{Seed: 1, Quick: c.quick}
 			open := func() {
 				s, err := experiments.OpenScenarioSession(cfg, doc)
 				if err != nil {
@@ -498,12 +490,10 @@ func BenchmarkBoot(b *testing.B) {
 // first four cells of the engine tests' mini campaign
 // (internal/campaign/testdata/mini.json; 4 cells × 6 quick typing
 // sessions on nt40 @ p100) through campaign.RunCells at one worker,
-// records discarded. Each batch slot's idle-sample arena grows to what
-// its sessions record, under a thousand samples here, where the
-// instrument's bound is 274,000 (4.4 MB); a worker that pre-committed
-// arenas at the bound again, or took a new batch per cell, would add
-// megabytes per op for a handful of allocations, so B/op is the
-// tripwire.
+// records discarded. Sessions store no idle samples, only the busy
+// spans their instrument folds; one that stored its samples again, or
+// pre-sized a buffer for them, would add hundreds of kilobytes per op
+// for a handful of allocations, so B/op is the tripwire.
 func BenchmarkRunCells(b *testing.B) {
 	c, err := campaign.LoadSpec("internal/campaign/testdata/mini.json")
 	if err != nil {
@@ -529,7 +519,8 @@ func notepadTrace() ([]trace.IdleSample, []trace.MsgRecord, int) {
 	sys := system.New(system.Config{Persona: persona.NT40()})
 	defer sys.Shutdown()
 	probe := core.AttachProbe(sys.K)
-	idle := core.StartIdleLoop(sys.K, 400_000)
+	idle := core.StartIdleLoop(sys.K)
+	idle.Record()
 	n := apps.NewNotepad(sys, 250_000)
 	script := &input.Script{
 		Events:    input.TypeText(simtime.Time(300*simtime.Millisecond), input.SampleText(500), 120*simtime.Millisecond),

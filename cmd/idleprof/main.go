@@ -67,7 +67,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	sys := system.New(system.Config{Persona: p, Machine: prof})
 	defer sys.Shutdown()
-	il := core.StartIdleLoop(sys.K, int(*seconds*1100)+1000)
+	il := core.StartIdleLoop(sys.K)
+	il.Record() // the profile plots every sample
 
 	if *burstMs > 0 {
 		// Burst length is wall time, so the cycle count scales with the

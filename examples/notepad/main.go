@@ -25,7 +25,8 @@ func main() {
 	for _, p := range persona.All() {
 		sys := system.New(system.Config{Persona: p})
 		probe := core.AttachProbe(sys.K)
-		idle := core.StartIdleLoop(sys.K, 200_000)
+		idle := core.StartIdleLoop(sys.K)
+		idle.Record() // core.Extract below reads the raw samples
 		notepad := apps.NewNotepad(sys, 250_000)
 
 		// Type at ~100 wpm with a page-down at the end; Test-style input

@@ -34,7 +34,8 @@ func main() {
 	sys := system.New(system.Config{Persona: p})
 	defer sys.Shutdown()
 	probe := core.AttachProbe(sys.K)
-	idle := core.StartIdleLoop(sys.K, 300_000)
+	idle := core.StartIdleLoop(sys.K)
+	idle.Record() // core.Extract below reads the raw samples
 	ppt := apps.NewPowerpoint(sys, apps.DefaultPowerpointParams())
 
 	// Completion-paced task: each input goes in 300 ms after the app

@@ -30,7 +30,8 @@ func main() {
 
 	// 2. Install the measurement methodology: probe + idle loop.
 	probe := core.AttachProbe(sys.K)
-	idle := core.StartIdleLoop(sys.K, 50_000)
+	idle := core.StartIdleLoop(sys.K)
+	idle.Record() // keep the raw samples for core.Extract in step 5
 
 	// 3. A minimal interactive application: 3 ms of work per keystroke,
 	//    then echo the character through the window system.

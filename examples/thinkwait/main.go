@@ -30,7 +30,7 @@ func main() {
 	for _, p := range persona.All() {
 		sys := system.New(system.Config{Persona: p})
 		probe := core.AttachProbe(sys.K)
-		core.StartIdleLoop(sys.K, 200_000)
+		core.StartIdleLoop(sys.K)
 
 		doc := sys.K.Cache().AddFile("doc", 350_000, 200)
 		work := cpu.Segment{Name: "edit", BaseCycles: 250_000,

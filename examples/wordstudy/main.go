@@ -24,7 +24,8 @@ func run(testDriven bool) (typicalMs float64, crMaxMs float64, bgBursts int) {
 	sys := system.New(system.Config{Persona: persona.NT351()})
 	defer sys.Shutdown()
 	probe := core.AttachProbe(sys.K)
-	idle := core.StartIdleLoop(sys.K, 400_000)
+	idle := core.StartIdleLoop(sys.K)
+	idle.Record() // core.Extract below reads the raw samples
 	word := apps.NewWord(sys, apps.DefaultWordParams())
 
 	text := input.SampleText(180) + "\n" + input.SampleText(120) + "\n" + input.SampleText(60)

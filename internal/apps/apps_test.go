@@ -18,15 +18,15 @@ type rig struct {
 	il  *core.IdleLoop
 }
 
-func newRig(p persona.P, bufCap int) *rig {
+func newRig(p persona.P) *rig {
 	sys := system.New(system.Config{Persona: p})
 	pr := core.AttachProbe(sys.K)
-	il := core.StartIdleLoop(sys.K, bufCap)
+	il := core.StartIdleLoop(sys.K)
 	return &rig{sys: sys, pr: pr, il: il}
 }
 
 func (r *rig) extract(thread *kernel.Thread, strip bool) []core.Event {
-	return core.Extract(r.il.Samples(), r.pr.Msgs, core.ExtractOptions{
+	return r.il.Extract(r.pr.Msgs, core.ExtractOptions{
 		Thread:         thread.ID(),
 		StripQueueSync: strip,
 	})
@@ -38,7 +38,7 @@ func TestEchoConventionalVsIdleLoop(t *testing.T) {
 	// Fig. 1: the conventional (in-application) measurement misses the
 	// interrupt handling and rescheduling time; the idle-loop latency is
 	// larger by that system time.
-	r := newRig(persona.NT40(), 400_000)
+	r := newRig(persona.NT40())
 	defer r.sys.Shutdown()
 	e := NewEcho(r.sys, 900_000) // ≈9 ms of application work
 	script := &input.Script{Events: input.TypeText(secs(0.2), "abcde", 200*simtime.Millisecond)}
@@ -63,7 +63,7 @@ func TestEchoConventionalVsIdleLoop(t *testing.T) {
 
 func TestNotepadLatencyClasses(t *testing.T) {
 	// §5.1: echo keystrokes < 10 ms; newline/page-down ≥ 28 ms.
-	r := newRig(persona.NT40(), 1_000_000)
+	r := newRig(persona.NT40())
 	defer r.sys.Shutdown()
 	n := NewNotepad(r.sys, 250_000)
 	text := input.SampleText(60) + "\n" + input.SampleText(40)
@@ -106,7 +106,7 @@ func TestNotepadW95SmallestCumulativeLatencyLargestElapsed(t *testing.T) {
 	}
 	results := map[string]res{}
 	for _, p := range persona.All() {
-		r := newRig(p, 1_000_000)
+		r := newRig(p)
 		n := NewNotepad(r.sys, 250_000)
 		script := &input.Script{
 			Events:    input.TypeText(secs(0.5), input.SampleText(120), 120*simtime.Millisecond),
@@ -143,7 +143,7 @@ func TestWordHandVsTest(t *testing.T) {
 	text := input.SampleText(180) + "\n" + input.SampleText(60)
 
 	// Test-driven: fixed pacing + WM_QUEUESYNC.
-	rTest := newRig(persona.NT351(), 2_000_000)
+	rTest := newRig(persona.NT351())
 	wTest := NewWord(rTest.sys, DefaultWordParams())
 	st := &input.Script{Events: input.TypeText(secs(0.5), text, 150*simtime.Millisecond), QueueSync: true}
 	st.Install(rTest.sys)
@@ -152,7 +152,7 @@ func TestWordHandVsTest(t *testing.T) {
 	rTest.sys.Shutdown()
 
 	// Hand-driven: typist pacing, no QUEUESYNC.
-	rHand := newRig(persona.NT351(), 4_000_000)
+	rHand := newRig(persona.NT351())
 	wHand := NewWord(rHand.sys, DefaultWordParams())
 	sh := &input.Script{Events: input.NewTypist(11, 100).Type(secs(0.5), text)}
 	sh.Install(rHand.sys)
@@ -210,7 +210,7 @@ func TestWordW95NeverIdle(t *testing.T) {
 	// §5.1/§5.4: under Windows 95 the system stays busy after each Word
 	// event, making latencies appear seconds long — the paper could not
 	// report W95 Word results.
-	r := newRig(persona.W95(), 6_000_000)
+	r := newRig(persona.W95())
 	defer r.sys.Shutdown()
 	w := NewWord(r.sys, DefaultWordParams())
 	script := &input.Script{Events: input.TypeText(secs(0.5), "abcdef", 150*simtime.Millisecond)}
@@ -236,7 +236,7 @@ func TestWordW95NeverIdle(t *testing.T) {
 
 func TestPowerpointTaskLongEvents(t *testing.T) {
 	// The Table 1 events in task context: launch, open, OLE edits, save.
-	r := newRig(persona.NT40(), 60_000_000)
+	r := newRig(persona.NT40())
 	defer r.sys.Shutdown()
 	ppt := NewPowerpoint(r.sys, DefaultPowerpointParams())
 

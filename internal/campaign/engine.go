@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"latlab/internal/core"
@@ -296,9 +295,9 @@ func Run(ctx context.Context, c *Campaign, opt Options, emit func(Record) error)
 // cell folds its sessions sequentially in seed order into a fresh
 // sketch, and emit receives one Record per completed cell in cell
 // order (the runner's reorder buffer restores it whatever the worker
-// count). A cell reuses a system.Batch, with its idle-sample arenas,
-// that an earlier cell of the same call completed with, so the call
-// allocates about one batch per worker (see batchPool).
+// count). Sessions store no idle samples (their instrument folds each
+// into busy spans as it records it), so a cell keeps nothing per
+// session beyond its events and shares nothing with other cells.
 //
 // A cell whose sessions error, panic, or time out is quarantined — the
 // run continues — and lands in Summary.Quarantined (and
@@ -309,16 +308,10 @@ func Run(ctx context.Context, c *Campaign, opt Options, emit func(Record) error)
 // byte-identical uninterrupted ledger. If emit or OnQuarantine returns
 // an error the run stops and that error is returned.
 func RunCells(ctx context.Context, c *Campaign, cells []Cell, opt Options, emit func(Record) error) (Summary, error) {
-	return runCells(ctx, c, cells, opt, newBatchPool(opt), emit)
-}
-
-// runCells is RunCells with the run's batch free list supplied, so
-// tests can inspect which batches the cells used.
-func runCells(ctx context.Context, c *Campaign, cells []Cell, opt Options, pool *batchPool, emit func(Record) error) (Summary, error) {
 	alpha := opt.SketchAlpha()
 	specs := make([]experiments.Spec, len(cells))
 	for i, cell := range cells {
-		specs[i] = cellSpec(c.Spec.ID, cell, alpha, opt, pool)
+		specs[i] = cellSpec(c.Spec.ID, cell, alpha, opt)
 	}
 	sum := Summary{Planned: len(cells)}
 	next := 0
@@ -410,7 +403,7 @@ func cellQuarantine(campaignID string, cell Cell, quick bool, attempts int, errM
 // and a cellResult carrying either the record or the quarantine entry
 // — it only returns an error for cancellation, so a failing cell never
 // aborts the suite.
-func cellSpec(campaignID string, cell Cell, alpha float64, opt Options, pool *batchPool) experiments.Spec {
+func cellSpec(campaignID string, cell Cell, alpha float64, opt Options) experiments.Spec {
 	return experiments.Spec{
 		ID:    cell.ID(),
 		Title: fmt.Sprintf("campaign %s cell %s", campaignID, cell.ID()),
@@ -430,7 +423,7 @@ func cellSpec(campaignID string, cell Cell, alpha float64, opt Options, pool *ba
 					err = opt.Inject(ctx, cell, attempt)
 				}
 				if err == nil {
-					rec, err = runCell(ctx, campaignID, cell, alpha, opt, pool)
+					rec, err = runCell(ctx, campaignID, cell, alpha, opt)
 				}
 				if err == nil {
 					return &cellResult{id: cell.ID(), rec: rec}, nil
@@ -468,7 +461,7 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // system.Batch in waves of the batch width — opened, stepped, and folded
 // in seed order, so the record (and the ledger) is the same for every
 // width.
-func runCell(ctx context.Context, campaignID string, cell Cell, alpha float64, opt Options, pool *batchPool) (Record, error) {
+func runCell(ctx context.Context, campaignID string, cell Cell, alpha float64, opt Options) (Record, error) {
 	sk := stats.NewSketch(alpha)
 	sessions := 0
 	// The perception fold walks the same events in the same order as the
@@ -511,7 +504,7 @@ func runCell(ctx context.Context, campaignID string, cell Cell, alpha float64, o
 		}
 		sessions++
 	}
-	if err := runCellBatched(ctx, cell, opt, pool, fold); err != nil {
+	if err := runCellBatched(ctx, cell, opt, fold); err != nil {
 		return Record{}, err
 	}
 	return Record{
@@ -537,24 +530,23 @@ func runCell(ctx context.Context, campaignID string, cell Cell, alpha float64, o
 	}, nil
 }
 
-// runCellBatched steps the cell's sessions in waves of the pool's
-// batch width on one batch taken from pool: each wave opens its
-// sessions in seed order (recording into the batch's per-slot sample
-// arenas, kept from earlier cells), interleaves their stepping
-// earliest-target-first, closes every session of the wave, then
-// extracts and folds in seed order. The ledger reads only the
-// sessions' events, so each is read with Events, which skips the rest
-// of the analysis row. The same deferred close releases
-// the wave's already-open sessions if a sibling's open fails. Only a
-// cell whose every wave completes hands the batch back, reset; an
-// error, cancellation or panic leaves slots open, so the batch is
-// dropped with the cell.
-func runCellBatched(ctx context.Context, cell Cell, opt Options, pool *batchPool, fold func([]core.Event)) error {
+// runCellBatched steps the cell's sessions in waves of opt's batch
+// width on a batch of its own: each wave opens its sessions in seed
+// order, interleaves their stepping earliest-target-first, closes every
+// session of the wave, then extracts and folds in seed order. The
+// ledger reads only the sessions' events, so each is read with Events,
+// which skips the rest of the analysis row. The same deferred close
+// releases the wave's already-open sessions if a sibling's open fails;
+// an error, cancellation or panic drops the batch with the cell.
+func runCellBatched(ctx context.Context, cell Cell, opt Options, fold func([]core.Event)) error {
 	if err := cell.Doc.Validate(); err != nil {
 		return err
 	}
-	b := pool.get()
-	width := b.Size()
+	width := opt.Batch
+	if width <= 0 {
+		width = DefaultBatch
+	}
+	b := system.NewBatch(width)
 	open := make([]*experiments.ScenarioSession, width)
 	for base := 0; base < cell.SeedCount; base += width {
 		n := width
@@ -574,9 +566,7 @@ func runCellBatched(ctx context.Context, cell Cell, opt Options, pool *batchPool
 					return err
 				}
 				seed := cell.SeedStart + uint64(base+i)
-				s, err := experiments.OpenScenarioSession(experiments.Config{
-					Seed: seed, Quick: opt.Quick, IdleArena: b.Arena(i),
-				}, cell.Doc)
+				s, err := experiments.OpenScenarioSession(experiments.Config{Seed: seed, Quick: opt.Quick}, cell.Doc)
 				if err != nil {
 					return fmt.Errorf("seed %d: %w", seed, err)
 				}
@@ -595,47 +585,5 @@ func runCellBatched(ctx context.Context, cell Cell, opt Options, pool *batchPool
 		}
 		b.Reset()
 	}
-	pool.put(b)
 	return nil
-}
-
-// batchPool is one RunCells call's free list of batches. A worker's
-// cell takes one when it starts and returns it when it completes, so
-// each worker's idle-sample arenas live for the whole run: each slot's
-// arena grows by append to the most samples any session in that slot
-// recorded and is then reused without allocating. Every byte of an
-// arena is resident once a session has recorded into it.
-type batchPool struct {
-	width int
-	mu    sync.Mutex
-	free  []*system.Batch
-}
-
-// newBatchPool returns an empty pool of opt's batch width.
-func newBatchPool(opt Options) *batchPool {
-	width := opt.Batch
-	if width <= 0 {
-		width = DefaultBatch
-	}
-	return &batchPool{width: width}
-}
-
-// get takes the most recently returned batch, or makes a new one.
-func (p *batchPool) get() *system.Batch {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := len(p.free)
-	if n == 0 {
-		return system.NewBatch(p.width)
-	}
-	b := p.free[n-1]
-	p.free = p.free[:n-1]
-	return b
-}
-
-// put returns a reset batch for the next cell.
-func (p *batchPool) put(b *system.Batch) {
-	p.mu.Lock()
-	p.free = append(p.free, b)
-	p.mu.Unlock()
 }

@@ -29,8 +29,6 @@ type elisionCase struct {
 	// boot builds the kernel: a bare one (kernelOn) or a booted
 	// persona's (systemOn).
 	boot func() *kernel.Kernel
-	// bufCap sizes the instrument's sample buffer.
-	bufCap int
 	// load spawns the scenario's threads and arms its faults, after the
 	// instrument has started; nil runs the instrument alone.
 	load func(k *kernel.Kernel)
@@ -77,7 +75,8 @@ func runElisionPair(t *testing.T, c elisionCase) (oracle, fast elisionRun) {
 			k.SetRecorder(spans.NewRecorder(k.Now))
 		}
 		r := elisionRun{k: k, rec: recordHooks(k)}
-		r.il = StartIdleLoop(k, c.bufCap)
+		r.il = StartIdleLoop(k)
+		r.il.Record()
 		if c.load != nil {
 			c.load(k)
 		}
@@ -132,16 +131,27 @@ func requireSameAtBoundary(t *testing.T, oracle, fast elisionRun) {
 
 // requireIdenticalMachines is the exactness proof for idle elision: the
 // traced oracle must have elided nothing, and the two machines must be
-// indistinguishable — identical idle-sample traces, hardware counters,
-// clock ticks, busy-time accounting, governor level, auxiliary-core
-// busy time, and one firing-order log of the busy, message-API, post
-// and synchronous-I/O hooks, which also pins how the hooks interleave.
+// indistinguishable — identical idle-sample traces, busy spans,
+// hardware counters, clock ticks, busy-time accounting, governor level,
+// auxiliary-core busy time, and one firing-order log of the busy,
+// message-API, post and synchronous-I/O hooks, which also pins how the
+// hooks interleave. The traced instrument folds every cycle one by one
+// and the untraced one folds elided runs in closed form
+// (spanFold.addCycles); both must fold what BusySpans makes of the
+// samples.
 func requireIdenticalMachines(t *testing.T, oracle, fast elisionRun) {
 	t.Helper()
 	if n, x := oracle.k.BulkElided(), oracle.k.TicksCrossed(); n != 0 || x != 0 {
 		t.Fatalf("traced kernel elided %d cycles and crossed %d ticks, want 0", n, x)
 	}
 	requireSameLog(t, "idle sample", oracle.il.Samples(), fast.il.Samples())
+	samples := oracle.il.Samples()
+	replay := BusySpans(samples, DefaultBusyThreshold)
+	requireSameLog(t, "traced busy span", replay, oracle.il.Spans())
+	requireSameLog(t, "untraced busy span", replay, fast.il.Spans())
+	if last := samples[len(samples)-1].Done; oracle.il.fold.last != last || fast.il.fold.last != last {
+		t.Fatalf("last sample done at %v, folded as %v traced, %v untraced", last, oracle.il.fold.last, fast.il.fold.last)
+	}
 	want, got := oracle.k.CPU().Snapshot(), fast.k.CPU().Snapshot()
 	for kind := range want {
 		if want[kind] != got[kind] {
@@ -225,7 +235,6 @@ func TestEngineEquivalence(t *testing.T) {
 	}
 	_, fast := runElisionPair(t, elisionCase{
 		boot:   kernelOn(kernel.DefaultConfig()),
-		bufCap: 4096,
 		bounds: wander(simtime.Time(2*simtime.Second), 3*simtime.Millisecond, 45*simtime.Millisecond),
 		load: func(k *kernel.Kernel) {
 			k.Spawn("worker", 1, 8, func(tc *kernel.TC) {
@@ -249,7 +258,6 @@ func TestEngineEquivalencePersonas(t *testing.T) {
 		t.Run(p.Short, func(t *testing.T) {
 			_, fast := runElisionPair(t, elisionCase{
 				boot:   systemOn(p, machine.Pentium100()),
-				bufCap: 4096,
 				load:   typist(6, 230*simtime.Millisecond),
 				bounds: wander(simtime.Time(2500*simtime.Millisecond), 20*simtime.Millisecond, 130*simtime.Millisecond),
 			})
@@ -271,7 +279,6 @@ func TestEngineEquivalenceModernMachine(t *testing.T) {
 	levels := map[int]bool{}
 	oracle, fast := runElisionPair(t, elisionCase{
 		boot:   kernelOn(cfg),
-		bufCap: 8192,
 		bounds: wander(simtime.Time(2*simtime.Second), 5*simtime.Millisecond, 60*simtime.Millisecond),
 		load: func(k *kernel.Kernel) {
 			sleep := true
@@ -310,8 +317,7 @@ func TestEngineEquivalenceTickJitter(t *testing.T) {
 	plan := faults.Plan{Seed: 7, Faults: []faults.Fault{{Kind: faults.TimerJitter,
 		Start: simtime.Time(100 * simtime.Millisecond), Duration: 1500 * simtime.Millisecond, Magnitude: 3}}}
 	_, fast := runElisionPair(t, elisionCase{
-		boot:   kernelOn(persona.NT40().Kernel),
-		bufCap: 4096,
+		boot: kernelOn(persona.NT40().Kernel),
 		load: func(k *kernel.Kernel) {
 			faults.NewClock(plan).Arm(faults.Target{K: k})
 			typist(5, 310*simtime.Millisecond)(k)
@@ -330,7 +336,6 @@ func TestEngineEquivalenceQuantumStraddle(t *testing.T) {
 	cfg.Quantum = 2500 * simtime.Microsecond
 	_, fast := runElisionPair(t, elisionCase{
 		boot:   kernelOn(cfg),
-		bufCap: 4096,
 		bounds: wander(simtime.Time(1500*simtime.Millisecond), 3*simtime.Millisecond, 40*simtime.Millisecond),
 		load: func(k *kernel.Kernel) {
 			k.Spawn("worker", 1, 8, func(tc *kernel.TC) {
@@ -359,7 +364,6 @@ func TestEngineEquivalenceHorizonInStretchedCycle(t *testing.T) {
 	}
 	oracle, fast := runElisionPair(t, elisionCase{
 		boot:   kernelOn(persona.NT40().Kernel),
-		bufCap: 4096,
 		bounds: bounds,
 	})
 	requireCrossed(t, fast)
@@ -394,7 +398,6 @@ func TestElisionRecencyAtEveryBoundary(t *testing.T) {
 			}
 			_, fast := runElisionPair(t, elisionCase{
 				boot:   kernelOn(p.Kernel),
-				bufCap: 8192,
 				bounds: bounds,
 			})
 			requireCrossed(t, fast)
@@ -449,7 +452,6 @@ func FuzzElisionEquivalence(f *testing.F) {
 		}
 		runElisionPair(t, elisionCase{
 			boot:   kernelOn(cfg),
-			bufCap: 4096,
 			bounds: bounds,
 			load: func(k *kernel.Kernel) {
 				for i, w := range workers {

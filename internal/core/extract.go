@@ -65,8 +65,18 @@ func Extract(samples []trace.IdleSample, msgs []trace.MsgRecord, opts ExtractOpt
 	if opts.BusyThreshold == 0 {
 		opts.BusyThreshold = DefaultBusyThreshold
 	}
-	if opts.End == 0 && len(samples) > 0 {
-		opts.End = samples[len(samples)-1].Done
+	f := spanFold{threshold: opts.BusyThreshold}
+	f.addAll(samples)
+	return extract(f.spans, f.last, msgs, opts)
+}
+
+// extract is Extract's analysis of folded samples: spans are their busy
+// spans at opts.BusyThreshold and last is the last one's Done, zero when
+// there were none. Extract replays a recorded trace into it, and the
+// running instrument hands it the spans it folded (IdleLoop.Extract).
+func extract(spans []BusySpan, last simtime.Time, msgs []trace.MsgRecord, opts ExtractOptions) []Event {
+	if opts.End == 0 {
+		opts.End = last
 	}
 
 	// Count-then-fill keeps the analysis path at a handful of exact
@@ -88,8 +98,6 @@ func Extract(samples []trace.IdleSample, msgs []trace.MsgRecord, opts ExtractOpt
 			}
 		}
 	}
-	spans := BusySpans(samples, opts.BusyThreshold)
-
 	// Anchor records: user-input dequeues.
 	nanchors := 0
 	for _, m := range recs {

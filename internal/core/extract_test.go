@@ -21,7 +21,7 @@ func newEchoRig(t *testing.T, workMs float64, queueSyncMs float64) *echoRig {
 	t.Helper()
 	k := kernel.New(quietConfig())
 	pr := AttachProbe(k)
-	il := StartIdleLoop(k, 20_000)
+	il := recordingLoop(k)
 	work := cpu.Segment{Name: "echo", BaseCycles: int64(workMs * 100_000)}
 	qs := cpu.Segment{Name: "qs", BaseCycles: int64(queueSyncMs * 100_000)}
 	app := k.Spawn("app", 1, 8, func(tc *kernel.TC) {
@@ -91,7 +91,7 @@ func TestExtractCapturesSystemTimeConventionalMisses(t *testing.T) {
 	k := kernel.New(cfg)
 	defer k.Shutdown()
 	pr := AttachProbe(k)
-	il := StartIdleLoop(k, 5000)
+	il := recordingLoop(k)
 	app := k.Spawn("app", 1, 8, func(tc *kernel.TC) {
 		for {
 			if tc.GetMessage().Kind == kernel.WMQuit {
@@ -205,7 +205,7 @@ func TestExtractGappedAnimationEvent(t *testing.T) {
 	k := kernel.New(quietConfig())
 	defer k.Shutdown()
 	pr := AttachProbe(k)
-	il := StartIdleLoop(k, 20_000)
+	il := recordingLoop(k)
 	app := k.Spawn("shell", 1, 8, func(tc *kernel.TC) {
 		for {
 			m := tc.GetMessage()

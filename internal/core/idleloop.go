@@ -35,9 +35,14 @@ func CalibrateN(freq simtime.Hz) int64 {
 // the calibrated busy-wait and logging one trace record per iteration.
 // Because it runs in the idle class, it consumes only CPU time no other
 // thread wants — it *is* the system's idle loop, replaced (§2.3).
+//
+// The paper post-processes a bounded trace buffer after the run. This
+// instrument folds each record into busy spans the moment it makes it
+// (at DefaultBusyThreshold) and keeps only the spans, so its state grows
+// with the work it sees, not with the run's length, and it has no
+// buffer to fill. Record turns on a tap that also keeps every sample,
+// for the readers that need them raw.
 type IdleLoop struct {
-	k      *kernel.Kernel
-	buf    *trace.Buffer
 	thread *kernel.Thread
 	n      int64
 	freq   simtime.Hz
@@ -51,23 +56,20 @@ type IdleLoop struct {
 	// loopSeg and recordSeg are what one sample executes: the calibrated
 	// busy-wait, then the record's generation.
 	loopSeg, recordSeg cpu.Segment
+	// fold holds the busy spans of every sample recorded so far.
+	fold spanFold
+	// recording says Record turned the tap on; tap then holds every
+	// sample, in order.
+	recording bool
+	tap       []trace.IdleSample
 }
 
-// StartIdleLoop calibrates and spawns the instrument with a trace buffer
-// of bufCap samples. The instrument stops when the buffer fills.
-func StartIdleLoop(k *kernel.Kernel, bufCap int) *IdleLoop {
-	return StartIdleLoopBuffer(k, trace.NewBuffer(bufCap))
-}
-
-// StartIdleLoopBuffer is StartIdleLoop recording into a caller-supplied
-// buffer — a campaign worker backs each session's buffer with its batch
-// slot's arena, reused across sessions (trace.NewBufferBacked).
-func StartIdleLoopBuffer(k *kernel.Kernel, buf *trace.Buffer) *IdleLoop {
+// StartIdleLoop calibrates and spawns the instrument.
+func StartIdleLoop(k *kernel.Kernel) *IdleLoop {
 	il := &IdleLoop{
-		k:    k,
-		buf:  buf,
 		n:    CalibrateN(k.CPU().Freq),
 		freq: k.CPU().Freq,
+		fold: spanFold{threshold: DefaultBusyThreshold},
 	}
 	il.loopSeg = cpu.Segment{
 		Name:         "idle-busywait",
@@ -89,20 +91,21 @@ func StartIdleLoopBuffer(k *kernel.Kernel, buf *trace.Buffer) *IdleLoop {
 	// The instrument is a kernel-resident loop thread: one invocation per
 	// sample, no coroutine resume. Each invocation first logs the
 	// iteration that just completed, then starts the next one — the same
-	// request stream (Compute2 per sample, then exit) and the same sample
-	// values as a thread body would issue, proven by the golden corpus.
+	// request stream (Compute2 per sample) and the same sample values as
+	// a thread body would issue, proven by the golden corpus.
 	il.thread = k.SpawnLoop("idleloop", kernel.KernelProc, kernel.IdlePriority, func(lc *kernel.LoopTC) bool {
 		if il.started {
 			end := lc.Cycles()
-			il.buf.Append(trace.IdleSample{
+			s := trace.IdleSample{
 				Done:    simtime.Time(il.freq.DurationOf(end)),
 				Elapsed: il.freq.DurationOf(end - il.start),
-			})
+			}
+			il.fold.add(s)
+			if il.recording {
+				il.tap = append(il.tap, s)
+			}
 		}
 		il.started = true
-		if il.buf.Full() {
-			return false
-		}
 		il.start = lc.Cycles()
 		// One batched request per sample: the busy-wait and the record
 		// generation cost exactly what two Compute calls would, but the
@@ -116,51 +119,52 @@ func StartIdleLoopBuffer(k *kernel.Kernel, buf *trace.Buffer) *IdleLoop {
 	return il
 }
 
-// BulkBudget bounds analytic elision to the buffer space left, minus one
-// so the straddling cycle's own sample still fits — the elided span must
-// end with the instrument in a state the slow path could also reach.
-func (il *IdleLoop) BulkBudget() int64 {
-	b := int64(il.buf.Cap()-il.buf.Len()) - 1
-	if b < 0 {
-		b = 0
+// Record turns on the sample tap: from now on Samples returns every
+// sample the instrument records. Call it before the run; it panics once
+// a sample has been folded, since the tap could no longer hold them all.
+func (il *IdleLoop) Record() {
+	if il.fold.last != 0 {
+		panic("core: IdleLoop.Record after the run started")
 	}
-	return b
+	il.recording = true
 }
 
-// OnBulk appends the samples that n elided clean cycles would have
-// recorded. Each cycle's Done/Elapsed reproduce the slow path's exact
-// arithmetic — cycle boundaries quantised through the cycle counter —
-// and il.start rolls forward to the straddling cycle's start, which the
-// loop function already stamped at the span's beginning.
+// OnBulk folds the samples that n elided cycles would have recorded,
+// in O(1) where the fold allows (spanFold.addCycles), and appends them
+// to the tap when it is on. Each cycle's Done/Elapsed reproduce the slow
+// path's exact arithmetic — cycle boundaries quantised through the cycle
+// counter — and il.start rolls forward to the straddling cycle's start,
+// which the loop function already stamped at the span's beginning.
 func (il *IdleLoop) OnBulk(n int64, start simtime.Time, cycle simtime.Duration) {
-	// end_i = (start + i*cycle) / period, carried incrementally as a
-	// quotient/remainder pair so the loop divides once at setup instead
-	// of once per sample. The arithmetic is exact — identical to the
-	// per-sample CycleAt the slow path computes.
-	period := int64(simtime.Second) / int64(il.freq)
-	first := int64(start) + int64(cycle)
-	end, rem := first/period, first%period
-	dq, dr := int64(cycle)/period, int64(cycle)%period
-	for i := int64(1); i <= n; i++ {
-		il.buf.Append(trace.IdleSample{
-			Done:    simtime.Time(end * period),
-			Elapsed: simtime.Duration((end - il.start) * period),
-		})
-		il.start = end
-		end += dq
-		if rem += dr; rem >= period {
-			end++
-			rem -= period
-		}
+	c := cycles{from: il.start, start: int64(start), cycle: int64(cycle),
+		period: int64(il.freq.DurationOf(1)), n: n}
+	if il.recording {
+		c.each(func(s trace.IdleSample) { il.tap = append(il.tap, s) })
 	}
+	il.fold.addCycles(c)
+	il.start = c.end(n)
 }
 
-// Samples returns the recorded idle samples.
-func (il *IdleLoop) Samples() []trace.IdleSample { return il.buf.Samples() }
+// Samples returns the samples the tap recorded: nil unless Record
+// turned it on. It stays readable after the machine shuts down.
+func (il *IdleLoop) Samples() []trace.IdleSample { return il.tap }
 
-// Full reports whether the trace buffer filled (the run should be sized
-// so it does not).
-func (il *IdleLoop) Full() bool { return il.buf.Full() }
+// Spans returns the busy spans of every sample recorded so far, at
+// DefaultBusyThreshold: BusySpans over the same samples. The last span
+// may still grow while the machine runs; it stays readable after the
+// machine shuts down.
+func (il *IdleLoop) Spans() []BusySpan { return il.fold.spans }
+
+// Extract is core.Extract over the instrument's own spans: the events
+// Extract(samples, msgs, opts) returns for the samples the instrument
+// recorded, without storing them. opts.BusyThreshold must be zero or
+// DefaultBusyThreshold, the one the instrument folds at.
+func (il *IdleLoop) Extract(msgs []trace.MsgRecord, opts ExtractOptions) []Event {
+	if opts.BusyThreshold != 0 && opts.BusyThreshold != il.fold.threshold {
+		panic("core: IdleLoop.Extract folds at DefaultBusyThreshold only")
+	}
+	return extract(il.fold.spans, il.fold.last, msgs, opts)
+}
 
 // Thread returns the instrument's thread.
 func (il *IdleLoop) Thread() *kernel.Thread { return il.thread }
@@ -177,28 +181,124 @@ func (il *IdleLoop) N() int64 { return il.n }
 // in the paper; Stolen is exact, because the idle loop accounts for every
 // lost cycle.
 func BusySpans(samples []trace.IdleSample, threshold simtime.Duration) []BusySpan {
-	var spans []BusySpan
-	var cur BusySpan
-	open := false
+	f := spanFold{threshold: threshold}
+	f.addAll(samples)
+	return f.spans
+}
+
+// spanFold folds idle samples into maximal busy spans as they arrive:
+// the one algorithm behind BusySpans, Extract and the running
+// instrument. spans holds every span so far; while open, the last one
+// is still growing. last is the Done of the last sample folded.
+type spanFold struct {
+	threshold simtime.Duration
+	spans     []BusySpan
+	open      bool
+	last      simtime.Time
+}
+
+// add folds one sample.
+func (f *spanFold) add(s trace.IdleSample) { f.addAll([]trace.IdleSample{s}) }
+
+// addAll folds samples in order. The loop keeps the fold's state in
+// locals and a clean sample, the common case, costs one store, so a
+// replay over a recorded trace runs as fast as a loop written for it.
+func (f *spanFold) addAll(samples []trace.IdleSample) {
+	if len(samples) == 0 {
+		return
+	}
+	spans, open, threshold := f.spans, f.open, f.threshold
 	for _, s := range samples {
-		stolen := s.Stolen(NominalSample)
-		if stolen > threshold {
+		if stolen := s.Stolen(NominalSample); stolen > threshold {
 			if !open {
-				cur = BusySpan{Span: Span{Start: s.Done.Add(-s.Elapsed)}}
+				spans = append(spans, BusySpan{Span: Span{Start: s.Done.Add(-s.Elapsed)}})
 				open = true
 			}
-			cur.Span.End = s.Done
-			cur.Stolen += stolen
-			cur.Samples++
-		} else if open {
-			spans = append(spans, cur)
+			bs := &spans[len(spans)-1]
+			bs.End = s.Done
+			bs.Stolen += stolen
+			bs.Samples++
+		} else {
 			open = false
 		}
 	}
-	if open {
-		spans = append(spans, cur)
+	f.spans, f.open, f.last = spans, open, samples[len(samples)-1].Done
+}
+
+// busy reports whether a sample that took elapsed counts as busy.
+func (f *spanFold) busy(elapsed simtime.Duration) bool {
+	return trace.IdleSample{Elapsed: elapsed}.Stolen(NominalSample) > f.threshold
+}
+
+// addCycles folds the samples of c, exactly as adding them one by one
+// would, at a threshold that is not negative. The first cycle's length
+// depends on where the counter read from; every later one lasts dq or
+// dq+1 counter periods, where dq is the cycle's whole number of periods.
+// When both lengths fall on the same side of the threshold, the later
+// cycles fold in closed form: all clean, they close any open span; all
+// elongated, they extend the span the first cycle's sample left open by
+// their summed stolen time, which telescopes to the elapsed time from
+// the first cycle's end to the last's, minus one NominalSample each.
+// (The counter read from no later than the first cycle's start, so the
+// first cycle lasts at least dq periods and is elongated when they are.)
+// Otherwise they fold one by one.
+func (f *spanFold) addCycles(c cycles) {
+	dq, dr := c.cycle/c.period, c.cycle%c.period
+	busy := f.busy(simtime.Duration(dq * c.period))
+	if c.n == 1 || dr != 0 && f.busy(simtime.Duration((dq+1)*c.period)) != busy {
+		c.each(f.add)
+		return
 	}
-	return spans
+	first, last := c.end(1), c.end(c.n)
+	f.add(c.sample(c.from, first))
+	if busy {
+		m := c.n - 1
+		bs := &f.spans[len(f.spans)-1]
+		bs.End = simtime.Time(last * c.period)
+		bs.Stolen += simtime.Duration((last-first)*c.period) - simtime.Duration(m)*NominalSample
+		bs.Samples += int(m)
+	} else {
+		f.open = false
+	}
+	f.last = simtime.Time(last * c.period)
+}
+
+// cycles is a run of n > 0 idle-loop cycles the kernel elided: each
+// lasts cycle ns, the first starting at start ns, when the cycle
+// counter, one count per period ns, read from. Cycle i ends at counter
+// reading end(i), the slow path's exact quantisation.
+type cycles struct {
+	from, start, cycle, period, n int64
+}
+
+// end returns the counter reading at the end of cycle i.
+func (c cycles) end(i int64) int64 { return (c.start + i*c.cycle) / c.period }
+
+// sample returns the sample of a cycle from counter reading prev to end.
+func (c cycles) sample(prev, end int64) trace.IdleSample {
+	return trace.IdleSample{
+		Done:    simtime.Time(end * c.period),
+		Elapsed: simtime.Duration((end - prev) * c.period),
+	}
+}
+
+// each calls fn with the sample of every cycle, in order. The cycle
+// ends are carried as a quotient/remainder pair, so the loop divides
+// once at setup instead of once per sample.
+func (c cycles) each(fn func(trace.IdleSample)) {
+	first := c.start + c.cycle
+	end, rem := first/c.period, first%c.period
+	dq, dr := c.cycle/c.period, c.cycle%c.period
+	prev := c.from
+	for i := int64(1); i <= c.n; i++ {
+		fn(c.sample(prev, end))
+		prev = end
+		end += dq
+		if rem += dr; rem >= c.period {
+			end++
+			rem -= c.period
+		}
+	}
 }
 
 // BusySpan is a maximal run of elongated idle samples.

@@ -5,6 +5,7 @@ import (
 
 	"latlab/internal/cpu"
 	"latlab/internal/kernel"
+	"latlab/internal/rng"
 	"latlab/internal/simtime"
 	"latlab/internal/trace"
 )
@@ -32,14 +33,35 @@ func TestCalibrateN(t *testing.T) {
 	}
 }
 
+// recordingLoop starts the instrument on k with its sample tap on.
+func recordingLoop(k *kernel.Kernel) *IdleLoop {
+	il := StartIdleLoop(k)
+	il.Record()
+	return il
+}
+
+// TestIdleLoopOnQuietSystem runs the instrument alone for 200 ms: it
+// records ≈1 ms samples back to back from boot, with no busy span. The
+// first sample also pays the loop's cold misses (under 1 µs), so the
+// 200th ends just after the run does.
 func TestIdleLoopOnQuietSystem(t *testing.T) {
 	k := kernel.New(quietConfig())
 	defer k.Shutdown()
-	il := StartIdleLoop(k, 200)
-	k.Run(simtime.Time(300 * simtime.Millisecond))
+	il := recordingLoop(k)
+	k.Run(simtime.Time(200 * simtime.Millisecond))
 	samples := il.Samples()
-	if len(samples) != 200 || !il.Full() {
-		t.Fatalf("samples = %d, want 200 (buffer-limited)", len(samples))
+	if len(samples) != 199 {
+		t.Fatalf("samples = %d, want 199 in 200 ms", len(samples))
+	}
+	var prev simtime.Time
+	for i, s := range samples {
+		if start := s.Done.Add(-s.Elapsed); start != prev {
+			t.Fatalf("sample %d starts at %v, want %v where the last one ended", i, start, prev)
+		}
+		prev = s.Done
+	}
+	if spans := il.Spans(); len(spans) != 0 {
+		t.Fatalf("quiet system has %d busy spans, want 0", len(spans))
 	}
 	for i, s := range samples {
 		slack := s.Elapsed - NominalSample
@@ -59,8 +81,8 @@ func TestIdleLoopSeesClockInterrupts(t *testing.T) {
 	cfg.ClockInterrupt = cpu.Segment{Name: "clock", BaseCycles: 400}
 	k := kernel.New(cfg)
 	defer k.Shutdown()
-	il := StartIdleLoop(k, 500)
-	k.Run(simtime.Time(600 * simtime.Millisecond))
+	il := recordingLoop(k)
+	k.Run(simtime.Time(500 * simtime.Millisecond))
 
 	elongated := 0
 	// Skip the first sample: the instrument's own cold TLB misses show
@@ -73,7 +95,7 @@ func TestIdleLoopSeesClockInterrupts(t *testing.T) {
 			elongated++
 		}
 	}
-	// 500 samples ≈ 500 ms ≈ 50 ticks.
+	// 500 ms ≈ 50 ticks.
 	if elongated < 45 || elongated > 55 {
 		t.Fatalf("elongated samples = %d, want ≈50", elongated)
 	}
@@ -84,7 +106,7 @@ func TestIdleLoopMeasuresForegroundBurst(t *testing.T) {
 	// exactly via elongation.
 	k := kernel.New(quietConfig())
 	defer k.Shutdown()
-	il := StartIdleLoop(k, 300)
+	il := recordingLoop(k)
 	app := k.Spawn("app", 1, 8, func(tc *kernel.TC) {
 		tc.GetMessage()
 		tc.Compute(cpu.Segment{Name: "work", BaseCycles: 976_000}) // 9.76 ms
@@ -140,13 +162,73 @@ func TestBusySpansEmptyAndQuiet(t *testing.T) {
 	}
 }
 
+// FuzzSpanFold feeds the online fold a random stream of simulated
+// samples and elided runs, on a random cycle-counter period and
+// threshold. A run's cycles are all clean, all elongated, or straddle
+// the threshold (their two possible lengths fall on either side), and
+// each run's first cycle starts after a random gap, so its length is
+// its own. The fold, which takes a run in closed form where it can
+// (addCycles), must hold what BusySpans makes of the same stream
+// expanded cycle by cycle, and the same last Done.
+func FuzzSpanFold(f *testing.F) {
+	for _, seed := range []uint64{1, 2, 3, 17, 1996} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed uint64) {
+		r := rng.New(seed)
+		period := int64(1 + r.Intn(50))
+		threshold := DefaultBusyThreshold
+		if r.Intn(2) == 0 {
+			threshold = simtime.Duration(r.Intn(200_000))
+		}
+		fold := spanFold{threshold: threshold}
+		var samples []trace.IdleSample
+		last := int64(0) // counter reading at the last sample's end
+		nominal, thr := int64(NominalSample), int64(threshold)
+		for op := 1 + r.Intn(40); op > 0; op-- {
+			if r.Intn(3) == 0 {
+				// One simulated sample, stolen time around the threshold.
+				end := last + (nominal+int64(r.Intn(int(2*thr+3*period))))/period
+				s := trace.IdleSample{Done: simtime.Time(end * period), Elapsed: simtime.Duration((end - last) * period)}
+				fold.add(s)
+				samples = append(samples, s)
+				last = end
+				continue
+			}
+			var cycle int64
+			switch r.Intn(3) {
+			case 0: // clean: both lengths at or below the threshold
+				cycle = nominal - int64(r.Intn(int(nominal/2)))
+				if room := thr - period; room > 0 && r.Intn(2) == 0 {
+					cycle = nominal + int64(r.Intn(int(room)))
+				}
+			case 1: // elongated: both lengths above it
+				cycle = nominal + thr + period + 1 + int64(r.Intn(5*int(nominal)))
+			default: // straddling: dq periods clean, dq+1 elongated
+				dq := (nominal + thr) / period
+				cycle = dq*period + int64(r.Intn(int(period)))
+			}
+			c := cycles{from: last, start: last*period + int64(r.Intn(3*int(nominal))),
+				cycle: cycle, period: period, n: int64(1 + r.Intn(3000))}
+			c.each(func(s trace.IdleSample) { samples = append(samples, s) })
+			fold.addCycles(c)
+			last = c.end(c.n)
+		}
+		want := BusySpans(samples, threshold)
+		requireSameLog(t, "busy span", want, fold.spans)
+		if done := samples[len(samples)-1].Done; fold.last != done {
+			t.Fatalf("fold's last Done %v, the stream's %v", fold.last, done)
+		}
+	})
+}
+
 func TestStolenMatchesGroundTruth(t *testing.T) {
 	// The instrument's total stolen time must track the kernel's ground
 	// truth across a messy schedule (several apps, I/O, interrupts).
 	cfg := kernel.DefaultConfig() // full costs
 	k := kernel.New(cfg)
 	defer k.Shutdown()
-	il := StartIdleLoop(k, 3000)
+	il := recordingLoop(k)
 	f := k.Cache().AddFile("f", 100_000, 64)
 	app := k.Spawn("app", 1, 8, func(tc *kernel.TC) {
 		for {
@@ -192,7 +274,7 @@ func TestStolenMatchesGroundTruth(t *testing.T) {
 func TestIdleLoopSegmentsAreRuns(t *testing.T) {
 	k := kernel.New(quietConfig())
 	defer k.Shutdown()
-	il := StartIdleLoop(k, 4)
+	il := StartIdleLoop(k)
 	for _, seg := range []cpu.Segment{il.loopSeg, il.recordSeg} {
 		for _, list := range [][]uint64{seg.CodePages, seg.DataPages, seg.CacheChunks} {
 			for i := 1; i < len(list); i++ {

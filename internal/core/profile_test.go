@@ -93,7 +93,7 @@ func TestEndToEndProfileOfBurst(t *testing.T) {
 	// saturated utilization in the averaged profile (the Fig. 4 shape).
 	k := kernel.New(quietConfig())
 	defer k.Shutdown()
-	il := StartIdleLoop(k, 2000)
+	il := recordingLoop(k)
 	app := k.Spawn("app", 1, 8, func(tc *kernel.TC) {
 		tc.GetMessage()
 		tc.Compute(cpu.Segment{Name: "burst", BaseCycles: 3_000_000})

@@ -21,7 +21,7 @@ func TestExtractionAccuracyProperty(t *testing.T) {
 		k := kernel.New(quietConfig())
 		defer k.Shutdown()
 		pr := AttachProbe(k)
-		il := StartIdleLoop(k, 60_000)
+		il := recordingLoop(k)
 
 		n := 4 + r.Intn(6)
 		costs := make([]simtime.Duration, n)
@@ -80,7 +80,7 @@ func TestExtractionTotalsProperty(t *testing.T) {
 		k := kernel.New(quietConfig()) // no clock cost: stolen is all events
 		defer k.Shutdown()
 		pr := AttachProbe(k)
-		il := StartIdleLoop(k, 120_000)
+		il := recordingLoop(k)
 
 		n := 5 + r.Intn(8)
 		app := k.Spawn("app", 1, 8, func(tc *kernel.TC) {
@@ -132,7 +132,7 @@ func TestExtractionLatencyOrderingProperty(t *testing.T) {
 		k := kernel.New(quietConfig())
 		defer k.Shutdown()
 		pr := AttachProbe(k)
-		il := StartIdleLoop(k, 120_000)
+		il := recordingLoop(k)
 		app := k.Spawn("app", 1, 8, func(tc *kernel.TC) {
 			for {
 				if tc.GetMessage().Kind == kernel.WMQuit {

@@ -53,16 +53,11 @@ type Config struct {
 	// Deprecated: kept only because the benchmark module (bench/) still
 	// sets it.
 	Engine kernel.Engine
-	// IdleArena, when non-nil, points at a reusable backing array for
-	// the idle-loop instrument's sample buffer. The rig records into it
-	// from its start, growing it by append only when a session records
-	// more samples than it holds, and writes the grown array back
-	// through the pointer at shutdown — a campaign worker keeps one
-	// arena per batch slot across the sessions of every cell it runs,
-	// sized to the most any of them recorded. The buffer's capacity is
-	// the rig's own bound whatever the arena holds, and it never reads
-	// past what it recorded, so recorded behaviour is identical either
-	// way.
+	// IdleArena is ignored: the idle-loop instrument folds its samples
+	// into busy spans as it records them and stores none.
+	//
+	// Deprecated: kept only because the benchmark module (bench/) still
+	// sets it.
 	IdleArena *[]trace.IdleSample
 }
 
@@ -251,9 +246,6 @@ type rig struct {
 	sys *system.System
 	pr  *core.Probe
 	il  *core.IdleLoop
-	// arena is Config.IdleArena, where shutdown leaves the instrument's
-	// grown sample array for the slot's next session; nil without one.
-	arena *[]trace.IdleSample
 
 	// rec is the attached span recorder, nil when untraced; col (with
 	// track) is where shutdown deposits the span log.
@@ -263,24 +255,19 @@ type rig struct {
 }
 
 // newRig boots persona p on cfg's machine profile with probe and
-// idle-loop instrumentation sized for runSeconds of simulated time.
-func newRig(cfg Config, p persona.P, runSeconds int) *rig {
-	return newRigOn(cfg, p, cfg.MachineProfile(), runSeconds)
+// idle-loop instrumentation. The instrument keeps busy spans only; a
+// driver that reads raw samples turns its tap on (r.il.Record) before
+// the run.
+func newRig(cfg Config, p persona.P) *rig {
+	return newRigOn(cfg, p, cfg.MachineProfile())
 }
 
 // newRigOn boots persona p on an explicit hardware profile; the ext-hw
 // scenario-matrix experiments use it to compare machines side by side.
-func newRigOn(cfg Config, p persona.P, prof machine.Profile, runSeconds int) *rig {
+func newRigOn(cfg Config, p persona.P, prof machine.Profile) *rig {
 	sys := system.New(system.Config{Persona: p, Machine: prof})
 	pr := core.AttachProbe(sys.K)
-	bufCap := runSeconds*1100 + 10_000
-	var il *core.IdleLoop
-	if cfg.IdleArena != nil {
-		il = core.StartIdleLoopBuffer(sys.K, trace.NewBufferBacked(*cfg.IdleArena, bufCap))
-	} else {
-		il = core.StartIdleLoop(sys.K, bufCap)
-	}
-	r := &rig{sys: sys, pr: pr, il: il, arena: cfg.IdleArena}
+	r := &rig{sys: sys, pr: pr, il: core.StartIdleLoop(sys.K)}
 	if cfg.Trace != nil {
 		r.col = cfg.Trace
 		r.track = p.Name + " @ " + prof.OrDefault().Short
@@ -308,19 +295,16 @@ func (r *rig) spansOn() *spans.Recorder {
 
 func (r *rig) shutdown() {
 	r.sys.Shutdown()
-	if r.arena != nil {
-		// The samples stay readable: the slot's next session records
-		// over them only after this one has been extracted.
-		*r.arena = r.il.Samples()[:0]
-	}
 	if r.col != nil {
 		r.col.Add(r.track, r.rec.Spans())
 	}
 }
 
-// extract pulls the events of thread from the instrumentation.
+// extract pulls the events of thread from the instrumentation: the
+// instrument's busy spans and the probe's message log. It reads the same
+// after shutdown.
 func (r *rig) extract(t *kernel.Thread, strip bool) []core.Event {
-	return core.Extract(r.il.Samples(), r.pr.Msgs, core.ExtractOptions{
+	return r.il.Extract(r.pr.Msgs, core.ExtractOptions{
 		Thread:         t.ID(),
 		StripQueueSync: strip,
 	})

@@ -69,7 +69,7 @@ func runExtBatching(ctx context.Context, cfg Config) (Result, error) {
 		chars = 80
 	}
 	run := func(gap simtime.Duration) (stats.Summary, float64, int64) {
-		r := newRig(cfg, persona.NT40(), 120)
+		r := newRig(cfg, persona.NT40())
 		defer r.shutdown()
 		n := apps.NewNotepad(r.sys, 250_000)
 		script := &input.Script{
@@ -127,7 +127,7 @@ func runExtThinkWait(ctx context.Context, cfg Config) (Result, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		r := newRig(cfg, p, 180)
+		r := newRig(cfg, p)
 		n := apps.NewNotepad(r.sys, 250_000)
 		r.pr.Watch(n.Thread())
 		// Typing with composition pauses, then a simulated save-scale

@@ -76,8 +76,7 @@ func runExtSlowCPU(ctx context.Context, cfg Config) (Result, error) {
 		script := &input.Script{
 			Events: input.TypeText(simtime.Time(300*simtime.Millisecond), string(text), 250*simtime.Millisecond),
 		}
-		seconds := int(script.End().Seconds()) + 8
-		r := newRigOn(cfg, p, prof, seconds)
+		r := newRigOn(cfg, p, prof)
 		n := apps.NewNotepad(r.sys, 250_000)
 		script.Install(r.sys)
 		r.sys.K.Run(script.End().Add(2 * simtime.Second))

@@ -59,7 +59,8 @@ func runExtInterrupts(ctx context.Context, cfg Config) (Result, error) {
 		row := ExtInterruptsRow{Persona: p.Name, Cycles: map[string]float64{}}
 
 		stolenOf := func(inject func(r *rig)) (stolen simtime.Duration, interrupts int64) {
-			r := newRig(cfg, p, 5)
+			r := newRig(cfg, p)
+			r.il.Record() // stolen time sums every sample
 			defer r.shutdown()
 			before := r.sys.K.CPU().Count(cpu.Interrupts)
 			if inject != nil {

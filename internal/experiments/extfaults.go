@@ -126,7 +126,7 @@ func openPPT(label string, cfg Config, sc scRun, plan faults.Plan) *ScenarioSess
 	if len(pageDowns) == 0 {
 		pageDowns = []int{9, 10, 10}
 	}
-	r := newRig(cfg, sc.p, 400)
+	r := newRig(cfg, sc.p)
 	faults.NewClock(plan).Arm(faultsTarget(r, false))
 	ppt := apps.NewPowerpoint(r.sys, params)
 
@@ -170,7 +170,7 @@ func openChain(label string, r *rig, t *kernel.Thread, steps []chainStep, sync b
 // front, so the milestone program is one Run to the script end plus
 // trailing time.
 func openTyping(label string, cfg Config, sc scRun, plan faults.Plan) *ScenarioSession {
-	r := newRig(cfg, sc.p, 240)
+	r := newRig(cfg, sc.p)
 	faults.NewClock(plan).Arm(faultsTarget(r, true))
 	n := apps.NewNotepad(r.sys, 250_000)
 	r.pr.Watch(n.Thread())
@@ -209,7 +209,7 @@ func faultsRow(label string, r *rig, t *kernel.Thread, end simtime.Time) ExtFaul
 func openBrowser(label string, cfg Config, sc scRun, plan faults.Plan) *ScenarioSession {
 	const viewPages, chunk = 64, 8
 	views := sc.prm.Views
-	r := newRig(cfg, sc.p, 120)
+	r := newRig(cfg, sc.p)
 	faults.NewClock(plan).Arm(faultsTarget(r, false))
 
 	db := r.sys.K.Cache().AddFile("reports.db", 600_000, int64(views)*viewPages)

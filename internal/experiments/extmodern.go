@@ -69,7 +69,8 @@ type ModernCell struct {
 // complete and the DVFS governor decay.
 func modernRun(cfg Config, p persona.P, prof machine.Profile, keystrokes int, gapMs, tailMs int64,
 	body func(r *rig, tc *kernel.TC)) ModernCell {
-	w := keyWorkload{app: "modern", code: []uint64{420, 421}, keystrokes: keystrokes, gapMs: gapMs, tailMs: tailMs}
+	w := keyWorkload{app: "modern", code: []uint64{420, 421}, keystrokes: keystrokes, gapMs: gapMs, tailMs: tailMs,
+		samples: true}
 	return paceKeys(cfg, p, prof, w, body, modernCell)
 }
 

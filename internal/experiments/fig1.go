@@ -51,7 +51,8 @@ func runFig1(ctx context.Context, cfg Config) (Result, error) {
 		return nil, err
 	}
 	p := persona.NT40()
-	r := newRig(cfg, p, 20)
+	r := newRig(cfg, p)
+	r.il.Record() // the figure prints the samples around a keystroke
 	defer r.shutdown()
 
 	// The paper's test program is console-style: keystrokes travel

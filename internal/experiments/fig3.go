@@ -63,7 +63,8 @@ func runFig3(ctx context.Context, cfg Config) (Result, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		r := newRig(cfg, p, seconds+2)
+		r := newRig(cfg, p)
+		r.il.Record() // the profile plots every sample
 		intrBefore := r.sys.K.CPU().Count(cpu.Interrupts)
 		stolenBefore := stolenTotal(r)
 		r.sys.K.Run(simtime.Time(simtime.Duration(seconds) * simtime.Second))

@@ -58,7 +58,8 @@ func runFig4(ctx context.Context, cfg Config) (Result, error) {
 		return nil, err
 	}
 	p := persona.NT40()
-	r := newRig(cfg, p, 10)
+	r := newRig(cfg, p)
+	r.il.Record() // the figure plots every sample
 	defer r.shutdown()
 
 	steps, redraw := 22, 105
@@ -90,7 +91,7 @@ func runFig4(ctx context.Context, cfg Config) (Result, error) {
 	if events := r.extract(shell, false); len(events) > 0 {
 		res.Event = events[0]
 	}
-	spans := core.BusySpans(samples, core.DefaultBusyThreshold)
+	spans := r.il.Spans()
 	for i, bs := range spans {
 		switch {
 		case i == 0:

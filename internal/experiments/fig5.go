@@ -34,8 +34,7 @@ func wordTrace(cfg Config, p persona.P, seed uint64, chars int, testDriven bool)
 		text = append(text, c)
 	}
 
-	secondsBudget := int(float64(len(text))*0.35) + 30
-	r := newRig(cfg, p, secondsBudget)
+	r := newRig(cfg, p)
 	defer r.shutdown()
 	word := apps.NewWord(r.sys, apps.DefaultWordParams())
 

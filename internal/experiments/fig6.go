@@ -66,7 +66,7 @@ func runFig6(ctx context.Context, cfg Config) (Result, error) {
 		rnd := rng.New(cfg.Seed + uint64(len(p.Short)))
 
 		// Unbound keystroke: the focused app passes it to DefWindowProc.
-		kr := newRig(cfg, p, trials+10)
+		kr := newRig(cfg, p)
 		app := kr.sys.SpawnApp("bench", func(tc *kernel.TC) {
 			for {
 				m := tc.GetMessage()

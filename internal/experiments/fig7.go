@@ -96,8 +96,7 @@ func runFig7(ctx context.Context, cfg Config) (Result, error) {
 			return nil, err
 		}
 		script := notepadScript(chars)
-		seconds := int(script.End().Seconds()) + 10
-		r := newRig(cfg, p, seconds)
+		r := newRig(cfg, p)
 		n := apps.NewNotepad(r.sys, 250_000)
 		script.Install(r.sys)
 		end := script.End().Add(2 * simtime.Second)

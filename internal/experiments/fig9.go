@@ -60,7 +60,7 @@ func measureOp(ctx context.Context, title, operation string, cfg Config, warmups
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		r := newRig(cfg, p, 400)
+		r := newRig(cfg, p)
 		runOnce := prepare(r)
 		for i := 0; i < warmups; i++ {
 			runOnce() // warm caches, as the paper's repeated trials are

@@ -32,7 +32,7 @@ func TestFmtMs(t *testing.T) {
 }
 
 func TestRunChainDeadlinePanics(t *testing.T) {
-	r := newRig(DefaultConfig(), persona.NT40(), 10)
+	r := newRig(DefaultConfig(), persona.NT40())
 	defer r.shutdown()
 	n := apps.NewNotepad(r.sys, 250_000)
 	defer func() {
@@ -51,7 +51,7 @@ func TestRunChainDeadlinePanics(t *testing.T) {
 func TestChainPacingWaitsForCompletion(t *testing.T) {
 	// Each chain step must start at least `think` after the previous
 	// event's completion.
-	r := newRig(DefaultConfig(), persona.NT40(), 30)
+	r := newRig(DefaultConfig(), persona.NT40())
 	defer r.shutdown()
 	n := apps.NewNotepad(r.sys, 250_000)
 	think := 300 * simtime.Millisecond

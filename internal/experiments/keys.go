@@ -27,6 +27,9 @@ type keyWorkload struct {
 	// spans attaches the span recorder before the app spawns, for
 	// reductions that read the span log.
 	spans bool
+	// samples turns the idle loop's sample tap on, for reductions that
+	// read the raw samples.
+	samples bool
 }
 
 // pacedKeystrokes is the session length of ext-hw-clock, ext-hw-l2 and
@@ -56,10 +59,13 @@ func (k *keyRun) delta(kind cpu.EventKind) int64 { return k.after[kind] - k.befo
 func paceKeys[T any](cfg Config, p persona.P, prof machine.Profile, w keyWorkload,
 	body func(r *rig, tc *kernel.TC), reduce func(k *keyRun) T) T {
 	endMs := 500 + int64(w.keystrokes)*w.gapMs + w.tailMs
-	r := newRigOn(cfg, p, prof, int(endMs/1000)+2)
+	r := newRigOn(cfg, p, prof)
 	defer r.shutdown()
 	if w.spans {
 		r.spansOn()
+	}
+	if w.samples {
+		r.il.Record()
 	}
 	app := r.sys.SpawnApp(w.app, func(tc *kernel.TC) {
 		for {

@@ -2,20 +2,20 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"sort"
 	"testing"
 
+	"latlab/internal/core"
 	"latlab/internal/scenario"
 	"latlab/internal/system"
-	"latlab/internal/trace"
 )
 
 // TestBatchSessionEquivalence pins the decomposition contract stated in
 // session.go: a session stepped inside a system.Batch produces exactly
-// the result the sequential path produces for the same Config and Doc —
-// same seeds, arena-backed instrument buffers and all.
+// the result the sequential path produces for the same Config and Doc.
 // Every fuzzer-found corpus document (each pins its seed and machine)
 // runs once alone and once interleaved with the whole set in one batch,
 // and the two ScenarioResults must be deeply equal. The batched sessions
@@ -60,9 +60,7 @@ func TestBatchSessionEquivalence(t *testing.T) {
 	b := system.NewBatch(len(docs))
 	open := make([]*ScenarioSession, len(docs))
 	for i, doc := range docs {
-		c := cfg
-		c.IdleArena = b.Arena(i)
-		s, err := OpenScenarioSession(c, doc)
+		s, err := OpenScenarioSession(cfg, doc)
 		if err != nil {
 			t.Fatalf("%s: %v", doc.ID, err)
 		}
@@ -127,16 +125,12 @@ func openDriven(t *testing.T, cfg Config, doc scenario.Doc) *ScenarioSession {
 // TestEventsMatchResult pins the ledger path: for every single-run
 // document, in quick and full mode, a session read with Events returns
 // exactly the events a session of the same document reports in
-// Result().Row.Report.Events. The ledger sessions record into one
-// reused arena, as a campaign slot's do.
+// Result().Row.Report.Events.
 func TestEventsMatchResult(t *testing.T) {
-	arena := new([]trace.IdleSample)
 	for _, doc := range singleRunDocs(t) {
 		for _, quick := range []bool{true, false} {
 			cfg := Config{Seed: 1996, Quick: quick}
 			want := openDriven(t, cfg, doc).Result().Row.Report.Events
-
-			cfg.IdleArena = arena
 			got := openDriven(t, cfg, doc).Events()
 			if len(want) == 0 {
 				t.Errorf("%s quick=%t: no events to compare", doc.ID, quick)
@@ -149,11 +143,10 @@ func TestEventsMatchResult(t *testing.T) {
 }
 
 // TestLedgerSessionResult pins that a session opened exactly as
-// campaign.RunCells opens one — on a batch slot's arena, stepped in the
-// batch and closed before it is read — reports through Result the
-// think/wait row runScenario reports for the same document and seed.
-// Each campaign template runs at two seeds through one slot, so the
-// second session records into the arena the first one grew.
+// campaign.RunCells opens one — stepped in a batch slot and closed
+// before it is read — reports through Result the think/wait row
+// runScenario reports for the same document and seed. Each campaign
+// template runs at two seeds through one slot.
 func TestLedgerSessionResult(t *testing.T) {
 	b := system.NewBatch(1)
 	for _, path := range []string{
@@ -171,7 +164,7 @@ func TestLedgerSessionResult(t *testing.T) {
 				t.Fatalf("%s seed %d: %v", doc.ID, seed, err)
 			}
 			want := res.(*ScenarioResult).Row
-			s, err := OpenScenarioSession(Config{Seed: seed, Quick: true, IdleArena: b.Arena(0)}, doc)
+			s, err := OpenScenarioSession(Config{Seed: seed, Quick: true}, doc)
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", doc.ID, seed, err)
 			}
@@ -191,11 +184,11 @@ func TestLedgerSessionResult(t *testing.T) {
 	}
 }
 
-// TestArenaGrowsByUse pins the slot arena's sizing: a session that
-// records n idle samples into an empty arena leaves it holding at least
-// n and fewer than 2n, and a following session that records no more
-// records into that same array without reallocating it.
-func TestArenaGrowsByUse(t *testing.T) {
+// TestCampaignSessionStoresNoSamples pins what a campaign session
+// keeps of its instrument: opened as campaign.RunCells opens one, with
+// no sample tap, and driven to the end, it stores no idle sample — only
+// the busy spans its instrument folded as it ran, which Events reads.
+func TestCampaignSessionStoresNoSamples(t *testing.T) {
 	long, err := scenario.ParseFile(filepath.Join(twinDir, "fz-000000000000001b.json"))
 	if err != nil {
 		t.Fatal(err)
@@ -204,26 +197,99 @@ func TestArenaGrowsByUse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arena := new([]trace.IdleSample)
-	cfg := Config{Seed: 1996, Quick: true, IdleArena: arena}
-
-	s := openDriven(t, cfg, long)
-	n := len(s.r.il.Samples())
-	s.Close()
-	if c := cap(*arena); n == 0 || c < n || c >= 2*n {
-		t.Fatalf("a session of %d samples left an arena of capacity %d, want [%d, %d)", n, c, n, 2*n)
-	}
-	grown, first := cap(*arena), &(*arena)[:1][0]
-
 	for _, doc := range []scenario.Doc{long, short} {
-		s := openDriven(t, cfg, doc)
-		m := len(s.r.il.Samples())
-		s.Close()
-		if m > n {
-			t.Fatalf("%s recorded %d samples, more than the first session's %d", doc.ID, m, n)
+		for _, quick := range []bool{true, false} {
+			s := openDriven(t, Config{Seed: 1996, Quick: quick}, doc)
+			spans := s.r.il.Spans()
+			events := s.Events()
+			if got := s.r.il.Samples(); got != nil {
+				t.Errorf("%s quick=%t: session stored %d idle samples (capacity %d), want none",
+					doc.ID, quick, len(got), cap(got))
+			}
+			if len(spans) == 0 || len(events) == 0 {
+				t.Errorf("%s quick=%t: %d busy spans and %d events; the check is vacuous", doc.ID, quick, len(spans), len(events))
+			}
 		}
-		if cap(*arena) != grown || &(*arena)[:1][0] != first {
-			t.Errorf("%s (%d samples) reallocated the arena: capacity %d, was %d", doc.ID, m, cap(*arena), grown)
+	}
+}
+
+// tapped opens doc under cfg with the instrument's sample tap on and
+// drives it to the end of its program, leaving it open.
+func tapped(t *testing.T, cfg Config, doc scenario.Doc) *ScenarioSession {
+	t.Helper()
+	s, err := OpenScenarioSession(cfg, doc)
+	if err != nil {
+		t.Fatalf("%s: %v", doc.ID, err)
+	}
+	s.r.il.Record()
+	s.drive()
+	return s
+}
+
+// requireOnlineMatchesReplay extracts the finished session s online,
+// from the busy spans its instrument folded as it ran, and requires
+// what core.Extract makes of the tapped samples with the same options:
+// the same spans and the same events. It returns the events.
+func requireOnlineMatchesReplay(t *testing.T, label string, s *ScenarioSession) []core.Event {
+	t.Helper()
+	samples, msgs := s.r.il.Samples(), s.r.pr.Msgs
+	if want, got := core.BusySpans(samples, core.DefaultBusyThreshold), s.r.il.Spans(); !reflect.DeepEqual(got, want) {
+		t.Errorf("%s: %d online busy spans differ from the %d BusySpans makes of %d samples", label, len(got), len(want), len(samples))
+	}
+	want := core.Extract(samples, msgs, core.ExtractOptions{Thread: s.thread.ID(), StripQueueSync: true})
+	got := s.Events()
+	if !reflect.DeepEqual(got, want) {
+		for i := range min(len(got), len(want)) {
+			if got[i] != want[i] {
+				t.Errorf("%s: event %d of %d differs:\nonline %+v\nreplay %+v", label, i, len(want), got[i], want[i])
+				return got
+			}
+		}
+		t.Errorf("%s: %d events online, %d replayed", label, len(got), len(want))
+	}
+	return got
+}
+
+// TestOnlineExtractMatchesReplay pins the one-algorithm contract: a
+// session's events, extracted from the spans its instrument folded
+// while it ran (elided runs in closed form), equal core.Extract over the
+// samples it recorded, for every committed single-run document (the
+// scenario corpus and the campaign templates) and 64 generated ones, in
+// quick and full mode.
+func TestOnlineExtractMatchesReplay(t *testing.T) {
+	docs := singleRunDocs(t)
+	for seed := uint64(1); seed <= 64; seed++ {
+		docs = append(docs, scenario.Generate(seed, scenario.Constraints{}))
+	}
+	for _, doc := range docs {
+		for _, quick := range []bool{true, false} {
+			label := fmt.Sprintf("%s quick=%t", doc.ID, quick)
+			if len(requireOnlineMatchesReplay(t, label, tapped(t, Config{Seed: 1996, Quick: quick}, doc))) == 0 {
+				t.Errorf("%s: no events", label)
+			}
+		}
+	}
+}
+
+// TestLongTypingMeasuredToTheEnd is a 1,500-character document typed at
+// 60 wpm, about 350 s of simulated time. A trace buffer sized for 240 s
+// once filled at 346 s and stopped the instrument, and the last 25
+// events silently reported 0 ms. With no buffer to fill, every event is
+// measured, online exactly as core.Extract measures the tapped samples.
+func TestLongTypingMeasuredToTheEnd(t *testing.T) {
+	doc := scenario.Doc{
+		Schema: scenario.SchemaVersion, ID: "long-typing", Title: "1,500 characters at 60 wpm",
+		Persona: "nt40", Machine: "p100",
+		Workload: scenario.Workload{Kind: scenario.KindTyping,
+			Full: scenario.Params{Chars: 1500, WPM: 60, TrailingS: 0.5}},
+	}
+	events := requireOnlineMatchesReplay(t, doc.ID, tapped(t, Config{Seed: 1996}, doc))
+	if len(events) != 1500 {
+		t.Fatalf("%d events, want one per character", len(events))
+	}
+	for i, e := range events {
+		if e.Latency <= 0 || e.Busy <= 0 {
+			t.Fatalf("event %d of %d at %v reports latency %v and busy %v", i, len(events), e.Enqueued, e.Latency, e.Busy)
 		}
 	}
 }

@@ -19,18 +19,16 @@ type Engine struct{}
 func BatchedEngine() Engine { return Engine{} }
 
 // BulkLoop is implemented by an idle-class instrument whose compute
-// cycles may be elided analytically. BulkBudget bounds how many cycles
-// may be skipped in one span (typically the instrument's remaining
-// buffer capacity, minus one so the straddling cycle's own sample still
-// fits). OnBulk informs the instrument that n whole cycles of the given
-// duration, starting at start, completed without simulation; the
-// instrument must append the samples those cycles would have recorded
-// and roll its internal cycle-start state forward by n cycles. A span
-// that crosses clock ticks calls OnBulk once per run of cycles between
-// ticks and once, with n = 1, for each cycle a tick's handler
-// stretched, in time order and within the budget.
+// cycles may be elided analytically. OnBulk informs the instrument that
+// n whole cycles of the given duration, starting at start, completed
+// without simulation; the instrument must account the samples those
+// cycles would have recorded (the idle loop folds them into its busy
+// spans, in O(1) where it can) and roll its internal cycle-start state
+// forward by n cycles. A span that crosses clock ticks calls OnBulk once
+// per run of cycles between ticks and once, with n = 1, for each cycle a
+// tick's handler stretched, in time order. An instrument that stores
+// nothing per sample puts no bound on a span.
 type BulkLoop interface {
-	BulkBudget() int64
 	OnBulk(n int64, start simtime.Time, cycle simtime.Duration)
 }
 
@@ -181,7 +179,7 @@ const (
 // A span is a run of pieces: n whole clean cycles that end strictly
 // before the next tick (elide), then the cycle that tick lands in,
 // stretched by its handler (crossTick), and again, until the next
-// event that is not a tick, the Run horizon or the instrument's budget.
+// event that is not a tick or the Run horizon.
 // Whatever cannot be crossed ends the span, and the cycle it falls in
 // is simulated honestly: that straddling cycle is the sample that
 // detects the tick or interrupt, exactly as the paper's methodology
@@ -249,7 +247,6 @@ func (k *Kernel) tryBulkSkip(t *Thread) {
 	// when it finishes, after this span. Settle it now, at the instant
 	// the slow path does, so the span starts idle.
 	k.updateBusy()
-	budget := b.loop.BulkBudget()
 	var s bulkSpan
 	dh := simtime.Duration(-1) // the tick handler's cost, once a tick is due
 	for {
@@ -257,11 +254,10 @@ func (k *Kernel) tryBulkSkip(t *Thread) {
 		if k.tickArmed && k.tickAt < limit {
 			boundary, tick = k.tickAt, true
 		}
-		if n := min(simtime.IterationsBefore(k.now, d, boundary), budget); n > 0 {
+		if n := simtime.IterationsBefore(k.now, d, boundary); n > 0 {
 			k.elide(t, n, d, &s)
-			budget -= n
 		}
-		if !tick || budget <= 0 {
+		if !tick {
 			break
 		}
 		if dh < 0 {
@@ -277,7 +273,6 @@ func (k *Kernel) tryBulkSkip(t *Thread) {
 		if !k.crossTick(t, dh, limit, &s) {
 			break
 		}
-		budget--
 	}
 	k.settleRecency(t, &s)
 }

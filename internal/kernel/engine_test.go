@@ -7,19 +7,14 @@ import (
 	"latlab/internal/simtime"
 )
 
-// quantumProbe is a BulkLoop with an unbounded budget that counts the
-// elided spans whose replay had to refill the quantum. tryBulkSkip asks
-// for the budget just before it replays a span, so before holds the
-// slice the span started with.
+// quantumProbe is a BulkLoop that counts the elided spans whose replay
+// had to refill the quantum. The idle loop's body stores the thread's
+// slice in before each time it issues a cycle, and tryBulkSkip runs
+// right after that fetch, with the slice untouched, so before holds the
+// slice a span starts with.
 type quantumProbe struct {
-	t       *Thread
 	before  simtime.Duration
 	refills int
-}
-
-func (p *quantumProbe) BulkBudget() int64 {
-	p.before = p.t.quantumLeft
-	return 1 << 40
 }
 
 func (p *quantumProbe) OnBulk(n int64, _ simtime.Time, cycle simtime.Duration) {
@@ -56,11 +51,12 @@ func TestElisionReplaysLeftoverQuantum(t *testing.T) {
 		if traced {
 			attach(k)
 		}
+		p := &quantumProbe{}
 		idle := k.SpawnLoop("idle", KernelProc, IdlePriority, func(lc *LoopTC) bool {
+			p.before = lc.Thread().quantumLeft
 			lc.Compute2(spin, record)
 			return true
 		})
-		p := &quantumProbe{t: idle}
 		idle.SetBulkLoop(p)
 		return rig{k, idle, p}
 	}

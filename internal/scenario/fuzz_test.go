@@ -10,9 +10,10 @@ import (
 // The seed corpus covers the grammar via the generator plus the
 // classic JSON edge cases.
 func FuzzScenarioParse(f *testing.F) {
+	var data []byte
 	for seed := uint64(1); seed <= 20; seed++ {
-		data, err := Marshal(Generate(seed, Constraints{}))
-		if err != nil {
+		var err error
+		if data, err = Marshal(Generate(seed, Constraints{})); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(data)
@@ -23,6 +24,10 @@ func FuzzScenarioParse(f *testing.F) {
 	f.Add([]byte(`{"schema":1e9}`))
 	f.Add([]byte("null"))
 	f.Add([]byte(""))
+	// A valid document followed by trailing garbage Parse must reject.
+	for _, suffix := range []string{"}", "]", " xyz"} {
+		f.Add(append(append([]byte{}, data...), suffix...))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d, err := Parse(data)

@@ -4,13 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 )
 
 // Parse decodes and validates one scenario document. Decoding is
 // strict: unknown fields are an error, so a typo in a hand-written
 // document ("maschine") fails loudly instead of being silently
-// ignored, and trailing garbage after the document is rejected.
+// ignored, and anything but whitespace after the document is rejected.
 func Parse(data []byte) (Doc, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
@@ -18,8 +19,7 @@ func Parse(data []byte) (Doc, error) {
 	if err := dec.Decode(&d); err != nil {
 		return Doc{}, fmt.Errorf("scenario: %w", err)
 	}
-	var trailing json.RawMessage
-	if err := dec.Decode(&trailing); err == nil || len(trailing) > 0 {
+	if _, err := dec.Token(); err != io.EOF {
 		return Doc{}, fmt.Errorf("scenario: trailing data after document")
 	}
 	if err := d.Validate(); err != nil {

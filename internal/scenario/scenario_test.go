@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -129,6 +130,36 @@ func TestParseStrict(t *testing.T) {
 
 	if _, err := Parse([]byte("{}")); err == nil {
 		t.Fatal("empty document should fail validation")
+	}
+}
+
+// TestParseTrailingData pins what may follow a document: whitespace,
+// and nothing else. A closing bracket or brace, or a stray word, after
+// a committed corpus document is an error, and so is a second document.
+func TestParseTrailingData(t *testing.T) {
+	doc, err := os.ReadFile("../../testdata/scenarios/ext-faults-disk.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		suffix string
+		ok     bool
+	}{
+		{"", true},
+		{"\n", true},
+		{"   \t\n  ", true},
+		{"}", false},
+		{"]", false},
+		{" xyz", false},
+		{"{}", false},
+	} {
+		_, err := Parse(append(append([]byte{}, doc...), c.suffix...))
+		if c.ok && err != nil {
+			t.Errorf("suffix %q: %v, want the document to parse", c.suffix, err)
+		}
+		if !c.ok && (err == nil || !strings.Contains(err.Error(), "trailing data")) {
+			t.Errorf("suffix %q: error %v, want trailing data rejected", c.suffix, err)
+		}
 	}
 }
 

@@ -23,19 +23,13 @@ type BatchSession interface {
 }
 
 // Batch steps up to Size independent machines as one unit on one
-// worker. Per-machine state is struct-of-arrays — sessions, cached
-// targets, and reusable sample arenas in parallel slices — so the
-// stepping loop touches only small dense arrays between kernel runs.
-// Slots are reused across waves of sessions and Reset keeps the arenas.
-// An arena starts empty and grows by use, so a caller that keeps its
-// batch allocates each slot's instrument buffer only while its sessions
-// record more samples than any before them: campaign.RunCells hands
-// each worker's batch from cell to cell, which amortises the arenas
-// over every session the worker runs.
+// worker. Per-machine state is struct-of-arrays — sessions and cached
+// targets in parallel slices — so the stepping loop touches only small
+// dense arrays between kernel runs. Slots are reused across waves of
+// sessions.
 type Batch struct {
 	sessions []BatchSession
 	targets  []simtime.Time
-	arenas   [][]trace.IdleSample
 }
 
 // NewBatch makes an empty batch with n slots.
@@ -46,20 +40,18 @@ func NewBatch(n int) *Batch {
 	return &Batch{
 		sessions: make([]BatchSession, n),
 		targets:  make([]simtime.Time, n),
-		arenas:   make([][]trace.IdleSample, n),
 	}
 }
 
 // Size returns the slot count.
 func (b *Batch) Size() int { return len(b.sessions) }
 
-// Arena returns a stable pointer to the slot's sample arena, empty
-// until a session records into it. Callers hand it to the session's
-// booter (experiments.Config.IdleArena), which records into it, grows
-// it by append when a session records more than it holds, and writes
-// the grown backing back at shutdown, so the slot keeps the largest
-// backing any of its sessions needed.
-func (b *Batch) Arena(slot int) *[]trace.IdleSample { return &b.arenas[slot] }
+// Arena returns nil: sessions store no idle samples, so a slot keeps
+// no sample arena.
+//
+// Deprecated: kept only because the benchmark module (bench/) still
+// passes it to experiments.Config.IdleArena, which nothing reads.
+func (b *Batch) Arena(slot int) *[]trace.IdleSample { return nil }
 
 // Open installs s in the given slot.
 func (b *Batch) Open(slot int, s BatchSession) {
@@ -95,7 +87,7 @@ func (b *Batch) Run() {
 	}
 }
 
-// Reset empties every slot for the next wave; arenas are retained.
+// Reset empties every slot for the next wave.
 func (b *Batch) Reset() {
 	for i := range b.sessions {
 		b.sessions[i] = nil

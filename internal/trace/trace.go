@@ -1,8 +1,10 @@
 // Package trace defines the record types produced by latlab's measurement
-// instruments and a bounded in-memory buffer to hold them, mirroring the
-// paper's trace-record design: the idle loop emits one record per
-// millisecond of idle time, and the message-API monitor logs every
-// GetMessage/PeekMessage interaction.
+// instruments, mirroring the paper's trace-record design: the idle loop
+// emits one record per millisecond of idle time, and the message-API
+// monitor logs every GetMessage/PeekMessage interaction. It also reads
+// and writes the CSV formats cmd/traceview consumes. Records are not
+// kept here: the idle loop folds its samples into busy spans as it makes
+// them and stores them only on request (core.IdleLoop.Record).
 package trace
 
 import (
@@ -90,77 +92,6 @@ type MsgRecord struct {
 	// Thread identifies the calling thread.
 	Thread int
 }
-
-// Buffer accumulates idle samples up to a fixed capacity, modelling the
-// paper's "while (space_left_in_the_buffer)" trace buffer. A full buffer
-// stops accepting samples rather than wrapping: losing the *end* of a run
-// is detectable, silent overwrite is not.
-type Buffer struct {
-	samples []IdleSample
-	cap     int
-	dropped int
-}
-
-// bufferPreSize bounds the eager allocation of a new Buffer. Buffers are
-// usually given a generous capacity as an overflow bound, then filled
-// far below it; pre-sizing to min(capacity, bufferPreSize) removes the
-// early growth reallocations without committing the full bound up front.
-const bufferPreSize = 4096
-
-// NewBuffer returns a buffer holding at most capacity samples.
-func NewBuffer(capacity int) *Buffer {
-	if capacity <= 0 {
-		panic("trace: non-positive buffer capacity")
-	}
-	pre := capacity
-	if pre > bufferPreSize {
-		pre = bufferPreSize
-	}
-	return &Buffer{cap: capacity, samples: make([]IdleSample, 0, pre)}
-}
-
-// NewBufferBacked returns a buffer holding at most capacity samples
-// that records into the caller's backing array from its start and grows
-// it by append once its own capacity is spent, so the array ends up
-// sized to what was recorded rather than to the bound. The backing may
-// be empty or nil. The campaign engine keeps one arena per machine slot
-// and hands it to each session in turn; Samples()[:0] is the grown
-// array to keep for the next.
-func NewBufferBacked(backing []IdleSample, capacity int) *Buffer {
-	if capacity <= 0 {
-		panic("trace: non-positive buffer capacity")
-	}
-	return &Buffer{cap: capacity, samples: backing[:0]}
-}
-
-// Append records a sample; it returns false (and counts a drop) when full.
-func (b *Buffer) Append(s IdleSample) bool {
-	if len(b.samples) >= b.cap {
-		b.dropped++
-		return false
-	}
-	b.samples = append(b.samples, s)
-	return true
-}
-
-// Full reports whether the buffer has reached capacity.
-func (b *Buffer) Full() bool { return len(b.samples) >= b.cap }
-
-// Cap returns the buffer's fixed capacity.
-func (b *Buffer) Cap() int { return b.cap }
-
-// Dropped returns the number of samples rejected after the buffer filled.
-func (b *Buffer) Dropped() int { return b.dropped }
-
-// Samples returns the recorded samples. The returned slice aliases the
-// buffer; callers must not modify it.
-func (b *Buffer) Samples() []IdleSample { return b.samples }
-
-// Len returns the number of recorded samples.
-func (b *Buffer) Len() int { return len(b.samples) }
-
-// Reset discards all samples and the drop count.
-func (b *Buffer) Reset() { b.samples = b.samples[:0]; b.dropped = 0 }
 
 // appendMs appends v with six decimal places, the CSV fixed-point
 // format. strconv.AppendFloat writes into the caller's buffer, so the

@@ -50,61 +50,6 @@ func TestMsgAPIString(t *testing.T) {
 	}
 }
 
-func TestBuffer(t *testing.T) {
-	b := NewBuffer(2)
-	if b.Full() || b.Len() != 0 {
-		t.Fatalf("new buffer should be empty")
-	}
-	if !b.Append(IdleSample{Done: 1}) || !b.Append(IdleSample{Done: 2}) {
-		t.Fatalf("appends within capacity should succeed")
-	}
-	if b.Append(IdleSample{Done: 3}) {
-		t.Fatalf("append past capacity should fail")
-	}
-	if !b.Full() || b.Dropped() != 1 || b.Len() != 2 {
-		t.Fatalf("full/dropped/len = %v/%d/%d", b.Full(), b.Dropped(), b.Len())
-	}
-	if b.Samples()[1].Done != 2 {
-		t.Fatalf("samples content wrong")
-	}
-	b.Reset()
-	if b.Len() != 0 || b.Dropped() != 0 || b.Full() {
-		t.Fatalf("reset did not clear buffer")
-	}
-}
-
-// TestBufferBacked pins the backed buffer: its capacity is the one
-// given, not the backing's, an empty backing grows by append, and a
-// backing with room is recorded into in place.
-func TestBufferBacked(t *testing.T) {
-	b := NewBufferBacked(nil, 3)
-	for i := 1; i <= 3; i++ {
-		if !b.Append(IdleSample{Done: simtime.Time(i)}) {
-			t.Fatalf("append %d within capacity 3 failed", i)
-		}
-	}
-	if b.Append(IdleSample{Done: 4}) || !b.Full() || b.Cap() != 3 || b.Dropped() != 1 {
-		t.Fatalf("full/cap/dropped = %v/%d/%d, want a full buffer of 3 that dropped 1", b.Full(), b.Cap(), b.Dropped())
-	}
-
-	backing := make([]IdleSample, 1, 8)
-	b = NewBufferBacked(backing, 2)
-	b.Append(IdleSample{Done: 5})
-	b.Append(IdleSample{Done: 6})
-	if !b.Full() || b.Len() != 2 || &b.Samples()[0] != &backing[0] || backing[:2][1].Done != 6 {
-		t.Fatalf("a backing with room must be recorded into from its start, in place, up to capacity 2")
-	}
-}
-
-func TestBufferBadCapacityPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("expected panic")
-		}
-	}()
-	NewBuffer(0)
-}
-
 func TestIdleCSVRoundTrip(t *testing.T) {
 	in := []IdleSample{
 		{Done: simtime.Time(simtime.Millisecond), Elapsed: simtime.Millisecond},
@@ -175,19 +120,6 @@ func TestParseIdleCSVErrors(t *testing.T) {
 type discard struct{}
 
 func (discard) Write(p []byte) (int, error) { return len(p), nil }
-
-func TestBufferAppendAllocFree(t *testing.T) {
-	b := NewBuffer(bufferPreSize) // fully pre-sized: appends must not grow
-	s := IdleSample{Done: 1, Elapsed: simtime.Millisecond}
-	if avg := testing.AllocsPerRun(1000, func() {
-		if b.Full() {
-			b.Reset()
-		}
-		b.Append(s)
-	}); avg != 0 {
-		t.Fatalf("Buffer.Append allocates %.1f/op, want 0", avg)
-	}
-}
 
 func TestWriteIdleCSVRowAllocFree(t *testing.T) {
 	samples := make([]IdleSample, 1000)
