@@ -12,7 +12,7 @@ GO ?= go
 # dedicated hardware. allocs/op and B/op are deterministic, so their
 # floor stays tight; they are the reliable regression tripwires
 # everywhere.
-BENCH_GATE_PAT  = ^(BenchmarkSimulatorThroughput|BenchmarkBatchThroughput|BenchmarkBoot|BenchmarkRunCells|BenchmarkThreadHandshake|BenchmarkWinsysCall|BenchmarkExtraction|BenchmarkSchedulePop|BenchmarkLRUTouch|BenchmarkLRUTouchTLB|BenchmarkTouchPages|BenchmarkWriteIdleCSV|BenchmarkSketchAdd)$$
+BENCH_GATE_PAT  = ^(BenchmarkSimulatorThroughput|BenchmarkBoot|BenchmarkRunCells|BenchmarkThreadHandshake|BenchmarkWinsysCall|BenchmarkExtraction|BenchmarkSchedulePop|BenchmarkLRUTouch|BenchmarkLRUTouchTLB|BenchmarkTouchPages|BenchmarkWriteIdleCSV|BenchmarkSketchAdd)$$
 BENCH_GATE_PKGS = . ./internal/eventq ./internal/mem ./internal/trace ./internal/stats
 BENCH_NS_TOL    ?= 0.25
 BENCH_ALLOC_TOL ?= 0.10

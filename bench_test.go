@@ -14,7 +14,6 @@ import (
 	"context"
 	"io"
 	"testing"
-	"time"
 
 	"latlab/internal/apps"
 	"latlab/internal/campaign"
@@ -311,7 +310,9 @@ func BenchmarkAblationBufferCache(b *testing.B) {
 
 // BenchmarkSimulatorThroughput reports raw simulator speed: simulated
 // seconds per wall second for an idle NT 4.0 machine with the instrument
-// running.
+// running. It is the gated single-machine stepping benchmark: per op,
+// one machine is booted, run alone to a 10 s horizon and released, as a
+// campaign cell drives each of its sessions.
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sys := system.New(system.Config{Persona: persona.NT40()})
@@ -376,75 +377,6 @@ func BenchmarkWinsysCall(b *testing.B) {
 	})
 	b.ReportAllocs()
 	runUntilDone(k, t)
-}
-
-// idleBenchSession drives one idle machine to a fixed horizon — the
-// minimal BatchSession, so BenchmarkBatchThroughput measures the batch
-// engine itself rather than a scenario program.
-type idleBenchSession struct {
-	sys     *system.System
-	horizon simtime.Time
-	done    bool
-}
-
-func (s *idleBenchSession) Sys() *system.System { return s.sys }
-func (s *idleBenchSession) NextTarget() simtime.Time {
-	if s.done {
-		return simtime.Never
-	}
-	return s.horizon
-}
-func (s *idleBenchSession) OnTarget() { s.done = true }
-
-// BenchmarkBatchThroughput reports multi-machine simulator speed: per
-// op, eight idle NT 4.0 machines each simulated for 30 seconds (a
-// campaign-session-sized horizon, so per-machine boot cost amortises as
-// it does in a sweep) stepped as one system.Batch. The instruments
-// store no samples, so B/op does not depend on b.N. machine-sim-s/s
-// is the headline machines/sec throughput. x-vs-single is the in-process
-// speedup over untimed runs of one machine stepped alone, on this host
-// at the same moment: it isolates what batching adds and survives a
-// change of host.
-func BenchmarkBatchThroughput(b *testing.B) {
-	const (
-		lanes   = 8
-		horizon = simtime.Time(30 * simtime.Second)
-	)
-	batch := system.NewBatch(lanes)
-	sessions := make([]*idleBenchSession, lanes)
-	boot := func() *system.System {
-		sys := system.New(system.Config{Persona: persona.NT40()})
-		core.StartIdleLoop(sys.K)
-		return sys
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for slot := 0; slot < lanes; slot++ {
-			sessions[slot] = &idleBenchSession{sys: boot(), horizon: horizon}
-			batch.Open(slot, sessions[slot])
-		}
-		batch.Run()
-		for _, s := range sessions {
-			s.sys.Shutdown()
-		}
-		batch.Reset()
-	}
-	b.StopTimer()
-	batchPerMachine := b.Elapsed().Seconds() / float64(b.N*lanes)
-	// The fastest of three lone runs is the single machine's best case,
-	// so the reported speedup is conservative.
-	single := 0.0
-	for i := 0; i < 3; i++ {
-		start := time.Now()
-		sys := boot()
-		sys.K.Run(horizon)
-		sys.Shutdown()
-		if w := time.Since(start).Seconds(); single == 0 || w < single {
-			single = w
-		}
-	}
-	b.ReportMetric(30*float64(b.N*lanes)/b.Elapsed().Seconds(), "machine-sim-s/s")
-	b.ReportMetric(single/batchPerMachine, "x-vs-single")
 }
 
 // BenchmarkBoot reports what starting and releasing one campaign session

@@ -13,7 +13,6 @@ import (
 	"latlab/internal/runner"
 	"latlab/internal/scenario"
 	"latlab/internal/stats"
-	"latlab/internal/system"
 )
 
 // Options tunes a campaign run.
@@ -66,15 +65,12 @@ type Options struct {
 	// Deprecated: kept only because the benchmark module (bench/) still
 	// sets it.
 	Engine kernel.Engine
-	// Batch is the number of machines each worker steps as one
-	// system.Batch; <= 0 means DefaultBatch. The ledger bytes are
-	// identical for every value: sessions are opened, stepped, and
-	// folded in seed order either way.
+	// Batch is ignored: a cell drives one session at a time.
+	//
+	// Deprecated: kept only because the benchmark module (bench/) still
+	// sets it.
 	Batch int
 }
-
-// DefaultBatch is the batch width Options.Batch <= 0 selects.
-const DefaultBatch = 8
 
 // SketchAlpha returns the sketch accuracy every campaign runs with,
 // stats.DefaultSketchAlpha — the value resume planning must match
@@ -456,11 +452,9 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 
 // runCell executes a cell's sessions in seed order, folding every
 // event latency into one sketch and returning the finished ledger
-// record. Each session's events are discarded after folding, so memory
-// stays flat at any population size. Sessions run interleaved as a
-// system.Batch in waves of the batch width — opened, stepped, and folded
-// in seed order, so the record (and the ledger) is the same for every
-// width.
+// record. Each session is opened, driven, read and closed before the
+// next opens, and its events are discarded after folding, so memory
+// stays flat at any population size.
 func runCell(ctx context.Context, campaignID string, cell Cell, alpha float64, opt Options) (Record, error) {
 	sk := stats.NewSketch(alpha)
 	sessions := 0
@@ -504,8 +498,19 @@ func runCell(ctx context.Context, campaignID string, cell Cell, alpha float64, o
 		}
 		sessions++
 	}
-	if err := runCellBatched(ctx, cell, opt, fold); err != nil {
+	if err := cell.Doc.Validate(); err != nil {
 		return Record{}, err
+	}
+	for i := 0; i < cell.SeedCount; i++ {
+		if err := ctx.Err(); err != nil {
+			return Record{}, err
+		}
+		seed := cell.SeedStart + uint64(i)
+		events, err := sessionEvents(cell.Doc, seed, opt.Quick)
+		if err != nil {
+			return Record{}, fmt.Errorf("seed %d: %w", seed, err)
+		}
+		fold(events)
 	}
 	return Record{
 		Schema:     RecordSchemaVersion,
@@ -530,60 +535,15 @@ func runCell(ctx context.Context, campaignID string, cell Cell, alpha float64, o
 	}, nil
 }
 
-// runCellBatched steps the cell's sessions in waves of opt's batch
-// width on a batch of its own: each wave opens its sessions in seed
-// order, interleaves their stepping earliest-target-first, closes every
-// session of the wave, then extracts and folds in seed order. The
-// ledger reads only the sessions' events, so each is read with Events,
-// which skips the rest of the analysis row. The same deferred close
-// releases the wave's already-open sessions if a sibling's open fails;
-// an error, cancellation or panic drops the batch with the cell.
-func runCellBatched(ctx context.Context, cell Cell, opt Options, fold func([]core.Event)) error {
-	if err := cell.Doc.Validate(); err != nil {
-		return err
+// sessionEvents opens doc's session at seed, drives it and reads its
+// events — all a ledger record needs. The deferred Close releases the
+// machine when Drive panics; Events closes it otherwise.
+func sessionEvents(doc scenario.Doc, seed uint64, quick bool) ([]core.Event, error) {
+	s, err := experiments.OpenScenarioSession(experiments.Config{Seed: seed, Quick: quick}, doc)
+	if err != nil {
+		return nil, err
 	}
-	width := opt.Batch
-	if width <= 0 {
-		width = DefaultBatch
-	}
-	b := system.NewBatch(width)
-	open := make([]*experiments.ScenarioSession, width)
-	for base := 0; base < cell.SeedCount; base += width {
-		n := width
-		if rest := cell.SeedCount - base; n > rest {
-			n = rest
-		}
-		err := func() error {
-			defer func() {
-				for _, s := range open {
-					if s != nil {
-						s.Close()
-					}
-				}
-			}()
-			for i := 0; i < n; i++ {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				seed := cell.SeedStart + uint64(base+i)
-				s, err := experiments.OpenScenarioSession(experiments.Config{Seed: seed, Quick: opt.Quick}, cell.Doc)
-				if err != nil {
-					return fmt.Errorf("seed %d: %w", seed, err)
-				}
-				open[i] = s
-				b.Open(i, s)
-			}
-			b.Run()
-			return nil
-		}()
-		if err != nil {
-			return err
-		}
-		for i := 0; i < n; i++ {
-			fold(open[i].Events())
-			open[i] = nil
-		}
-		b.Reset()
-	}
-	return nil
+	defer s.Close()
+	s.Drive()
+	return s.Events(), nil
 }

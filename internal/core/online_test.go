@@ -8,16 +8,7 @@ import (
 	"latlab/internal/core"
 	"latlab/internal/experiments"
 	"latlab/internal/scenario"
-	"latlab/internal/simtime"
 )
-
-// drive steps s through its milestone program, as a batch does.
-func drive(s *experiments.ScenarioSession) {
-	for at := s.NextTarget(); at != simtime.Never; at = s.NextTarget() {
-		s.Sys().K.Run(at)
-		s.OnTarget()
-	}
-}
 
 // TestOnlineFSMMatchesReference cross-checks the probe's online FSM on
 // real sessions: every committed scenario document (each compare row of
@@ -70,7 +61,7 @@ func TestOnlineFSMMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			drive(s)
+			s.Drive()
 			row := s.Result().Row
 
 			s, err = experiments.OpenScenarioSession(cfg, doc)
@@ -82,7 +73,7 @@ func TestOnlineFSMMatchesReference(t *testing.T) {
 				t.Fatalf("opening the session ran its machine to %v; the reference cannot see what it missed", now)
 			}
 			replay := core.RecordHooks(s.Sys().K, s.Sys().Focus())
-			drive(s)
+			s.Drive()
 			ref := replay(s.Sys().K.Now())
 			if ref.Partition != "" {
 				t.Fatal(ref.Partition)

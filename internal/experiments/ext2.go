@@ -8,6 +8,7 @@ import (
 	"latlab/internal/apps"
 	"latlab/internal/core"
 	"latlab/internal/input"
+	"latlab/internal/machine"
 	"latlab/internal/persona"
 	"latlab/internal/simtime"
 	"latlab/internal/stats"
@@ -60,9 +61,12 @@ func runExtSlowCPU(ctx context.Context, cfg Config) (Result, error) {
 		p := persona.NT40()
 		// A down-clocked variant of the configured machine: same TLBs,
 		// caches and disk, only the core runs slower (§5.1's thought
-		// experiment isolates clock rate).
+		// experiment isolates clock rate). A DVFS ladder would boot the
+		// core at its own lowest level instead, so the variant runs at
+		// the one fixed clock.
 		prof := cfg.MachineProfile()
 		prof.ClockHz = simtime.Hz(mhz) * 1_000_000
+		prof.DVFS = machine.DVFSSpec{}
 
 		// Fixed-pace session with newlines so both latency classes appear.
 		raw := input.SampleText(chars)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"latlab/internal/core"
+	"latlab/internal/machine"
 )
 
 func TestExtBatching(t *testing.T) {
@@ -87,31 +88,42 @@ func TestExtMetric(t *testing.T) {
 	}
 }
 
+// TestExtSlowCPU runs the experiment on every machine profile: only
+// the core slows down, so on each of them echo latency scales with the
+// clock and the 20 MHz refreshes cross the perception threshold. A
+// DVFS ladder left on the down-clocked profile would boot m2026 at its
+// own 250 MHz floor, and none of its rows would be slow.
 func TestExtSlowCPU(t *testing.T) {
-	r := mustRun(t, runExtSlowCPU, full()).(*ExtSlowCPUResult)
-	renderOK(t, r)
-	if len(r.Rows) != 3 {
-		t.Fatalf("rows = %d", len(r.Rows))
-	}
-	fast, slow := r.Rows[0], r.Rows[2]
-	if fast.MHz != 100 || slow.MHz != 20 {
-		t.Fatalf("clock order wrong: %+v", r.Rows)
-	}
-	// Latency scales with the clock: the 20 MHz machine is ≈5x slower.
-	ratio := slow.Char.Mean / fast.Char.Mean
-	if ratio < 3.5 || ratio > 6.5 {
-		t.Fatalf("char slowdown = %.1fx, want ≈5x", ratio)
-	}
-	// At 100 MHz nothing crosses the perception threshold; at 20 MHz the
-	// refresh keystrokes do (the §5.1 point).
-	if fast.OverPerception != 0 {
-		t.Fatalf("100 MHz: %d events over 0.1s, want 0", fast.OverPerception)
-	}
-	if slow.OverPerception == 0 {
-		t.Fatalf("20 MHz: refreshes should cross the perception threshold")
-	}
-	if slow.Refresh.Mean < core.PerceptionThresholdMs {
-		t.Fatalf("20 MHz refresh mean = %.1fms, want >100ms", slow.Refresh.Mean)
+	for _, prof := range machine.All() {
+		t.Run(prof.Short, func(t *testing.T) {
+			cfg := full()
+			cfg.Machine = prof
+			r := mustRun(t, runExtSlowCPU, cfg).(*ExtSlowCPUResult)
+			renderOK(t, r)
+			if len(r.Rows) != 3 {
+				t.Fatalf("rows = %d", len(r.Rows))
+			}
+			fast, slow := r.Rows[0], r.Rows[2]
+			if fast.MHz != 100 || slow.MHz != 20 {
+				t.Fatalf("clock order wrong: %+v", r.Rows)
+			}
+			// Latency scales with the clock: the 20 MHz machine is ≈5x slower.
+			ratio := slow.Char.Mean / fast.Char.Mean
+			if ratio < 3.5 || ratio > 6.5 {
+				t.Fatalf("char slowdown = %.1fx, want ≈5x", ratio)
+			}
+			// At 100 MHz nothing crosses the perception threshold; at 20 MHz the
+			// refresh keystrokes do (the §5.1 point).
+			if fast.OverPerception != 0 {
+				t.Fatalf("100 MHz: %d events over 0.1s, want 0", fast.OverPerception)
+			}
+			if slow.OverPerception == 0 {
+				t.Fatalf("20 MHz: refreshes should cross the perception threshold")
+			}
+			if slow.Refresh.Mean < core.PerceptionThresholdMs {
+				t.Fatalf("20 MHz refresh mean = %.1fms, want >100ms", slow.Refresh.Mean)
+			}
+		})
 	}
 }
 

@@ -158,17 +158,15 @@ func openPPT(label string, cfg Config, sc scRun, plan faults.Plan) *ScenarioSess
 func openChain(label string, r *rig, t *kernel.Thread, steps []chainStep, sync bool, deadline simtime.Time) *ScenarioSession {
 	r.pr.Watch(t)
 	s := &ScenarioSession{r: r, label: label, thread: t,
-		kind: sessChain, deadline: deadline, chainDone: new(simtime.Time)}
+		deadline: deadline, chainDone: new(simtime.Time)}
 	driveChain(r.sys, steps, sync, s.chainDone)
-	s.target = r.sys.K.Now().Add(500 * simtime.Millisecond)
 	return s
 }
 
 // openTyping boots a paced Notepad typing session under plan. Input
 // comes from the scenario run: the seeded typist by default, or the
 // document's explicit stanza timeline. The whole script is installed up
-// front, so the milestone program is one Run to the script end plus
-// trailing time.
+// front, so Drive makes one Run to the script end plus trailing time.
 func openTyping(label string, cfg Config, sc scRun, plan faults.Plan) *ScenarioSession {
 	r := newRig(cfg, sc.p)
 	faults.NewClock(plan).Arm(faultsTarget(r, true))
@@ -177,7 +175,7 @@ func openTyping(label string, cfg Config, sc scRun, plan faults.Plan) *ScenarioS
 	script := sc.scenarioScript(defF(sc.prm.StartMs, 300))
 	script.Install(r.sys)
 	return &ScenarioSession{r: r, label: label, thread: n.Thread(),
-		kind: sessOnce, target: script.End().Add(secs(defF(sc.prm.TrailingS, 3)))}
+		end: script.End().Add(secs(defF(sc.prm.TrailingS, 3)))}
 }
 
 // faultsRow extracts the common analysis from a finished rig.

@@ -81,7 +81,7 @@ func pptSimulate(p persona.P, cfg Config) *pptRun {
 	prm.DeadlineS = 200
 	s := openPPT("", cfg, scRun{p: p, prm: prm}, faults.Plan{})
 	defer s.Close()
-	s.drive()
+	s.Drive()
 	events := s.r.extract(s.thread, true)
 
 	run := &pptRun{events: events, elapsed: simtime.Duration(*s.chainDone)}

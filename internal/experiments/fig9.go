@@ -99,7 +99,7 @@ func pptWarmRig(r *rig, objectEverySlide bool) {
 		step(kernel.WMCommand, apps.CmdLaunch, 200*simtime.Millisecond),
 		step(kernel.WMCommand, apps.CmdOpen, 200*simtime.Millisecond),
 	}
-	openChain("", r, ppt.Thread(), steps, false, simtime.Time(120*simtime.Second)).drive()
+	openChain("", r, ppt.Thread(), steps, false, simtime.Time(120*simtime.Second)).Drive()
 }
 
 // quiesce runs the kernel until the focused app goes idle. It always

@@ -45,7 +45,7 @@ func TestRunChainDeadlinePanics(t *testing.T) {
 	// A step that cannot complete in time: its think time alone
 	// outlasts an impossible deadline (now).
 	steps := []chainStep{step(kernel.WMChar, 'a', simtime.Second)}
-	openChain("", r, n.Thread(), steps, false, r.sys.K.Now()).drive()
+	openChain("", r, n.Thread(), steps, false, r.sys.K.Now()).Drive()
 }
 
 func TestChainPacingWaitsForCompletion(t *testing.T) {
@@ -60,7 +60,7 @@ func TestChainPacingWaitsForCompletion(t *testing.T) {
 		step(kernel.WMChar, 'b', think),
 		step(kernel.WMChar, 'c', think),
 	}
-	openChain("", r, n.Thread(), steps, false, simtime.Time(20*simtime.Second)).drive()
+	openChain("", r, n.Thread(), steps, false, simtime.Time(20*simtime.Second)).Drive()
 	events := r.extract(n.Thread(), false)
 	if len(events) != 3 {
 		t.Fatalf("events = %d", len(events))

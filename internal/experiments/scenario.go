@@ -55,9 +55,9 @@ type scRun struct {
 }
 
 // runScenario executes doc under cfg. A single-run document is one
-// session opened exactly as a batch opens it and driven alone; a
-// compare document drives one session per row, the faulted rows under
-// the document's fault plan.
+// session opened and driven exactly as a campaign cell drives each of
+// its seeds; a compare document drives one session per row, the
+// faulted rows under the document's fault plan.
 func runScenario(ctx context.Context, cfg Config, doc scenario.Doc) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -68,7 +68,7 @@ func runScenario(ctx context.Context, cfg Config, doc scenario.Doc) (Result, err
 			return nil, err
 		}
 		defer s.Close()
-		s.drive()
+		s.Drive()
 		return s.Result(), nil
 	}
 	rs, err := resolveScenario(cfg, doc)
@@ -100,8 +100,7 @@ type resolvedScenario struct {
 }
 
 // resolveScenario settles doc against cfg. Every way a document runs —
-// a single session, alone or batched, and each compare row — resolves
-// through here.
+// a single session and each compare row — resolves through here.
 func resolveScenario(cfg Config, doc scenario.Doc) (resolvedScenario, error) {
 	if doc.Seed != 0 {
 		cfg.Seed = doc.Seed
@@ -133,7 +132,7 @@ func resolveScenario(cfg Config, doc scenario.Doc) (resolvedScenario, error) {
 func (rs resolvedScenario) runRow(label string, plan faults.Plan) ExtFaultsRow {
 	s := rs.opener(label, rs.cfg, rs.sc, plan)
 	defer s.Close()
-	s.drive()
+	s.Drive()
 	return s.row()
 }
 

@@ -5,81 +5,11 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
-	"sort"
 	"testing"
 
 	"latlab/internal/core"
 	"latlab/internal/scenario"
-	"latlab/internal/system"
 )
-
-// TestBatchSessionEquivalence pins the decomposition contract stated in
-// session.go: a session stepped inside a system.Batch produces exactly
-// the result the sequential path produces for the same Config and Doc.
-// Every fuzzer-found corpus document (each pins its seed and machine)
-// runs once alone and once interleaved with the whole set in one batch,
-// and the two ScenarioResults must be deeply equal. The batched sessions
-// are closed before Result, in the order campaigns use.
-func TestBatchSessionEquivalence(t *testing.T) {
-	paths, err := filepath.Glob(filepath.Join(twinDir, "fz-*.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(paths) < 2 {
-		t.Fatalf("need at least 2 corpus documents to interleave, found %d", len(paths))
-	}
-	sort.Strings(paths)
-	var docs []scenario.Doc
-	for _, path := range paths {
-		doc, err := scenario.ParseFile(path)
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		if len(doc.Compare) > 0 {
-			continue
-		}
-		docs = append(docs, doc)
-	}
-	cfg := Config{Seed: 1996, Quick: true}
-
-	// Sequential reference: each document run alone.
-	want := make([]*ScenarioResult, len(docs))
-	for i, doc := range docs {
-		spec, err := FromScenario(doc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := spec.Run(context.Background(), cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", doc.ID, err)
-		}
-		want[i] = res.(*ScenarioResult)
-	}
-
-	// The same documents opened into one batch and stepped interleaved.
-	b := system.NewBatch(len(docs))
-	open := make([]*ScenarioSession, len(docs))
-	for i, doc := range docs {
-		s, err := OpenScenarioSession(cfg, doc)
-		if err != nil {
-			t.Fatalf("%s: %v", doc.ID, err)
-		}
-		open[i] = s
-		b.Open(i, s)
-	}
-	b.Run()
-	// Campaigns close every session of a wave before extracting any.
-	for _, s := range open {
-		s.Close()
-	}
-	for i, s := range open {
-		got := s.Result()
-		if !reflect.DeepEqual(got, want[i]) {
-			t.Errorf("%s: batched session result differs from the sequential run:\nbatched:    %+v\nsequential: %+v",
-				docs[i].ID, got, want[i])
-		}
-	}
-}
 
 // singleRunDocs returns every single-run scenario a session can open
 // that the repository commits: the scenario corpus and the campaign
@@ -118,7 +48,7 @@ func openDriven(t *testing.T, cfg Config, doc scenario.Doc) *ScenarioSession {
 	if err != nil {
 		t.Fatalf("%s: %v", doc.ID, err)
 	}
-	s.drive()
+	s.Drive()
 	return s
 }
 
@@ -142,13 +72,11 @@ func TestEventsMatchResult(t *testing.T) {
 	}
 }
 
-// TestLedgerSessionResult pins that a session opened exactly as
-// campaign.RunCells opens one — stepped in a batch slot and closed
-// before it is read — reports through Result the think/wait row
-// runScenario reports for the same document and seed. Each campaign
-// template runs at two seeds through one slot.
+// TestLedgerSessionResult pins that a session opened and driven
+// exactly as campaign.RunCells drives one, and closed before it is read,
+// reports through Result the think/wait row runScenario reports for the
+// same document and seed. Each campaign template runs at two seeds.
 func TestLedgerSessionResult(t *testing.T) {
-	b := system.NewBatch(1)
 	for _, path := range []string{
 		"../../testdata/campaigns/demo-type.json",
 		"../../testdata/campaigns/demo-storm.json",
@@ -168,10 +96,8 @@ func TestLedgerSessionResult(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", doc.ID, seed, err)
 			}
-			b.Open(0, s)
-			b.Run()
+			s.Drive()
 			s.Close()
-			b.Reset()
 			got := s.Result().Row
 			if got.Transitions == 0 {
 				t.Errorf("%s seed %d: no think/wait transition", doc.ID, seed)
@@ -222,7 +148,7 @@ func tapped(t *testing.T, cfg Config, doc scenario.Doc) *ScenarioSession {
 		t.Fatalf("%s: %v", doc.ID, err)
 	}
 	s.r.il.Record()
-	s.drive()
+	s.Drive()
 	return s
 }
 

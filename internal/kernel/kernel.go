@@ -227,9 +227,11 @@ type Kernel struct {
 // New builds a kernel (and its machine: CPU, disk, buffer cache) from
 // cfg. cfg.Machine (the paper's Pentium when unset) is the one source
 // of the clock, the hardware penalties and the disk; the crossing cost
-// is cfg.DomainCrossingCycles.
+// is cfg.DomainCrossingCycles. A profile that fails machine.Validate
+// panics here rather than boot a machine that is not what it claims.
 func New(cfg Config) *Kernel {
 	prof := cfg.Machine.OrDefault()
+	prof.Validate()
 	cfg.Machine = prof
 	k := &Kernel{cfg: cfg}
 	k.reconcileFn = func(now simtime.Time) { k.reconcile() }

@@ -3,6 +3,7 @@ package kernel
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -891,4 +892,23 @@ func TestIRQCoalescingEarlyFlush(t *testing.T) {
 	if disk := k.CPU().Count(cpu.Interrupts) - k.ClockTicks(); disk != 2 {
 		t.Fatalf("%d disk interrupts for two batches, want 2", disk)
 	}
+}
+
+// TestNewRejectsInvalidProfile pins that a machine boots only from a
+// profile machine.Validate accepts. A DVFS ladder whose top differs
+// from ClockHz is the case that once slipped through: the kernel boots
+// at the ladder's lowest level, so a down-clocked profile that kept
+// m2026's ladder ran at 250 MHz whatever ClockHz said.
+func TestNewRejectsInvalidProfile(t *testing.T) {
+	prof := machine.Modern2026()
+	prof.ClockHz = 20_000_000
+	cfg := DefaultConfig()
+	cfg.Machine = prof
+	defer func() {
+		p := recover()
+		if msg := fmt.Sprint(p); p == nil || !strings.Contains(msg, "DVFS max level must equal ClockHz") {
+			t.Fatalf("New on a ladder topping out above ClockHz: recovered %v, want the DVFS validation panic", p)
+		}
+	}()
+	New(cfg).Shutdown()
 }

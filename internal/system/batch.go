@@ -1,96 +1,54 @@
 package system
 
-import (
-	"latlab/internal/simtime"
-	"latlab/internal/trace"
-)
+import "latlab/internal/trace"
 
-// BatchSession is one machine's scripted run inside a Batch. A session
-// exposes its milestone program as (NextTarget, OnTarget) pairs: the
-// batch runs the machine to the target, the session executes its
-// program step there and computes the next target. Machines are fully
-// independent — each kernel has its own clock and event queue — so any
-// stepping order yields the same per-session results; the batch steps
-// them earliest-target-first to keep the cohort loosely in lockstep.
-type BatchSession interface {
-	// Sys returns the session's booted machine.
-	Sys() *System
-	// NextTarget returns the next simulated instant the session's
-	// program needs control at, or simtime.Never once it has finished.
-	NextTarget() simtime.Time
-	// OnTarget executes the program step with the clock at the target.
-	OnTarget()
-}
-
-// Batch steps up to Size independent machines as one unit on one
-// worker. Per-machine state is struct-of-arrays — sessions and cached
-// targets in parallel slices — so the stepping loop touches only small
-// dense arrays between kernel runs. Slots are reused across waves of
-// sessions.
+// Batch holds sessions in slots and drives each open one in slot order.
+// It interleaves nothing: campaigns drive one session at a time.
+//
+// Deprecated: kept only because the benchmark module (bench/) still
+// steps its traced campaign replica through it.
 type Batch struct {
-	sessions []BatchSession
-	targets  []simtime.Time
+	sessions []interface{ Drive() }
 }
 
 // NewBatch makes an empty batch with n slots.
+//
+// Deprecated: see Batch.
 func NewBatch(n int) *Batch {
 	if n < 1 {
 		panic("system: batch size must be positive")
 	}
-	return &Batch{
-		sessions: make([]BatchSession, n),
-		targets:  make([]simtime.Time, n),
-	}
+	return &Batch{sessions: make([]interface{ Drive() }, n)}
 }
 
-// Size returns the slot count.
-func (b *Batch) Size() int { return len(b.sessions) }
-
-// Arena returns nil: sessions store no idle samples, so a slot keeps
-// no sample arena.
+// Arena returns nil: sessions store no idle samples.
 //
 // Deprecated: kept only because the benchmark module (bench/) still
 // passes it to experiments.Config.IdleArena, which nothing reads.
 func (b *Batch) Arena(slot int) *[]trace.IdleSample { return nil }
 
 // Open installs s in the given slot.
-func (b *Batch) Open(slot int, s BatchSession) {
+//
+// Deprecated: see Batch.
+func (b *Batch) Open(slot int, s interface{ Drive() }) {
 	if b.sessions[slot] != nil {
 		panic("system: batch slot already open")
 	}
 	b.sessions[slot] = s
-	b.targets[slot] = s.NextTarget()
 }
 
-// Run drives every open session to completion: repeatedly pick the
-// session with the earliest pending target, run its machine to that
-// instant, execute its program step, and cache the new target. Returns
-// when no session has a pending target.
+// Run drives every open session to completion, in slot order.
+//
+// Deprecated: see Batch.
 func (b *Batch) Run() {
-	for {
-		best, at := -1, simtime.Never
-		for i, s := range b.sessions {
-			if s == nil {
-				continue
-			}
-			if t := b.targets[i]; t < at {
-				at, best = t, i
-			}
+	for _, s := range b.sessions {
+		if s != nil {
+			s.Drive()
 		}
-		if best < 0 || at == simtime.Never {
-			return
-		}
-		s := b.sessions[best]
-		s.Sys().K.Run(at)
-		s.OnTarget()
-		b.targets[best] = s.NextTarget()
 	}
 }
 
-// Reset empties every slot for the next wave.
-func (b *Batch) Reset() {
-	for i := range b.sessions {
-		b.sessions[i] = nil
-		b.targets[i] = 0
-	}
-}
+// Reset empties every slot.
+//
+// Deprecated: see Batch.
+func (b *Batch) Reset() { clear(b.sessions) }
