@@ -22,6 +22,7 @@ import (
 	"latlab/internal/experiments"
 	"latlab/internal/input"
 	"latlab/internal/kernel"
+	"latlab/internal/machine"
 	"latlab/internal/persona"
 	"latlab/internal/scenario"
 	"latlab/internal/simtime"
@@ -176,10 +177,11 @@ func BenchmarkS54TestVsHand(b *testing.B) {
 // headline number, so the contribution of the mechanism is visible in
 // the benchmark output.
 
-// keystrokeLatency measures the mean unbound-keystroke latency under p.
-func keystrokeLatency(b *testing.B, p persona.P) float64 {
+// keystrokeLatency measures the mean unbound-keystroke latency under p
+// on m.
+func keystrokeLatency(b *testing.B, p persona.P, m machine.Profile) float64 {
 	b.Helper()
-	sys := system.New(system.Config{Persona: p})
+	sys := system.New(system.Config{Persona: p, Machine: m})
 	defer sys.Shutdown()
 	probe := core.AttachProbe(sys.K)
 	idle := core.StartIdleLoop(sys.K)
@@ -208,21 +210,22 @@ func keystrokeLatency(b *testing.B, p persona.P) float64 {
 }
 
 // BenchmarkAblationCrossingFlush quantifies the NT 3.51 server
-// architecture: the same keystroke with and without TLB flushes on
-// protection-domain crossings.
+// architecture: the same keystroke on the paper's Pentium, whose
+// untagged TLBs every protection-domain crossing and process switch
+// flushes, then on the same machine with tagged TLBs, which keep their
+// entries, first with the crossing's direct cost and then without it.
 func BenchmarkAblationCrossingFlush(b *testing.B) {
-	var with, without float64
+	var with, noFlush, free float64
 	for i := 0; i < b.N; i++ {
 		p := persona.NT351()
-		with = keystrokeLatency(b, p)
-		noFlush := p
-		// A free crossing on the same hardware penalties.
-		noFlush.Kernel.DomainCrossingCycles = 0
-		noFlush.Kernel.FlushOnProcessSwitch = false
-		without = keystrokeLatency(b, noFlush)
+		with = keystrokeLatency(b, p, machine.Pentium100())
+		noFlush = keystrokeLatency(b, p, machine.PentiumTaggedTLB())
+		p.Kernel.DomainCrossingCycles = 0
+		free = keystrokeLatency(b, p, machine.PentiumTaggedTLB())
 	}
 	b.ReportMetric(with, "with-flush-ms")
-	b.ReportMetric(without, "no-crossing-cost-ms")
+	b.ReportMetric(noFlush, "no-flush-ms")
+	b.ReportMetric(free, "no-crossing-cost-ms")
 }
 
 // BenchmarkAblation16BitCosts quantifies the Windows 95 16-bit signature
@@ -231,12 +234,12 @@ func BenchmarkAblation16BitCosts(b *testing.B) {
 	var with, without float64
 	for i := 0; i < b.N; i++ {
 		p := persona.W95()
-		with = keystrokeLatency(b, p)
+		with = keystrokeLatency(b, p, machine.Pentium100())
 		clean := p
 		clean.SegLoadsPerKCycle = 0
 		clean.UnalignedPerKCycle = 0
 		clean.DataWindowScale = 1.0
-		without = keystrokeLatency(b, clean)
+		without = keystrokeLatency(b, clean, machine.Pentium100())
 	}
 	b.ReportMetric(with, "w95-ms")
 	b.ReportMetric(without, "w95-no16bit-ms")
@@ -251,7 +254,7 @@ func BenchmarkAblationQueueSync(b *testing.B) {
 		defer sys.Shutdown()
 		probe := core.AttachProbe(sys.K)
 		idle := core.StartIdleLoop(sys.K)
-		n := apps.NewNotepad(sys, 250_000)
+		n := apps.NewNotepad(sys)
 		script := &input.Script{
 			Events:    input.TypeText(simtime.Time(300*simtime.Millisecond), input.SampleText(60), 120*simtime.Millisecond),
 			QueueSync: sync,
@@ -453,7 +456,7 @@ func notepadTrace() ([]trace.IdleSample, []trace.MsgRecord, int) {
 	probe := core.AttachProbe(sys.K)
 	idle := core.StartIdleLoop(sys.K)
 	idle.Record()
-	n := apps.NewNotepad(sys, 250_000)
+	n := apps.NewNotepad(sys)
 	script := &input.Script{
 		Events:    input.TypeText(simtime.Time(300*simtime.Millisecond), input.SampleText(500), 120*simtime.Millisecond),
 		QueueSync: true,

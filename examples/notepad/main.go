@@ -26,8 +26,7 @@ func main() {
 		sys := system.New(system.Config{Persona: p})
 		probe := core.AttachProbe(sys.K)
 		idle := core.StartIdleLoop(sys.K)
-		idle.Record() // core.Extract below reads the raw samples
-		notepad := apps.NewNotepad(sys, 250_000)
+		notepad := apps.NewNotepad(sys)
 
 		// Type at ~100 wpm with a page-down at the end; Test-style input
 		// (WM_QUEUESYNC after every event).
@@ -38,7 +37,7 @@ func main() {
 		script.Install(sys)
 		sys.K.Run(script.End().Add(2 * simtime.Second))
 
-		events := core.Extract(idle.Samples(), probe.Msgs, core.ExtractOptions{
+		events := idle.Extract(probe.Msgs, core.ExtractOptions{
 			Thread:         notepad.Thread().ID(),
 			StripQueueSync: true, // remove the Test artifact, as the paper does
 		})

@@ -35,7 +35,6 @@ func main() {
 	defer sys.Shutdown()
 	probe := core.AttachProbe(sys.K)
 	idle := core.StartIdleLoop(sys.K)
-	idle.Record() // core.Extract below reads the raw samples
 	ppt := apps.NewPowerpoint(sys, apps.DefaultPowerpointParams())
 
 	// Completion-paced task: each input goes in 300 ms after the app
@@ -78,7 +77,7 @@ func main() {
 	}
 	sys.K.RunFor(2 * simtime.Second)
 
-	events := core.Extract(idle.Samples(), probe.Msgs, core.ExtractOptions{
+	events := idle.Extract(probe.Msgs, core.ExtractOptions{
 		Thread: ppt.Thread().ID(), StripQueueSync: true,
 	})
 

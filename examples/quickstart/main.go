@@ -31,7 +31,6 @@ func main() {
 	// 2. Install the measurement methodology: probe + idle loop.
 	probe := core.AttachProbe(sys.K)
 	idle := core.StartIdleLoop(sys.K)
-	idle.Record() // keep the raw samples for core.Extract in step 5
 
 	// 3. A minimal interactive application: 3 ms of work per keystroke,
 	//    then echo the character through the window system.
@@ -60,7 +59,7 @@ func main() {
 
 	// 5. Extract events by correlating the idle-loop trace with the
 	//    message-API trace.
-	events := core.Extract(idle.Samples(), probe.Msgs, core.ExtractOptions{
+	events := idle.Extract(probe.Msgs, core.ExtractOptions{
 		Thread: app.ID(),
 	})
 

@@ -25,8 +25,7 @@ func run(testDriven bool) (typicalMs float64, crMaxMs float64, bgBursts int) {
 	defer sys.Shutdown()
 	probe := core.AttachProbe(sys.K)
 	idle := core.StartIdleLoop(sys.K)
-	idle.Record() // core.Extract below reads the raw samples
-	word := apps.NewWord(sys, apps.DefaultWordParams())
+	word := apps.NewWord(sys)
 
 	text := input.SampleText(180) + "\n" + input.SampleText(120) + "\n" + input.SampleText(60)
 	var evs []input.Event
@@ -41,7 +40,7 @@ func run(testDriven bool) (typicalMs float64, crMaxMs float64, bgBursts int) {
 	script.Install(sys)
 	sys.K.Run(script.End().Add(3 * simtime.Second))
 
-	events := core.Extract(idle.Samples(), probe.Msgs, core.ExtractOptions{
+	events := idle.Extract(probe.Msgs, core.ExtractOptions{
 		Thread: word.Thread().ID(),
 	})
 	var chars []float64

@@ -65,7 +65,7 @@ func TestNotepadLatencyClasses(t *testing.T) {
 	// §5.1: echo keystrokes < 10 ms; newline/page-down ≥ 28 ms.
 	r := newRig(persona.NT40())
 	defer r.sys.Shutdown()
-	n := NewNotepad(r.sys, 250_000)
+	n := NewNotepad(r.sys)
 	text := input.SampleText(60) + "\n" + input.SampleText(40)
 	ev := input.TypeText(secs(0.5), text, 120*simtime.Millisecond)
 	ev = append(ev, input.KeyDowns(secs(0.5).Add(simtime.Duration(len(text))*120*simtime.Millisecond+simtime.Second), input.VKPageDown, 2, 500*simtime.Millisecond)...)
@@ -107,7 +107,7 @@ func TestNotepadW95SmallestCumulativeLatencyLargestElapsed(t *testing.T) {
 	results := map[string]res{}
 	for _, p := range persona.All() {
 		r := newRig(p)
-		n := NewNotepad(r.sys, 250_000)
+		n := NewNotepad(r.sys)
 		script := &input.Script{
 			Events:    input.TypeText(secs(0.5), input.SampleText(120), 120*simtime.Millisecond),
 			QueueSync: true,
@@ -144,7 +144,7 @@ func TestWordHandVsTest(t *testing.T) {
 
 	// Test-driven: fixed pacing + WM_QUEUESYNC.
 	rTest := newRig(persona.NT351())
-	wTest := NewWord(rTest.sys, DefaultWordParams())
+	wTest := NewWord(rTest.sys)
 	st := &input.Script{Events: input.TypeText(secs(0.5), text, 150*simtime.Millisecond), QueueSync: true}
 	st.Install(rTest.sys)
 	rTest.sys.K.Run(st.End().Add(3 * simtime.Second))
@@ -153,7 +153,7 @@ func TestWordHandVsTest(t *testing.T) {
 
 	// Hand-driven: typist pacing, no QUEUESYNC.
 	rHand := newRig(persona.NT351())
-	wHand := NewWord(rHand.sys, DefaultWordParams())
+	wHand := NewWord(rHand.sys)
 	sh := &input.Script{Events: input.NewTypist(11, 100).Type(secs(0.5), text)}
 	sh.Install(rHand.sys)
 	rHand.sys.K.Run(sh.End().Add(3 * simtime.Second))
@@ -212,7 +212,7 @@ func TestWordW95NeverIdle(t *testing.T) {
 	// report W95 Word results.
 	r := newRig(persona.W95())
 	defer r.sys.Shutdown()
-	w := NewWord(r.sys, DefaultWordParams())
+	w := NewWord(r.sys)
 	script := &input.Script{Events: input.TypeText(secs(0.5), "abcdef", 150*simtime.Millisecond)}
 	script.Install(r.sys)
 	r.sys.K.Run(script.End().Add(5 * simtime.Second))

@@ -111,7 +111,7 @@ func TestPowerpointTypingOutsideEdit(t *testing.T) {
 func TestNotepadUnknownKeyFallsThrough(t *testing.T) {
 	sys := bootNT40()
 	defer sys.Shutdown()
-	n := NewNotepad(sys, 250_000)
+	n := NewNotepad(sys)
 	sys.K.RunFor(5 * simtime.Second) // load document
 	busy := sys.K.NonIdleBusyTime()
 	sys.K.PostMessage(n.Thread(), kernel.WMKeyDown, 0x70 /* F1 */)
@@ -127,7 +127,7 @@ func TestNotepadUnknownKeyFallsThrough(t *testing.T) {
 func TestNotepadArrowKeysCheap(t *testing.T) {
 	sys := bootNT40()
 	defer sys.Shutdown()
-	n := NewNotepad(sys, 250_000)
+	n := NewNotepad(sys)
 	sys.K.RunFor(5 * simtime.Second)
 	b0 := sys.K.NonIdleBusyTime()
 	sys.K.PostMessage(n.Thread(), kernel.WMKeyDown, input.VKLeft)
@@ -146,7 +146,7 @@ func TestNotepadArrowKeysCheap(t *testing.T) {
 func TestNotepadBackspaceCountsAsChar(t *testing.T) {
 	sys := bootNT40()
 	defer sys.Shutdown()
-	n := NewNotepad(sys, 250_000)
+	n := NewNotepad(sys)
 	sys.K.RunFor(5 * simtime.Second)
 	sys.K.PostMessage(n.Thread(), kernel.WMKeyDown, input.VKBack)
 	sys.K.RunFor(simtime.Second)
@@ -170,28 +170,12 @@ func TestEchoHandlesQueueSync(t *testing.T) {
 func TestWordQuitAndKeydown(t *testing.T) {
 	sys := bootNT40()
 	defer sys.Shutdown()
-	w := NewWord(sys, DefaultWordParams())
+	w := NewWord(sys)
 	sys.K.PostMessage(w.Thread(), kernel.WMKeyDown, input.VKLeft)
 	sys.K.RunFor(simtime.Second)
 	sys.K.PostMessage(w.Thread(), kernel.WMQuit, 0)
 	sys.K.RunFor(simtime.Second)
 	if w.Thread().State() != kernel.StateDone {
 		t.Fatalf("word should exit on WM_QUIT")
-	}
-}
-
-func TestWordSpellCheckDisabled(t *testing.T) {
-	sys := bootNT40()
-	defer sys.Shutdown()
-	params := DefaultWordParams()
-	params.SpellCheck = false
-	params.Justify = false
-	params.TailMeanCycles = 0
-	w := NewWord(sys, params)
-	script := &input.Script{Events: input.TypeText(simtime.Time(100*simtime.Millisecond), "abc", 200*simtime.Millisecond)}
-	script.Install(sys)
-	sys.K.Run(script.End().Add(2 * simtime.Second))
-	if w.Pending != 0 || w.LayoutPending != 0 || w.BackgroundBursts != 0 {
-		t.Fatalf("disabled features still queued work: %+v", w)
 	}
 }

@@ -30,14 +30,17 @@ type Notepad struct {
 // page movement; sized so refresh keystrokes land at ≥28 ms (paper §5.1).
 const refreshLines = 26
 
-// NewNotepad spawns Notepad editing a 56 KB document (14 pages) located
-// at docBlock on disk; the file is read during startup so the editing
-// session itself is compute-bound, as in the paper.
-func NewNotepad(sys *system.System, docBlock int64) *Notepad {
+// notepadDocBlock places Notepad's document on disk.
+const notepadDocBlock = 250_000
+
+// NewNotepad spawns Notepad editing a 56 KB document (14 pages); the
+// file is read during startup so the editing session itself is
+// compute-bound, as in the paper.
+func NewNotepad(sys *system.System) *Notepad {
 	n := &Notepad{sys: sys}
 	code := pageRange(300, 5)
 	data := pageRange(1000, 4)
-	doc := sys.K.Cache().AddFile("notepad-doc.txt", docBlock, 14)
+	doc := sys.K.Cache().AddFile("notepad-doc.txt", notepadDocBlock, 14)
 
 	insert := appSeg("notepad-insert", 16_000, code, data)
 	caret := appSeg("notepad-caret", 9_000, code, data[:1])

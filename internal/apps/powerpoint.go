@@ -13,44 +13,37 @@ import (
 type PowerpointParams struct {
 	// Slides is the deck length (the paper's deck: 46 pages).
 	Slides int
-	// DocPages is the document size in 4 KB pages (530 KB → 133).
-	DocPages int64
 	// ObjectSlides lists the slides carrying OLE embedded graph objects
 	// (the paper's deck has three, of similar size and complexity).
 	ObjectSlides []int
-	// ObjectDataPages is each object's storage size.
-	ObjectDataPages int64
-	// Elements is each graph's drawn-element count.
-	Elements int
-	// ExePages and FontPages size the application image and its startup
-	// resources (before persona BinaryScale).
-	ExePages  int64
-	FontPages int64
 }
 
 // DefaultPowerpointParams matches the paper's task scenario.
 func DefaultPowerpointParams() PowerpointParams {
-	return PowerpointParams{
-		Slides:          46,
-		DocPages:        133,
-		ObjectSlides:    []int{10, 20, 30},
-		ObjectDataPages: 140,
-		Elements:        240,
-		ExePages:        1250,
-		FontPages:       220,
-	}
+	return PowerpointParams{Slides: 46, ObjectSlides: []int{10, 20, 30}}
 }
+
+// The deck's sizes: the document in 4 KB pages (530 KB), each embedded
+// object's storage and drawn-element count, and the application image
+// and its startup resources (before the persona's BinaryScale).
+const (
+	pptDocPages    = 133
+	pptObjectPages = 140
+	pptElements    = 240
+	pptExePages    = 1250
+	pptFontPages   = 220
+	pptLibPages    = 680
+)
 
 // Disk layout (block addresses) for the PowerPoint scenario's files.
 const (
-	pptExeBlock   = 900_000
-	pptLibsBlock  = 1_050_000
-	pptDocBlock   = 300_000
-	pptObj0Block  = 400_000
-	pptObjStride  = 80_000
-	pptTempBlock  = 1_800_000
-	pptMetaBlock  = 64
-	pptServerBloc = 1_200_000
+	pptExeBlock  = 900_000
+	pptLibsBlock = 1_050_000
+	pptDocBlock  = 300_000
+	pptObj0Block = 400_000
+	pptObjStride = 80_000
+	pptTempBlock = 1_800_000
+	pptMetaBlock = 64
 )
 
 // Powerpoint models the slide editor of §5.2: cold start, document open,
@@ -80,25 +73,20 @@ type Powerpoint struct {
 func NewPowerpoint(sys *system.System, params PowerpointParams) *Powerpoint {
 	p := &Powerpoint{sys: sys, params: params, objectBySlide: make(map[int]*ole.Object)}
 	scale := sys.P.BinaryScale
-	if scale <= 0 {
-		scale = 1
-	}
 	cache := sys.K.Cache()
-	exePages := int64(float64(params.ExePages) * scale)
-	fontPages := int64(float64(params.FontPages) * scale)
-	libPages := int64(float64(680) * scale)
+	exePages := int64(float64(pptExePages) * scale)
+	fontPages := int64(float64(pptFontPages) * scale)
+	libPages := int64(float64(pptLibPages) * scale)
 	p.exe = cache.AddFile("powerpnt.exe", pptExeBlock, exePages+fontPages)
 	p.libs = cache.AddFile("converters.dll", pptLibsBlock, libPages)
-	p.doc = cache.AddFile("deck.ppt", pptDocBlock, params.DocPages)
-	p.temp = cache.AddFile("~save.tmp", pptTempBlock, params.DocPages*2+64)
+	p.doc = cache.AddFile("deck.ppt", pptDocBlock, pptDocPages)
+	p.temp = cache.AddFile("~save.tmp", pptTempBlock, pptDocPages*2+64)
 	p.meta = cache.AddFile("fs-meta", pptMetaBlock, 8)
 
-	srvCfg := ole.DefaultServerConfig()
-	srvCfg.StartBlock = pptServerBloc
-	p.server = ole.NewServer(sys.Win, cache, srvCfg)
+	p.server = ole.NewServer(sys.Win, cache)
 	for i, slide := range params.ObjectSlides {
 		o := ole.NewObject(p.server, "graph-obj", pptObj0Block+int64(i)*pptObjStride,
-			params.ObjectDataPages, params.Elements)
+			pptObjectPages, pptElements)
 		p.objects = append(p.objects, o)
 		p.objectBySlide[slide] = o
 	}
@@ -189,7 +177,7 @@ func (p *Powerpoint) open(tc *kernel.TC, libPages int64, parse cpu.Segment) {
 		case parsing:
 			lc.Compute(parse)
 			parsing = false
-		case off < p.params.DocPages:
+		case off < pptDocPages:
 			lc.ReadFile(p.doc, off, 1)
 			parsing = off%10 == 0
 			off++
@@ -212,11 +200,7 @@ func (p *Powerpoint) save(tc *kernel.TC) {
 		return
 	}
 	p.Saves++
-	scale := p.sys.P.SaveScale
-	if scale <= 0 {
-		scale = 1
-	}
-	pages := int64(float64(p.params.DocPages+30) * scale)
+	pages := int64(float64(pptDocPages+30) * p.sys.P.SaveScale)
 	// Each data page to the temp file followed by a metadata update, then
 	// the copy back in larger runs, as one kernel loop.
 	i, meta, back := int64(0), false, int64(0)
@@ -227,9 +211,9 @@ func (p *Powerpoint) save(tc *kernel.TC) {
 			meta = false
 			i++
 		case i < pages:
-			lc.WriteFile(p.temp, i%(p.params.DocPages*2), 1)
+			lc.WriteFile(p.temp, i%(pptDocPages*2), 1)
 			meta = true
-		case back+4 <= p.params.DocPages:
+		case back+4 <= pptDocPages:
 			lc.WriteFile(p.doc, back, 4)
 			back += 4
 		default:

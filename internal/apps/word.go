@@ -7,37 +7,17 @@ import (
 	"latlab/internal/system"
 )
 
-// WordParams configures the word-processor model.
-type WordParams struct {
-	// Justify enables line justification work per keystroke.
-	Justify bool
-	// SpellCheck enables the interactive spell checker: each character
-	// queues background analysis units, processed by a timer-driven
-	// coroutine when the application is otherwise idle — the structure
-	// the paper found so hard to analyze in §5.4 ("responds to input
-	// events and handles background computations asynchronously using an
-	// internal system of coroutines").
-	SpellCheck bool
-	// Seed drives the per-keystroke work dispersion: occasional line
-	// re-breaks and glyph-cache refills add an exponentially distributed
-	// extra cost, producing the heavy upper tail behind the paper's
-	// Table 2 (101 events >100 ms, 26 >110 ms, 8 >120 ms out of ~1000).
-	Seed uint64
-	// TailMeanCycles is the mean of that extra cost (0 disables).
-	TailMeanCycles float64
-}
-
-// DefaultWordParams matches the paper's §5.4 run: "line justification and
-// interactive spell checking were enabled".
-func DefaultWordParams() WordParams {
-	return WordParams{Justify: true, SpellCheck: true, Seed: 1996, TailMeanCycles: 550_000}
-}
-
 // Word models the paper's §5.4 word processor. Its structural features
 // reproduce the behaviours the paper measured:
 //
-//   - Keystrokes cost far more than Notepad's (formatting, variable-width
-//     fonts, spell checking) — ≈30 ms typical under hand input.
+//   - Line justification and interactive spell checking are on, as in
+//     the paper's run, so keystrokes cost far more than Notepad's
+//     (formatting, variable-width fonts, spell checking) — ≈30 ms
+//     typical under hand input.
+//   - Occasional line re-breaks and glyph-cache refills add an
+//     exponentially distributed extra cost to a keystroke, the heavy
+//     upper tail behind the paper's Table 2 (101 events >100 ms, 26
+//     >110 ms, 8 >120 ms out of ~1000).
 //   - Background spell work runs in timer-paced chunks when idle, so
 //     hand-typed events end quickly but background activity is higher.
 //   - WM_QUEUESYNC (posted by the Test driver after every input) acts as
@@ -54,7 +34,6 @@ func DefaultWordParams() WordParams {
 type Word struct {
 	sys    *system.System
 	thread *kernel.Thread
-	params WordParams
 
 	// Pending is the spell-check backlog in units.
 	Pending int
@@ -75,9 +54,16 @@ const wordTimerPeriod = 30 * simtime.Millisecond
 // spellUnitCycles is one background analysis unit (≈8 ms).
 const spellUnitCycles = 800_000
 
+// wordSeed drives the keystroke tail, whose mean is wordTailMeanCycles
+// and whose cap is six times that.
+const (
+	wordSeed           = 1996
+	wordTailMeanCycles = 550_000
+)
+
 // NewWord spawns the word processor.
-func NewWord(sys *system.System, params WordParams) *Word {
-	w := &Word{sys: sys, params: params, rand: rng.New(params.Seed)}
+func NewWord(sys *system.System) *Word {
+	w := &Word{sys: sys, rand: rng.New(wordSeed)}
 	code := pageRange(320, 14)
 	data := pageRange(1100, 10)
 	format := appSeg("word-format", 2_100_000, code, data) // ~21 ms
@@ -91,7 +77,7 @@ func NewWord(sys *system.System, params WordParams) *Word {
 
 	timerArmed := false
 	armTimer := func(tc *kernel.TC) {
-		if w.params.SpellCheck && w.Pending > 0 && !timerArmed {
+		if w.Pending > 0 && !timerArmed {
 			tc.SetTimer(wordTimerPeriod, kernel.WMIdleWork, 0)
 			timerArmed = true
 		}
@@ -118,7 +104,7 @@ func NewWord(sys *system.System, params WordParams) *Word {
 				// Background work; not a user event, but under the
 				// lingering persona it too is followed by housekeeping.
 				timerArmed = false
-				if w.params.SpellCheck && w.Pending > 0 {
+				if w.Pending > 0 {
 					tc.Compute(spell)
 					w.Pending--
 					w.BackgroundBursts++
@@ -136,29 +122,18 @@ func NewWord(sys *system.System, params WordParams) *Word {
 					drainAll(tc) // reformat needs spell state settled
 				} else {
 					tc.Compute(format)
-					if params.TailMeanCycles > 0 {
-						extra := w.rand.Exponential(params.TailMeanCycles)
-						if max := 6 * params.TailMeanCycles; extra > max {
-							extra = max
-						}
-						seg := format
-						seg.Name = "word-rebreak"
-						seg.BaseCycles = int64(extra)
-						seg.Instructions = seg.BaseCycles / 2
-						seg.DataRefs = seg.BaseCycles / 4
-						tc.Compute(seg)
-					}
-					if w.params.Justify {
-						tc.Compute(justify)
-						sys.Win.RepaintLines(tc, 1)
-					}
+					extra := min(w.rand.Exponential(wordTailMeanCycles), 6*wordTailMeanCycles)
+					seg := format
+					seg.Name = "word-rebreak"
+					seg.BaseCycles = int64(extra)
+					seg.Instructions = seg.BaseCycles / 2
+					seg.DataRefs = seg.BaseCycles / 4
+					tc.Compute(seg)
+					tc.Compute(justify)
+					sys.Win.RepaintLines(tc, 1)
 					sys.Win.TextOut(tc, 1)
-					if w.params.SpellCheck {
-						w.Pending++
-					}
-					if w.params.Justify {
-						w.LayoutPending++
-					}
+					w.Pending++
+					w.LayoutPending++
 				}
 			case kernel.WMKeyDown:
 				// Arrows/backspace: cursor work plus modest redraw.

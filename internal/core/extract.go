@@ -43,11 +43,6 @@ type ExtractOptions struct {
 	// "we were able to clearly identify the Test overhead and remove it"
 	// (§5.1). The time still exists in elapsed time — the Fig. 7 anomaly.
 	StripQueueSync bool
-	// BusyThreshold is the per-sample stolen-time floor; defaults to
-	// DefaultBusyThreshold.
-	BusyThreshold simtime.Duration
-	// End caps the analysis window (defaults to the last sample).
-	End simtime.Time
 }
 
 // Extract correlates the idle-loop trace with the message-API trace and
@@ -62,23 +57,17 @@ type ExtractOptions struct {
 // coroutines) inflates its events, reproducing the paper's §5.4
 // difficulty rather than papering over it.
 func Extract(samples []trace.IdleSample, msgs []trace.MsgRecord, opts ExtractOptions) []Event {
-	if opts.BusyThreshold == 0 {
-		opts.BusyThreshold = DefaultBusyThreshold
-	}
-	f := spanFold{threshold: opts.BusyThreshold}
+	f := spanFold{threshold: DefaultBusyThreshold}
 	f.addAll(samples)
 	return extract(f.spans, f.last, msgs, opts)
 }
 
 // extract is Extract's analysis of folded samples: spans are their busy
-// spans at opts.BusyThreshold and last is the last one's Done, zero when
-// there were none. Extract replays a recorded trace into it, and the
-// running instrument hands it the spans it folded (IdleLoop.Extract).
+// spans at DefaultBusyThreshold and last is the last one's Done, zero
+// when there were none, which ends the analysis window. Extract replays
+// a recorded trace into it, and the running instrument hands it the
+// spans it folded (IdleLoop.Extract).
 func extract(spans []BusySpan, last simtime.Time, msgs []trace.MsgRecord, opts ExtractOptions) []Event {
-	if opts.End == 0 {
-		opts.End = last
-	}
-
 	// Count-then-fill keeps the analysis path at a handful of exact
 	// allocations however large the trace is.
 	nrecs := 0
@@ -116,10 +105,10 @@ func extract(spans []BusySpan, last simtime.Time, msgs []trace.MsgRecord, opts E
 	}
 
 	// nextBlock[i] is the call time of the first blocking GetMessage at
-	// or after record i (opts.End when none): one backward pass replaces
+	// or after record i (last when none): one backward pass replaces
 	// a forward scan per anchor, which was quadratic in trace length.
 	nextBlock := make([]simtime.Time, len(recs)+1)
-	nextBlock[len(recs)] = opts.End
+	nextBlock[len(recs)] = last
 	for i := len(recs) - 1; i >= 0; i-- {
 		if recs[i].API == trace.GetMessage && !recs[i].Received {
 			nextBlock[i] = recs[i].Call

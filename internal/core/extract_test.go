@@ -260,43 +260,3 @@ func TestFilterAndAccessors(t *testing.T) {
 		t.Fatalf("starts wrong: %v", ss)
 	}
 }
-
-func TestExtractOptionEndCapsAnalysis(t *testing.T) {
-	r := newEchoRig(t, 3, 0)
-	defer r.k.Shutdown()
-	for _, ms := range []int64{20, 120} {
-		at := simtime.Time(ms) * simtime.Time(simtime.Millisecond)
-		r.k.At(at, func(simtime.Time) { r.k.KeyboardInterrupt(r.app, kernel.WMChar, 0) })
-	}
-	r.k.Run(simtime.Time(300 * simtime.Millisecond))
-	// Capping End before the second event's dequeue excludes it... the
-	// anchor still exists, but its window collapses to zero.
-	events := Extract(r.il.Samples(), r.pr.Msgs, ExtractOptions{
-		Thread: r.app.ID(),
-		End:    simtime.Time(100 * simtime.Millisecond),
-	})
-	if len(events) != 2 {
-		t.Fatalf("events = %d", len(events))
-	}
-	if events[0].Latency < simtime.FromMillis(3) {
-		t.Fatalf("first event unaffected by cap, got %v", events[0].Latency)
-	}
-}
-
-func TestExtractCustomBusyThreshold(t *testing.T) {
-	// An absurdly high threshold hides all activity: events extract with
-	// zero attributed busy time.
-	r := newEchoRig(t, 3, 0)
-	defer r.k.Shutdown()
-	r.k.At(simtime.Time(20*simtime.Millisecond), func(simtime.Time) {
-		r.k.KeyboardInterrupt(r.app, kernel.WMChar, 0)
-	})
-	r.k.Run(simtime.Time(200 * simtime.Millisecond))
-	events := Extract(r.il.Samples(), r.pr.Msgs, ExtractOptions{
-		Thread:        r.app.ID(),
-		BusyThreshold: simtime.Second,
-	})
-	if len(events) != 1 || events[0].Busy != 0 {
-		t.Fatalf("threshold should hide busy spans: %+v", events)
-	}
-}

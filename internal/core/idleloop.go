@@ -157,12 +157,8 @@ func (il *IdleLoop) Spans() []BusySpan { return il.fold.spans }
 
 // Extract is core.Extract over the instrument's own spans: the events
 // Extract(samples, msgs, opts) returns for the samples the instrument
-// recorded, without storing them. opts.BusyThreshold must be zero or
-// DefaultBusyThreshold, the one the instrument folds at.
+// recorded, without storing them.
 func (il *IdleLoop) Extract(msgs []trace.MsgRecord, opts ExtractOptions) []Event {
-	if opts.BusyThreshold != 0 && opts.BusyThreshold != il.fold.threshold {
-		panic("core: IdleLoop.Extract folds at DefaultBusyThreshold only")
-	}
 	return extract(il.fold.spans, il.fold.last, msgs, opts)
 }
 

@@ -16,7 +16,6 @@ func quietConfig() kernel.Config {
 	cfg := kernel.DefaultConfig()
 	cfg.ContextSwitch = cpu.Segment{}
 	cfg.ClockInterrupt = cpu.Segment{}
-	cfg.FlushOnProcessSwitch = false
 	return cfg
 }
 

@@ -23,7 +23,7 @@ import (
 type Penalties struct {
 	// TLBMiss is the cost of one TLB miss. The paper uses 20 cycles as a
 	// lower bound for Pentium TLB-miss handling (§5.3); the hardware walk
-	// typically costs more, so the default is a little higher.
+	// typically costs more, so machine.Pentium100 charges 25.
 	TLBMiss int64
 	// CacheMiss is the cost of one cache miss to DRAM.
 	CacheMiss int64
@@ -36,23 +36,11 @@ type Penalties struct {
 	DomainCrossing int64
 }
 
-// DefaultPenalties returns the cost model used by all experiments; it
-// equals PenaltiesFor(machine.Pentium100()).
-func DefaultPenalties() Penalties {
-	return Penalties{
-		TLBMiss:        25,
-		CacheMiss:      20,
-		SegmentLoad:    12,
-		Unaligned:      3,
-		DomainCrossing: 500,
-	}
-}
-
 // PenaltiesFor derives the memory-event cost model from a hardware
 // profile: the TLB-miss cost is the page walk, the cache-miss cost the
 // DRAM latency, both in cycles of that profile's clock. DomainCrossing
-// is an OS/architecture cost, not a hardware one, so it keeps the
-// default here and the kernel replaces it with the persona's
+// is an OS/architecture cost, not a hardware one, so it is a neutral
+// 500 cycles here and the kernel replaces it with the persona's
 // (kernel.Config.DomainCrossingCycles).
 func PenaltiesFor(prof machine.Profile) Penalties {
 	prof = prof.OrDefault()

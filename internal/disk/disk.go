@@ -27,61 +27,17 @@ type Scheduler interface {
 	After(d simtime.Duration, fn func(now simtime.Time))
 }
 
-// Params describes drive geometry and speed.
-type Params struct {
-	// Blocks is the drive capacity in 512-byte blocks.
-	Blocks int64
-	// BlocksPerCylinder converts block distance to seek distance.
-	BlocksPerCylinder int64
-	// SeekSettle is the minimum cost of any seek.
-	SeekSettle simtime.Duration
-	// SeekPerCylinder is the incremental cost per cylinder crossed.
-	SeekPerCylinder simtime.Duration
-	// MaxSeek caps the seek cost (full-stroke seek).
-	MaxSeek simtime.Duration
-	// Rotation is the time of one revolution; average rotational delay
-	// is half of it.
-	Rotation simtime.Duration
-	// TransferPerBlock is the media transfer time per 512-byte block.
-	TransferPerBlock simtime.Duration
-	// ControllerOverhead is the fixed per-request command cost.
-	ControllerOverhead simtime.Duration
-	// MaxRetries is how many times the driver re-attempts a transfer
-	// that fails with a transient media error before reporting the error
-	// to the caller. Only consulted when a fault model is installed.
-	MaxRetries int
-	// RetryBackoff is the delay before the first re-attempt; each
-	// further attempt doubles it (exponential backoff), modelling the
-	// recalibrate-and-retry loops behind the paper's multi-second
-	// PowerPoint disk stalls (Table 1).
-	RetryBackoff simtime.Duration
-}
-
-// DefaultParams approximates the Fujitsu M1606SAU: ~1 GB, 5400 RPM
-// (11.1 ms/rev), ~10 ms average seek, ~5 MB/s media rate. It equals
-// ParamsFor(machine.Pentium100()).
-func DefaultParams() Params {
-	return ParamsFor(machine.Pentium100())
-}
-
-// ParamsFor derives drive parameters from a hardware profile: the
-// geometry comes from the profile, the driver retry policy (which is
-// software, not geometry) keeps its defaults.
-func ParamsFor(prof machine.Profile) Params {
-	g := prof.OrDefault().Disk
-	return Params{
-		Blocks:             g.Blocks,
-		BlocksPerCylinder:  g.BlocksPerCylinder,
-		SeekSettle:         g.SeekSettle,
-		SeekPerCylinder:    g.SeekPerCylinder,
-		MaxSeek:            g.MaxSeek,
-		Rotation:           g.Rotation,
-		TransferPerBlock:   g.TransferPerBlock,
-		ControllerOverhead: g.ControllerOverhead,
-		MaxRetries:         4,
-		RetryBackoff:       simtime.FromMillis(3),
-	}
-}
+// The driver's retry policy: a transfer that fails with a transient
+// media error is re-attempted up to maxRetries times before the error
+// reaches the caller, after retryBackoff and then double the previous
+// delay each time (exponential backoff), modelling the
+// recalibrate-and-retry loops behind the paper's multi-second
+// PowerPoint disk stalls (Table 1). Only a fault model makes a transfer
+// fail.
+const (
+	maxRetries   = 4
+	retryBackoff = 3 * simtime.Millisecond
+)
 
 // Op distinguishes reads from writes. The service-time model treats them
 // identically; the distinction feeds traces and counters.
@@ -126,7 +82,7 @@ func (e *MediaError) Error() string {
 // FaultModel is the disk's view of the fault-injection layer
 // (internal/faults). All methods are consulted from simulator context;
 // implementations must be deterministic for a given seed. A nil model
-// (the default) keeps the drive on the exact pre-fault code path.
+// (the default) leaves every transfer nominal.
 type FaultModel interface {
 	// ServiceFactor returns the degraded service-time multiplier in
 	// effect at t; 1 means nominal.
@@ -143,7 +99,7 @@ type FaultModel interface {
 
 // Disk is the drive model. Not safe for concurrent use.
 type Disk struct {
-	params Params
+	params machine.DiskGeometry
 	sched  Scheduler
 	rand   *rng.Source
 
@@ -165,14 +121,14 @@ type Disk struct {
 // the same order with or without it.
 func (d *Disk) SetRecorder(rec *spans.Recorder) { d.rec = rec }
 
-// New creates a disk with the given parameters, driven by sched. The seed
+// New creates a disk of the given geometry, driven by sched. The seed
 // fixes the rotational-phase sequence so runs are reproducible.
-func New(params Params, sched Scheduler, seed uint64) *Disk {
+func New(params machine.DiskGeometry, sched Scheduler, seed uint64) *Disk {
 	return &Disk{params: params, sched: sched, rand: rng.New(seed)}
 }
 
-// Params returns the drive parameters.
-func (d *Disk) Params() Params { return d.params }
+// Params returns the drive geometry.
+func (d *Disk) Params() machine.DiskGeometry { return d.params }
 
 // QueueLen returns the number of requests waiting (excluding the one in
 // service).
@@ -188,8 +144,8 @@ func (d *Disk) Served() int64 { return d.served }
 func (d *Disk) BusyTime() simtime.Duration { return d.busyFor }
 
 // SetFaults installs (or, with nil, removes) the fault model. With no
-// model the drive runs the exact fault-free code path: no extra random
-// draws, no retry bookkeeping, byte-identical schedules.
+// model no transfer stalls, slows or fails, and the drive draws nothing
+// beyond each transfer's rotational phase.
 func (d *Disk) SetFaults(fm FaultModel) { d.fm = fm }
 
 // Retries returns the number of re-attempted transfers.
@@ -286,42 +242,28 @@ func (d *Disk) startNext() {
 	r := d.queue[0]
 	d.queue = d.queue[1:]
 	d.busy = true
-	if d.fm != nil {
-		d.startAttempt(r, 0)
-		return
-	}
-	rotFrac := d.rand.Float64()
-	svc := d.ServiceTime(r, rotFrac)
-	if d.rec != nil {
-		d.recordService(r, rotFrac, d.sched.Now(), 0, svc)
-	}
-	d.busyFor += svc
-	d.head = r.Block + r.Blocks
-	d.sched.After(svc, func(now simtime.Time) {
-		d.served++
-		// Start the next transfer before delivering the completion so a
-		// Done callback that submits more I/O sees a consistent queue.
-		d.startNext()
-		r.Done(now, nil)
-	})
+	d.startAttempt(r, 0)
 }
 
-// startAttempt services r under the installed fault model: the transfer
+// startAttempt services r. Under an installed fault model the transfer
 // may start late (device stall), run slow (degraded service factor), and
 // fail at completion (transient media error), in which case the driver
-// backs off exponentially and re-attempts up to MaxRetries times before
+// backs off exponentially and re-attempts up to maxRetries times before
 // surfacing a *MediaError. The head still moves — a failed transfer
 // still sought and spun.
 func (d *Disk) startAttempt(r Request, attempt int) {
 	now := d.sched.Now()
-	delay := simtime.Duration(0)
-	if until := d.fm.StallUntil(now); until > now {
-		delay = until.Sub(now)
+	delay, factor := simtime.Duration(0), 1.0
+	if d.fm != nil {
+		if until := d.fm.StallUntil(now); until > now {
+			delay = until.Sub(now)
+		}
+		factor = d.fm.ServiceFactor(now.Add(delay))
 	}
 	rotFrac := d.rand.Float64()
 	svc := d.ServiceTime(r, rotFrac)
-	if f := d.fm.ServiceFactor(now.Add(delay)); f > 1 {
-		svc = simtime.Duration(float64(svc) * f)
+	if factor > 1 {
+		svc = simtime.Duration(float64(svc) * factor)
 	}
 	if d.rec != nil {
 		d.recordService(r, rotFrac, now, delay, svc)
@@ -330,9 +272,9 @@ func (d *Disk) startAttempt(r Request, attempt int) {
 	d.head = r.Block + r.Blocks
 	d.sched.After(delay+svc, func(now simtime.Time) {
 		if d.fm != nil && d.fm.AttemptFails(r.Op, r.Block, now, attempt) {
-			if attempt < d.params.MaxRetries {
+			if attempt < maxRetries {
 				d.retries++
-				backoff := d.params.RetryBackoff << uint(attempt)
+				backoff := retryBackoff << uint(attempt)
 				d.rec.ChargeSpan(spans.CauseDiskRetry, opLabel(r.Op), now, now.Add(backoff), 0, 1)
 				d.sched.After(backoff, func(simtime.Time) {
 					d.startAttempt(r, attempt+1)
@@ -346,6 +288,8 @@ func (d *Disk) startAttempt(r Request, attempt int) {
 			return
 		}
 		d.served++
+		// Start the next transfer before delivering the completion so a
+		// Done callback that submits more I/O sees a consistent queue.
 		d.startNext()
 		r.Done(now, nil)
 	})

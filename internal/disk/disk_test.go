@@ -5,9 +5,13 @@ import (
 	"testing/quick"
 
 	"latlab/internal/eventq"
+	"latlab/internal/machine"
 	"latlab/internal/rng"
 	"latlab/internal/simtime"
 )
+
+// p100 is the paper's drive, the Fujitsu M1606SAU.
+var p100 = machine.Pentium100().Disk
 
 // rngNew and quickCheck keep the property test terse.
 func rngNew(seed uint64) *rng.Source { return rng.New(seed) }
@@ -40,7 +44,7 @@ func (s *fakeSched) run() {
 
 func TestServiceTimeComponents(t *testing.T) {
 	s := &fakeSched{}
-	d := New(DefaultParams(), s, 1)
+	d := New(p100, s, 1)
 	p := d.Params()
 
 	// Sequential read at the head position: no seek.
@@ -65,7 +69,7 @@ func TestServiceTimeComponents(t *testing.T) {
 
 func TestFIFOCompletionOrder(t *testing.T) {
 	s := &fakeSched{}
-	d := New(DefaultParams(), s, 1)
+	d := New(p100, s, 1)
 	var order []int
 	for i := 0; i < 5; i++ {
 		i := i
@@ -94,7 +98,7 @@ func TestFIFOCompletionOrder(t *testing.T) {
 
 func TestCompletionTimeAdvances(t *testing.T) {
 	s := &fakeSched{}
-	d := New(DefaultParams(), s, 1)
+	d := New(p100, s, 1)
 	var doneAt simtime.Time
 	d.Submit(Request{Op: Write, Block: 500_000, Blocks: 16, Done: func(now simtime.Time, _ error) { doneAt = now }})
 	s.run()
@@ -111,7 +115,7 @@ func TestResubmitFromCompletion(t *testing.T) {
 	// A Done callback that submits another request must not deadlock or
 	// lose the request.
 	s := &fakeSched{}
-	d := New(DefaultParams(), s, 1)
+	d := New(p100, s, 1)
 	completions := 0
 	d.Submit(Request{Op: Read, Block: 0, Blocks: 1, Done: func(simtime.Time, error) {
 		completions++
@@ -128,7 +132,7 @@ func TestResubmitFromCompletion(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	run := func() simtime.Time {
 		s := &fakeSched{}
-		d := New(DefaultParams(), s, 42)
+		d := New(p100, s, 42)
 		var last simtime.Time
 		for i := 0; i < 20; i++ {
 			d.Submit(Request{Op: Read, Block: int64(i*37) % 1_000_000 * 2, Blocks: 8,
@@ -144,7 +148,7 @@ func TestDeterminism(t *testing.T) {
 
 func TestSubmitValidation(t *testing.T) {
 	s := &fakeSched{}
-	d := New(DefaultParams(), s, 1)
+	d := New(p100, s, 1)
 	mustPanic := func(name string, fn func()) {
 		t.Helper()
 		defer func() {
@@ -169,7 +173,7 @@ func TestDiskFIFOProperty(t *testing.T) {
 	f := func(seed uint64, nRaw uint8) bool {
 		n := int(nRaw%40) + 1
 		s := &fakeSched{}
-		d := New(DefaultParams(), s, seed)
+		d := New(p100, s, seed)
 		r := rngNew(seed)
 		var order []int
 		var times []simtime.Time
@@ -222,7 +226,7 @@ func (f *scriptedFaults) AttemptFails(_ Op, _ int64, _ simtime.Time, attempt int
 
 func TestRetriedRequestCompletesExactlyOnce(t *testing.T) {
 	s := &fakeSched{}
-	d := New(DefaultParams(), s, 7)
+	d := New(p100, s, 7)
 	d.SetFaults(&scriptedFaults{failN: 2})
 	completions := 0
 	var gotErr error
@@ -248,7 +252,7 @@ func TestRetriedRequestCompletesExactlyOnce(t *testing.T) {
 
 	// A clean run of the same request finishes earlier: retries cost time.
 	s2 := &fakeSched{}
-	d2 := New(DefaultParams(), s2, 7)
+	d2 := New(p100, s2, 7)
 	d2.Submit(Request{Op: Read, Block: 400_000, Blocks: 8, Done: func(now simtime.Time, _ error) {
 		cleanDone = now
 	}})
@@ -260,9 +264,7 @@ func TestRetriedRequestCompletesExactlyOnce(t *testing.T) {
 
 func TestExhaustedRetriesSurfaceMediaError(t *testing.T) {
 	s := &fakeSched{}
-	p := DefaultParams()
-	p.MaxRetries = 3
-	d := New(p, s, 7)
+	d := New(p100, s, 7)
 	d.SetFaults(&scriptedFaults{failN: 100}) // never succeeds
 	completions := 0
 	var gotErr error
@@ -281,14 +283,14 @@ func TestExhaustedRetriesSurfaceMediaError(t *testing.T) {
 	if !ok {
 		t.Fatalf("err = %v, want *MediaError", gotErr)
 	}
-	if me.Attempts != p.MaxRetries+1 || me.Op != Write || me.Block != 1234 {
-		t.Fatalf("MediaError = %+v, want {Write 1234 %d}", me, p.MaxRetries+1)
+	if me.Attempts != maxRetries+1 || me.Op != Write || me.Block != 1234 {
+		t.Fatalf("MediaError = %+v, want {Write 1234 %d}", me, maxRetries+1)
 	}
 	// Both requests ran under the always-fail model: each burned the full
 	// retry budget and surfaced an error, and crucially the second was
 	// still serviced after the first gave up.
-	if d.MediaErrors() != 2 || d.Retries() != int64(2*p.MaxRetries) {
-		t.Fatalf("mediaErrs=%d retries=%d, want 2/%d", d.MediaErrors(), d.Retries(), 2*p.MaxRetries)
+	if d.MediaErrors() != 2 || d.Retries() != int64(2*maxRetries) {
+		t.Fatalf("mediaErrs=%d retries=%d, want 2/%d", d.MediaErrors(), d.Retries(), 2*maxRetries)
 	}
 	if !second {
 		t.Fatalf("request queued behind a failing one never completed")
@@ -301,7 +303,7 @@ func TestExhaustedRetriesSurfaceMediaError(t *testing.T) {
 func TestFaultModelStallAndDegradeLengthenService(t *testing.T) {
 	run := func(fm FaultModel) simtime.Time {
 		s := &fakeSched{}
-		d := New(DefaultParams(), s, 11)
+		d := New(p100, s, 11)
 		var done simtime.Time
 		d.Submit(Request{Op: Read, Block: 250_000, Blocks: 8, Done: func(now simtime.Time, _ error) { done = now }})
 		s.run()
@@ -310,7 +312,7 @@ func TestFaultModelStallAndDegradeLengthenService(t *testing.T) {
 	clean := run(nil)
 	stalled := func() simtime.Time {
 		s := &fakeSched{}
-		d := New(DefaultParams(), s, 11)
+		d := New(p100, s, 11)
 		d.SetFaults(&scriptedFaults{stall: simtime.Time(simtime.FromMillis(50))})
 		var done simtime.Time
 		d.Submit(Request{Op: Read, Block: 250_000, Blocks: 8, Done: func(now simtime.Time, _ error) { done = now }})
@@ -319,7 +321,7 @@ func TestFaultModelStallAndDegradeLengthenService(t *testing.T) {
 	}()
 	degraded := func() simtime.Time {
 		s := &fakeSched{}
-		d := New(DefaultParams(), s, 11)
+		d := New(p100, s, 11)
 		d.SetFaults(&scriptedFaults{factor: 4})
 		var done simtime.Time
 		d.Submit(Request{Op: Read, Block: 250_000, Blocks: 8, Done: func(now simtime.Time, _ error) { done = now }})

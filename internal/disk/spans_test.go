@@ -12,7 +12,7 @@ import (
 // service time the drive charged.
 func TestRecorderDecomposesService(t *testing.T) {
 	s := &fakeSched{}
-	d := New(DefaultParams(), s, 1)
+	d := New(p100, s, 1)
 	rec := spans.NewRecorder(s.Now)
 	d.SetRecorder(rec)
 	d.Submit(Request{Op: Write, Block: 400_000, Blocks: 8, Done: func(simtime.Time, error) {}})
@@ -52,7 +52,7 @@ func TestRecorderDecomposesService(t *testing.T) {
 // degraded-surcharge parts, joined by one retry backoff.
 func TestRecorderCoversFaultPath(t *testing.T) {
 	s := &fakeSched{}
-	d := New(DefaultParams(), s, 7)
+	d := New(p100, s, 7)
 	d.SetFaults(&scriptedFaults{failN: 1, factor: 2, stall: simtime.Time(simtime.Millisecond)})
 	rec := spans.NewRecorder(s.Now)
 	d.SetRecorder(rec)
@@ -80,9 +80,9 @@ func TestRecorderCoversFaultPath(t *testing.T) {
 	if a.Dur[spans.CauseDiskDegraded] <= 0 {
 		t.Errorf("degraded surcharge not recorded under service factor 2")
 	}
-	if a.Count[spans.CauseDiskRetry] != 1 || a.Dur[spans.CauseDiskRetry] != d.Params().RetryBackoff {
+	if a.Count[spans.CauseDiskRetry] != 1 || a.Dur[spans.CauseDiskRetry] != retryBackoff {
 		t.Errorf("retry = %d × %v, want 1 × %v backoff",
-			a.Count[spans.CauseDiskRetry], a.Dur[spans.CauseDiskRetry], d.Params().RetryBackoff)
+			a.Count[spans.CauseDiskRetry], a.Dur[spans.CauseDiskRetry], retryBackoff)
 	}
 	// The decomposition still covers exactly what the drive charged.
 	mech := a.Dur[spans.CauseDiskCtrl] + a.Dur[spans.CauseDiskSeek] +
@@ -97,7 +97,7 @@ func TestRecorderCoversFaultPath(t *testing.T) {
 func TestRecorderDoesNotPerturbSchedule(t *testing.T) {
 	run := func(traced, faulty bool) simtime.Time {
 		s := &fakeSched{}
-		d := New(DefaultParams(), s, 42)
+		d := New(p100, s, 42)
 		if faulty {
 			d.SetFaults(&scriptedFaults{failN: 1, factor: 1.5, stall: simtime.Time(simtime.Millisecond)})
 		}
@@ -119,7 +119,7 @@ func TestRecorderDoesNotPerturbSchedule(t *testing.T) {
 	}
 	// SetRecorder(nil) restores the untraced path.
 	s := &fakeSched{}
-	d := New(DefaultParams(), s, 42)
+	d := New(p100, s, 42)
 	rec := spans.NewRecorder(s.Now)
 	d.SetRecorder(rec)
 	d.SetRecorder(nil)

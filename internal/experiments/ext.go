@@ -71,7 +71,7 @@ func runExtBatching(ctx context.Context, cfg Config) (Result, error) {
 	run := func(gap simtime.Duration) (stats.Summary, float64, int64) {
 		r := newRig(cfg, persona.NT40())
 		defer r.shutdown()
-		n := apps.NewNotepad(r.sys, 250_000)
+		n := apps.NewNotepad(r.sys)
 		script := &input.Script{
 			Events: input.TypeText(simtime.Time(200*simtime.Millisecond), input.SampleText(chars), gap),
 		}
@@ -128,7 +128,7 @@ func runExtThinkWait(ctx context.Context, cfg Config) (Result, error) {
 			return nil, err
 		}
 		r := newRig(cfg, p)
-		n := apps.NewNotepad(r.sys, 250_000)
+		n := apps.NewNotepad(r.sys)
 		r.pr.Watch(n.Thread())
 		// Typing with composition pauses, then a simulated save-scale
 		// synchronous I/O burst via the document reload.

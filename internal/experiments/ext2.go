@@ -81,7 +81,7 @@ func runExtSlowCPU(ctx context.Context, cfg Config) (Result, error) {
 			Events: input.TypeText(simtime.Time(300*simtime.Millisecond), string(text), 250*simtime.Millisecond),
 		}
 		r := newRigOn(cfg, p, prof)
-		n := apps.NewNotepad(r.sys, 250_000)
+		n := apps.NewNotepad(r.sys)
 		script.Install(r.sys)
 		r.sys.K.Run(script.End().Add(2 * simtime.Second))
 

@@ -170,7 +170,7 @@ func openChain(label string, r *rig, t *kernel.Thread, steps []chainStep, sync b
 func openTyping(label string, cfg Config, sc scRun, plan faults.Plan) *ScenarioSession {
 	r := newRig(cfg, sc.p)
 	faults.NewClock(plan).Arm(faultsTarget(r, true))
-	n := apps.NewNotepad(r.sys, 250_000)
+	n := apps.NewNotepad(r.sys)
 	r.pr.Watch(n.Thread())
 	script := sc.scenarioScript(defF(sc.prm.StartMs, 300))
 	script.Install(r.sys)

@@ -36,7 +36,7 @@ func wordTrace(cfg Config, p persona.P, seed uint64, chars int, testDriven bool)
 
 	r := newRig(cfg, p)
 	defer r.shutdown()
-	word := apps.NewWord(r.sys, apps.DefaultWordParams())
+	word := apps.NewWord(r.sys)
 
 	// Composing pace, not copy-typing: the paper's script "varied [timing]
 	// to simulate realistic pauses when composing a document".

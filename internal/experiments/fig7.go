@@ -97,7 +97,7 @@ func runFig7(ctx context.Context, cfg Config) (Result, error) {
 		}
 		script := notepadScript(chars)
 		r := newRig(cfg, p)
-		n := apps.NewNotepad(r.sys, 250_000)
+		n := apps.NewNotepad(r.sys)
 		script.Install(r.sys)
 		end := script.End().Add(2 * simtime.Second)
 		r.sys.K.Run(end)

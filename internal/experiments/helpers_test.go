@@ -34,7 +34,7 @@ func TestFmtMs(t *testing.T) {
 func TestRunChainDeadlinePanics(t *testing.T) {
 	r := newRig(DefaultConfig(), persona.NT40())
 	defer r.shutdown()
-	n := apps.NewNotepad(r.sys, 250_000)
+	n := apps.NewNotepad(r.sys)
 	defer func() {
 		if rec := recover(); rec == nil {
 			t.Fatalf("expected deadline panic")
@@ -53,7 +53,7 @@ func TestChainPacingWaitsForCompletion(t *testing.T) {
 	// event's completion.
 	r := newRig(DefaultConfig(), persona.NT40())
 	defer r.shutdown()
-	n := apps.NewNotepad(r.sys, 250_000)
+	n := apps.NewNotepad(r.sys)
 	think := 300 * simtime.Millisecond
 	steps := []chainStep{
 		step(kernel.WMChar, 'a', think),

@@ -5,6 +5,7 @@ import (
 
 	"latlab/internal/disk"
 	"latlab/internal/eventq"
+	"latlab/internal/machine"
 	"latlab/internal/simtime"
 )
 
@@ -31,7 +32,7 @@ func (s *fakeSched) run() {
 
 func newCache(pages int) (*Cache, *fakeSched) {
 	s := &fakeSched{}
-	d := disk.New(disk.DefaultParams(), s, 7)
+	d := disk.New(machine.Pentium100().Disk, s, 7)
 	return New(d, pages), s
 }
 

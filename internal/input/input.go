@@ -125,31 +125,26 @@ type Typist struct {
 	// Shneiderman's figure, cited in §2: even the best typists need
 	// ~120 ms per keystroke.
 	WPM float64
-	// JitterFrac is the relative std-dev of inter-key intervals.
-	JitterFrac float64
-	// WordPause and SentencePause extend the gap after spaces and
-	// sentence-ending punctuation.
-	WordPause     simtime.Duration
-	SentencePause simtime.Duration
-	// ThinkEvery inserts a composition pause of ThinkPause roughly every
-	// that many characters (0 disables).
-	ThinkEvery int
-	ThinkPause simtime.Duration
 
 	rand *rng.Source
 }
 
-// NewTypist returns a typist at wpm with default human parameters.
+// The typist's human parameters: the relative std-dev of inter-key
+// intervals, the mean extra gap after a space and after sentence-ending
+// punctuation, and a composition pause of about typistThinkPause,
+// taken with even odds once typistThinkEvery characters have gone by
+// since the last.
+const (
+	typistJitterFrac    = 0.35
+	typistWordPause     = 60 * simtime.Millisecond
+	typistSentencePause = 350 * simtime.Millisecond
+	typistThinkEvery    = 90
+	typistThinkPause    = 1500 * simtime.Millisecond
+)
+
+// NewTypist returns a typist at wpm.
 func NewTypist(seed uint64, wpm float64) *Typist {
-	return &Typist{
-		WPM:           wpm,
-		JitterFrac:    0.35,
-		WordPause:     60 * simtime.Millisecond,
-		SentencePause: 350 * simtime.Millisecond,
-		ThinkEvery:    90,
-		ThinkPause:    1500 * simtime.Millisecond,
-		rand:          rng.New(seed),
-	}
+	return &Typist{WPM: wpm, rand: rng.New(seed)}
 }
 
 // Type generates human-paced keystrokes for text starting at start.
@@ -160,7 +155,7 @@ func (ty *Typist) Type(start simtime.Time, text string) []Event {
 	sinceThink := 0
 	for _, c := range text {
 		evs = append(evs, charEvent(at, c))
-		gap := ty.rand.Normal(base, base*ty.JitterFrac)
+		gap := ty.rand.Normal(base, base*typistJitterFrac)
 		minGap := base * 0.4
 		if gap < minGap {
 			gap = minGap
@@ -168,13 +163,13 @@ func (ty *Typist) Type(start simtime.Time, text string) []Event {
 		d := simtime.FromSeconds(gap)
 		switch c {
 		case ' ':
-			d += simtime.Duration(ty.rand.Exponential(float64(ty.WordPause)))
+			d += simtime.Duration(ty.rand.Exponential(float64(typistWordPause)))
 		case '.', '!', '?':
-			d += simtime.Duration(ty.rand.Exponential(float64(ty.SentencePause)))
+			d += simtime.Duration(ty.rand.Exponential(float64(typistSentencePause)))
 		}
 		sinceThink++
-		if ty.ThinkEvery > 0 && sinceThink >= ty.ThinkEvery && ty.rand.Float64() < 0.5 {
-			d += simtime.Duration(ty.rand.Uniform(0.8, 1.6) * float64(ty.ThinkPause))
+		if sinceThink >= typistThinkEvery && ty.rand.Float64() < 0.5 {
+			d += simtime.Duration(ty.rand.Uniform(0.8, 1.6) * float64(typistThinkPause))
 			sinceThink = 0
 		}
 		at = at.Add(d)

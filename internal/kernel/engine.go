@@ -291,7 +291,7 @@ type bulkSpan struct {
 func (k *Kernel) elide(t *Thread, n int64, d simtime.Duration, s *bulkSpan) {
 	b := t.bulk
 	total := simtime.Duration(n) * d
-	t.quantumLeft = k.consumeQuantum(t.quantumLeft, total)
+	t.quantumLeft = consumeQuantum(t.quantumLeft, total)
 	for i, delta := range b.sigDelta {
 		if delta != 0 {
 			k.cpu.Add(cpu.EventKind(i), n*delta)
@@ -312,15 +312,14 @@ func (k *Kernel) elide(t *Thread, n int64, d simtime.Duration, s *bulkSpan) {
 // requeue). Stage boundaries and interrupts never refill on their own,
 // so cycles consume their CPU time as one stretch: what is left of the
 // slice first, then whole quanta, the last possibly partial.
-func (k *Kernel) consumeQuantum(left, total simtime.Duration) simtime.Duration {
+func consumeQuantum(left, total simtime.Duration) simtime.Duration {
 	if left >= total {
 		// No refill fits inside the stretch — the common case when the
 		// quantum dwarfs the cycle.
 		return left - total
 	}
-	q := k.cfg.Quantum
 	r := total - max(left, 0)
-	return (q - r%q) % q
+	return (Quantum - r%Quantum) % Quantum
 }
 
 // crossTick replays the clock tick due inside the cycle starting now,
@@ -353,11 +352,11 @@ func (k *Kernel) crossTick(t *Thread, dh simtime.Duration, limit simtime.Time, s
 	if off <= 0 || off >= d || off == d1 {
 		return false
 	}
-	q, left := k.cfg.Quantum, t.quantumLeft
+	left := t.quantumLeft
 	if left <= 0 {
-		left = q // spent at the cycle's start: its first chunk refills it
+		left = Quantum // spent at the cycle's start: its first chunk refills it
 	}
-	if off >= left && (off-left)%q == 0 {
+	if off >= left && (off-left)%Quantum == 0 {
 		return false
 	}
 	end := start.Add(d + dh)
@@ -395,7 +394,7 @@ func (k *Kernel) crossTick(t *Thread, dh simtime.Duration, limit simtime.Time, s
 	k.updateBusy()
 	// The stretched cycle's end. The thread ran d of it.
 	k.advance(end)
-	t.quantumLeft = k.consumeQuantum(t.quantumLeft, d)
+	t.quantumLeft = consumeQuantum(t.quantumLeft, d)
 	k.bulkElided++
 	k.ticksCrossed++
 	s.cycles++

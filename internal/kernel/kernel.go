@@ -46,14 +46,9 @@ type Config struct {
 	// geometry are all derived from it. The zero value means
 	// machine.Pentium100(), the paper's machine.
 	Machine machine.Profile
-	// Quantum is the scheduler timeslice.
-	Quantum simtime.Duration
 	// ContextSwitch is the cost charged when the CPU moves between
 	// threads.
 	ContextSwitch cpu.Segment
-	// FlushOnProcessSwitch flushes the TLBs when the incoming thread
-	// belongs to a different process (address space).
-	FlushOnProcessSwitch bool
 	// ClockInterrupt is the per-tick handler cost (~400 cycles minimum
 	// on NT 4.0, paper §2.5).
 	ClockInterrupt cpu.Segment
@@ -65,10 +60,6 @@ type Config struct {
 	// ModeSwitchCycles is the cost of a user/kernel mode switch without
 	// an address-space change.
 	ModeSwitchCycles int64
-	// TimersTickAligned rounds Sleep wakeups up to clock ticks, the
-	// SetTimer behaviour that produces the paper's Fig. 4 animation
-	// stair pattern.
-	TimersTickAligned bool
 	// DomainCrossingCycles is the direct cost of a protection-domain
 	// crossing, excluding the TLB refills it causes. It is the one
 	// penalty the OS owns (trap path, state save, address-space
@@ -86,22 +77,24 @@ const (
 )
 
 // ClockTick is the hardware timer period: 10 ms on every system the
-// paper measured, and on every machine latlab simulates.
+// paper measured, and on every machine latlab simulates. Sleep and
+// SetTimer wake on a tick, the timer behaviour behind the paper's Fig. 4
+// animation stair pattern.
 const ClockTick = 10 * simtime.Millisecond
+
+// Quantum is the scheduler timeslice, the same on every persona.
+const Quantum = 20 * simtime.Millisecond
 
 // DefaultConfig returns a neutral machine configuration; personas
 // override the OS-specific pieces.
 func DefaultConfig() Config {
 	return Config{
-		Quantum:              20 * simtime.Millisecond,
 		ContextSwitch:        cpu.Segment{Name: "ctxsw", BaseCycles: 600, Instructions: 400, DataRefs: 150},
-		FlushOnProcessSwitch: true,
 		ClockInterrupt:       cpu.Segment{Name: "clock", BaseCycles: 400, Instructions: 250, DataRefs: 80},
 		DiskInterrupt:        cpu.Segment{Name: "diskintr", BaseCycles: 2500, Instructions: 1500, DataRefs: 600},
 		KeyboardInterrupt:    cpu.Segment{Name: "kbdintr", BaseCycles: 3000, Instructions: 1800, DataRefs: 700},
 		MouseInterrupt:       cpu.Segment{Name: "mouseintr", BaseCycles: 1500, Instructions: 900, DataRefs: 350},
 		ModeSwitchCycles:     150,
-		TimersTickAligned:    true,
 		DomainCrossingCycles: 500,
 	}
 }
@@ -238,7 +231,7 @@ func New(cfg Config) *Kernel {
 	k.cpu = cpu.NewFor(prof)
 	k.cpu.Penalties.DomainCrossing = cfg.DomainCrossingCycles
 	k.ctrs = cpu.NewCounterFile(k.cpu)
-	k.disk = disk.New(disk.ParamsFor(prof), k, diskSeed)
+	k.disk = disk.New(prof.Disk, k, diskSeed)
 	k.cache = fscache.New(k.disk, cachePages)
 	if n := prof.Cores - 1; n > 0 {
 		k.aux = make([]auxCore, n)
@@ -271,9 +264,6 @@ func (k *Kernel) SetRecorder(rec *spans.Recorder) {
 	k.disk.SetRecorder(rec)
 	k.cache.SetRecorder(rec)
 }
-
-// Recorder returns the attached span recorder, nil when tracing is off.
-func (k *Kernel) Recorder() *spans.Recorder { return k.rec }
 
 // Now returns the current simulated time.
 func (k *Kernel) Now() simtime.Time { return k.now }

@@ -27,7 +27,6 @@ func quietConfig() Config {
 	cfg := DefaultConfig()
 	cfg.ContextSwitch = cpu.Segment{}
 	cfg.ClockInterrupt = cpu.Segment{}
-	cfg.FlushOnProcessSwitch = false
 	return cfg
 }
 
@@ -260,11 +259,10 @@ func TestStealReusesReconcileCallback(t *testing.T) {
 
 // TestSleepReusesWakeCallback pins that Sleep arms the thread's one
 // wake callback instead of building a closure per call: a thread that
-// sleeps and wakes in steady state allocates nothing.
+// sleeps and wakes in steady state allocates nothing. Each 1 ms sleep
+// wakes at the next clock tick, so the thread sleeps once a tick.
 func TestSleepReusesWakeCallback(t *testing.T) {
-	cfg := quietConfig()
-	cfg.TimersTickAligned = false
-	k := New(cfg)
+	k := New(quietConfig())
 	defer k.Shutdown()
 	sleeps := 0
 	k.SpawnLoop("sleeper", 1, 8, func(lc *LoopTC) bool {
@@ -274,12 +272,12 @@ func TestSleepReusesWakeCallback(t *testing.T) {
 	})
 	k.RunFor(100 * simtime.Millisecond) // the queue's slab reaches its peak
 	before := sleeps
-	allocs := testing.AllocsPerRun(20, func() { k.RunFor(10 * simtime.Millisecond) })
+	allocs := testing.AllocsPerRun(20, func() { k.RunFor(100 * simtime.Millisecond) })
 	if sleeps-before < 200 {
-		t.Fatalf("the thread slept %d times in 210 ms; the check is vacuous", sleeps-before)
+		t.Fatalf("the thread slept %d times in 2.1 s; the check is vacuous", sleeps-before)
 	}
 	if allocs != 0 {
-		t.Errorf("10 ms of 1 ms sleeps allocates %.1f times, want 0", allocs)
+		t.Errorf("100 ms of 1 ms sleeps allocates %.1f times, want 0", allocs)
 	}
 }
 
@@ -342,26 +340,25 @@ func TestClockInterruptOverheadElongatesIdleLoop(t *testing.T) {
 }
 
 func TestQuantumRoundRobin(t *testing.T) {
-	cfg := quietConfig()
-	cfg.Quantum = 5 * simtime.Millisecond
-	k := New(cfg)
+	k := New(quietConfig())
 	defer k.Shutdown()
+	q := int64(Quantum / simtime.Millisecond)
 	var doneA, doneB simtime.Time
 	k.Spawn("a", 1, 8, func(tc *TC) {
-		tc.Compute(burn("a", 10))
+		tc.Compute(burn("a", 2*q))
 		doneA = tc.Now()
 	})
 	k.Spawn("b", 2, 8, func(tc *TC) {
-		tc.Compute(burn("b", 10))
+		tc.Compute(burn("b", 2*q))
 		doneB = tc.Now()
 	})
 	k.Run(simtime.Time(simtime.Second))
-	// Interleaved in 5 ms slices: a runs 0-5, b 5-10, a 10-15, b 15-20.
-	if doneA != simtime.Time(15*simtime.Millisecond) {
-		t.Fatalf("a done at %v, want 15ms", doneA)
+	// Interleaved in quantum slices: a runs 0-q, b q-2q, a 2q-3q, b 3q-4q.
+	if doneA != simtime.Time(3*Quantum) {
+		t.Fatalf("a done at %v, want %v", doneA, 3*Quantum)
 	}
-	if doneB != simtime.Time(20*simtime.Millisecond) {
-		t.Fatalf("b done at %v, want 20ms", doneB)
+	if doneB != simtime.Time(4*Quantum) {
+		t.Fatalf("b done at %v, want %v", doneB, 4*Quantum)
 	}
 }
 
@@ -384,12 +381,12 @@ func TestContextSwitchChargedOnSwitch(t *testing.T) {
 }
 
 func TestProcessSwitchFlushesTLB(t *testing.T) {
-	cfg := quietConfig()
-	cfg.FlushOnProcessSwitch = true
-	cfg.Quantum = 2 * simtime.Millisecond
-	k := New(cfg)
+	k := New(quietConfig())
 	defer k.Shutdown()
-	seg := cpu.Segment{Name: "ws", BaseCycles: msOfCycles(3), CodePages: []uint64{1, 2, 3}}
+	// Segments of one and a half quanta: the two threads alternate
+	// mid-segment, so most of a's segments start after a switch from b.
+	ms := int64(Quantum/simtime.Millisecond) * 3 / 2
+	seg := cpu.Segment{Name: "ws", BaseCycles: msOfCycles(ms), CodePages: []uint64{1, 2, 3}}
 	k.Spawn("a", 1, 8, func(tc *TC) {
 		for i := 0; i < 4; i++ {
 			tc.Compute(seg)
@@ -397,7 +394,7 @@ func TestProcessSwitchFlushesTLB(t *testing.T) {
 	})
 	k.Spawn("b", 2, 8, func(tc *TC) {
 		for i := 0; i < 4; i++ {
-			tc.Compute(cpu.Segment{Name: "other", BaseCycles: msOfCycles(3)})
+			tc.Compute(cpu.Segment{Name: "other", BaseCycles: msOfCycles(ms)})
 		}
 	})
 	k.Run(simtime.Time(simtime.Second))
@@ -409,9 +406,7 @@ func TestProcessSwitchFlushesTLB(t *testing.T) {
 }
 
 func TestSleepTickAligned(t *testing.T) {
-	cfg := quietConfig()
-	cfg.TimersTickAligned = true
-	k := New(cfg)
+	k := New(quietConfig())
 	defer k.Shutdown()
 	var woke simtime.Time
 	k.Spawn("s", 1, 8, func(tc *TC) {
@@ -422,22 +417,6 @@ func TestSleepTickAligned(t *testing.T) {
 	k.Run(simtime.Time(simtime.Second))
 	if woke != simtime.Time(10*simtime.Millisecond) {
 		t.Fatalf("woke at %v, want 10ms (tick-aligned)", woke)
-	}
-}
-
-func TestSleepUnaligned(t *testing.T) {
-	cfg := quietConfig()
-	cfg.TimersTickAligned = false
-	k := New(cfg)
-	defer k.Shutdown()
-	var woke simtime.Time
-	k.Spawn("s", 1, 8, func(tc *TC) {
-		tc.Sleep(simtime.FromMillis(3))
-		woke = tc.Now()
-	})
-	k.Run(simtime.Time(simtime.Second))
-	if woke != simtime.Time(3*simtime.Millisecond) {
-		t.Fatalf("woke at %v, want 3ms", woke)
 	}
 }
 

@@ -55,7 +55,7 @@ func (k *Kernel) reconcile() {
 				k.rec.ChargeSpan(spans.CauseSchedDelay, t.name, t.readyAt, k.now, 0, 0)
 			}
 			t.state = StateRunning
-			t.quantumLeft = k.cfg.Quantum
+			t.quantumLeft = Quantum
 			k.current = t
 		}
 
@@ -91,7 +91,7 @@ func (k *Kernel) startChunk(t *Thread) bool {
 		if k.rec != nil {
 			ch = k.rec.Begin(spans.CauseCtxSwitch, t.name)
 		}
-		if k.cfg.FlushOnProcessSwitch && k.lastRun != nil && k.lastRun.proc != t.proc {
+		if k.lastRun != nil && k.lastRun.proc != t.proc {
 			k.cpu.Mem.FlushTLBs()
 		}
 		k.lastRun = t
@@ -108,7 +108,7 @@ func (k *Kernel) startChunk(t *Thread) bool {
 			k.makeReady(t)
 			return false
 		}
-		t.quantumLeft = k.cfg.Quantum
+		t.quantumLeft = Quantum
 	}
 	runFor := t.remaining
 	if t.quantumLeft < runFor {
@@ -535,16 +535,13 @@ func (k *Kernel) process(t *Thread) {
 }
 
 // sleep parks t for at least d and arms its wakeup — at now+d, rounded
-// up to the next clock tick when timers are tick-aligned. The scheduler
+// up to the next clock tick. The scheduler
 // core and the aux cores share it. The wakeup is the thread's one wake
 // callback, bound on its first sleep: a thread sleeps once at a time, so
 // one callback serves every Sleep it issues, and it wakes the thread
 // only if the thread is still sleeping.
 func (k *Kernel) sleep(t *Thread, d simtime.Duration) {
-	wake := k.now.Add(d)
-	if k.cfg.TimersTickAligned {
-		wake = k.NextTick(wake)
-	}
+	wake := k.NextTick(k.now.Add(d))
 	t.state = StateSleeping
 	if t.wakeFn == nil {
 		t.wakeFn = func(simtime.Time) {

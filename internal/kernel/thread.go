@@ -10,8 +10,9 @@ import (
 )
 
 // ProcID identifies an address space. Switching the CPU between threads
-// of different processes flushes the TLBs (when the kernel's config says
-// so), which is how context-switch overhead reaches the latency numbers.
+// of different processes flushes the TLBs (untagged ones; a tagged TLB
+// keeps its entries), which is how context-switch overhead reaches the
+// latency numbers.
 type ProcID int
 
 // KernelProc is the address space of kernel helper threads.
@@ -324,8 +325,8 @@ func (tc *TC) Forward(target *Thread, msg Msg) {
 	tc.call(request{kind: reqPost, target: target, msg: msg})
 }
 
-// Sleep blocks for at least d; with tick-aligned timers the wake rounds
-// up to the next clock tick, like SetTimer on the real systems.
+// Sleep blocks for at least d; the wake rounds up to the next clock
+// tick, like SetTimer on the real systems.
 func (tc *TC) Sleep(d simtime.Duration) {
 	tc.call(request{kind: reqSleep, d: d})
 }
@@ -373,17 +374,13 @@ func (tc *TC) Yield() {
 	tc.call(request{kind: reqYield})
 }
 
-// SetTimer arranges for a message to be posted to this thread after d
-// (tick-aligned when the kernel's timers are), like Win32 SetTimer. It
+// SetTimer arranges for a message to be posted to this thread at the
+// first clock tick at least d from now, like Win32 SetTimer. It
 // consumes no time and does not block; the timer is dropped if the
 // thread exits first.
 func (tc *TC) SetTimer(d simtime.Duration, kind MsgKind, param int64) {
 	k, t := tc.k, tc.t
-	wake := k.now.Add(d)
-	if k.cfg.TimersTickAligned {
-		wake = k.NextTick(wake)
-	}
-	k.At(wake, func(now simtime.Time) {
+	k.At(k.NextTick(k.now.Add(d)), func(now simtime.Time) {
 		k.PostMessage(t, kind, param)
 	})
 }

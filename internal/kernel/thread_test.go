@@ -168,9 +168,7 @@ func TestTCForwardPreservesEnqueued(t *testing.T) {
 }
 
 func TestSetTimerPostsTickAligned(t *testing.T) {
-	cfg := quietConfig()
-	cfg.TimersTickAligned = true
-	k := New(cfg)
+	k := New(quietConfig())
 	defer k.Shutdown()
 	var got Msg
 	var at simtime.Time
@@ -223,7 +221,7 @@ func TestKernelAccessors(t *testing.T) {
 	if k.Counters() == nil || k.Disk() == nil || k.Cache() == nil || k.CPU() == nil {
 		t.Fatalf("nil accessor")
 	}
-	if k.Config().Quantum != cfg.Quantum {
+	if k.Config().DomainCrossingCycles != cfg.DomainCrossingCycles {
 		t.Fatalf("config accessor wrong")
 	}
 	end := k.RunFor(95 * simtime.Millisecond)

@@ -16,9 +16,9 @@
 // on it reproduces exactly the schedules the simulator produced when
 // the constants were hardcoded. The other profiles are named what-ifs.
 //
-// The package sits below the hardware models: cpu, mem, and disk each
-// derive their own configuration from a Profile (cpu.NewFor,
-// mem.ConfigFor, disk.ParamsFor), and kernel.Config carries the Profile
+// The package sits below the hardware models: cpu and mem derive their
+// own configuration from a Profile (cpu.NewFor, mem.ConfigFor), disk
+// takes its DiskGeometry as is, and kernel.Config carries the Profile
 // so system.New can thread one machine through a whole boot.
 package machine
 
@@ -28,10 +28,10 @@ import (
 	"latlab/internal/simtime"
 )
 
-// DiskGeometry describes drive geometry and speed, mirroring the
-// positional service-time model in internal/disk (seek + rotation +
-// transfer). Driver policy (retry budget, backoff) is not geometry and
-// stays in disk.Params.
+// DiskGeometry describes drive geometry and speed, the parameters of
+// the positional service-time model in internal/disk (seek + rotation +
+// transfer). Driver policy (retry budget, backoff) is not geometry; it
+// is the same on every drive and lives in internal/disk.
 type DiskGeometry struct {
 	// Blocks is the drive capacity in 512-byte blocks.
 	Blocks int64
@@ -52,8 +52,8 @@ type DiskGeometry struct {
 }
 
 // MaxDVFSLevels bounds the frequency ladder. A fixed-size array (not a
-// slice) keeps Profile comparable with ==, which the test suite and the
-// derivation-identity checks rely on.
+// slice) keeps Profile comparable with ==, which the test suite relies
+// on.
 const MaxDVFSLevels = 6
 
 // DVFSSpec describes a load-following frequency governor: an ascending
@@ -315,9 +315,7 @@ func fujitsuM1606() DiskGeometry {
 // Pentium100 is the paper's experimental machine (§2.1): 100 MHz
 // Pentium, 32-entry ITLB / 64-entry DTLB (untagged), 256 KB L2 of
 // 32-byte lines, and the Fujitsu M1606SAU disk. It is the default
-// everywhere and is golden-identical: every derived configuration
-// equals the constants the hardware models used before profiles
-// existed.
+// everywhere, and the goldens pin every configuration derived from it.
 func Pentium100() Profile {
 	return Profile{
 		Name:              "Pentium 100 MHz",

@@ -4,31 +4,8 @@ import (
 	"reflect"
 	"testing"
 
-	"latlab/internal/cpu"
-	"latlab/internal/disk"
 	"latlab/internal/machine"
-	"latlab/internal/mem"
 )
-
-// The default profile must be golden-identical: every configuration a
-// hardware model derives from Pentium100 equals the constants that model
-// used before profiles existed.
-func TestPentium100DerivationIdentities(t *testing.T) {
-	p100 := machine.Pentium100()
-	if got, want := cpu.PenaltiesFor(p100), cpu.DefaultPenalties(); got != want {
-		t.Fatalf("PenaltiesFor(p100) = %+v, want %+v", got, want)
-	}
-	if got, want := mem.ConfigFor(p100), mem.DefaultConfig(); got != want {
-		t.Fatalf("ConfigFor(p100) = %+v, want %+v", got, want)
-	}
-	if got, want := disk.ParamsFor(p100), disk.DefaultParams(); got != want {
-		t.Fatalf("ParamsFor(p100) = %+v, want %+v", got, want)
-	}
-	c := cpu.NewFor(p100)
-	if c.Freq != 100_000_000 || c.Penalties != cpu.DefaultPenalties() {
-		t.Fatalf("NewFor(p100) not equivalent to the pre-profile CPU")
-	}
-}
 
 func TestAllProfilesValid(t *testing.T) {
 	all := machine.All()

@@ -605,13 +605,8 @@ type Config struct {
 	TaggedTLB   bool
 }
 
-// DefaultConfig matches the experimental machine in paper §2.1.
-func DefaultConfig() Config {
-	return Config{ITLBEntries: 32, DTLBEntries: 64, CacheLines: 8192}
-}
-
 // ConfigFor derives the memory-system capacities from a hardware
-// profile. ConfigFor(machine.Pentium100()) equals DefaultConfig.
+// profile.
 func ConfigFor(p machine.Profile) Config {
 	p = p.OrDefault()
 	return Config{

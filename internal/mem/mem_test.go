@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"latlab/internal/machine"
 )
 
 func TestLRUBasic(t *testing.T) {
@@ -732,7 +734,7 @@ func TestLRUEquivalenceRandom(t *testing.T) {
 // TestSystemResident pins System.Resident: true only when every listed
 // page and chunk is resident, without touching anything.
 func TestSystemResident(t *testing.T) {
-	s := NewSystem(DefaultConfig())
+	s := NewSystem(ConfigFor(machine.Pentium100()))
 	code, data, chunks := []uint64{1, 2}, []uint64{100}, []uint64{7}
 	if !s.Resident(nil, nil, nil) {
 		t.Fatalf("an empty working set is resident")
@@ -847,7 +849,7 @@ func TestLRUWorkingSetLargerThanCapacityAlwaysMisses(t *testing.T) {
 }
 
 func TestSystem(t *testing.T) {
-	s := NewSystem(DefaultConfig())
+	s := NewSystem(ConfigFor(machine.Pentium100()))
 	if s.ITLB.Cap() != 32 || s.DTLB.Cap() != 64 || s.Cache.Cap() != 8192 {
 		t.Fatalf("default capacities wrong")
 	}
@@ -965,7 +967,7 @@ func repaintLineCall(s *System, flush bool) func() {
 // flushes that empty both TLBs around every call.
 func TestTouchListsSteadyStateAllocationFree(t *testing.T) {
 	for _, flush := range []bool{true, false} {
-		call := repaintLineCall(NewSystem(DefaultConfig()), flush)
+		call := repaintLineCall(NewSystem(ConfigFor(machine.Pentium100())), flush)
 		for i := 0; i < 6; i++ {
 			call()
 		}
@@ -987,7 +989,7 @@ func BenchmarkTouchPages(b *testing.B) {
 		flush bool
 	}{{"nt351", true}, {"nt40", false}} {
 		b.Run(bc.name, func(b *testing.B) {
-			call := repaintLineCall(NewSystem(DefaultConfig()), bc.flush)
+			call := repaintLineCall(NewSystem(ConfigFor(machine.Pentium100())), bc.flush)
 			call()
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -1014,7 +1016,7 @@ func BenchmarkLRUFlush(b *testing.B) {
 }
 
 func TestTaggedTLBSurvivesFlush(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := ConfigFor(machine.Pentium100())
 	cfg.TaggedTLB = true
 	s := NewSystem(cfg)
 	if !s.Tagged() {
@@ -1034,7 +1036,7 @@ func TestTaggedTLBSurvivesFlush(t *testing.T) {
 }
 
 func TestNoL2EveryCacheReferenceMisses(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := ConfigFor(machine.Pentium100())
 	cfg.CacheLines = 0
 	s := NewSystem(cfg)
 	if s.Cache != nil {

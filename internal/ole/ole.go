@@ -36,8 +36,6 @@ type Server struct {
 	// sessions (fonts, registry, per-session scratch); the shrinking
 	// schedule produces Table 1's 2nd/3rd-edit warming.
 	sessionExtra []int64
-	// setupCalls is the GUI-call count of one in-place activation.
-	setupCalls int
 	// initCyclesPerCall is the server-side compute accompanying setup.
 	initSeg cpu.Segment
 
@@ -45,53 +43,37 @@ type Server struct {
 	codePages []uint64
 }
 
-// ServerConfig sizes a Server.
-type ServerConfig struct {
-	// Name labels the server's image file.
-	Name string
-	// StartBlock places the image on disk.
-	StartBlock int64
-	// CorePages is the image working set (before persona BinaryScale).
-	CorePages int64
-	// SessionExtra is the per-session unique page schedule.
-	SessionExtra []int64
-	// SetupCalls is the GUI call count per activation.
-	SetupCalls int
-}
+// The server image: its file, where it sits on disk, the working set
+// paged in on first activation and the unique pages each later session
+// adds (before the persona's BinaryScale), and the GUI calls of one
+// in-place activation. They model a mid-90s embedded-chart editor: a
+// ~2.4 MB working set and shrinking per-session extras.
+const (
+	serverImage      = "graph-server.exe"
+	serverBlock      = 1_200_000
+	serverCorePages  = 900
+	serverSetupCalls = 1200
+)
 
-// DefaultServerConfig models a mid-90s embedded-chart editor: ~2.4 MB
-// image working set, shrinking per-session extras.
-func DefaultServerConfig() ServerConfig {
-	return ServerConfig{
-		Name:         "graph-server.exe",
-		StartBlock:   1_200_000,
-		CorePages:    900,
-		SessionExtra: []int64{120, 140, 6},
-		SetupCalls:   1200,
-	}
-}
+var serverSessionExtra = [...]int64{120, 140, 6}
 
 // NewServer registers the server image (scaled by the persona's
 // BinaryScale) and returns the server.
-func NewServer(w *winsys.WinSys, cache *fscache.Cache, cfg ServerConfig) *Server {
+func NewServer(w *winsys.WinSys, cache *fscache.Cache) *Server {
 	scale := w.Persona().BinaryScale
-	if scale <= 0 {
-		scale = 1
-	}
-	core := int64(float64(cfg.CorePages) * scale)
-	extra := make([]int64, len(cfg.SessionExtra))
+	core := int64(float64(serverCorePages) * scale)
+	extra := make([]int64, len(serverSessionExtra))
 	var extraTotal int64
-	for i, e := range cfg.SessionExtra {
+	for i, e := range serverSessionExtra {
 		extra[i] = int64(float64(e) * scale)
 		extraTotal += extra[i]
 	}
 	total := core + extraTotal
 	s := &Server{
 		cache:        cache,
-		exe:          cache.AddFile(cfg.Name, cfg.StartBlock, total),
+		exe:          cache.AddFile(serverImage, serverBlock, total),
 		corePages:    core,
 		sessionExtra: extra,
-		setupCalls:   cfg.SetupCalls,
 		initSeg: cpu.Segment{Name: "ole-init", BaseCycles: 18_000,
 			Instructions: 11_000, DataRefs: 5_000,
 			CodePages: []uint64{500, 501, 502, 503}, DataPages: []uint64{520, 521}},
@@ -191,7 +173,7 @@ func (o *Object) Activate(tc *kernel.TC, w *winsys.WinSys) {
 	o.edits++
 
 	// In-place activation GUI work plus server-side init compute.
-	w.OLESetup(tc, s.setupCalls)
+	w.OLESetup(tc, serverSetupCalls)
 	tc.Compute(s.initSeg.Scale(40))
 	o.Render(tc, w)
 }
@@ -207,6 +189,6 @@ func (o *Object) EditKeystroke(tc *kernel.TC, w *winsys.WinSys) {
 
 // Deactivate ends the editing session: menu un-merge and host redraw.
 func (o *Object) Deactivate(tc *kernel.TC, w *winsys.WinSys) {
-	w.OLESetup(tc, o.Server.setupCalls/6)
+	w.OLESetup(tc, serverSetupCalls/6)
 	w.RepaintLines(tc, 8)
 }

@@ -16,7 +16,7 @@ func activateTimes(t *testing.T, p persona.P) [3]simtime.Duration {
 	t.Helper()
 	sys := system.New(system.Config{Persona: p})
 	defer sys.Shutdown()
-	srv := NewServer(sys.Win, sys.K.Cache(), DefaultServerConfig())
+	srv := NewServer(sys.Win, sys.K.Cache())
 	objs := [3]*Object{
 		NewObject(srv, "obj1", 400_000, 140, 240),
 		NewObject(srv, "obj2", 480_000, 140, 240),
@@ -72,7 +72,7 @@ func TestActivationNT351SlowerThanNT40(t *testing.T) {
 func TestRenderDoesNotTouchDisk(t *testing.T) {
 	sys := system.New(system.Config{Persona: persona.NT40()})
 	defer sys.Shutdown()
-	srv := NewServer(sys.Win, sys.K.Cache(), DefaultServerConfig())
+	srv := NewServer(sys.Win, sys.K.Cache())
 	obj := NewObject(srv, "obj", 400_000, 100, 240)
 	var renderDur simtime.Duration
 	sys.SpawnApp("ppt", func(tc *kernel.TC) {
@@ -93,7 +93,7 @@ func TestRenderDoesNotTouchDisk(t *testing.T) {
 func TestEditKeystroke(t *testing.T) {
 	sys := system.New(system.Config{Persona: persona.NT40()})
 	defer sys.Shutdown()
-	srv := NewServer(sys.Win, sys.K.Cache(), DefaultServerConfig())
+	srv := NewServer(sys.Win, sys.K.Cache())
 	obj := NewObject(srv, "obj", 400_000, 100, 240)
 	var editDur simtime.Duration
 	sys.SpawnApp("ppt", func(tc *kernel.TC) {
@@ -114,7 +114,7 @@ func TestEditKeystroke(t *testing.T) {
 func TestEditBeforeActivatePanics(t *testing.T) {
 	sys := system.New(system.Config{Persona: persona.NT40()})
 	defer sys.Shutdown()
-	srv := NewServer(sys.Win, sys.K.Cache(), DefaultServerConfig())
+	srv := NewServer(sys.Win, sys.K.Cache())
 	obj := NewObject(srv, "obj", 400_000, 100, 240)
 	panicked := false
 	sys.SpawnApp("ppt", func(tc *kernel.TC) {

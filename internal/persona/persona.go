@@ -86,15 +86,10 @@ type P struct {
 	// (safe-save temp copy plus shell metadata), which is how Table 1's
 	// save is *slower* on NT 4.0 than NT 3.51.
 	SaveScale float64
-	// ServerCallScale multiplies the GUI call count of call-heavy
-	// compound operations (OLE in-place activation): the user-level
-	// server needs extra round trips for menu merging and window
-	// re-parenting.
-	ServerCallScale float64
 	// BatchScale is the relative cost of a GUI call issued while more
 	// user input is already queued: the window system coalesces
 	// invalidations and batches requests (client-server batching, §1.1).
-	// 0 means 1.0 (no batching). Realistic pacing leaves the queue empty
+	// 1 means no batching. Realistic pacing leaves the queue empty
 	// during handling, so only saturated input benefits — which is how an
 	// "infinitely fast user" benchmark flatters throughput while latency
 	// collapses.
@@ -141,12 +136,6 @@ func NT351() P {
 		BatchScale:      0.70,    // client-server batching is aggressive
 		BinaryScale:     1.20,
 		SaveScale:       1.0,
-		// Extra server round trips would widen Table 1's OLE gaps, but
-		// §5.3's attribution ("TLB misses account for at least 23-25% of
-		// the latency difference") constrains the non-TLB share; the
-		// reproduction keeps call counts equal and lets crossings+TLB
-		// carry the difference.
-		ServerCallScale: 1.0,
 	}
 }
 
@@ -165,7 +154,6 @@ func NT40() P {
 		BatchScale:      0.75,
 		BinaryScale:     1.0,
 		SaveScale:       1.18,
-		ServerCallScale: 1.0,
 	}
 }
 
@@ -187,10 +175,9 @@ func W95() P {
 		MousePoll: cpu.Segment{Name: "mousepoll", BaseCycles: 4000,
 			Instructions: 2600, DataRefs: 900, SegmentLoads: 40,
 			CodePages: []uint64{20, 21}, DataPages: []uint64{22}},
-		WordLinger:      2 * simtime.Second,
-		BinaryScale:     1.10,
-		SaveScale:       1.0,
-		ServerCallScale: 1.0,
+		WordLinger:  2 * simtime.Second,
+		BinaryScale: 1.10,
+		SaveScale:   1.0,
 		Background: []Background{
 			{
 				Name:   "vmm-housekeeping",

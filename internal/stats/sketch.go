@@ -117,17 +117,6 @@ func (s *Sketch) Variance() float64 {
 // jitter metric.
 func (s *Sketch) StdDev() float64 { return math.Sqrt(s.Variance()) }
 
-// Buckets returns the number of live buckets (for memory assertions).
-func (s *Sketch) Buckets() int {
-	n := 0
-	for _, c := range s.buckets {
-		if c > 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // indexOf returns the bucket index for x >= SketchMinValue: the
 // smallest i with gamma^i >= x, so bucket i covers (gamma^(i-1),
 // gamma^i].

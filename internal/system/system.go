@@ -14,8 +14,6 @@ import (
 
 // Scheduling priorities used across the experiments.
 const (
-	// IdlePrio is the idle class: the idle-loop instrument runs here.
-	IdlePrio = kernel.IdlePriority
 	// BackgroundPrio is OS housekeeping.
 	BackgroundPrio = 4
 	// AppPrio is the foreground application.

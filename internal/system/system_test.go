@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"latlab/internal/cpu"
-	"latlab/internal/disk"
 	"latlab/internal/kernel"
 	"latlab/internal/machine"
 	"latlab/internal/persona"
@@ -221,7 +220,7 @@ func TestBootMatrixEveryPersonaOnEveryMachine(t *testing.T) {
 				if got := s.K.CPU().Penalties; got != want {
 					t.Fatalf("penalties = %+v, want the profile's with the persona's crossing: %+v", got, want)
 				}
-				if got, want := s.K.Disk().Params(), disk.ParamsFor(m); got != want {
+				if got, want := s.K.Disk().Params(), m.Disk; got != want {
 					t.Fatalf("disk = %+v, want the profile's %+v", got, want)
 				}
 				echoed := 0

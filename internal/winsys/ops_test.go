@@ -45,27 +45,6 @@ func TestDrawFrameGrowsWithStep(t *testing.T) {
 	}
 }
 
-func TestOLESetupServerCallScale(t *testing.T) {
-	base := persona.NT40()
-	baseDur := opDuration(t, base, func(tc *kernel.TC, w *WinSys) { w.OLESetup(tc, 50) })
-
-	scaled := persona.NT40()
-	scaled.ServerCallScale = 2.0
-	scaledDur := opDuration(t, scaled, func(tc *kernel.TC, w *WinSys) { w.OLESetup(tc, 50) })
-	ratio := float64(scaledDur) / float64(baseDur)
-	if ratio < 1.8 || ratio > 2.2 {
-		t.Fatalf("ServerCallScale 2.0 should double OLESetup: ratio %.2f", ratio)
-	}
-
-	// A sub-1 scale must never reduce the call count below the request.
-	under := persona.NT40()
-	under.ServerCallScale = 0.5
-	underDur := opDuration(t, under, func(tc *kernel.TC, w *WinSys) { w.OLESetup(tc, 50) })
-	if underDur < baseDur {
-		t.Fatalf("scale <1 should clamp to the requested call count")
-	}
-}
-
 func TestRepaintLinesScales(t *testing.T) {
 	p := persona.NT40()
 	five := opDuration(t, p, func(tc *kernel.TC, w *WinSys) { w.RepaintLines(tc, 5) })

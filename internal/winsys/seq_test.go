@@ -33,7 +33,7 @@ func oracleCall(w *WinSys, tc *kernel.TC, o op, glues *[]simtime.Time) {
 	if w.p.Arch == persona.Shared16Bit && o.scale16 != 0 {
 		base = int64(float64(base) * o.scale16)
 	}
-	if w.p.BatchScale > 0 && w.p.BatchScale < 1 && tc.PendingUserInput() {
+	if w.p.BatchScale < 1 && tc.PendingUserInput() {
 		base = int64(float64(base) * w.p.BatchScale)
 		w.batched++
 	}
@@ -124,11 +124,7 @@ var seqCases = []struct {
 		}},
 	{"OLESetup", func(w *WinSys, tc *kernel.TC, n int) { w.OLESetup(tc, n) },
 		func(w *WinSys, tc *kernel.TC, n int, call func(op)) {
-			m := int(float64(n) * w.p.ServerCallScale)
-			if m < n {
-				m = n
-			}
-			for i := 0; i < m; i++ {
+			for i := 0; i < n; i++ {
 				call(opOLESetup)
 			}
 		}},

@@ -242,7 +242,7 @@ func (s *callSeq) build(lc *kernel.LoopTC) {
 	// Request batching: with more user input already queued, the window
 	// system coalesces invalidations — throughput up, responsiveness
 	// meaningless (§1.1). Realistically paced input never triggers this.
-	if w.p.BatchScale > 0 && w.p.BatchScale < 1 && lc.PendingUserInput() {
+	if w.p.BatchScale < 1 && lc.PendingUserInput() {
 		base = int64(float64(base) * w.p.BatchScale)
 		w.batched++
 	}
@@ -320,16 +320,13 @@ func (w *WinSys) DrawFrame(tc *kernel.TC, step int) {
 func (w *WinSys) RepaintWindow(tc *kernel.TC, cells int) { w.call(tc, opRepaintCell, cells) }
 
 // OLESetup performs the GUI work of an OLE in-place activation: window
-// re-parenting, menu merging, toolbar negotiation. It is call-heavy, and
-// the user-level-server persona multiplies the round-trip count
-// (ServerCallScale) — the §5.3/Fig. 10 mechanism writ large.
-func (w *WinSys) OLESetup(tc *kernel.TC, calls int) {
-	n := int(float64(calls) * w.p.ServerCallScale)
-	if n < calls {
-		n = calls
-	}
-	w.call(tc, opOLESetup, n)
-}
+// re-parenting, menu merging, toolbar negotiation. It is call-heavy, so
+// under the user-level-server persona the crossings and TLB refills of
+// its calls add up — the §5.3/Fig. 10 mechanism writ large. Every
+// persona makes the same calls: extra server round trips would widen
+// Table 1's OLE gaps, but §5.3's attribution ("TLB misses account for at
+// least 23-25% of the latency difference") constrains the non-TLB share.
+func (w *WinSys) OLESetup(tc *kernel.TC, calls int) { w.call(tc, opOLESetup, calls) }
 
 // MenuCommand processes a menu/command dispatch.
 func (w *WinSys) MenuCommand(tc *kernel.TC) { w.call(tc, opMenuCommand, 1) }
