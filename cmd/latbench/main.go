@@ -5,13 +5,15 @@
 // rendered in paper order whatever the completion order, so the text
 // output is byte-identical for any job count. A panicking or timed-out
 // experiment becomes a failed run record (and exit code 1) instead of
-// aborting the suite; -json writes one RunRecord per experiment.
+// aborting the suite; -json writes one RunRecord per experiment. Each
+// experiment runs once, at -seed, so its output is a function of the
+// seed: a failure is reported, never re-run under another seed.
 //
 // Usage:
 //
 //	latbench -list
 //	latbench [-quick] [-seed N] [-run fig7,table1] [-machine p200]
-//	         [-out results.txt] [-jobs N] [-timeout 5m] [-retries N]
+//	         [-out results.txt] [-jobs N] [-timeout 5m]
 //	         [-json manifest.json] [-csv-dir dir] [-svg-dir dir]
 //	         [-trace trace.json] [-attrib attrib.csv]
 //	         [-cpuprofile cpu.prof] [-memprofile mem.prof]
@@ -76,8 +78,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		svgDir    = fs.String("svg-dir", "", "also export SVG figures for experiments that have them")
 		machineID = fs.String("machine", "p100", "hardware profile to run on (see -list)")
 		jobs      = fs.Int("jobs", runtime.NumCPU(), "run up to N experiments concurrently")
-		timeout   = fs.Duration("timeout", 0, "per-experiment-attempt timeout (0 = none)")
-		retries   = fs.Int("retries", 0, "retry a failed experiment up to N times with perturbed seeds")
+		timeout   = fs.Duration("timeout", 0, "per-experiment timeout (0 = none)")
 		jsonPath  = fs.String("json", "", "write a JSON run manifest to this file")
 		tracePath = fs.String("trace", "", "write a Chrome trace-event JSON of every machine's spans (Perfetto-loadable)")
 		attrPath  = fs.String("attrib", "", "write a per-episode latency-attribution CSV of every machine's spans")
@@ -260,7 +261,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	opt := runner.Options{
 		Jobs:    *jobs,
 		Timeout: *timeout,
-		Retries: *retries,
 		Config:  experiments.Config{Seed: *seed, Quick: *quick, Machine: prof, Trace: col},
 	}
 	man, err := runner.Run(context.Background(), specs, opt, emit)
@@ -350,7 +350,7 @@ func groupedUsage(fs *flag.FlagSet, w io.Writer) {
 		title string
 		names []string
 	}{
-		{"run selection", []string{"list", "run", "quick", "seed", "jobs", "timeout", "retries"}},
+		{"run selection", []string{"list", "run", "quick", "seed", "jobs", "timeout"}},
 		{"output", []string{"out", "json", "csv-dir", "svg-dir", "trace", "attrib"}},
 		{"machine & scenario", []string{"machine", "scenario", "corpus", "force"}},
 		{"host profiling", []string{"cpuprofile", "memprofile"}},

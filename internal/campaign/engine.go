@@ -3,7 +3,6 @@ package campaign
 import (
 	"context"
 	"fmt"
-	"io"
 	"time"
 
 	"latlab/internal/core"
@@ -17,8 +16,8 @@ import (
 
 // Options tunes a campaign run.
 type Options struct {
-	// Jobs is the worker-pool size handed to the runner; <=0 means one
-	// worker per CPU. The ledger bytes are identical for every value.
+	// Jobs is the worker-pool size handed to the runner's pool; <=0 means
+	// one worker per CPU. The ledger bytes are identical for every value.
 	Jobs int
 	// Quick selects the quick workload parameter set for every session,
 	// exactly like latbench -quick.
@@ -36,9 +35,8 @@ type Options struct {
 	RetryBudget int
 	// Backoff is the base delay between retry attempts of one cell. The
 	// delay before global attempt n (2nd, 3rd, …) is Backoff << (n-2),
-	// a deterministic exponential schedule — unlike the runner's
-	// seed-perturbing retry, the seeds never change. Zero disables
-	// waiting.
+	// a deterministic exponential schedule; the seeds never change.
+	// Zero disables waiting.
 	Backoff time.Duration
 	// PriorAttempts maps cell ids to failed attempts recorded in the
 	// quarantine sidecar, so the retry budget spans runs.
@@ -256,44 +254,15 @@ type Summary struct {
 	Interrupted bool
 }
 
-// cellResult carries a finished cell's outcome through the runner's
-// reorder buffer. It is the experiments.Result of the synthetic
-// per-cell spec; exactly one of rec/fail is meaningful, so a failed
-// cell flows through the same ordered path as a completed one instead
-// of aborting the suite.
-type cellResult struct {
-	id   string
-	rec  Record
-	fail *Quarantine
-}
-
-// Render implements experiments.Result with the cell's headline.
-func (r *cellResult) Render(w io.Writer) error {
-	if r.fail != nil {
-		_, err := fmt.Fprintf(w, "cell %s: quarantined after %d attempts: %s\n",
-			r.id, r.fail.Attempts, r.fail.Error)
-		return err
-	}
-	_, err := fmt.Fprintf(w, "cell %s: %d sessions, %d events, p99 %.2fms\n",
-		r.id, r.rec.Sessions, r.rec.Events, r.rec.P99Ms)
-	return err
-}
-
-// Run executes the whole campaign: every cell of the expanded cube, in
-// expansion order. See RunCells for the execution contract.
-func Run(ctx context.Context, c *Campaign, opt Options, emit func(Record) error) (Summary, error) {
-	return RunCells(ctx, c, Cells(c), opt, emit)
-}
-
 // RunCells executes the given cells (any subset of the campaign's
-// expansion, in expansion order — Run passes all of them, resume the
-// set-difference): cells shard across the runner's worker pool, each
-// cell folds its sessions sequentially in seed order into a fresh
-// sketch, and emit receives one Record per completed cell in cell
-// order (the runner's reorder buffer restores it whatever the worker
-// count). Sessions store no idle samples (their instrument folds each
-// into busy spans as it records it), so a cell keeps nothing per
-// session beyond its events and shares nothing with other cells.
+// expansion, in expansion order: `campaign run` passes Cells(c), resume
+// the set-difference): cells run as jobs on the runner's ordered pool,
+// each cell folds its sessions sequentially in seed order into a fresh
+// sketch, and emit receives one Record per completed cell in cell order
+// (the pool's reorder buffer restores it whatever the worker count).
+// Sessions store no idle samples (their instrument folds each into busy
+// spans as it records it), so a cell keeps nothing per session beyond
+// its events and shares nothing with other cells.
 //
 // A cell whose sessions error, panic, or time out is quarantined — the
 // run continues — and lands in Summary.Quarantined (and
@@ -305,62 +274,35 @@ func Run(ctx context.Context, c *Campaign, opt Options, emit func(Record) error)
 // an error the run stops and that error is returned.
 func RunCells(ctx context.Context, c *Campaign, cells []Cell, opt Options, emit func(Record) error) (Summary, error) {
 	alpha := opt.SketchAlpha()
-	specs := make([]experiments.Spec, len(cells))
-	for i, cell := range cells {
-		specs[i] = cellSpec(c.Spec.ID, cell, alpha, opt)
-	}
 	sum := Summary{Planned: len(cells)}
 	next := 0
-	_, err := runner.Run(ctx, specs,
-		runner.Options{
-			Jobs:    opt.Jobs,
-			Timeout: opt.Timeout,
-			// Retries must stay 0: the runner's retry perturbs the seed, and
-			// a perturbed seed breaks the ledger's determinism contract. The
-			// deterministic same-seed retry lives in cellSpec instead.
-			Retries: 0,
-			Drain:   opt.Drain,
-			Config:  experiments.Config{Quick: opt.Quick},
-		},
-		func(out runner.Outcome) error {
-			cell := cells[next]
-			next++
-			// Interruption — a drained suffix or a cell cut down by
-			// cancellation — is not failure: the cell is simply not run, and
-			// everything from the first such gap on is left for resume so
-			// the appended records stay a prefix of expansion order.
-			if out.Record.Cancelled || out.Record.Error == context.Canceled.Error() {
+	err := runner.Ordered(ctx, len(cells), opt.Jobs, opt.Drain,
+		func(ctx context.Context, i int) cellOutcome { return runCellJob(ctx, c.Spec.ID, cells[i], alpha, opt) },
+		func(i int, out cellOutcome) error {
+			next = i + 1
+			switch {
+			case out.fail != nil:
+				return quarantine(&sum, opt, *out.fail)
+			case out.cut:
+				// Interruption is not failure: the cell is simply not run,
+				// and everything from the first such gap on is left for
+				// resume so the appended records stay a prefix of
+				// expansion order.
 				sum.Interrupted = true
 				return nil
-			}
-			if out.Record.Failed() {
-				// Panics and timeouts bypass the in-spec retry loop (the
-				// runner caught them at the spec boundary), so the attempt
-				// accounting is the prior count plus this one attempt.
-				prior, _ := opt.attemptsFor(cell.ID())
-				return quarantine(&sum, opt, cellQuarantine(c.Spec.ID, cell, opt.Quick, prior+1, out.Record.Error))
-			}
-			res := out.Result.(*cellResult)
-			if res.fail != nil {
-				return quarantine(&sum, opt, *res.fail)
-			}
-			if sum.Interrupted {
+			case sum.Interrupted:
 				// A completed cell after an interruption gap would land out
 				// of order; drop it and let resume re-run it.
 				return nil
 			}
 			sum.Cells++
-			sum.Sessions += res.rec.Sessions
-			sum.Events += res.rec.Events
-			return emit(res.rec)
+			sum.Sessions += out.rec.Sessions
+			sum.Events += out.rec.Events
+			return emit(out.rec)
 		})
-	// Cells the collector never saw — the feed stopped on a drain or
-	// cancellation — are interruption too, even though the runner's
-	// synthetic records for them bypass the emit path.
-	if next < len(cells) {
-		sum.Interrupted = true
-	}
-	if err != nil && ctx.Err() != nil {
+	// Cells the pool never fed — it stopped on a drain or cancellation —
+	// are interruption too.
+	if next < len(cells) || err != nil && ctx.Err() != nil {
 		sum.Interrupted = true
 	}
 	return sum, err
@@ -392,50 +334,58 @@ func cellQuarantine(campaignID string, cell Cell, quick bool, attempts int, errM
 	}
 }
 
-// cellSpec wraps one cell as a synthetic experiments.Spec so the
-// runner can schedule it like any other experiment. The spec's Run
-// holds the deterministic retry loop: up to the cell's allowed
-// attempts with the *same* seeds, exponential backoff between them,
-// and a cellResult carrying either the record or the quarantine entry
-// — it only returns an error for cancellation, so a failing cell never
-// aborts the suite.
-func cellSpec(campaignID string, cell Cell, alpha float64, opt Options) experiments.Spec {
-	return experiments.Spec{
-		ID:    cell.ID(),
-		Title: fmt.Sprintf("campaign %s cell %s", campaignID, cell.ID()),
-		Run: func(ctx context.Context, _ experiments.Config) (experiments.Result, error) {
-			prior, allowed := opt.attemptsFor(cell.ID())
-			var lastErr error
-			for a := 0; a < allowed; a++ {
-				attempt := prior + a + 1
-				if a > 0 && opt.Backoff > 0 {
-					if err := sleepCtx(ctx, opt.Backoff<<(attempt-2)); err != nil {
-						return nil, err
-					}
+// cellOutcome is one cell's result: its ledger record, or its
+// quarantine entry (fail), or cut when cancellation stopped it first.
+type cellOutcome struct {
+	rec  Record
+	fail *Quarantine
+	cut  bool
+}
+
+// runCellJob runs one cell under opt.Timeout, which bounds its whole
+// retry loop: up to the cell's allowed attempts with the *same* seeds,
+// exponential backoff between them. A cell that fails every attempt,
+// panics, or times out is quarantined; a panic or timeout ends the loop,
+// so it counts as one attempt. A cell that cancellation stopped is cut,
+// never quarantined.
+func runCellJob(ctx context.Context, campaignID string, cell Cell, alpha float64, opt Options) cellOutcome {
+	prior, allowed := opt.attemptsFor(cell.ID())
+	run := runner.Do(ctx, opt.Timeout, func(ctx context.Context) (cellOutcome, error) {
+		var lastErr error
+		for a := 0; a < allowed; a++ {
+			attempt := prior + a + 1
+			if a > 0 && opt.Backoff > 0 {
+				if err := sleepCtx(ctx, opt.Backoff<<(attempt-2)); err != nil {
+					return cellOutcome{}, err
 				}
-				var rec Record
-				var err error
-				if opt.Inject != nil {
-					err = opt.Inject(ctx, cell, attempt)
-				}
-				if err == nil {
-					rec, err = runCell(ctx, campaignID, cell, alpha, opt)
-				}
-				if err == nil {
-					return &cellResult{id: cell.ID(), rec: rec}, nil
-				}
-				if ctx.Err() != nil {
-					// Cancellation, not failure: surface the bare context
-					// error so the collector files the cell under
-					// "interrupted", never "quarantined".
-					return nil, ctx.Err()
-				}
-				lastErr = err
 			}
-			q := cellQuarantine(campaignID, cell, opt.Quick, prior+allowed, lastErr.Error())
-			return &cellResult{id: cell.ID(), fail: &q}, nil
-		},
+			var rec Record
+			var err error
+			if opt.Inject != nil {
+				err = opt.Inject(ctx, cell, attempt)
+			}
+			if err == nil {
+				rec, err = runCell(ctx, campaignID, cell, alpha, opt)
+			}
+			if err == nil {
+				return cellOutcome{rec: rec}, nil
+			}
+			if ctx.Err() != nil {
+				return cellOutcome{}, ctx.Err()
+			}
+			lastErr = err
+		}
+		q := cellQuarantine(campaignID, cell, opt.Quick, prior+allowed, lastErr.Error())
+		return cellOutcome{fail: &q}, nil
+	})
+	switch {
+	case run.Err == nil:
+		return run.Value
+	case ctx.Err() != nil:
+		return cellOutcome{cut: true}
 	}
+	q := cellQuarantine(campaignID, cell, opt.Quick, prior+1, run.Err.Error())
+	return cellOutcome{fail: &q}
 }
 
 // sleepCtx waits d or until ctx is cancelled.

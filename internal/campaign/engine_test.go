@@ -25,7 +25,7 @@ func runMiniOpt(t *testing.T, opt Options) ([]byte, Summary) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	sum, err := Run(context.Background(), c, opt,
+	sum, err := RunCells(context.Background(), c, Cells(c), opt,
 		func(r Record) error { return AppendRecord(&buf, r) })
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +114,7 @@ func TestRunHonorsCancellation(t *testing.T) {
 	c := mustLoad(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := Run(ctx, c, Options{Jobs: 2, Quick: true}, func(Record) error { return nil })
+	_, err := RunCells(ctx, c, Cells(c), Options{Jobs: 2, Quick: true}, func(Record) error { return nil })
 	if err == nil {
 		t.Fatal("cancelled run must error")
 	}
@@ -123,7 +123,7 @@ func TestRunHonorsCancellation(t *testing.T) {
 func TestRunStopsOnEmitError(t *testing.T) {
 	c := mustLoad(t)
 	calls := 0
-	_, err := Run(context.Background(), c, Options{Jobs: 2, Quick: true},
+	_, err := RunCells(context.Background(), c, Cells(c), Options{Jobs: 2, Quick: true},
 		func(Record) error { calls++; return context.Canceled })
 	if err == nil {
 		t.Fatal("emit error must propagate")

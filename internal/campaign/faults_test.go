@@ -118,7 +118,7 @@ func TestCellsExpandFaultsAxis(t *testing.T) {
 func TestRunFaultsAxisCampaign(t *testing.T) {
 	c := loadFaultsMini(t)
 	var buf bytes.Buffer
-	sum, err := Run(context.Background(), c, Options{Jobs: 2, Quick: true},
+	sum, err := RunCells(context.Background(), c, Cells(c), Options{Jobs: 2, Quick: true},
 		func(r Record) error { return AppendRecord(&buf, r) })
 	if err != nil {
 		t.Fatal(err)

@@ -31,7 +31,7 @@ func runMiniPerception(t *testing.T, opt Options) ([]byte, Summary) {
 		t.Fatal("spec did not parse the perception flag")
 	}
 	var buf bytes.Buffer
-	sum, err := Run(t.Context(), c, opt, func(r Record) error { return AppendRecord(&buf, r) })
+	sum, err := RunCells(t.Context(), c, Cells(c), opt, func(r Record) error { return AppendRecord(&buf, r) })
 	if err != nil {
 		t.Fatal(err)
 	}

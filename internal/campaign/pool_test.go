@@ -34,9 +34,14 @@ var smallPPT = scenario.Params{Slides: 6, ObjectSlides: []int{2}, PageDowns: []i
 // returns the ledger bytes and the summary.
 func runPool(t *testing.T, cells []Cell) ([]byte, Summary) {
 	t.Helper()
+	return runPoolOpt(t, cells, Options{Jobs: 1, Quick: true})
+}
+
+// runPoolOpt is runPool under the given options.
+func runPoolOpt(t *testing.T, cells []Cell, opt Options) ([]byte, Summary) {
+	t.Helper()
 	var buf bytes.Buffer
-	sum, err := RunCells(context.Background(), &Campaign{Spec: Spec{ID: "pool"}}, cells,
-		Options{Jobs: 1, Quick: true},
+	sum, err := RunCells(context.Background(), &Campaign{Spec: Spec{ID: "pool"}}, cells, opt,
 		func(r Record) error { return AppendRecord(&buf, r) })
 	if err != nil {
 		t.Fatal(err)
@@ -106,6 +111,51 @@ func TestRunCellsDropsFailedCell(t *testing.T) {
 		t.Errorf("clean cells after the failed one differ:\n%s\nwant:\n%s", got, want)
 	}
 	waitGoroutines(t, base)
+}
+
+// TestCellTimeoutQuarantinesCell pins Options.Timeout: a cell stuck
+// past it is quarantined, not the run. The timeout bounds the cell's
+// whole retry loop, so a cell with one prior failed attempt and a
+// budget of three ends after one more attempt, not two, and its entry
+// names the deadline. The clean cells after it on the same worker
+// record what they record without it. They run under the timeout too,
+// so it leaves them room under the race detector on a loaded host.
+func TestCellTimeoutQuarantinesCell(t *testing.T) {
+	stuck := poolCell("pool-stuck", scenario.KindBrowse, scenario.Params{Views: 1})
+	clean := []Cell{
+		poolCell("pool-browse", scenario.KindBrowse, scenario.Params{Views: 1}),
+		poolCell("pool-ppt", scenario.KindPowerpoint, smallPPT),
+	}
+	want, _ := runPool(t, clean)
+	var attempts []int
+	got, sum := runPoolOpt(t, append([]Cell{stuck}, clean...), Options{
+		Jobs: 1, Quick: true, Timeout: 2 * time.Second,
+		RetryBudget: 3, PriorAttempts: map[string]int{stuck.ID(): 1},
+		Inject: func(ctx context.Context, cell Cell, attempt int) error {
+			if cell.ID() != stuck.ID() {
+				return nil
+			}
+			attempts = append(attempts, attempt)
+			<-ctx.Done()
+			return ctx.Err()
+		},
+	})
+	if len(sum.Quarantined) != 1 {
+		t.Fatalf("quarantined %+v, want only %s", sum.Quarantined, stuck.ID())
+	}
+	q := sum.Quarantined[0]
+	if q.Cell() != stuck.ID() || q.Attempts != 2 || !strings.Contains(q.Error, "deadline") {
+		t.Fatalf("quarantine entry %s after %d attempts (%q), want %s after 2 naming the deadline", q.Cell(), q.Attempts, q.Error, stuck.ID())
+	}
+	if len(attempts) != 1 || attempts[0] != 2 {
+		t.Errorf("stuck cell ran attempts %v, want only attempt 2", attempts)
+	}
+	if sum.Interrupted || sum.Cells != len(clean) {
+		t.Errorf("summary %+v, want %d clean cells and no interruption", sum, len(clean))
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("clean cells after the timed-out one differ:\n%s\nwant:\n%s", got, want)
+	}
 }
 
 // crashBody is a thread body that computes a little and then panics.

@@ -113,7 +113,7 @@ func TestQuarantineContinuesRun(t *testing.T) {
 	victim := recs[2].Cell()
 	var hooked []Quarantine
 	var buf bytes.Buffer
-	sum, err := Run(context.Background(), c, Options{
+	sum, err := RunCells(context.Background(), c, Cells(c), Options{
 		Jobs: 2, Quick: true,
 		Inject: func(_ context.Context, cell Cell, attempt int) error {
 			if cell.ID() == victim {
@@ -248,7 +248,7 @@ func TestDrainKeepsPrefix(t *testing.T) {
 	drain := make(chan struct{})
 	close(drain) // drain before the first cell is even fed
 	var buf bytes.Buffer
-	sum, err := Run(context.Background(), c, Options{Jobs: 2, Quick: true, Drain: drain},
+	sum, err := RunCells(context.Background(), c, Cells(c), Options{Jobs: 2, Quick: true, Drain: drain},
 		func(r Record) error { return AppendRecord(&buf, r) })
 	if err != nil {
 		t.Fatalf("drained run must not error: %v", err)
@@ -272,7 +272,7 @@ func TestInterruptedSubsetStaysPrefix(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var buf bytes.Buffer
 	n := 0
-	sum, err := Run(ctx, c, Options{Jobs: 4, Quick: true},
+	sum, err := RunCells(ctx, c, Cells(c), Options{Jobs: 4, Quick: true},
 		func(r Record) error {
 			if n++; n == 3 {
 				cancel() // cancel once a few records have landed

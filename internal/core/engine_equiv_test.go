@@ -152,7 +152,7 @@ func requireIdenticalMachines(t *testing.T, oracle, fast elisionRun) {
 	}
 	requireSameLog(t, "idle sample", oracle.il.Samples(), fast.il.Samples())
 	samples := oracle.il.Samples()
-	replay := BusySpans(samples, DefaultBusyThreshold)
+	replay := BusySpans(samples)
 	requireSameLog(t, "traced busy span", replay, oracle.il.Spans())
 	requireSameLog(t, "untraced busy span", replay, fast.il.Spans())
 	if last := samples[len(samples)-1].Done; oracle.il.fold.last != last || fast.il.fold.last != last {

@@ -57,7 +57,7 @@ type ExtractOptions struct {
 // coroutines) inflates its events, reproducing the paper's §5.4
 // difficulty rather than papering over it.
 func Extract(samples []trace.IdleSample, msgs []trace.MsgRecord, opts ExtractOptions) []Event {
-	f := spanFold{threshold: DefaultBusyThreshold}
+	var f spanFold
 	f.addAll(samples)
 	return extract(f.spans, f.last, msgs, opts)
 }

@@ -69,7 +69,6 @@ func StartIdleLoop(k *kernel.Kernel) *IdleLoop {
 	il := &IdleLoop{
 		n:    CalibrateN(k.CPU().Freq),
 		freq: k.CPU().Freq,
-		fold: spanFold{threshold: DefaultBusyThreshold},
 	}
 	il.loopSeg = cpu.Segment{
 		Name:         "idle-busywait",
@@ -169,28 +168,29 @@ func (il *IdleLoop) Thread() *kernel.Thread { return il.thread }
 func (il *IdleLoop) N() int64 { return il.n }
 
 // BusySpans converts an idle-sample trace into maximal busy spans: runs
-// of consecutive elongated samples. threshold is the minimum stolen time
-// for a sample to count as busy; at or below it, calibration jitter would
-// masquerade as load.
+// of consecutive elongated samples, those that lost more than
+// DefaultBusyThreshold; at or below it, calibration jitter would
+// masquerade as load. It replays the fold the running instrument makes
+// online, so tests can compare the two.
 //
 // Span boundaries are known only to sample resolution (~1 ms), exactly as
 // in the paper; Stolen is exact, because the idle loop accounts for every
 // lost cycle.
-func BusySpans(samples []trace.IdleSample, threshold simtime.Duration) []BusySpan {
-	f := spanFold{threshold: threshold}
+func BusySpans(samples []trace.IdleSample) []BusySpan {
+	var f spanFold
 	f.addAll(samples)
 	return f.spans
 }
 
-// spanFold folds idle samples into maximal busy spans as they arrive:
-// the one algorithm behind BusySpans, Extract and the running
-// instrument. spans holds every span so far; while open, the last one
-// is still growing. last is the Done of the last sample folded.
+// spanFold folds idle samples into maximal busy spans, at
+// DefaultBusyThreshold, as they arrive: the one algorithm behind
+// BusySpans, Extract and the running instrument. spans holds every span
+// so far; while open, the last one is still growing. last is the Done
+// of the last sample folded.
 type spanFold struct {
-	threshold simtime.Duration
-	spans     []BusySpan
-	open      bool
-	last      simtime.Time
+	spans []BusySpan
+	open  bool
+	last  simtime.Time
 }
 
 // add folds one sample.
@@ -203,9 +203,9 @@ func (f *spanFold) addAll(samples []trace.IdleSample) {
 	if len(samples) == 0 {
 		return
 	}
-	spans, open, threshold := f.spans, f.open, f.threshold
+	spans, open := f.spans, f.open
 	for _, s := range samples {
-		if stolen := s.Stolen(NominalSample); stolen > threshold {
+		if stolen := s.Stolen(NominalSample); stolen > DefaultBusyThreshold {
 			if !open {
 				spans = append(spans, BusySpan{Span: Span{Start: s.Done.Add(-s.Elapsed)}})
 				open = true
@@ -221,33 +221,33 @@ func (f *spanFold) addAll(samples []trace.IdleSample) {
 	f.spans, f.open, f.last = spans, open, samples[len(samples)-1].Done
 }
 
-// busy reports whether a sample that took elapsed counts as busy.
-func (f *spanFold) busy(elapsed simtime.Duration) bool {
-	return trace.IdleSample{Elapsed: elapsed}.Stolen(NominalSample) > f.threshold
+// busySample reports whether a sample that took elapsed counts as busy.
+func busySample(elapsed simtime.Duration) bool {
+	return trace.IdleSample{Elapsed: elapsed}.Stolen(NominalSample) > DefaultBusyThreshold
 }
 
 // addCycles folds the samples of c, exactly as adding them one by one
-// would, at a threshold that is not negative. The first cycle's length
-// depends on where the counter read from; every later one lasts dq or
-// dq+1 counter periods, where dq is the cycle's whole number of periods.
-// When both lengths fall on the same side of the threshold, the later
-// cycles fold in closed form: all clean, they close any open span; all
-// elongated, they extend the span the first cycle's sample left open by
-// their summed stolen time, which telescopes to the elapsed time from
-// the first cycle's end to the last's, minus one NominalSample each.
-// (The counter read from no later than the first cycle's start, so the
-// first cycle lasts at least dq periods and is elongated when they are.)
-// Otherwise they fold one by one.
+// would. The first cycle's length depends on where the counter read
+// from; every later one lasts dq or dq+1 counter periods, where dq is
+// the cycle's whole number of periods. When both lengths fall on the
+// same side of the busy threshold, the later cycles fold in closed
+// form: all clean, they close any open span; all elongated, they extend
+// the span the first cycle's sample left open by their summed stolen
+// time, which telescopes to the elapsed time from the first cycle's end
+// to the last's, minus one NominalSample each. (The counter read from
+// no later than the first cycle's start, so the first cycle lasts at
+// least dq periods and is elongated when they are.) Otherwise they fold
+// one by one.
 func (f *spanFold) addCycles(c cycles) {
 	dq, dr := c.cycle/c.period, c.cycle%c.period
-	busy := f.busy(simtime.Duration(dq * c.period))
-	if c.n == 1 || dr != 0 && f.busy(simtime.Duration((dq+1)*c.period)) != busy {
+	elongated := busySample(simtime.Duration(dq * c.period))
+	if c.n == 1 || dr != 0 && busySample(simtime.Duration((dq+1)*c.period)) != elongated {
 		c.each(f.add)
 		return
 	}
 	first, last := c.end(1), c.end(c.n)
 	f.add(c.sample(c.from, first))
-	if busy {
+	if elongated {
 		m := c.n - 1
 		bs := &f.spans[len(f.spans)-1]
 		bs.End = simtime.Time(last * c.period)

@@ -136,7 +136,7 @@ func TestBusySpans(t *testing.T) {
 		{Done: at(8), Elapsed: ms(1)},  // idle: breaks the span
 		{Done: at(10), Elapsed: ms(2)}, // 1 ms stolen
 	}
-	spans := BusySpans(samples, DefaultBusyThreshold)
+	spans := BusySpans(samples)
 	if len(spans) != 2 {
 		t.Fatalf("spans = %d, want 2", len(spans))
 	}
@@ -152,21 +152,20 @@ func TestBusySpans(t *testing.T) {
 }
 
 func TestBusySpansEmptyAndQuiet(t *testing.T) {
-	if got := BusySpans(nil, DefaultBusyThreshold); got != nil {
+	if got := BusySpans(nil); got != nil {
 		t.Fatalf("nil samples → %v", got)
 	}
 	quiet := []trace.IdleSample{{Done: simtime.Time(simtime.Millisecond), Elapsed: simtime.Millisecond}}
-	if got := BusySpans(quiet, DefaultBusyThreshold); len(got) != 0 {
+	if got := BusySpans(quiet); len(got) != 0 {
 		t.Fatalf("quiet trace → %d spans", len(got))
 	}
 }
 
 // FuzzSpanFold feeds the online fold a random stream of simulated
-// samples and elided runs, on a random cycle-counter period and
-// threshold. A run's cycles are all clean, all elongated, or straddle
-// the threshold (their two possible lengths fall on either side), and
-// each run's first cycle starts after a random gap, so its length is
-// its own. The fold, which takes a run in closed form where it can
+// samples and elided runs, on a random cycle-counter period. A run's
+// cycles are all clean, all elongated, or straddle the busy threshold
+// (their two possible lengths fall on either side), and each run's
+// first cycle starts after a random gap, so its length is its own. The fold, which takes a run in closed form where it can
 // (addCycles), must hold what BusySpans makes of the same stream
 // expanded cycle by cycle, and the same last Done.
 func FuzzSpanFold(f *testing.F) {
@@ -176,14 +175,10 @@ func FuzzSpanFold(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64) {
 		r := rng.New(seed)
 		period := int64(1 + r.Intn(50))
-		threshold := DefaultBusyThreshold
-		if r.Intn(2) == 0 {
-			threshold = simtime.Duration(r.Intn(200_000))
-		}
-		fold := spanFold{threshold: threshold}
+		var fold spanFold
 		var samples []trace.IdleSample
 		last := int64(0) // counter reading at the last sample's end
-		nominal, thr := int64(NominalSample), int64(threshold)
+		nominal, thr := int64(NominalSample), int64(DefaultBusyThreshold)
 		for op := 1 + r.Intn(40); op > 0; op-- {
 			if r.Intn(3) == 0 {
 				// One simulated sample, stolen time around the threshold.
@@ -213,7 +208,7 @@ func FuzzSpanFold(f *testing.F) {
 			fold.addCycles(c)
 			last = c.end(c.n)
 		}
-		want := BusySpans(samples, threshold)
+		want := BusySpans(samples)
 		requireSameLog(t, "busy span", want, fold.spans)
 		if done := samples[len(samples)-1].Done; fold.last != done {
 			t.Fatalf("fold's last Done %v, the stream's %v", fold.last, done)

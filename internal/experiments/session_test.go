@@ -159,7 +159,7 @@ func tapped(t *testing.T, cfg Config, doc scenario.Doc) *ScenarioSession {
 func requireOnlineMatchesReplay(t *testing.T, label string, s *ScenarioSession) []core.Event {
 	t.Helper()
 	samples, msgs := s.r.il.Samples(), s.r.pr.Msgs
-	if want, got := core.BusySpans(samples, core.DefaultBusyThreshold), s.r.il.Spans(); !reflect.DeepEqual(got, want) {
+	if want, got := core.BusySpans(samples), s.r.il.Spans(); !reflect.DeepEqual(got, want) {
 		t.Errorf("%s: %d online busy spans differ from the %d BusySpans makes of %d samples", label, len(got), len(want), len(samples))
 	}
 	want := core.Extract(samples, msgs, core.ExtractOptions{Thread: s.thread.ID(), StripQueueSync: true})

@@ -1,6 +1,8 @@
 package kernel
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"latlab/internal/cpu"
@@ -89,4 +91,69 @@ func TestElisionReplaysLeftoverQuantum(t *testing.T) {
 			fast.k.BulkElided(), fast.probe.refills, fast.k.TicksCrossed())
 	}
 	t.Logf("elided %d cycles in %d refilling spans, crossed %d ticks", fast.k.BulkElided(), fast.probe.refills, fast.k.TicksCrossed())
+}
+
+// spanStarts is a BulkLoop that logs the instant of every elided run.
+type spanStarts []simtime.Time
+
+func (s *spanStarts) OnBulk(_ int64, start simtime.Time, _ simtime.Duration) {
+	*s = append(*s, start)
+}
+
+// TestElisionSettlesBusyAtHandlerEnd checks the busy state an elided
+// span starts from when it starts at the instant a tick's handler
+// ends. The idle loop's cycles touch no pages, so each costs exactly
+// its 1 ms of base cycles, and with no context-switch charge the tenth
+// ends at the first tick, 10 ms. The tick takes that instant first
+// (TestClockTieRule), so the cycle's end waits for its handler, and the
+// handler's end is where the idle thread fetches its next cycle and the
+// span starts, with the tick's busy state not yet settled by the
+// reconcile that resumed the thread. A traced kernel simulates every
+// cycle and tick; at every Run boundary both must report the same
+// non-idle busy time and the same OnBusy transitions.
+func TestElisionSettlesBusyAtHandlerEnd(t *testing.T) {
+	spin := cpu.Segment{Name: "spin", BaseCycles: 70_000, Instructions: 50_000}
+	record := cpu.Segment{Name: "record", BaseCycles: 30_000, Instructions: 20_000}
+	type rig struct {
+		k      *Kernel
+		busy   []string
+		starts spanStarts
+	}
+	boot := func(traced bool) *rig {
+		cfg := DefaultConfig()
+		cfg.ContextSwitch = cpu.Segment{}
+		r := &rig{k: New(cfg)}
+		if traced {
+			attach(r.k)
+		}
+		r.k.SetHooks(Hooks{OnBusy: func(busy bool, now simtime.Time) {
+			r.busy = append(r.busy, fmt.Sprintf("%v@%v", busy, now))
+		}})
+		idle := r.k.SpawnLoop("idle", KernelProc, IdlePriority, func(lc *LoopTC) bool {
+			lc.Compute2(spin, record)
+			return true
+		})
+		idle.SetBulkLoop(&r.starts)
+		return r
+	}
+	oracle, fast := boot(true), boot(false)
+	defer oracle.k.Shutdown()
+	defer fast.k.Shutdown()
+
+	for until := simtime.Time(0); until < simtime.Time(200*simtime.Millisecond); {
+		until = until.Add(7 * simtime.Millisecond)
+		oracle.k.Run(until)
+		fast.k.Run(until)
+		if a, b := oracle.k.NonIdleBusyTime(), fast.k.NonIdleBusyTime(); a != b {
+			t.Fatalf("at %v the non-idle busy time is %v traced, %v untraced", until, a, b)
+		}
+		if a, b := fmt.Sprint(oracle.busy), fmt.Sprint(fast.busy); a != b {
+			t.Fatalf("at %v the busy transitions are\n%s traced,\n%s untraced", until, a, b)
+		}
+	}
+	handlerEnd := simtime.Time(ClockTick).Add(fast.k.CPU().DurationOf(fast.k.CPU().WarmCycles(&fast.k.cfg.ClockInterrupt)))
+	if !slices.Contains(fast.starts, handlerEnd) || fast.k.TicksCrossed() == 0 {
+		t.Fatalf("no elided span started at the first tick's handler end %v (span starts %v, %d ticks crossed); the check is vacuous",
+			handlerEnd, fast.starts, fast.k.TicksCrossed())
+	}
 }

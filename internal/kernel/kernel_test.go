@@ -599,34 +599,6 @@ func TestPostToDeadThreadDropped(t *testing.T) {
 	}
 }
 
-func TestYield(t *testing.T) {
-	cfg := quietConfig()
-	k := New(cfg)
-	defer k.Shutdown()
-	var order []string
-	k.Spawn("a", 1, 8, func(tc *TC) {
-		tc.Compute(burn("a1", 1))
-		order = append(order, "a1")
-		tc.Yield()
-		tc.Compute(burn("a2", 1))
-		order = append(order, "a2")
-	})
-	k.Spawn("b", 2, 8, func(tc *TC) {
-		tc.Compute(burn("b1", 1))
-		order = append(order, "b1")
-	})
-	k.Run(simtime.Time(simtime.Second))
-	want := []string{"a1", "b1", "a2"}
-	if len(order) != 3 {
-		t.Fatalf("order = %v", order)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
-	}
-}
-
 func TestDeterministicRuns(t *testing.T) {
 	scenario := func() (simtime.Time, int64) {
 		cfg := DefaultConfig() // full costs: clock, ctxsw, flushes

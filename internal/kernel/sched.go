@@ -513,13 +513,6 @@ func (k *Kernel) process(t *Thread) {
 		t.ioSpan = spans.Handle{}
 		t.pending = nil
 
-	case reqYield:
-		t.pending = nil
-		if k.hasReadyAtPrio(t.prio) {
-			k.current = nil
-			k.makeReady(t)
-		}
-
 	case reqExit:
 		if k.epOpen && k.epThread == t.id {
 			k.rec.EndAt(k.episode, k.now)

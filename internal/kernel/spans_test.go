@@ -67,28 +67,28 @@ func TestSpansEpisodeFromKeystroke(t *testing.T) {
 
 // TestSpansInterruptAndFlushAttribution checks that interrupt-handler
 // work is attributed to the interrupt cause and that a process switch
-// records a TLB flush with the discarded-entry count.
+// records a TLB flush with the discarded-entry count. The two threads'
+// 30 ms segments outlast the 20 ms Quantum, so the equal-priority
+// threads of different processes alternate at every quantum expiry.
 func TestSpansInterruptAndFlushAttribution(t *testing.T) {
 	cfg := DefaultConfig() // real context switches, flushes, clock ticks
 	k := New(cfg)
 	defer k.Shutdown()
 	rec := attach(k)
 
-	seg := burn("w", 3)
+	seg := burn("w", 30)
 	seg.CodePages = []uint64{1, 2, 3}
 	seg.DataPages = []uint64{10, 11}
 	k.Spawn("a", 1, 8, func(tc *TC) {
 		for i := 0; i < 4; i++ {
 			tc.Compute(seg)
-			tc.Yield()
 		}
 	})
-	segB := burn("w2", 3)
+	segB := burn("w2", 30)
 	segB.CodePages = []uint64{7, 8}
 	k.Spawn("b", 2, 8, func(tc *TC) {
 		for i := 0; i < 4; i++ {
 			tc.Compute(segB)
-			tc.Yield()
 		}
 	})
 	k.Run(simtime.Time(simtime.Second))

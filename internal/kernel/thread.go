@@ -73,7 +73,6 @@ const (
 	reqSleep
 	reqReadFile
 	reqWriteFile
-	reqYield
 	reqExit
 )
 
@@ -367,11 +366,6 @@ func (tc *TC) ReadFileAsync(file fscache.FileID, page, pages int64, kind MsgKind
 		// All pages were resident: complete immediately.
 		k.deliver(t, Msg{Kind: kind, Param: param})
 	}
-}
-
-// Yield surrenders the CPU to an equal-priority thread, if any.
-func (tc *TC) Yield() {
-	tc.call(request{kind: reqYield})
 }
 
 // SetTimer arranges for a message to be posted to this thread at the

@@ -1,23 +1,25 @@
-// Package runner schedules experiments across a worker pool. Each
-// experiment boots its own simulated machine, so the suite is
-// embarrassingly parallel; the runner's job is everything around that:
-// streaming results back in the caller's (paper) order regardless of
-// completion order, turning a panicking experiment into a failed run
-// record instead of a crashed suite, enforcing a per-experiment timeout
-// via context, and emitting a machine-readable manifest — one RunRecord
-// per experiment with timings, seed, and environment — so CI or an agent
-// can rank and re-run experiments without parsing the human rendering.
+// Package runner runs independent jobs on a worker pool and hands their
+// results back in order. Ordered is the pool: it feeds job indices in
+// order, stops feeding on cancellation or a drain signal, and emits the
+// results strictly in index order whatever the completion order, so the
+// output is the same at every worker count. Do runs one job under a
+// timeout, turning a panic into an error that carries its stack and
+// abandoning a job that ignores its context.
+//
+// Run drives the experiment suite on them. Each experiment boots its own
+// simulated machine and runs once, at the configured seed; a panicking
+// or timed-out experiment becomes a failed run record instead of a
+// crashed suite. The manifest holds one RunRecord per experiment, with
+// timings, seed, and environment, so CI or an agent can rank and re-run
+// experiments without parsing the human rendering. The campaign engine
+// runs its cells on the same pool and attempt wrapper.
 package runner
 
 import (
 	"context"
 	"encoding/json"
-	"errors"
-	"fmt"
 	"io"
 	"runtime"
-	"runtime/debug"
-	"sync"
 	"time"
 
 	"latlab/internal/experiments"
@@ -28,45 +30,13 @@ import (
 type Options struct {
 	// Jobs is the worker-pool size; <=0 means runtime.NumCPU().
 	Jobs int
-	// Timeout bounds each experiment attempt's wall time; 0 means no
-	// limit. A timed-out experiment becomes a failed RunRecord and its
-	// goroutine is abandoned (the simulators have no preemption hook), so
-	// the remaining experiments still complete.
+	// Timeout bounds each experiment's wall time; 0 means no limit. A
+	// timed-out experiment becomes a failed RunRecord and its goroutine
+	// is abandoned (the simulators have no preemption hook), so the
+	// remaining experiments still complete.
 	Timeout time.Duration
-	// Retries grants a failing experiment that many additional attempts.
-	// Attempt i runs with PerturbSeed(seed, i) so a seed-dependent crash
-	// does not simply repeat; every attempt's seed lands in the manifest.
-	// Timeouts and cancellation are not retried — their budget is already
-	// spent and a different seed will not unstick them.
-	Retries int
-	// Drain, when it becomes readable (usually by closing it), stops the
-	// feeder from handing out new specs while letting every in-flight
-	// spec run to completion — the graceful-shutdown half of
-	// cancellation. Because specs are fed strictly in order, the set of
-	// completed specs after a drain is always a prefix of specs; the
-	// un-fed suffix still gets synthetic Cancelled records. A nil Drain
-	// never fires.
-	Drain <-chan struct{}
 	// Config is passed to every experiment.
 	Config experiments.Config
-}
-
-// PerturbSeed derives the seed for retry attempt (0-based). Attempt 0
-// returns seed unchanged, so a clean first run is bit-identical whether
-// retries are enabled or not; later attempts mix the attempt index
-// through the SplitMix64 finalizer so each retry explores a distinct
-// but fully reproducible stochastic schedule.
-func PerturbSeed(seed uint64, attempt int) uint64 {
-	if attempt == 0 {
-		return seed
-	}
-	z := seed + 0x9e3779b97f4a7c15*uint64(attempt)
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	z ^= z >> 31
-	return z
 }
 
 // ArtifactRecord summarizes one exported artifact in a RunRecord.
@@ -95,12 +65,6 @@ type RunRecord struct {
 	// Samples totals the data points across all artifacts.
 	Samples   int              `json:"samples"`
 	Artifacts []ArtifactRecord `json:"artifacts,omitempty"`
-	// Attempts counts how many times Spec.Run was invoked: 1 plus the
-	// retries consumed. Zero only on a synthetic Cancelled record.
-	Attempts int `json:"attempts,omitempty"`
-	// AttemptSeeds lists the seed each attempt ran with, in attempt
-	// order; AttemptSeeds[0] is the configured seed.
-	AttemptSeeds []uint64 `json:"attempt_seeds,omitempty"`
 	// Error is empty on success. Panics and timeouts land here too,
 	// flagged by Panicked / TimedOut.
 	Error    string `json:"error,omitempty"`
@@ -174,19 +138,12 @@ type Outcome struct {
 // record with Error "cancelled" and Cancelled set, so downstream tooling
 // can join manifests against the spec list positionally.
 func Run(ctx context.Context, specs []experiments.Spec, opt Options, emit func(Outcome) error) (*Manifest, error) {
-	jobs := opt.Jobs
-	if jobs <= 0 {
-		jobs = runtime.NumCPU()
-	}
-	if jobs > len(specs) && len(specs) > 0 {
-		jobs = len(specs)
-	}
 	man := &Manifest{
 		StartedAt: time.Now().UTC().Format(time.RFC3339),
 		Seed:      opt.Config.Seed,
 		Quick:     opt.Config.Quick,
 		Machine:   opt.Config.MachineProfile().Short,
-		Jobs:      jobs,
+		Jobs:      workers(opt.Jobs, len(specs)),
 		TimeoutS:  opt.Timeout.Seconds(),
 		GoVersion: runtime.Version(),
 		OS:        runtime.GOOS,
@@ -194,178 +151,54 @@ func Run(ctx context.Context, specs []experiments.Spec, opt Options, emit func(O
 		NumCPU:    runtime.NumCPU(),
 	}
 	start := time.Now()
-	parent := ctx
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	type indexed struct {
-		i   int
-		out Outcome
-	}
-	work := make(chan int)
-	// Buffered so workers finishing after a cancellation never block on a
-	// collector that has already stopped reading.
-	results := make(chan indexed, len(specs))
-
-	var wg sync.WaitGroup
-	for w := 0; w < jobs; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				results <- indexed{i, runOne(ctx, specs[i], opt)}
-			}
-		}()
-	}
-	go func() {
-		defer close(work)
-		for i := range specs {
-			// Check the stop signals with priority: a select with a ready
-			// worker would otherwise race a just-closed Drain and feed one
-			// more spec.
-			select {
-			case <-ctx.Done():
-				return
-			case <-opt.Drain:
-				return
-			default:
-			}
-			select {
-			case work <- i:
-			case <-ctx.Done():
-				return
-			case <-opt.Drain:
-				return
-			}
-		}
-	}()
-	go func() { wg.Wait(); close(results) }()
-
-	// Reorder buffer: outcomes are appended and emitted strictly in specs
-	// order, so the caller's rendering is deterministic however the pool
-	// schedules.
-	pending := make(map[int]Outcome, jobs)
-	next := 0
-	var emitErr error
-	for r := range results {
-		pending[r.i] = r.out
-		for {
-			out, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			next++
-			if emitErr != nil {
-				continue
-			}
+	err := Ordered(ctx, len(specs), opt.Jobs, nil,
+		func(ctx context.Context, i int) Outcome { return runOne(ctx, specs[i], opt) },
+		func(_ int, out Outcome) error {
 			man.Records = append(man.Records, out.Record)
-			if emit != nil {
-				if err := emit(out); err != nil {
-					emitErr = err
-					cancel()
-				}
+			if emit == nil {
+				return nil
 			}
-		}
-	}
+			return emit(out)
+		})
 	// Records are appended strictly in specs order, so everything the run
 	// never collected — the feed stopped on cancellation, or an emit error
 	// stopped collection — is the suffix. Synthesize its records here so
 	// len(Records) == len(specs) on every path.
-	for i := len(man.Records); i < len(specs); i++ {
-		s := specs[i]
-		man.Records = append(man.Records, RunRecord{
-			ID: s.ID, Title: s.Title, Paper: s.Paper,
-			Seed: opt.Config.Seed, Quick: opt.Config.Quick,
-			Machine:  opt.Config.MachineProfile().Short,
-			Scenario: s.Scenario,
-			Error:    "cancelled", Cancelled: true,
-		})
+	for _, s := range specs[len(man.Records):] {
+		rec := newRecord(s, opt)
+		rec.Error, rec.Cancelled = "cancelled", true
+		man.Records = append(man.Records, rec)
 	}
 	man.WallSeconds = time.Since(start).Seconds()
-	if emitErr != nil {
-		return man, emitErr
-	}
-	return man, parent.Err()
+	return man, err
 }
 
-// runOne executes a single spec under the per-attempt timeout,
-// converting panics and timeouts into failed records and retrying
-// errored attempts (with perturbed seeds) up to opt.Retries times.
-func runOne(ctx context.Context, s experiments.Spec, opt Options) Outcome {
-	rec := RunRecord{
+// newRecord returns s's record before it runs.
+func newRecord(s experiments.Spec, opt Options) RunRecord {
+	return RunRecord{
 		ID: s.ID, Title: s.Title, Paper: s.Paper,
 		Seed: opt.Config.Seed, Quick: opt.Config.Quick,
 		Machine:  opt.Config.MachineProfile().Short,
 		Scenario: s.Scenario,
 	}
-	for attempt := 0; ; attempt++ {
-		cfg := opt.Config
-		cfg.Seed = PerturbSeed(opt.Config.Seed, attempt)
-		// Scope span-track names to the spec so a shared collector names
-		// tracks identically whatever the completion order of the pool.
-		cfg.TraceTag = s.ID
-		rec.Attempts = attempt + 1
-		rec.AttemptSeeds = append(rec.AttemptSeeds, cfg.Seed)
-
-		res, err, panicked, timedOut := runAttempt(ctx, s, cfg, opt.Timeout, &rec.WallSeconds)
-		if err == nil {
-			rec.Error, rec.Panicked, rec.TimedOut = "", false, false
-			summarize(res, &rec)
-			return Outcome{Spec: s, Result: res, Record: rec}
-		}
-		rec.Error = err.Error()
-		rec.Panicked = panicked
-		rec.TimedOut = timedOut
-		// Retry only genuine failures: a timeout already spent its whole
-		// budget, and under a cancelled suite more attempts are pointless.
-		if timedOut || ctx.Err() != nil || attempt >= opt.Retries {
-			return Outcome{Spec: s, Record: rec}
-		}
-	}
 }
 
-// runAttempt invokes Spec.Run once under its own timeout, accumulating
-// host wall time into *wall.
-func runAttempt(ctx context.Context, s experiments.Spec, cfg experiments.Config,
-	timeout time.Duration, wall *float64) (_ experiments.Result, _ error, panicked, timedOut bool) {
-	runCtx := ctx
-	cancel := func() {}
-	if timeout > 0 {
-		runCtx, cancel = context.WithTimeout(ctx, timeout)
+// runOne runs a single spec once under the per-experiment timeout,
+// converting a panic or timeout into a failed record.
+func runOne(ctx context.Context, s experiments.Spec, opt Options) Outcome {
+	cfg := opt.Config
+	// Scope span-track names to the spec so a shared collector names
+	// tracks identically whatever the completion order of the pool.
+	cfg.TraceTag = s.ID
+	a := Do(ctx, opt.Timeout, func(ctx context.Context) (experiments.Result, error) { return s.Run(ctx, cfg) })
+	rec := newRecord(s, opt)
+	rec.WallSeconds = a.Wall.Seconds()
+	if a.Err != nil {
+		rec.Error, rec.Panicked, rec.TimedOut = a.Err.Error(), a.Panicked, a.TimedOut
+		return Outcome{Spec: s, Record: rec}
 	}
-	defer cancel()
-
-	type ret struct {
-		res      experiments.Result
-		err      error
-		panicked bool
-	}
-	done := make(chan ret, 1)
-	start := time.Now()
-	go func() {
-		defer func() {
-			if p := recover(); p != nil {
-				done <- ret{
-					err:      fmt.Errorf("panic: %v\n%s", p, debug.Stack()),
-					panicked: true,
-				}
-			}
-		}()
-		res, err := s.Run(runCtx, cfg)
-		done <- ret{res: res, err: err}
-	}()
-
-	select {
-	case r := <-done:
-		*wall += time.Since(start).Seconds()
-		return r.res, r.err, r.panicked, errors.Is(r.err, context.DeadlineExceeded)
-	case <-runCtx.Done():
-		// The experiment ignored its context; abandon its goroutine and
-		// record the failure so the rest of the suite proceeds.
-		*wall += time.Since(start).Seconds()
-		return nil, runCtx.Err(), false, errors.Is(runCtx.Err(), context.DeadlineExceeded)
-	}
+	summarize(a.Value, &rec)
+	return Outcome{Spec: s, Result: a.Value, Record: rec}
 }
 
 // summarize fills the record's artifact inventory from the result.

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -257,112 +256,6 @@ func TestParentCancellation(t *testing.T) {
 	}
 }
 
-func TestPerturbSeed(t *testing.T) {
-	if PerturbSeed(1996, 0) != 1996 {
-		t.Fatalf("attempt 0 must keep the configured seed")
-	}
-	seen := map[uint64]bool{1996: true}
-	for i := 1; i < 8; i++ {
-		s := PerturbSeed(1996, i)
-		if seen[s] {
-			t.Fatalf("attempt %d repeated seed %d", i, s)
-		}
-		seen[s] = true
-		if s2 := PerturbSeed(1996, i); s2 != s {
-			t.Fatalf("PerturbSeed not deterministic: %d vs %d", s, s2)
-		}
-	}
-}
-
-func TestRetrySucceedsAfterFailures(t *testing.T) {
-	var seeds []uint64
-	spec := experiments.Spec{
-		ID: "flaky", Title: "fails twice", Paper: "test",
-		Run: func(_ context.Context, cfg experiments.Config) (experiments.Result, error) {
-			seeds = append(seeds, cfg.Seed)
-			if len(seeds) < 3 {
-				return nil, fmt.Errorf("transient failure %d", len(seeds))
-			}
-			return &fakeResult{payload: "ok"}, nil
-		},
-	}
-	man, err := Run(context.Background(), []experiments.Spec{spec},
-		Options{Jobs: 1, Retries: 3, Config: experiments.Config{Seed: 1996}}, nil)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	rec := man.Records[0]
-	if rec.Failed() {
-		t.Fatalf("retried spec should have recovered: %+v", rec)
-	}
-	if rec.Attempts != 3 {
-		t.Fatalf("attempts = %d, want 3", rec.Attempts)
-	}
-	want := []uint64{1996, PerturbSeed(1996, 1), PerturbSeed(1996, 2)}
-	if len(rec.AttemptSeeds) != 3 || rec.AttemptSeeds[0] != want[0] ||
-		rec.AttemptSeeds[1] != want[1] || rec.AttemptSeeds[2] != want[2] {
-		t.Fatalf("attempt seeds = %v, want %v", rec.AttemptSeeds, want)
-	}
-	if len(seeds) != 3 || seeds[1] == seeds[0] || seeds[2] == seeds[1] {
-		t.Fatalf("experiment saw seeds %v, want 3 distinct", seeds)
-	}
-}
-
-func TestRetryExhaustedKeepsLastError(t *testing.T) {
-	runs := 0
-	spec := experiments.Spec{
-		ID: "doomed", Title: "always fails", Paper: "test",
-		Run: func(context.Context, experiments.Config) (experiments.Result, error) {
-			runs++
-			if runs == 1 {
-				panic("persistent crash") // a panic is retried like an error
-			}
-			return nil, errors.New("persistent crash")
-		},
-	}
-	man, err := Run(context.Background(), []experiments.Spec{spec},
-		Options{Jobs: 1, Retries: 2}, nil)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	rec := man.Records[0]
-	if runs != 3 || rec.Attempts != 3 {
-		t.Fatalf("runs/attempts = %d/%d, want 3/3", runs, rec.Attempts)
-	}
-	if !rec.Failed() || !strings.Contains(rec.Error, "persistent crash") {
-		t.Fatalf("exhausted record wrong: %+v", rec)
-	}
-	if rec.Panicked {
-		t.Fatalf("last attempt returned an error, not a panic: %+v", rec)
-	}
-}
-
-func TestTimeoutIsNotRetried(t *testing.T) {
-	// atomic: the timed-out attempt's goroutine is abandoned, so it may
-	// still be touching the counter when the run returns.
-	var attempts atomic.Int32
-	spec := experiments.Spec{
-		ID: "slow", Title: "times out", Paper: "test",
-		Run: func(ctx context.Context, _ experiments.Config) (experiments.Result, error) {
-			attempts.Add(1)
-			<-ctx.Done()
-			return nil, ctx.Err()
-		},
-	}
-	man, err := Run(context.Background(), []experiments.Spec{spec},
-		Options{Jobs: 1, Retries: 5, Timeout: 20 * time.Millisecond}, nil)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	rec := man.Records[0]
-	if n := attempts.Load(); n != 1 || rec.Attempts != 1 {
-		t.Fatalf("timeout retried: attempts = %d/%d, want 1/1", n, rec.Attempts)
-	}
-	if !rec.TimedOut {
-		t.Fatalf("record not flagged as timeout: %+v", rec)
-	}
-}
-
 func TestManifestJSONRoundTrips(t *testing.T) {
 	_, man := render(t, []experiments.Spec{mkSpec("a", time.Millisecond)}, 1, 0)
 	var sb strings.Builder
@@ -410,65 +303,5 @@ func TestManifestCarriesScenario(t *testing.T) {
 		if r.ID == "sc-test" && r.Cancelled && r.Scenario == nil {
 			t.Fatalf("cancelled synthetic record lost the scenario document")
 		}
-	}
-}
-
-func TestDrainStopsFeedingWithoutError(t *testing.T) {
-	// Drain closed before the run starts: no spec is fed, every record
-	// is a synthetic cancelled one, and — unlike cancellation — the run
-	// returns no error, because draining is a graceful stop.
-	drain := make(chan struct{})
-	close(drain)
-	specs := []experiments.Spec{
-		mkSpec("a", time.Millisecond), mkSpec("b", time.Millisecond), mkSpec("c", time.Millisecond),
-	}
-	emitted := 0
-	man, err := Run(context.Background(), specs, Options{Jobs: 2, Drain: drain},
-		func(out Outcome) error { emitted++; return nil })
-	if err != nil {
-		t.Fatalf("drained run must not error: %v", err)
-	}
-	if len(man.Records) != len(specs) {
-		t.Fatalf("manifest records = %d, want %d", len(man.Records), len(specs))
-	}
-	for i, r := range man.Records {
-		if r.ID != specs[i].ID || !r.Cancelled {
-			t.Fatalf("record[%d] = %+v, want cancelled %s", i, r, specs[i].ID)
-		}
-	}
-	// The never-fed suffix gets synthetic manifest records only — the
-	// emit path sees nothing, so callers must treat a short emit count
-	// as interruption.
-	if emitted != 0 {
-		t.Fatalf("emit called %d times for unfed specs, want 0", emitted)
-	}
-}
-
-func TestDrainMidRunCompletesInFlight(t *testing.T) {
-	// Drain after the first spec starts: the in-flight spec completes
-	// and emits a real record; later specs are never fed.
-	drain := make(chan struct{})
-	started := make(chan struct{})
-	specs := []experiments.Spec{
-		{ID: "slow", Title: "slow", Run: func(ctx context.Context, cfg experiments.Config) (experiments.Result, error) {
-			close(started)
-			<-drain // hold until the drain fires, then finish normally
-			return &fakeResult{payload: "done"}, nil
-		}},
-		mkSpec("later", time.Millisecond),
-	}
-	go func() {
-		<-started
-		close(drain)
-	}()
-	man, err := Run(context.Background(), specs, Options{Jobs: 1, Drain: drain}, nil)
-	if err != nil {
-		t.Fatalf("drained run must not error: %v", err)
-	}
-	if man.Records[0].Failed() {
-		t.Fatalf("in-flight spec must complete: %+v", man.Records[0])
-	}
-	if !man.Records[1].Cancelled {
-		t.Fatalf("unfed spec must be cancelled: %+v", man.Records[1])
 	}
 }

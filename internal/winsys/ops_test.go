@@ -19,12 +19,12 @@ func opDuration(t *testing.T, p persona.P, fn func(tc *kernel.TC, w *WinSys)) si
 func TestOpCostOrdering(t *testing.T) {
 	p := persona.NT40()
 	mouse := opDuration(t, p, func(tc *kernel.TC, w *WinSys) { w.MouseEvent(tc) })
-	menu := opDuration(t, p, func(tc *kernel.TC, w *WinSys) { w.MenuCommand(tc) })
+	text := opDuration(t, p, func(tc *kernel.TC, w *WinSys) { w.TextOut(tc, 1) })
 	scroll := opDuration(t, p, func(tc *kernel.TC, w *WinSys) { w.ScrollWindow(tc) })
 	create := opDuration(t, p, func(tc *kernel.TC, w *WinSys) { w.CreateWindow(tc) })
-	if !(mouse < menu && menu < scroll && scroll < create) {
-		t.Fatalf("cost ordering wrong: mouse %v menu %v scroll %v create %v",
-			mouse, menu, scroll, create)
+	if !(mouse < text && text < scroll && scroll < create) {
+		t.Fatalf("cost ordering wrong: mouse %v text %v scroll %v create %v",
+			mouse, text, scroll, create)
 	}
 	// Sanity bands.
 	if mouse < 100*simtime.Microsecond || mouse > simtime.Millisecond {
@@ -64,7 +64,7 @@ func TestGlueSkippedWithoutBoundApp(t *testing.T) {
 	var dur simtime.Duration
 	k.Spawn("app", 1, 8, func(tc *kernel.TC) {
 		start := tc.Now()
-		w.MenuCommand(tc)
+		w.MouseEvent(tc)
 		dur = tc.Now().Sub(start)
 	})
 	k.Run(simtime.Time(simtime.Second))
@@ -75,7 +75,7 @@ func TestGlueSkippedWithoutBoundApp(t *testing.T) {
 
 func TestW95SegloadsScaleWithOpSize(t *testing.T) {
 	p := persona.W95()
-	_, small := measure(t, p, 1, func(tc *kernel.TC, w *WinSys) { w.MenuCommand(tc) })
+	_, small := measure(t, p, 1, func(tc *kernel.TC, w *WinSys) { w.MouseEvent(tc) })
 	_, big := measure(t, p, 1, func(tc *kernel.TC, w *WinSys) { w.CreateWindow(tc) })
 	if small[6] == 0 || big[6] <= small[6] { // index 6 = SegmentLoads
 		t.Fatalf("segment loads should scale with op size: %d vs %d", small[6], big[6])

@@ -12,7 +12,7 @@ import (
 var allOps = []op{
 	opKeyTranslate, opDefWindowProc, opMouseEvent, opTextOut, opScrollWindow,
 	opRepaintLine, opDrawChart, opDrawFrame, opRepaintCell, opOLESetup,
-	opMenuCommand, opCreateWindow, opMaxPrep,
+	opCreateWindow, opMaxPrep,
 }
 
 // TestOpIDsIndexCursors pins that the operations' ids are 0 to

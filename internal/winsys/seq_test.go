@@ -94,8 +94,6 @@ var seqCases = []struct {
 		func(w *WinSys, tc *kernel.TC, n int, call func(op)) { call(opMouseEvent) }},
 	{"ScrollWindow", func(w *WinSys, tc *kernel.TC, n int) { w.ScrollWindow(tc) },
 		func(w *WinSys, tc *kernel.TC, n int, call func(op)) { call(opScrollWindow) }},
-	{"MenuCommand", func(w *WinSys, tc *kernel.TC, n int) { w.MenuCommand(tc) },
-		func(w *WinSys, tc *kernel.TC, n int, call func(op)) { call(opMenuCommand) }},
 	{"CreateWindow", func(w *WinSys, tc *kernel.TC, n int) { w.CreateWindow(tc) },
 		func(w *WinSys, tc *kernel.TC, n int, call func(op)) { call(opCreateWindow) }},
 	{"TextOut", func(w *WinSys, tc *kernel.TC, n int) { w.TextOut(tc, n) },

@@ -131,13 +131,12 @@ var (
 	opDrawFrame     = op{id: 7, name: "drawframe", cycles: 40_000, hot: 6, stream: 4, chunks: 6}
 	opRepaintCell   = op{id: 8, name: "repaintcell", cycles: 190_000, hot: 8, stream: 14, chunks: 12}
 	opOLESetup      = op{id: 9, name: "olesetup", cycles: 30_000, hot: 10, stream: 40, chunks: 12}
-	opMenuCommand   = op{id: 10, name: "menucommand", cycles: 60_000, hot: 6, stream: 2, chunks: 6}
-	opCreateWindow  = op{id: 11, name: "createwindow", cycles: 900_000, hot: 12, stream: 20, chunks: 24}
-	opMaxPrep       = op{id: 12, name: "maxprep", cycles: 7_800_000, hot: 16, stream: 30, chunks: 30}
+	opCreateWindow  = op{id: 10, name: "createwindow", cycles: 900_000, hot: 12, stream: 20, chunks: 24}
+	opMaxPrep       = op{id: 11, name: "maxprep", cycles: 7_800_000, hot: 16, stream: 30, chunks: 30}
 )
 
 // numOps is the number of operations above.
-const numOps = 13
+const numOps = 12
 
 // call performs n back-to-back Win32 calls of o under the persona's
 // architecture, as one kernel loop (kernel.TC.Loop): one coroutine round
@@ -327,9 +326,6 @@ func (w *WinSys) RepaintWindow(tc *kernel.TC, cells int) { w.call(tc, opRepaintC
 // Table 1's OLE gaps, but §5.3's attribution ("TLB misses account for at
 // least 23-25% of the latency difference") constrains the non-TLB share.
 func (w *WinSys) OLESetup(tc *kernel.TC, calls int) { w.call(tc, opOLESetup, calls) }
-
-// MenuCommand processes a menu/command dispatch.
-func (w *WinSys) MenuCommand(tc *kernel.TC) { w.call(tc, opMenuCommand, 1) }
 
 // CreateWindow sets up a new top-level window.
 func (w *WinSys) CreateWindow(tc *kernel.TC) { w.call(tc, opCreateWindow, 1) }

@@ -165,7 +165,7 @@ func TestCallsCounter(t *testing.T) {
 	w := New(k, p)
 	k.Spawn("app", 1, 8, func(tc *kernel.TC) {
 		w.TextOut(tc, 3)
-		w.MenuCommand(tc)
+		w.MouseEvent(tc)
 	})
 	k.Run(simtime.Time(simtime.Second))
 	if w.Calls() != 4 {
