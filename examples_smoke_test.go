@@ -11,10 +11,11 @@ import (
 	"time"
 )
 
-// -update rewrites the example pins instead of comparing against them:
+// -update rewrites the example pins and the elision census instead of
+// comparing against them:
 //
-//	go test -run TestExamplesRun . -update
-var update = flag.Bool("update", false, "rewrite testdata/examples from current output")
+//	go test -run 'TestExamplesRun|TestElisionCensus' . -update
+var update = flag.Bool("update", false, "rewrite testdata/examples and testdata/census from current output")
 
 // TestExamplesRun builds and runs every example main and compares its
 // whole stdout with testdata/examples/<name>.txt — the examples are

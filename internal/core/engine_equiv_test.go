@@ -38,7 +38,7 @@ type elisionCase struct {
 	observe func(oracle, fast elisionRun)
 	// bulk, when set, stands between each machine's kernel and its
 	// instrument as the idle thread's bulk-elision delegate.
-	bulk func(il *IdleLoop) kernel.BulkLoop
+	bulk func(k *kernel.Kernel, il *IdleLoop) kernel.BulkLoop
 }
 
 func kernelOn(cfg kernel.Config) func() *kernel.Kernel {
@@ -65,11 +65,11 @@ func wander(until simtime.Time, lo, hi simtime.Duration) []simtime.Time {
 
 // runElisionPair runs c twice in lockstep: traced, where the attached
 // span recorder makes the kernel simulate every idle cycle and every
-// tick, and untraced, where clean idle cycles are elided analytically
-// and the ticks among them crossed. At every Run boundary the two must
-// agree on the stop time, each thread's leftover quantum and the TLB and
-// L2 recency order; at the end on everything requireIdenticalMachines
-// compares.
+// tick, and untraced, where idle cycles whose pages are resident are
+// elided analytically and the ticks among them crossed. At every Run
+// boundary the two must agree on the stop time, each thread's leftover
+// quantum and the TLB and L2 recency order; at the end on everything
+// requireIdenticalMachines compares.
 func runElisionPair(t *testing.T, c elisionCase) (oracle, fast elisionRun) {
 	t.Helper()
 	start := func(traced bool) elisionRun {
@@ -81,7 +81,7 @@ func runElisionPair(t *testing.T, c elisionCase) (oracle, fast elisionRun) {
 		r.il = StartIdleLoop(k)
 		r.il.Record()
 		if c.bulk != nil {
-			r.il.thread.SetBulkLoop(c.bulk(r.il))
+			r.il.thread.SetBulkLoop(c.bulk(k, r.il))
 		}
 		if c.load != nil {
 			c.load(k)
@@ -272,17 +272,43 @@ func TestEngineEquivalencePersonas(t *testing.T) {
 	}
 }
 
+// levelCrossings forwards the spans the kernel elides to the instrument
+// and counts the crossed ticks whose governor step changed the DVFS
+// level. Between two OnBulk calls that see ClockTicks and TicksCrossed
+// each one higher, exactly one tick was taken, and it was crossed; the
+// level moves only at ticks, so a level that differs between the two
+// calls changed at that crossed tick.
+type levelCrossings struct {
+	*IdleLoop
+	k                     *kernel.Kernel
+	ticks, crossed, level int64
+	changed               *int
+}
+
+func (c *levelCrossings) OnBulk(n int64, start simtime.Time, cycle simtime.Duration) {
+	c.IdleLoop.OnBulk(n, start, cycle)
+	ticks, crossed, level := c.k.ClockTicks(), c.k.TicksCrossed(), int64(c.k.DVFSLevel())
+	if ticks == c.ticks+1 && crossed == c.crossed+1 && level != c.level {
+		*c.changed++
+	}
+	c.ticks, c.crossed, c.level = ticks, crossed, level
+}
+
 // TestEngineEquivalenceModernMachine re-proves elision exactness on the
 // 2026 profile, where three mechanisms interact with it: DVFS
-// transitions re-price the idle loop's cycles (the sigClock guard must
-// dirty stale signatures, and a tick whose governor step would change
-// the level is not crossed), auxiliary-core housekeeping events land
-// inside otherwise-idle stretches, and disk-interrupt coalescing timers
-// sit on the event queue.
+// transitions re-price the idle loop's cycles (a crossed tick whose
+// governor step changes the level prices its handler at the new clock,
+// and so the second segment when it lands in the first, and the cycles
+// after it), auxiliary-core housekeeping events land inside
+// otherwise-idle stretches, and disk-interrupt coalescing timers sit on
+// the event queue. The governor steps down one level per idle tick
+// after each burst, so the check is vacuous unless some of those steps
+// were crossed.
 func TestEngineEquivalenceModernMachine(t *testing.T) {
 	cfg := kernel.DefaultConfig()
 	cfg.Machine = machine.Modern2026()
 	levels := map[int]bool{}
+	changed := 0
 	oracle, fast := runElisionPair(t, elisionCase{
 		boot:   kernelOn(cfg),
 		bounds: wander(simtime.Time(2*simtime.Second), 5*simtime.Millisecond, 60*simtime.Millisecond),
@@ -305,12 +331,64 @@ func TestEngineEquivalenceModernMachine(t *testing.T) {
 			})
 		},
 		observe: func(_, fast elisionRun) { levels[fast.k.DVFSLevel()] = true },
+		bulk: func(k *kernel.Kernel, il *IdleLoop) kernel.BulkLoop {
+			return &levelCrossings{IdleLoop: il, k: k, ticks: k.ClockTicks(), level: int64(k.DVFSLevel()), changed: &changed}
+		},
 	})
 	if oracle.k.AuxBusyTime() == 0 {
 		t.Fatalf("housekeeping ran no aux-core work; the aux check is vacuous")
 	}
 	if len(levels) < 2 {
 		t.Fatalf("the governor stayed at one level (%v) at every boundary; the DVFS check is vacuous", levels)
+	}
+	requireCrossed(t, fast)
+	if changed == 0 {
+		t.Fatalf("no crossed tick changed the governor level; the re-pricing check is vacuous")
+	}
+	t.Logf("%d crossed ticks changed the governor level", changed)
+}
+
+// TestEngineEquivalenceSwitchDueAtFirstFetch starts the idle thread
+// where its first fetch finds its pages resident while a context switch
+// is still due: a worker of another process touched the idle loop's
+// working set and exited, and the idle thread is the next to run. The
+// slow path costs the busy-wait warm, then charges the switch and
+// flushes the TLBs before the record segment is costed, so that cycle
+// must be simulated: elision may start only where the thread ran last.
+func TestEngineEquivalenceSwitchDueAtFirstFetch(t *testing.T) {
+	warm := cpu.Segment{Name: "warm", BaseCycles: 50_000, Instructions: 30_000,
+		CodePages: []uint64{40}, DataPages: []uint64{41, 42}}
+	oracle, fast := runElisionPair(t, elisionCase{
+		boot: func() *kernel.Kernel {
+			k := kernel.New(persona.NT40().Kernel)
+			done := false
+			k.SpawnLoop("warmer", 1, 8, func(lc *kernel.LoopTC) bool {
+				if done {
+					return false
+				}
+				done = true
+				lc.Compute(warm)
+				return true
+			})
+			return k
+		},
+		bounds: wander(simtime.Time(300*simtime.Millisecond), 3*simtime.Millisecond, 30*simtime.Millisecond),
+	})
+	il := oracle.il
+	for _, seg := range []cpu.Segment{il.loopSeg, il.recordSeg} {
+		for _, p := range seg.CodePages {
+			if !slices.Contains(warm.CodePages, p) {
+				t.Fatalf("the warmer leaves the idle loop's code page %d cold; the check is vacuous", p)
+			}
+		}
+		for _, p := range seg.DataPages {
+			if !slices.Contains(warm.DataPages, p) {
+				t.Fatalf("the warmer leaves the idle loop's data page %d cold; the check is vacuous", p)
+			}
+		}
+	}
+	if first := il.Samples()[0]; first.Elapsed <= NominalSample {
+		t.Fatalf("the idle loop's first cycle took %v, no switch stretched it; the check is vacuous", first.Elapsed)
 	}
 	requireCrossed(t, fast)
 }
@@ -335,11 +413,11 @@ func TestEngineEquivalenceTickJitter(t *testing.T) {
 
 // refillCounter forwards the spans the kernel elides to the instrument
 // and counts those whose replay refilled the idle thread's quantum. A
-// span runs the thread for n clean cycles and a slice never exceeds
+// span runs the thread for n warm cycles and a slice never exceeds
 // kernel.Quantum, so a span that leaves the thread more than
 // kernel.Quantum minus that CPU time must have refilled. A crossed
 // tick's cycle reaches OnBulk stretched by the handler, which the
-// thread did not run, so the CPU time is counted in clean cycles.
+// thread did not run, so the CPU time is counted in warm cycles.
 type refillCounter struct {
 	*IdleLoop
 	refills *int
@@ -347,8 +425,8 @@ type refillCounter struct {
 
 func (c *refillCounter) OnBulk(n int64, start simtime.Time, cycle simtime.Duration) {
 	c.IdleLoop.OnBulk(n, start, cycle)
-	clean := c.freq.DurationOf(c.loopSeg.BaseCycles + c.recordSeg.BaseCycles)
-	if c.thread.QuantumLeft()+simtime.Duration(n)*clean > kernel.Quantum {
+	warm := c.freq.DurationOf(c.loopSeg.BaseCycles + c.recordSeg.BaseCycles)
+	if c.thread.QuantumLeft()+simtime.Duration(n)*warm > kernel.Quantum {
 		*c.refills++
 	}
 }
@@ -371,7 +449,7 @@ func TestEngineEquivalenceQuantumStraddle(t *testing.T) {
 				}
 			})
 		},
-		bulk: func(il *IdleLoop) kernel.BulkLoop { return &refillCounter{il, &refills} },
+		bulk: func(_ *kernel.Kernel, il *IdleLoop) kernel.BulkLoop { return &refillCounter{il, &refills} },
 	})
 	requireCrossed(t, fast)
 	if refills == 0 {

@@ -37,7 +37,7 @@ func TestExecuteWarmVsCold(t *testing.T) {
 		Instructions: 800,
 		DataRefs:     300,
 	}
-	coldCycles, coldDur := c.Execute(seg)
+	coldCycles, coldDur := c.Execute(&seg)
 	wantCold := int64(1000) + 3*c.Penalties.TLBMiss + 3*c.Penalties.CacheMiss
 	if coldCycles != wantCold {
 		t.Fatalf("cold cycles = %d, want %d", coldCycles, wantCold)
@@ -45,7 +45,7 @@ func TestExecuteWarmVsCold(t *testing.T) {
 	if coldDur != c.Freq.DurationOf(wantCold) {
 		t.Fatalf("cold duration = %v", coldDur)
 	}
-	warmCycles, _ := c.Execute(seg)
+	warmCycles, _ := c.Execute(&seg)
 	if warmCycles != 1000 {
 		t.Fatalf("warm cycles = %d, want 1000 (all hits)", warmCycles)
 	}
@@ -59,14 +59,25 @@ func TestExecuteWarmVsCold(t *testing.T) {
 
 // TestWarmCyclesMatchesWarmExecute pins WarmCycles to what Execute
 // charges a segment whose pages and chunks are all resident, per-event
-// costs included.
+// costs included, and CountWarm to the counters three such executions
+// add.
 func TestWarmCyclesMatchesWarmExecute(t *testing.T) {
 	c := NewFor(machine.Pentium100())
 	seg := Segment{BaseCycles: 700, CodePages: []uint64{1}, DataPages: []uint64{10, 11},
-		CacheChunks: []uint64{100}, SegmentLoads: 3, UnalignedAccesses: 5}
-	c.Execute(seg)
-	if warm, _ := c.Execute(seg); warm != c.WarmCycles(&seg) {
+		CacheChunks: []uint64{100}, Instructions: 400, DataRefs: 90, SegmentLoads: 3, UnalignedAccesses: 5}
+	c.Execute(&seg)
+	if warm, _ := c.Execute(&seg); warm != c.WarmCycles(&seg) {
 		t.Fatalf("warm Execute charged %d cycles, WarmCycles says %d", warm, c.WarmCycles(&seg))
+	}
+	before := c.Snapshot()
+	for range 3 {
+		c.Execute(&seg)
+	}
+	executed := c.Snapshot()
+	c.counts = before
+	c.CountWarm(&seg, 3)
+	if counted := c.Snapshot(); counted != executed {
+		t.Fatalf("three warm executions counted %v, CountWarm(3) %v", executed, counted)
 	}
 }
 
@@ -78,8 +89,8 @@ func TestDomainCrossCausesTLBMissesButNotCacheMisses(t *testing.T) {
 		DataPages:   []uint64{10, 11},
 		CacheChunks: []uint64{50},
 	}
-	c.Execute(seg) // warm everything
-	warm, _ := c.Execute(seg)
+	c.Execute(&seg) // warm everything
+	warm, _ := c.Execute(&seg)
 
 	crossCycles, _ := c.DomainCross()
 	if crossCycles != c.Penalties.DomainCrossing {
@@ -89,7 +100,7 @@ func TestDomainCrossCausesTLBMissesButNotCacheMisses(t *testing.T) {
 		t.Fatalf("crossing not counted")
 	}
 
-	after, _ := c.Execute(seg)
+	after, _ := c.Execute(&seg)
 	wantAfter := warm + 5*c.Penalties.TLBMiss // 3 code + 2 data pages refill
 	if after != wantAfter {
 		t.Fatalf("post-crossing cycles = %d, want %d (TLB refill only)", after, wantAfter)
@@ -102,7 +113,7 @@ func TestDomainCrossCausesTLBMissesButNotCacheMisses(t *testing.T) {
 func TestSegment16BitCosts(t *testing.T) {
 	c := NewFor(machine.Pentium100())
 	seg := Segment{BaseCycles: 100, SegmentLoads: 10, UnalignedAccesses: 20}
-	cycles, _ := c.Execute(seg)
+	cycles, _ := c.Execute(&seg)
 	want := int64(100) + 10*c.Penalties.SegmentLoad + 20*c.Penalties.Unaligned
 	if cycles != want {
 		t.Fatalf("16-bit cycles = %d, want %d", cycles, want)
@@ -164,8 +175,8 @@ func TestWarmthMonotoneProperty(t *testing.T) {
 		for i := uint8(0); i < nChunk%64; i++ {
 			seg.CacheChunks = append(seg.CacheChunks, uint64(i))
 		}
-		cold, _ := c.Execute(seg)
-		warm, _ := c.Execute(seg)
+		cold, _ := c.Execute(&seg)
+		warm, _ := c.Execute(&seg)
 		return warm <= cold && warm == seg.BaseCycles
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -201,7 +212,7 @@ func TestCounterFileMeasurement(t *testing.T) {
 	c := NewFor(machine.Pentium100())
 	f := NewCounterFile(c)
 	seg := Segment{BaseCycles: 10, CodePages: []uint64{1, 2}}
-	c.Execute(seg) // activity before configuration must not leak in
+	c.Execute(&seg) // activity before configuration must not leak in
 
 	if err := f.Configure(SystemMode, 0, ITLBMisses); err != nil {
 		t.Fatal(err)
@@ -214,7 +225,7 @@ func TestCounterFileMeasurement(t *testing.T) {
 	}
 
 	c.Mem.FlushTLBs()
-	c.Execute(seg)
+	c.Execute(&seg)
 	if v, _ := f.Read(SystemMode, 0); v != 2 {
 		t.Fatalf("ITLB counter = %d, want 2", v)
 	}
@@ -235,9 +246,9 @@ func TestCounterFileMeasurement(t *testing.T) {
 func TestNewForTaggedTLBSurvivesDomainCross(t *testing.T) {
 	c := NewFor(machine.PentiumTaggedTLB())
 	seg := Segment{BaseCycles: 100, CodePages: []uint64{1, 2}, DataPages: []uint64{10}}
-	c.Execute(seg) // warm
+	c.Execute(&seg) // warm
 	c.DomainCross()
-	after, _ := c.Execute(seg)
+	after, _ := c.Execute(&seg)
 	if after != seg.BaseCycles {
 		t.Fatalf("tagged machine paid %d cycles after crossing, want warm %d", after, seg.BaseCycles)
 	}
@@ -250,8 +261,8 @@ func TestNewForTaggedTLBSurvivesDomainCross(t *testing.T) {
 func TestNewForNoL2NeverWarms(t *testing.T) {
 	c := NewFor(machine.P100NoL2())
 	seg := Segment{BaseCycles: 100, CacheChunks: []uint64{1, 2, 3}}
-	c.Execute(seg)
-	warm, _ := c.Execute(seg)
+	c.Execute(&seg)
+	warm, _ := c.Execute(&seg)
 	if want := int64(100) + 3*c.Penalties.CacheMiss; warm != want {
 		t.Fatalf("no-L2 second run = %d cycles, want %d (cache never warms)", warm, want)
 	}
@@ -269,11 +280,11 @@ func TestExecuteHotPathAllocFree(t *testing.T) {
 			DataPages:   []uint64{10, 11},
 			CacheChunks: []uint64{50, 51},
 		}
-		c.Execute(seg) // populate the slabs
+		c.Execute(&seg) // populate the slabs
 		if avg := testing.AllocsPerRun(200, func() {
-			c.Execute(seg)
+			c.Execute(&seg)
 			c.DomainCross()
-			c.Execute(seg)
+			c.Execute(&seg)
 		}); avg != 0 {
 			t.Fatalf("%s: execute/cross/execute allocates %.1f per run", prof.Short, avg)
 		}
@@ -295,11 +306,11 @@ func TestExecuteTracedAllocBounded(t *testing.T) {
 		DataPages:   []uint64{10, 11},
 		CacheChunks: []uint64{50, 51},
 	}
-	c.Execute(seg)
+	c.Execute(&seg)
 	if avg := testing.AllocsPerRun(200, func() {
-		c.Execute(seg)
+		c.Execute(&seg)
 		c.DomainCross()
-		c.Execute(seg)
+		c.Execute(&seg)
 	}); avg != 0 {
 		t.Fatalf("traced execute/cross/execute allocates %.1f per run", avg)
 	}
@@ -309,7 +320,7 @@ func TestExecuteTracedAllocBounded(t *testing.T) {
 
 	c.SetRecorder(nil, nil)
 	before := rec.Len()
-	c.Execute(seg)
+	c.Execute(&seg)
 	c.DomainCross()
 	if rec.Len() != before {
 		t.Fatal("detached recorder still captured spans")
@@ -334,8 +345,8 @@ func TestTracedExecuteCostIdentical(t *testing.T) {
 	rec := spans.NewRecorder(func() simtime.Time { return 0 })
 	traced.SetRecorder(rec, func() simtime.Time { return 0 })
 	for i := 0; i < 3; i++ {
-		pc, pd := plain.Execute(seg)
-		tc2, td := traced.Execute(seg)
+		pc, pd := plain.Execute(&seg)
+		tc2, td := traced.Execute(&seg)
 		if pc != tc2 || pd != td {
 			t.Fatalf("run %d: traced (%d, %v) != untraced (%d, %v)", i, tc2, td, pc, pd)
 		}

@@ -33,35 +33,24 @@ type BulkLoop interface {
 }
 
 // SetBulkLoop registers b as the thread's bulk-elision delegate. Only
-// meaningful for idle-class loop threads driving Compute2 cycles; the
-// kernel starts tracking per-cycle cleanliness for the thread and may
-// elide its clean cycles. A traced kernel (SetRecorder) tracks but never
-// elides: every cycle it runs is simulated, which makes it the oracle
-// the elision tests compare against.
+// meaningful for idle-class loop threads driving Compute2 cycles: the
+// kernel may then elide the thread's cycles whose pages are resident
+// (tryBulkSkip). A traced kernel (SetRecorder) never elides: every cycle
+// it runs is simulated, which makes it the oracle the elision tests
+// compare against.
 func (t *Thread) SetBulkLoop(b BulkLoop) { t.bulk = &bulkState{loop: b} }
 
 // bulkState is a bulk-tracked thread's elision state, which only the
-// thread SetBulkLoop registered carries. The cycle* fields observe the
-// cycle in flight; sig* plus cycleSeg* hold the canonical
-// interrupt-free signature elision replays from. recency is what the
-// thread knows of the front of the TLB and L2 recency order
-// (settleRecency).
+// thread SetBulkLoop registered carries. recency is what the thread
+// knows of the front of the TLB and L2 recency order (settleRecency);
+// cycleStart and cycleRan observe the simulated cycle in flight: when
+// its first segment was costed, and the CPU time its segments were
+// costed at so far.
 type bulkState struct {
-	loop          BulkLoop
-	clean         bool
-	recency       recency
-	cycleStart    simtime.Time
-	cycleD1       simtime.Duration
-	cycleD2       simtime.Duration
-	cycleSnap     [cpu.NumEventKinds]int64
-	cycleDelta    [cpu.NumEventKinds]int64
-	cycleSwitches uint64
-	sigD1         simtime.Duration
-	sigD2         simtime.Duration
-	sigDelta      [cpu.NumEventKinds]int64
-	sigClock      simtime.Hz
-	cycleSeg      cpu.Segment
-	cycleSeg2     cpu.Segment
+	loop       BulkLoop
+	recency    recency
+	cycleStart simtime.Time
+	cycleRan   simtime.Duration
 }
 
 // ProvablyIdle reports whether the machine is provably idle at this
@@ -81,71 +70,21 @@ func (k *Kernel) ProvablyIdle() bool {
 		(k.current == nil || k.current.prio == IdlePriority)
 }
 
-// noteBulkCycle records the outcome of one completed Compute2 cycle of
-// a bulk-tracked thread. A cycle is *canonically clean* when it ran
-// exactly its analytic duration (no interrupt, steal, or preemption
-// stretched it) with zero TLB/cache misses: that proves its costs are a
-// fixed point — hits only reorder resident entries, and the cycle
-// touches the same pages in the same order every time, so every
-// subsequent identical cycle must cost exactly the same. Canonical
-// cycles set clean and refresh the signature (sigD1/sigD2,
-// sigDelta, cycleSeg/cycleSeg2) that tryBulkSkip replays.
-//
-// A cycle stretched by an interrupt (the clock tick) can still preserve
-// the fixed point: if the whole window — cycle plus handler — shows zero
-// ITLB/DTLB/cache-miss deltas, the handler inserted nothing into any
-// LRU structure and therefore evicted nothing; with no insertions ever,
-// hits are mere recency reorderings, which cost nothing but leave the
-// handler's pages among the cycle's, an order a span must restore
-// (recencyStale, settleRecency). Two
-// transparent invalidation channels must also be excluded, because they
-// remove entries without an immediate miss: domain crossings flush both
-// TLBs (delta must be zero) and a process context switch may flush them
-// too (the kernel-wide switch counter must not have moved). Such a
-// cycle keeps clean without touching the signature — its own deltas
-// include the handler's counters, which elision must not replay — after
-// verifying it ran the signature's exact segments and analytic stage
-// durations. Anything else marks the thread dirty until the next
-// canonical cycle re-proves the fixed point.
-func (k *Kernel) noteBulkCycle(t *Thread, r *request) {
+// noteBulkCycle records a simulated Compute2 cycle of a bulk-tracked
+// thread as it completes: it counts the cycle, and keeps the recency
+// order it leaves. A cycle that ran exactly the CPU time its two
+// segments were costed at was undisturbed: no interrupt, steal or
+// preemption came between or after its segments' touches, so their
+// pages lead the recency order, as another such cycle leaves them. Any
+// other cycle may leave a handler's pages among or ahead of them.
+func (k *Kernel) noteBulkCycle(t *Thread) {
 	b := t.bulk
-	snap := k.cpu.Snapshot()
-	for i := range snap {
-		b.cycleDelta[i] = snap[i] - b.cycleSnap[i]
-	}
-	d := b.cycleD1 + b.cycleD2
-	transparent := d > 0 &&
-		b.cycleDelta[cpu.ITLBMisses] == 0 &&
-		b.cycleDelta[cpu.DTLBMisses] == 0 &&
-		b.cycleDelta[cpu.CacheMisses] == 0 &&
-		b.cycleDelta[cpu.DomainCrossings] == 0 &&
-		b.cycleSwitches == k.ctxSwitches
+	k.cyclesSimulated++
 	switch {
-	case transparent &&
-		k.now.Sub(b.cycleStart) == d &&
-		b.cycleDelta[cpu.Interrupts] == 0:
-		b.clean = true
-		if b.recency == recencyStale {
-			b.recency = recencyCycle
-		}
-		b.sigD1, b.sigD2 = b.cycleD1, b.cycleD2
-		b.sigDelta = b.cycleDelta
-		// The signature's durations were priced at this operating
-		// frequency; under DVFS a later governor transition invalidates
-		// them (tryBulkSkip checks).
-		b.sigClock = k.cpu.Clock()
-		b.cycleSeg, b.cycleSeg2 = r.seg, r.seg2
-	case b.clean && transparent &&
-		b.cycleD1 == b.sigD1 && b.cycleD2 == b.sigD2 &&
-		segsEqual(&r.seg, &b.cycleSeg) && segsEqual(&r.seg2, &b.cycleSeg2):
-		// Interrupt-stretched but memory-transparent: keep clean and
-		// the canonical signature. The handler's pages were touched
-		// between or after the segments' pages, so the recency order is
-		// not the one further clean cycles leave (settleRecency).
+	case k.now.Sub(b.cycleStart) != b.cycleRan:
 		b.recency = recencyStale
-	default:
-		b.clean = false
-		b.recency = recencyStale
+	case b.recency == recencyStale:
+		b.recency = recencyCycle
 	}
 }
 
@@ -158,13 +97,13 @@ const (
 	// recencyStale: a handler's pages may lie between or ahead of the
 	// cycle segments' pages.
 	recencyStale recency = iota
-	// recencyCycle: the segments' pages lead, as a clean cycle leaves
-	// them; another clean cycle changes nothing.
+	// recencyCycle: the segments' pages lead, as an undisturbed cycle
+	// leaves them; another such cycle changes nothing.
 	recencyCycle
 	// recencyTick: the segments' pages lead with the tick handler's
-	// right behind them, as clean cycles after a crossed tick leave
-	// them; neither a clean cycle nor a span that crosses ticks and
-	// elides cycles after the last changes anything.
+	// right behind them, as undisturbed cycles after a crossed tick
+	// leave them; neither such a cycle nor a span that crosses ticks
+	// and elides cycles after the last changes anything.
 	recencyTick
 )
 
@@ -176,26 +115,35 @@ const (
 // from simulating them and fetching the request afresh (the fetch is
 // stateless for loop threads).
 //
-// A span is a run of pieces: n whole clean cycles that end strictly
-// before the next tick (elide), then the cycle that tick lands in,
-// stretched by its handler (crossTick), and again, until the next
-// event that is not a tick or the Run horizon.
-// Whatever cannot be crossed ends the span, and the cycle it falls in
-// is simulated honestly: that straddling cycle is the sample that
-// detects the tick or interrupt, exactly as the paper's methodology
-// requires.
+// A cycle is priced from residency, not observed: when the machine is
+// provably idle, no context switch is due (the thread ran last, so
+// startChunk charges no switch and flushes no TLB after the first
+// segment is costed) and every page and chunk of both segments is
+// resident, each cycle costs exactly WarmCycles per segment at the
+// current clock, adds only the segments' own counters, and only
+// reorders recency. Nothing else touches memory before the span ends,
+// so the pages stay resident throughout.
+//
+// A span is a run of pieces: n whole cycles that end strictly before
+// the next tick (elide), then the cycle that tick lands in, stretched by
+// its handler (crossTick), and again, until the next event that is not
+// a tick or the Run horizon. A tick whose governor step changes the
+// clock re-prices the cycles after it. Whatever cannot be crossed ends
+// the span, and the cycle it falls in is simulated honestly: that
+// straddling cycle is the sample that detects the tick or interrupt,
+// exactly as the paper's methodology requires.
 //
 // Exactness contract: the span leaves the machine exactly as the slow
 // path would, at every Run boundary:
-//   - counters: the signature's deltas per cycle, plus the handler's,
-//     with Interrupts +1, per crossed tick (misses are zero by
-//     cleanliness and residency);
-//   - the clock, ClockTicks, the governor's busy mark, the tick-jitter
-//     draws, and the queue's sequence counter: a crossed tick reserves
-//     the two numbers the slow path takes, its handler's reconcile and
-//     its re-arm, so every later event's (at, seq) key is unchanged. A
-//     simulated cycle queues nothing — each chunk's completion is armed
-//     beside the queue (Run);
+//   - counters: the segments' own counters per cycle, plus the
+//     handler's, with Interrupts +1, per crossed tick (misses are zero
+//     by residency);
+//   - the clock, ClockTicks, the governor's level and busy mark, the
+//     tick-jitter draws, and the queue's sequence counter: a crossed
+//     tick reserves the two numbers the slow path takes, its handler's
+//     reconcile and its re-arm, so every later event's (at, seq) key is
+//     unchanged. A simulated cycle queues nothing — each chunk's
+//     completion is armed beside the queue (Run);
 //   - busy accounting: busyAcc and stolenUntil, with OnBusy(true) at
 //     the tick and OnBusy(false) at its handler's end, Now() advanced
 //     to each instant before its hook fires;
@@ -203,27 +151,23 @@ const (
 //   - the TLB and L2 recency order (settleRecency), which no counter
 //     shows until an eviction reaches the entries that differ.
 func (k *Kernel) tryBulkSkip(t *Thread) {
-	b := t.bulk
-	if !b.clean || k.rec != nil || k.shutdown {
+	if k.rec != nil || k.shutdown {
 		return
 	}
 	r := t.pending
 	if r == nil || r.kind != reqCompute2 || r.started || r.stage != 0 {
 		return
 	}
-	if t != k.current || k.chunkArmed || !k.ProvablyIdle() {
+	if t != k.current || t != k.lastRun || k.chunkArmed || !k.ProvablyIdle() {
 		return
 	}
-	d := b.sigD1 + b.sigD2
-	if d <= 0 || !segsEqual(&r.seg, &b.cycleSeg) || !segsEqual(&r.seg2, &b.cycleSeg2) {
+	m := k.cpu.Mem
+	if !m.Resident(r.seg.CodePages, r.seg.DataPages, r.seg.CacheChunks) ||
+		!m.Resident(r.seg2.CodePages, r.seg2.DataPages, r.seg2.CacheChunks) {
 		return
 	}
-	if k.cpu.Clock() != b.sigClock {
-		// A DVFS transition since the signature was recorded re-prices
-		// every cycle; elision must wait for a fresh canonical cycle at
-		// the new operating point. Frequency only changes at clock
-		// ticks, and a span never crosses a tick that changes it, so
-		// within a span the clock is provably constant.
+	s := bulkSpan{r: r, c1: k.cpu.WarmCycles(&r.seg), c2: k.cpu.WarmCycles(&r.seg2)}
+	if s.c1+s.c2 <= 0 {
 		return
 	}
 	// Every cycle of the span ends strictly before the next queued
@@ -247,38 +191,41 @@ func (k *Kernel) tryBulkSkip(t *Thread) {
 	// when it finishes, after this span. Settle it now, at the instant
 	// the slow path does, so the span starts idle.
 	k.updateBusy()
-	var s bulkSpan
-	dh := simtime.Duration(-1) // the tick handler's cost, once a tick is due
+	hc := int64(-1) // the tick handler's warm cycles, once a tick is due
 	for {
 		boundary, tick := limit, false
 		if k.tickArmed && k.tickAt < limit {
 			boundary, tick = k.tickAt, true
 		}
+		d := k.cpu.DurationOf(s.c1 + s.c2)
 		if n := simtime.IterationsBefore(k.now, d, boundary); n > 0 {
 			k.elide(t, n, d, &s)
 		}
 		if !tick {
 			break
 		}
-		if dh < 0 {
+		if hc < 0 {
 			// A span touches no page before its end (settleRecency), so
-			// the handler's residency, and with it its cost at the
-			// span's constant clock, holds for every tick of the span.
+			// the handler's residency holds for every tick of the span.
 			h := &k.cfg.ClockInterrupt
-			if !k.cpu.Mem.Resident(h.CodePages, h.DataPages, h.CacheChunks) {
+			if !m.Resident(h.CodePages, h.DataPages, h.CacheChunks) {
 				break
 			}
-			dh = k.cpu.DurationOf(k.cpu.WarmCycles(h))
+			hc = k.cpu.WarmCycles(h)
 		}
-		if !k.crossTick(t, dh, limit, &s) {
+		if !k.crossTick(t, hc, limit, &s) {
 			break
 		}
 	}
 	k.settleRecency(t, &s)
 }
 
-// bulkSpan is what settleRecency needs to know of a span.
+// bulkSpan is what a span's pieces share: the pending request whose
+// cycles it replays, with each segment's warm cycles, and what
+// settleRecency needs to know of the span.
 type bulkSpan struct {
+	r      *request
+	c1, c2 int64
 	cycles int64 // cycles accounted, crossed ones included
 	ticks  int64 // clock ticks crossed
 	// tail counts the cycles elided after the last crossed tick, and
@@ -287,22 +234,18 @@ type bulkSpan struct {
 	inRecord bool
 }
 
-// elide accounts n whole clean cycles of t starting now.
+// elide accounts n whole cycles of t of length d starting now.
 func (k *Kernel) elide(t *Thread, n int64, d simtime.Duration, s *bulkSpan) {
-	b := t.bulk
 	total := simtime.Duration(n) * d
 	t.quantumLeft = consumeQuantum(t.quantumLeft, total)
-	for i, delta := range b.sigDelta {
-		if delta != 0 {
-			k.cpu.Add(cpu.EventKind(i), n*delta)
-		}
-	}
+	k.cpu.CountWarm(&s.r.seg, n)
+	k.cpu.CountWarm(&s.r.seg2, n)
 	start := k.now
 	k.advance(start.Add(total))
 	k.bulkElided += n
 	s.cycles += n
 	s.tail += n
-	b.loop.OnBulk(n, start, d)
+	t.bulk.loop.OnBulk(n, start, d)
 }
 
 // consumeQuantum returns the slice left after a stretch of total CPU
@@ -324,16 +267,14 @@ func consumeQuantum(left, total simtime.Duration) simtime.Duration {
 
 // crossTick replays the clock tick due inside the cycle starting now,
 // and that cycle stretched by the tick's handler, whose pages the
-// caller found resident and whose cost is dh, or reports false, having
-// changed nothing, when the tick cannot be crossed:
+// caller found resident and which costs hc warm cycles, or reports
+// false, having changed nothing, when the tick cannot be crossed:
 //   - it ties with a chunk boundary: it falls on the cycle's start, its
 //     stage boundary or its end, or on a quantum expiry. The replay
 //     below takes the tick inside a running chunk; a tie is simulated;
 //   - the stretched cycle does not end strictly before limit (the next
 //     event that is not a tick, or the Run horizon) and before the next
-//     tick;
-//   - the governor would change the operating point at this tick, which
-//     re-prices the rest of the cycle.
+//     tick.
 //
 // A handler that would miss ends the span before crossTick is asked:
 // its misses would leave the fixed point.
@@ -343,13 +284,16 @@ func consumeQuantum(left, total simtime.Duration) simtime.Duration {
 // queued at the handler's end, the busy transition and the re-arm with
 // its jitter draw; at the handler's end the reconcile resumes the cycle
 // and the busy transition reverses. The replay does each of these at
-// its instant, in that order, with no event queued.
-func (k *Kernel) crossTick(t *Thread, dh simtime.Duration, limit simtime.Time, s *bulkSpan) bool {
-	b := t.bulk
+// its instant, in that order, with no event queued. A governor step
+// that changes the level prices the handler at the new clock, and so
+// the second segment too when the tick lands in the first, which is
+// costed only when the first finishes; the part of the cycle already
+// costed keeps its price.
+func (k *Kernel) crossTick(t *Thread, hc int64, limit simtime.Time, s *bulkSpan) bool {
 	start, at := k.now, k.tickAt
-	d1, d := b.sigD1, b.sigD1+b.sigD2
+	d1, d2 := k.cpu.DurationOf(s.c1), k.cpu.DurationOf(s.c2)
 	off := at.Sub(start)
-	if off <= 0 || off >= d || off == d1 {
+	if off <= 0 || off >= d1+d2 || off == d1 {
 		return false
 	}
 	left := t.quantumLeft
@@ -359,31 +303,30 @@ func (k *Kernel) crossTick(t *Thread, dh simtime.Duration, limit simtime.Time, s
 	if off >= left && (off-left)%Quantum == 0 {
 		return false
 	}
-	end := start.Add(d + dh)
+	// The clock after the governor step, which dvfsTick takes below.
+	clock := k.cpu.Clock()
+	if k.dvfs.Enabled() {
+		clock = k.dvfs.Level(k.dvfsNext())
+	}
+	if off < d1 {
+		d2 = clock.DurationOf(s.c2)
+	}
+	ran, dh := d1+d2, clock.DurationOf(hc) // the thread's CPU time, the handler's
+	end := start.Add(ran + dh)
 	if end >= limit || at.Add(ClockTick) <= end {
 		return false
 	}
-	if k.dvfs.Enabled() && k.dvfsNext() != k.dvfsLevel {
-		return false
-	}
 
-	// The tick and its handler. The governor step keeps the level, so
-	// it only moves the busy mark.
+	// The tick and its handler.
 	h := &k.cfg.ClockInterrupt
 	k.advance(at)
 	k.clockTicks++
 	if k.dvfs.Enabled() {
-		k.dvfsBusyMark = k.NonIdleBusyTime()
+		k.dvfsTick()
 	}
-	for i, delta := range b.sigDelta {
-		if delta != 0 {
-			k.cpu.Add(cpu.EventKind(i), delta)
-		}
-	}
-	k.cpu.Add(cpu.Instructions, h.Instructions)
-	k.cpu.Add(cpu.DataRefs, h.DataRefs)
-	k.cpu.Add(cpu.SegmentLoads, h.SegmentLoads)
-	k.cpu.Add(cpu.UnalignedAccesses, h.UnalignedAccesses)
+	k.cpu.CountWarm(&s.r.seg, 1)
+	k.cpu.CountWarm(&s.r.seg2, 1)
+	k.cpu.CountWarm(h, 1)
 	k.cpu.Add(cpu.Interrupts, 1)
 	k.stolenUntil = at.Add(dh)
 	k.q.ReserveSeq() // the handler's reconcile
@@ -392,16 +335,16 @@ func (k *Kernel) crossTick(t *Thread, dh simtime.Duration, limit simtime.Time, s
 	// The handler's end, where its reconcile resumes the cycle.
 	k.advance(k.stolenUntil)
 	k.updateBusy()
-	// The stretched cycle's end. The thread ran d of it.
+	// The stretched cycle's end.
 	k.advance(end)
-	t.quantumLeft = consumeQuantum(t.quantumLeft, d)
+	t.quantumLeft = consumeQuantum(t.quantumLeft, ran)
 	k.bulkElided++
 	k.ticksCrossed++
 	s.cycles++
 	s.ticks++
 	s.tail = 0
 	s.inRecord = off > d1
-	b.loop.OnBulk(1, start, d+dh)
+	t.bulk.loop.OnBulk(1, start, ran+dh)
 	return true
 }
 
@@ -409,41 +352,42 @@ func (k *Kernel) crossTick(t *Thread, dh simtime.Duration, limit simtime.Time, s
 // cycles and handlers would have left. Every touch in a span hits, so
 // it only reorders, and the order it leaves is that of each page's last
 // touch: one replay of the last touches per span is exact however many
-// cycles the span held. A clean cycle touches its two segments, so
-// after an undisturbed cycle another changes nothing; after a cycle an
-// interrupt stretched (recencyStale), the segments need one more touch
-// to come last. After a crossed tick, elided cycles leave the segments
-// ahead of the handler's pages, which a span that began so need not
-// redo (recencyTick). If none followed, the order is that of the
-// stretched cycle itself: the handler's pages between the two segments,
-// or ahead of both when the tick fell in the record segment. All these
-// touches hit, so no counter moves.
+// cycles the span held. A cycle touches its two segments, so after an
+// undisturbed cycle another changes nothing; after a cycle an interrupt
+// stretched (recencyStale), the segments need one more touch to come
+// last. After a crossed tick, elided cycles leave the segments ahead of
+// the handler's pages, which a span that began so need not redo
+// (recencyTick). If none followed, the order is that of the stretched
+// cycle itself: the handler's pages between the two segments, or ahead
+// of both when the tick fell in the record segment. All these touches
+// hit, so no counter moves.
 func (k *Kernel) settleRecency(t *Thread, s *bulkSpan) {
 	b := t.bulk
 	h := &k.cfg.ClockInterrupt
+	seg, seg2 := &s.r.seg, &s.r.seg2
 	switch {
 	case s.ticks == 0:
 		if b.recency == recencyStale && s.cycles > 0 {
-			k.touchWarm(&b.cycleSeg)
-			k.touchWarm(&b.cycleSeg2)
+			k.touchWarm(seg)
+			k.touchWarm(seg2)
 			b.recency = recencyCycle
 		}
 	case s.tail > 0:
 		if b.recency != recencyTick {
 			k.touchWarm(h)
-			k.touchWarm(&b.cycleSeg)
-			k.touchWarm(&b.cycleSeg2)
+			k.touchWarm(seg)
+			k.touchWarm(seg2)
 			b.recency = recencyTick
 		}
 	case s.inRecord:
-		k.touchWarm(&b.cycleSeg)
-		k.touchWarm(&b.cycleSeg2)
+		k.touchWarm(seg)
+		k.touchWarm(seg2)
 		k.touchWarm(h)
 		b.recency = recencyStale
 	default:
-		k.touchWarm(&b.cycleSeg)
+		k.touchWarm(seg)
 		k.touchWarm(h)
-		k.touchWarm(&b.cycleSeg2)
+		k.touchWarm(seg2)
 		b.recency = recencyStale
 	}
 }
@@ -463,44 +407,15 @@ func (k *Kernel) touchWarm(seg *cpu.Segment) {
 // how much work idle elision saved, and always zero on a traced kernel.
 func (k *Kernel) BulkElided() int64 { return k.bulkElided }
 
+// CyclesSimulated returns the number of cycles of bulk-tracked threads
+// the kernel simulated instead of eliding: every such cycle on a traced
+// kernel, and on an untraced one those a span could not cover.
+func (k *Kernel) CyclesSimulated() int64 { return k.cyclesSimulated }
+
 // TicksCrossed returns the number of clock ticks idle elision replayed
 // inside elided spans instead of simulating the cycle each interrupts;
 // always zero on a traced kernel. They are among ClockTicks.
 func (k *Kernel) TicksCrossed() int64 { return k.ticksCrossed }
-
-// segsEqual reports whether two segments describe the identical work:
-// same costs, counters, and working set. Page-set slices are compared
-// by content — instruments reuse the same backing arrays, but the
-// elision proof must not depend on that. Pointer arguments keep the
-// hot-path comparison free of large struct copies.
-func segsEqual(a, b *cpu.Segment) bool {
-	return a.Name == b.Name &&
-		a.BaseCycles == b.BaseCycles &&
-		a.Instructions == b.Instructions &&
-		a.DataRefs == b.DataRefs &&
-		a.SegmentLoads == b.SegmentLoads &&
-		a.UnalignedAccesses == b.UnalignedAccesses &&
-		pagesEqual(a.CodePages, b.CodePages) &&
-		pagesEqual(a.DataPages, b.DataPages) &&
-		pagesEqual(a.CacheChunks, b.CacheChunks)
-}
-
-func pagesEqual(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	if len(a) == 0 || &a[0] == &b[0] {
-		// Same backing array (the usual case: instruments reissue the
-		// identical segment structs every cycle) — trivially equal.
-		return true
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
 
 // LoopTC is the restricted thread context handed to loop functions
 // (SpawnLoop, TC.Loop). Unlike TC it runs in simulator context, with no
@@ -536,62 +451,56 @@ func (lc *LoopTC) next(fn func(lc *LoopTC) bool) bool {
 	return true
 }
 
-// arm resets the thread's request slot and returns it for the caller
-// to fill in place — the slot is free whenever the kernel fetches
-// (pending is nil), and building the request directly in it spares the
-// hot path redundant copies of the two embedded segments.
-func (lc *LoopTC) arm() *request {
+// arm returns the thread's request slot, set to a fresh request of the
+// given kind, for the caller to fill in place — the slot is free
+// whenever the kernel fetches (pending is nil), and building the request
+// directly in it spares the hot path copies of the two embedded
+// segments. arm resets only the progress every kind starts from; each
+// primitive then sets every field process reads for its kind, so no
+// field left by an earlier request is read, and the slot is never
+// zeroed whole.
+func (lc *LoopTC) arm(kind reqKind) *request {
 	if lc.armed {
 		panic("kernel: loop thread " + lc.t.name + " issued two requests in one invocation")
 	}
 	lc.armed = true
-	lc.t.reqSlot = request{}
-	return &lc.t.reqSlot
+	r := &lc.t.reqSlot
+	r.kind, r.started, r.stage = kind, false, 0
+	return r
 }
 
 // Compute consumes CPU according to seg, like TC.Compute.
-func (lc *LoopTC) Compute(seg cpu.Segment) {
-	r := lc.arm()
-	r.kind = reqCompute
-	r.seg = seg
-}
+func (lc *LoopTC) Compute(seg cpu.Segment) { lc.arm(reqCompute).seg = seg }
 
 // Compute2 consumes CPU for two segments back to back in one request:
 // the second is costed the instant the first finishes, as two Compute
 // calls would be. The idle-loop instrument issues one per sample.
 func (lc *LoopTC) Compute2(a, b cpu.Segment) {
-	r := lc.arm()
-	r.kind = reqCompute2
+	r := lc.arm(reqCompute2)
 	r.seg = a
 	r.seg2 = b
 }
 
 // Sleep blocks the thread for at least d, like TC.Sleep.
-func (lc *LoopTC) Sleep(d simtime.Duration) {
-	r := lc.arm()
-	r.kind = reqSleep
-	r.d = d
-}
+func (lc *LoopTC) Sleep(d simtime.Duration) { lc.arm(reqSleep).d = d }
 
 // DomainCross models a protection-domain crossing, like TC.DomainCross.
-func (lc *LoopTC) DomainCross() { lc.arm().kind = reqDomainCross }
+func (lc *LoopTC) DomainCross() { lc.arm(reqDomainCross) }
 
 // ModeSwitch models a user/kernel mode switch, like TC.ModeSwitch.
-func (lc *LoopTC) ModeSwitch() { lc.arm().kind = reqModeSwitch }
+func (lc *LoopTC) ModeSwitch() { lc.arm(reqModeSwitch) }
 
 // ReadFile synchronously reads pages [page, page+pages) of file, like
 // TC.ReadFile.
 func (lc *LoopTC) ReadFile(file fscache.FileID, page, pages int64) {
-	r := lc.arm()
-	r.kind = reqReadFile
+	r := lc.arm(reqReadFile)
 	r.file, r.page, r.pages = file, page, pages
 }
 
 // WriteFile synchronously writes pages [page, page+pages) of file, like
 // TC.WriteFile.
 func (lc *LoopTC) WriteFile(file fscache.FileID, page, pages int64) {
-	r := lc.arm()
-	r.kind = reqWriteFile
+	r := lc.arm(reqWriteFile)
 	r.file, r.page, r.pages = file, page, pages
 }
 

@@ -29,10 +29,10 @@ func (p *quantumProbe) OnBulk(n int64, _ simtime.Time, cycle simtime.Duration) {
 // or counter shows: the slice an elided span leaves the idle thread, and
 // the queue's sequence counter and next tick a span that crossed ticks
 // leaves. A traced kernel simulates every cycle and tick and an untraced
-// one elides the clean cycles and crosses the ticks among them; both
-// are stopped at the same irregular boundaries, and at each the idle
-// thread's quantumLeft, the next sequence number and the armed tick's
-// (time, seq) key must agree. The loop's 1.03 ms cycle does not divide
+// one elides the cycles whose pages are resident and crosses the ticks
+// among them; both are stopped at the same irregular boundaries, and at
+// each the idle thread's quantumLeft, the next sequence number and the
+// armed tick's (time, seq) key must agree. The loop's 1.03 ms cycle does not divide
 // the 20 ms quantum, so the elided spans straddle quantum refills at a
 // different phase every time. No other thread runs, so nothing preempts
 // the idle thread and resets its slice.

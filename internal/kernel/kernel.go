@@ -183,13 +183,12 @@ type Kernel struct {
 	clockTicks int64
 	shutdown   bool
 	// bulkElided counts idle cycles accounted analytically, and
-	// ticksCrossed the clock ticks replayed inside them; ctxSwitches
-	// counts thread context switches (startChunk), letting the
-	// cleanliness proof require "no switch inside this cycle" — a
-	// process switch may flush the TLBs without an immediate miss.
-	bulkElided   int64
-	ticksCrossed int64
-	ctxSwitches  uint64
+	// ticksCrossed the clock ticks replayed inside them; cyclesSimulated
+	// counts the cycles of bulk-tracked threads simulated instead
+	// (noteBulkCycle).
+	bulkElided      int64
+	ticksCrossed    int64
+	cyclesSimulated int64
 	// resumes counts coroutine-thread resumptions (fetchInto), the
 	// round trips TC.Loop saves.
 	resumes int64
@@ -486,8 +485,7 @@ func (k *Kernel) RaiseInterrupt(handler cpu.Segment, actions func(now simtime.Ti
 	if k.rec != nil {
 		ih = k.rec.Begin(spans.CauseInterrupt, handler.Name)
 	}
-	cycles, d := k.cpu.Execute(handler)
-	_ = cycles
+	_, d := k.cpu.Execute(&handler)
 	k.cpu.Add(cpu.Interrupts, 1)
 
 	k.pauseCurrent()

@@ -86,7 +86,6 @@ func (k *Kernel) reconcile() {
 // the quantum expired and t was requeued behind an equal-priority peer.
 func (k *Kernel) startChunk(t *Thread) bool {
 	if t != k.lastRun {
-		k.ctxSwitches++
 		var ch spans.Handle
 		if k.rec != nil {
 			ch = k.rec.Begin(spans.CauseCtxSwitch, t.name)
@@ -95,7 +94,7 @@ func (k *Kernel) startChunk(t *Thread) bool {
 			k.cpu.Mem.FlushTLBs()
 		}
 		k.lastRun = t
-		if _, d := k.cpu.Execute(k.cfg.ContextSwitch); d > 0 {
+		if _, d := k.cpu.Execute(&k.cfg.ContextSwitch); d > 0 {
 			k.steal(d)
 			k.rec.EndAt(ch, k.stolenUntil)
 			return false
@@ -296,7 +295,7 @@ func (k *Kernel) process(t *Thread) {
 	case reqCompute:
 		if !r.started {
 			r.started = true
-			if _, d := k.cpu.Execute(r.seg); d > 0 {
+			if _, d := k.cpu.Execute(&r.seg); d > 0 {
 				t.remaining = d
 				return
 			}
@@ -313,7 +312,7 @@ func (k *Kernel) process(t *Thread) {
 			if r.started {
 				if r.stage == 1 {
 					if t.bulk != nil {
-						k.noteBulkCycle(t, r)
+						k.noteBulkCycle(t)
 					}
 					t.pending = nil
 					return
@@ -326,23 +325,15 @@ func (k *Kernel) process(t *Thread) {
 			if r.stage == 1 {
 				seg = &r.seg2
 			}
-			if t.bulk != nil && r.stage == 0 {
-				// Open a bulk-cycle observation: wall start, per-stage
-				// analytic durations, a counter snapshot to diff at
-				// completion (engine.go), and the context-switch count so
-				// cleanliness can require the cycle ran switch-free.
-				b := t.bulk
-				b.cycleStart = k.now
-				b.cycleD1, b.cycleD2 = 0, 0
-				b.cycleSnap = k.cpu.Snapshot()
-				b.cycleSwitches = k.ctxSwitches
-			}
-			_, d := k.cpu.Execute(*seg)
-			if t.bulk != nil {
+			_, d := k.cpu.Execute(seg)
+			if b := t.bulk; b != nil {
+				// A bulk-tracked cycle is observed for the recency it
+				// leaves (noteBulkCycle): when its first segment was
+				// costed, and the CPU time both were costed at.
 				if r.stage == 0 {
-					t.bulk.cycleD1 = d
+					b.cycleStart, b.cycleRan = k.now, d
 				} else {
-					t.bulk.cycleD2 = d
+					b.cycleRan += d
 				}
 			}
 			if d > 0 {

@@ -137,8 +137,8 @@ type Thread struct {
 	loopFn func(lc *LoopTC) bool
 	loopTC LoopTC
 
-	// bulk, non-nil once SetBulkLoop registers a delegate, enables
-	// per-cycle cleanliness tracking and the elision of clean cycles
+	// bulk, non-nil once SetBulkLoop registers a delegate, enables the
+	// elision of the thread's cycles whose pages are resident
 	// (engine.go).
 	bulk *bulkState
 
