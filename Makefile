@@ -153,20 +153,24 @@ fuzz-smoke:
 
 # The end-to-end determinism and crash-safety gate for the committed
 # demo campaign (10080 quick sessions), proving each property once:
-# SIGINT a run at -jobs 2 mid-flight (exit 3 = drained cleanly; exit 0
-# means the run won the race and finished, which is also fine) and
-# repair the ledger (a no-op on a clean prefix); resume it at a
-# different worker count and require the ledger to match the committed
-# one byte for byte; then require the analyze report to match too.
+# SIGINT a run at -jobs 2 mid-flight and require it to drain (exit 3)
+# leaving a partial ledger, then repair the ledger (a no-op on a clean
+# prefix); resume it at a different worker count and require the ledger
+# to match the committed one byte for byte; then require the analyze
+# report to match too. The injected 100 ms before each of the 48 cells
+# keeps the run busy for at least 2.4 s at two workers, so the signal
+# at 1 s always lands mid-run, however fast the host simulates.
 CAMPAIGN_DIR  = testdata/campaigns
 CAMPAIGN_JOBS ?= 3
 campaign-check:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o $$tmp/campaign ./cmd/campaign && \
-	( LATLAB_CAMPAIGN_INJECT=sleep=40ms $$tmp/campaign run -spec $(CAMPAIGN_DIR)/demo.json \
+	( LATLAB_CAMPAIGN_INJECT=sleep=100ms $$tmp/campaign run -spec $(CAMPAIGN_DIR)/demo.json \
 		-ledger $$tmp/demo-ledger.jsonl -quick -jobs 2 & \
 	  pid=$$!; sleep 1; kill -INT $$pid 2>/dev/null; wait $$pid; code=$$?; \
-	  [ $$code -eq 0 ] || [ $$code -eq 3 ] || { echo "campaign-check: interrupted run exited $$code, want 0 or 3"; exit 1; } ) && \
+	  [ $$code -eq 3 ] || { echo "campaign-check: interrupted run exited $$code, want 3"; exit 1; }; \
+	  got=$$(wc -l < $$tmp/demo-ledger.jsonl) && want=$$(wc -l < $(CAMPAIGN_DIR)/demo-ledger.jsonl) && \
+	  [ $$got -lt $$want ] || { echo "campaign-check: interrupted ledger holds $$got of $$want records, want fewer"; exit 1; } ) && \
 	$$tmp/campaign repair -ledger $$tmp/demo-ledger.jsonl && \
 	$$tmp/campaign resume -spec $(CAMPAIGN_DIR)/demo.json \
 		-ledger $$tmp/demo-ledger.jsonl -quick -jobs $(CAMPAIGN_JOBS) && \

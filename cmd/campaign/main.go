@@ -390,8 +390,8 @@ func runCampaign(args []string, stdout, stderr io.Writer, resume bool) (code int
 		fmt.Fprintf(stdout, "campaign %s: resuming %d of %d cells (%d already in ledger, %d out of retry budget)\n",
 			c.Spec.ID, len(cells), len(campaign.Cells(c)), existing, len(skipped))
 	}
-	fmt.Fprintf(stdout, "campaign %s: %d cells, %d sessions, %d events -> %s\n",
-		c.Spec.ID, sum.Cells, sum.Sessions, sum.Events, *ledgerPath)
+	fmt.Fprintf(stdout, "campaign %s: %d cells, %d sessions (%d simulated), %d events -> %s\n",
+		c.Spec.ID, sum.Cells, sum.Sessions, sum.Simulated, sum.Events, *ledgerPath)
 	if interrupted {
 		fmt.Fprintf(stderr, "campaign %s: interrupted after %d of %d cells; ledger is a clean prefix — continue with `campaign resume`\n",
 			c.Spec.ID, sum.Cells, sum.Planned)

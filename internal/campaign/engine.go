@@ -11,6 +11,7 @@ import (
 	"latlab/internal/perception"
 	"latlab/internal/runner"
 	"latlab/internal/scenario"
+	"latlab/internal/simtime"
 	"latlab/internal/stats"
 )
 
@@ -239,8 +240,13 @@ type Summary struct {
 	Planned int
 	// Cells is the number of ledger records emitted.
 	Cells int
-	// Sessions is the number of seeded sessions executed.
+	// Sessions is the number of seeded sessions folded into the
+	// emitted records, one per seed.
 	Sessions int
+	// Simulated is the number of those sessions actually driven; the
+	// rest repeated their cell's representative session (runCell) and
+	// were folded from it.
+	Simulated int
 	// Events is the number of event latencies folded into sketches.
 	Events uint64
 	// Quarantined lists the cells that failed (error, panic, timeout)
@@ -297,6 +303,7 @@ func RunCells(ctx context.Context, c *Campaign, cells []Cell, opt Options, emit 
 			}
 			sum.Cells++
 			sum.Sessions += out.rec.Sessions
+			sum.Simulated += out.simulated
 			sum.Events += out.rec.Events
 			return emit(out.rec)
 		})
@@ -334,12 +341,14 @@ func cellQuarantine(campaignID string, cell Cell, quick bool, attempts int, errM
 	}
 }
 
-// cellOutcome is one cell's result: its ledger record, or its
-// quarantine entry (fail), or cut when cancellation stopped it first.
+// cellOutcome is one cell's result: its ledger record with the number
+// of sessions it simulated, or its quarantine entry (fail), or cut when
+// cancellation stopped it first.
 type cellOutcome struct {
-	rec  Record
-	fail *Quarantine
-	cut  bool
+	rec       Record
+	simulated int
+	fail      *Quarantine
+	cut       bool
 }
 
 // runCellJob runs one cell under opt.Timeout, which bounds its whole
@@ -359,16 +368,16 @@ func runCellJob(ctx context.Context, campaignID string, cell Cell, alpha float64
 					return cellOutcome{}, err
 				}
 			}
-			var rec Record
+			var out cellOutcome
 			var err error
 			if opt.Inject != nil {
 				err = opt.Inject(ctx, cell, attempt)
 			}
 			if err == nil {
-				rec, err = runCell(ctx, campaignID, cell, alpha, opt)
+				out.rec, out.simulated, err = runCell(ctx, campaignID, cell, alpha, opt)
 			}
 			if err == nil {
-				return cellOutcome{rec: rec}, nil
+				return out, nil
 			}
 			if ctx.Err() != nil {
 				return cellOutcome{}, ctx.Err()
@@ -401,67 +410,109 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 }
 
 // runCell executes a cell's sessions in seed order, folding every
-// event latency into one sketch and returning the finished ledger
-// record. Each session is opened, driven, read and closed before the
-// next opens, and its events are discarded after folding, so memory
-// stays flat at any population size.
-func runCell(ctx context.Context, campaignID string, cell Cell, alpha float64, opt Options) (Record, error) {
-	sk := stats.NewSketch(alpha)
-	sessions := 0
-	// The perception fold walks the same events in the same order as the
-	// headline sketch, adding the identical float, so turning the block on
-	// never perturbs the headline distribution.
-	var per *PerceptionStats
-	model := perception.Default()
-	if cell.Perception {
-		per = &PerceptionStats{}
-	}
-	fold := func(events []core.Event) {
-		for _, ev := range events {
-			ms := ev.Latency.Milliseconds()
-			sk.Add(ms)
-			if per == nil {
-				continue
-			}
-			ec := perception.ClassOfKind(ev.Kind)
-			switch model.Classify(ec, ms) {
-			case perception.Imperceptible:
-				per.Imperceptible++
-			case perception.Perceptible:
-				per.Perceptible++
-			case perception.Annoying:
-				per.Annoying++
-			default:
-				per.Unusable++
-			}
-			dst := &per.Command
-			switch ec {
-			case perception.Typing:
-				dst = &per.Typing
-			case perception.Pointing:
-				dst = &per.Pointing
-			}
-			if *dst == nil {
-				*dst = stats.NewSketch(alpha)
-			}
-			(*dst).Add(ms)
-		}
-		sessions++
-	}
+// event latency into one sketch, and returns the finished ledger record
+// and the number of sessions it simulated. Each session is opened,
+// driven, read and closed before the next opens.
+//
+// A session depends on its seed only where experiments.SeedReaches
+// says, so the cell simulates each distinct session once. The first
+// session whose seed reaches nothing before its own end is the cell's
+// representative: every later seed that also reaches nothing before
+// that instant would run the same machine to the same end, so the cell
+// folds the representative's events again instead of simulating it.
+// The representative is the only session a cell keeps past its fold.
+func runCell(ctx context.Context, campaignID string, cell Cell, alpha float64, opt Options) (Record, int, error) {
 	if err := cell.Doc.Validate(); err != nil {
-		return Record{}, err
+		return Record{}, 0, err
 	}
+	f := newCellFold(alpha, cell.Perception)
+	var rep []core.Event
+	var repEnd simtime.Time
+	haveRep := false
+	simulated := 0
 	for i := 0; i < cell.SeedCount; i++ {
 		if err := ctx.Err(); err != nil {
-			return Record{}, err
+			return Record{}, 0, err
 		}
-		seed := cell.SeedStart + uint64(i)
-		events, err := sessionEvents(cell.Doc, seed, opt.Quick)
+		cfg := experiments.Config{Seed: cell.SeedStart + uint64(i), Quick: opt.Quick}
+		if haveRep && !experiments.SeedReaches(cell.Doc, cfg, repEnd) {
+			f.add(rep)
+			continue
+		}
+		events, end, err := sessionEvents(cell.Doc, cfg)
 		if err != nil {
-			return Record{}, fmt.Errorf("seed %d: %w", seed, err)
+			return Record{}, 0, fmt.Errorf("seed %d: %w", cfg.Seed, err)
 		}
-		fold(events)
+		simulated++
+		if !haveRep && !experiments.SeedReaches(cell.Doc, cfg, end) {
+			rep, repEnd, haveRep = events, end, true
+		}
+		f.add(events)
 	}
+	return f.record(campaignID, cell, opt.Quick), simulated, nil
+}
+
+// cellFold folds a cell's sessions, in seed order, into its ledger
+// record: every event latency into one sketch and, with the perception
+// block on, into per-class counters and sketches.
+type cellFold struct {
+	alpha    float64
+	sk       *stats.Sketch
+	per      *PerceptionStats
+	model    perception.Model
+	sessions int
+}
+
+// newCellFold returns an empty fold at sketch accuracy alpha.
+func newCellFold(alpha float64, withPerception bool) cellFold {
+	f := cellFold{alpha: alpha, sk: stats.NewSketch(alpha), model: perception.Default()}
+	if withPerception {
+		f.per = &PerceptionStats{}
+	}
+	return f
+}
+
+// add folds one session's events. The perception fold walks the same
+// events in the same order as the headline sketch, adding the identical
+// float, so turning the block on never perturbs the headline
+// distribution.
+func (f *cellFold) add(events []core.Event) {
+	for _, ev := range events {
+		ms := ev.Latency.Milliseconds()
+		f.sk.Add(ms)
+		if f.per == nil {
+			continue
+		}
+		per := f.per
+		ec := perception.ClassOfKind(ev.Kind)
+		switch f.model.Classify(ec, ms) {
+		case perception.Imperceptible:
+			per.Imperceptible++
+		case perception.Perceptible:
+			per.Perceptible++
+		case perception.Annoying:
+			per.Annoying++
+		default:
+			per.Unusable++
+		}
+		dst := &per.Command
+		switch ec {
+		case perception.Typing:
+			dst = &per.Typing
+		case perception.Pointing:
+			dst = &per.Pointing
+		}
+		if *dst == nil {
+			*dst = stats.NewSketch(f.alpha)
+		}
+		(*dst).Add(ms)
+	}
+	f.sessions++
+}
+
+// record returns the cell's ledger record.
+func (f *cellFold) record(campaignID string, cell Cell, quick bool) Record {
+	sk := f.sk
 	return Record{
 		Schema:     RecordSchemaVersion,
 		Campaign:   campaignID,
@@ -471,8 +522,8 @@ func runCell(ctx context.Context, campaignID string, cell Cell, alpha float64, o
 		Faults:     cell.Faults,
 		SeedStart:  cell.SeedStart,
 		SeedCount:  cell.SeedCount,
-		Quick:      opt.Quick,
-		Sessions:   sessions,
+		Quick:      quick,
+		Sessions:   f.sessions,
 		Events:     sk.Count(),
 		P50Ms:      sk.Quantile(0.50),
 		P95Ms:      sk.Quantile(0.95),
@@ -481,19 +532,21 @@ func runCell(ctx context.Context, campaignID string, cell Cell, alpha float64, o
 		MeanMs:     sk.Mean(),
 		JitterMs:   sk.StdDev(),
 		Sketch:     sk,
-		Perception: per,
-	}, nil
+		Perception: f.per,
+	}
 }
 
-// sessionEvents opens doc's session at seed, drives it and reads its
-// events — all a ledger record needs. The deferred Close releases the
-// machine when Drive panics; Events closes it otherwise.
-func sessionEvents(doc scenario.Doc, seed uint64, quick bool) ([]core.Event, error) {
-	s, err := experiments.OpenScenarioSession(experiments.Config{Seed: seed, Quick: quick}, doc)
+// sessionEvents opens doc's session under cfg, drives it and reads its
+// events — all a ledger record needs — and the instant it ended. The
+// deferred Close releases the machine when Drive panics; Events closes
+// it otherwise.
+func sessionEvents(doc scenario.Doc, cfg experiments.Config) ([]core.Event, simtime.Time, error) {
+	s, err := experiments.OpenScenarioSession(cfg, doc)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	defer s.Close()
 	s.Drive()
-	return s.Events(), nil
+	end := s.Sys().K.Now()
+	return s.Events(), end, nil
 }

@@ -190,10 +190,55 @@ func scenarioPlan(doc scenario.Doc, cfg Config) faults.Plan {
 	return p
 }
 
+// SeedReaches reports whether the session doc opens under cfg can
+// depend on its effective seed (doc.Seed when pinned, else cfg.Seed)
+// at or before t. The seed enters a session in two places only: a
+// typing workload's seeded typist (typistSeeded), whose script is
+// queued before the run starts, and the fault plan (scenarioPlan),
+// which places derived windows by the seed and whose injection streams
+// draw only inside a window. So a session whose seed reaches nothing up
+// to t runs, up to t, exactly as every other seed's session that
+// reaches nothing up to t. The bound is inclusive because kernel.Run
+// fires the events due at its horizon.
+func SeedReaches(doc scenario.Doc, cfg Config, t simtime.Time) bool {
+	if doc.Workload.Kind == scenario.KindTyping && typistSeeded(doc.Input) {
+		return true
+	}
+	if doc.Seed != 0 {
+		cfg.Seed = doc.Seed
+	}
+	for _, f := range scenarioPlan(doc, cfg).Faults {
+		if f.Start <= t {
+			return true
+		}
+	}
+	return false
+}
+
+// typistSeeded reports whether a typing workload's input comes from the
+// seeded typist: the default typist when there are no stanzas, or any
+// typist stanza.
+func typistSeeded(stanzas []scenario.Stanza) bool {
+	if len(stanzas) == 0 {
+		return true
+	}
+	for _, st := range stanzas {
+		if st.Type == "typist" {
+			return true
+		}
+	}
+	return false
+}
+
 // scenarioScript builds the typing workload's input script: the
 // document's explicit stanzas when present, otherwise the seeded
-// typist over deterministic filler prose.
+// typist over deterministic filler prose. A script typistSeeded calls
+// seed-free never sees the seed, so SeedReaches cannot miss a stanza
+// that draws from it.
 func (sc scRun) scenarioScript(startMs float64) *input.Script {
+	if !typistSeeded(sc.stanzas) {
+		sc.seed = 0
+	}
 	if len(sc.stanzas) == 0 {
 		wpm := defF(sc.prm.WPM, 70)
 		ty := input.NewTypist(sc.seed, wpm)
